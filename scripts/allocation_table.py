@@ -7,7 +7,7 @@ bargaining policy (gsa) next to the equal-airtime (eql) and load-weighted
 
 import argparse
 
-from airfair.bargaining import dissemination_rate, gnbs_allocate, nash_product, wpf_aggregate
+from airfair.bargaining import dissemination_rate, nash_product, wpf_aggregate
 from airfair.scenario_io import load_scenario, preset_scenario
 from airfair.simulate import POLICIES, run_scenario
 

@@ -13,21 +13,30 @@ subject to the airtime budget and per-node caps.
 The solver is a water-filling scheme.  Every player has a strictly
 increasing "level" curve mapping broadcast time to an equalized marginal
 quantity; at an unsaturated optimum all uncapped players sit at one common
-level while capped players transmit everything they queued.  Players are
-visited in ascending order of the level reached at their cap, which makes a
-single forward sweep sufficient.  Each solution ships with a KKT residual
+level s while capped players transmit everything they queued, so the whole
+problem is one equation in s: sum_i (1 + beta_i) min(cap_i, x_i(s)) = T.
+The active players' curves are kept as parameter arrays, sorted by the level
+each reaches at its cap.  A binary search over those breakpoints finds the
+segment where the budget binds; on it the equation is solved in closed form
+when every uncapped player is linear in s (normalized-linear, or power
+without a disagreement point) and by Newton's method on s otherwise.  Each
+x_i(s) is itself a closed form for linear curves, Halley's method on
+y e^y = q for log-shifted ones, and a monotone Newton iteration for power
+curves with a disagreement point.  Each solution ships with a KKT residual
 report so callers can certify optimality numerically.
 
-Two reference baselines (equal slots and load-weighted slots), a brute-force
-grid-search oracle, and the fairness metrics used to compare policies live
-here as well.
+Two reference baselines (equal slots and load-weighted slots) are
+clipped-linear instances of the same equation and share the breakpoint
+solve.  A brute-force grid-search oracle and the fairness metrics used to
+compare policies live here as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -64,11 +73,19 @@ ROLE_CLIENT = "client"
 
 _UTILITY_KINDS = ("normalized-linear", "log-shifted", "power")
 
-#: relative tolerance and iteration cap for every bisection in this module
+#: relative tolerance and iteration cap of the reference bisection
+#: (``time_at_level(..., method="bisect")``)
 BISECT_REL_TOL = 1e-9
 BISECT_MAX_ITER = 200
 
 _REL_SLACK = 1e-12
+
+#: iteration cap of every root-find in the water-filling core
+_ROOT_MAX_ITER = 100
+_EPS = float(np.finfo(float).eps)
+
+# how a player's level curve is inverted (see _Curves)
+_LINEAR, _LOG, _POWER = 0, 1, 2
 
 
 class DomainError(ValueError):
@@ -244,13 +261,18 @@ class BargainingProblem:
                 "disagreement outcomes already consume the whole airtime budget"
             )
 
-    @property
+    @cached_property
     def active(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.players)) if self.caps[i] > 0)
 
     @property
     def go_index(self) -> int:
         return next(i for i, p in enumerate(self.players) if p.role == ROLE_GO)
+
+    @cached_property
+    def _curves(self) -> "_Curves":
+        """The active players' level curves as parameter arrays."""
+        return _Curves.bargaining(self)
 
     @property
     def demand(self) -> float:
@@ -276,6 +298,13 @@ class KktReport:
     the multiplier ``lam`` for uncapped players; ``slackness`` combines dual
     feasibility and complementary slackness for capped players.  ``budget``
     is the budget equation residual and ``max_residual`` the worst of all.
+    ``relative_residual`` is the scale-free version: stationarity over
+    ``lam`` and the budget residual over the budget it is measured against.
+
+    ``path`` is ``"saturated"`` when every queue fits in the window and
+    ``"contended"`` otherwise; ``iterations`` counts the solver's root-find
+    steps for the common level (breakpoint probes plus Newton steps, 0 for a
+    saturated problem).
     """
 
     lam: float
@@ -283,6 +312,9 @@ class KktReport:
     slackness: np.ndarray
     budget: float
     max_residual: float
+    relative_residual: float
+    path: str
+    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +344,8 @@ def level(problem: BargainingProblem, i: int, x: float) -> float:
     Ratio of i's weighted utility gain over its disagreement point to its
     marginal utility, scaled by the channel cost (1 + beta_i).  Strictly
     increasing in x on (disagreement, cap]; at an unsaturated optimum all
-    uncapped players share one level.
+    uncapped players share one level.  Evaluated from the utility's own
+    value and derivative, independently of the solver's closed forms.
     """
     u = problem.utilities[i]
     if u is None:
@@ -326,38 +359,215 @@ def level(problem: BargainingProblem, i: int, x: float) -> float:
     return float((1.0 + problem.betas[i]) / problem.alphas[i] * gain / u.derivative(x))
 
 
+@dataclass(frozen=True, eq=False)
+class _Curves:
+    """Level curves of the bargaining players as parameter arrays, sorted by
+    the level each reaches at its cap (``top``, ascending; ties by index).
+
+    At common level s a player transmits min(cap, time(s)), where time(s)
+    inverts its level curve in one of three ways (``kind``):
+
+    * ``_LINEAR`` (normalized-linear, power with d = 0, and the baselines'
+      clipped-linear shares): time(s) = d + r s;
+    * ``_LOG`` (log-shifted, gain g): time(s) = d + expm1(y) / k with
+      k = g / (1 + g d) and y e^y = r k s;
+    * ``_POWER`` (exponent p, d > 0): time(s) = d (1 + t) with
+      t - expm1((1 - p) log1p(t)) = r s / d.
+
+    ``r`` is the slope of time(s) at s = 0: alpha / (1 + beta), times p for
+    power players.  ``coeff`` holds k for log-shifted players and p for
+    power players.
+    """
+
+    index: np.ndarray
+    weight: np.ndarray
+    d: np.ndarray
+    cap: np.ndarray
+    r: np.ndarray
+    kind: np.ndarray
+    coeff: np.ndarray
+    top: np.ndarray
+
+    @classmethod
+    def sorted_by_top(cls, index, weight, d, cap, r, kind, coeff, top) -> "_Curves":
+        order = np.argsort(top, kind="stable")
+        return cls(*(a[order] for a in (index, weight, d, cap, r, kind, coeff, top)))
+
+    @classmethod
+    def clipped_linear(cls, problem: BargainingProblem, slope: np.ndarray) -> "_Curves":
+        """Curves x_i(s) = slope_i s of the active players (the baselines)."""
+        idx = np.flatnonzero(problem.caps > 0)
+        cap, r = problem.caps[idx], slope[idx]
+        zero = np.zeros(len(idx))
+        return cls.sorted_by_top(idx, 1.0 + problem.betas[idx], zero, cap, r,
+                                 zero.astype(np.int8), zero, cap / r)
+
+    @classmethod
+    def bargaining(cls, problem: BargainingProblem) -> "_Curves":
+        """Level curves of the active players of a bargaining problem."""
+        idx = np.flatnonzero(problem.caps > 0)
+        weight = 1.0 + problem.betas[idx]
+        d, cap = problem.disagreements[idx], problem.caps[idx]
+        r = problem.alphas[idx] / weight
+        kind = np.zeros(len(idx), dtype=np.int8)
+        coeff = np.zeros(len(idx))
+        for j, i in enumerate(idx):
+            u = problem.utilities[i]
+            if u.kind == "log-shifted":
+                kind[j], coeff[j] = _LOG, u.coeff / (1.0 + u.coeff * d[j])
+            elif u.kind == "power":
+                kind[j], coeff[j] = (_POWER if d[j] > 0 else _LINEAR), u.coeff
+                r[j] *= u.coeff
+        top = (cap - d) / r
+        m = kind == _LOG
+        k, room = coeff[m], cap[m] - d[m]
+        top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
+        m = kind == _POWER
+        t = (cap[m] - d[m]) / d[m]
+        top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
+        return cls.sorted_by_top(idx, weight, d, cap, r, kind, coeff, top)
+
+    def times(self, s: float, sel: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Unclipped broadcast times time(s) of the selected players at
+        common level ``s``, and their derivatives in ``s``."""
+        d, r = self.d[sel], self.r[sel]
+        x = d + r * s
+        dx = r.copy()
+        kind = self.kind[sel]
+        if kind.any():
+            coeff = self.coeff[sel]
+            m = kind == _LOG
+            if m.any():
+                k = coeff[m]
+                y = _lambert_w(r[m] * k * s)
+                x[m] = d[m] + np.expm1(y) / k
+                dx[m] = r[m] / (1.0 + y)
+            m = kind == _POWER
+            if m.any():
+                t, slope = _power_gain(r[m] * s / d[m], coeff[m])
+                x[m] = d[m] + d[m] * t
+                dx[m] = r[m] / slope
+        return x, dx
+
+    def level_for_airtime(self, start: int, lo: float, hi: float, target: float) -> tuple[float, int]:
+        """Common level in [lo, hi] at which the players from sorted position
+        ``start`` on, all uncapped below ``hi``, consume ``target`` channel
+        seconds; also the number of Newton steps taken.
+
+        Closed form when those players are all linear.  Otherwise Newton's
+        method from ``lo``: the consumed airtime is concave in the level, so
+        the iterates climb monotonically to the root, and the climb stops
+        once a step no longer gains more than rounding noise.
+        """
+        w = self.weight[start:]
+        if not self.kind[start:].any():
+            s = (target - w @ self.d[start:]) / (w @ self.r[start:])
+            return min(max(s, lo), hi), 0
+        s = lo
+        for it in range(1, _ROOT_MAX_ITER + 1):
+            x, dx = self.times(s, slice(start, None))
+            step = (target - w @ x) / (w @ dx)
+            if step <= 4.0 * _EPS * s:
+                return min(max(s + step, lo), hi), it
+            s = min(s + step, hi)
+        return s, _ROOT_MAX_ITER
+
+    def water_fill(self, budget: float) -> tuple[float, np.ndarray, int]:
+        """Common level s and broadcast times (in sorted order) that spend
+        ``budget`` < demand: sum_i (1 + beta_i) min(cap_i, time_i(s)) = budget.
+
+        Binary search over the sorted cap levels finds the segment where the
+        budget binds (players below it sit at their caps), then
+        :meth:`level_for_airtime` solves that segment.  Also returns the
+        root-find iteration count: breakpoint probes plus Newton steps.
+        """
+        w, cap, top = self.weight, self.cap, self.top
+        spent = np.cumsum(w * cap)
+        lo, hi = 0, len(top) - 1
+        probes = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            x, _ = self.times(top[mid], slice(mid + 1, None))
+            probes += 1
+            if spent[mid] + w[mid + 1:] @ x >= budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        base = spent[lo - 1] if lo else 0.0
+        s, steps = self.level_for_airtime(lo, top[lo - 1] if lo else 0.0, top[lo], budget - base)
+        x = cap.copy()
+        x[lo:] = np.minimum(cap[lo:], self.times(s, slice(lo, None))[0])
+        return float(s), x, probes + steps
+
+
+def _lambert_w(q: np.ndarray) -> np.ndarray:
+    """Principal branch of y e^y = q for q >= 0, by Halley's method from
+    Winitzki's approximation (within 2% everywhere, so a few steps suffice)."""
+    l1 = np.log1p(q)
+    y = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
+    for _ in range(_ROOT_MAX_ITER):
+        e = np.exp(y)
+        f = y * e - q
+        step = f / (e * (y + 1.0) - (y + 2.0) * f / (2.0 * y + 2.0))
+        y = y - step
+        if np.all(np.abs(step) <= 4.0 * _EPS * y):
+            break
+    return y
+
+
+def _power_gain(rho: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve t - expm1((1 - p) log1p(t)) = rho for t >= 0; also returns the
+    left side's derivative at the root.
+
+    The left side is increasing and convex, and t = rho / p lies at or above
+    the root (weighted AM-GM), so Newton's method descends monotonically.
+    """
+    t = rho / p
+    for _ in range(_ROOT_MAX_ITER):
+        lt = np.log1p(t)
+        slope = 1.0 - (1.0 - p) * np.exp(-p * lt)
+        step = (t - np.expm1((1.0 - p) * lt) - rho) / slope
+        t = t - step
+        if np.all(step <= 4.0 * _EPS * t):  # the descent has stalled at rounding noise
+            break
+    return t, 1.0 - (1.0 - p) * np.exp(-p * np.log1p(t))
+
+
 def time_at_level(problem: BargainingProblem, i: int, lvl: float, method: str = "auto") -> float:
     """Invert :func:`level`: broadcast time at which player i reaches ``lvl``.
 
-    Uses the closed form for normalized-linear utilities unless
-    ``method="bisect"`` forces the generic bisection (handy for cross checks).
+    Uses the water-filling core's inversion (closed form for linear curves,
+    Halley's method for log-shifted ones, Newton's method for power ones
+    with a disagreement point) unless ``method="bisect"`` forces a generic
+    bisection on :func:`level` (handy for cross checks).
     """
-    u = problem.utilities[i]
-    if u is None:
+    curves = problem._curves
+    found = np.flatnonzero(curves.index == i)
+    if not len(found):
         raise DomainError(f"player index {i} has no data and does not bargain")
-    d = problem.disagreements[i]
-    cap = problem.caps[i]
-    top = level(problem, i, cap)
+    pos = int(found[0])
+    top = curves.top[pos]
     if not (0.0 < lvl <= top * (1.0 + _REL_SLACK)):
         raise DomainError(f"level {lvl} outside (0, {top}] for player index {i}")
-    if method == "auto" and u.kind == "normalized-linear":
-        x = d + problem.alphas[i] * lvl / (1.0 + problem.betas[i])
+    cap = problem.caps[i]
+    if method == "bisect":
+        x = _bisect_increasing(lambda t: level(problem, i, t), problem.disagreements[i], cap, lvl)
     else:
-        x = _bisect_increasing(lambda t: level(problem, i, t), d, cap, lvl)
+        x = curves.times(lvl, slice(pos, pos + 1))[0][0]
     return float(min(x, cap))
 
 
 def level_order(problem: BargainingProblem) -> tuple[int, ...]:
     """Active player indices sorted by the level reached at their cap
     (ascending); ties fall back to the original index."""
-    return tuple(sorted(problem.active, key=lambda i: (level(problem, i, problem.caps[i]), i)))
+    return tuple(int(i) for i in problem._curves.index)
 
 
-def _tail_airtime(problem: BargainingProblem, order: Sequence[int], start: int, lvl: float) -> float:
-    return sum(
-        (1.0 + problem.betas[n]) * time_at_level(problem, n, lvl)
-        for n in order[start:]
-    )
+def _tail_top(problem: BargainingProblem, start: int) -> float:
+    curves = problem._curves
+    if not (0 <= start < len(curves.index)):
+        raise DomainError(f"start={start} outside the sorted order")
+    return float(curves.top[start])
 
 
 def tail_airtime(problem: BargainingProblem, start: int, lvl: float) -> float:
@@ -367,77 +577,23 @@ def tail_airtime(problem: BargainingProblem, start: int, lvl: float) -> float:
     ``start`` indexes into :func:`level_order`.  ``lvl`` must not exceed the
     cap level of the player at ``start`` (the smallest in the tail).
     """
-    order = level_order(problem)
-    if not (0 <= start < len(order)):
-        raise DomainError(f"start={start} outside the sorted order")
-    head = order[start]
-    top = level(problem, head, problem.caps[head])
+    top = _tail_top(problem, start)
     if not (0.0 < lvl <= top * (1.0 + _REL_SLACK)):
         raise DomainError(f"level {lvl} beyond the tail's smallest cap level {top}")
-    return float(_tail_airtime(problem, order, start, min(lvl, top)))
+    curves = problem._curves
+    x, _ = curves.times(min(lvl, top), slice(start, None))
+    return float(curves.weight[start:] @ np.minimum(x, curves.cap[start:]))
 
 
-def _polish_linear_level(
-    problem: BargainingProblem, order: Sequence[int], start: int, v: float, lvl: float, top: float
-) -> float:
-    """Sharpen a bisected common level to machine precision when every tail
-    utility is normalized-linear.
-
-    The tail airtime is then piecewise linear in the level, so the segment the
-    bisection landed on can be solved exactly.  Membership (interior vs. at
-    cap) is re-checked after each solve; the loop settles in at most one pass
-    per tail player.
-    """
-    tail = order[start:]
-
-    def interior_at(s: float) -> list[int]:
-        return [
-            n for n in tail
-            if problem.disagreements[n] + problem.alphas[n] * s / (1.0 + problem.betas[n])
-            < problem.caps[n]
-        ]
-
-    members = interior_at(lvl)
-    for _ in range(len(tail) + 1):
-        slope = sum(problem.alphas[n] for n in members)
-        if slope <= 0.0:
-            return lvl
-        fixed = sum(
-            (1.0 + problem.betas[n])
-            * (problem.disagreements[n] if n in members else problem.caps[n])
-            for n in tail
-        )
-        solved = (v - fixed) / slope
-        if not (0.0 < solved <= top * (1.0 + _REL_SLACK)):
-            return lvl
-        lvl = min(solved, top)
-        refreshed = interior_at(lvl)
-        if refreshed == members:
-            return lvl
-        members = refreshed
-    return lvl
-
-
-def _level_for_airtime(problem: BargainingProblem, order: Sequence[int], start: int, v: float) -> float:
-    head = order[start]
-    top = level(problem, head, problem.caps[head])
-    vmax = _tail_airtime(problem, order, start, top)
+def level_for_airtime(problem: BargainingProblem, start: int, v: float) -> float:
+    """Invert :func:`tail_airtime` in its level argument."""
+    top = _tail_top(problem, start)
+    vmax = tail_airtime(problem, start, top)
     if not (0.0 < v <= vmax * (1.0 + _REL_SLACK)):
         raise DomainError(f"airtime {v} outside (0, {vmax}] for tail at {start}")
     if v >= vmax:
         return top
-    lvl = _bisect_increasing(lambda s: _tail_airtime(problem, order, start, s), 0.0, top, v)
-    if all(problem.utilities[n].kind == "normalized-linear" for n in order[start:]):
-        lvl = _polish_linear_level(problem, order, start, v, lvl, top)
-    return lvl
-
-
-def level_for_airtime(problem: BargainingProblem, start: int, v: float) -> float:
-    """Invert :func:`tail_airtime` in its level argument by bisection."""
-    order = level_order(problem)
-    if not (0 <= start < len(order)):
-        raise DomainError(f"start={start} outside the sorted order")
-    return float(_level_for_airtime(problem, order, start, v))
+    return float(problem._curves.level_for_airtime(start, 0.0, top, v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -450,136 +606,61 @@ def weighted_airtime(problem: BargainingProblem, broadcast_time: np.ndarray) -> 
 
 
 def _saturated_allocation(problem: BargainingProblem) -> tuple[Allocation, float]:
-    x = np.zeros(len(problem.players))
-    for i in problem.active:
-        x[i] = problem.caps[i]
-    if problem.active:
-        lam = 1.0 / max(level(problem, i, problem.caps[i]) for i in problem.active)
-    else:
-        lam = 0.0
+    x = problem.caps.copy()  # zero for every player that sits out
+    top = problem._curves.top
+    lam = 1.0 / top[-1] if len(top) else 0.0
     return Allocation(x, problem.betas * x, saturated=True), lam
 
 
-def _repair_budget(problem: BargainingProblem, order: Sequence[int], x: np.ndarray) -> None:
-    """Push the budget residual (a few ulps of bisection slack) into interior
-    players so the budget equation holds to machine precision."""
-    diff = problem.airtime - weighted_airtime(problem, x)
-    for i in reversed(order):
-        if abs(diff) <= 1e-12 * max(1.0, problem.airtime):
-            break
-        lo = problem.disagreements[i]
-        hi = problem.caps[i]
-        if not (lo < x[i] < hi):
-            continue
-        new = min(max(x[i] + diff / (1.0 + problem.betas[i]), lo), hi)
-        diff -= (new - x[i]) * (1.0 + problem.betas[i])
-        x[i] = new
+def _water_fill_allocation(problem: BargainingProblem, curves: _Curves) -> tuple[Allocation, float, int]:
+    s, xs, iterations = curves.water_fill(problem.airtime)
+    x = np.zeros(len(problem.players))
+    x[curves.index] = xs
+    return Allocation(x, problem.betas * x, saturated=False), s, iterations
 
 
 def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
     """Generalized Nash bargaining allocation of the airtime budget.
 
     If every queue fits in the window the allocation saturates at the caps.
-    Otherwise players are swept in ascending cap-level order: at each step
-    the remaining budget either exceeds what the whole tail absorbs at this
-    player's cap level (then the player is capped), or the common level for
-    the tail is found by bisection and this player stops there.  The returned
-    report certifies the KKT system of the log-product program.
+    Otherwise every player sits at min(cap, time(s)) for one common level s
+    solving the budget equation (see :class:`_Curves`): a binary search over
+    the sorted cap levels finds the segment where the budget binds, which
+    is solved in closed form when its uncapped players are all linear
+    (normalized-linear, or power without a disagreement point) and by
+    Newton's method on s otherwise, with log-shifted players inverted by
+    Halley's method and power players with a disagreement point by Newton's
+    method.  The returned report certifies the KKT system of the
+    log-product program.
     """
-    n = len(problem.players)
-    x = np.zeros(n)
-    if not problem.active:
-        alloc = Allocation(x, np.zeros(n), saturated=True)
-        return alloc, kkt_residuals(problem, alloc, 0.0)
-
     if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
         alloc, lam = _saturated_allocation(problem)
         return alloc, kkt_residuals(problem, alloc, lam)
 
-    order = level_order(problem)
-    spent = 0.0
-    s_star = None
-    for pos, i in enumerate(order):
-        top = level(problem, i, problem.caps[i])
-        vmax = _tail_airtime(problem, order, pos, top)
-        rem = problem.airtime - spent
-        if rem >= vmax * (1.0 - _REL_SLACK):
-            xi = problem.caps[i]
-        else:
-            s = _level_for_airtime(problem, order, pos, rem)
-            xi = min(time_at_level(problem, i, s), problem.caps[i])
-            s_star = s
-        x[i] = xi
-        spent += (1.0 + problem.betas[i]) * xi
+    alloc, s, iterations = _water_fill_allocation(problem, problem._curves)
+    return alloc, kkt_residuals(problem, alloc, 1.0 / s, iterations)
 
-    _repair_budget(problem, order, x)
-    if s_star is None:
-        s_star = max(level(problem, i, problem.caps[i]) for i in problem.active)
-    lam = 1.0 / s_star
-    alloc = Allocation(x, problem.betas * x, saturated=False)
-    return alloc, kkt_residuals(problem, alloc, lam)
+
+def _clipped_linear_allocate(problem: BargainingProblem, slope: np.ndarray) -> Allocation:
+    if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
+        x = problem.caps.copy()
+        return Allocation(x, problem.betas * x, saturated=True)
+    return _water_fill_allocation(problem, _Curves.clipped_linear(problem, slope))[0]
 
 
 def eql_allocate(problem: BargainingProblem) -> Allocation:
-    """Equal-slot baseline: one common broadcast time for everyone, with the
-    overflow from capped players redistributed equally among the rest."""
-    n = len(problem.players)
-    x = np.zeros(n)
-    act = set(problem.active)
-    if not act:
-        return Allocation(x, np.zeros(n), saturated=True)
-
-    capped: set[int] = set()
-    while True:
-        free = act - capped
-        if not free:
-            break
-        used = sum((1.0 + problem.betas[i]) * problem.caps[i] for i in capped)
-        denom = sum(1.0 + problem.betas[i] for i in free)
-        common = (problem.airtime - used) / denom
-        newly = {i for i in free if problem.caps[i] <= common * (1.0 + _REL_SLACK)}
-        if not newly:
-            for i in free:
-                x[i] = common
-            break
-        capped |= newly
-
-    for i in capped:
-        x[i] = problem.caps[i]
-    saturated = capped == act
-    if not saturated:
-        _repair_budget(problem, sorted(act - capped), x)
-    return Allocation(x, problem.betas * x, saturated=saturated)
+    """Equal-slot baseline: one common broadcast time s for everyone,
+    x_i = min(cap_i, s), so the airtime capped players leave is shared
+    equally by the rest.  Solved exactly over the sorted caps."""
+    return _clipped_linear_allocate(problem, np.ones(len(problem.players)))
 
 
 def wtd_allocate(problem: BargainingProblem) -> Allocation:
     """Load-weighted baseline: broadcast time proportional to queued data,
-    clipped at the caps; the proportionality constant solves the budget
-    equation by bisection."""
-    n = len(problem.players)
-    x = np.zeros(n)
-    act = problem.active
-    if not act:
-        return Allocation(x, np.zeros(n), saturated=True)
-
+    x_i = min(cap_i, c * data_i), with the constant c solving the budget
+    equation exactly over the sorted caps."""
     loads = np.array([p.data_size for p in problem.players], dtype=float)
-
-    def consumed(c: float) -> float:
-        return sum(
-            (1.0 + problem.betas[i]) * min(problem.caps[i], c * loads[i])
-            for i in act
-        )
-
-    c_hi = max(problem.caps[i] / loads[i] for i in act)
-    if consumed(c_hi) <= problem.airtime * (1.0 + _REL_SLACK):
-        alloc, _ = _saturated_allocation(problem)
-        return alloc
-    c = _bisect_increasing(consumed, 0.0, c_hi, problem.airtime)
-    for i in act:
-        x[i] = min(problem.caps[i], c * loads[i])
-    uncapped = [i for i in act if x[i] < problem.caps[i]]
-    _repair_budget(problem, uncapped, x)
-    return Allocation(x, problem.betas * x, saturated=False)
+    return _clipped_linear_allocate(problem, loads)
 
 
 def oracle_allocate(problem: BargainingProblem, resolution: int = 200,
@@ -727,14 +808,17 @@ def wpf_aggregate(problem: BargainingProblem, gnbs_alloc: Allocation,
     return float(total)
 
 
-def kkt_residuals(problem: BargainingProblem, allocation: Allocation, lam: float) -> KktReport:
+def kkt_residuals(problem: BargainingProblem, allocation: Allocation, lam: float,
+                  iterations: int = 0) -> KktReport:
     """Residuals of the reduced KKT system at a candidate allocation.
 
     Uncapped players contribute |1/level - lam| (stationarity); capped ones
     contribute max(0, lam - 1/level) (dual feasibility) together with the
     complementary-slackness product.  The budget residual is measured against
     the total demand when the allocation is saturated, the airtime budget
-    otherwise.
+    otherwise.  Levels come from :func:`level`, evaluated player by player
+    from the utilities, so the certificate does not share the solver's
+    arithmetic.  ``iterations`` is passed through to the report.
     """
     n = len(problem.players)
     stationarity = np.zeros(n)
@@ -755,12 +839,12 @@ def kkt_residuals(problem: BargainingProblem, allocation: Allocation, lam: float
             stationarity[i] = abs(inv_level - lam)
     target = problem.demand if allocation.saturated else problem.airtime
     budget = abs(weighted_airtime(problem, x) - target)
-    worst = max(
-        float(stationarity.max(initial=0.0)),
-        float(slackness.max(initial=0.0)),
-        budget,
-    )
-    return KktReport(float(lam), stationarity, slackness, float(budget), float(worst))
+    stat = float(stationarity.max(initial=0.0))
+    worst = max(stat, float(slackness.max(initial=0.0)), budget)
+    relative = max(stat / lam if lam > 0 else stat, budget / target if target > 0 else budget)
+    path = "saturated" if allocation.saturated else "contended"
+    return KktReport(float(lam), stationarity, slackness, float(budget), float(worst),
+                     float(relative), path, int(iterations))
 
 
 def dissemination_rate(problem: BargainingProblem, allocation: Allocation, k: int) -> float:

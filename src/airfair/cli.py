@@ -16,8 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .bargaining import InfeasibleProblemError, dissemination_rate, gnbs_allocate, nash_product, wpf_aggregate
 from .grouping import schedule_csv_rows
 from .scenario_io import SchemaError, load_scenario, preset_scenario

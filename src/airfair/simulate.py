@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -98,3 +98,44 @@ def random_problem(
             )
         )
     return BargainingProblem(players, airtime=airtime, broadcast_rate=rate)
+
+
+def wide_problem(rng: np.random.Generator) -> BargainingProblem:
+    """Draw a contended instance over wide parameter ranges.
+
+    Group sizes are log-uniform over 2..64 and mix all three utility kinds.
+    Bargaining weights span four decades; caps, upload ratios (beta) and
+    log gains three; power exponents lie in [0.1, 1].  Half of the players
+    hold a disagreement point, and the budget sits 5-95% of the way from the
+    disagreement spend to the full demand.
+    """
+    n = int(round(2.0 * 32.0 ** rng.uniform()))
+    go = int(rng.integers(n))
+    rate = 11.0
+    alphas = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
+    caps = 10.0 ** rng.uniform(-2.0, 1.0, size=n)
+    betas = np.where(np.arange(n) == go, 0.0, 10.0 ** rng.uniform(-2.0, 1.0, size=n))
+    disagreements = np.where(rng.random(n) < 0.5, caps * rng.uniform(0.0, 0.9, size=n), 0.0)
+    kinds = rng.integers(3, size=n)
+    gains = 10.0 ** rng.uniform(-1.5, 1.5, size=n)
+    exponents = rng.uniform(0.1, 1.0, size=n)
+    players = []
+    for i in range(n):
+        utility = None
+        if kinds[i] == 1:
+            utility = Utility.log_shifted(float(gains[i]))
+        elif kinds[i] == 2:
+            utility = Utility.power(float(exponents[i]))
+        players.append(Player(
+            id=f"p{i}",
+            data_size=float(caps[i] * rate),
+            upload_rate=math.inf if i == go else rate / float(betas[i]),
+            alpha=float(alphas[i]),
+            disagreement=float(disagreements[i]),
+            utility=utility,
+            role=ROLE_GO if i == go else ROLE_CLIENT,
+        ))
+    spent = float(np.sum((1.0 + betas) * disagreements))
+    demand = float(np.sum((1.0 + betas) * caps))
+    airtime = spent + rng.uniform(0.05, 0.95) * (demand - spent)
+    return BargainingProblem(players, airtime=airtime, broadcast_rate=rate)

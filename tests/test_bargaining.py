@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 import support
 from airfair import BargainingProblem, InfeasibleProblemError, Player, Utility
 from airfair.bargaining import (
+    Allocation,
     DomainError,
     ROLE_GO,
     gnbs_allocate,
+    kkt_residuals,
     level,
     level_for_airtime,
     level_order,
@@ -135,6 +138,20 @@ def test_time_at_level_closed_form_matches_bisection(table1):
             auto = time_at_level(table1, i, lvl)
             forced = time_at_level(table1, i, lvl, method="bisect")
             assert auto == pytest.approx(forced, abs=1e-8)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_time_at_level_matches_bisection_for_every_kind(seed):
+    # Halley (log-shifted) and Newton (power with a disagreement point)
+    # against the generic bisection on the level curve
+    _, prob = _draw(seed, kinds=ALL_KINDS, allow_disagreement=True)
+    for i in prob.active:
+        top = level(prob, i, prob.caps[i])
+        for lvl in (0.2 * top, 0.6 * top, top):
+            auto = time_at_level(prob, i, lvl)
+            forced = time_at_level(prob, i, lvl, method="bisect")
+            assert auto == pytest.approx(forced, rel=1e-7, abs=1e-9)
 
 
 def test_time_at_level_roundtrip_log_shifted():
@@ -340,3 +357,64 @@ def test_more_alpha_never_hurts(seed):
     a1, _ = gnbs_allocate(prob)
     a2, _ = gnbs_allocate(boosted)
     assert a2.broadcast_time[k] >= a1.broadcast_time[k] - 1e-9
+
+
+def test_kkt_certified_over_wide_ranges():
+    # 300 instances of up to 64 players over the ranges the schema accepts;
+    # every one must certify at the same 1e-7 as the narrow suites
+    worst = 0.0
+    failed = []
+    for seed in range(300):
+        prob = support.wide_problem(np.random.default_rng([20261018, seed]))
+        _, report = gnbs_allocate(prob)
+        worst = max(worst, report.max_residual)
+        if not report.max_residual <= 1e-7:
+            failed.append(seed)
+    assert not failed, f"{len(failed)} of 300 above 1e-7 (seeds {failed[:10]}), worst {worst:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# solver statistics in the KKT report
+
+
+def test_report_path_and_iterations(table1):
+    _, report = gnbs_allocate(table1)
+    assert report.path == "contended"
+    # all normalized-linear: breakpoint probes only, no Newton steps
+    assert 0 < report.iterations <= 3
+    _, report = gnbs_allocate(support.table1_problem(airtime=100.0))
+    assert report.path == "saturated"
+    assert report.iterations == 0
+
+
+def test_report_counts_newton_steps_for_curved_utilities():
+    ps = [
+        Player(id="go", data_size=30.0, role=ROLE_GO, utility=Utility.log_shifted(1.5)),
+        Player(id="c", data_size=20.0, upload_rate=5.0, utility=Utility.power(0.5), disagreement=0.2),
+    ]
+    prob = BargainingProblem(ps, airtime=3.0, broadcast_rate=10.0)
+    _, report = gnbs_allocate(prob)
+    assert report.path == "contended"
+    assert 1 < report.iterations < 30
+    assert report.max_residual <= 1e-12
+
+
+def test_relative_residual_is_scale_free(table1):
+    _, report = gnbs_allocate(table1)
+    assert report.relative_residual <= 1e-13
+    # the same relative move of two players reads the same relative residual
+    # in any time unit, while the absolute one scales with 1 / time
+    reads = []
+    for scale in (1e-3, 1.0, 1e3):
+        prob = BargainingProblem(
+            [replace(p, data_size=p.data_size * scale) for p in table1.players],
+            airtime=table1.airtime * scale, broadcast_rate=table1.broadcast_rate,
+        )
+        alloc, rep = gnbs_allocate(prob)
+        moved = alloc.broadcast_time.copy()
+        moved[[0, 1]] += np.array([1e-3, -1e-3]) * scale
+        bent = kkt_residuals(prob, Allocation(moved, moved * prob.betas), rep.lam)
+        reads.append((bent.relative_residual, bent.max_residual * scale))
+    for rel, absolute in reads:
+        assert rel == pytest.approx(reads[0][0], rel=1e-6)
+        assert absolute == pytest.approx(reads[0][1], rel=1e-6)
