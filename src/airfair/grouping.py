@@ -12,12 +12,16 @@ slot cycle: each client gets an upload slot immediately followed by its
 broadcast slot (the GO relays), the GO gets a plain broadcast slot, and the
 cycle repeats until the interval ends, truncating the final cycle mid-slot.
 Slot widths scale a basic slot so that every node's whole-slot share matches
-its allocated share of channel time.
+its allocated share of channel time.  A :class:`Schedule` stores only the
+cycle; its slots are derived on demand, as arrays from one running sum over
+the repeated cycle, or as :class:`SlotEntry` objects for printing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -249,15 +253,65 @@ class SlotEntry:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Contiguous slot entries covering (part of) an allocation interval."""
+    """The round-robin slot cycle repeated over (part of) an allocation
+    interval.
 
-    entries: tuple[SlotEntry, ...]
+    Only the cycle ``pattern`` of (node, kind, seconds) legs, the interval,
+    the cycle length and the start time are stored.  The slots themselves
+    are derived on demand: :attr:`slot_arrays` gives them as arrays for the
+    simulator's replay, and :attr:`entries` as :class:`SlotEntry` objects for
+    printing and inspection.
+    """
+
+    pattern: tuple[tuple[str, str, float], ...]
+    interval: float
     cycle_length: float
     t_start: float
 
+    @cached_property
+    def slot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and duration of every slot, in time order; slot k plays
+        leg ``k % len(pattern)``.
+
+        Starts are a running sum over the repeated legs.  ``np.cumsum`` adds
+        strictly in sequence, so every start is the same float that adding
+        the slots one at a time gives.  The slots stop at the first start
+        within 1e-12 s of the interval's end, or after the first leg that
+        overruns it, which is cut to end exactly there.
+        """
+        legs = np.array([dur for _, _, dur in self.pattern], dtype=float)
+        end = self.t_start + self.interval
+        cycles = int(self.interval // self.cycle_length) + 2
+        while True:
+            tiled = np.tile(legs, cycles)
+            starts = np.cumsum(np.concatenate(([self.t_start], tiled[:-1])))
+            done = starts >= end - 1e-12
+            cut = tiled > end - starts
+            stops = np.flatnonzero(done | cut)
+            if stops.size:
+                break
+            cycles *= 2    # rounding kept the last start short of the end
+        n = int(stops[0])
+        if done[n]:
+            return starts[:n], tiled[:n]
+        durations = tiled[:n + 1]
+        durations[n] = end - starts[n]
+        return starts[:n + 1], durations
+
+    @cached_property
+    def entries(self) -> tuple[SlotEntry, ...]:
+        """The slots as :class:`SlotEntry` objects, built on first use."""
+        starts, durations = self.slot_arrays
+        legs = len(self.pattern)
+        return tuple(
+            SlotEntry(*self.pattern[k % legs][:2], start, duration)
+            for k, (start, duration) in enumerate(zip(starts.tolist(), durations.tolist()))
+        )
+
     @property
     def end(self) -> float:
-        return self.entries[-1].end if self.entries else self.t_start
+        starts, durations = self.slot_arrays
+        return float(starts[-1] + durations[-1]) if starts.size else self.t_start
 
 
 def default_cycle_order(ids: Iterable[str], go_id: str) -> list[str]:
@@ -273,38 +327,28 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
 
     ``slots`` maps node id to (upload seconds, broadcast seconds) per cycle;
     a zero upload leg emits no upload slot.  Raises :class:`ScheduleError`
-    when a single cycle does not fit the interval.
+    when a single cycle does not fit the interval, or the interval is not
+    finite.  Only the cycle is built here; the returned schedule derives its
+    slots when they are first asked for.
     """
     if not (interval > 0):
         raise ScheduleError("interval must be > 0")
+    if math.isinf(interval):
+        raise ScheduleError("interval must be finite")
     pattern: list[tuple[str, str, float]] = []
     for node in order:
         up, down = slots[node]
-        if up < 0 or down <= 0:
+        if not (up >= 0 and down > 0):
             raise ScheduleError(f"invalid slot sizes for {node!r}")
         if up > 0:
             pattern.append((node, "upload", up))
         pattern.append((node, "broadcast", down))
+    if not pattern:
+        raise ScheduleError("the slot cycle is empty")
     cycle = sum(d for _, _, d in pattern)
     if cycle > interval:
         raise ScheduleError(f"one cycle ({cycle:.6f}s) exceeds the interval ({interval:.6f}s)")
-
-    end = t_start + interval
-    entries: list[SlotEntry] = []
-    t = t_start
-    while True:
-        for node, kind, dur in pattern:
-            if t >= end - 1e-12:
-                break
-            take = min(dur, end - t)
-            entries.append(SlotEntry(node, kind, t, take))
-            t += take
-            if take < dur:
-                break
-        else:
-            continue
-        break
-    return Schedule(tuple(entries), cycle, t_start)
+    return Schedule(tuple(pattern), float(interval), cycle, t_start)
 
 
 def schedule_csv_rows(schedule: Schedule) -> list[str]:

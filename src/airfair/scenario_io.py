@@ -9,6 +9,7 @@ unknown keys are rejected so typos fail loudly instead of being ignored.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -74,7 +75,13 @@ def _number(doc: Mapping, key: str, where: str, required: bool = True,
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: field {key!r} must be a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:      # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise SchemaError(f"{where}: field {key!r} must be finite, got {v!r}")
+    return v
 
 
 def _check_keys(doc: Mapping, allowed: set[str], where: str) -> None:

@@ -9,6 +9,11 @@ against the *true* event timeline, so mis-estimation shows up as truncated
 or underfilled intervals.  Delivered megabits are tracked across rounds, so
 later rounds only bargain over what is still queued.
 
+A schedule is executed as an in-order replay over its slot arrays: the slots
+are cut at the true round end, each node's sends are capped at its queue,
+and every total is a running sum in slot order, so the results are the same
+floats as walking the slots one by one.
+
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
 lets paired experiments reuse identical draws.
@@ -153,6 +158,7 @@ class Scenario:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
+        object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
         if not (self.broadcast_mbps > 0):
             raise ValueError("broadcast_mbps must be > 0")
         if not (self.t_slot_s > 0):
@@ -168,10 +174,7 @@ class Scenario:
                     raise ValueError(f"connectivity edge ({a!r}, {b!r}) names unknown nodes")
 
     def node(self, node_id: str) -> ScenarioNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
     def graph(self) -> ConnectivityGraph:
         ids = [n.id for n in self.nodes]
@@ -283,6 +286,60 @@ def _build_problem(scenario: Scenario, members: Sequence[str], go_id: str, mode:
     return BargainingProblem(tuple(players), airtime, scenario.broadcast_mbps)
 
 
+def _fold(total, steps: np.ndarray):
+    """``total`` plus ``steps[0]``, ``steps[1]``, ... added one at a time
+    (column by column when ``steps`` is 2-D)."""
+    return np.cumsum(np.concatenate(([total], steps)), axis=0)[-1]
+
+
+def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: Sequence[float],
+            rate: float, rx_ok: np.ndarray, transmitted: dict[str, float],
+            received: dict[str, float]) -> tuple[dict[str, float], dict[str, float]]:
+    """Carry out the schedule's broadcast slots until the true round end ``t1``.
+
+    A broadcast slot sends for as long as it lasts before ``t1``, but no
+    longer than its node's queue (``need[k]`` seconds for ``members[k]``)
+    still lasts; uploads only relay.  ``rx_ok[r, s]`` tells whether member r
+    receives member s.  Returns the realized broadcast seconds and the
+    delivered megabits per member, and adds what was sent to ``transmitted``
+    and what arrived to ``received``.
+
+    The slots are laid out as one row per cycle and one column per leg.
+    Every total is a running sum in slot order that starts from its prior
+    value, so it is the same float that carrying out one slot at a time
+    gives; a slot that sends nothing adds an exact zero.
+    """
+    starts, durations = schedule.slot_arrays
+    n = int(np.searchsorted(starts, t1))            # slots that start before t1
+    legs = len(schedule.pattern)
+    take = np.zeros(-(-n // legs) * legs)           # the last cycle padded with empty slots
+    np.minimum(durations[:n], t1 - starts[:n], out=take[:n])
+    columns = [j for j, (_, kind, _) in enumerate(schedule.pattern) if kind == "broadcast"]
+    sender = [members.index(schedule.pattern[j][0]) for j in columns]
+    take = take.reshape(-1, legs)[:, columns]       # cycle x broadcasting node
+
+    # Each node's queue before each of its slots, while every slot takes in
+    # full; the first slot that finds no more than its length left empties it.
+    left = np.cumsum(np.concatenate(([np.asarray(need)[sender]], -take)), axis=0)[:-1]
+    drained = take >= left
+    last = np.where(drained.any(axis=0), drained.argmax(axis=0), len(take))
+    cycle = np.arange(len(take))[:, None]
+    use = np.where(cycle < last, take, np.where(cycle == last, left, 0.0))
+    mb = use * rate
+
+    zeros = np.zeros(len(sender))
+    seconds, megabits = _fold(zeros, use), _fold(zeros, mb)
+    sent = _fold(np.array([transmitted[members[k]] for k in sender]), mb)
+    realized = {m: 0.0 for m in members}
+    delivered = {m: 0.0 for m in members}
+    for j, k in enumerate(sender):
+        m = members[k]
+        realized[m], delivered[m], transmitted[m] = float(seconds[j]), float(megabits[j]), float(sent[j])
+    for r, m in enumerate(members):
+        received[m] = float(_fold(received[m], mb[:, rx_ok[r, sender]].ravel()))
+    return realized, delivered
+
+
 def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
     """Simulate the scenario under one allocation policy.
 
@@ -375,38 +432,20 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
                 except ScheduleError as e:
                     raise ScheduleError(f"round {ridx} at {t0:g}s: {e}") from e
 
-        need = {m: loads[m] / rate for m in members}
-        realized = {m: 0.0 for m in members}
-        delivered = {m: 0.0 for m in members}
-        rx_ok = {}
-        for a in members:
-            for b in members:
-                if a == b:
-                    continue
-                if loss_probs is None:
-                    rx_ok[(a, b)] = True
-                else:
-                    draw = _stream(scenario.seed, "rx", ridx, a, b).random()
-                    rx_ok[(a, b)] = bool(draw >= loss_probs[a])
+        rx_ok = ~np.eye(len(members), dtype=bool)
+        if loss_probs is not None:
+            for i, a in enumerate(members):
+                for j, b in enumerate(members):
+                    if a != b:
+                        draw = _stream(scenario.seed, "rx", ridx, a, b).random()
+                        rx_ok[i, j] = draw >= loss_probs[a]
 
-        if schedule is not None:
-            for entry in schedule.entries:
-                if entry.start >= t1:
-                    break
-                if entry.kind != "broadcast":
-                    continue
-                take = min(entry.duration, t1 - entry.start)
-                use = min(take, need[entry.node])
-                if use <= 0:
-                    continue
-                need[entry.node] -= use
-                realized[entry.node] += use
-                mb = use * rate
-                delivered[entry.node] += mb
-                transmitted[entry.node] += mb
-                for receiver in members:
-                    if receiver != entry.node and rx_ok[(receiver, entry.node)]:
-                        received[receiver] += mb
+        if schedule is None:
+            realized = {m: 0.0 for m in members}
+            delivered = {m: 0.0 for m in members}
+        else:
+            need = [loads[m] / rate for m in members]
+            realized, delivered = _replay(schedule, t1, members, need, rate, rx_ok, transmitted, received)
 
         if idle:
             nash_real = nash_ideal = wpf = float("nan")

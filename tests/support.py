@@ -6,7 +6,7 @@ import numpy as np
 
 from airfair import BargainingProblem, Player, Utility
 from airfair.bargaining import ROLE_CLIENT, ROLE_GO
-from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable
+from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable, SlotEntry
 
 # The six-node example bundled as the "table1" preset: one group owner (n4)
 # with double bargaining power, five clients uploading at the broadcast rate.
@@ -139,3 +139,61 @@ def wide_problem(rng: np.random.Generator) -> BargainingProblem:
     demand = float(np.sum((1.0 + betas) * caps))
     airtime = spent + rng.uniform(0.05, 0.95) * (demand - spent)
     return BargainingProblem(players, airtime=airtime, broadcast_rate=rate)
+
+
+# ---------------------------------------------------------------------------
+# Slot-by-slot reference for the schedule and its replay: plain loops that
+# define, float for float, what the simulator's array code must compute.
+
+
+def reference_entries(pattern, interval: float, t_start: float) -> list[SlotEntry]:
+    """Repeat the (node, kind, seconds) cycle from ``t_start`` until the
+    interval ends, one slot at a time, truncating the final slot."""
+    end = t_start + interval
+    entries = []
+    t = t_start
+    while True:
+        for node, kind, dur in pattern:
+            if t >= end - 1e-12:
+                break
+            take = min(dur, end - t)
+            entries.append(SlotEntry(node, kind, t, take))
+            t += take
+            if take < dur:
+                break
+        else:
+            continue
+        break
+    return entries
+
+
+def reference_replay(schedule, t1, members, need, rate, rx_ok, transmitted, received):
+    """Walk the schedule's slots one at a time; same contract as
+    ``airfair.simulate._replay``."""
+    col = {m: k for k, m in enumerate(members)}
+    need = {m: need[k] for k, m in enumerate(members)}
+    realized = {m: 0.0 for m in members}
+    delivered = {m: 0.0 for m in members}
+    for entry in reference_entries(schedule.pattern, schedule.interval, schedule.t_start):
+        if entry.start >= t1:
+            break
+        if entry.kind != "broadcast":
+            continue
+        take = min(entry.duration, t1 - entry.start)
+        use = min(take, need[entry.node])
+        if use <= 0:
+            continue
+        need[entry.node] -= use
+        realized[entry.node] += use
+        mb = use * rate
+        delivered[entry.node] += mb
+        transmitted[entry.node] += mb
+        for receiver in members:
+            if receiver != entry.node and rx_ok[col[receiver], col[entry.node]]:
+                received[receiver] += mb
+    return realized, delivered
+
+
+def float_bits(values) -> list[str]:
+    """Exact spelling of floats, sign of zero included, for ``==`` checks."""
+    return [float(v).hex() for v in values]

@@ -227,6 +227,70 @@ def test_upload_precedes_broadcast_per_client(table1):
     assert kinds[-1] == ("n4", "broadcast")
 
 
+def _random_cycle(rng):
+    ids = [f"n{i}" for i in range(int(rng.integers(1, 7)))]
+    go = ids[int(rng.integers(len(ids)))]
+    slots = {
+        i: (0.0 if i == go or rng.random() < 0.2 else float(rng.uniform(1e-3, 0.1)),
+            float(rng.uniform(1e-3, 0.1)))
+        for i in ids
+    }
+    return slots, default_cycle_order(ids, go)
+
+
+def _entry_bits(entries):
+    return [(e.node, e.kind, *support.float_bits((e.start, e.duration))) for e in entries]
+
+
+def test_schedule_entries_match_slot_by_slot_reference(rng):
+    """The slot arrays are running sums; they must give exactly the floats,
+    signs of zero included, of adding one slot at a time."""
+    seen = set()
+    for _ in range(150):
+        slots, order = _random_cycle(rng)
+        t_start = float(rng.choice([0.0, rng.uniform(0.0, 100.0)]))
+        probe = build_schedule(slots, 1.0, order, t_start)
+        cycle = probe.cycle_length
+        boundaries = support.reference_entries(probe.pattern, 50 * cycle, t_start)
+        j = int(rng.integers(len(boundaries)))
+        intervals = {
+            "random": float(rng.uniform(cycle, 50 * cycle)),
+            "multiple": int(rng.integers(1, 50)) * cycle,
+            "boundary": boundaries[j].end - t_start,
+            "stop": boundaries[j].end - t_start + 5e-13,
+            "cut": boundaries[j].start + 0.5 * boundaries[j].duration - t_start,
+        }
+        for interval in intervals.values():
+            if interval < cycle:
+                continue
+            sched = build_schedule(slots, interval, order, t_start)
+            expected = support.reference_entries(sched.pattern, interval, t_start)
+            assert _entry_bits(sched.entries) == _entry_bits(expected)
+            assert float(sched.end).hex() == float(expected[-1].end).hex()
+            last, leg = expected[-1], sched.pattern[(len(expected) - 1) % len(sched.pattern)][2]
+            end = t_start + interval
+            if last.duration < leg:
+                seen.add("truncated")
+            elif last.end < end - 1e-12:
+                raise AssertionError("the reference stops only at a cut or at the end")
+            elif last.end < end:
+                seen.add("1e-12 stop")
+            else:
+                seen.add("whole")
+    assert seen == {"truncated", "1e-12 stop", "whole"}
+
+
+def test_schedule_rejects_degenerate_cycles(table1):
+    slots = _table1_slots(table1)
+    order = default_cycle_order(slots, "n4")
+    with pytest.raises(ScheduleError, match="finite"):
+        build_schedule(slots, float("inf"), order)
+    with pytest.raises(ScheduleError, match="empty"):
+        build_schedule(slots, 10.0, [])
+    with pytest.raises(ScheduleError, match="invalid slot sizes"):
+        build_schedule({**slots, "n1": (0.01, float("nan"))}, 10.0, order)
+
+
 def test_cycle_must_fit_interval(table1):
     slots = _table1_slots(table1)
     with pytest.raises(ScheduleError):

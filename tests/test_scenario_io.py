@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -81,6 +82,32 @@ def test_numbers_must_be_numbers():
         scenario_from_dict(doc(seed=1.5))
     with pytest.raises(SchemaError, match="seed"):
         scenario_from_dict(doc(seed=True))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize("path", [
+    ("nodes", 0, "data_mb"), ("nodes", 0, "join_s"), ("nodes", 1, "leave_s"), ("nodes", 0, "upload_mbps"),
+    ("nodes", 1, "alpha"), ("broadcast_mbps",), ("t_slot_ms",), ("go_alpha_factor",),
+    ("loss", "hi"), ("pcd_error", "stddev"), ("pcd_error", "mean"),
+], ids=lambda path: ".".join(map(str, path)))
+def test_numbers_must_be_finite(path, value):
+    d = doc(loss={"lo": 0.0, "hi": 0.1}, pcd_error={"stddev": 1.0})
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError, match=f"field '{path[-1]}' must be finite"):
+        scenario_from_dict(d)
+
+
+def test_non_finite_json_literals_rejected(tmp_path):
+    # Python's json module accepts these literals; an infinite leave time
+    # used to run the schedule builder forever.
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(MINIMAL).replace('"leave_s": 5.0', f'"leave_s": {literal}'))
+        with pytest.raises(SchemaError, match="must be finite"):
+            load_scenario(p)
 
 
 def test_node_constraints_surface_as_schema_errors():

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airfair.grouping import MODE_GO_COORDINATED, MODE_UNICAST_PAIR, NoGoCandidateError
-from airfair.scenario_io import preset_scenario
+import support
+from airfair import simulate
+from airfair.grouping import MODE_GO_COORDINATED, MODE_UNICAST_PAIR, NoGoCandidateError, ScheduleError
+from airfair.scenario_io import PRESETS, preset_scenario, scenario_from_dict
 from airfair.simulate import (
     LossModel,
     PCD_FLOOR,
@@ -136,6 +138,74 @@ def test_delivery_respects_queues_and_interval():
     # everything fits easily in 10s at 11 Mb/s, so both queues drain
     assert rep.transmitted_mb == pytest.approx({"a": 5.0, "b": 5.0}, abs=1e-9)
     assert rep.received_mb == pytest.approx({"a": 5.0, "b": 5.0}, abs=1e-9)
+
+
+def _crowd12_doc():
+    """Twelve nodes joining and leaving at staggered times, with loss, PCD
+    noise, mixed upload rates and an elected GO."""
+    return {
+        "nodes": [
+            {"id": f"c{i:02d}", "join_s": 0.5 * (i % 4), "leave_s": 12.0 - 0.75 * (i % 5),
+             "data_mb": 6.0 + 7.0 * i, "upload_mbps": (5.5, 11.0, 24.0, 54.0)[i % 4]}
+            for i in range(12)
+        ],
+        "broadcast_mbps": 11.0,
+        "t_slot_ms": 20.0,
+        "loss": {"lo": 0.0, "hi": 0.1},
+        "pcd_error": {"stddev": 1.0},
+        "seed": 5,
+    }
+
+
+def _delivery_bits(report):
+    rounds = [
+        (r.index, list(r.realized_broadcast), support.float_bits(r.realized_broadcast.values()),
+         support.float_bits(r.delivered_mb.values()))
+        for r in report.rounds
+    ]
+    return (rounds, list(report.transmitted_mb), support.float_bits(report.transmitted_mb.values()),
+            list(report.received_mb), support.float_bits(report.received_mb.values()))
+
+
+def _run_or_error(scenario, policy):
+    try:
+        return run_scenario(scenario, policy)
+    except ScheduleError as e:
+        return str(e)
+
+
+def test_replay_matches_slot_by_slot_walk(monkeypatch):
+    """The array replay gives exactly the floats of walking every slot:
+    realized and delivered per round, transmitted and received per node."""
+    noisy_table1 = {**PRESETS["table1"], "loss": {"lo": 0.0, "hi": 0.1}, "pcd_error": {"stddev": 1.0}}
+    # (contact seconds, basic slot seconds)
+    grid = [(40.0, 0.001), (3.0, 0.1), (17.0, 0.005), (8.0, 0.02), (25.0, 0.05), (5.0, 0.002)]
+    cases = [(PRESETS["table1"], grid), (noisy_table1, grid), (PRESETS["dynamic4"], grid),
+             (_crowd12_doc(), [(5.0, 0.002), (12.0, 0.001), (40.0, 0.01)])]
+    horizons = set()
+    errors = 0
+    for doc, cells in cases:
+        base = scenario_from_dict(doc)
+        for g, (duration, t_slot) in enumerate(cells):
+            scenario = replace(scale_contact_durations(base, duration), t_slot_s=t_slot,
+                               seed=derive_seed(doc["seed"], "oracle", g))
+            for policy in ("gsa", "eql", "wtd"):
+                got = _run_or_error(scenario, policy)
+                with monkeypatch.context() as m:
+                    m.setattr(simulate, "_replay", support.reference_replay)
+                    want = _run_or_error(scenario, policy)
+                if isinstance(want, str):
+                    assert got == want
+                    errors += 1
+                    continue
+                assert _delivery_bits(got) == _delivery_bits(want)
+                for r in got.rounds:
+                    if r.schedule is not None:
+                        horizon_end = r.t_start + r.airtime
+                        horizons.add("before" if horizon_end < r.t_end else
+                                     "after" if horizon_end > r.t_end else "at")
+    assert horizons == {"before", "at", "after"}   # estimated horizon vs true round end
+    assert errors <= 6    # most runs compare deliveries, not error messages
 
 
 # ---------------------------------------------------------------------------
