@@ -16,7 +16,12 @@ floats as walking the slots one by one.
 
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
-lets paired experiments reuse identical draws.
+lets paired experiments reuse identical draws.  A scenario's draws are made
+before any round runs: the Philox keys of each purpose come from one batch
+that runs numpy's SeedSequence hash on arrays, and one Philox is moved to
+the start of each key's stream in turn (see :mod:`airfair.streams`).  Draws
+depend on neither the policy nor the slot size, so policy comparison and
+slot-size sweeps derive them once and share them.
 
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal
@@ -26,7 +31,6 @@ rates, and the bargaining optimum used as the fairness reference.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -47,8 +51,8 @@ from .bargaining import (
 )
 from .grouping import (
     ConnectivityGraph,
+    ContactEntry,
     ContactTable,
-    Join,
     MODE_GO_COORDINATED,
     MODE_UNICAST_PAIR,
     NoGoCandidateError,
@@ -60,8 +64,9 @@ from .grouping import (
     select_roles,
     select_transmission_mode,
     slot_sizes,
-    update_contact_table,
+    update_contact_table,  # noqa: F401  (unused here; perfbench/spans.py wraps it by this name)
 )
+from .streams import derive_seed, restarted, stream_keys
 
 __all__ = [
     "PCD_FLOOR",
@@ -219,23 +224,6 @@ class SimulationReport:
     wpf_aggregate_vs_ideal: float
 
 
-def _key(part) -> int:
-    if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8"))
-    return int(part)
-
-
-def _stream(seed: int, *parts) -> np.random.Generator:
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF] + [_key(p) for p in parts]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def derive_seed(seed: int, *parts) -> int:
-    """Stable child seed for independent runs (repetitions, contacts)."""
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF] + [_key(p) for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 def estimate_pcd(true_duration: float, error_model: PcdErrorModel | None,
                  rng: np.random.Generator) -> float:
     """Perturb a true contact duration with the estimation error model,
@@ -255,6 +243,75 @@ def effective_upload_rate(nominal_rate: float, loss_probability: float) -> float
 
 def _members_at(scenario: Scenario, t: float) -> list[str]:
     return sorted(n.id for n in scenario.nodes if n.join_s <= t < n.leave_s)
+
+
+@dataclass(frozen=True, eq=False)
+class _RoundDraws:
+    """What no policy can change about one round: its true span, its
+    members, their connectivity, and the round's random draws."""
+
+    t0: float
+    t1: float
+    members: tuple[str, ...]
+    graph: ConnectivityGraph     # restricted to the members
+    est_pcd: np.ndarray          # est_pcd[i, j]: estimated PCD of members i and j
+    loss: tuple[float, ...] | None   # loss probability per member
+    rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
+
+
+def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
+    """The span, members and draws of every round with at least two members.
+
+    Each draw comes from its own stream keyed by (seed, purpose, round,
+    node...): "pcd" per member pair, "loss" per member, "rx" per receiver
+    and sender.  The keys of each purpose are derived in one batch, and one
+    Philox is moved to the start of each stream in turn.  Draws depend only
+    on the timeline, the seed and the noise models, not on the policy or
+    the slot size.
+    """
+    events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
+    spans = []
+    for t0, t1 in zip(events, events[1:]):
+        members = _members_at(scenario, t0)
+        if len(members) >= 2:
+            spans.append((t0, t1, tuple(members)))
+    gen = np.random.Generator(np.random.Philox(0))
+
+    est = []
+    for t0, _, members in spans:
+        leave = np.array([scenario.node(m).leave_s for m in members])
+        est.append(np.minimum.outer(leave, leave) - t0)     # the true PCDs
+    model = scenario.pcd_error
+    if model is not None:
+        pairs = [(r, i, j) for r, (_, _, members) in enumerate(spans)
+                 for i in range(len(members)) for j in range(i + 1, len(members))]
+        keys = stream_keys(scenario.seed, [("pcd", r, spans[r][2][i], spans[r][2][j]) for r, i, j in pairs])
+        for (r, i, j), rng in zip(pairs, restarted(keys, gen)):
+            est[r][i, j] = est[r][j, i] = estimate_pcd(float(est[r][i, j]), model, rng)
+
+    loss: list = [None] * len(spans)
+    rx_ok = [~np.eye(len(members), dtype=bool) for _, _, members in spans]
+    if scenario.loss is not None:
+        lo, hi = scenario.loss.lo, scenario.loss.hi
+        keys = stream_keys(scenario.seed, [("loss", r, m) for r, (_, _, members) in enumerate(spans)
+                                           for m in members])
+        probs = iter([float(rng.uniform(lo, hi)) for rng in restarted(keys, gen)])
+        loss = [tuple(next(probs) for _ in members) for _, _, members in spans]
+        keys = stream_keys(scenario.seed, [("rx", r, a, b) for r, (_, _, members) in enumerate(spans)
+                                           for a in members for b in members if a != b])
+        heard = np.array([rng.random() for rng in restarted(keys, gen)])
+        start = 0
+        for r, ok in enumerate(rx_ok):
+            stop = start + int(ok.sum())
+            draw = np.zeros(ok.shape)
+            draw[ok] = heard[start:stop]        # row by row: receiver, then sender
+            ok &= draw >= np.array(loss[r])[:, None]
+            start = stop
+    for array in (*est, *rx_ok):
+        array.flags.writeable = False       # shared by every policy that runs on them
+    graph = scenario.graph()
+    return [_RoundDraws(t0, t1, members, graph.restricted(members), est[r], loss[r], rx_ok[r])
+            for r, (t0, t1, members) in enumerate(spans)]
 
 
 def _allocate(policy: str, problem: BargainingProblem) -> tuple[Allocation, KktReport | None]:
@@ -347,20 +404,24 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
     least two members allocate and transmit.  Idle rounds (nothing queued)
     are recorded but excluded from the report-level metric averages.
     """
+    return _run(scenario, policy, _round_draws(scenario))
+
+
+def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
+    """:func:`run_scenario` on the scenario's precomputed round draws.
+
+    Loads, contact tables, the GO and the bargaining reference depend on
+    what the policy delivered in earlier rounds, so they are derived here.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     rate = scenario.broadcast_mbps
-    graph = scenario.graph()
-    events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
     transmitted = {n.id: 0.0 for n in scenario.nodes}
     received = {n.id: 0.0 for n in scenario.nodes}
     rounds: list[RoundRecord] = []
 
-    for t0, t1 in zip(events, events[1:]):
-        members = _members_at(scenario, t0)
-        if len(members) < 2:
-            continue
-        ridx = len(rounds)
+    for ridx, d in enumerate(draws):
+        t0, t1, members = d.t0, d.t1, d.members
 
         loads = {}
         for m in members:
@@ -368,41 +429,24 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
             total = node.data_mb if node.data_mb is not None else node.data_mb_per_peer * (len(members) - 1)
             loads[m] = max(0.0, total - transmitted[m])
 
-        true_pcd = {}
-        est_pcd = {}
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                true = min(scenario.node(a).leave_s, scenario.node(b).leave_s) - t0
-                rng = _stream(scenario.seed, "pcd", ridx, a, b)
-                true_pcd[(a, b)] = true_pcd[(b, a)] = true
-                est_pcd[(a, b)] = est_pcd[(b, a)] = estimate_pcd(true, scenario.pcd_error, rng)
-
-        tables = {}
-        for m in members:
-            table = ContactTable(m)
-            for other in members:
-                if other != m:
-                    table = update_contact_table(table, Join(other, est_pcd[(m, other)], loads[other]))
-            tables[m] = table
+        tables = {
+            m: ContactTable(m, tuple(ContactEntry(o, pcd, loads[o])
+                                     for o, pcd in zip(members, row) if o != m))
+            for m, row in zip(members, d.est_pcd.tolist())
+        }
 
         if scenario.go is not None and scenario.go in members:
             go_id = scenario.go
         else:
             try:
-                roles = select_roles(tables, graph.restricted(members))
+                roles = select_roles(tables, d.graph)
             except NoGoCandidateError as e:
                 raise NoGoCandidateError(f"round {ridx} at {t0:g}s: {e}") from e
             go_id = next(m for m, r in roles.items() if r == "go")
 
         airtime = allocation_interval(tables[go_id], go_id)
         mode = select_transmission_mode(len(members))
-
-        loss_probs = None
-        if scenario.loss is not None:
-            loss_probs = {
-                m: float(_stream(scenario.seed, "loss", ridx, m).uniform(scenario.loss.lo, scenario.loss.hi))
-                for m in members
-            }
+        loss_probs = None if d.loss is None else dict(zip(members, d.loss))
 
         problem = _build_problem(scenario, members, go_id, mode, loads, airtime,
                                  loss_probs if mode == MODE_GO_COORDINATED else None)
@@ -432,20 +476,12 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
                 except ScheduleError as e:
                     raise ScheduleError(f"round {ridx} at {t0:g}s: {e}") from e
 
-        rx_ok = ~np.eye(len(members), dtype=bool)
-        if loss_probs is not None:
-            for i, a in enumerate(members):
-                for j, b in enumerate(members):
-                    if a != b:
-                        draw = _stream(scenario.seed, "rx", ridx, a, b).random()
-                        rx_ok[i, j] = draw >= loss_probs[a]
-
         if schedule is None:
             realized = {m: 0.0 for m in members}
             delivered = {m: 0.0 for m in members}
         else:
             need = [loads[m] / rate for m in members]
-            realized, delivered = _replay(schedule, t1, members, need, rate, rx_ok, transmitted, received)
+            realized, delivered = _replay(schedule, t1, members, need, rate, d.rx_ok, transmitted, received)
 
         if idle:
             nash_real = nash_ideal = wpf = float("nan")
@@ -530,12 +566,15 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    seeds = [derive_seed(scenario.seed, "sweep", r) for r in range(repetitions)]
+    runs = []
+    for r in range(repetitions):
+        paired = replace(scenario, seed=derive_seed(scenario.seed, "sweep", r))
+        runs.append((paired, _round_draws(paired)))      # draws do not depend on the slot size
     out = []
     for t_slot in t_slot_list:
         vals = [
-            run_scenario(replace(scenario, t_slot_s=float(t_slot), seed=s)).wpf_aggregate_vs_ideal
-            for s in seeds
+            _run(replace(paired, t_slot_s=float(t_slot)), "gsa", draws).wpf_aggregate_vs_ideal
+            for paired, draws in runs
         ]
         out.append((float(t_slot), float(np.mean(vals)), float(np.std(vals))))
     return out
@@ -543,8 +582,9 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
 
 def compare_policies(scenario: Scenario,
                      policies: Sequence[str] = POLICIES) -> dict[str, SimulationReport]:
-    """Run the same scenario (identical seeds and draws) once per policy."""
-    return {p: run_scenario(scenario, policy=p) for p in policies}
+    """Run the same scenario once per policy, on one shared set of draws."""
+    draws = _round_draws(scenario)
+    return {p: _run(scenario, p, draws) for p in policies}
 
 
 def scale_contact_durations(scenario: Scenario, duration: float) -> Scenario:

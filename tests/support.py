@@ -7,6 +7,8 @@ import numpy as np
 from airfair import BargainingProblem, Player, Utility
 from airfair.bargaining import ROLE_CLIENT, ROLE_GO
 from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable, SlotEntry
+from airfair.simulate import estimate_pcd
+from airfair.streams import part_key
 
 # The six-node example bundled as the "table1" preset: one group owner (n4)
 # with double bargaining power, five clients uploading at the broadcast rate.
@@ -192,6 +194,49 @@ def reference_replay(schedule, t1, members, need, rate, rx_ok, transmitted, rece
             if receiver != entry.node and rx_ok[col[receiver], col[entry.node]]:
                 received[receiver] += mb
     return realized, delivered
+
+
+# ---------------------------------------------------------------------------
+# Per-draw reference for the simulator's random draws: every draw builds its
+# own SeedSequence and Philox, which defines the numbers the batched
+# derivation must reproduce.
+
+
+def reference_stream(seed: int, *parts) -> np.random.Generator:
+    """A fresh generator on the stream keyed by (seed, parts...)."""
+    entropy = [seed & 0xFFFFFFFFFFFFFFFF] + [part_key(p) for p in parts]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def reference_round_draws(scenario) -> list[tuple]:
+    """(t0, t1, members, estimated PCDs, loss probabilities, rx_ok) of every
+    round with at least two members, one stream per draw."""
+    events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
+    out = []
+    for t0, t1 in zip(events, events[1:]):
+        members = sorted(n.id for n in scenario.nodes if n.join_s <= t0 < n.leave_s)
+        if len(members) < 2:
+            continue
+        ridx = len(out)
+        est = np.zeros((len(members), len(members)))
+        for i, a in enumerate(members):
+            for j in range(i + 1, len(members)):
+                b = members[j]
+                true = min(scenario.node(a).leave_s, scenario.node(b).leave_s) - t0
+                rng = reference_stream(scenario.seed, "pcd", ridx, a, b)
+                est[i, j] = est[j, i] = estimate_pcd(true, scenario.pcd_error, rng)
+        loss = None
+        if scenario.loss is not None:
+            loss = [float(reference_stream(scenario.seed, "loss", ridx, m).uniform(scenario.loss.lo, scenario.loss.hi))
+                    for m in members]
+        rx_ok = ~np.eye(len(members), dtype=bool)
+        if loss is not None:
+            for i, a in enumerate(members):
+                for j, b in enumerate(members):
+                    if a != b:
+                        rx_ok[i, j] = reference_stream(scenario.seed, "rx", ridx, a, b).random() >= loss[i]
+        out.append((t0, t1, tuple(members), est, loss, rx_ok))
+    return out
 
 
 def float_bits(values) -> list[str]:
