@@ -274,7 +274,7 @@ class BargainingProblem:
         """The active players' level curves as parameter arrays."""
         return _Curves.bargaining(self)
 
-    @property
+    @cached_property
     def demand(self) -> float:
         """Channel seconds needed to drain every active queue."""
         return float(sum((1.0 + self.betas[i]) * self.caps[i] for i in self.active))

@@ -5,7 +5,9 @@ long (the predicted contact duration, PCD), and how much data each peer has
 queued.  Every node keeps a contact table with one entry per other member;
 join and leave events update it.  The group owner (GO) is picked among the
 nodes that reach everyone as the one with the most queued data, because
-relaying its traffic costs the group the least total broadcast time.
+relaying its traffic costs the group the least total broadcast time;
+:func:`elect_go` holds that rule on plain per-member loads and reachability,
+and :func:`select_roles` applies it to contact tables.
 
 Once airtime has been allocated, transmission is organized in a round-robin
 slot cycle: each client gets an upload slot immediately followed by its
@@ -38,6 +40,7 @@ __all__ = [
     "ConnectivityGraph",
     "NoGoCandidateError",
     "ScheduleError",
+    "elect_go",
     "select_roles",
     "total_broadcast_time",
     "allocation_interval",
@@ -162,14 +165,25 @@ class ConnectivityGraph:
         return g
 
 
-def select_roles(tables: Mapping[str, ContactTable], graph: ConnectivityGraph) -> dict[str, str]:
-    """Pick the GO among members adjacent to all others, by largest queued
-    load; ties break toward the smallest id.  Loads are read off the peers'
-    table entries.  Returns a role per member id ("go" or "client")."""
-    members = sorted(tables)
-    candidates = [m for m in members if graph.reaches_all(m, members)]
-    if not candidates:
+def elect_go(members: Sequence[str], loads: Sequence[float], hubs: Sequence[bool]) -> str:
+    """The GO: among the members that reach every other member
+    (``hubs[k]`` for ``members[k]``), the one with the largest queued load;
+    ties go to the smallest id.  A NaN load never wins; with no member left
+    to choose, raises :class:`NoGoCandidateError`."""
+    go, go_load = None, -math.inf
+    for m, load, hub in sorted(zip(members, loads, hubs)):
+        if hub and load > go_load:
+            go, go_load = m, load
+    if go is None:
         raise NoGoCandidateError("no member reaches every other member")
+    return go
+
+
+def select_roles(tables: Mapping[str, ContactTable], graph: ConnectivityGraph) -> dict[str, str]:
+    """Pick the GO by :func:`elect_go`, reading each member's load off the
+    peers' table entries.  Returns a role per member id ("go" or
+    "client")."""
+    members = sorted(tables)
 
     def load_of(m: str) -> float:
         for other, table in tables.items():
@@ -181,12 +195,7 @@ def select_roles(tables: Mapping[str, ContactTable], graph: ConnectivityGraph) -
                 continue
         return 0.0
 
-    go = None
-    go_load = -np.inf
-    for m in sorted(candidates):
-        load = load_of(m)
-        if load > go_load:
-            go, go_load = m, load
+    go = elect_go(members, [load_of(m) for m in members], [graph.reaches_all(m, members) for m in members])
     return {m: ("go" if m == go else "client") for m in members}
 
 

@@ -3,11 +3,14 @@
 A scenario lists nodes with join/leave times, queued data, rates, and
 optional randomness: estimation error on predicted contact durations (PCDs)
 and a per-node packet-loss probability.  Every join or leave starts a new
-allocation round: contact tables are rebuilt, roles re-selected, airtime
-re-allocated from the *estimated* PCDs, and the slot schedule executed
-against the *true* event timeline, so mis-estimation shows up as truncated
-or underfilled intervals.  Delivered megabits are tracked across rounds, so
-later rounds only bargain over what is still queued.
+allocation round: the GO is re-elected, airtime re-allocated from the
+*estimated* PCDs, and the slot schedule executed against the *true* event
+timeline, so mis-estimation shows up as truncated or underfilled intervals.
+The contact profiles the members swap come down to two arrays per round,
+the loads and a mask of who reaches everyone, which is all the election
+reads; only the GO's contact table is built, for the horizon.  Delivered
+megabits are tracked across rounds, so later rounds only bargain over what
+is still queued.
 
 A schedule is executed as an in-order replay over its slot arrays: the slots
 are cut at the true round end, each node's sends are capped at its queue,
@@ -17,8 +20,9 @@ floats as walking the slots one by one.
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
 lets paired experiments reuse identical draws.  A scenario's draws are made
-before any round runs: the Philox keys of each purpose come from one batch
-that runs numpy's SeedSequence hash on arrays, and one Philox is moved to
+before any round runs: all Philox keys come from one batch that runs
+numpy's SeedSequence hash on arrays, the uniform draws from a vectorized
+Philox4x64-10 over all keys, and the normal draws from one Philox moved to
 the start of each key's stream in turn (see :mod:`airfair.streams`).  Draws
 depend on neither the policy nor the slot size, so policy comparison and
 slot-size sweeps derive them once and share them.
@@ -61,12 +65,12 @@ from .grouping import (
     allocation_interval,
     build_schedule,
     default_cycle_order,
-    select_roles,
+    elect_go,
     select_transmission_mode,
     slot_sizes,
-    update_contact_table,  # noqa: F401  (unused here; perfbench/spans.py wraps it by this name)
 )
-from .streams import derive_seed, restarted, stream_keys
+from .grouping import select_roles, update_contact_table  # noqa: F401  (not called here; perfbench/spans.py wraps both by name)
+from .streams import derive_seed, first_uniforms, part_key, restarted, word_keys
 
 __all__ = [
     "PCD_FLOOR",
@@ -248,15 +252,28 @@ def _members_at(scenario: Scenario, t: float) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class _RoundDraws:
     """What no policy can change about one round: its true span, its
-    members, their connectivity, and the round's random draws."""
+    members, which of them reach all others, and the round's random draws."""
 
     t0: float
     t1: float
     members: tuple[str, ...]
-    graph: ConnectivityGraph     # restricted to the members
+    hubs: tuple[bool, ...]       # hubs[i]: member i reaches every other member
     est_pcd: np.ndarray          # est_pcd[i, j]: estimated PCD of members i and j
     loss: tuple[float, ...] | None   # loss probability per member
     rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
+
+
+_PCD, _LOSS, _RX = (part_key(p) for p in ("pcd", "loss", "rx"))
+
+
+def _word_rows(purpose: int, r: int, *nodes: np.ndarray) -> np.ndarray:
+    """The entropy words (purpose, round, *nodes) of streams whose parts are
+    one word each, one row per stream, padded with zeros to four."""
+    rows = np.zeros((len(nodes[0]), 4), np.uint32)
+    rows[:, 0], rows[:, 1] = purpose, r
+    for k, column in enumerate(nodes):
+        rows[:, 2 + k] = column
+    return rows
 
 
 def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
@@ -264,10 +281,12 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
 
     Each draw comes from its own stream keyed by (seed, purpose, round,
     node...): "pcd" per member pair, "loss" per member, "rx" per receiver
-    and sender.  The keys of each purpose are derived in one batch, and one
-    Philox is moved to the start of each stream in turn.  Draws depend only
-    on the timeline, the seed and the noise models, not on the policy or
-    the slot size.
+    and sender.  Every part is one entropy word, so the word rows of all
+    streams are put together from per-member CRC arrays and hashed in one
+    batch.  Loss and rx are each their stream's first uniform draw, made for
+    all keys at once; a PCD error is a normal draw from one Philox moved to
+    the start of its stream.  Draws depend only on the timeline, the seed
+    and the noise models, not on the policy or the slot size.
     """
     events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
     spans = []
@@ -275,42 +294,55 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         members = _members_at(scenario, t0)
         if len(members) >= 2:
             spans.append((t0, t1, tuple(members)))
-    gen = np.random.Generator(np.random.Philox(0))
 
     est = []
     for t0, _, members in spans:
         leave = np.array([scenario.node(m).leave_s for m in members])
         est.append(np.minimum.outer(leave, leave) - t0)     # the true PCDs
-    model = scenario.pcd_error
-    if model is not None:
-        pairs = [(r, i, j) for r, (_, _, members) in enumerate(spans)
-                 for i in range(len(members)) for j in range(i + 1, len(members))]
-        keys = stream_keys(scenario.seed, [("pcd", r, spans[r][2][i], spans[r][2][j]) for r, i, j in pairs])
-        for (r, i, j), rng in zip(pairs, restarted(keys, gen)):
-            est[r][i, j] = est[r][j, i] = estimate_pcd(float(est[r][i, j]), model, rng)
-
-    loss: list = [None] * len(spans)
     rx_ok = [~np.eye(len(members), dtype=bool) for _, _, members in spans]
-    if scenario.loss is not None:
-        lo, hi = scenario.loss.lo, scenario.loss.hi
-        keys = stream_keys(scenario.seed, [("loss", r, m) for r, (_, _, members) in enumerate(spans)
-                                           for m in members])
-        probs = iter([float(rng.uniform(lo, hi)) for rng in restarted(keys, gen)])
-        loss = [tuple(next(probs) for _ in members) for _, _, members in spans]
-        keys = stream_keys(scenario.seed, [("rx", r, a, b) for r, (_, _, members) in enumerate(spans)
-                                           for a in members for b in members if a != b])
-        heard = np.array([rng.random() for rng in restarted(keys, gen)])
-        start = 0
-        for r, ok in enumerate(rx_ok):
-            stop = start + int(ok.sum())
-            draw = np.zeros(ok.shape)
-            draw[ok] = heard[start:stop]        # row by row: receiver, then sender
-            ok &= draw >= np.array(loss[r])[:, None]
-            start = stop
+    model, loss_model = scenario.pcd_error, scenario.loss
+    loss: list = [None] * len(spans)
+    if spans and (model is not None or loss_model is not None):
+        pairs = [np.triu_indices(len(members), 1) for _, _, members in spans]
+        pcd_rows, loss_rows, rx_rows = [], [], []
+        for r, ((_, _, members), (i, j), ok) in enumerate(zip(spans, pairs, rx_ok)):
+            crc = np.array([part_key(m) for m in members], np.uint32)
+            if model is not None:
+                pcd_rows.append(_word_rows(_PCD, r, crc[i], crc[j]))
+            if loss_model is not None:
+                receiver, sender = np.nonzero(ok)
+                loss_rows.append(_word_rows(_LOSS, r, crc))
+                rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
+        n_pcd = sum(map(len, pcd_rows))
+        n_loss = sum(map(len, loss_rows))
+        words = np.concatenate(pcd_rows + loss_rows + rx_rows)
+        lengths = np.full(len(words), 4)
+        lengths[n_pcd:n_pcd + n_loss] = 3
+        keys = word_keys(scenario.seed, words, lengths)
+
+        if model is not None:
+            rngs = restarted(keys[:n_pcd], np.random.Generator(np.random.Philox(0)))
+            for e, (i, j) in zip(est, pairs):
+                e[i, j] = e[j, i] = [estimate_pcd(t, model, next(rngs)) for t in e[i, j].tolist()]
+        if loss_model is not None:
+            u = first_uniforms(keys[n_pcd:])
+            probs = loss_model.lo + (loss_model.hi - loss_model.lo) * u[:n_loss]   # Generator.uniform's arithmetic
+            heard = u[n_loss:]
+            for r, ok in enumerate(rx_ok):
+                size = len(ok)
+                loss[r] = tuple(probs[:size].tolist())
+                draw = np.zeros(ok.shape)
+                draw[ok] = heard[:size * (size - 1)]        # row by row: receiver, then sender
+                ok &= draw >= probs[:size, None]
+                probs, heard = probs[size:], heard[size * (size - 1):]
     for array in (*est, *rx_ok):
         array.flags.writeable = False       # shared by every policy that runs on them
-    graph = scenario.graph()
-    return [_RoundDraws(t0, t1, members, graph.restricted(members), est[r], loss[r], rx_ok[r])
+    if scenario.connectivity == "complete":
+        hubs = [(True,) * len(members) for _, _, members in spans]
+    else:
+        graph = scenario.graph()
+        hubs = [tuple(graph.reaches_all(m, members) for m in members) for _, _, members in spans]
+    return [_RoundDraws(t0, t1, members, hubs[r], est[r], loss[r], rx_ok[r])
             for r, (t0, t1, members) in enumerate(spans)]
 
 
@@ -410,8 +442,9 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
 def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
     """:func:`run_scenario` on the scenario's precomputed round draws.
 
-    Loads, contact tables, the GO and the bargaining reference depend on
-    what the policy delivered in earlier rounds, so they are derived here.
+    Loads, the GO, its contact table and the bargaining reference depend
+    on what the policy delivered in earlier rounds, so they are derived
+    here.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -429,22 +462,18 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
             total = node.data_mb if node.data_mb is not None else node.data_mb_per_peer * (len(members) - 1)
             loads[m] = max(0.0, total - transmitted[m])
 
-        tables = {
-            m: ContactTable(m, tuple(ContactEntry(o, pcd, loads[o])
-                                     for o, pcd in zip(members, row) if o != m))
-            for m, row in zip(members, d.est_pcd.tolist())
-        }
-
         if scenario.go is not None and scenario.go in members:
             go_id = scenario.go
         else:
             try:
-                roles = select_roles(tables, d.graph)
+                go_id = elect_go(members, [loads[m] for m in members], d.hubs)
             except NoGoCandidateError as e:
                 raise NoGoCandidateError(f"round {ridx} at {t0:g}s: {e}") from e
-            go_id = next(m for m, r in roles.items() if r == "go")
 
-        airtime = allocation_interval(tables[go_id], go_id)
+        g = members.index(go_id)
+        go_table = ContactTable(go_id, tuple(ContactEntry(o, pcd, loads[o])
+                                             for o, pcd in zip(members, d.est_pcd[g].tolist()) if o != go_id))
+        airtime = allocation_interval(go_table, go_id)
         mode = select_transmission_mode(len(members))
         loss_probs = None if d.loss is None else dict(zip(members, d.loss))
 

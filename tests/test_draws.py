@@ -1,10 +1,11 @@
 """Batched random draws against the per-draw reference.
 
-The simulator derives the stream keys of a scenario in batches, with
-SeedSequence's hash run on arrays, and draws from one Philox moved to the
-start of each stream.  These tests hold it to the numbers that building one
-SeedSequence and Philox per draw gives, and check that sharing the draws
-across policies and slot sizes changes no result.
+The simulator derives all stream keys of a scenario in one batch, with
+SeedSequence's hash run on arrays, makes the uniform draws with a vectorized
+Philox4x64-10 and the normal ones from one Philox moved to the start of each
+stream.  These tests hold it to the numbers that building one SeedSequence
+and Philox per draw gives, and check that sharing the draws across policies
+and slot sizes changes no result.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from airfair.simulate import (
     run_scenario,
     slot_size_sweep,
 )
-from airfair.streams import part_key, stream_keys
+from airfair.streams import first_uniforms, part_key, stream_keys
 
 LOSS = {"lo": 0.05, "hi": 0.3}
 PCD_ERROR = {"stddev": 1.0}
@@ -131,6 +132,47 @@ def test_stream_keys_match_seed_sequence():
     assert stream_keys(5, []).shape == (0, 2)
 
 
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+
+
+def _middle_carry(x, m):
+    """What the middle 32-bit column of x * m carries into the high word."""
+    lo = 0xFFFFFFFF
+    return ((x & lo) * (m & lo) >> 32) + ((x & lo) * (m >> 32) & lo) + ((x >> 32) * (m & lo) & lo) >> 32
+
+
+# After round 1 on counter (1, 0, 0, 0), Philox multiplies key word 0 by the
+# first constant and key word 1 by the second, so these keys make that
+# column carry 0, 1 and 2.
+CARRY_WORDS = [0, 2**32 - 1, 2**63 - 1, 0x87B0B125EC1D7DA0, 2**64 - 1]
+EDGE_KEYS = [(a, b) for a in CARRY_WORDS for b in CARRY_WORDS] + [(2**64 - 1, 0), (1, 2**63)]
+
+
+def _oracle_uniform(key, bounds=None):
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
+    return gen.random() if bounds is None else gen.uniform(*bounds)
+
+
+def test_first_uniforms_match_philox():
+    assert {_middle_carry(w, m) for w in CARRY_WORDS for m in _PHILOX_M} == {0, 1, 2}
+    random_keys = np.random.default_rng(17).integers(0, 2**64, size=(2000, 2), dtype=np.uint64)
+    for keys in (np.array(EDGE_KEYS, np.uint64), random_keys, random_keys[:1]):
+        got = first_uniforms(keys)
+        assert got.dtype == np.float64 and got.shape == (len(keys),)
+        assert [u.hex() for u in got.tolist()] == [float(_oracle_uniform(k)).hex() for k in keys]
+    assert first_uniforms(np.zeros((0, 2), np.uint64)).shape == (0,)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.1), (0.05, 0.3), (0.25, 0.25), (0.0, 0.0), (0.3, 0.9999999)])
+def test_first_uniforms_give_numpy_uniform(lo, hi):
+    """``lo + (hi - lo) * u`` is what ``uniform(lo, hi)`` draws, the way the
+    simulator makes loss probabilities."""
+    keys = np.concatenate([np.array(EDGE_KEYS, np.uint64),
+                           np.random.default_rng(23).integers(0, 2**64, size=(500, 2), dtype=np.uint64)])
+    got = lo + (hi - lo) * first_uniforms(keys)
+    assert [u.hex() for u in got.tolist()] == [float(_oracle_uniform(k, (lo, hi))).hex() for k in keys]
+
+
 def _assert_draws_match(scenario):
     got = _round_draws(scenario)
     want = support.reference_round_draws(scenario)
@@ -160,19 +202,20 @@ def test_round_draws_match_per_draw_streams(name):
 @pytest.mark.parametrize("noise, batches", [
     ({}, 0),
     ({"pcd_error": PCD_ERROR}, 1),
-    ({"loss": LOSS}, 2),
-    ({"loss": LOSS, "pcd_error": PCD_ERROR}, 3),
+    ({"loss": LOSS}, 1),
+    ({"loss": LOSS, "pcd_error": PCD_ERROR}, 1),
 ])
 def test_key_batches_per_scenario(monkeypatch, noise, batches):
-    """One batch of keys per purpose in use (pcd, loss, rx), none without noise."""
+    """One batch of keys for all purposes in use (pcd, loss, rx), none
+    without noise."""
     sizes = []
-    derive = simulate.stream_keys
+    derive = simulate.word_keys
 
-    def counted(seed, rows):
-        sizes.append(len(rows))
-        return derive(seed, rows)
+    def counted(seed, words, lengths):
+        sizes.append(len(words))
+        return derive(seed, words, lengths)
 
-    monkeypatch.setattr(simulate, "stream_keys", counted)
+    monkeypatch.setattr(simulate, "word_keys", counted)
     _assert_draws_match(scenario_from_dict({**QUIET_DYNAMIC4, **noise, "seed": 3}))
     assert len(sizes) == batches
 

@@ -17,6 +17,7 @@ from airfair.grouping import (
     allocation_interval,
     build_schedule,
     default_cycle_order,
+    elect_go,
     schedule_csv_rows,
     select_roles,
     select_transmission_mode,
@@ -127,6 +128,49 @@ def test_no_candidate_raises():
     g = ConnectivityGraph("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
     with pytest.raises(NoGoCandidateError):
         select_roles(four_node_tables(), g)
+
+
+def _random_group(rng):
+    """Contact tables and a connectivity graph over 2-9 members, with loads
+    drawn from few values (ties) or all zero, and random missing edges."""
+    ids = [f"m{k}" for k in rng.permutation(int(rng.integers(2, 10)))]
+    if rng.random() < 0.2:
+        loads = {m: 0.0 for m in ids}
+    else:
+        loads = {m: float(rng.choice([0.0, 5.0, 7.5, 20.0])) for m in ids}
+    tables = {o: ContactTable(o, tuple(ContactEntry(m, 10.0, loads[m]) for m in ids if m != o)) for o in ids}
+    keep = rng.uniform(0.6, 1.0)
+    edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < keep]
+    return ids, loads, tables, ConnectivityGraph(ids, edges)
+
+
+def test_elect_go_agrees_with_select_roles():
+    rng = np.random.default_rng(5)
+    outcomes = {"tie": 0, "zero": 0, "restricted": 0, "none": 0}
+    for _ in range(400):
+        ids, loads, tables, graph = _random_group(rng)
+        hubs = [graph.reaches_all(m, ids) for m in ids]
+        try:
+            roles = select_roles(tables, graph)
+        except NoGoCandidateError:
+            with pytest.raises(NoGoCandidateError):
+                elect_go(ids, [loads[m] for m in ids], hubs)
+            outcomes["none"] += 1
+            continue
+        go = elect_go(ids, [loads[m] for m in ids], hubs)
+        assert roles == {m: ("go" if m == go else "client") for m in ids}
+        top = max(loads[m] for m, hub in zip(ids, hubs) if hub)
+        outcomes["tie"] += sum(loads[m] == top for m, hub in zip(ids, hubs) if hub) > 1
+        outcomes["zero"] += top == 0.0
+        outcomes["restricted"] += not all(hubs)
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_elect_go_ignores_member_order():
+    ids, loads, hubs = ["c", "a", "b", "d"], [5.0, 5.0, 9.0, 9.0], [True, True, False, True]
+    assert elect_go(ids, loads, hubs) == "d"
+    assert elect_go(ids[::-1], loads[::-1], hubs[::-1]) == "d"
+    assert elect_go(ids, [5.0, 5.0, 9.0, 1.0], hubs) == "a"
 
 
 def test_allocation_interval_is_min_pcd():

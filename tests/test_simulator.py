@@ -129,6 +129,27 @@ def test_no_go_candidate_propagates():
         run_scenario(scn)
 
 
+def test_star_elects_the_hub_over_a_heavier_leaf():
+    # only the hub reaches every other member, so it relays although a leaf
+    # holds the most data; the horizon is the hub's smallest PCD
+    leaves = [ScenarioNode(f"leaf{k}", 0.0, 20.0 - k, data_mb=5.0 + 10.0 * k) for k in range(4)]
+    scn = Scenario(
+        nodes=(ScenarioNode("hub", 0.0, 30.0, data_mb=1.0), *leaves),
+        broadcast_mbps=11.0,
+        t_slot_s=0.02,
+        connectivity=tuple(("hub", leaf.id) for leaf in leaves),
+    )
+    rep = run_scenario(scn)
+    crowded = [r for r in rep.rounds if len(r.members) >= 3]    # in a pair, both reach all
+    assert len(crowded) == 3 and all(r.go_id == "hub" for r in crowded)
+    first = rep.rounds[0]
+    assert first.airtime == 17.0
+    assert max(first.problem.players, key=lambda p: p.data_size).id == "leaf3"
+    assert simulate._round_draws(scn)[0].hubs == (True, False, False, False, False)
+    # on a complete graph the heaviest leaf relays instead
+    assert run_scenario(replace(scn, connectivity="complete")).rounds[0].go_id == "leaf3"
+
+
 def test_delivery_respects_queues_and_interval():
     rep = run_scenario(two_node_scenario())
     r = rep.rounds[0]
