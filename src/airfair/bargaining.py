@@ -265,10 +265,6 @@ class BargainingProblem:
     def active(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.players)) if self.caps[i] > 0)
 
-    @property
-    def go_index(self) -> int:
-        return next(i for i, p in enumerate(self.players) if p.role == ROLE_GO)
-
     @cached_property
     def _curves(self) -> "_Curves":
         """The active players' level curves as parameter arrays."""

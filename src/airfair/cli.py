@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: ``allocate`` (one-round allocation table), ``schedule`` (slot
-plan of a round as CSV), ``simulate`` (full run, CSV reports to a
-directory), ``compare`` (realized Nash products per policy over contact
-durations), ``sweep`` (fairness aggregate per basic slot size).
+plan of a round as CSV), ``simulate`` (full run: a round-by-round listing,
+CSV reports to a directory), ``compare`` (realized Nash products per policy
+over contact durations), ``sweep`` (fairness aggregate per basic slot size),
+``converge`` (running-average Nash product over repeated noisy contacts).
 
 Exit codes: 0 on success, 2 for argument or scenario-schema problems, 3
 when the allocation problem is infeasible.
@@ -12,6 +13,7 @@ when the allocation problem is infeasible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,8 +23,10 @@ from .grouping import schedule_csv_rows
 from .scenario_io import SchemaError, load_scenario, preset_scenario
 from .simulate import (
     POLICIES,
+    PcdErrorModel,
     compare_policies,
     derive_seed,
+    repeated_contacts,
     run_scenario,
     scale_contact_durations,
     slot_size_sweep,
@@ -43,13 +47,19 @@ def _load(args) -> object:
     return scenario
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject a bad argument value the way a bad scenario is rejected."""
+    if not ok:
+        raise SchemaError(message)
+
+
 def _float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise SchemaError(f"{flag} expects a comma-separated list of numbers") from None
-    if not values:
-        raise SchemaError(f"{flag} must not be empty")
+    _require(bool(values), f"{flag} must not be empty")
+    _require(all(0 < v < math.inf for v in values), f"{flag} values must be finite and > 0")
     return values
 
 
@@ -148,6 +158,18 @@ def cmd_simulate(args) -> int:
     ]
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
 
+    for rnd in report.rounds:
+        print(f"round {rnd.index}: ({rnd.t_start:g}, {rnd.t_end:g}]s  mode={rnd.mode}  "
+              f"go={rnd.go_id}  horizon={rnd.airtime:.3f}s"
+              + ("  (idle)" if rnd.idle else ""))
+        if rnd.idle:
+            continue
+        for k, member in enumerate(rnd.members):
+            print(f"  {member:<8} allocated {rnd.allocation.broadcast_time[k]:7.3f}s"
+                  f"  realized {rnd.realized_broadcast[member]:7.3f}s"
+                  f"  delivered {rnd.delivered_mb[member]:8.3f} mb")
+        print(f"  nash realized {rnd.nash_realized:.6f}  ideal {rnd.nash_ideal:.6f}  "
+              f"wpf {rnd.wpf_vs_ideal:+.6f}")
     print(f"policy {report.policy}: {len(report.rounds)} rounds, "
           f"nash_realized {report.nash_product_realized:.6f}, "
           f"reports in {out}")
@@ -157,6 +179,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _load(args)
     durations = _float_list(args.durations, "--durations")
+    _require(args.reps >= 1, "--reps must be at least 1")
     base_seed = scenario.seed
     print("duration_s," + ",".join(POLICIES))
     for di, duration in enumerate(durations):
@@ -174,10 +197,25 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     sizes_ms = _float_list(args.slot_sizes, "--slot-sizes")
+    _require(args.reps >= 1, "--reps must be at least 1")
     results = slot_size_sweep(scenario, [ms / 1000.0 for ms in sizes_ms], repetitions=args.reps)
     print("t_slot_ms,mean_wpf,stddev_wpf")
     for (t_slot, mean, std), ms in zip(results, sizes_ms):
         print(f"{ms:.6f},{mean:.6f},{std:.6f}")
+    return 0
+
+
+def cmd_converge(args) -> int:
+    scenario = _load(args)
+    _require(args.contacts >= 1, "--contacts must be at least 1")
+    _require(0 < args.duration < math.inf, "--duration must be finite and > 0")
+    _require(0 <= args.stddev < math.inf, "--stddev must be finite and >= 0")
+    scenario = scale_contact_durations(scenario, args.duration)
+    scenario = replace(scenario, pcd_error=PcdErrorModel(stddev=args.stddev))
+    running, ideal = repeated_contacts(scenario, args.contacts)
+    print("contact,running_avg_nash,ideal_nash")
+    for k, value in enumerate(running, start=1):
+        print(f"{k},{value:.6f},{ideal:.6f}")
     return 0
 
 
@@ -216,6 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot-sizes", required=True, metavar="MS1,MS2,...")
     p.add_argument("--reps", type=int, default=20)
     p.set_defaults(fn=cmd_sweep)
+
+    p = sub.add_parser("converge", help="running-average Nash product over repeated noisy contacts")
+    _add_scenario_args(p)
+    p.add_argument("--contacts", type=int, default=200)
+    p.add_argument("--duration", type=float, default=20.0, help="contact duration in seconds")
+    p.add_argument("--stddev", type=float, default=1.0, help="estimation error stddev")
+    p.set_defaults(fn=cmd_converge)
 
     return parser
 

@@ -155,15 +155,6 @@ class ConnectivityGraph:
         others = set(members) - {node}
         return others <= self.adjacency.get(node, set())
 
-    def restricted(self, members: Iterable[str]) -> "ConnectivityGraph":
-        members = set(members)
-        g = ConnectivityGraph(members)
-        for a in members:
-            for b in self.adjacency.get(a, ()):
-                if b in members and a < b:
-                    g.add_edge(a, b)
-        return g
-
 
 def elect_go(members: Sequence[str], loads: Sequence[float], hubs: Sequence[bool]) -> str:
     """The GO: among the members that reach every other member

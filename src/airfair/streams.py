@@ -8,9 +8,9 @@ starts: strings are keyed by the CRC-32 of their UTF-8 bytes, integers by
 their value.  Because Philox is counter-based, a draw depends on its key
 alone, so all of a scenario's draws can be made up front.
 
-:func:`word_keys` derives the Philox keys of many streams at once, running
-SeedSequence's hash on uint32 arrays instead of building one SeedSequence
-per stream; :func:`stream_keys` spells the parts as words for it.  The first
+:func:`word_keys` derives the Philox keys of many streams at once from
+their parts spelled as 32-bit entropy words, running SeedSequence's hash on
+uint32 arrays instead of building one SeedSequence per stream.  The first
 uniform draw of every stream comes from :func:`first_uniforms`, which runs
 Philox4x64-10 on all keys at once, and :func:`restarted` moves one Philox to
 the start of each stream in turn for the draws numpy makes in other ways,
@@ -20,11 +20,10 @@ such as normal variates.
 from __future__ import annotations
 
 import zlib
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["part_key", "derive_seed", "stream_keys", "word_keys", "first_uniforms", "restarted"]
+__all__ = ["part_key", "derive_seed", "word_keys", "first_uniforms", "restarted"]
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
 # 32-bit words, hash constants that advance by a multiply on every use, and
@@ -98,34 +97,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _16)
 
 
-def stream_keys(seed: int, rows: Sequence[Sequence]) -> np.ndarray:
-    """The Philox key of every row's stream, as a (rows, 2) uint64 array.
-
-    Row ``parts`` gets the key that
-    ``Philox(SeedSequence([seed mod 2**64, *(part_key(p) for p in parts)]))``
-    starts from.  Rows may differ in length, and a part may take several
-    words.
-    """
-    memo: dict = {}
-    flat: list[int] = []
-    sizes = []
-    for parts in rows:
-        start = len(flat)
-        for p in parts:
-            w = memo.get(p)
-            if w is None:
-                w = memo[p] = _words(part_key(p))
-            flat += w
-        sizes.append(len(flat) - start)
-    lengths = np.array(sizes, dtype=np.intp)
-    row = np.repeat(np.arange(len(lengths)), lengths)
-    words = np.zeros((len(lengths), int(lengths.max(initial=0))), np.uint32)   # rows padded with zeros
-    words[row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]] = np.array(flat, np.uint32)
-    return word_keys(seed, words, lengths)
-
-
 def word_keys(seed: int, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """:func:`stream_keys` for parts already spelled as entropy words.
+    """The Philox key of every row's stream, as a (rows, 2) uint64 array.
 
     Row k of the uint32 array ``words`` holds the words of stream k's parts,
     which follow the seed's, and ``lengths[k]`` says how many it uses; the

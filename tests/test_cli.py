@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +101,17 @@ def test_seed_override_changes_output(capsys, tmp_path):
     assert (a / "rounds.csv").read_bytes() != (b / "rounds.csv").read_bytes()
 
 
+def test_simulate_prints_round_listing(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "simulate", "--preset", "dynamic4", "--out", str(tmp_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "round 0: (0, 4]s  mode=unicast-pair  go=n1  horizon=8.123s"
+    assert "round 1: (4, 8]s  mode=go-coordinated  go=n3  horizon=4.027s" in lines
+    assert "  n3       allocated   2.014s  realized   2.000s  delivered   22.000 mb" in lines
+    assert "round 2: (8, 12]s  mode=unicast-pair  go=n2  horizon=7.664s  (idle)" in lines
+    assert lines[-1] == f"policy gsa: 5 rounds, nash_realized 0.585849, reports in {tmp_path}"
+
+
 def test_compare_output(capsys):
     code, out, _ = run_cli(
         capsys, "compare", "--preset", "table1", "--durations", "5,10", "--reps", "2"
@@ -122,6 +136,43 @@ def test_sweep_output(capsys):
     assert len(lines) == 3
     for line in lines[1:]:
         assert float(line.split(",")[1]) <= 1e-9
+
+
+CONVERGE_TABLE1_5 = """\
+contact,running_avg_nash,ideal_nash
+1,0.583879,0.634532
+2,0.583641,0.634532
+3,0.600603,0.634532
+4,0.603275,0.634532
+5,0.602520,0.634532
+"""
+
+
+def test_converge_output(capsys):
+    code, out, _ = run_cli(capsys, "converge", "--preset", "table1", "--contacts", "5")
+    assert code == 0
+    assert out == CONVERGE_TABLE1_5
+
+
+@pytest.mark.parametrize("argv", [
+    "compare --durations 5 --reps 0",
+    "sweep --slot-sizes 20 --reps 0",
+    "compare --durations 0",
+    "compare --durations nan",
+    "compare --durations inf",
+    "sweep --slot-sizes 0",
+    "sweep --slot-sizes inf",
+    "converge --contacts 0",
+    "converge --duration 0",
+    "converge --duration inf",
+    "converge --duration nan",
+    "converge --stddev -1",
+    "converge --stddev nan",
+])
+def test_bad_numeric_argument_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split(), "--preset", "table1")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_scenario_file_and_preset_are_exclusive(capsys):
@@ -165,3 +216,35 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "node_id,role,upload_s,broadcast_s,rate_mbps,utility"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """(argv, expected stdout) for every ``airfair`` line in the README's
+    ``sh`` blocks; the expected stdout is the rest of the block after a
+    ``$ airfair ...`` line, and None for a bare one."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        lines = block.splitlines(keepends=True)
+        for k, line in enumerate(lines):
+            if line.startswith("$ airfair "):
+                commands.append((shlex.split(line[2:])[1:], "".join(lines[k + 1:])))
+            elif line.startswith("airfair "):
+                commands.append((shlex.split(line, comments=True)[1:], None))
+    return commands
+
+
+def test_readme_commands_run(capsys, tmp_path):
+    commands = _readme_commands()
+    checked = [argv for argv, expected in commands if expected is not None]
+    assert ["allocate", "--preset", "table1", "--policy", "gsa"] in checked
+    for argv, expected in commands:
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if expected is not None:
+            assert out == expected, argv

@@ -25,7 +25,7 @@ from airfair.simulate import (
     run_scenario,
     slot_size_sweep,
 )
-from airfair.streams import first_uniforms, part_key, stream_keys
+from airfair.streams import first_uniforms, part_key, word_keys
 
 LOSS = {"lo": 0.05, "hi": 0.3}
 PCD_ERROR = {"stddev": 1.0}
@@ -119,17 +119,35 @@ ROWS = [
 ]
 
 
+def _spelled(rows):
+    """The rows' parts as SeedSequence reads them: each part key as
+    little-endian 32-bit words, one row per stream padded with zeros, and
+    the number of words each row uses."""
+    spelled = []
+    for parts in rows:
+        row = []
+        for p in parts:
+            v = part_key(p)
+            row += [(v >> (32 * i)) & 0xFFFFFFFF for i in range(max(1, -(-v.bit_length() // 32)))]
+        spelled.append(row)
+    lengths = np.array([len(row) for row in spelled], dtype=np.intp)
+    words = np.zeros((len(rows), int(lengths.max(initial=0))), np.uint32)
+    for k, row in enumerate(spelled):
+        words[k, :len(row)] = row
+    return words, lengths
+
+
 def test_stream_keys_match_seed_sequence():
     counts = {_word_count(seed, parts) for seed in SEEDS for parts in ROWS}
     assert set(range(1, 9)) <= counts        # below, at and above the pool of four words
     for seed in SEEDS:
-        batch = stream_keys(seed, ROWS)      # rows of every length in one batch
+        batch = word_keys(seed, *_spelled(ROWS))   # rows of every length in one batch
         assert batch.dtype == np.uint64 and batch.shape == (len(ROWS), 2)
         for parts, key in zip(ROWS, batch):
             want = _oracle_key(seed, parts)
             assert np.array_equal(key, want), (seed, parts)
-            assert np.array_equal(stream_keys(seed, [parts])[0], want), (seed, parts)
-    assert stream_keys(5, []).shape == (0, 2)
+            assert np.array_equal(word_keys(seed, *_spelled([parts]))[0], want), (seed, parts)
+    assert word_keys(5, *_spelled([])).shape == (0, 2)
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
