@@ -29,14 +29,31 @@ Two reference baselines (equal slots and load-weighted slots) are
 clipped-linear instances of the same equation and share the breakpoint
 solve.  A brute-force grid-search oracle and the fairness metrics used to
 compare policies live here as well.
+
+A problem is stored as columns: ids, data sizes, upload rates, raw weights,
+the GO's index, disagreement points, and a utility kind code and
+coefficient per player.  They are validated and derived once, whether they
+come from :class:`Player` objects or straight from the simulator's member
+arrays; ``players`` and ``utilities`` are views built only when read.  The
+level curves, the KKT certificate and the metrics are vector expressions
+over the bargaining players' columns.  The certificate evaluates each
+utility's value and derivative by kind code, never through the solver's
+inversions, so it does not certify itself.  The Nash product and the log
+welfare remain left-to-right folds of scalar ``math.pow`` and ``math.log``:
+numpy's array power and log kernels round some inputs differently from
+libm on some CPUs (AVX-512), which would move reported numbers.  Sums that
+reach reported numbers add left to right too (:func:`left_sum`), since
+``sum()`` over floats is compensated from Python 3.12 on and ``np.sum``
+adds pairwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +89,8 @@ ROLE_GO = "go"
 ROLE_CLIENT = "client"
 
 _UTILITY_KINDS = ("normalized-linear", "log-shifted", "power")
+# utility kind codes: positions in _UTILITY_KINDS
+_U_LINEAR, _U_LOG, _U_POWER = 0, 1, 2
 
 #: relative tolerance and iteration cap of the reference bisection
 #: (``time_at_level(..., method="bisect")``)
@@ -181,11 +200,53 @@ class Player:
             raise ValueError("clients need upload_rate > 0")
 
 
-@dataclass
-class BargainingProblem:
-    """Immutable-by-convention container tying players to a shared budget.
+class _Active(NamedTuple):
+    """Columns of the players that bargain (positive cap), in problem order."""
 
-    Derived arrays (one entry per player, aligned with ``players``):
+    index: np.ndarray    # positions in the problem
+    alpha: np.ndarray    # normalized bargaining weights
+    weight: np.ndarray   # channel seconds per broadcast second, 1 + beta
+    cap: np.ndarray
+    d: np.ndarray        # disagreement broadcast times
+    kind: np.ndarray     # utility kind codes
+    coeff: np.ndarray    # utility coefficients
+    linear: bool         # every one of them is normalized-linear
+
+
+def left_sum(values) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added one at a time.
+
+    The same float on every interpreter: ``sum()`` over floats is
+    compensated from Python 3.12 on, and ``np.sum`` adds pairwise.
+    """
+    total = 0.0
+    for v in values.tolist() if isinstance(values, np.ndarray) else values:
+        total += v
+    return total
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry of ``mask``, or None."""
+    hits = mask.nonzero()[0]
+    return int(hits[0]) if len(hits) else None
+
+
+@dataclass(init=False, eq=False)
+class BargainingProblem:
+    """Players sharing one airtime budget, stored as columns.
+
+    Pass either ``players`` (a sequence of :class:`Player`) or the columns
+    themselves: ``ids``, ``data_sizes``, ``upload_rates``, ``raw_alphas``,
+    ``go`` (the GO's index, or a sequence of indices that must hold exactly
+    one) and, optionally, ``disagreements`` (default
+    zero) and per-player utility ``kinds`` (codes into ``Utility`` kinds:
+    0 normalized-linear, 1 log-shifted, 2 power) with their ``coeffs``.  A
+    NaN coefficient (the default) means normalized-linear over the player's
+    own cap, as a :class:`Player` without a utility gets.  Players are
+    converted into the columns, so both forms share one validation and
+    derivation, with the messages :class:`Player` and :class:`Utility` use.
+
+    Derived arrays (one entry per player, in input order):
 
     * ``alphas``: bargaining weights normalized to sum to 1,
     * ``betas``: relay overhead, broadcast_rate / upload_rate for clients
@@ -196,74 +257,148 @@ class BargainingProblem:
     Zero-load players are kept in the arrays but excluded from bargaining
     (``active`` lists the indices that take part).  Construction rejects
     problems where no allocation strictly beats every active player's
-    disagreement outcome.
+    disagreement outcome.  ``players`` and ``utilities`` are views built on
+    first use.
     """
 
-    players: tuple[Player, ...]
+    ids: tuple[str, ...]
     airtime: float
     broadcast_rate: float
-    alphas: np.ndarray = field(init=False, repr=False)
-    betas: np.ndarray = field(init=False, repr=False)
-    caps: np.ndarray = field(init=False, repr=False)
-    disagreements: np.ndarray = field(init=False, repr=False)
-    utilities: tuple[Utility | None, ...] = field(init=False, repr=False)
+    data_sizes: np.ndarray
+    upload_rates: np.ndarray
+    raw_alphas: np.ndarray
+    go: int
+    disagreements: np.ndarray
+    kinds: np.ndarray
+    coeffs: np.ndarray
+    alphas: np.ndarray
+    betas: np.ndarray
+    caps: np.ndarray
 
-    def __post_init__(self):
-        self.players = tuple(self.players)
-        if not self.players:
+    def __init__(self, players: Sequence[Player] | None = None, airtime: float = math.nan,
+                 broadcast_rate: float = math.nan, *, ids: Sequence[str] | None = None,
+                 data_sizes=None, upload_rates=None, raw_alphas=None, go: int | Sequence[int] | None = None,
+                 disagreements=None, kinds=None, coeffs=None):
+        if players is not None:
+            if ids is not None:
+                raise TypeError("pass players or columns, not both")
+            players = tuple(players)
+            self.players = players
+            if players:
+                ids, data_sizes, upload_rates, raw_alphas, disagreements, utilities = zip(*(
+                    (p.id, p.data_size, p.upload_rate, p.alpha, p.disagreement, p.utility) for p in players))
+                go = [k for k, p in enumerate(players) if p.role == ROLE_GO]
+                if any(u is not None for u in utilities):
+                    kinds = [0 if u is None else _UTILITY_KINDS.index(u.kind) for u in utilities]
+                    coeffs = [math.nan if u is None else u.coeff for u in utilities]
+        self.ids = tuple(ids) if ids is not None else ()
+        self.airtime = airtime
+        self.broadcast_rate = broadcast_rate
+        n = len(self.ids)
+        if not n:
             raise ValueError("need at least one player")
-        if not (self.airtime > 0):
+        if not (airtime > 0):
             raise ValueError("airtime must be > 0")
-        if not (self.broadcast_rate > 0):
+        if not (broadcast_rate > 0):
             raise ValueError("broadcast_rate must be > 0")
-        go_count = sum(1 for p in self.players if p.role == ROLE_GO)
-        if go_count != 1:
-            raise ValueError(f"expected exactly one GO, found {go_count}")
-        if len({p.id for p in self.players}) != len(self.players):
+
+        self.data_sizes = data = np.array(data_sizes, dtype=float)
+        self.upload_rates = upload = np.array(upload_rates, dtype=float)
+        self.raw_alphas = raw = np.array(raw_alphas, dtype=float)
+        if np.count_nonzero(data < 0):
+            raise ValueError("data_size must be >= 0")
+        if np.count_nonzero(raw <= 0):
+            raise ValueError("alpha must be > 0")
+        if disagreements is None:
+            self.disagreements = d = np.zeros(n)
+        else:
+            self.disagreements = d = np.array(disagreements, dtype=float)
+            if np.count_nonzero(d < 0):
+                raise ValueError("disagreement must be >= 0")
+        gos = [] if go is None else [go] if isinstance(go, (int, np.integer)) else list(go)
+        if len(gos) != 1:
+            raise ValueError(f"expected exactly one GO, found {len(gos)}")
+        self.go = g = operator.index(gos[0])
+        if not 0 <= g < n:
+            raise ValueError(f"GO index {g} outside 0..{n - 1}")
+        relayed = upload.copy()
+        relayed[g] = math.inf       # the GO uploads nothing
+        if np.count_nonzero(relayed > 0) != n:
+            raise ValueError("clients need upload_rate > 0")
+        if len(set(self.ids)) != n:
             raise ValueError("duplicate player ids")
 
-        raw = np.array([p.alpha for p in self.players], dtype=float)
         self.alphas = raw / raw.sum()
-        self.betas = np.array(
-            [0.0 if p.role == ROLE_GO else self.broadcast_rate / p.upload_rate for p in self.players],
-            dtype=float,
-        )
-        self.caps = np.array([p.data_size / self.broadcast_rate for p in self.players], dtype=float)
-        self.disagreements = np.array([p.disagreement for p in self.players], dtype=float)
-
-        utilities = []
-        for i, p in enumerate(self.players):
-            if p.utility is not None:
-                utilities.append(p.utility)
-            elif self.caps[i] > 0:
-                utilities.append(Utility.normalized_linear(self.caps[i]))
-            else:
-                utilities.append(None)
-        self.utilities = tuple(utilities)
-
-        self._validate_feasibility()
+        self.betas = broadcast_rate / relayed
+        self.betas[g] = 0.0
+        self.caps = caps = data / broadcast_rate
+        self.coeffs = np.empty(n)
+        if kinds is None and coeffs is None:
+            self.kinds = np.zeros(n, dtype=np.int8)
+            self.coeffs.fill(math.nan)
+            coeff = caps
+        else:
+            self.kinds = np.zeros(n, dtype=np.int8) if kinds is None else np.array(kinds, dtype=np.int8)
+            self.coeffs[:] = math.nan if coeffs is None else coeffs
+            _check_utility_columns(self.kinds, self.coeffs)
+            coeff = np.where(np.isnan(self.coeffs), caps, self.coeffs)
+        idx = (caps > 0).nonzero()[0]
+        if len(idx) == n:       # no copies when every player bargains
+            self._active = _Active(idx, self.alphas, 1.0 + self.betas, caps, d, self.kinds, coeff,
+                                   kinds is None or not np.count_nonzero(self.kinds))
+        else:
+            kind = self.kinds[idx]
+            self._active = _Active(idx, self.alphas[idx], 1.0 + self.betas[idx], caps[idx], d[idx],
+                                   kind, coeff[idx], not np.count_nonzero(kind))
+        # utility values at the disagreement points (None when every d is
+        # zero: every utility is zero there, so a gain is the value itself)
+        if np.count_nonzero(d):
+            self._validate_feasibility()
+            self._base_values = _utility_values(self._active, self._active.d)
+        else:
+            self._base_values = None
 
     def _validate_feasibility(self):
-        spent = 0.0
-        for i in self.active:
-            if not (self.disagreements[i] < self.caps[i]):
-                raise InfeasibleProblemError(
-                    f"player {self.players[i].id}: disagreement point leaves no room below the cap"
-                )
-            spent += (1.0 + self.betas[i]) * self.disagreements[i]
-        for i in range(len(self.players)):
-            if self.caps[i] == 0 and self.disagreements[i] > 0:
-                raise InfeasibleProblemError(
-                    f"player {self.players[i].id}: positive disagreement with no data"
-                )
-        if self.active and spent >= self.airtime:
+        act = self._active
+        k = _first(~(act.d < act.cap))
+        if k is not None:
+            raise InfeasibleProblemError(
+                f"player {self.ids[act.index[k]]}: disagreement point leaves no room below the cap"
+            )
+        k = _first((self.caps == 0) & (self.disagreements > 0))
+        if k is not None:
+            raise InfeasibleProblemError(f"player {self.ids[k]}: positive disagreement with no data")
+        if len(act.index) and left_sum(act.weight * act.d) >= self.airtime:
             raise InfeasibleProblemError(
                 "disagreement outcomes already consume the whole airtime budget"
             )
 
     @cached_property
+    def players(self) -> tuple[Player, ...]:
+        """The columns as :class:`Player` objects."""
+        explicit = [None if math.isnan(c) else Utility(_UTILITY_KINDS[k], c)
+                    for k, c in zip(self.kinds.tolist(), self.coeffs.tolist())]
+        return tuple(
+            Player(i, size, rate, alpha=alpha, disagreement=d, utility=u,
+                   role=ROLE_GO if k == self.go else ROLE_CLIENT)
+            for k, (i, size, rate, alpha, d, u) in enumerate(zip(
+                self.ids, self.data_sizes.tolist(), self.upload_rates.tolist(), self.raw_alphas.tolist(),
+                self.disagreements.tolist(), explicit))
+        )
+
+    @cached_property
+    def utilities(self) -> tuple[Utility | None, ...]:
+        """Each player's utility; normalized-linear over its cap unless one
+        was given, and None for a zero-load player without one."""
+        return tuple(
+            Utility(_UTILITY_KINDS[k], c) if not math.isnan(c)
+            else Utility.normalized_linear(cap) if cap > 0 else None
+            for k, c, cap in zip(self.kinds.tolist(), self.coeffs.tolist(), self.caps.tolist())
+        )
+
+    @cached_property
     def active(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.players)) if self.caps[i] > 0)
+        return tuple(self._active.index.tolist())
 
     @cached_property
     def _curves(self) -> "_Curves":
@@ -273,7 +408,21 @@ class BargainingProblem:
     @cached_property
     def demand(self) -> float:
         """Channel seconds needed to drain every active queue."""
-        return float(sum((1.0 + self.betas[i]) * self.caps[i] for i in self.active))
+        act = self._active
+        return left_sum(act.weight * act.cap)
+
+
+def _check_utility_columns(kinds: np.ndarray, coeffs: np.ndarray) -> None:
+    """The checks :class:`Utility` makes, over kind codes and coefficients
+    (NaN: normalized-linear over the player's own cap)."""
+    k = _first((kinds < 0) | (kinds >= len(_UTILITY_KINDS)))
+    if k is not None:
+        raise ValueError(f"unknown utility kind code {int(kinds[k])}")
+    own_cap = np.isnan(coeffs)
+    if np.count_nonzero(own_cap & (kinds != _U_LINEAR)) or np.count_nonzero(~(coeffs[~own_cap] > 0)):
+        raise ValueError("utility coefficient must be positive")
+    if np.count_nonzero(coeffs[kinds == _U_POWER] > 1):
+        raise ValueError("power exponent must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,36 +541,37 @@ class _Curves:
     @classmethod
     def clipped_linear(cls, problem: BargainingProblem, slope: np.ndarray) -> "_Curves":
         """Curves x_i(s) = slope_i s of the active players (the baselines)."""
-        idx = np.flatnonzero(problem.caps > 0)
-        cap, r = problem.caps[idx], slope[idx]
-        zero = np.zeros(len(idx))
-        return cls.sorted_by_top(idx, 1.0 + problem.betas[idx], zero, cap, r,
+        act = problem._active
+        cap, r = act.cap, slope[act.index]
+        zero = np.zeros(len(cap))
+        return cls.sorted_by_top(act.index, act.weight, zero, cap, r,
                                  zero.astype(np.int8), zero, cap / r)
 
     @classmethod
     def bargaining(cls, problem: BargainingProblem) -> "_Curves":
         """Level curves of the active players of a bargaining problem."""
-        idx = np.flatnonzero(problem.caps > 0)
-        weight = 1.0 + problem.betas[idx]
-        d, cap = problem.disagreements[idx], problem.caps[idx]
-        r = problem.alphas[idx] / weight
-        kind = np.zeros(len(idx), dtype=np.int8)
-        coeff = np.zeros(len(idx))
-        for j, i in enumerate(idx):
-            u = problem.utilities[i]
-            if u.kind == "log-shifted":
-                kind[j], coeff[j] = _LOG, u.coeff / (1.0 + u.coeff * d[j])
-            elif u.kind == "power":
-                kind[j], coeff[j] = (_POWER if d[j] > 0 else _LINEAR), u.coeff
-                r[j] *= u.coeff
+        act = problem._active
+        weight, d, cap = act.weight, act.d, act.cap
+        r = act.alpha / weight
+        kind = np.zeros(len(cap), dtype=np.int8)
+        coeff = np.zeros(len(cap))
+        if not act.linear:
+            m = act.kind == _U_LOG
+            g = act.coeff[m]
+            kind[m], coeff[m] = _LOG, g / (1.0 + g * d[m])
+            m = act.kind == _U_POWER
+            p = act.coeff[m]
+            kind[m], coeff[m] = np.where(d[m] > 0, _POWER, _LINEAR), p
+            r[m] *= p
         top = (cap - d) / r
-        m = kind == _LOG
-        k, room = coeff[m], cap[m] - d[m]
-        top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
-        m = kind == _POWER
-        t = (cap[m] - d[m]) / d[m]
-        top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
-        return cls.sorted_by_top(idx, weight, d, cap, r, kind, coeff, top)
+        if not act.linear:
+            m = kind == _LOG
+            k, room = coeff[m], cap[m] - d[m]
+            top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
+            m = kind == _POWER
+            t = (cap[m] - d[m]) / d[m]
+            top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
+        return cls.sorted_by_top(act.index, weight, d, cap, r, kind, coeff, top)
 
     def times(self, s: float, sel: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Unclipped broadcast times time(s) of the selected players at
@@ -430,16 +580,16 @@ class _Curves:
         x = d + r * s
         dx = r.copy()
         kind = self.kind[sel]
-        if kind.any():
+        if np.count_nonzero(kind):
             coeff = self.coeff[sel]
             m = kind == _LOG
-            if m.any():
+            if np.count_nonzero(m):
                 k = coeff[m]
                 y = _lambert_w(r[m] * k * s)
                 x[m] = d[m] + np.expm1(y) / k
                 dx[m] = r[m] / (1.0 + y)
             m = kind == _POWER
-            if m.any():
+            if np.count_nonzero(m):
                 t, slope = _power_gain(r[m] * s / d[m], coeff[m])
                 x[m] = d[m] + d[m] * t
                 dx[m] = r[m] / slope
@@ -456,7 +606,7 @@ class _Curves:
         once a step no longer gains more than rounding noise.
         """
         w = self.weight[start:]
-        if not self.kind[start:].any():
+        if not np.count_nonzero(self.kind[start:]):
             s = (target - w @ self.d[start:]) / (w @ self.r[start:])
             return min(max(s, lo), hi), 0
         s = lo
@@ -598,7 +748,7 @@ def level_for_airtime(problem: BargainingProblem, start: int, v: float) -> float
 
 def weighted_airtime(problem: BargainingProblem, broadcast_time: np.ndarray) -> float:
     """Channel seconds consumed by an allocation: sum of (1+beta_i) x_i."""
-    return float(np.sum((1.0 + problem.betas) * np.asarray(broadcast_time, dtype=float)))
+    return float(np.add.reduce((1.0 + problem.betas) * np.asarray(broadcast_time, dtype=float)))
 
 
 def _saturated_allocation(problem: BargainingProblem) -> tuple[Allocation, float]:
@@ -610,7 +760,7 @@ def _saturated_allocation(problem: BargainingProblem) -> tuple[Allocation, float
 
 def _water_fill_allocation(problem: BargainingProblem, curves: _Curves) -> tuple[Allocation, float, int]:
     s, xs, iterations = curves.water_fill(problem.airtime)
-    x = np.zeros(len(problem.players))
+    x = np.zeros(len(problem.ids))
     x[curves.index] = xs
     return Allocation(x, problem.betas * x, saturated=False), s, iterations
 
@@ -648,15 +798,14 @@ def eql_allocate(problem: BargainingProblem) -> Allocation:
     """Equal-slot baseline: one common broadcast time s for everyone,
     x_i = min(cap_i, s), so the airtime capped players leave is shared
     equally by the rest.  Solved exactly over the sorted caps."""
-    return _clipped_linear_allocate(problem, np.ones(len(problem.players)))
+    return _clipped_linear_allocate(problem, np.ones(len(problem.ids)))
 
 
 def wtd_allocate(problem: BargainingProblem) -> Allocation:
     """Load-weighted baseline: broadcast time proportional to queued data,
     x_i = min(cap_i, c * data_i), with the constant c solving the budget
     equation exactly over the sorted caps."""
-    loads = np.array([p.data_size for p in problem.players], dtype=float)
-    return _clipped_linear_allocate(problem, loads)
+    return _clipped_linear_allocate(problem, problem.data_sizes)
 
 
 def oracle_allocate(problem: BargainingProblem, resolution: int = 200,
@@ -674,7 +823,7 @@ def oracle_allocate(problem: BargainingProblem, resolution: int = 200,
     the water-filling solver; meant for cross-checking with at most 4 active
     players.
     """
-    n = len(problem.players)
+    n = len(problem.ids)
     x = np.zeros(n)
     act = list(problem.active)
     if not act:
@@ -756,52 +905,84 @@ def oracle_allocate(problem: BargainingProblem, resolution: int = 200,
 # metrics
 
 
+def _utility_values(act: _Active, x: np.ndarray) -> np.ndarray:
+    """The active players' utility values at ``x``, by kind code (see
+    :class:`Utility`)."""
+    v = x / act.coeff
+    if not act.linear:
+        kind, coeff = act.kind, act.coeff
+        m = kind == _U_LOG
+        v[m] = np.log1p(coeff[m] * x[m])
+        m = kind == _U_POWER
+        v[m] = np.power(x[m], coeff[m])
+    return v
+
+
+def _utility_slopes(act: _Active, x: np.ndarray) -> np.ndarray:
+    """The active players' utility derivatives at ``x``, by kind code."""
+    v = 1.0 / act.coeff
+    if not act.linear:
+        kind, coeff = act.kind, act.coeff
+        m = kind == _U_LOG
+        v[m] = coeff[m] / (1.0 + coeff[m] * x[m])
+        m = kind == _U_POWER
+        v[m] = coeff[m] * np.power(x[m], coeff[m] - 1.0)
+    return v
+
+
+def _gains(problem: BargainingProblem, x: np.ndarray) -> np.ndarray:
+    """Utility gains over the disagreement points at the active players'
+    broadcast times ``x``."""
+    values = _utility_values(problem._active, x)
+    return values if problem._base_values is None else values - problem._base_values
+
+
 def nash_product(problem: BargainingProblem, allocation: Allocation) -> float:
-    """Weighted product of utility gains; 0 when any active gain is <= 0."""
+    """Weighted product of utility gains; 0 when any active gain is <= 0.
+
+    The product runs left to right over scalar ``math.pow`` powers: numpy's
+    array power rounds differently from libm's ``pow`` on some CPUs.
+    """
+    gains = _gains(problem, allocation.broadcast_time[problem._active.index])
+    if np.count_nonzero(gains <= 0):
+        return 0.0
     prod = 1.0
-    x = allocation.broadcast_time
-    for i in problem.active:
-        u = problem.utilities[i]
-        gain = float(u.value(x[i]) - u.value(problem.disagreements[i]))
-        if gain <= 0:
-            return 0.0
-        prod *= gain ** problem.alphas[i]
-    return float(prod)
+    for gain, alpha in zip(gains.tolist(), problem._active.alpha.tolist()):
+        prod *= math.pow(gain, alpha)
+    return prod
 
 
 def log_nash_welfare(problem: BargainingProblem, allocation: Allocation) -> float:
-    """Log of :func:`nash_product`; -inf at or below the disagreement point."""
+    """Log of :func:`nash_product`; -inf at or below the disagreement point.
+    A left-to-right sum of scalar ``math.log`` terms, like the product."""
+    gains = _gains(problem, allocation.broadcast_time[problem._active.index])
+    if np.count_nonzero(gains <= 0):
+        return -math.inf
     total = 0.0
-    x = allocation.broadcast_time
-    for i in problem.active:
-        u = problem.utilities[i]
-        gain = float(u.value(x[i]) - u.value(problem.disagreements[i]))
-        if gain <= 0:
-            return -math.inf
-        total += problem.alphas[i] * math.log(gain)
-    return float(total)
+    for gain, alpha in zip(gains.tolist(), problem._active.alpha.tolist()):
+        total += alpha * math.log(gain)
+    return total
 
 
 def wpf_aggregate(problem: BargainingProblem, gnbs_alloc: Allocation,
                   other_alloc: Allocation) -> float:
     """Weighted proportional-fairness aggregate of ``other_alloc`` relative
-    to the bargaining optimum: sum of alpha_i (u_other - u_gnbs) / u_gnbs.
+    to the bargaining optimum: sum of alpha_i (u_other - u_gnbs) / u_gnbs,
+    added left to right.
 
     Non-positive for every feasible alternative, a direct consequence of
     first-order optimality of the bargaining point.  Requires zero
     disagreement points so utilities equal gains.
     """
-    total = 0.0
-    for i in problem.active:
-        if problem.disagreements[i] != 0:
+    act = problem._active
+    ug = _utility_values(act, gnbs_alloc.broadcast_time[act.index])
+    if np.count_nonzero(act.d) or np.count_nonzero(ug <= 0):
+        k = _first((act.d != 0) | (ug <= 0))
+        if act.d[k] != 0:
             raise DomainError("wpf_aggregate assumes zero disagreement points")
-        u = problem.utilities[i]
-        ug = float(u.value(gnbs_alloc.broadcast_time[i]))
-        if ug <= 0:
-            raise DomainError("bargaining allocation must give positive utility")
-        uo = float(u.value(other_alloc.broadcast_time[i]))
-        total += problem.alphas[i] * (uo - ug) / ug
-    return float(total)
+        raise DomainError("bargaining allocation must give positive utility")
+    uo = _utility_values(act, other_alloc.broadcast_time[act.index])
+    return left_sum(act.alpha * (uo - ug) / ug)
 
 
 def kkt_residuals(problem: BargainingProblem, allocation: Allocation, lam: float,
@@ -810,34 +991,42 @@ def kkt_residuals(problem: BargainingProblem, allocation: Allocation, lam: float
 
     Uncapped players contribute |1/level - lam| (stationarity); capped ones
     contribute max(0, lam - 1/level) (dual feasibility) together with the
-    complementary-slackness product.  The budget residual is measured against
-    the total demand when the allocation is saturated, the airtime budget
-    otherwise.  Levels come from :func:`level`, evaluated player by player
-    from the utilities, so the certificate does not share the solver's
-    arithmetic.  ``iterations`` is passed through to the report.
+    complementary-slackness product.  A player at or below its disagreement
+    point, or with a zero gain, reads an infinite residual.  The budget
+    residual is measured against the total demand when the allocation is
+    saturated, the airtime budget otherwise.  Levels are evaluated as in
+    :func:`level`, from each utility's own value and derivative by kind
+    code, so the certificate does not share the solver's arithmetic.
+    ``iterations`` is passed through to the report.
     """
-    n = len(problem.players)
-    stationarity = np.zeros(n)
-    slackness = np.zeros(n)
-    x = allocation.broadcast_time
-    for i in problem.active:
-        cap = problem.caps[i]
-        if x[i] <= problem.disagreements[i]:
-            stationarity[i] = math.inf
-            continue
-        inv_level = 1.0 / level(problem, i, min(x[i], cap))
-        at_cap = cap - x[i] <= 1e-9 * max(1.0, cap)
-        if at_cap:
-            dual = max(0.0, lam - inv_level)
-            comp = abs((inv_level - lam) * (x[i] - cap))
-            slackness[i] = max(dual, comp)
-        else:
-            stationarity[i] = abs(inv_level - lam)
+    act = problem._active
+    x = allocation.broadcast_time[act.index]
+    moved = x > act.d
+    # a zero gain reads an infinite 1/level; entries at or below d are
+    # overwritten below, whatever they evaluate to
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = np.minimum(x, act.cap)
+        gain = _gains(problem, xc)
+        dev = 1.0 / (act.weight / act.alpha * gain / _utility_slopes(act, xc)) - lam
+        room = act.cap - x
+        at_cap = room <= 1e-9 * np.maximum(1.0, act.cap)
+        stat = np.abs(dev)
+        slack = np.maximum(np.maximum(0.0, -dev), np.abs(dev * room))
+    stat[at_cap] = 0.0
+    stat[~moved] = math.inf
+    slack[~(moved & at_cap)] = 0.0
+    n = len(problem.ids)
+    if len(x) == n:
+        stationarity, slackness = stat, slack
+    else:
+        stationarity, slackness = np.zeros(n), np.zeros(n)
+        stationarity[act.index] = stat
+        slackness[act.index] = slack
     target = problem.demand if allocation.saturated else problem.airtime
-    budget = abs(weighted_airtime(problem, x) - target)
-    stat = float(stationarity.max(initial=0.0))
-    worst = max(stat, float(slackness.max(initial=0.0)), budget)
-    relative = max(stat / lam if lam > 0 else stat, budget / target if target > 0 else budget)
+    budget = abs(weighted_airtime(problem, allocation.broadcast_time) - target)
+    stat_max = float(stationarity.max(initial=0.0))
+    worst = max(stat_max, float(slackness.max(initial=0.0)), budget)
+    relative = max(stat_max / lam if lam > 0 else stat_max, budget / target if target > 0 else budget)
     path = "saturated" if allocation.saturated else "contended"
     return KktReport(float(lam), stationarity, slackness, float(budget), float(worst),
                      float(relative), path, int(iterations))
@@ -855,12 +1044,12 @@ def sample_feasible(problem: BargainingProblem, count: int, rng: np.random.Gener
     act = list(problem.active)
     if problem.demand <= problem.airtime:
         raise ValueError("sampling needs an unsaturated problem")
-    out = np.zeros((count, len(problem.players)))
+    out = np.zeros((count, len(problem.ids)))
     betas = problem.betas
     caps = problem.caps
     for r in range(count):
         weights = rng.dirichlet(np.ones(len(act)))
-        x = np.zeros(len(problem.players))
+        x = np.zeros(len(problem.ids))
         remaining = problem.airtime
         pool = {act[k]: weights[k] for k in range(len(act))}
         while remaining > 1e-15 and pool:

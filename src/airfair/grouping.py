@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bargaining import Allocation
+from .bargaining import Allocation, left_sum
 
 __all__ = [
     "ContactEntry",
@@ -197,7 +197,7 @@ def total_broadcast_time(loads: Mapping[str, float], go_candidate: str, rate: fl
         raise KeyError(go_candidate)
     if not (rate > 0):
         raise ValueError("rate must be > 0")
-    total = loads[go_candidate] + 2.0 * sum(v for k, v in loads.items() if k != go_candidate)
+    total = loads[go_candidate] + 2.0 * left_sum(v for k, v in loads.items() if k != go_candidate)
     return float(total / rate)
 
 
@@ -345,7 +345,7 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
         pattern.append((node, "broadcast", down))
     if not pattern:
         raise ScheduleError("the slot cycle is empty")
-    cycle = sum(d for _, _, d in pattern)
+    cycle = left_sum(d for _, _, d in pattern)
     if cycle > interval:
         raise ScheduleError(f"one cycle ({cycle:.6f}s) exceeds the interval ({interval:.6f}s)")
     return Schedule(tuple(pattern), float(interval), cycle, t_start)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +44,6 @@ from .bargaining import (
     Allocation,
     BargainingProblem,
     KktReport,
-    Player,
-    ROLE_CLIENT,
-    ROLE_GO,
     eql_allocate,
     gnbs_allocate,
     nash_product,
@@ -57,7 +54,6 @@ from .grouping import (
     ConnectivityGraph,
     ContactEntry,
     ContactTable,
-    MODE_GO_COORDINATED,
     MODE_UNICAST_PAIR,
     NoGoCandidateError,
     Schedule,
@@ -238,11 +234,14 @@ def estimate_pcd(true_duration: float, error_model: PcdErrorModel | None,
     return float(max(PCD_FLOOR, est))
 
 
-def effective_upload_rate(nominal_rate: float, loss_probability: float) -> float:
-    """Upload rate left after retransmitting lost packets."""
-    if not (0.0 <= loss_probability < 1.0):
+def effective_upload_rate(nominal_rate, loss_probability):
+    """Upload rate left after retransmitting lost packets.  Takes floats, or
+    arrays of one rate and loss probability per node."""
+    loss = np.asarray(loss_probability)
+    if not ((0.0 <= loss) & (loss < 1.0)).all():
         raise ValueError("loss probability must lie in [0, 1)")
-    return float(nominal_rate * (1.0 - loss_probability))
+    rate = nominal_rate * (1.0 - loss)
+    return float(rate) if loss.ndim == 0 else rate
 
 
 def _members_at(scenario: Scenario, t: float) -> list[str]:
@@ -357,24 +356,6 @@ def _allocate(policy: str, problem: BargainingProblem) -> tuple[Allocation, KktR
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def _build_problem(scenario: Scenario, members: Sequence[str], go_id: str, mode: str,
-                   loads: Mapping[str, float], airtime: float,
-                   loss_probs: Mapping[str, float] | None) -> BargainingProblem:
-    players = []
-    for m in members:
-        node = scenario.node(m)
-        role = ROLE_GO if m == go_id else ROLE_CLIENT
-        if mode == MODE_UNICAST_PAIR or role == ROLE_GO:
-            upload = math.inf
-        elif loss_probs is not None:
-            upload = effective_upload_rate(node.upload_mbps, loss_probs[m])
-        else:
-            upload = node.upload_mbps
-        alpha = node.alpha * (scenario.go_alpha_factor if role == ROLE_GO else 1.0)
-        players.append(Player(m, loads[m], upload, alpha=alpha, role=role))
-    return BargainingProblem(tuple(players), airtime, scenario.broadcast_mbps)
-
-
 def _fold(total, steps: np.ndarray):
     """``total`` plus ``steps[0]``, ``steps[1]``, ... added one at a time
     (column by column when ``steps`` is 2-D)."""
@@ -424,8 +405,14 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: Sequenc
     for j, k in enumerate(sender):
         m = members[k]
         realized[m], delivered[m], transmitted[m] = float(seconds[j]), float(megabits[j]), float(sent[j])
-    for r, m in enumerate(members):
-        received[m] = float(_fold(received[m], mb[:, rx_ok[r, sender]].ravel()))
+    # every receiver's slots in one running sum per row, from its prior
+    # total: a slot it does not hear adds an exact zero
+    steps = np.empty((len(members), 1 + mb.size))
+    steps[:, 0] = [received[m] for m in members]
+    np.multiply(np.tile(rx_ok[:, sender], (1, len(mb))), mb.ravel(), out=steps[:, 1:])
+    np.cumsum(steps, axis=1, out=steps)
+    for m, total in zip(members, steps[:, -1].tolist()):
+        received[m] = total
     return realized, delivered
 
 
@@ -456,33 +443,41 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
     for ridx, d in enumerate(draws):
         t0, t1, members = d.t0, d.t1, d.members
 
-        loads = {}
-        for m in members:
-            node = scenario.node(m)
-            total = node.data_mb if node.data_mb is not None else node.data_mb_per_peer * (len(members) - 1)
-            loads[m] = max(0.0, total - transmitted[m])
+        nodes = [scenario.node(m) for m in members]
+        loads = [max(0.0, (n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1))
+                     - transmitted[n.id]) for n in nodes]
 
         if scenario.go is not None and scenario.go in members:
             go_id = scenario.go
         else:
             try:
-                go_id = elect_go(members, [loads[m] for m in members], d.hubs)
+                go_id = elect_go(members, loads, d.hubs)
             except NoGoCandidateError as e:
                 raise NoGoCandidateError(f"round {ridx} at {t0:g}s: {e}") from e
 
         g = members.index(go_id)
-        go_table = ContactTable(go_id, tuple(ContactEntry(o, pcd, loads[o])
-                                             for o, pcd in zip(members, d.est_pcd[g].tolist()) if o != go_id))
+        go_table = ContactTable(go_id, tuple(ContactEntry(o, pcd, load)
+                                             for o, pcd, load in zip(members, d.est_pcd[g].tolist(), loads)
+                                             if o != go_id))
         airtime = allocation_interval(go_table, go_id)
         mode = select_transmission_mode(len(members))
-        loss_probs = None if d.loss is None else dict(zip(members, d.loss))
 
-        problem = _build_problem(scenario, members, go_id, mode, loads, airtime,
-                                 loss_probs if mode == MODE_GO_COORDINATED else None)
+        # The round's two problems as member columns: the GO and a unicast
+        # pair upload nothing, and clients of a GO lose what the loss draw says.
+        alphas = np.array([n.alpha for n in nodes])
+        alphas[g] *= scenario.go_alpha_factor
+        if mode == MODE_UNICAST_PAIR:
+            upload = nominal = np.full(len(members), math.inf)
+        else:
+            nominal = np.array([n.upload_mbps for n in nodes])
+            nominal[g] = math.inf
+            upload = nominal if d.loss is None else effective_upload_rate(nominal, np.array(d.loss))
+        columns = dict(broadcast_rate=rate, ids=members, data_sizes=loads, raw_alphas=alphas, go=g)
+        problem = BargainingProblem(airtime=airtime, upload_rates=upload, **columns)
         allocation, kkt = _allocate(policy, problem)
 
         round_len = t1 - t0
-        ideal_problem = _build_problem(scenario, members, go_id, mode, loads, round_len, None)
+        ideal_problem = BargainingProblem(airtime=round_len, upload_rates=nominal, **columns)
         ideal_alloc, _ = _allocate(policy, ideal_problem)
         if policy == "gsa":
             gnbs_ideal = ideal_alloc
@@ -493,9 +488,9 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         schedule = None
         if not idle:
             x = allocation.broadcast_time
-            actors = [m for k, m in enumerate(members) if x[k] > 1e-15]
-            if actors:
-                sel = [members.index(m) for m in actors]
+            sel = (x > 1e-15).nonzero()[0]
+            if len(sel):
+                actors = [members[k] for k in sel.tolist()]
                 sub = Allocation(x[sel], allocation.upload_time[sel], allocation.saturated)
                 try:
                     whole, up, down = slot_sizes(sub, problem.betas[sel], scenario.t_slot_s)
@@ -509,7 +504,7 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
             realized = {m: 0.0 for m in members}
             delivered = {m: 0.0 for m in members}
         else:
-            need = [loads[m] / rate for m in members]
+            need = [load / rate for load in loads]
             realized, delivered = _replay(schedule, t1, members, need, rate, d.rx_ok, transmitted, received)
 
         if idle:
@@ -534,7 +529,7 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
             allocation=allocation,
             kkt=kkt,
             schedule=schedule,
-            ideal_broadcast={m: float(ideal_alloc.broadcast_time[k]) for k, m in enumerate(members)},
+            ideal_broadcast=dict(zip(members, ideal_alloc.broadcast_time.tolist())),
             realized_broadcast=realized,
             delivered_mb=delivered,
             realized_rate={m: delivered[m] / round_len for m in members},

@@ -1,11 +1,23 @@
 """Shared problem builders for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
 
-from airfair import BargainingProblem, Player, Utility
-from airfair.bargaining import ROLE_CLIENT, ROLE_GO
+from airfair import BargainingProblem, KktReport, Player, Utility
+from airfair.bargaining import (
+    ROLE_CLIENT,
+    ROLE_GO,
+    Allocation,
+    DomainError,
+    _Curves,
+    eql_allocate,
+    gnbs_allocate,
+    level,
+    weighted_airtime,
+    wtd_allocate,
+)
 from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable, SlotEntry
 from airfair.simulate import estimate_pcd
 from airfair.streams import part_key
@@ -143,6 +155,173 @@ def wide_problem(rng: np.random.Generator) -> BargainingProblem:
     return BargainingProblem(players, airtime=airtime, broadcast_rate=rate)
 
 
+def mixed_problem(rng: np.random.Generator, n: int, disagreements: bool = True) -> BargainingProblem:
+    """Draw a feasible instance of ``n`` players over every utility form:
+    the default normalized-linear over the cap, an explicit normalized-linear
+    over another coefficient, log-shifted and power.  About one player in
+    eight holds no data, and (with ``disagreements``) half of the others hold
+    a disagreement point.  The budget lies between the disagreement spend and
+    1.2 times the demand, so both contended and saturated cases show up.
+    """
+    rate = 11.0
+    go = int(rng.integers(n))
+    loads = 10.0 ** rng.uniform(-1.0, 2.0, size=n)
+    loads[rng.random(n) < 0.125] = 0.0
+    caps = loads / rate
+    betas = np.where(np.arange(n) == go, 0.0, 10.0 ** rng.uniform(-1.0, 1.0, size=n))
+    d = np.zeros(n)
+    if disagreements:
+        d = np.where(rng.random(n) < 0.5, caps * rng.uniform(0.0, 0.9, size=n), 0.0)
+    forms = rng.integers(4, size=n)
+    players = []
+    for i in range(n):
+        utility = (None, Utility.normalized_linear(float(caps[i] or 1.0) * float(rng.uniform(0.5, 2.0))),
+                   Utility.log_shifted(float(10.0 ** rng.uniform(-1.5, 1.5))),
+                   Utility.power(float(rng.uniform(0.1, 1.0))))[forms[i]]
+        players.append(Player(
+            id=f"p{i}",
+            data_size=float(loads[i]),
+            upload_rate=math.inf if i == go else rate / float(betas[i]),
+            alpha=float(10.0 ** rng.uniform(-1.0, 1.0)),
+            disagreement=float(d[i]),
+            utility=utility,
+            role=ROLE_GO if i == go else ROLE_CLIENT,
+        ))
+    spent = float(np.sum((1.0 + betas) * d))
+    demand = float(np.sum((1.0 + betas) * caps))
+    airtime = spent + rng.uniform(0.05, 1.2) * (demand - spent) if demand > spent else 1.0
+    return BargainingProblem(players, airtime=airtime, broadcast_rate=rate)
+
+
+def probe_allocations(problem: BargainingProblem, rng: np.random.Generator) -> list:
+    """The three policies' allocations of ``problem`` and a random one in
+    which about a fifth of the players sit at their disagreement point (a
+    zero gain) and another fifth at their cap."""
+    n = len(problem.ids)
+    d, cap = problem.disagreements, problem.caps
+    pick = rng.random(n)
+    x = np.where(pick < 0.2, d, np.where(pick > 0.8, cap, d + rng.uniform(0.05, 1.0, size=n) * (cap - d)))
+    return [gnbs_allocate(problem)[0], eql_allocate(problem), wtd_allocate(problem),
+            Allocation(x, problem.betas * x, saturated=False)]
+
+
+# group sizes 1..64: every size up to 8, then a roughly log-spaced ladder
+GROUP_SIZES = (*range(1, 9), 10, 12, 16, 20, 24, 32, 40, 48, 56, 64)
+
+
+# ---------------------------------------------------------------------------
+# Player-by-player references for the bargaining layer's array forms: plain
+# loops over the players that evaluate every utility through its own
+# ``value`` and ``derivative``, in the order the array forms must keep.
+
+
+def reference_columns(players, broadcast_rate: float) -> dict[str, np.ndarray]:
+    """alphas, betas, caps and disagreements of ``players``, one at a time."""
+    raw = np.array([p.alpha for p in players], dtype=float)
+    return {
+        "alphas": raw / raw.sum(),
+        "betas": np.array([0.0 if p.role == ROLE_GO else broadcast_rate / p.upload_rate for p in players]),
+        "caps": np.array([p.data_size / broadcast_rate for p in players]),
+        "disagreements": np.array([p.disagreement for p in players], dtype=float),
+    }
+
+
+def reference_demand(problem) -> float:
+    total = 0.0
+    for i in problem.active:
+        total += (1.0 + problem.betas[i]) * problem.caps[i]
+    return float(total)
+
+
+def reference_curves(problem) -> _Curves:
+    """The active players' level curves, their kinds set player by player."""
+    idx = np.array(problem.active, dtype=np.intp)
+    weight = 1.0 + problem.betas[idx]
+    d, cap = problem.disagreements[idx], problem.caps[idx]
+    r = problem.alphas[idx] / weight
+    kind = np.zeros(len(idx), dtype=np.int8)
+    coeff = np.zeros(len(idx))
+    for j, i in enumerate(idx):
+        u = problem.utilities[i]
+        if u.kind == "log-shifted":
+            kind[j], coeff[j] = 1, u.coeff / (1.0 + u.coeff * d[j])
+        elif u.kind == "power":
+            kind[j], coeff[j] = (2 if d[j] > 0 else 0), u.coeff
+            r[j] *= u.coeff
+    top = (cap - d) / r
+    m = kind == 1
+    k, room = coeff[m], cap[m] - d[m]
+    top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
+    m = kind == 2
+    t = (cap[m] - d[m]) / d[m]
+    top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
+    return _Curves.sorted_by_top(idx, weight, d, cap, r, kind, coeff, top)
+
+
+def reference_nash_product(problem, allocation) -> float:
+    prod = 1.0
+    x = allocation.broadcast_time
+    for i in problem.active:
+        u = problem.utilities[i]
+        gain = float(u.value(x[i]) - u.value(problem.disagreements[i]))
+        if gain <= 0:
+            return 0.0
+        prod *= gain ** problem.alphas[i]
+    return float(prod)
+
+
+def reference_log_nash_welfare(problem, allocation) -> float:
+    total = 0.0
+    x = allocation.broadcast_time
+    for i in problem.active:
+        u = problem.utilities[i]
+        gain = float(u.value(x[i]) - u.value(problem.disagreements[i]))
+        if gain <= 0:
+            return -math.inf
+        total += problem.alphas[i] * math.log(gain)
+    return float(total)
+
+
+def reference_wpf_aggregate(problem, gnbs_alloc, other_alloc) -> float:
+    total = 0.0
+    for i in problem.active:
+        if problem.disagreements[i] != 0:
+            raise DomainError("wpf_aggregate assumes zero disagreement points")
+        u = problem.utilities[i]
+        ug = float(u.value(gnbs_alloc.broadcast_time[i]))
+        if ug <= 0:
+            raise DomainError("bargaining allocation must give positive utility")
+        uo = float(u.value(other_alloc.broadcast_time[i]))
+        total += problem.alphas[i] * (uo - ug) / ug
+    return float(total)
+
+
+def reference_kkt_residuals(problem, allocation, lam: float, iterations: int = 0) -> KktReport:
+    """The certificate with every level from :func:`airfair.bargaining.level`."""
+    n = len(problem.ids)
+    stationarity = np.zeros(n)
+    slackness = np.zeros(n)
+    x = allocation.broadcast_time
+    for i in problem.active:
+        cap = problem.caps[i]
+        if x[i] <= problem.disagreements[i]:
+            stationarity[i] = math.inf
+            continue
+        inv_level = 1.0 / level(problem, i, min(x[i], cap))
+        if cap - x[i] <= 1e-9 * max(1.0, cap):
+            slackness[i] = max(max(0.0, lam - inv_level), abs((inv_level - lam) * (x[i] - cap)))
+        else:
+            stationarity[i] = abs(inv_level - lam)
+    target = problem.demand if allocation.saturated else problem.airtime
+    budget = abs(weighted_airtime(problem, x) - target)
+    stat = float(stationarity.max(initial=0.0))
+    worst = max(stat, float(slackness.max(initial=0.0)), budget)
+    relative = max(stat / lam if lam > 0 else stat, budget / target if target > 0 else budget)
+    path = "saturated" if allocation.saturated else "contended"
+    return KktReport(float(lam), stationarity, slackness, float(budget), float(worst),
+                     float(relative), path, int(iterations))
+
+
 # ---------------------------------------------------------------------------
 # Slot-by-slot reference for the schedule and its replay: plain loops that
 # define, float for float, what the simulator's array code must compute.
@@ -242,3 +421,18 @@ def reference_round_draws(scenario) -> list[tuple]:
 def float_bits(values) -> list[str]:
     """Exact spelling of floats, sign of zero included, for ``==`` checks."""
     return [float(v).hex() for v in values]
+
+
+def exact_bits(value):
+    """A report as nested lists, every float spelled exactly."""
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__] + [(f.name, exact_bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return [value.dtype.str, value.shape, exact_bits(value.tolist())]
+    if isinstance(value, dict):
+        return [(k, exact_bits(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact_bits(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    return value

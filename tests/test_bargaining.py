@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -418,3 +419,135 @@ def test_relative_residual_is_scale_free(table1):
     for rel, absolute in reads:
         assert rel == pytest.approx(reads[0][0], rel=1e-6)
         assert absolute == pytest.approx(reads[0][1], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# columnar problems against the player-by-player references
+
+
+def test_curves_and_demand_match_player_by_player_reference():
+    for n in support.GROUP_SIZES:
+        for rep in range(6):
+            prob = support.mixed_problem(np.random.default_rng([7101, n, rep]), n)
+            assert float(prob.demand).hex() == support.reference_demand(prob).hex()
+            got, want = prob._curves, support.reference_curves(prob)
+            for name in ("index", "weight", "d", "cap", "r", "kind", "coeff", "top"):
+                assert support.float_bits(getattr(got, name)) == support.float_bits(getattr(want, name)), name
+
+
+def test_kkt_matches_player_by_player_reference():
+    """Same verdict at 1e-7, same path and iterations, and the same worst
+    residual to 1e-12 relative, over every utility kind, disagreement
+    points, zero gains and players at their caps."""
+    checked = 0
+    for n in support.GROUP_SIZES:
+        for rep in range(6):
+            rng = np.random.default_rng([7102, n, rep])
+            prob = support.mixed_problem(rng, n)
+            _, report = gnbs_allocate(prob)
+            for alloc in support.probe_allocations(prob, rng):
+                got = kkt_residuals(prob, alloc, report.lam, report.iterations)
+                want = support.reference_kkt_residuals(prob, alloc, report.lam, report.iterations)
+                assert (got.path, got.iterations) == (want.path, want.iterations)
+                assert (got.max_residual <= 1e-7) == (want.max_residual <= 1e-7)
+                if math.isinf(want.max_residual):
+                    assert got.max_residual == want.max_residual
+                else:
+                    assert got.max_residual == pytest.approx(want.max_residual, rel=1e-12, abs=0.0)
+                checked += 1
+    assert checked == 4 * 6 * len(support.GROUP_SIZES)
+
+
+def test_zero_gain_reads_infinite_residual_without_warning():
+    # x one ulp above a huge d: the log utility's gain rounds to zero, so
+    # the level is zero and its inverse infinite (no error, no warning)
+    ps = [
+        Player(id="go", data_size=1e22, role=ROLE_GO, utility=Utility.log_shifted(1.0), disagreement=1e20),
+        Player(id="c", data_size=20.0, upload_rate=5.0),
+    ]
+    prob = BargainingProblem(ps, airtime=2e20, broadcast_rate=10.0)
+    x = np.array([math.nextafter(1e20, math.inf), 0.5])
+    assert math.log1p(x[0]) == math.log1p(1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kkt_residuals(prob, Allocation(x, prob.betas * x), 1.0)
+    assert report.stationarity[0] == math.inf
+    assert report.max_residual == math.inf
+
+
+def _columns_of(players):
+    go = [k for k, p in enumerate(players) if p.role == ROLE_GO]
+    return dict(
+        ids=[p.id for p in players],
+        data_sizes=[p.data_size for p in players],
+        upload_rates=[p.upload_rate for p in players],
+        raw_alphas=[p.alpha for p in players],
+        go=go[0] if len(go) == 1 else go,
+        disagreements=[p.disagreement for p in players],
+    )
+
+
+_PAIR = dict(ids=["go", "c"], data_sizes=[5.0, 5.0], upload_rates=[math.inf, 5.0], raw_alphas=[1.0, 1.0], go=0)
+
+
+@pytest.mark.parametrize("player_fields,columns,error,message", [
+    ({"data_size": -1.0}, {"data_sizes": [5.0, -1.0]}, ValueError, "data_size must be >= 0"),
+    ({"alpha": 0.0}, {"raw_alphas": [1.0, 0.0]}, ValueError, "alpha must be > 0"),
+    ({"disagreement": -0.5}, {"disagreements": [0.0, -0.5]}, ValueError, "disagreement must be >= 0"),
+    ({"upload_rate": 0.0}, {"upload_rates": [math.inf, 0.0]}, ValueError, "clients need upload_rate > 0"),
+])
+def test_player_checks_hold_for_columns(player_fields, columns, error, message):
+    with pytest.raises(error, match=message):
+        Player(id="c", **{"data_size": 5.0, "upload_rate": 5.0, **player_fields})
+    with pytest.raises(error, match=message):
+        BargainingProblem(airtime=10.0, broadcast_rate=5.0, **{**_PAIR, **columns})
+
+
+@pytest.mark.parametrize("players,error,message", [
+    ([], ValueError, "need at least one player"),
+    ([("a", 5.0, {})], ValueError, r"expected exactly one GO, found 0"),
+    ([("a", 5.0, {"role": ROLE_GO}), ("b", 5.0, {"role": ROLE_GO})], ValueError, r"expected exactly one GO, found 2"),
+    ([("a", 5.0, {"role": ROLE_GO}), ("a", 5.0, {})], ValueError, "duplicate player ids"),
+    ([("go", 5.0, {"role": ROLE_GO, "disagreement": 1.0}), ("c", 5.0, {})],
+     InfeasibleProblemError, "player go: disagreement point leaves no room below the cap"),
+    ([("go", 5.0, {"role": ROLE_GO}), ("c", 0.0, {"disagreement": 0.1})],
+     InfeasibleProblemError, "player c: positive disagreement with no data"),
+    ([("go", 50.0, {"role": ROLE_GO, "disagreement": 0.6}), ("c", 50.0, {"disagreement": 0.3})],
+     InfeasibleProblemError, "disagreement outcomes already consume the whole airtime budget"),
+])
+def test_problem_checks_match_between_players_and_columns(players, error, message):
+    ps = [Player(id=i, data_size=size, upload_rate=5.0, **kw) for i, size, kw in players]
+    with pytest.raises(error, match=message):
+        BargainingProblem(ps, airtime=1.0, broadcast_rate=5.0)
+    with pytest.raises(error, match=message):
+        BargainingProblem(airtime=1.0, broadcast_rate=5.0, **_columns_of(ps))
+
+
+def test_columns_and_players_give_the_same_arrays():
+    for n in support.GROUP_SIZES:
+        prob = support.mixed_problem(np.random.default_rng([7103, n]), n)
+        kinds = [0 if p.utility is None else ("normalized-linear", "log-shifted", "power").index(p.utility.kind)
+                 for p in prob.players]
+        coeffs = [math.nan if p.utility is None else p.utility.coeff for p in prob.players]
+        columnar = BargainingProblem(airtime=prob.airtime, broadcast_rate=prob.broadcast_rate,
+                                     kinds=kinds, coeffs=coeffs, **_columns_of(prob.players))
+        reference = support.reference_columns(prob.players, prob.broadcast_rate)
+        for name, want in reference.items():
+            assert support.float_bits(getattr(prob, name)) == support.float_bits(want), name
+            assert support.float_bits(getattr(columnar, name)) == support.float_bits(want), name
+        assert columnar.players == prob.players
+        assert columnar.utilities == prob.utilities
+        assert columnar.active == prob.active
+
+
+def test_columnar_utilities_are_checked():
+    with pytest.raises(ValueError, match="unknown utility kind code 3"):
+        BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 3], coeffs=[1.0, 1.0], **_PAIR)
+    with pytest.raises(ValueError, match="utility coefficient must be positive"):
+        BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 1], coeffs=[1.0, -1.0], **_PAIR)
+    with pytest.raises(ValueError, match="utility coefficient must be positive"):
+        BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 1], **_PAIR)   # log needs a gain
+    with pytest.raises(ValueError, match=r"power exponent must lie in \(0, 1\]"):
+        BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 2], coeffs=[math.nan, 1.5], **_PAIR)
+    with pytest.raises(TypeError, match="players or columns"):
+        BargainingProblem([Player(id="go", data_size=1.0, role=ROLE_GO)], 1.0, 5.0, **_PAIR)

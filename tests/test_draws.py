@@ -8,7 +8,6 @@ and Philox per draw gives, and check that sharing the draws across policies
 and slot sizes changes no result.
 """
 
-import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -238,33 +237,18 @@ def test_key_batches_per_scenario(monkeypatch, noise, batches):
     assert len(sizes) == batches
 
 
-def _bits(value):
-    """A report as nested lists, every float spelled exactly."""
-    if dataclasses.is_dataclass(value):
-        return [type(value).__name__] + [(f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
-    if isinstance(value, np.ndarray):
-        return [value.dtype.str, value.shape, _bits(value.tolist())]
-    if isinstance(value, dict):
-        return [(k, _bits(v)) for k, v in value.items()]
-    if isinstance(value, (list, tuple)):
-        return [_bits(v) for v in value]
-    if isinstance(value, float):
-        return value.hex()
-    return value
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_compare_policies_matches_separate_runs(name):
     """Policies that share one set of draws report exactly what separate
     runs report: no policy leaves state behind for the next."""
     scenario = scenario_from_dict(SCENARIOS[name])
-    alone = {p: _bits(run_scenario(scenario, p)) for p in POLICIES}
+    alone = {p: support.exact_bits(run_scenario(scenario, p)) for p in POLICIES}
     for order in (POLICIES, POLICIES[::-1]):
         shared = compare_policies(scenario, order)
         assert list(shared) == list(order)
         for p, report in shared.items():
             assert report.policy == p
-            assert _bits(report) == alone[p]
+            assert support.exact_bits(report) == alone[p]
 
 
 def test_slot_size_sweep_reuses_draws(monkeypatch):

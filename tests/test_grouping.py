@@ -345,3 +345,13 @@ def test_schedule_csv_shape(table1):
     assert rows[0] == "node_id,kind,start_s,duration_s"
     assert rows[1] == "n1,upload,4.000000,0.010000"
     assert len(rows) == 1 + len(sched.entries)
+
+
+def test_sums_add_left_to_right_on_every_python():
+    # sum() over floats is compensated from Python 3.12 on and would give
+    # 1.0 here; the schedule and the relay cost add strictly in order
+    slots = {f"n{i}": (0.0, 0.1) for i in range(10)}
+    schedule = build_schedule(slots, 5.0, sorted(slots))
+    assert schedule.cycle_length == 0.9999999999999999
+    loads = {"go": 0.0, **{f"n{i}": 0.1 for i in range(10)}}
+    assert total_broadcast_time(loads, "go", 2.0) == 0.9999999999999999

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import support
-from airfair import Allocation, BargainingProblem, Player
+from airfair import Allocation, BargainingProblem, Player, Utility
 from airfair.bargaining import (
     DomainError,
     ROLE_GO,
@@ -96,3 +96,54 @@ def test_dissemination_rates_table1(table1):
     alloc, _ = gnbs_allocate(table1)
     assert dissemination_rate(table1, alloc, 0) == pytest.approx(5.0 / 7.0 * 11.0 / 10.0, rel=1e-9)
     assert dissemination_rate(table1, alloc, 3) == pytest.approx(20.0 / 7.0 * 11.0 / 10.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# array metrics against the player-by-player references
+
+
+def _outcome(fn, *args):
+    """A metric's exact spelling, or the DomainError it raised."""
+    try:
+        return float(fn(*args)).hex()
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+def test_metrics_match_player_by_player_references_bit_for_bit():
+    """Every utility kind, disagreement points (half of the problems),
+    zero gains and players at their caps, in groups of 1-64 players."""
+    seen = set()
+    for n in support.GROUP_SIZES:
+        for rep in range(6):
+            rng = np.random.default_rng([7104, n, rep])
+            prob = support.mixed_problem(rng, n, disagreements=rep % 2 == 1)
+            allocs = support.probe_allocations(prob, rng)
+            for alloc in allocs:
+                assert _outcome(nash_product, prob, alloc) == _outcome(support.reference_nash_product, prob, alloc)
+                assert (_outcome(log_nash_welfare, prob, alloc)
+                        == _outcome(support.reference_log_nash_welfare, prob, alloc))
+                for base in (allocs[0], allocs[-1]):
+                    got = _outcome(wpf_aggregate, prob, base, alloc)
+                    assert got == _outcome(support.reference_wpf_aggregate, prob, base, alloc)
+                    seen.add(got.split(":")[0] if got.startswith("DomainError") else "value")
+                seen.add("zero" if nash_product(prob, alloc) == 0.0 else "positive")
+    assert seen == {"value", "DomainError", "zero", "positive"}
+
+
+def test_product_and_log_welfare_use_scalar_libm():
+    """Two players, the second with a gain of exactly 1: the product is
+    pow(gain, alpha) and the log welfare alpha * log(gain), as libm's scalar
+    ``pow`` and ``log`` round them (numpy's array kernels may round some
+    inputs differently)."""
+    unit = Utility.normalized_linear(1.0)
+    ps = [Player(id="go", data_size=1e3, role=ROLE_GO, alpha=2.0, utility=unit),
+          Player(id="c", data_size=1e3, upload_rate=10.0, utility=unit)]
+    prob = BargainingProblem(ps, airtime=1.0, broadcast_rate=10.0)
+    alpha = prob.alphas[0]
+    rng = np.random.default_rng(7105)
+    for gain in (10.0 ** rng.uniform(-3.0, 2.0, size=2000)).tolist():
+        x = np.array([gain, 1.0])
+        alloc = Allocation(x, prob.betas * x)
+        assert nash_product(prob, alloc).hex() == math.pow(gain, alpha).hex()
+        assert log_nash_welfare(prob, alloc).hex() == (alpha * math.log(gain)).hex()
