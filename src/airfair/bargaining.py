@@ -190,11 +190,11 @@ class Player:
     def __post_init__(self):
         if self.role not in (ROLE_GO, ROLE_CLIENT):
             raise ValueError(f"unknown role {self.role!r}")
-        if self.data_size < 0:
+        if not (self.data_size >= 0):
             raise ValueError("data_size must be >= 0")
-        if self.alpha <= 0:
+        if not (self.alpha > 0):
             raise ValueError("alpha must be > 0")
-        if self.disagreement < 0:
+        if not (self.disagreement >= 0):
             raise ValueError("disagreement must be >= 0")
         if self.role == ROLE_CLIENT and not (self.upload_rate > 0):
             raise ValueError("clients need upload_rate > 0")
@@ -305,15 +305,15 @@ class BargainingProblem:
         self.data_sizes = data = np.array(data_sizes, dtype=float)
         self.upload_rates = upload = np.array(upload_rates, dtype=float)
         self.raw_alphas = raw = np.array(raw_alphas, dtype=float)
-        if np.count_nonzero(data < 0):
+        if np.count_nonzero(~(data >= 0)):     # NaN fails these checks too
             raise ValueError("data_size must be >= 0")
-        if np.count_nonzero(raw <= 0):
+        if np.count_nonzero(~(raw > 0)):
             raise ValueError("alpha must be > 0")
         if disagreements is None:
             self.disagreements = d = np.zeros(n)
         else:
             self.disagreements = d = np.array(disagreements, dtype=float)
-            if np.count_nonzero(d < 0):
+            if np.count_nonzero(~(d >= 0)):
                 raise ValueError("disagreement must be >= 0")
         gos = [] if go is None else [go] if isinstance(go, (int, np.integer)) else list(go)
         if len(gos) != 1:

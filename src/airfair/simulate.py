@@ -8,7 +8,7 @@ allocation round: the GO is re-elected, airtime re-allocated from the
 timeline, so mis-estimation shows up as truncated or underfilled intervals.
 The contact profiles the members swap come down to two arrays per round,
 the loads and a mask of who reaches everyone, which is all the election
-reads; only the GO's contact table is built, for the horizon.  Delivered
+reads; the horizon is the smallest estimated PCD in the GO's row.  Delivered
 megabits are tracked across rounds, so later rounds only bargain over what
 is still queued.
 
@@ -21,9 +21,9 @@ All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
 lets paired experiments reuse identical draws.  A scenario's draws are made
 before any round runs: all Philox keys come from one batch that runs
-numpy's SeedSequence hash on arrays, the uniform draws from a vectorized
-Philox4x64-10 over all keys, and the normal draws from one Philox moved to
-the start of each key's stream in turn (see :mod:`airfair.streams`).  Draws
+numpy's SeedSequence hash on arrays, and one vectorized Philox4x64-10 pass
+makes the first word of every key's stream, from which the uniform draws
+and the normal draws are read (see :mod:`airfair.streams`).  Draws
 depend on neither the policy nor the slot size, so policy comparison and
 slot-size sweeps derive them once and share them.
 
@@ -52,13 +52,10 @@ from .bargaining import (
 )
 from .grouping import (
     ConnectivityGraph,
-    ContactEntry,
-    ContactTable,
     MODE_UNICAST_PAIR,
     NoGoCandidateError,
     Schedule,
     ScheduleError,
-    allocation_interval,
     build_schedule,
     default_cycle_order,
     elect_go,
@@ -66,7 +63,7 @@ from .grouping import (
     slot_sizes,
 )
 from .grouping import select_roles, update_contact_table  # noqa: F401  (not called here; perfbench/spans.py wraps both by name)
-from .streams import derive_seed, first_uniforms, part_key, restarted, word_keys
+from .streams import derive_seed, first_normals, first_uniforms, first_words, part_key, word_keys
 
 __all__ = [
     "PCD_FLOOR",
@@ -227,7 +224,12 @@ class SimulationReport:
 def estimate_pcd(true_duration: float, error_model: PcdErrorModel | None,
                  rng: np.random.Generator) -> float:
     """Perturb a true contact duration with the estimation error model,
-    floored at :data:`PCD_FLOOR` seconds."""
+    floored at :data:`PCD_FLOOR` seconds.
+
+    This is the scalar rule, one draw from ``rng``; the simulator applies
+    it to all of a scenario's pairs at once in :func:`_round_draws`, and
+    ``tests/support.py`` holds it to this function stream by stream.
+    """
     if error_model is None:
         return float(true_duration)
     est = true_duration + rng.normal(error_model.mean, error_model.stddev)
@@ -282,10 +284,12 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     node...): "pcd" per member pair, "loss" per member, "rx" per receiver
     and sender.  Every part is one entropy word, so the word rows of all
     streams are put together from per-member CRC arrays and hashed in one
-    batch.  Loss and rx are each their stream's first uniform draw, made for
-    all keys at once; a PCD error is a normal draw from one Philox moved to
-    the start of its stream.  Draws depend only on the timeline, the seed
-    and the noise models, not on the policy or the slot size.
+    batch, and one Philox pass makes the first word of every stream.  Loss
+    and rx are each their stream's first uniform draw, and a PCD error its
+    stream's first normal draw, read off that word for all keys at once;
+    an estimate is floored at :data:`PCD_FLOOR` the way
+    :func:`estimate_pcd` floors it.  Draws depend only on the timeline, the
+    seed and the noise models, not on the policy or the slot size.
     """
     events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
     spans = []
@@ -319,12 +323,16 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         lengths[n_pcd:n_pcd + n_loss] = 3
         keys = word_keys(scenario.seed, words, lengths)
 
+        word0 = first_words(keys)
         if model is not None:
-            rngs = restarted(keys[:n_pcd], np.random.Generator(np.random.Philox(0)))
+            true = np.concatenate([e[i, j] for e, (i, j) in zip(est, pairs)])
+            v = true + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
+            v = np.where(v > PCD_FLOOR, v, PCD_FLOOR)       # max(PCD_FLOOR, v), as estimate_pcd floors
             for e, (i, j) in zip(est, pairs):
-                e[i, j] = e[j, i] = [estimate_pcd(t, model, next(rngs)) for t in e[i, j].tolist()]
+                e[i, j] = e[j, i] = v[:len(i)]
+                v = v[len(i):]
         if loss_model is not None:
-            u = first_uniforms(keys[n_pcd:])
+            u = first_uniforms(word0[n_pcd:])
             probs = loss_model.lo + (loss_model.hi - loss_model.lo) * u[:n_loss]   # Generator.uniform's arithmetic
             heard = u[n_loss:]
             for r, ok in enumerate(rx_ok):
@@ -429,7 +437,7 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
 def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
     """:func:`run_scenario` on the scenario's precomputed round draws.
 
-    Loads, the GO, its contact table and the bargaining reference depend
+    Loads, the GO, its horizon and the bargaining reference depend
     on what the policy delivered in earlier rounds, so they are derived
     here.
     """
@@ -456,10 +464,9 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
                 raise NoGoCandidateError(f"round {ridx} at {t0:g}s: {e}") from e
 
         g = members.index(go_id)
-        go_table = ContactTable(go_id, tuple(ContactEntry(o, pcd, load)
-                                             for o, pcd, load in zip(members, d.est_pcd[g].tolist(), loads)
-                                             if o != go_id))
-        airtime = allocation_interval(go_table, go_id)
+        # the horizon, as grouping.allocation_interval reads it off the GO's
+        # contact table: the smallest estimated PCD to any other member
+        airtime = float(np.delete(d.est_pcd[g], g).min())
         mode = select_transmission_mode(len(members))
 
         # The round's two problems as member columns: the GO and a unicast

@@ -503,6 +503,25 @@ def test_player_checks_hold_for_columns(player_fields, columns, error, message):
         BargainingProblem(airtime=10.0, broadcast_rate=5.0, **{**_PAIR, **columns})
 
 
+@pytest.mark.parametrize("field,column,message", [
+    ("data_size", "data_sizes", "data_size must be >= 0"),
+    ("alpha", "raw_alphas", "alpha must be > 0"),
+    ("disagreement", "disagreements", "disagreement must be >= 0"),
+])
+def test_nan_inputs_rejected(field, column, message):
+    """NaN passes ``< 0`` and ``<= 0``; both constructors reject it anyway.
+    A NaN alpha used to make every weight NaN and the broadcast time NaN."""
+    nan = float("nan")
+    with pytest.raises(ValueError, match=message):
+        go = Player(**{"id": "go", "data_size": 10.0, "role": ROLE_GO, field: nan})
+        BargainingProblem([go, Player("c", 10.0, 5.0)], 1.0, 10.0)
+    columns = dict(ids=["go", "c"], data_sizes=[10.0, 10.0], upload_rates=[math.inf, 5.0],
+                   raw_alphas=[1.0, 1.0], disagreements=[0.0, 0.0], go=0)
+    columns[column] = [nan, columns[column][1]]
+    with pytest.raises(ValueError, match=message):
+        BargainingProblem(airtime=1.0, broadcast_rate=10.0, **columns)
+
+
 @pytest.mark.parametrize("players,error,message", [
     ([], ValueError, "need at least one player"),
     ([("a", 5.0, {})], ValueError, r"expected exactly one GO, found 0"),

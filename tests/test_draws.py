@@ -1,11 +1,12 @@
 """Batched random draws against the per-draw reference.
 
 The simulator derives all stream keys of a scenario in one batch, with
-SeedSequence's hash run on arrays, makes the uniform draws with a vectorized
-Philox4x64-10 and the normal ones from one Philox moved to the start of each
-stream.  These tests hold it to the numbers that building one SeedSequence
-and Philox per draw gives, and check that sharing the draws across policies
-and slot sizes changes no result.
+SeedSequence's hash run on arrays, makes the first word of every stream with
+a vectorized Philox4x64-10, and reads the uniform and normal draws off those
+words, the normals through the fast path of numpy's ziggurat.  These tests
+hold it to the numbers that building one SeedSequence and Philox per draw
+gives, pin the ziggurat tables to the installed numpy, and check that
+sharing the draws across policies and slot sizes changes no result.
 """
 
 from dataclasses import replace
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 import support
-from airfair import simulate
+from airfair import simulate, streams
 from airfair.scenario_io import PRESETS, scenario_from_dict
 from airfair.simulate import (
+    PCD_FLOOR,
     POLICIES,
     _round_draws,
     compare_policies,
@@ -24,7 +26,7 @@ from airfair.simulate import (
     run_scenario,
     slot_size_sweep,
 )
-from airfair.streams import first_uniforms, part_key, word_keys
+from airfair.streams import _KI, _WI, first_normals, first_uniforms, first_words, part_key, word_keys
 
 LOSS = {"lo": 0.05, "hi": 0.3}
 PCD_ERROR = {"stddev": 1.0}
@@ -79,6 +81,22 @@ def _non_ascii_doc():
         "loss": LOSS,
         "pcd_error": PCD_ERROR,
         "seed": 9,
+    }
+
+
+def _complete20_doc():
+    """20 nodes in three waves on a complete graph: a full round has 190
+    member pairs, enough that some PCD keys miss the ziggurat's fast path."""
+    return {
+        "nodes": [
+            {"id": f"n{i:02d}", "join_s": 1.0 * (i % 3), "leave_s": 50.0 - 10.0 * (i % 2), "data_mb": 5.0 + i}
+            for i in range(20)
+        ],
+        "broadcast_mbps": 11.0,
+        "t_slot_ms": 10.0,
+        "loss": LOSS,
+        "pcd_error": PCD_ERROR,
+        "seed": 1301,
     }
 
 
@@ -174,10 +192,13 @@ def test_first_uniforms_match_philox():
     assert {_middle_carry(w, m) for w in CARRY_WORDS for m in _PHILOX_M} == {0, 1, 2}
     random_keys = np.random.default_rng(17).integers(0, 2**64, size=(2000, 2), dtype=np.uint64)
     for keys in (np.array(EDGE_KEYS, np.uint64), random_keys, random_keys[:1]):
-        got = first_uniforms(keys)
+        words = first_words(keys)
+        assert words.dtype == np.uint64 and words.shape == (len(keys),)
+        assert words.tolist() == [int(np.random.Philox(key=k).random_raw()) for k in keys]
+        got = first_uniforms(words)
         assert got.dtype == np.float64 and got.shape == (len(keys),)
         assert [u.hex() for u in got.tolist()] == [float(_oracle_uniform(k)).hex() for k in keys]
-    assert first_uniforms(np.zeros((0, 2), np.uint64)).shape == (0,)
+    assert first_words(np.zeros((0, 2), np.uint64)).shape == (0,)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 0.1), (0.05, 0.3), (0.25, 0.25), (0.0, 0.0), (0.3, 0.9999999)])
@@ -186,8 +207,81 @@ def test_first_uniforms_give_numpy_uniform(lo, hi):
     simulator makes loss probabilities."""
     keys = np.concatenate([np.array(EDGE_KEYS, np.uint64),
                            np.random.default_rng(23).integers(0, 2**64, size=(500, 2), dtype=np.uint64)])
-    got = lo + (hi - lo) * first_uniforms(keys)
+    got = lo + (hi - lo) * first_uniforms(first_words(keys))
     assert [u.hex() for u in got.tolist()] == [float(_oracle_uniform(k, (lo, hi))).hex() for k in keys]
+
+
+@pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (0.3, 2.5), (-4.0, 0.0), (20.0, 1e-3), (1.0, 1.7e308)])
+def test_first_normals_match_numpy_normal(loc, scale):
+    """``first_normals`` returns ``Generator(Philox(key=k)).normal(loc,
+    scale)`` for 100,000 random keys, which take every branch of numpy's
+    ziggurat: the fast path, the wedge of layers 2..255, layer 1 (always
+    past the fast path) and the tail beyond layer 0."""
+    keys = np.random.default_rng(29).integers(0, 2**64, size=(100_000, 2), dtype=np.uint64)
+    words = first_words(keys)
+    layer = (words & np.uint64(0xFF)).astype(np.intp)
+    slow = (words >> np.uint64(9) & np.uint64(2**52 - 1)) >= _KI[layer]
+    branches = {"fast": ~slow, "wedge": slow & (layer > 1), "layer 1": layer == 1, "tail": slow & (layer == 0)}
+    assert {name: bool(hit.any()) for name, hit in branches.items()} == dict.fromkeys(branches, True)
+    assert 0.01 < slow.mean() < 0.02
+
+    got = first_normals(keys, words, loc, scale)
+    assert got.dtype == np.float64 and got.shape == (len(keys),)
+    want = [g.normal(loc, scale) for g in streams.restarted(keys, np.random.Generator(np.random.Philox(0)))]
+    assert support.float_bits(got) == support.float_bits(want)
+    # a restarted stream is the one Philox(key=k) starts, here on one key of each branch
+    for hit in branches.values():
+        k = hit.nonzero()[0][0]
+        fresh = np.random.Generator(np.random.Philox(key=keys[k])).normal(loc, scale)
+        assert got[k].hex() == float(fresh).hex()
+    assert first_normals(keys[:0], words[:0], loc, scale).shape == (0,)
+
+
+_MT_MASK = 0xFFFFFFFF
+
+
+def _untemper(y):
+    """The MT19937 state word that its tempering turns into the output y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & _MT_MASK
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & _MT_MASK
+
+
+def test_ziggurat_tables_pinned():
+    """``_WI`` and ``_KI`` are numpy's tables: for every layer, feeding
+    ``standard_normal`` a chosen 64-bit word through a hand-set MT19937
+    shows ``rabs * wi`` returned after one word just below ``ki``, and a
+    second word read at ``ki``."""
+    mt = np.random.MT19937(0)
+    gen = np.random.Generator(mt)
+    filler = mt.state["state"]["key"].copy()     # later words, so that slow paths end
+
+    def normal_of(layer, rabs, sign=0):
+        """The standard normal of one word and how many words it read."""
+        word = rabs << 9 | sign << 8 | layer
+        key = filler.copy()
+        key[:2] = [_untemper(word >> 32), _untemper(word & _MT_MASK)]   # MT19937 hands out the high half first
+        mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+        z = gen.standard_normal()
+        return z, mt.state["state"]["pos"] // 2
+
+    assert _WI.dtype == np.float64 and _KI.dtype == np.uint64 and len(_WI) == len(_KI) == 256
+    assert normal_of(1, 0)[1] > 1 and _KI[1] == 0
+    for layer in range(256):
+        ki = int(_KI[layer])
+        if not ki:
+            continue
+        assert normal_of(layer, 1) == (_WI[layer], 1)
+        assert normal_of(layer, ki - 1) == ((ki - 1) * _WI[layer], 1)
+        assert normal_of(layer, ki - 1, sign=1) == (-(ki - 1) * _WI[layer], 1)
+        assert normal_of(layer, ki)[1] > 1
 
 
 def _assert_draws_match(scenario):
@@ -206,14 +300,41 @@ def _assert_draws_match(scenario):
     return got
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_round_draws_match_per_draw_streams(name):
-    scenario = scenario_from_dict(SCENARIOS[name])
+def _quiet4(**noise):
+    return {**QUIET_DYNAMIC4, **noise, "seed": 3}
+
+
+# Noise models at their edges, checked on the draws alone, each with what
+# its estimates (off the diagonal) and its count of slow-path keys show.
+DRAW_CASES = {
+    "complete20": (_complete20_doc(), lambda est, slow: slow > 0),
+    "pcd-only": (_quiet4(pcd_error=PCD_ERROR), lambda est, slow: True),
+    "loss-only": (_quiet4(loss=LOSS), lambda est, slow: True),
+    "pcd-bias": (_quiet4(pcd_error={"stddev": 0.0, "mean": 0.75}), lambda est, slow: True),
+    "pcd-floor": (_quiet4(pcd_error={"stddev": 1.0, "mean": -8.0}), lambda est, slow: (est == PCD_FLOOR).any()),
+    # 1.7e308 * z overflows once |z| > 1.06, so some estimates are +inf and the
+    # -inf ones floor
+    "pcd-huge": (_quiet4(pcd_error={"stddev": 1.7e308}),
+                 lambda est, slow: np.isinf(est).any() and (est == PCD_FLOOR).any()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(DRAW_CASES))
+def test_round_draws_match_per_draw_streams(name, monkeypatch):
+    doc, shows = DRAW_CASES.get(name, (SCENARIOS.get(name), lambda est, slow: True))
+    scenario = scenario_from_dict(doc)
+    slow = []
+    restart = streams.restarted
+    monkeypatch.setattr(streams, "restarted", lambda keys, gen: slow.extend(keys) or restart(keys, gen))
     draws = _assert_draws_match(scenario)
     # the noise shows: estimates differ from the truth, and packets are lost
     clean = _round_draws(replace(scenario, loss=None, pcd_error=None))
-    assert all(not np.array_equal(d.est_pcd, c.est_pcd) for d, c in zip(draws, clean))
-    assert any(not d.rx_ok[~np.eye(len(d.members), dtype=bool)].all() for d in draws)
+    moved = [not np.array_equal(d.est_pcd, c.est_pcd) for d, c in zip(draws, clean)]
+    assert all(moved) if scenario.pcd_error is not None else not any(moved)
+    lost = any(not d.rx_ok[~np.eye(len(d.members), dtype=bool)].all() for d in draws)
+    assert lost == (scenario.loss is not None)
+    est = np.concatenate([d.est_pcd[~np.eye(len(d.members), dtype=bool)] for d in draws])
+    assert shows(est, len(slow))
 
 
 @pytest.mark.parametrize("noise, batches", [
@@ -223,8 +344,8 @@ def test_round_draws_match_per_draw_streams(name):
     ({"loss": LOSS, "pcd_error": PCD_ERROR}, 1),
 ])
 def test_key_batches_per_scenario(monkeypatch, noise, batches):
-    """One batch of keys for all purposes in use (pcd, loss, rx), none
-    without noise."""
+    """One batch of keys for all purposes in use (pcd, loss, rx), and one
+    Philox pass over it; neither without noise."""
     sizes = []
     derive = simulate.word_keys
 
@@ -233,8 +354,12 @@ def test_key_batches_per_scenario(monkeypatch, noise, batches):
         return derive(seed, words, lengths)
 
     monkeypatch.setattr(simulate, "word_keys", counted)
+    passes = []
+    philox = simulate.first_words
+    monkeypatch.setattr(simulate, "first_words", lambda keys: passes.append(len(keys)) or philox(keys))
     _assert_draws_match(scenario_from_dict({**QUIET_DYNAMIC4, **noise, "seed": 3}))
     assert len(sizes) == batches
+    assert passes == sizes          # one Philox pass over every key of the batch
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
