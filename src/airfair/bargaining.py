@@ -27,8 +27,12 @@ report so callers can certify optimality numerically.
 
 Two reference baselines (equal slots and load-weighted slots) are
 clipped-linear instances of the same equation and share the breakpoint
-solve.  A brute-force grid-search oracle and the fairness metrics used to
-compare policies live here as well.
+solve, as do the random feasible points :func:`sample_feasible` draws for
+the property tests.  :func:`time_at_level`, :func:`level_order`,
+:func:`tail_airtime` and :func:`level_for_airtime` read the same curves.  A
+brute-force grid-search oracle, kept independent of the core so that it can
+check it, and the fairness metrics used to compare policies live here as
+well.
 
 A problem is stored as columns: ids, data sizes, upload rates, raw weights,
 the GO's index, disagreement points, and a utility kind code and
@@ -53,7 +57,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,11 +95,6 @@ ROLE_CLIENT = "client"
 _UTILITY_KINDS = ("normalized-linear", "log-shifted", "power")
 # utility kind codes: positions in _UTILITY_KINDS
 _U_LINEAR, _U_LOG, _U_POWER = 0, 1, 2
-
-#: relative tolerance and iteration cap of the reference bisection
-#: (``time_at_level(..., method="bisect")``)
-BISECT_REL_TOL = 1e-9
-BISECT_MAX_ITER = 200
 
 _REL_SLACK = 1e-12
 
@@ -466,23 +465,6 @@ class KktReport:
 # level curves (the water-filling machinery)
 
 
-def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float, target: float,
-                       rel_tol: float = BISECT_REL_TOL, max_iter: int = BISECT_MAX_ITER) -> float:
-    """Solve f(x) = target for increasing f on (lo, hi], assuming a bracket."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        val = f(mid)
-        if abs(val - target) <= rel_tol * max(1.0, abs(target)):
-            return mid
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def level(problem: BargainingProblem, i: int, x: float) -> float:
     """Equalized bargaining level of player i at broadcast time x.
 
@@ -679,13 +661,12 @@ def _power_gain(rho: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return t, 1.0 - (1.0 - p) * np.exp(-p * np.log1p(t))
 
 
-def time_at_level(problem: BargainingProblem, i: int, lvl: float, method: str = "auto") -> float:
+def time_at_level(problem: BargainingProblem, i: int, lvl: float) -> float:
     """Invert :func:`level`: broadcast time at which player i reaches ``lvl``.
 
-    Uses the water-filling core's inversion (closed form for linear curves,
-    Halley's method for log-shifted ones, Newton's method for power ones
-    with a disagreement point) unless ``method="bisect"`` forces a generic
-    bisection on :func:`level` (handy for cross checks).
+    Player i's own curve in the water-filling core, :meth:`_Curves.times`:
+    closed form for linear curves, Halley's method for log-shifted ones and
+    Newton's method for power ones with a disagreement point.
     """
     curves = problem._curves
     found = np.flatnonzero(curves.index == i)
@@ -695,12 +676,8 @@ def time_at_level(problem: BargainingProblem, i: int, lvl: float, method: str = 
     top = curves.top[pos]
     if not (0.0 < lvl <= top * (1.0 + _REL_SLACK)):
         raise DomainError(f"level {lvl} outside (0, {top}] for player index {i}")
-    cap = problem.caps[i]
-    if method == "bisect":
-        x = _bisect_increasing(lambda t: level(problem, i, t), problem.disagreements[i], cap, lvl)
-    else:
-        x = curves.times(lvl, slice(pos, pos + 1))[0][0]
-    return float(min(x, cap))
+    x = curves.times(lvl, slice(pos, pos + 1))[0][0]
+    return float(min(x, problem.caps[i]))
 
 
 def level_order(problem: BargainingProblem) -> tuple[int, ...]:
@@ -751,11 +728,9 @@ def weighted_airtime(problem: BargainingProblem, broadcast_time: np.ndarray) -> 
     return float(np.add.reduce((1.0 + problem.betas) * np.asarray(broadcast_time, dtype=float)))
 
 
-def _saturated_allocation(problem: BargainingProblem) -> tuple[Allocation, float]:
+def _saturated_allocation(problem: BargainingProblem) -> Allocation:
     x = problem.caps.copy()  # zero for every player that sits out
-    top = problem._curves.top
-    lam = 1.0 / top[-1] if len(top) else 0.0
-    return Allocation(x, problem.betas * x, saturated=True), lam
+    return Allocation(x, problem.betas * x, saturated=True)
 
 
 def _water_fill_allocation(problem: BargainingProblem, curves: _Curves) -> tuple[Allocation, float, int]:
@@ -780,8 +755,8 @@ def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
     log-product program.
     """
     if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
-        alloc, lam = _saturated_allocation(problem)
-        return alloc, kkt_residuals(problem, alloc, lam)
+        alloc, top = _saturated_allocation(problem), problem._curves.top
+        return alloc, kkt_residuals(problem, alloc, 1.0 / top[-1] if len(top) else 0.0)
 
     alloc, s, iterations = _water_fill_allocation(problem, problem._curves)
     return alloc, kkt_residuals(problem, alloc, 1.0 / s, iterations)
@@ -789,8 +764,7 @@ def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
 
 def _clipped_linear_allocate(problem: BargainingProblem, slope: np.ndarray) -> Allocation:
     if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
-        x = problem.caps.copy()
-        return Allocation(x, problem.betas * x, saturated=True)
+        return _saturated_allocation(problem)
     return _water_fill_allocation(problem, _Curves.clipped_linear(problem, slope))[0]
 
 
@@ -823,15 +797,11 @@ def oracle_allocate(problem: BargainingProblem, resolution: int = 200,
     the water-filling solver; meant for cross-checking with at most 4 active
     players.
     """
-    n = len(problem.ids)
-    x = np.zeros(n)
-    act = list(problem.active)
-    if not act:
-        return Allocation(x, np.zeros(n), saturated=True)
     if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
-        alloc, _ = _saturated_allocation(problem)
-        return alloc
+        return _saturated_allocation(problem)
 
+    x = np.zeros(len(problem.ids))
+    act = list(problem.active)
     T = problem.airtime
 
     def run(last: int) -> tuple[float, list[int], np.ndarray, float]:
@@ -1040,30 +1010,19 @@ def dissemination_rate(problem: BargainingProblem, allocation: Allocation, k: in
 
 def sample_feasible(problem: BargainingProblem, count: int, rng: np.random.Generator) -> np.ndarray:
     """Random feasible allocations (rows) of an unsaturated problem: budget
-    met exactly, caps respected.  Used by the fairness property tests."""
-    act = list(problem.active)
+    met, caps respected.  Used by the fairness property tests.
+
+    Each row draws Dirichlet shares w of the active players and water-fills
+    the budget along the clipped-linear curves x_i(s) = w_i s / (1 + beta_i):
+    uncapped players spend channel time in proportion to w_i, and capped
+    players drain their queues.
+    """
     if problem.demand <= problem.airtime:
         raise ValueError("sampling needs an unsaturated problem")
+    act = problem._active
     out = np.zeros((count, len(problem.ids)))
-    betas = problem.betas
-    caps = problem.caps
+    slope = np.zeros(len(problem.ids))
     for r in range(count):
-        weights = rng.dirichlet(np.ones(len(act)))
-        x = np.zeros(len(problem.ids))
-        remaining = problem.airtime
-        pool = {act[k]: weights[k] for k in range(len(act))}
-        while remaining > 1e-15 and pool:
-            wsum = sum(pool.values())
-            spill = {}
-            for i, w in pool.items():
-                xi = x[i] + remaining * (w / wsum) / (1.0 + betas[i])
-                if xi >= caps[i]:
-                    spill[i] = True
-                    xi = caps[i]
-                x[i] = xi
-            used = weighted_airtime(problem, x)
-            remaining = problem.airtime - used
-            for i in spill:
-                pool.pop(i)
-        out[r] = x
+        slope[act.index] = rng.dirichlet(np.ones(len(act.index))) / act.weight
+        out[r] = _water_fill_allocation(problem, _Curves.clipped_linear(problem, slope))[0].broadcast_time
     return out

@@ -51,12 +51,17 @@ __all__ = [
     "SlotEntry",
     "Schedule",
     "build_schedule",
+    "MAX_SLOTS",
     "default_cycle_order",
     "schedule_csv_rows",
 ]
 
 MODE_UNICAST_PAIR = "unicast-pair"
 MODE_GO_COORDINATED = "go-coordinated"
+
+#: most slots one schedule may hold; :attr:`Schedule.slot_arrays` builds an
+#: array entry per slot
+MAX_SLOTS = 2**22
 
 
 class NoGoCandidateError(RuntimeError):
@@ -327,9 +332,10 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
 
     ``slots`` maps node id to (upload seconds, broadcast seconds) per cycle;
     a zero upload leg emits no upload slot.  Raises :class:`ScheduleError`
-    when a single cycle does not fit the interval, or the interval is not
-    finite.  Only the cycle is built here; the returned schedule derives its
-    slots when they are first asked for.
+    when a single cycle does not fit the interval, the interval is not
+    finite, or the schedule would hold more than :data:`MAX_SLOTS` slots.
+    Only the cycle is built here; the returned schedule derives its slots
+    when they are first asked for.
     """
     if not (interval > 0):
         raise ScheduleError("interval must be > 0")
@@ -348,6 +354,9 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     cycle = left_sum(d for _, _, d in pattern)
     if cycle > interval:
         raise ScheduleError(f"one cycle ({cycle:.6f}s) exceeds the interval ({interval:.6f}s)")
+    if len(pattern) * interval / cycle > MAX_SLOTS:
+        raise ScheduleError(f"the schedule would hold more than {MAX_SLOTS} slots "
+                            f"(cycle {cycle:.3g}s, interval {interval:.6f}s)")
     return Schedule(tuple(pattern), float(interval), cycle, t_start)
 
 

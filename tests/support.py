@@ -258,6 +258,57 @@ def reference_curves(problem) -> _Curves:
     return _Curves.sorted_by_top(idx, weight, d, cap, r, kind, coeff, top)
 
 
+def reference_time_at_level(problem, i: int, lvl: float) -> float:
+    """Broadcast time at which player i reaches ``lvl``, by bisection on
+    :func:`airfair.bargaining.level` over (disagreement, cap] to a relative
+    tolerance of 1e-9."""
+    lo, hi = problem.disagreements[i], problem.caps[i]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        val = level(problem, i, mid)
+        if abs(val - lvl) <= 1e-9 * max(1.0, abs(lvl)):
+            return float(mid)
+        if val < lvl:
+            lo = mid
+        else:
+            hi = mid
+    return float(hi)
+
+
+def reference_sample_feasible(problem, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random feasible allocations by spilling: hand the remaining budget to
+    the uncapped players in proportion to Dirichlet shares, clip those that
+    pass their caps, and repeat with the rest until the budget is spent."""
+    act = list(problem.active)
+    if problem.demand <= problem.airtime:
+        raise ValueError("sampling needs an unsaturated problem")
+    out = np.zeros((count, len(problem.ids)))
+    betas = problem.betas
+    caps = problem.caps
+    for r in range(count):
+        weights = rng.dirichlet(np.ones(len(act)))
+        x = np.zeros(len(problem.ids))
+        remaining = problem.airtime
+        pool = {act[k]: weights[k] for k in range(len(act))}
+        while remaining > 1e-15 and pool:
+            wsum = sum(pool.values())
+            spill = {}
+            for i, w in pool.items():
+                xi = x[i] + remaining * (w / wsum) / (1.0 + betas[i])
+                if xi >= caps[i]:
+                    spill[i] = True
+                    xi = caps[i]
+                x[i] = xi
+            used = weighted_airtime(problem, x)
+            remaining = problem.airtime - used
+            for i in spill:
+                pool.pop(i)
+        out[r] = x
+    return out
+
+
 def reference_nash_product(problem, allocation) -> float:
     prod = 1.0
     x = allocation.broadcast_time

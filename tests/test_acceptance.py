@@ -18,7 +18,6 @@ from airfair import cli
 from airfair.bargaining import (
     Allocation,
     gnbs_allocate,
-    kkt_residuals,
     level,
     level_order,
     oracle_allocate,

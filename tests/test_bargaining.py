@@ -137,7 +137,7 @@ def test_time_at_level_closed_form_matches_bisection(table1):
         top = level(table1, i, table1.caps[i])
         for lvl in (0.3 * top, 0.7 * top, top):
             auto = time_at_level(table1, i, lvl)
-            forced = time_at_level(table1, i, lvl, method="bisect")
+            forced = support.reference_time_at_level(table1, i, lvl)
             assert auto == pytest.approx(forced, abs=1e-8)
 
 
@@ -151,7 +151,7 @@ def test_time_at_level_matches_bisection_for_every_kind(seed):
         top = level(prob, i, prob.caps[i])
         for lvl in (0.2 * top, 0.6 * top, top):
             auto = time_at_level(prob, i, lvl)
-            forced = time_at_level(prob, i, lvl, method="bisect")
+            forced = support.reference_time_at_level(prob, i, lvl)
             assert auto == pytest.approx(forced, rel=1e-7, abs=1e-9)
 
 

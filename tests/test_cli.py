@@ -3,12 +3,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from airfair import cli
 from airfair.bargaining import InfeasibleProblemError
+from airfair.grouping import MAX_SLOTS, ScheduleError
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +138,15 @@ def test_sweep_output(capsys):
     assert len(lines) == 3
     for line in lines[1:]:
         assert float(line.split(",")[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("size_ms", ["1e-9", "1e-300"])
+def test_sweep_rejects_slot_sizes_beyond_max_slots(size_ms):
+    # at a 1e-12 s basic slot one 10 s round would need ~1e13 slots
+    start = time.perf_counter()
+    with pytest.raises(ScheduleError, match=f"more than {MAX_SLOTS} slots"):
+        cli.main(["sweep", "--preset", "table1", "--slot-sizes", size_ms, "--reps", "1"])
+    assert time.perf_counter() - start < 1.0
 
 
 CONVERGE_TABLE1_5 = """\

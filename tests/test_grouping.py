@@ -4,6 +4,7 @@ import pytest
 import support
 from airfair.bargaining import gnbs_allocate
 from airfair.grouping import (
+    MAX_SLOTS,
     ConnectivityGraph,
     ContactEntry,
     ContactTable,
@@ -336,6 +337,15 @@ def test_cycle_must_fit_interval(table1):
     slots = _table1_slots(table1)
     with pytest.raises(ScheduleError):
         build_schedule(slots, 0.1, default_cycle_order(slots, "n4"))
+
+
+def test_slot_count_is_bounded():
+    # exactly MAX_SLOTS slots fit; half the slot size, or a size so small
+    # that interval / cycle overflows to inf, does not
+    assert build_schedule({"go": (0.0, 1.0 / MAX_SLOTS)}, 1.0, ["go"]).cycle_length == 1.0 / MAX_SLOTS
+    for size in (0.5 / MAX_SLOTS, 5e-324):
+        with pytest.raises(ScheduleError, match=f"more than {MAX_SLOTS} slots"):
+            build_schedule({"go": (0.0, size)}, 1.0, ["go"])
 
 
 def test_schedule_csv_shape(table1):

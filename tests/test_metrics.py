@@ -15,6 +15,7 @@ from airfair.bargaining import (
     log_nash_welfare,
     nash_product,
     sample_feasible,
+    weighted_airtime,
     wpf_aggregate,
     wtd_allocate,
 )
@@ -80,6 +81,32 @@ def test_sampled_points_are_feasible(table1, rng):
         assert np.all(x <= table1.caps * (1 + 1e-12))
         assert np.all(x >= 0)
         assert np.sum((1 + table1.betas) * x) <= 10.0 * (1 + 1e-9)
+
+
+def test_sampler_matches_spill_reference():
+    # every utility kind and some zero-load players; the sampler ignores
+    # utilities, and zero-load players must stay at zero
+    kept = with_zero_load = 0
+    kinds = set()
+    seed = 0
+    while kept < 2000:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        prob = support.mixed_problem(rng, int(rng.integers(1, 17)), disagreements=False)
+        if prob.demand <= prob.airtime:
+            continue
+        kept += 1
+        with_zero_load += bool(np.count_nonzero(prob.caps == 0))
+        kinds.update(prob.kinds[prob.caps > 0].tolist())
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_feasible(prob, 3, got_rng)
+        want = support.reference_sample_feasible(prob, 3, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.all(np.abs(got - want) <= 1e-13 * prob.caps)
+        for row in (*got, *want):
+            assert abs(weighted_airtime(prob, row) - prob.airtime) <= 1e-13 * prob.airtime
+    assert with_zero_load >= 100
+    assert {0, 1} <= kinds
 
 
 def test_kkt_flags_perturbed_allocation(table1):

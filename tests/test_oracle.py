@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 import support
-from airfair import BargainingProblem, Player, Utility
+from airfair import BargainingProblem, Player
 from airfair.bargaining import ROLE_GO, gnbs_allocate, nash_product, oracle_allocate
 
 
