@@ -327,7 +327,11 @@ class BargainingProblem:
         if len(set(self.ids)) != n:
             raise ValueError("duplicate player ids")
 
-        self.alphas = raw / raw.sum()
+        with np.errstate(over="ignore"):        # an overflowing sum is rejected below
+            total = raw.sum()
+        if not math.isfinite(total):
+            raise ValueError("alpha weights must sum to a finite value")
+        self.alphas = raw / total
         self.betas = broadcast_rate / relayed
         self.betas[g] = 0.0
         self.caps = caps = data / broadcast_rate

@@ -282,7 +282,10 @@ class Schedule:
         strictly in sequence, so every start is the same float that adding
         the slots one at a time gives.  The slots stop at the first start
         within 1e-12 s of the interval's end, or after the first leg that
-        overruns it, which is cut to end exactly there.
+        overruns it, which is cut to end exactly there.  Raises
+        :class:`ScheduleError` when more than :data:`MAX_SLOTS` slots do not
+        get there, as when every leg is below half the float spacing at the
+        schedule's times and no start advances.
         """
         legs = np.array([dur for _, _, dur in self.pattern], dtype=float)
         end = self.t_start + self.interval
@@ -295,7 +298,11 @@ class Schedule:
             stops = np.flatnonzero(done | cut)
             if stops.size:
                 break
-            cycles *= 2    # rounding kept the last start short of the end
+            if tiled.size > MAX_SLOTS:
+                raise ScheduleError(f"{MAX_SLOTS} slots from {self.t_start!r}s do not reach the interval's "
+                                    f"end (shortest leg {legs.min():.3g}s)")
+            # rounding kept the last start short of the end
+            cycles = min(2 * cycles, MAX_SLOTS // len(legs) + 1)
         n = int(stops[0])
         if done[n]:
             return starts[:n], tiled[:n]

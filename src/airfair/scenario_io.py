@@ -4,14 +4,20 @@ A scenario document lists the nodes (with join/leave times, queued data,
 upload rate, bargaining weight) plus channel parameters, optional loss and
 PCD-error models, and the seed.  Field names are validated strictly:
 unknown keys are rejected so typos fail loudly instead of being ignored.
+
+This module checks the JSON shape, the types and that every number is
+finite.  Defaults and rules live on the :class:`~airfair.simulate.Scenario`
+dataclasses alone, whose ``ValueError`` comes back as a :class:`SchemaError`
+naming the object.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .simulate import LossModel, PcdErrorModel, Scenario, ScenarioNode
 
@@ -21,14 +27,6 @@ __all__ = ["SchemaError", "PRESETS", "preset_scenario", "load_scenario", "scenar
 class SchemaError(ValueError):
     """A scenario document does not match the expected schema."""
 
-
-_TOP_KEYS = {
-    "nodes", "broadcast_mbps", "t_slot_ms", "loss", "pcd_error", "seed",
-    "connectivity", "go", "go_alpha_factor",
-}
-_NODE_KEYS = {"id", "join_s", "leave_s", "data_mb", "data_mb_per_peer", "upload_mbps", "alpha"}
-_LOSS_KEYS = {"lo", "hi"}
-_ERROR_KEYS = {"stddev", "mean"}
 
 # The 6-node reference group: one shared 10 s contact, loads 10..80 mb,
 # symmetric 11 mb/s rates, GO pinned to n4 with doubled bargaining weight.
@@ -66,123 +64,86 @@ _DYNAMIC4 = {
 PRESETS: dict[str, dict] = {"table1": _TABLE1, "dynamic4": _DYNAMIC4}
 
 
-def _number(doc: Mapping, key: str, where: str, required: bool = True,
-            default: float | None = None) -> float | None:
-    if key not in doc:
-        if required:
-            raise SchemaError(f"{where}: missing required field {key!r}")
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{where}: field {key!r} must be a number, got {type(v).__name__}")
+def _number(value: Any, key: str, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: field {key!r} must be a number, got {type(value).__name__}")
     try:
-        v = float(v)
+        value = float(value)
     except OverflowError:      # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise SchemaError(f"{where}: field {key!r} must be finite, got {v!r}")
-    return v
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: field {key!r} must be finite, got {value!r}")
+    return value
 
 
-def _check_keys(doc: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
+def _fields(obj: Any, where: str, required: tuple[str, ...], numbers: tuple[str, ...],
+            others: tuple[str, ...] = ()) -> dict[str, Any]:
+    """The fields of one JSON object: unknown keys rejected, required keys
+    present, and every numeric field a finite float.  Absent optional
+    fields stay absent, so the dataclass supplies their defaults."""
+    if not isinstance(obj, Mapping):
+        raise SchemaError(f"{where}: must be an object")
+    unknown = set(obj).difference(numbers, others)
     if unknown:
         raise SchemaError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{where}: missing required field {key!r}")
+    return {key: _number(v, key, where) if key in numbers else v for key, v in obj.items()}
+
+
+def _build(cls: type, where: str, fields: Mapping[str, Any]):
+    """``cls(**fields)``, with the dataclass's own checks reported as a
+    :class:`SchemaError` at ``where``."""
+    try:
+        return cls(**fields)
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("scenario document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "scenario")
-
-    raw_nodes = doc.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
+    fields = _fields(doc, "scenario", ("nodes", "broadcast_mbps", "t_slot_ms"),
+                     ("broadcast_mbps", "t_slot_ms", "go_alpha_factor"),
+                     ("nodes", "loss", "pcd_error", "seed", "connectivity", "go"))
+    if not isinstance(fields["nodes"], list) or not fields["nodes"]:
         raise SchemaError("scenario: 'nodes' must be a non-empty list")
     nodes = []
-    for k, nd in enumerate(raw_nodes):
+    for k, nd in enumerate(fields["nodes"]):
         where = f"nodes[{k}]"
-        if not isinstance(nd, Mapping):
-            raise SchemaError(f"{where}: must be an object")
-        _check_keys(nd, _NODE_KEYS, where)
-        node_id = nd.get("id")
-        if not isinstance(node_id, str) or not node_id:
+        node = _fields(nd, where, ("join_s", "leave_s"),
+                       ("join_s", "leave_s", "data_mb", "data_mb_per_peer", "upload_mbps", "alpha"), ("id",))
+        if not isinstance(node.get("id"), str) or not node["id"]:
             raise SchemaError(f"{where}: 'id' must be a non-empty string")
-        if ("data_mb" in nd) == ("data_mb_per_peer" in nd):
-            raise SchemaError(f"{where}: set exactly one of data_mb / data_mb_per_peer")
-        try:
-            nodes.append(ScenarioNode(
-                id=node_id,
-                join_s=_number(nd, "join_s", where),
-                leave_s=_number(nd, "leave_s", where),
-                upload_mbps=_number(nd, "upload_mbps", where, required=False, default=11.0),
-                alpha=_number(nd, "alpha", where, required=False, default=1.0),
-                data_mb=_number(nd, "data_mb", where, required=False),
-                data_mb_per_peer=_number(nd, "data_mb_per_peer", where, required=False),
-            ))
-        except ValueError as e:
-            raise SchemaError(f"{where}: {e}") from e
+        nodes.append(_build(ScenarioNode, where, node))
+    fields["nodes"] = nodes
+    fields["t_slot_s"] = fields.pop("t_slot_ms") / 1000.0
 
-    loss = None
-    if doc.get("loss") is not None:
-        ld = doc["loss"]
-        if not isinstance(ld, Mapping):
-            raise SchemaError("scenario: 'loss' must be an object")
-        _check_keys(ld, _LOSS_KEYS, "loss")
-        try:
-            loss = LossModel(_number(ld, "lo", "loss"), _number(ld, "hi", "loss"))
-        except ValueError as e:
-            raise SchemaError(f"loss: {e}") from e
+    if fields.get("loss") is not None:
+        fields["loss"] = _build(LossModel, "loss", _fields(fields["loss"], "loss", ("lo", "hi"), ("lo", "hi")))
+    if fields.get("pcd_error") is not None:
+        fields["pcd_error"] = _build(PcdErrorModel, "pcd_error",
+                                     _fields(fields["pcd_error"], "pcd_error", ("stddev",), ("stddev", "mean")))
 
-    pcd_error = None
-    if doc.get("pcd_error") is not None:
-        ed = doc["pcd_error"]
-        if not isinstance(ed, Mapping):
-            raise SchemaError("scenario: 'pcd_error' must be an object")
-        _check_keys(ed, _ERROR_KEYS, "pcd_error")
-        try:
-            pcd_error = PcdErrorModel(
-                stddev=_number(ed, "stddev", "pcd_error"),
-                mean=_number(ed, "mean", "pcd_error", required=False, default=0.0),
-            )
-        except ValueError as e:
-            raise SchemaError(f"pcd_error: {e}") from e
-
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if "seed" in fields and (isinstance(fields["seed"], bool) or not isinstance(fields["seed"], int)):
         raise SchemaError("scenario: 'seed' must be an integer")
 
-    connectivity: Any = doc.get("connectivity", "complete")
-    if connectivity != "complete":
+    if "connectivity" in fields and fields["connectivity"] != "complete":
+        connectivity = fields["connectivity"]
         if not isinstance(connectivity, Mapping) or set(connectivity) != {"edges"}:
             raise SchemaError("scenario: 'connectivity' must be \"complete\" or {\"edges\": [...]} ")
         edges = connectivity["edges"]
         if not isinstance(edges, list):
             raise SchemaError("connectivity: 'edges' must be a list of [a, b] pairs")
-        pairs = []
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
                 raise SchemaError("connectivity: each edge must be a pair of node ids")
-            pairs.append((e[0], e[1]))
-        connectivity = tuple(pairs)
+        fields["connectivity"] = edges
 
-    go = doc.get("go")
+    go = fields.get("go")
     if go is not None and not isinstance(go, str):
         raise SchemaError("scenario: 'go' must be a node id string")
 
-    try:
-        return Scenario(
-            nodes=tuple(nodes),
-            broadcast_mbps=_number(doc, "broadcast_mbps", "scenario"),
-            t_slot_s=_number(doc, "t_slot_ms", "scenario") / 1000.0,
-            loss=loss,
-            pcd_error=pcd_error,
-            seed=seed,
-            connectivity=connectivity,
-            go=go,
-            go_alpha_factor=_number(doc, "go_alpha_factor", "scenario", required=False, default=2.0),
-        )
-    except ValueError as e:
-        raise SchemaError(str(e)) from e
+    return _build(Scenario, "scenario", fields)
 
 
 def preset_scenario(name: str) -> Scenario:

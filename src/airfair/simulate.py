@@ -169,11 +169,18 @@ class Scenario:
             raise ValueError(f"pinned GO {self.go!r} is not a node")
         if not (self.go_alpha_factor > 0):
             raise ValueError("go_alpha_factor must be > 0")
+        # a round's raw weights are its members' alphas, the GO's scaled
+        # by go_alpha_factor; the largest such sum must stay finite
+        alphas = [n.alpha for n in self.nodes]
+        if not math.isfinite(sum(alphas) + max(alphas) * max(self.go_alpha_factor - 1.0, 0.0)):
+            raise ValueError("alpha weights overflow once the GO's is scaled by go_alpha_factor and summed")
         if self.connectivity != "complete":
             object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
             for a, b in self.connectivity:
                 if a not in ids or b not in ids:
                     raise ValueError(f"connectivity edge ({a!r}, {b!r}) names unknown nodes")
+                if a == b:
+                    raise ValueError(f"connectivity edge ({a!r}, {b!r}) is a self loop")
 
     def node(self, node_id: str) -> ScenarioNode:
         return self._by_id[node_id]
@@ -504,6 +511,7 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
                     slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
                     order = default_cycle_order(actors, go_id)
                     schedule = build_schedule(slots, airtime, order, t_start=t0)
+                    schedule.slot_arrays    # built here, so that its ScheduleError names the round
                 except ScheduleError as e:
                     raise ScheduleError(f"round {ridx} at {t0:g}s: {e}") from e
 

@@ -522,6 +522,18 @@ def test_nan_inputs_rejected(field, column, message):
         BargainingProblem(airtime=1.0, broadcast_rate=10.0, **columns)
 
 
+@pytest.mark.parametrize("alphas", [[1e308, math.inf], [1e308, 1e308]], ids=["infinite", "sum-overflows"])
+def test_weights_that_overflow_rejected(alphas):
+    """An infinite weight, or finite ones whose sum overflows, used to make
+    the normalized weights NaN."""
+    players = [Player("go", 10.0, role=ROLE_GO, alpha=alphas[0]), Player("c", 10.0, 5.0, alpha=alphas[1])]
+    with pytest.raises(ValueError, match="alpha weights must sum to a finite value"):
+        BargainingProblem(players, 1.0, 10.0)
+    with pytest.raises(ValueError, match="alpha weights must sum to a finite value"):
+        BargainingProblem(airtime=1.0, broadcast_rate=10.0, ids=["go", "c"], data_sizes=[10.0, 10.0],
+                          upload_rates=[math.inf, 5.0], raw_alphas=alphas, go=0)
+
+
 @pytest.mark.parametrize("players,error,message", [
     ([], ValueError, "need at least one player"),
     ([("a", 5.0, {})], ValueError, r"expected exactly one GO, found 0"),

@@ -11,6 +11,7 @@ import pytest
 from airfair import cli
 from airfair.bargaining import InfeasibleProblemError
 from airfair.grouping import MAX_SLOTS, ScheduleError
+from airfair.scenario_io import PRESETS
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,15 @@ def test_schedule_csv(capsys):
     assert lines[0] == "node_id,kind,start_s,duration_s"
     assert lines[1] == "n1,upload,0.000000,0.010000"
     assert lines[2] == "n1,broadcast,0.010000,0.010000"
+
+
+def test_schedule_table(capsys):
+    code, out, _ = run_cli(capsys, "schedule", "--preset", "table1", "--format", "table")
+    assert code == 0
+    header, *rows = out.splitlines()
+    count = int(re.fullmatch(r"round 0: cycle [0-9.]+ ms, (\d+) slots from 0\.000s", header).group(1))
+    assert count > 0 and len(rows) == count
+    assert rows[0].split() == ["n1", "upload", "0.000000", "0.010000"]
 
 
 def test_schedule_of_idle_round_is_header_only(capsys):
@@ -148,6 +158,41 @@ def test_sweep_rejects_slot_sizes_beyond_max_slots(size_ms):
         cli.main(["sweep", "--preset", "table1", "--slot-sizes", size_ms, "--reps", "1"])
     assert time.perf_counter() - start < 1.0
 
+
+def _table1_file(tmp_path, doc_fields, **node_fields):
+    doc = {**json.loads(json.dumps(PRESETS["table1"])), **doc_fields}
+    for node in doc["nodes"]:
+        node.update(node_fields)
+    path = tmp_path / "table1.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_slots_below_the_float_spacing_raise_schedule_error(tmp_path):
+    # at 1e15 s the float spacing is 0.125 s and every 10-40 ms leg rounds
+    # away, so no slot start advances; the slot arrays used to grow until
+    # memory ran out
+    scenario = _table1_file(tmp_path, {}, join_s=1e15, leave_s=1e15 + 10)
+    start = time.perf_counter()
+    with pytest.raises(ScheduleError, match=r"round 0 at 1e\+15s: .*do not reach the interval's end"):
+        cli.main(["compare", "--scenario", scenario, "--durations", "10", "--reps", "1"])
+    assert time.perf_counter() - start < 1.0
+
+
+_OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"
+
+
+@pytest.mark.parametrize("doc_fields,node_fields,message", [
+    ({"go_alpha_factor": 2.0}, {"alpha": 1e308}, _OVERFLOW),     # the GO's weight is infinite
+    ({"go_alpha_factor": 1.0}, {"alpha": 1e308}, _OVERFLOW),     # the sum of weights overflows
+    ({"connectivity": {"edges": [["n1", "n2"], ["n1", "n1"]]}}, {}, "connectivity edge ('n1', 'n1') is a self loop"),
+], ids=["go-weight", "weight-sum", "self-loop"])
+def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, node_fields, message):
+    # each used to print NaN and exit 0, or end in a traceback
+    scenario = _table1_file(tmp_path, doc_fields, **node_fields)
+    code, out, err = run_cli(capsys, "allocate", "--scenario", scenario)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: scenario: {message}"]
 
 CONVERGE_TABLE1_5 = """\
 contact,running_avg_nash,ideal_nash

@@ -1,8 +1,11 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from airfair import cli
 from airfair.scenario_io import PRESETS, SchemaError, load_scenario, preset_scenario, scenario_from_dict
 
 
@@ -20,6 +23,26 @@ def doc(**overrides):
     d = json.loads(json.dumps(MINIMAL))
     d.update(overrides)
     return d
+
+
+def _delete(path):
+    def mutate(d):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return d
+    return mutate
+
+
+def _set(path, value):
+    def mutate(d):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return d
+    return mutate
 
 
 def test_bundled_presets():
@@ -91,11 +114,7 @@ def test_numbers_must_be_numbers():
     ("loss", "hi"), ("pcd_error", "stddev"), ("pcd_error", "mean"),
 ], ids=lambda path: ".".join(map(str, path)))
 def test_numbers_must_be_finite(path, value):
-    d = doc(loss={"lo": 0.0, "hi": 0.1}, pcd_error={"stddev": 1.0})
-    target = d
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    d = _set(path, value)(doc(loss={"lo": 0.0, "hi": 0.1}, pcd_error={"stddev": 1.0}))
     with pytest.raises(SchemaError, match=f"field '{path[-1]}' must be finite"):
         scenario_from_dict(d)
 
@@ -124,6 +143,8 @@ def test_connectivity_forms():
         scenario_from_dict(doc(connectivity="mesh"))
     with pytest.raises(SchemaError, match="pair of node ids"):
         scenario_from_dict(doc(connectivity={"edges": [["a", "b", "c"]]}))
+    with pytest.raises(SchemaError, match=r"edge \('a', 'a'\) is a self loop"):
+        scenario_from_dict(doc(connectivity={"edges": [["a", "b"], ["a", "a"]]}))
 
 
 def test_loss_and_error_models_parse():
@@ -154,3 +175,44 @@ def test_load_scenario_bad_file(tmp_path):
 def test_empty_document_rejected():
     with pytest.raises(SchemaError, match="nodes"):
         scenario_from_dict({})
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (_delete(("nodes", 0, "join_s")), r"nodes\[0\].*missing required field 'join_s'"),
+    (lambda d: [d], r"scenario\W+(document )?must be an? (JSON )?object"),
+    (_set(("nodes", 1), "b"), r"nodes\[1\]: must be an object"),
+    (_set(("loss",), [0.0, 0.1]), r"loss\W+must be an object"),
+    (_set(("pcd_error",), 1.0), r"pcd_error\W+must be an object"),
+    (_set(("nodes", 0, "id"), ""), r"nodes\[0\]: 'id' must be a non-empty string"),
+    (_set(("nodes", 0, "id"), 7), r"nodes\[0\]: 'id' must be a non-empty string"),
+    (_set(("connectivity",), {"edges": "a-b"}), "'edges' must be a list"),
+    (_set(("go",), 1), "'go' must be a node id string"),
+    (_set(("nodes", 0, "data_mb"), -1.0), r"nodes\[0\].*negative data amount"),
+    (_set(("nodes", 0, "upload_mbps"), 0.0), r"nodes\[0\].*upload_mbps must be > 0"),
+    (_set(("nodes", 1, "alpha"), -1.0), r"nodes\[1\].*alpha must be > 0"),
+    (_set(("broadcast_mbps",), 0.0), "broadcast_mbps must be > 0"),
+    (_set(("t_slot_ms",), -20.0), "t_slot_s must be > 0"),
+    (_set(("go_alpha_factor",), 0.0), "go_alpha_factor must be > 0"),
+    (_set(("pcd_error", "stddev"), -1.0), "pcd_error.*stddev must be >= 0"),
+], ids=[
+    "missing-field", "document", "node", "loss", "pcd_error", "empty-id", "non-string-id", "edges",
+    "go", "negative-data", "upload_mbps", "alpha", "broadcast_mbps", "t_slot_ms", "go_alpha_factor",
+    "stddev",
+])
+def test_rejections_name_the_field(mutate, match):
+    d = mutate(doc(loss={"lo": 0.0, "hi": 0.1}, pcd_error={"stddev": 1.0}))
+    with pytest.raises(SchemaError, match=match):
+        scenario_from_dict(d)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_scenario_parses_and_allocates(tmp_path, capsys):
+    block = re.search(r"## Scenario files.*?```json\n(.*?)```", README.read_text(), re.S).group(1)
+    scn = scenario_from_dict(json.loads(block))
+    assert [n.id for n in scn.nodes] == ["a", "b"]
+    p = tmp_path / "readme.json"
+    p.write_text(block)
+    assert cli.main(["allocate", "--scenario", str(p)]) == 0
+    assert "nash_product" in capsys.readouterr().out
