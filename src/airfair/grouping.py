@@ -43,7 +43,6 @@ __all__ = [
     "elect_go",
     "select_roles",
     "total_broadcast_time",
-    "allocation_interval",
     "select_transmission_mode",
     "MODE_UNICAST_PAIR",
     "MODE_GO_COORDINATED",
@@ -204,15 +203,6 @@ def total_broadcast_time(loads: Mapping[str, float], go_candidate: str, rate: fl
         raise ValueError("rate must be > 0")
     total = loads[go_candidate] + 2.0 * left_sum(v for k, v in loads.items() if k != go_candidate)
     return float(total / rate)
-
-
-def allocation_interval(table: ContactTable, go_id: str) -> float:
-    """Allocation horizon: the smallest PCD between the GO and any member."""
-    if table.owner != go_id:
-        raise ValueError(f"need the GO's own table, got {table.owner!r}")
-    if not table.entries:
-        raise ValueError("no members to allocate for")
-    return float(min(e.pcd for e in table.entries))
 
 
 def select_transmission_mode(group_size: int) -> str:

@@ -10,7 +10,9 @@ The contact profiles the members swap come down to two arrays per round,
 the loads and a mask of who reaches everyone, which is all the election
 reads; the horizon is the smallest estimated PCD in the GO's row.  Delivered
 megabits are tracked across rounds, so later rounds only bargain over what
-is still queued.
+is still queued.  Those running totals are arrays in scenario node order that
+each round reads and adds to at its members' positions; dicts keyed by node
+id appear only in the round records and the report.
 
 A schedule is executed as an in-order replay over its slot arrays: the slots
 are cut at the true round end, each node's sends are capped at its queue,
@@ -185,12 +187,6 @@ class Scenario:
     def node(self, node_id: str) -> ScenarioNode:
         return self._by_id[node_id]
 
-    def graph(self) -> ConnectivityGraph:
-        ids = [n.id for n in self.nodes]
-        if self.connectivity == "complete":
-            return ConnectivityGraph.complete(ids)
-        return ConnectivityGraph(ids, self.connectivity)
-
 
 @dataclass(eq=False)
 class RoundRecord:
@@ -267,7 +263,7 @@ class _RoundDraws:
     members: tuple[str, ...]
     hubs: tuple[bool, ...]       # hubs[i]: member i reaches every other member
     est_pcd: np.ndarray          # est_pcd[i, j]: estimated PCD of members i and j
-    loss: tuple[float, ...] | None   # loss probability per member
+    loss: np.ndarray | None      # loss probability per member
     rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
 
 
@@ -341,20 +337,21 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         if loss_model is not None:
             u = first_uniforms(word0[n_pcd:])
             probs = loss_model.lo + (loss_model.hi - loss_model.lo) * u[:n_loss]   # Generator.uniform's arithmetic
+            probs.flags.writeable = False       # its round slices are shared like est and rx_ok
             heard = u[n_loss:]
             for r, ok in enumerate(rx_ok):
                 size = len(ok)
-                loss[r] = tuple(probs[:size].tolist())
+                loss[r], probs = probs[:size], probs[size:]
                 draw = np.zeros(ok.shape)
                 draw[ok] = heard[:size * (size - 1)]        # row by row: receiver, then sender
-                ok &= draw >= probs[:size, None]
-                probs, heard = probs[size:], heard[size * (size - 1):]
+                ok &= draw >= loss[r][:, None]
+                heard = heard[size * (size - 1):]
     for array in (*est, *rx_ok):
         array.flags.writeable = False       # shared by every policy that runs on them
     if scenario.connectivity == "complete":
         hubs = [(True,) * len(members) for _, _, members in spans]
     else:
-        graph = scenario.graph()
+        graph = ConnectivityGraph([n.id for n in scenario.nodes], scenario.connectivity)
         hubs = [tuple(graph.reaches_all(m, members) for m in members) for _, _, members in spans]
     return [_RoundDraws(t0, t1, members, hubs[r], est[r], loss[r], rx_ok[r])
             for r, (t0, t1, members) in enumerate(spans)]
@@ -377,17 +374,17 @@ def _fold(total, steps: np.ndarray):
     return np.cumsum(np.concatenate(([total], steps)), axis=0)[-1]
 
 
-def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: Sequence[float],
-            rate: float, rx_ok: np.ndarray, transmitted: dict[str, float],
-            received: dict[str, float]) -> tuple[dict[str, float], dict[str, float]]:
+def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray,
+            rate: float, rx_ok: np.ndarray, sent: np.ndarray,
+            heard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Carry out the schedule's broadcast slots until the true round end ``t1``.
 
-    A broadcast slot sends for as long as it lasts before ``t1``, but no
-    longer than its node's queue (``need[k]`` seconds for ``members[k]``)
-    still lasts; uploads only relay.  ``rx_ok[r, s]`` tells whether member r
-    receives member s.  Returns the realized broadcast seconds and the
-    delivered megabits per member, and adds what was sent to ``transmitted``
-    and what arrived to ``received``.
+    Every argument and result is in member order.  A broadcast slot sends
+    for as long as it lasts before ``t1``, but no longer than its node's
+    queue (``need[k]`` seconds for ``members[k]``) still lasts; uploads
+    only relay.  ``rx_ok[r, s]`` tells whether member r receives member s.
+    Returns the realized broadcast seconds and the delivered megabits, and
+    adds what each member sent to ``sent`` and what it heard to ``heard``.
 
     The slots are laid out as one row per cycle and one column per leg.
     Every total is a running sum in slot order that starts from its prior
@@ -400,12 +397,12 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: Sequenc
     take = np.zeros(-(-n // legs) * legs)           # the last cycle padded with empty slots
     np.minimum(durations[:n], t1 - starts[:n], out=take[:n])
     columns = [j for j, (_, kind, _) in enumerate(schedule.pattern) if kind == "broadcast"]
-    sender = [members.index(schedule.pattern[j][0]) for j in columns]
+    sender = np.array([members.index(schedule.pattern[j][0]) for j in columns])
     take = take.reshape(-1, legs)[:, columns]       # cycle x broadcasting node
 
     # Each node's queue before each of its slots, while every slot takes in
     # full; the first slot that finds no more than its length left empties it.
-    left = np.cumsum(np.concatenate(([np.asarray(need)[sender]], -take)), axis=0)[:-1]
+    left = np.cumsum(np.concatenate(([need[sender]], -take)), axis=0)[:-1]
     drained = take >= left
     last = np.where(drained.any(axis=0), drained.argmax(axis=0), len(take))
     cycle = np.arange(len(take))[:, None]
@@ -413,21 +410,16 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: Sequenc
     mb = use * rate
 
     zeros = np.zeros(len(sender))
-    seconds, megabits = _fold(zeros, use), _fold(zeros, mb)
-    sent = _fold(np.array([transmitted[members[k]] for k in sender]), mb)
-    realized = {m: 0.0 for m in members}
-    delivered = {m: 0.0 for m in members}
-    for j, k in enumerate(sender):
-        m = members[k]
-        realized[m], delivered[m], transmitted[m] = float(seconds[j]), float(megabits[j]), float(sent[j])
+    realized, delivered = np.zeros(len(members)), np.zeros(len(members))
+    realized[sender], delivered[sender] = _fold(zeros, use), _fold(zeros, mb)
+    sent[sender] = _fold(sent[sender], mb)
     # every receiver's slots in one running sum per row, from its prior
     # total: a slot it does not hear adds an exact zero
     steps = np.empty((len(members), 1 + mb.size))
-    steps[:, 0] = [received[m] for m in members]
+    steps[:, 0] = heard
     np.multiply(np.tile(rx_ok[:, sender], (1, len(mb))), mb.ravel(), out=steps[:, 1:])
     np.cumsum(steps, axis=1, out=steps)
-    for m, total in zip(members, steps[:, -1].tolist()):
-        received[m] = total
+    heard[:] = steps[:, -1]
     return realized, delivered
 
 
@@ -446,87 +438,73 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
 
     Loads, the GO, its horizon and the bargaining reference depend
     on what the policy delivered in earlier rounds, so they are derived
-    here.
+    here.  A round's election or schedule error names the round.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     rate = scenario.broadcast_mbps
-    transmitted = {n.id: 0.0 for n in scenario.nodes}
-    received = {n.id: 0.0 for n in scenario.nodes}
+    ids = [n.id for n in scenario.nodes]
+    position = {m: k for k, m in enumerate(ids)}
+    transmitted, received = np.zeros(len(ids)), np.zeros(len(ids))
     rounds: list[RoundRecord] = []
 
     for ridx, d in enumerate(draws):
         t0, t1, members = d.t0, d.t1, d.members
-
+        at = np.array([position[m] for m in members])
         nodes = [scenario.node(m) for m in members]
-        loads = [max(0.0, (n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1))
-                     - transmitted[n.id]) for n in nodes]
+        loads = [max(0.0, (n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1)) - sent)
+                 for n, sent in zip(nodes, transmitted[at].tolist())]
+        try:
+            go_id = scenario.go if scenario.go in members else elect_go(members, loads, d.hubs)
+            g = members.index(go_id)
+            # the horizon: the smallest estimated PCD from the GO to any other member
+            airtime = float(np.delete(d.est_pcd[g], g).min())
+            mode = select_transmission_mode(len(members))
 
-        if scenario.go is not None and scenario.go in members:
-            go_id = scenario.go
-        else:
-            try:
-                go_id = elect_go(members, loads, d.hubs)
-            except NoGoCandidateError as e:
-                raise NoGoCandidateError(f"round {ridx} at {t0:g}s: {e}") from e
+            # The round's two problems as member columns: the GO and a unicast
+            # pair upload nothing, and clients of a GO lose what the loss draw says.
+            alphas = np.array([n.alpha for n in nodes])
+            alphas[g] *= scenario.go_alpha_factor
+            if mode == MODE_UNICAST_PAIR:
+                upload = nominal = np.full(len(members), math.inf)
+            else:
+                nominal = np.array([n.upload_mbps for n in nodes])
+                nominal[g] = math.inf
+                upload = nominal if d.loss is None else effective_upload_rate(nominal, d.loss)
+            columns = dict(broadcast_rate=rate, ids=members, data_sizes=loads, raw_alphas=alphas, go=g)
+            problem = BargainingProblem(airtime=airtime, upload_rates=upload, **columns)
+            allocation, kkt = _allocate(policy, problem)
 
-        g = members.index(go_id)
-        # the horizon, as grouping.allocation_interval reads it off the GO's
-        # contact table: the smallest estimated PCD to any other member
-        airtime = float(np.delete(d.est_pcd[g], g).min())
-        mode = select_transmission_mode(len(members))
+            round_len = t1 - t0
+            ideal_problem = BargainingProblem(airtime=round_len, upload_rates=nominal, **columns)
+            ideal_alloc, _ = _allocate(policy, ideal_problem)
+            if policy == "gsa":
+                gnbs_ideal = ideal_alloc
+            else:
+                gnbs_ideal, _ = gnbs_allocate(ideal_problem)
 
-        # The round's two problems as member columns: the GO and a unicast
-        # pair upload nothing, and clients of a GO lose what the loss draw says.
-        alphas = np.array([n.alpha for n in nodes])
-        alphas[g] *= scenario.go_alpha_factor
-        if mode == MODE_UNICAST_PAIR:
-            upload = nominal = np.full(len(members), math.inf)
-        else:
-            nominal = np.array([n.upload_mbps for n in nodes])
-            nominal[g] = math.inf
-            upload = nominal if d.loss is None else effective_upload_rate(nominal, np.array(d.loss))
-        columns = dict(broadcast_rate=rate, ids=members, data_sizes=loads, raw_alphas=alphas, go=g)
-        problem = BargainingProblem(airtime=airtime, upload_rates=upload, **columns)
-        allocation, kkt = _allocate(policy, problem)
-
-        round_len = t1 - t0
-        ideal_problem = BargainingProblem(airtime=round_len, upload_rates=nominal, **columns)
-        ideal_alloc, _ = _allocate(policy, ideal_problem)
-        if policy == "gsa":
-            gnbs_ideal = ideal_alloc
-        else:
-            gnbs_ideal, _ = gnbs_allocate(ideal_problem)
-
-        idle = not problem.active
-        schedule = None
-        if not idle:
+            idle = not problem.active
+            schedule = None
+            realized = delivered = np.zeros(len(members))
             x = allocation.broadcast_time
             sel = (x > 1e-15).nonzero()[0]
-            if len(sel):
+            if not idle and len(sel):
                 actors = [members[k] for k in sel.tolist()]
                 sub = Allocation(x[sel], allocation.upload_time[sel], allocation.saturated)
-                try:
-                    whole, up, down = slot_sizes(sub, problem.betas[sel], scenario.t_slot_s)
-                    slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
-                    order = default_cycle_order(actors, go_id)
-                    schedule = build_schedule(slots, airtime, order, t_start=t0)
-                    schedule.slot_arrays    # built here, so that its ScheduleError names the round
-                except ScheduleError as e:
-                    raise ScheduleError(f"round {ridx} at {t0:g}s: {e}") from e
-
-        if schedule is None:
-            realized = {m: 0.0 for m in members}
-            delivered = {m: 0.0 for m in members}
-        else:
-            need = [load / rate for load in loads]
-            realized, delivered = _replay(schedule, t1, members, need, rate, d.rx_ok, transmitted, received)
+                _, up, down = slot_sizes(sub, problem.betas[sel], scenario.t_slot_s)
+                slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
+                schedule = build_schedule(slots, airtime, default_cycle_order(actors, go_id), t_start=t0)
+                sent, heard = transmitted[at], received[at]
+                realized, delivered = _replay(schedule, t1, members, np.array(loads) / rate, rate,
+                                              d.rx_ok, sent, heard)
+                transmitted[at], received[at] = sent, heard
+        except (NoGoCandidateError, ScheduleError) as e:
+            raise type(e)(f"round {ridx} at {t0:g}s: {e}") from e
 
         if idle:
             nash_real = nash_ideal = wpf = float("nan")
         else:
-            x_real = np.array([realized[m] for m in members])
-            real_alloc = Allocation(x_real, ideal_problem.betas * x_real, saturated=False)
+            real_alloc = Allocation(realized, ideal_problem.betas * realized, saturated=False)
             nash_real = nash_product(ideal_problem, real_alloc)
             nash_ideal = nash_product(ideal_problem, ideal_alloc)
             wpf = wpf_aggregate(ideal_problem, gnbs_ideal, real_alloc)
@@ -545,9 +523,9 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
             kkt=kkt,
             schedule=schedule,
             ideal_broadcast=dict(zip(members, ideal_alloc.broadcast_time.tolist())),
-            realized_broadcast=realized,
-            delivered_mb=delivered,
-            realized_rate={m: delivered[m] / round_len for m in members},
+            realized_broadcast=dict(zip(members, realized.tolist())),
+            delivered_mb=dict(zip(members, delivered.tolist())),
+            realized_rate=dict(zip(members, (delivered / round_len).tolist())),
             nash_realized=nash_real,
             nash_ideal=nash_ideal,
             wpf_vs_ideal=wpf,
@@ -566,8 +544,8 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         scenario=scenario,
         policy=policy,
         rounds=rounds,
-        transmitted_mb=transmitted,
-        received_mb=received,
+        transmitted_mb=dict(zip(ids, transmitted.tolist())),
+        received_mb=dict(zip(ids, received.tolist())),
         nash_product_realized=nash_real,
         nash_product_ideal=nash_ideal,
         wpf_aggregate_vs_ideal=wpf,

@@ -399,30 +399,31 @@ def reference_entries(pattern, interval: float, t_start: float) -> list[SlotEntr
     return entries
 
 
-def reference_replay(schedule, t1, members, need, rate, rx_ok, transmitted, received):
+def reference_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
     """Walk the schedule's slots one at a time; same contract as
     ``airfair.simulate._replay``."""
     col = {m: k for k, m in enumerate(members)}
-    need = {m: need[k] for k, m in enumerate(members)}
-    realized = {m: 0.0 for m in members}
-    delivered = {m: 0.0 for m in members}
+    need = np.array(need, dtype=float)
+    realized = np.zeros(len(members))
+    delivered = np.zeros(len(members))
     for entry in reference_entries(schedule.pattern, schedule.interval, schedule.t_start):
         if entry.start >= t1:
             break
         if entry.kind != "broadcast":
             continue
+        k = col[entry.node]
         take = min(entry.duration, t1 - entry.start)
-        use = min(take, need[entry.node])
+        use = min(take, need[k])
         if use <= 0:
             continue
-        need[entry.node] -= use
-        realized[entry.node] += use
+        need[k] -= use
+        realized[k] += use
         mb = use * rate
-        delivered[entry.node] += mb
-        transmitted[entry.node] += mb
-        for receiver in members:
-            if receiver != entry.node and rx_ok[col[receiver], col[entry.node]]:
-                received[receiver] += mb
+        delivered[k] += mb
+        sent[k] += mb
+        for r in range(len(members)):
+            if r != k and rx_ok[r, k]:
+                heard[r] += mb
     return realized, delivered
 
 

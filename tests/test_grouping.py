@@ -15,7 +15,6 @@ from airfair.grouping import (
     NoGoCandidateError,
     ScheduleError,
     SelfLeave,
-    allocation_interval,
     build_schedule,
     default_cycle_order,
     elect_go,
@@ -169,18 +168,6 @@ def test_elect_go_ignores_member_order():
     assert elect_go(ids, loads, hubs) == "d"
     assert elect_go(ids[::-1], loads[::-1], hubs[::-1]) == "d"
     assert elect_go(ids, [5.0, 5.0, 9.0, 1.0], hubs) == "a"
-
-
-def test_allocation_interval_is_min_pcd():
-    table = ContactTable(
-        "go",
-        (ContactEntry("a", 5.0, 1.0), ContactEntry("b", 8.0, 1.0), ContactEntry("c", 12.0, 1.0)),
-    )
-    assert allocation_interval(table, "go") == 5.0
-    with pytest.raises(ValueError):
-        allocation_interval(table, "a")
-    with pytest.raises(ValueError):
-        allocation_interval(ContactTable("go"), "go")
 
 
 def test_transmission_mode_by_group_size():

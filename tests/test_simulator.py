@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,7 +128,15 @@ def test_no_go_candidate_propagates():
         t_slot_s=0.02,
         connectivity=(("a", "b"), ("b", "c"), ("c", "d")),
     )
-    with pytest.raises(NoGoCandidateError):
+    with pytest.raises(NoGoCandidateError, match=r"^round 0 at 0s: no member reaches every other member$"):
+        run_scenario(scn)
+
+
+def test_schedule_error_names_the_round():
+    # 5 s basic slots make one table1 cycle longer than its 10 s horizon
+    scn = replace(preset_scenario("table1"), t_slot_s=5.0)
+    message = "round 0 at 0s: one cycle (35.000000s) exceeds the interval (10.000000s)"
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
         run_scenario(scn)
 
 
@@ -231,13 +240,28 @@ def test_replay_matches_slot_by_slot_walk(monkeypatch):
     assert errors <= 6    # most runs compare deliveries, not error messages
 
 
-def _names_perfbench_wraps() -> list[str]:
-    """The ``airfair.simulate`` names perfbench's traced pass replaces."""
+def _perfbench_targets() -> tuple[tuple[str, str, str], ...]:
+    """The (module, name, span) triples perfbench's traced pass wraps."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return sorted({name for module, name, _ in spans.TARGETS if module == "airfair.simulate"})
+    return spans.TARGETS
+
+
+def _names_perfbench_wraps() -> list[str]:
+    """The ``airfair.simulate`` names perfbench's traced pass replaces."""
+    return sorted({name for module, name, _ in _perfbench_targets() if module == "airfair.simulate"})
+
+
+def test_names_perfbench_wraps_exist():
+    """Every ``airfair`` name perfbench wraps resolves, so deleting one fails
+    here and not only in a traced benchmark run."""
+    targets = sorted({(module, name) for module, name, _ in _perfbench_targets() if module.startswith("airfair.")})
+    assert {"airfair.simulate", "airfair.cli", "airfair.scenario_io"} <= {module for module, _ in targets}
+    missing = [f"{module}.{name}" for module, name in targets
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_runs_unchanged_with_module_names_wrapped(monkeypatch):
