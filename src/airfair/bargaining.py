@@ -744,6 +744,18 @@ def _water_fill_allocation(problem: BargainingProblem, curves: _Curves) -> tuple
     return Allocation(x, problem.betas * x, saturated=False), s, iterations
 
 
+def _gnbs_solve(problem: BargainingProblem) -> tuple[Allocation, float, int]:
+    """The GNBS allocation without its certificate: the allocation, the
+    multiplier ``lam`` of its budget constraint and the root-find steps that
+    :func:`kkt_residuals` takes to certify it."""
+    if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
+        top = problem._curves.top
+        return _saturated_allocation(problem), 1.0 / top[-1] if len(top) else 0.0, 0
+
+    alloc, s, iterations = _water_fill_allocation(problem, problem._curves)
+    return alloc, 1.0 / s, iterations
+
+
 def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
     """Generalized Nash bargaining allocation of the airtime budget.
 
@@ -757,13 +769,13 @@ def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
     Halley's method and power players with a disagreement point by Newton's
     method.  The returned report certifies the KKT system of the
     log-product program.
-    """
-    if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
-        alloc, top = _saturated_allocation(problem), problem._curves.top
-        return alloc, kkt_residuals(problem, alloc, 1.0 / top[-1] if len(top) else 0.0)
 
-    alloc, s, iterations = _water_fill_allocation(problem, problem._curves)
-    return alloc, kkt_residuals(problem, alloc, 1.0 / s, iterations)
+    The solve and the certificate are separate steps: the simulator calls
+    the solve alone (:func:`_gnbs_solve`) for allocations that no report
+    certifies, and gets the same allocation this function returns.
+    """
+    alloc, lam, iterations = _gnbs_solve(problem)
+    return alloc, kkt_residuals(problem, alloc, lam, iterations)
 
 
 def _clipped_linear_allocate(problem: BargainingProblem, slope: np.ndarray) -> Allocation:

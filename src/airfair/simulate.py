@@ -17,7 +17,9 @@ id appear only in the round records and the report.
 A schedule is executed as an in-order replay over its slot arrays: the slots
 are cut at the true round end, each node's sends are capped at its queue,
 and every total is a running sum in slot order, so the results are the same
-floats as walking the slots one by one.
+floats as walking the slots one by one.  Receivers' totals are summed a
+block of cycles at a time, so the replay's memory follows the slot count,
+not group size times slot count.
 
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
@@ -29,6 +31,18 @@ and the normal draws are read (see :mod:`airfair.streams`).  Draws
 depend on neither the policy nor the slot size, so policy comparison and
 slot-size sweeps derive them once and share them.
 
+Whoever derives a set of draws also keeps one round cache for the runs on
+them.  A round's two bargaining problems, its GNBS reference and each
+policy's allocations depend only on the draws, the round's loads and its
+GO, so they are keyed by (round index, GO index, the exact bits of the
+loads), built on the first run that reaches the round with those loads and
+reused by the others: every round up to the first traffic round is solved
+once for all policies and slot sizes.  A hit returns the very floats a
+fresh solve would, so every report stays bit-identical, and runs still go
+in their old order, so errors do too.  Only gsa's allocation of the
+estimated problem is certified; the reference and the ideal allocations
+are solved without a KKT certificate that no report would keep.
+
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal
 rates, and the bargaining optimum used as the fairness reference.
@@ -38,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +61,7 @@ from .bargaining import (
     Allocation,
     BargainingProblem,
     KktReport,
+    _gnbs_solve,
     eql_allocate,
     gnbs_allocate,
     nash_product,
@@ -280,6 +296,16 @@ def _word_rows(purpose: int, r: int, *nodes: np.ndarray) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=128)
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The member pairs (i, j), i < j, of a round of ``size`` members in
+    ``np.triu_indices`` order, read-only and built once per size."""
+    pairs = np.triu_indices(size, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     """The span, members and draws of every round with at least two members.
 
@@ -309,7 +335,7 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     model, loss_model = scenario.pcd_error, scenario.loss
     loss: list = [None] * len(spans)
     if spans and (model is not None or loss_model is not None):
-        pairs = [np.triu_indices(len(members), 1) for _, _, members in spans]
+        pairs = [_pairs(len(members)) for _, _, members in spans]
         pcd_rows, loss_rows, rx_rows = [], [], []
         for r, ((_, _, members), (i, j), ok) in enumerate(zip(spans, pairs, rx_ok)):
             crc = np.array([part_key(m) for m in members], np.uint32)
@@ -357,15 +383,67 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
             for r, (t0, t1, members) in enumerate(spans)]
 
 
-def _allocate(policy: str, problem: BargainingProblem) -> tuple[Allocation, KktReport | None]:
+@dataclass(eq=False)
+class _RoundSolve:
+    """A round's bargaining work for one GO and one set of member loads.
+
+    Everything here follows from the round's draws, its loads and its GO,
+    so runs of one scenario on one set of draws that reach the round with
+    the same loads and GO share it.  The round records of all those runs
+    hold the same two problems, whose arrays are made read-only.
+    ``policies`` maps a policy to its allocation, its certificate (gsa only)
+    and its allocation of the ideal problem; the reference is solved
+    without a certificate, since no report holds one for it.
+    """
+
+    problem: BargainingProblem          # estimated horizon, loss-adjusted rates
+    ideal_problem: BargainingProblem    # true round length, nominal rates
+    reference: Allocation               # the GNBS allocation of the ideal problem
+    policies: dict[str, tuple[Allocation, KktReport | None, Allocation]]
+
+
+#: (round index, GO index, the members' loads as raw float64 bytes) -> solve
+_RoundCache = dict[tuple[int, int, bytes], _RoundSolve]
+
+
+def _solve_round(scenario: Scenario, d: _RoundDraws, nodes: Sequence[ScenarioNode], loads: np.ndarray,
+                 g: int, mode: str) -> _RoundSolve:
+    """Build the round's two problems, as member columns, and solve the
+    GNBS reference.  The GO and a unicast pair upload nothing, and clients
+    of a GO lose what the loss draw says."""
+    # the horizon: the smallest estimated PCD from the GO to any other member
+    airtime = float(np.delete(d.est_pcd[g], g).min())
+    alphas = np.array([n.alpha for n in nodes])
+    alphas[g] *= scenario.go_alpha_factor
+    if mode == MODE_UNICAST_PAIR:
+        upload = nominal = np.full(len(nodes), math.inf)
+    else:
+        nominal = np.array([n.upload_mbps for n in nodes])
+        nominal[g] = math.inf
+        upload = nominal if d.loss is None else effective_upload_rate(nominal, d.loss)
+    columns = dict(broadcast_rate=scenario.broadcast_mbps, ids=d.members, data_sizes=loads,
+                   raw_alphas=alphas, go=g)
+    problem = BargainingProblem(airtime=airtime, upload_rates=upload, **columns)
+    ideal_problem = BargainingProblem(airtime=d.t1 - d.t0, upload_rates=nominal, **columns)
+    for shared in (problem, ideal_problem):     # in the records of every run that reaches the round
+        for value in vars(shared).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    return _RoundSolve(problem, ideal_problem, _gnbs_solve(ideal_problem)[0], {})
+
+
+def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport | None, Allocation]:
+    """The policy's allocation of the round, its certificate and its ideal
+    allocation.  gsa's ideal allocation is the reference."""
     if policy == "gsa":
-        alloc, report = gnbs_allocate(problem)
-        return alloc, report
-    if policy == "eql":
-        return eql_allocate(problem), None
-    if policy == "wtd":
-        return wtd_allocate(problem), None
-    raise ValueError(f"unknown policy {policy!r}")
+        allocation, kkt = gnbs_allocate(solved.problem)
+        return allocation, kkt, solved.reference
+    allocate = eql_allocate if policy == "eql" else wtd_allocate
+    return allocate(solved.problem), None, allocate(solved.ideal_problem)
+
+
+#: receiver-slot pairs that :func:`_replay` sums in one block
+_FOLD_BLOCK = 1 << 18
 
 
 def _fold(total, steps: np.ndarray):
@@ -414,12 +492,21 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     realized[sender], delivered[sender] = _fold(zeros, use), _fold(zeros, mb)
     sent[sender] = _fold(sent[sender], mb)
     # every receiver's slots in one running sum per row, from its prior
-    # total: a slot it does not hear adds an exact zero
-    steps = np.empty((len(members), 1 + mb.size))
-    steps[:, 0] = heard
-    np.multiply(np.tile(rx_ok[:, sender], (1, len(mb))), mb.ravel(), out=steps[:, 1:])
-    np.cumsum(steps, axis=1, out=steps)
-    heard[:] = steps[:, -1]
+    # total: a slot it does not hear adds an exact zero.  The rows are
+    # summed a block of cycles at a time, each block starting from the
+    # totals the last one reached, so the buffer holds about _FOLD_BLOCK
+    # numbers (at least one cycle's) whatever the group size and the
+    # schedule's length.
+    hear = rx_ok[:, None, sender]
+    per_block = max(1, _FOLD_BLOCK // hear.size)
+    buffer = np.empty(len(members) * min(len(mb), per_block) * len(sender))
+    for c in range(0, len(mb), per_block):
+        block = mb[c:c + per_block]
+        steps = buffer[:len(members) * block.size].reshape(len(members), block.size)
+        np.multiply(hear, block, out=steps.reshape(hear.shape[0], *block.shape))
+        steps[:, 0] += heard        # heard + the first slot, the sum's first addition
+        np.cumsum(steps, axis=1, out=steps)
+        heard[:] = steps[:, -1]
     return realized, delivered
 
 
@@ -430,15 +517,22 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
     least two members allocate and transmit.  Idle rounds (nothing queued)
     are recorded but excluded from the report-level metric averages.
     """
-    return _run(scenario, policy, _round_draws(scenario))
+    return _run(scenario, policy, _round_draws(scenario), {})
 
 
-def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
+def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws],
+         cache: _RoundCache) -> SimulationReport:
     """:func:`run_scenario` on the scenario's precomputed round draws.
 
-    Loads, the GO, its horizon and the bargaining reference depend
-    on what the policy delivered in earlier rounds, so they are derived
-    here.  A round's election or schedule error names the round.
+    Loads and the GO depend on what the policy delivered in earlier rounds,
+    so they are derived here.  A round's problems, GNBS reference and this
+    policy's allocations come from ``cache``, keyed by (round index, GO
+    index, the exact bits of the members' loads), and are added to it on a
+    miss.  Their other inputs (horizon, weights, upload and loss rates,
+    round length) follow from ``draws``, so one cache may serve every run on
+    ``draws`` of scenarios that differ at most in ``t_slot_s``, and a hit
+    gives the floats a fresh solve would.  A round's election or schedule
+    error names the round.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -457,31 +551,17 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         try:
             go_id = scenario.go if scenario.go in members else elect_go(members, loads, d.hubs)
             g = members.index(go_id)
-            # the horizon: the smallest estimated PCD from the GO to any other member
-            airtime = float(np.delete(d.est_pcd[g], g).min())
             mode = select_transmission_mode(len(members))
-
-            # The round's two problems as member columns: the GO and a unicast
-            # pair upload nothing, and clients of a GO lose what the loss draw says.
-            alphas = np.array([n.alpha for n in nodes])
-            alphas[g] *= scenario.go_alpha_factor
-            if mode == MODE_UNICAST_PAIR:
-                upload = nominal = np.full(len(members), math.inf)
-            else:
-                nominal = np.array([n.upload_mbps for n in nodes])
-                nominal[g] = math.inf
-                upload = nominal if d.loss is None else effective_upload_rate(nominal, d.loss)
-            columns = dict(broadcast_rate=rate, ids=members, data_sizes=loads, raw_alphas=alphas, go=g)
-            problem = BargainingProblem(airtime=airtime, upload_rates=upload, **columns)
-            allocation, kkt = _allocate(policy, problem)
-
-            round_len = t1 - t0
-            ideal_problem = BargainingProblem(airtime=round_len, upload_rates=nominal, **columns)
-            ideal_alloc, _ = _allocate(policy, ideal_problem)
-            if policy == "gsa":
-                gnbs_ideal = ideal_alloc
-            else:
-                gnbs_ideal, _ = gnbs_allocate(ideal_problem)
+            loads = np.array(loads)
+            key = (ridx, g, loads.tobytes())        # float bits: 0.0 and -0.0 differ
+            solved = cache.get(key)
+            if solved is None:
+                solved = cache[key] = _solve_round(scenario, d, nodes, loads, g, mode)
+            if policy not in solved.policies:
+                solved.policies[policy] = _allocate(policy, solved)
+            problem, ideal_problem, gnbs_ideal = solved.problem, solved.ideal_problem, solved.reference
+            allocation, kkt, ideal_alloc = solved.policies[policy]
+            airtime, round_len = problem.airtime, t1 - t0
 
             idle = not problem.active
             schedule = None
@@ -495,7 +575,7 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
                 slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
                 schedule = build_schedule(slots, airtime, default_cycle_order(actors, go_id), t_start=t0)
                 sent, heard = transmitted[at], received[at]
-                realized, delivered = _replay(schedule, t1, members, np.array(loads) / rate, rate,
+                realized, delivered = _replay(schedule, t1, members, loads / rate, rate,
                                               d.rx_ok, sent, heard)
                 transmitted[at], received[at] = sent, heard
         except (NoGoCandidateError, ScheduleError) as e:
@@ -580,18 +660,25 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
     Repetitions are paired: repetition r uses the same derived seed for every
     slot size, so differences across sizes isolate the slotting granularity.
     Returns (t_slot_s, mean wpf, stddev) per requested size.
+
+    Neither the draws nor the bargaining depend on the slot size, so each
+    repetition derives its draws once and keeps one round cache (see
+    :func:`_run`) for all sizes: a round that starts from the same loads at
+    several sizes, as the first traffic round always does, is solved and
+    certified once.  Sizes and repetitions run in the order of a loop over
+    sizes, so the first error raised is the one separate runs would raise.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     runs = []
     for r in range(repetitions):
         paired = replace(scenario, seed=derive_seed(scenario.seed, "sweep", r))
-        runs.append((paired, _round_draws(paired)))      # draws do not depend on the slot size
+        runs.append((paired, _round_draws(paired), {}))
     out = []
     for t_slot in t_slot_list:
         vals = [
-            _run(replace(paired, t_slot_s=float(t_slot)), "gsa", draws).wpf_aggregate_vs_ideal
-            for paired, draws in runs
+            _run(replace(paired, t_slot_s=float(t_slot)), "gsa", draws, cache).wpf_aggregate_vs_ideal
+            for paired, draws, cache in runs
         ]
         out.append((float(t_slot), float(np.mean(vals)), float(np.std(vals))))
     return out
@@ -599,9 +686,18 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
 
 def compare_policies(scenario: Scenario,
                      policies: Sequence[str] = POLICIES) -> dict[str, SimulationReport]:
-    """Run the same scenario once per policy, on one shared set of draws."""
-    draws = _round_draws(scenario)
-    return {p: _run(scenario, p, draws) for p in policies}
+    """Run the same scenario once per policy, on one shared set of draws.
+
+    The policies also share one round cache (see :func:`_run`).  Every round
+    up to the first traffic round poses the same problems to every policy,
+    and so does a later round in which the policies left the same loads
+    (every queue drained, say): its two problems are built and its GNBS
+    reference solved once, not once per policy.  Each report is the one a
+    separate :func:`run_scenario` returns, float for float, and policies
+    run in the order given.
+    """
+    draws, cache = _round_draws(scenario), {}
+    return {p: _run(scenario, p, draws, cache) for p in policies}
 
 
 def scale_contact_durations(scenario: Scenario, duration: float) -> Scenario:

@@ -23,6 +23,7 @@ stream in turn.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,13 +221,17 @@ def _words(n: int) -> list[int]:
     return words
 
 
+@lru_cache(maxsize=16)
 def _constants(init: int, mult: int, uses: int) -> np.ndarray:
     """The hash constant before each of ``uses`` successive ``hashmix``
-    calls and after the last, as a column."""
+    calls and after the last, as a read-only column built once per
+    length."""
     out = [init]
     for _ in range(uses):
         out.append(out[-1] * mult & _MASK32)
-    return np.array(out, np.uint32)[:, None]
+    column = np.array(out, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:

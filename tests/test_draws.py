@@ -6,7 +6,8 @@ a vectorized Philox4x64-10, and reads the uniform and normal draws off those
 words, the normals through the fast path of numpy's ziggurat.  These tests
 hold it to the numbers that building one SeedSequence and Philox per draw
 gives, pin the ziggurat tables to the installed numpy, and check that
-sharing the draws across policies and slot sizes changes no result.
+sharing the draws and the round cache across policies and slot sizes
+changes no result and does each distinct round's work once.
 """
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import support
-from airfair import simulate, streams
+from airfair import bargaining, simulate, streams
 from airfair.scenario_io import PRESETS, scenario_from_dict
 from airfair.simulate import (
     PCD_FLOOR,
@@ -107,6 +108,35 @@ SCENARIOS = {
     "crowd48": _crowd48_doc(),
     "restricted": _restricted_doc(),
     "non-ascii": _non_ascii_doc(),
+}
+
+
+def _drained_doc():
+    """Every queue fits its first traffic round, so every policy drains it
+    and later rounds start from the same loads under every policy."""
+    return {
+        "nodes": [
+            {"id": "a", "join_s": 0.0, "leave_s": 8.0, "data_mb": 2.0},
+            {"id": "b", "join_s": 0.0, "leave_s": 16.0, "data_mb": 3.0},
+            {"id": "c", "join_s": 4.0, "leave_s": 20.0, "data_mb": 1.5},
+            {"id": "d", "join_s": 12.0, "leave_s": 20.0, "data_mb": 1.0},
+        ],
+        "broadcast_mbps": 11.0,
+        "t_slot_ms": 20.0,
+        "loss": LOSS,
+        "pcd_error": PCD_ERROR,
+        "seed": 21,
+    }
+
+
+#: documents that take the policies' shared rounds down other paths: a GO
+#: pinned while present and elected after it leaves, rounds shared after
+#: the first traffic round, and a node with nothing queued
+SHARED_ROUNDS = {
+    "pinned-go": {**SCENARIOS["dynamic4"], "go": "n2", "seed": 4},
+    "drained": _drained_doc(),
+    "zero-load": {**SCENARIOS["table1"],
+                  "nodes": [{**n, "data_mb": 0.0} if n["id"] == "n2" else n for n in PRESETS["table1"]["nodes"]]},
 }
 
 
@@ -362,11 +392,11 @@ def test_key_batches_per_scenario(monkeypatch, noise, batches):
     assert passes == sizes          # one Philox pass over every key of the batch
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(SHARED_ROUNDS))
 def test_compare_policies_matches_separate_runs(name):
     """Policies that share one set of draws report exactly what separate
     runs report: no policy leaves state behind for the next."""
-    scenario = scenario_from_dict(SCENARIOS[name])
+    scenario = scenario_from_dict({**SCENARIOS, **SHARED_ROUNDS}[name])
     alone = {p: support.exact_bits(run_scenario(scenario, p)) for p in POLICIES}
     for order in (POLICIES, POLICIES[::-1]):
         shared = compare_policies(scenario, order)
@@ -394,3 +424,70 @@ def test_slot_size_sweep_reuses_draws(monkeypatch):
     assert [(t, m.hex(), s.hex()) for t, m, s in rows] == [
         (t, float(np.mean(v)).hex(), float(np.std(v)).hex()) for t, v in zip(sizes, separate)
     ]
+
+
+def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
+    """On a multi-round document, where later rounds reach the round cache
+    from loads that differ by slot size, every run of the sweep reports
+    exactly what a separate run on the paired seed reports."""
+    scenario = scenario_from_dict(SCENARIOS["dynamic4"])
+    sizes, reps = [0.02, 0.05, 0.1], 4
+    separate = [
+        support.exact_bits(run_scenario(replace(scenario, t_slot_s=t, seed=derive_seed(scenario.seed, "sweep", r))))
+        for t in sizes for r in range(reps)
+    ]
+    reports = []
+    run = simulate._run
+    monkeypatch.setattr(simulate, "_run", lambda *args: reports.append(run(*args)) or reports[-1])
+    slot_size_sweep(scenario, sizes, repetitions=reps)
+    assert [support.exact_bits(r) for r in reports] == separate
+    assert len({id(r.rounds[0].problem) for r in reports}) == reps     # round 0 solved once per repetition
+
+
+def _count_round_work(monkeypatch) -> dict[str, list]:
+    """Record every problem the simulator builds, every problem a GNBS
+    solve runs on, and every problem a certificate is computed for."""
+    work = {"built": [], "solved": [], "certified": []}
+    build, solve, certify = simulate.BargainingProblem, bargaining._gnbs_solve, bargaining.kkt_residuals
+
+    def built(*args, **kwargs):
+        work["built"].append(build(*args, **kwargs))
+        return work["built"][-1]
+
+    monkeypatch.setattr(simulate, "BargainingProblem", built)
+    for module in (simulate, bargaining):
+        monkeypatch.setattr(module, "_gnbs_solve", lambda problem: work["solved"].append(problem) or solve(problem))
+    monkeypatch.setattr(bargaining, "kkt_residuals",
+                        lambda problem, *args: work["certified"].append(problem) or certify(problem, *args))
+    return work
+
+
+def test_compare_policies_solves_each_round_once(monkeypatch):
+    """On one-round table1 the three policies share the round's two
+    problems and its GNBS reference, and only gsa's allocation is
+    certified; rounds that the policies reach with the same loads are
+    shared after the first traffic round too."""
+    work = _count_round_work(monkeypatch)
+    reports = compare_policies(scenario_from_dict(SCENARIOS["table1"]))
+    first = reports["gsa"].rounds[0]
+    assert [len(r.rounds) for r in reports.values()] == [1, 1, 1]
+    assert all(r.rounds[0].problem is first.problem and r.rounds[0].ideal_problem is first.ideal_problem
+               for r in reports.values())
+    assert len(work["built"]) == 2
+    assert sorted(map(id, work["solved"])) == sorted(map(id, (first.problem, first.ideal_problem)))
+    assert work["certified"] == [first.problem]
+
+    work["built"].clear()
+    reports = compare_policies(scenario_from_dict(SHARED_ROUNDS["drained"]))
+    assert len(work["built"]) == 2 * len(reports["gsa"].rounds) == 10
+
+
+def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):
+    """k slot sizes and r repetitions of one-round table1 solve and certify
+    the round r times, not k * r times."""
+    work = _count_round_work(monkeypatch)
+    sizes, reps = [0.005, 0.02, 0.05], 2
+    slot_size_sweep(scenario_from_dict(SCENARIOS["table1"]), sizes, repetitions=reps)
+    assert len(work["built"]) == 2 * reps
+    assert len(work["solved"]) == 2 * reps       # gsa's allocation and the reference
+    assert len(work["certified"]) == reps

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,13 @@ import pytest
 
 import support
 from airfair import simulate
-from airfair.grouping import MODE_GO_COORDINATED, MODE_UNICAST_PAIR, NoGoCandidateError, ScheduleError
+from airfair.grouping import (
+    MODE_GO_COORDINATED,
+    MODE_UNICAST_PAIR,
+    NoGoCandidateError,
+    ScheduleError,
+    build_schedule,
+)
 from airfair.scenario_io import PRESETS, preset_scenario, scenario_from_dict
 from airfair.simulate import (
     LossModel,
@@ -238,6 +245,55 @@ def test_replay_matches_slot_by_slot_walk(monkeypatch):
                                      "after" if horizon_end > r.t_end else "at")
     assert horizons == {"before", "at", "after"}   # estimated horizon vs true round end
     assert errors <= 6    # most runs compare deliveries, not error messages
+
+
+def _replay_bits(schedule, need, rx_ok, heard):
+    members = [node for node, kind, _ in schedule.pattern if kind == "broadcast"]
+    sent, heard = np.linspace(0.0, 3.0, len(members)), np.array(heard, dtype=float)
+    realized, delivered = simulate._replay(schedule, schedule.t_start + 0.7 * schedule.interval, members,
+                                           need, 11.0, rx_ok, sent, heard)
+    return [support.float_bits(a) for a in (realized, delivered, sent, heard)]
+
+
+def test_receiver_fold_blocks_match_one_pass(monkeypatch):
+    """Folding receivers a block of cycles at a time, blocks that do not
+    divide the schedule included, gives the floats of one pass and of the
+    slot-by-slot walk."""
+    rng = np.random.default_rng(8)
+    members = [f"m{k}" for k in range(7)]
+    slots = {m: (0.0 if k == 0 else 0.004 * k, 0.01 + 0.003 * k) for k, m in enumerate(members)}
+    schedule = build_schedule(slots, 40.0, members, t_start=2.5)
+    need = np.array([0.0, 1.0, 5.0, 30.0, 30.0, 0.2, 30.0])      # some queues drain, one is empty
+    rx_ok = rng.random((7, 7)) > 0.2
+    np.fill_diagonal(rx_ok, False)
+    heard = rng.random(7) * 9.0
+    one_pass = _replay_bits(schedule, need, rx_ok, heard)
+    monkeypatch.setattr(simulate, "_FOLD_BLOCK", 300)       # 6 of the 130 cycles per block, 4 in the last
+    assert _replay_bits(schedule, need, rx_ok, heard) == one_pass
+    monkeypatch.setattr(simulate, "_FOLD_BLOCK", 1)         # one cycle per block
+    assert _replay_bits(schedule, need, rx_ok, heard) == one_pass
+    monkeypatch.setattr(simulate, "_replay", support.reference_replay)
+    assert _replay_bits(schedule, need, rx_ok, heard) == one_pass
+
+
+def test_receiver_fold_memory_follows_slots_not_members():
+    """A 24-member round of over a million broadcast slots replays within
+    about a dozen numbers per slot; holding every receiver's slots at once
+    would take 24."""
+    members = [f"n{k:02d}" for k in range(24)]
+    schedule = build_schedule({m: (0.0, 1e-3) for m in members}, 24 * 44_000 * 1e-3, members)
+    starts, _ = schedule.slot_arrays
+    assert len(starts) > 1_000_000
+    sent, heard = np.zeros(24), np.zeros(24)
+    tracemalloc.start()
+    try:
+        simulate._replay(schedule, schedule.interval, members, np.full(24, 1e9), 11.0,
+                         ~np.eye(24, dtype=bool), sent, heard)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * len(starts)
+    assert heard.min() > 0.0
 
 
 def _perfbench_targets() -> tuple[tuple[str, str, str], ...]:
