@@ -16,7 +16,8 @@ cycle repeats until the interval ends, truncating the final cycle mid-slot.
 Slot widths scale a basic slot so that every node's whole-slot share matches
 its allocated share of channel time.  A :class:`Schedule` stores only the
 cycle; its slots are derived on demand, as arrays from one running sum over
-the repeated cycle, or as :class:`SlotEntry` objects for printing.
+the repeated cycle, as lists of the same floats for the slots before a
+given time, or as :class:`SlotEntry` objects for printing.
 """
 
 from __future__ import annotations
@@ -254,8 +255,11 @@ class Schedule:
     Only the cycle ``pattern`` of (node, kind, seconds) legs, the interval,
     the cycle length and the start time are stored.  The slots themselves
     are derived on demand: :attr:`slot_arrays` gives them as arrays for the
-    simulator's replay, and :attr:`entries` as :class:`SlotEntry` objects for
-    printing and inspection.
+    simulator's replay of long rounds, :meth:`slots_before` the ones that
+    start before a time as lists for its replay of short rounds, and
+    :attr:`entries` as :class:`SlotEntry` objects for printing and
+    inspection.  The slot rules live in :attr:`slot_arrays` and
+    :meth:`slots_before` alone.
     """
 
     pattern: tuple[tuple[str, str, float], ...]
@@ -299,6 +303,40 @@ class Schedule:
         durations = tiled[:n + 1]
         durations[n] = end - starts[n]
         return starts[:n + 1], durations
+
+    def slots_before(self, t: float, most: int) -> tuple[list[float], list[float]] | None:
+        """Start and duration of every slot that starts before ``t``, as
+        lists of the floats :attr:`slot_arrays` holds; or None when that
+        may be more than ``most`` slots.
+
+        The slots are walked one at a time by the rules of
+        :attr:`slot_arrays`: each start adds the previous leg to the
+        previous start, and the walk stops at the first start within
+        1e-12 s of the interval's end or after the first leg that overruns
+        it, cut to end there.  The count is bounded, before and while
+        walking, by the whole cycles that fit before ``t`` or the end plus
+        two (the cut cycle and one for rounding), so a schedule whose starts
+        stop advancing gives None instead of a walk without end.
+        """
+        end = self.t_start + self.interval
+        cycles = int((min(t, end) - self.t_start) // self.cycle_length) + 2
+        if cycles * len(self.pattern) > most:
+            return None
+        legs = [dur for _, _, dur in self.pattern]
+        stop = min(t, end - 1e-12)
+        starts, durations = [], []
+        start = self.t_start
+        for _ in range(cycles):
+            for dur in legs:
+                if not start < stop:
+                    return starts, durations
+                starts.append(start)
+                if dur > end - start:
+                    durations.append(end - start)
+                    return starts, durations
+                durations.append(dur)
+                start += dur
+        return (starts, durations) if not start < stop else None
 
     @cached_property
     def entries(self) -> tuple[SlotEntry, ...]:

@@ -14,12 +14,16 @@ is still queued.  Those running totals are arrays in scenario node order that
 each round reads and adds to at its members' positions; dicts keyed by node
 id appear only in the round records and the report.
 
-A schedule is executed as an in-order replay over its slot arrays: the slots
-are cut at the true round end, each node's sends are capped at its queue,
-and every total is a running sum in slot order, so the results are the same
-floats as walking the slots one by one.  Receivers' totals are summed a
-block of cycles at a time, so the replay's memory follows the slot count,
-not group size times slot count.
+A schedule is executed as an in-order replay: the slots are cut at the true
+round end, each node's sends are capped at its queue, and every total adds
+one slot at a time in slot order.  The replay takes one of two forms, chosen
+by the round's size (the slots that may start before its end, times its
+members plus 4).  A short round, as most of a short contact's are, is walked
+slot by slot in Python floats; a long one is folded as running sums over the
+slot arrays, a block of cycles at a time, so its memory follows the slot
+count, not group size times slot count.  Both forms carry out the same
+single IEEE operations on every total in the same order, the fold adding
+exact zeros where the walk adds nothing, so they give the same floats.
 
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
@@ -50,6 +54,7 @@ rates, and the bargaining optimum used as the fairness reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -442,14 +447,14 @@ def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport |
     return allocate(solved.problem), None, allocate(solved.ideal_problem)
 
 
-#: receiver-slot pairs that :func:`_replay` sums in one block
+#: a round is walked slot by slot while the slots that may start before
+#: its true end, times its members plus 4, are at most this many; past it
+#: the array fold is faster (the two took equal time at about this size on
+#: rounds of 2-6 members)
+_WALK_WORK = 2000
+
+#: receiver-slot pairs that :func:`_fold_replay` sums in one block
 _FOLD_BLOCK = 1 << 18
-
-
-def _fold(total, steps: np.ndarray):
-    """``total`` plus ``steps[0]``, ``steps[1]``, ... added one at a time
-    (column by column when ``steps`` is 2-D)."""
-    return np.cumsum(np.concatenate(([total], steps)), axis=0)[-1]
 
 
 def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray,
@@ -463,6 +468,69 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     only relay.  ``rx_ok[r, s]`` tells whether member r receives member s.
     Returns the realized broadcast seconds and the delivered megabits, and
     adds what each member sent to ``sent`` and what it heard to ``heard``.
+
+    A short round is walked slot by slot in Python floats (:func:`_walk`)
+    over :meth:`Schedule.slots_before`, without building the slot arrays.
+    A round whose slots that may start before ``t1``, times its members
+    plus 4, exceed :data:`_WALK_WORK` is folded as arrays
+    (:func:`_fold_replay`).  So is a round whose starts stop advancing: the
+    listing gives up on it once it passes its bound, and the slot arrays
+    raise :class:`ScheduleError`.  Both forms give the same floats.
+    """
+    slots = schedule.slots_before(t1, _WALK_WORK // (len(members) + 4))
+    if slots is None:
+        return _fold_replay(schedule, t1, members, need, rate, rx_ok, sent, heard)
+    return _walk(schedule.pattern, slots, t1, members, need, rate, rx_ok, sent, heard)
+
+
+def _walk(pattern: Sequence[tuple[str, str, float]], slots: tuple[list[float], list[float]],
+          t1: float, members: Sequence[str], need: np.ndarray, rate: float, rx_ok: np.ndarray,
+          sent: np.ndarray, heard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_replay` over ``slots``, the (starts, durations) lists of
+    :meth:`Schedule.slots_before`, one slot at a time in Python floats.
+
+    Each total goes through the same single IEEE operations as in the array
+    form, in the same order: ``min(duration, t1 - start)``, ``left - take``,
+    the drain test ``take >= left``, ``use * rate`` and one addition per
+    slot, a receiver's only for the senders its ``rx_ok`` row hears.  The
+    array form's other additions are exact zeros, which leave a total
+    unchanged (no total is ever -0.0).  CPython does each of these as one
+    rounded operation, so the floats match the array form's bit for bit.
+    """
+    heard_by = rx_ok.T.tolist()     # heard_by[s][r]: member r receives member s
+    plan = []                       # per leg: None for an upload, else the sender and who hears it
+    for node, kind, _ in pattern:
+        s = members.index(node)
+        plan.append((s, [r for r, ok in enumerate(heard_by[s]) if ok]) if kind == "broadcast" else None)
+    left = need.tolist()            # queue seconds; None once drained
+    realized, delivered = [0.0] * len(members), [0.0] * len(members)
+    sent_mb, heard_mb = sent.tolist(), heard.tolist()
+    for leg, start, duration in zip(itertools.cycle(plan), *slots):
+        if leg is None or left[leg[0]] is None:
+            continue
+        s, listeners = leg
+        take = t1 - start
+        if duration < take:
+            take = duration
+        if take >= left[s]:
+            use, left[s] = left[s], None
+        else:
+            use = take
+            left[s] -= take
+        mb = use * rate
+        realized[s] += use
+        delivered[s] += mb
+        sent_mb[s] += mb
+        for r in listeners:
+            heard_mb[r] += mb
+    sent[:], heard[:] = sent_mb, heard_mb
+    return np.array(realized), np.array(delivered)
+
+
+def _fold_replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray,
+                 rate: float, rx_ok: np.ndarray, sent: np.ndarray,
+                 heard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_replay` over the schedule's slot arrays.
 
     The slots are laid out as one row per cycle and one column per leg.
     Every total is a running sum in slot order that starts from its prior
@@ -487,26 +555,30 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     use = np.where(cycle < last, take, np.where(cycle == last, left, 0.0))
     mb = use * rate
 
-    zeros = np.zeros(len(sender))
-    realized, delivered = np.zeros(len(members)), np.zeros(len(members))
-    realized[sender], delivered[sender] = _fold(zeros, use), _fold(zeros, mb)
-    sent[sender] = _fold(sent[sender], mb)
-    # every receiver's slots in one running sum per row, from its prior
-    # total: a slot it does not hear adds an exact zero.  The rows are
-    # summed a block of cycles at a time, each block starting from the
-    # totals the last one reached, so the buffer holds about _FOLD_BLOCK
-    # numbers (at least one cycle's) whatever the group size and the
-    # schedule's length.
+    # Every total is summed a block of cycles at a time, each block starting
+    # from the totals the last one reached: first the senders' realized,
+    # delivered and sent, then every receiver's slots, in which a slot it
+    # does not hear adds an exact zero.  Both use one buffer of about
+    # _FOLD_BLOCK numbers (at least one cycle's) whatever the group size and
+    # the schedule's length; a fresh array per block costs page faults.
+    totals = np.zeros((3, len(sender)))
+    totals[2] = sent[sender]
     hear = rx_ok[:, None, sender]
     per_block = max(1, _FOLD_BLOCK // hear.size)
-    buffer = np.empty(len(members) * min(len(mb), per_block) * len(sender))
+    buffer = np.empty(max(len(members), 3) * min(len(mb), per_block) * len(sender))
     for c in range(0, len(mb), per_block):
         block = mb[c:c + per_block]
+        own = buffer[:3 * block.size].reshape(3, *block.shape)
+        own[0], own[1], own[2] = use[c:c + per_block], block, block
+        own[:, 0] += totals         # each total + its first slot, the sum's first addition
+        totals = np.cumsum(own, axis=1, out=own)[:, -1].copy()
         steps = buffer[:len(members) * block.size].reshape(len(members), block.size)
         np.multiply(hear, block, out=steps.reshape(hear.shape[0], *block.shape))
         steps[:, 0] += heard        # heard + the first slot, the sum's first addition
         np.cumsum(steps, axis=1, out=steps)
         heard[:] = steps[:, -1]
+    realized, delivered = np.zeros(len(members)), np.zeros(len(members))
+    realized[sender], delivered[sender], sent[sender] = totals
     return realized, delivered
 
 

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from airfair import cli
+from airfair import cli, simulate
 from airfair.bargaining import InfeasibleProblemError
-from airfair.grouping import MAX_SLOTS, ScheduleError
+from airfair.grouping import MAX_SLOTS, Schedule, ScheduleError
 from airfair.scenario_io import PRESETS
 
 
@@ -177,6 +177,24 @@ def test_slots_below_the_float_spacing_raise_schedule_error(tmp_path):
     with pytest.raises(ScheduleError, match=r"round 0 at 1e\+15s: .*do not reach the interval's end"):
         cli.main(["compare", "--scenario", scenario, "--durations", "10", "--reps", "1"])
     assert time.perf_counter() - start < 1.0
+
+
+def test_stalled_slots_hand_the_walk_to_the_slot_arrays(tmp_path, monkeypatch):
+    # a round the replay would walk slot by slot: the walk stops once its
+    # starts no longer advance, and the slot arrays raise today's error
+    argv = ["compare", "--scenario", _table1_file(tmp_path, {}, join_s=1e15, leave_s=1e15 + 10),
+            "--durations", "10", "--reps", "1"]
+    with pytest.raises(ScheduleError) as folded:
+        cli.main(argv)
+    monkeypatch.setattr(simulate, "_WALK_WORK", 1 << 62)
+    listed, slots_before = [], Schedule.slots_before
+    monkeypatch.setattr(Schedule, "slots_before", lambda self, *a: listed.append(slots_before(self, *a)) or listed[-1])
+    start = time.perf_counter()
+    with pytest.raises(ScheduleError) as walked:
+        cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert listed == [None]
+    assert str(walked.value) == str(folded.value)
 
 
 _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"

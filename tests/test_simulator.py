@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import math
 import re
@@ -5,11 +6,14 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import support
 from airfair import simulate
+from airfair.bargaining import left_sum
 from airfair.grouping import (
     MODE_GO_COORDINATED,
     MODE_UNICAST_PAIR,
@@ -213,9 +217,29 @@ def _run_or_error(scenario, policy):
         return str(e)
 
 
-def test_replay_matches_slot_by_slot_walk(monkeypatch):
-    """The array replay gives exactly the floats of walking every slot:
-    realized and delivered per round, transmitted and received per node."""
+#: the crossover that sends every round to one of the replay's two forms
+_FORMS = {"walk": 1 << 62, "fold": 0}
+
+
+def _force_form(monkeypatch, form: str) -> collections.Counter:
+    """Make ``_replay`` carry out every round in ``form``; the returned
+    counter tallies the rounds each form carried out."""
+    monkeypatch.setattr(simulate, "_WALK_WORK", _FORMS[form])
+    ran = collections.Counter()
+    for name, key in (("_walk", "walk"), ("_fold_replay", "fold")):
+        def counted(*args, _form=getattr(simulate, name), _key=key):
+            ran[_key] += 1
+            return _form(*args)
+        monkeypatch.setattr(simulate, name, counted)
+    return ran
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_replay_matches_slot_by_slot_walk(monkeypatch, form):
+    """Either form of the replay gives exactly the floats of walking every
+    slot: realized and delivered per round, transmitted and received per
+    node."""
+    ran = _force_form(monkeypatch, form)
     noisy_table1 = {**PRESETS["table1"], "loss": {"lo": 0.0, "hi": 0.1}, "pcd_error": {"stddev": 1.0}}
     # (contact seconds, basic slot seconds)
     grid = [(40.0, 0.001), (3.0, 0.1), (17.0, 0.005), (8.0, 0.02), (25.0, 0.05), (5.0, 0.002)]
@@ -245,6 +269,7 @@ def test_replay_matches_slot_by_slot_walk(monkeypatch):
                                      "after" if horizon_end > r.t_end else "at")
     assert horizons == {"before", "at", "after"}   # estimated horizon vs true round end
     assert errors <= 6    # most runs compare deliveries, not error messages
+    assert ran[form] > 0 and set(ran) == {form}
 
 
 def _replay_bits(schedule, need, rx_ok, heard):
@@ -255,10 +280,12 @@ def _replay_bits(schedule, need, rx_ok, heard):
     return [support.float_bits(a) for a in (realized, delivered, sent, heard)]
 
 
-def test_receiver_fold_blocks_match_one_pass(monkeypatch):
+@pytest.mark.parametrize("form", _FORMS)
+def test_receiver_fold_blocks_match_one_pass(monkeypatch, form):
     """Folding receivers a block of cycles at a time, blocks that do not
     divide the schedule included, gives the floats of one pass and of the
     slot-by-slot walk."""
+    ran = _force_form(monkeypatch, form)
     rng = np.random.default_rng(8)
     members = [f"m{k}" for k in range(7)]
     slots = {m: (0.0 if k == 0 else 0.004 * k, 0.01 + 0.003 * k) for k, m in enumerate(members)}
@@ -272,14 +299,62 @@ def test_receiver_fold_blocks_match_one_pass(monkeypatch):
     assert _replay_bits(schedule, need, rx_ok, heard) == one_pass
     monkeypatch.setattr(simulate, "_FOLD_BLOCK", 1)         # one cycle per block
     assert _replay_bits(schedule, need, rx_ok, heard) == one_pass
+    assert ran == {form: 3}
     monkeypatch.setattr(simulate, "_replay", support.reference_replay)
     assert _replay_bits(schedule, need, rx_ok, heard) == one_pass
 
 
+@st.composite
+def _rounds(draw):
+    """A schedule of 1-8 members with legs over four decades, some with
+    upload legs, the true round end before, at or after the interval's
+    end, and the replay's other arguments."""
+    members = [f"m{k}" for k in range(draw(st.integers(1, 8)))]
+    leg = st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e)
+    uploads = draw(st.booleans())
+    slots = {m: (draw(leg) if uploads and draw(st.booleans()) else 0.0, draw(leg)) for m in members}
+    cycle = left_sum(dur for legs in slots.values() for dur in legs)
+    cycles = draw(st.floats(1.0, 40.0))
+    t_start = draw(st.sampled_from([0.0, 7.25, 1234.567]))
+    schedule = build_schedule(slots, cycle * cycles * (1 + 1e-12), members, t_start=t_start)
+    end = t_start + schedule.interval
+    t1 = draw(st.sampled_from([t_start + draw(st.floats(1e-6, 1.0)) * schedule.interval, end,
+                               end + draw(st.floats(1e-9, 5.0))]))
+    # each queue is empty, drains partway through or never drains
+    need = [draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0)) * cycles * slots[m][1], 1e9])) for m in members]
+    rx_ok = np.array([[r != s and draw(st.booleans()) for s in members] for r in members])
+    prior = st.floats(0.0, 100.0)
+    sent, heard = [draw(prior) for _ in members], [draw(prior) for _ in members]
+    return schedule, t1, members, np.array(need), draw(st.floats(0.5, 100.0)), rx_ok, sent, heard
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_rounds())
+def test_replay_forms_match_slot_by_slot_reference(case):
+    """The walk over :meth:`Schedule.slots_before`, the array fold and
+    ``support.reference_replay`` give the same floats, and the listed slots
+    are the slot arrays' slots that start before the round end."""
+    schedule, t1, members, need, rate, rx_ok, sent, heard = case
+    slots = schedule.slots_before(t1, 1 << 62)
+    assert slots is not None
+    starts, durations = schedule.slot_arrays
+    before = starts < t1
+    assert [support.float_bits(v) for v in slots] == [support.float_bits(starts[before]),
+                                                       support.float_bits(durations[before])]
+    results = []
+    for replay in (lambda *a: simulate._walk(schedule.pattern, slots, *a),
+                   lambda *a: simulate._fold_replay(schedule, *a),
+                   lambda *a: support.reference_replay(schedule, *a)):
+        totals = np.array(sent), np.array(heard)
+        realized, delivered = replay(t1, members, need, rate, rx_ok, *totals)
+        results.append([support.float_bits(v) for v in (realized, delivered, *totals)])
+    assert results[0] == results[1] == results[2]
+
+
 def test_receiver_fold_memory_follows_slots_not_members():
     """A 24-member round of over a million broadcast slots replays within
-    about a dozen numbers per slot; holding every receiver's slots at once
-    would take 24."""
+    six numbers per slot: holding every receiver's slots at once would take
+    24, and slot-sized running sums of the senders' totals took over 7."""
     members = [f"n{k:02d}" for k in range(24)]
     schedule = build_schedule({m: (0.0, 1e-3) for m in members}, 24 * 44_000 * 1e-3, members)
     starts, _ = schedule.slot_arrays
@@ -292,7 +367,7 @@ def test_receiver_fold_memory_follows_slots_not_members():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 8 * len(starts)
+    assert peak < 6 * 8 * len(starts)
     assert heard.min() > 0.0
 
 
