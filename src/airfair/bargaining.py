@@ -257,7 +257,8 @@ class BargainingProblem:
     (``active`` lists the indices that take part).  Construction rejects
     problems where no allocation strictly beats every active player's
     disagreement outcome.  ``players`` and ``utilities`` are views built on
-    first use.
+    first use.  The column arrays are read-only, since the level curves
+    are derived from them once.
     """
 
     ids: tuple[str, ...]
@@ -360,6 +361,8 @@ class BargainingProblem:
             self._base_values = _utility_values(self._active, self._active.d)
         else:
             self._base_values = None
+        for column in (data, upload, raw, d, self.kinds, self.coeffs, self.alphas, self.betas, caps):
+            column.setflags(write=False)
 
     def _validate_feasibility(self):
         act = self._active

@@ -6,8 +6,9 @@ CSV reports to a directory), ``compare`` (realized Nash products per policy
 over contact durations), ``sweep`` (fairness aggregate per basic slot size),
 ``converge`` (running-average Nash product over repeated noisy contacts).
 
-Exit codes: 0 on success, 2 for argument or scenario-schema problems, 3
-when the allocation problem is infeasible.
+Exit codes: 0 on success, 2 for argument or scenario-schema problems and
+for a scenario file or ``simulate --out`` directory that cannot be read or
+written, 3 when the allocation problem is infeasible.
 """
 
 from __future__ import annotations
@@ -133,30 +134,30 @@ def cmd_simulate(args) -> int:
     scenario = _load(args)
     report = run_scenario(scenario, policy=args.policy)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    lines = ["round,start_s,end_s,mode,go_id,members,airtime_s,nash_realized,nash_ideal,wpf_vs_ideal"]
+    rounds = ["round,start_s,end_s,mode,go_id,members,airtime_s,nash_realized,nash_ideal,wpf_vs_ideal"]
     for r in report.rounds:
-        lines.append(
+        rounds.append(
             f"{r.index},{r.t_start:.6f},{r.t_end:.6f},{r.mode},{r.go_id},"
             f"{';'.join(r.members)},{r.airtime:.6f},"
             f"{r.nash_realized:.6f},{r.nash_ideal:.6f},{r.wpf_vs_ideal:.6f}"
         )
-    (out / "rounds.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["node_id,transmitted_mb,received_mb"]
+    delivery = ["node_id,transmitted_mb,received_mb"]
     for node_id in sorted(report.transmitted_mb):
-        lines.append(f"{node_id},{report.transmitted_mb[node_id]:.6f},{report.received_mb[node_id]:.6f}")
-    (out / "delivery.csv").write_text("\n".join(lines) + "\n")
-
-    lines = [
+        delivery.append(f"{node_id},{report.transmitted_mb[node_id]:.6f},{report.received_mb[node_id]:.6f}")
+    metrics = [
         "metric,value",
         f"rounds,{len(report.rounds)}",
         f"nash_product_realized,{report.nash_product_realized:.6f}",
         f"nash_product_ideal,{report.nash_product_ideal:.6f}",
         f"wpf_aggregate_vs_ideal,{report.wpf_aggregate_vs_ideal:.6f}",
     ]
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, lines in (("rounds.csv", rounds), ("delivery.csv", delivery), ("metrics.csv", metrics)):
+            (out / name).write_text("\n".join(lines) + "\n")
+    except OSError as e:
+        raise SchemaError(f"cannot write reports: {e}") from e
 
     for rnd in report.rounds:
         print(f"round {rnd.index}: ({rnd.t_start:g}, {rnd.t_end:g}]s  mode={rnd.mode}  "

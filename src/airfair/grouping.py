@@ -269,8 +269,8 @@ class Schedule:
 
     @cached_property
     def slot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and duration of every slot, in time order; slot k plays
-        leg ``k % len(pattern)``.
+        """Start and duration of every slot, in time order, as read-only
+        arrays; slot k plays leg ``k % len(pattern)``.
 
         Starts are a running sum over the repeated legs.  ``np.cumsum`` adds
         strictly in sequence, so every start is the same float that adding
@@ -298,11 +298,13 @@ class Schedule:
             # rounding kept the last start short of the end
             cycles = min(2 * cycles, MAX_SLOTS // len(legs) + 1)
         n = int(stops[0])
-        if done[n]:
-            return starts[:n], tiled[:n]
-        durations = tiled[:n + 1]
-        durations[n] = end - starts[n]
-        return starts[:n + 1], durations
+        if not done[n]:
+            tiled[n] = end - starts[n]
+            n += 1
+        starts, durations = starts[:n], tiled[:n]
+        starts.setflags(write=False)
+        durations.setflags(write=False)
+        return starts, durations
 
     def slots_before(self, t: float, most: int) -> tuple[list[float], list[float]] | None:
         """Start and duration of every slot that starts before ``t``, as

@@ -35,17 +35,12 @@ and the normal draws are read (see :mod:`airfair.streams`).  Draws
 depend on neither the policy nor the slot size, so policy comparison and
 slot-size sweeps derive them once and share them.
 
-Whoever derives a set of draws also keeps one round cache for the runs on
-them.  A round's two bargaining problems, its GNBS reference and each
-policy's allocations depend only on the draws, the round's loads and its
-GO, so they are keyed by (round index, GO index, the exact bits of the
-loads), built on the first run that reaches the round with those loads and
-reused by the others: every round up to the first traffic round is solved
-once for all policies and slot sizes.  A hit returns the very floats a
-fresh solve would, so every report stays bit-identical, and runs still go
-in their old order, so errors do too.  Only gsa's allocation of the
-estimated problem is certified; the reference and the ideal allocations
-are solved without a KKT certificate that no report would keep.
+A round's two bargaining problems, its GNBS reference and each policy's
+allocations depend only on its draws, its loads and its GO, so each
+round's draws keep them, keyed by the GO and the exact bits of the loads:
+a round that several policies or slot sizes reach with the same loads is
+solved once, and gives the floats a fresh solve would.  Only gsa's
+allocation of the estimated problem is certified.
 
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal
@@ -56,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -277,7 +272,8 @@ def _members_at(scenario: Scenario, t: float) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class _RoundDraws:
     """What no policy can change about one round: its true span, its
-    members, which of them reach all others, and the round's random draws."""
+    members, which of them reach all others, and the round's random draws;
+    and the round's solves, filled in by the runs on these draws."""
 
     t0: float
     t1: float
@@ -286,6 +282,7 @@ class _RoundDraws:
     est_pcd: np.ndarray          # est_pcd[i, j]: estimated PCD of members i and j
     loss: np.ndarray | None      # loss probability per member
     rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
+    solves: dict[tuple[int, bytes], _RoundSolve] = field(default_factory=dict, init=False)  # by GO, loads.tobytes()
 
 
 _PCD, _LOSS, _RX = (part_key(p) for p in ("pcd", "loss", "rx"))
@@ -391,24 +388,13 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
 @dataclass(eq=False)
 class _RoundSolve:
     """A round's bargaining work for one GO and one set of member loads.
-
-    Everything here follows from the round's draws, its loads and its GO,
-    so runs of one scenario on one set of draws that reach the round with
-    the same loads and GO share it.  The round records of all those runs
-    hold the same two problems, whose arrays are made read-only.
-    ``policies`` maps a policy to its allocation, its certificate (gsa only)
-    and its allocation of the ideal problem; the reference is solved
-    without a certificate, since no report holds one for it.
-    """
+    ``policies`` maps a policy to its allocation, its certificate (gsa
+    only) and its allocation of the ideal problem."""
 
     problem: BargainingProblem          # estimated horizon, loss-adjusted rates
     ideal_problem: BargainingProblem    # true round length, nominal rates
     reference: Allocation               # the GNBS allocation of the ideal problem
     policies: dict[str, tuple[Allocation, KktReport | None, Allocation]]
-
-
-#: (round index, GO index, the members' loads as raw float64 bytes) -> solve
-_RoundCache = dict[tuple[int, int, bytes], _RoundSolve]
 
 
 def _solve_round(scenario: Scenario, d: _RoundDraws, nodes: Sequence[ScenarioNode], loads: np.ndarray,
@@ -430,10 +416,6 @@ def _solve_round(scenario: Scenario, d: _RoundDraws, nodes: Sequence[ScenarioNod
                    raw_alphas=alphas, go=g)
     problem = BargainingProblem(airtime=airtime, upload_rates=upload, **columns)
     ideal_problem = BargainingProblem(airtime=d.t1 - d.t0, upload_rates=nominal, **columns)
-    for shared in (problem, ideal_problem):     # in the records of every run that reaches the round
-        for value in vars(shared).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
     return _RoundSolve(problem, ideal_problem, _gnbs_solve(ideal_problem)[0], {})
 
 
@@ -589,22 +571,16 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
     least two members allocate and transmit.  Idle rounds (nothing queued)
     are recorded but excluded from the report-level metric averages.
     """
-    return _run(scenario, policy, _round_draws(scenario), {})
+    return _run(scenario, policy, _round_draws(scenario))
 
 
-def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws],
-         cache: _RoundCache) -> SimulationReport:
+def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
     """:func:`run_scenario` on the scenario's precomputed round draws.
 
     Loads and the GO depend on what the policy delivered in earlier rounds,
-    so they are derived here.  A round's problems, GNBS reference and this
-    policy's allocations come from ``cache``, keyed by (round index, GO
-    index, the exact bits of the members' loads), and are added to it on a
-    miss.  Their other inputs (horizon, weights, upload and loss rates,
-    round length) follow from ``draws``, so one cache may serve every run on
-    ``draws`` of scenarios that differ at most in ``t_slot_s``, and a hit
-    gives the floats a fresh solve would.  A round's election or schedule
-    error names the round.
+    so they are derived here, and a round's solve, which the slot size does
+    not change, is looked up in, or added to, its draws' ``solves``.  A
+    round's election or schedule error names the round.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -625,10 +601,10 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws],
             g = members.index(go_id)
             mode = select_transmission_mode(len(members))
             loads = np.array(loads)
-            key = (ridx, g, loads.tobytes())        # float bits: 0.0 and -0.0 differ
-            solved = cache.get(key)
+            key = (g, loads.tobytes())      # float bits: 0.0 and -0.0 differ
+            solved = d.solves.get(key)
             if solved is None:
-                solved = cache[key] = _solve_round(scenario, d, nodes, loads, g, mode)
+                solved = d.solves[key] = _solve_round(scenario, d, nodes, loads, g, mode)
             if policy not in solved.policies:
                 solved.policies[policy] = _allocate(policy, solved)
             problem, ideal_problem, gnbs_ideal = solved.problem, solved.ideal_problem, solved.reference
@@ -734,23 +710,22 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
     Returns (t_slot_s, mean wpf, stddev) per requested size.
 
     Neither the draws nor the bargaining depend on the slot size, so each
-    repetition derives its draws once and keeps one round cache (see
-    :func:`_run`) for all sizes: a round that starts from the same loads at
-    several sizes, as the first traffic round always does, is solved and
-    certified once.  Sizes and repetitions run in the order of a loop over
-    sizes, so the first error raised is the one separate runs would raise.
+    repetition derives its draws once for all sizes, and a round that
+    starts from the same loads at several sizes is solved once.  Sizes and
+    repetitions run in the order of a loop over sizes, so the first error
+    raised is the one separate runs would raise.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     runs = []
     for r in range(repetitions):
         paired = replace(scenario, seed=derive_seed(scenario.seed, "sweep", r))
-        runs.append((paired, _round_draws(paired), {}))
+        runs.append((paired, _round_draws(paired)))
     out = []
     for t_slot in t_slot_list:
         vals = [
-            _run(replace(paired, t_slot_s=float(t_slot)), "gsa", draws, cache).wpf_aggregate_vs_ideal
-            for paired, draws, cache in runs
+            _run(replace(paired, t_slot_s=float(t_slot)), "gsa", draws).wpf_aggregate_vs_ideal
+            for paired, draws in runs
         ]
         out.append((float(t_slot), float(np.mean(vals)), float(np.std(vals))))
     return out
@@ -760,16 +735,13 @@ def compare_policies(scenario: Scenario,
                      policies: Sequence[str] = POLICIES) -> dict[str, SimulationReport]:
     """Run the same scenario once per policy, on one shared set of draws.
 
-    The policies also share one round cache (see :func:`_run`).  Every round
-    up to the first traffic round poses the same problems to every policy,
-    and so does a later round in which the policies left the same loads
-    (every queue drained, say): its two problems are built and its GNBS
-    reference solved once, not once per policy.  Each report is the one a
-    separate :func:`run_scenario` returns, float for float, and policies
-    run in the order given.
+    A round that the policies reach with the same loads, as every round up
+    to the first traffic round is, is built and solved once, not once per
+    policy.  Each report is the one a separate :func:`run_scenario`
+    returns, float for float, and policies run in the order given.
     """
-    draws, cache = _round_draws(scenario), {}
-    return {p: _run(scenario, p, draws, cache) for p in policies}
+    draws = _round_draws(scenario)
+    return {p: _run(scenario, p, draws) for p in policies}
 
 
 def scale_contact_durations(scenario: Scenario, duration: float) -> Scenario:

@@ -470,6 +470,22 @@ def reference_round_draws(scenario) -> list[tuple]:
     return out
 
 
+def average_ranks(values) -> np.ndarray:
+    """Ranks 1..n of ``values`` in ascending order, tied values sharing the
+    mean of the ranks they span."""
+    values = np.asarray(values, dtype=float)
+    ranks = np.empty(len(values))
+    ranks[np.argsort(values, kind="stable")] = np.arange(1, len(values) + 1)
+    _, tie, count = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.bincount(tie, weights=ranks) / count)[tie]
+
+
+def rank_correlation(x, y) -> float:
+    """Spearman's rank correlation: the Pearson correlation of the average
+    ranks of ``x`` and of ``y``."""
+    return float(np.corrcoef(average_ranks(x), average_ranks(y))[1, 0])
+
+
 def float_bits(values) -> list[str]:
     """Exact spelling of floats, sign of zero included, for ``==`` checks."""
     return [float(v).hex() for v in values]

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
 import support
 from airfair import cli
@@ -284,7 +283,7 @@ def test_criterion_09_slot_size_trend(capfd):
     sizes = [0.005, 0.01, 0.02, 0.05, 0.1]
     rows = slot_size_sweep(scn, sizes, repetitions=20)
     means = [m for _, m, _ in rows]
-    rho = float(spearmanr(sizes, means).statistic)
+    rho = support.rank_correlation(sizes, means)
     ok = all(m <= 1e-9 for m in means) and rho < 0
     detail = ", ".join(f"{int(s * 1000)}ms:{m:+.4f}" for (s, m, _) in rows)
     announce(capfd, 9, ok, f"mean wpf per slot [{detail}], spearman {rho:+.2f} < 0")

@@ -571,6 +571,31 @@ def test_columns_and_players_give_the_same_arrays():
         assert columnar.active == prob.active
 
 
+_COLUMNS = ("data_sizes", "upload_rates", "raw_alphas", "disagreements", "kinds", "coeffs", "alphas", "betas", "caps")
+
+
+def test_columns_are_read_only():
+    """A problem's level curves are derived from its columns once, so a
+    write that would leave a solved problem answering from stale curves
+    fails instead; the caller's own arrays stay writable."""
+    problem = support.table1_problem()
+    before, _ = gnbs_allocate(problem)
+    loads = np.array([5.0, 0.0, 2.0])
+    columnar = BargainingProblem(airtime=1.0, broadcast_rate=5.0, ids=["go", "c", "d"], data_sizes=loads,
+                                 upload_rates=[math.inf, 5.0, 5.0], raw_alphas=[1.0, 1.0, 1.0], go=0,
+                                 kinds=[0, 1, 2], coeffs=[math.nan, 2.0, 0.5])
+    for prob in (problem, columnar):
+        for name in _COLUMNS:
+            assert not getattr(prob, name).flags.writeable, name
+    assert loads.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        problem.caps[:] *= 0.01
+    after, kkt = gnbs_allocate(problem)
+    assert support.float_bits(after.broadcast_time) == support.float_bits(before.broadcast_time)
+    assert after.broadcast_time.max() <= problem.caps.max()
+    assert kkt.max_residual <= 1e-9
+
+
 def test_columnar_utilities_are_checked():
     with pytest.raises(ValueError, match="unknown utility kind code 3"):
         BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 3], coeffs=[1.0, 1.0], **_PAIR)

@@ -98,6 +98,19 @@ def test_simulate_writes_reports(capsys, tmp_path):
     assert metrics[1] == "rounds,5"
 
 
+@pytest.mark.parametrize("under", ["", "reports"], ids=["file", "under-file"])
+def test_simulate_out_that_cannot_be_written_exits_2(capsys, tmp_path, under):
+    """An --out naming an existing file, or a directory under one, fails
+    with one line and exit 2, as an unreadable --scenario does."""
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    code, out, err = run_cli(capsys, "simulate", "--preset", "dynamic4", "--out", str(taken / under))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write reports: ")
+    assert str(taken) in err
+    assert taken.read_text() == "keep"
+
+
 def test_simulate_byte_identical_per_seed(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(capsys, "simulate", "--preset", "dynamic4", "--out", str(a))[0] == 0

@@ -6,8 +6,8 @@ a vectorized Philox4x64-10, and reads the uniform and normal draws off those
 words, the normals through the fast path of numpy's ziggurat.  These tests
 hold it to the numbers that building one SeedSequence and Philox per draw
 gives, pin the ziggurat tables to the installed numpy, and check that
-sharing the draws and the round cache across policies and slot sizes
-changes no result and does each distinct round's work once.
+sharing the draws, and the solves each round keeps on them, across policies
+and slot sizes changes no result and does each distinct round's work once.
 """
 
 from dataclasses import replace
@@ -427,7 +427,7 @@ def test_slot_size_sweep_reuses_draws(monkeypatch):
 
 
 def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
-    """On a multi-round document, where later rounds reach the round cache
+    """On a multi-round document, where later rounds reach their solves
     from loads that differ by slot size, every run of the sweep reports
     exactly what a separate run on the paired seed reports."""
     scenario = scenario_from_dict(SCENARIOS["dynamic4"])

@@ -247,6 +247,18 @@ def test_schedule_truncates_final_slot(table1):
     assert sched.end == pytest.approx(9.995, abs=1e-9)
 
 
+def test_slot_arrays_are_read_only(table1):
+    """entries, end and the replay all read the one cached pair of slot
+    arrays, so none of them can be changed under the others."""
+    slots = _table1_slots(table1)
+    sched = build_schedule(slots, 9.995, default_cycle_order(slots, "n4"))
+    starts, durations = sched.slot_arrays
+    assert not starts.flags.writeable and not durations.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        durations[-1] = 1.0
+    assert sched.end == pytest.approx(9.995, abs=1e-9)
+
+
 def test_upload_precedes_broadcast_per_client(table1):
     slots = _table1_slots(table1)
     sched = build_schedule(slots, 10.0, default_cycle_order(slots, "n4"))

@@ -174,3 +174,13 @@ def test_product_and_log_welfare_use_scalar_libm():
         alloc = Allocation(x, prob.betas * x)
         assert nash_product(prob, alloc).hex() == math.pow(gain, alpha).hex()
         assert log_nash_welfare(prob, alloc).hex() == (alpha * math.log(gain)).hex()
+
+
+def test_rank_correlation_gives_ties_their_mean_rank():
+    """Criterion 09's trend statistic: ranks [1, 2.5, 2.5, 4] against
+    [1, 2, 3, 4] correlate at 4.5 / sqrt(4.5 * 5), and a reversed order at
+    -1 up to rounding."""
+    assert support.average_ranks([1.0, 2.0, 2.0, 3.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
+    assert support.average_ranks([0.3, 0.1, 0.3, 0.3]).tolist() == [3.0, 1.0, 3.0, 3.0]
+    assert support.rank_correlation([1, 2, 2, 3], [1, 2, 3, 4]) == pytest.approx(3.0 / math.sqrt(10.0), abs=1e-15)
+    assert support.rank_correlation([0.005, 0.01, 0.1], [3.0, -1.0, -2.0]) == pytest.approx(-1.0, abs=1e-15)
