@@ -132,8 +132,12 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
-    report = run_scenario(scenario, policy=args.policy)
     out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)      # before the run, which may be long
+    except OSError as e:
+        raise SchemaError(f"cannot write reports: {e}") from e
+    report = run_scenario(scenario, policy=args.policy)
 
     rounds = ["round,start_s,end_s,mode,go_id,members,airtime_s,nash_realized,nash_ideal,wpf_vs_ideal"]
     for r in report.rounds:
@@ -153,7 +157,6 @@ def cmd_simulate(args) -> int:
         f"wpf_aggregate_vs_ideal,{report.wpf_aggregate_vs_ideal:.6f}",
     ]
     try:
-        out.mkdir(parents=True, exist_ok=True)
         for name, lines in (("rounds.csv", rounds), ("delivery.csv", delivery), ("metrics.csv", metrics)):
             (out / name).write_text("\n".join(lines) + "\n")
     except OSError as e:

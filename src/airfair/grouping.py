@@ -6,8 +6,8 @@ queued.  Every node keeps a contact table with one entry per other member;
 join and leave events update it.  The group owner (GO) is picked among the
 nodes that reach everyone as the one with the most queued data, because
 relaying its traffic costs the group the least total broadcast time;
-:func:`elect_go` holds that rule on plain per-member loads and reachability,
-and :func:`select_roles` applies it to contact tables.
+:func:`elect_go` holds that rule and its tie rule on plain per-member loads
+and reachability, and :func:`select_roles` applies it to contact tables.
 
 Once airtime has been allocated, transmission is organized in a round-robin
 slot cycle: each client gets an upload slot immediately followed by its
@@ -15,9 +15,9 @@ broadcast slot (the GO relays), the GO gets a plain broadcast slot, and the
 cycle repeats until the interval ends, truncating the final cycle mid-slot.
 Slot widths scale a basic slot so that every node's whole-slot share matches
 its allocated share of channel time.  A :class:`Schedule` stores only the
-cycle; its slots are derived on demand, as arrays from one running sum over
-the repeated cycle, as lists of the same floats for the slots before a
-given time, or as :class:`SlotEntry` objects for printing.
+cycle, which is all the simulator's replay reads; the slots themselves are
+derived only for printing, as arrays from one running sum over the repeated
+cycle and as :class:`SlotEntry` objects.
 """
 
 from __future__ import annotations
@@ -163,16 +163,18 @@ class ConnectivityGraph:
 
 def elect_go(members: Sequence[str], loads: Sequence[float], hubs: Sequence[bool]) -> str:
     """The GO: among the members that reach every other member
-    (``hubs[k]`` for ``members[k]``), the one with the largest queued load;
-    ties go to the smallest id.  A NaN load never wins; with no member left
-    to choose, raises :class:`NoGoCandidateError`."""
-    go, go_load = None, -math.inf
-    for m, load, hub in sorted(zip(members, loads, hubs)):
-        if hub and load > go_load:
-            go, go_load = m, load
-    if go is None:
+    (``hubs[k]`` for ``members[k]``), the one with the largest queued load.
+
+    Tie rule: loads within 1e-9 relative of the largest are tied, and the
+    smallest id among them wins, so an election never turns on the last
+    bits of a running sum.  A NaN load never wins; with no member left to
+    choose, raises :class:`NoGoCandidateError`."""
+    candidates = [(m, load) for m, load, hub in zip(members, loads, hubs) if hub and load > -math.inf]
+    if not candidates:
         raise NoGoCandidateError("no member reaches every other member")
-    return go
+    top = max(load for _, load in candidates)
+    tied = top - 1e-9 * abs(top) if top < math.inf else top
+    return min(m for m, load in candidates if load >= tied)
 
 
 def select_roles(tables: Mapping[str, ContactTable], graph: ConnectivityGraph) -> dict[str, str]:
@@ -253,13 +255,11 @@ class Schedule:
     interval.
 
     Only the cycle ``pattern`` of (node, kind, seconds) legs, the interval,
-    the cycle length and the start time are stored.  The slots themselves
-    are derived on demand: :attr:`slot_arrays` gives them as arrays for the
-    simulator's replay of long rounds, :meth:`slots_before` the ones that
-    start before a time as lists for its replay of short rounds, and
-    :attr:`entries` as :class:`SlotEntry` objects for printing and
-    inspection.  The slot rules live in :attr:`slot_arrays` and
-    :meth:`slots_before` alone.
+    the cycle length and the start time are stored; the simulator replays a
+    round from these alone.  The slots themselves are derived on first use
+    by :attr:`slot_arrays`, which holds the slot rules and serves
+    :attr:`entries` (:class:`SlotEntry` objects for printing and
+    inspection) and :attr:`end`.
     """
 
     pattern: tuple[tuple[str, str, float], ...]
@@ -306,40 +306,6 @@ class Schedule:
         durations.setflags(write=False)
         return starts, durations
 
-    def slots_before(self, t: float, most: int) -> tuple[list[float], list[float]] | None:
-        """Start and duration of every slot that starts before ``t``, as
-        lists of the floats :attr:`slot_arrays` holds; or None when that
-        may be more than ``most`` slots.
-
-        The slots are walked one at a time by the rules of
-        :attr:`slot_arrays`: each start adds the previous leg to the
-        previous start, and the walk stops at the first start within
-        1e-12 s of the interval's end or after the first leg that overruns
-        it, cut to end there.  The count is bounded, before and while
-        walking, by the whole cycles that fit before ``t`` or the end plus
-        two (the cut cycle and one for rounding), so a schedule whose starts
-        stop advancing gives None instead of a walk without end.
-        """
-        end = self.t_start + self.interval
-        cycles = int((min(t, end) - self.t_start) // self.cycle_length) + 2
-        if cycles * len(self.pattern) > most:
-            return None
-        legs = [dur for _, _, dur in self.pattern]
-        stop = min(t, end - 1e-12)
-        starts, durations = [], []
-        start = self.t_start
-        for _ in range(cycles):
-            for dur in legs:
-                if not start < stop:
-                    return starts, durations
-                starts.append(start)
-                if dur > end - start:
-                    durations.append(end - start)
-                    return starts, durations
-                durations.append(dur)
-                start += dur
-        return (starts, durations) if not start < stop else None
-
     @cached_property
     def entries(self) -> tuple[SlotEntry, ...]:
         """The slots as :class:`SlotEntry` objects, built on first use."""
@@ -370,9 +336,10 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     ``slots`` maps node id to (upload seconds, broadcast seconds) per cycle;
     a zero upload leg emits no upload slot.  Raises :class:`ScheduleError`
     when a single cycle does not fit the interval, the interval is not
-    finite, or the schedule would hold more than :data:`MAX_SLOTS` slots.
-    Only the cycle is built here; the returned schedule derives its slots
-    when they are first asked for.
+    finite, the schedule would hold more than :data:`MAX_SLOTS` slots, or a
+    leg is shorter than the float spacing at the interval's end, where slot
+    starts would stop advancing.  Only the cycle is built here; the
+    returned schedule derives its slots when they are first asked for.
     """
     if not (interval > 0):
         raise ScheduleError("interval must be > 0")
@@ -394,6 +361,10 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     if len(pattern) * interval / cycle > MAX_SLOTS:
         raise ScheduleError(f"the schedule would hold more than {MAX_SLOTS} slots "
                             f"(cycle {cycle:.3g}s, interval {interval:.6f}s)")
+    shortest, spacing = min(d for _, _, d in pattern), math.ulp(t_start + interval)
+    if shortest < spacing:
+        raise ScheduleError(f"the slots do not reach the interval's end: a {shortest:.3g}s leg is "
+                            f"below the float spacing there ({spacing:.3g}s)")
     return Schedule(tuple(pattern), float(interval), cycle, t_start)
 
 

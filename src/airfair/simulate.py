@@ -14,16 +14,13 @@ is still queued.  Those running totals are arrays in scenario node order that
 each round reads and adds to at its members' positions; dicts keyed by node
 id appear only in the round records and the report.
 
-A schedule is executed as an in-order replay: the slots are cut at the true
-round end, each node's sends are capped at its queue, and every total adds
-one slot at a time in slot order.  The replay takes one of two forms, chosen
-by the round's size (the slots that may start before its end, times its
-members plus 4).  A short round, as most of a short contact's are, is walked
-slot by slot in Python floats; a long one is folded as running sums over the
-slot arrays, a block of cycles at a time, so its memory follows the slot
-count, not group size times slot count.  Both forms carry out the same
-single IEEE operations on every total in the same order, the fold adding
-exact zeros where the walk adds nothing, so they give the same floats.
+A schedule is executed by cycle arithmetic, as the paper's scheduling
+repeats one round-robin cycle: each node broadcasts its leg times the whole
+cycles that end before the true round end, plus its share of the cut cycle,
+capped at its queue, and each receiver hears what the senders it receives
+delivered.  So a round's cost follows its members, not its slots.  A load at or
+below 1e-12 of a node's own data is a rounding residue of what it sent and
+counts as drained, so the node sits the round out.
 
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
@@ -49,7 +46,6 @@ rates, and the bargaining optimum used as the fairness reference.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -429,16 +425,6 @@ def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport |
     return allocate(solved.problem), None, allocate(solved.ideal_problem)
 
 
-#: a round is walked slot by slot while the slots that may start before
-#: its true end, times its members plus 4, are at most this many; past it
-#: the array fold is faster (the two took equal time at about this size on
-#: rounds of 2-6 members)
-_WALK_WORK = 2000
-
-#: receiver-slot pairs that :func:`_fold_replay` sums in one block
-_FOLD_BLOCK = 1 << 18
-
-
 def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray,
             rate: float, rx_ok: np.ndarray, sent: np.ndarray,
             heard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,116 +437,25 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     Returns the realized broadcast seconds and the delivered megabits, and
     adds what each member sent to ``sent`` and what it heard to ``heard``.
 
-    A short round is walked slot by slot in Python floats (:func:`_walk`)
-    over :meth:`Schedule.slots_before`, without building the slot arrays.
-    A round whose slots that may start before ``t1``, times its members
-    plus 4, exceed :data:`_WALK_WORK` is folded as arrays
-    (:func:`_fold_replay`).  So is a round whose starts stop advancing: the
-    listing gives up on it once it passes its bound, and the slot arrays
-    raise :class:`ScheduleError`.  Both forms give the same floats.
+    No slot is visited.  The schedule runs for T seconds, up to ``t1`` or
+    its interval's end; K = floor(T / cycle) whole cycles fit in T, and a
+    broadcast leg of d seconds at offset o into the cycle sends for K * d
+    plus clip(T - K * cycle - o, 0, d) seconds.  The floats differ from
+    adding one slot at a time only by rounding.
     """
-    slots = schedule.slots_before(t1, _WALK_WORK // (len(members) + 4))
-    if slots is None:
-        return _fold_replay(schedule, t1, members, need, rate, rx_ok, sent, heard)
-    return _walk(schedule.pattern, slots, t1, members, need, rate, rx_ok, sent, heard)
-
-
-def _walk(pattern: Sequence[tuple[str, str, float]], slots: tuple[list[float], list[float]],
-          t1: float, members: Sequence[str], need: np.ndarray, rate: float, rx_ok: np.ndarray,
-          sent: np.ndarray, heard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_replay` over ``slots``, the (starts, durations) lists of
-    :meth:`Schedule.slots_before`, one slot at a time in Python floats.
-
-    Each total goes through the same single IEEE operations as in the array
-    form, in the same order: ``min(duration, t1 - start)``, ``left - take``,
-    the drain test ``take >= left``, ``use * rate`` and one addition per
-    slot, a receiver's only for the senders its ``rx_ok`` row hears.  The
-    array form's other additions are exact zeros, which leave a total
-    unchanged (no total is ever -0.0).  CPython does each of these as one
-    rounded operation, so the floats match the array form's bit for bit.
-    """
-    heard_by = rx_ok.T.tolist()     # heard_by[s][r]: member r receives member s
-    plan = []                       # per leg: None for an upload, else the sender and who hears it
-    for node, kind, _ in pattern:
-        s = members.index(node)
-        plan.append((s, [r for r, ok in enumerate(heard_by[s]) if ok]) if kind == "broadcast" else None)
-    left = need.tolist()            # queue seconds; None once drained
-    realized, delivered = [0.0] * len(members), [0.0] * len(members)
-    sent_mb, heard_mb = sent.tolist(), heard.tolist()
-    for leg, start, duration in zip(itertools.cycle(plan), *slots):
-        if leg is None or left[leg[0]] is None:
-            continue
-        s, listeners = leg
-        take = t1 - start
-        if duration < take:
-            take = duration
-        if take >= left[s]:
-            use, left[s] = left[s], None
-        else:
-            use = take
-            left[s] -= take
-        mb = use * rate
-        realized[s] += use
-        delivered[s] += mb
-        sent_mb[s] += mb
-        for r in listeners:
-            heard_mb[r] += mb
-    sent[:], heard[:] = sent_mb, heard_mb
-    return np.array(realized), np.array(delivered)
-
-
-def _fold_replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray,
-                 rate: float, rx_ok: np.ndarray, sent: np.ndarray,
-                 heard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_replay` over the schedule's slot arrays.
-
-    The slots are laid out as one row per cycle and one column per leg.
-    Every total is a running sum in slot order that starts from its prior
-    value, so it is the same float that carrying out one slot at a time
-    gives; a slot that sends nothing adds an exact zero.
-    """
-    starts, durations = schedule.slot_arrays
-    n = int(np.searchsorted(starts, t1))            # slots that start before t1
-    legs = len(schedule.pattern)
-    take = np.zeros(-(-n // legs) * legs)           # the last cycle padded with empty slots
-    np.minimum(durations[:n], t1 - starts[:n], out=take[:n])
-    columns = [j for j, (_, kind, _) in enumerate(schedule.pattern) if kind == "broadcast"]
-    sender = np.array([members.index(schedule.pattern[j][0]) for j in columns])
-    take = take.reshape(-1, legs)[:, columns]       # cycle x broadcasting node
-
-    # Each node's queue before each of its slots, while every slot takes in
-    # full; the first slot that finds no more than its length left empties it.
-    left = np.cumsum(np.concatenate(([need[sender]], -take)), axis=0)[:-1]
-    drained = take >= left
-    last = np.where(drained.any(axis=0), drained.argmax(axis=0), len(take))
-    cycle = np.arange(len(take))[:, None]
-    use = np.where(cycle < last, take, np.where(cycle == last, left, 0.0))
-    mb = use * rate
-
-    # Every total is summed a block of cycles at a time, each block starting
-    # from the totals the last one reached: first the senders' realized,
-    # delivered and sent, then every receiver's slots, in which a slot it
-    # does not hear adds an exact zero.  Both use one buffer of about
-    # _FOLD_BLOCK numbers (at least one cycle's) whatever the group size and
-    # the schedule's length; a fresh array per block costs page faults.
-    totals = np.zeros((3, len(sender)))
-    totals[2] = sent[sender]
-    hear = rx_ok[:, None, sender]
-    per_block = max(1, _FOLD_BLOCK // hear.size)
-    buffer = np.empty(max(len(members), 3) * min(len(mb), per_block) * len(sender))
-    for c in range(0, len(mb), per_block):
-        block = mb[c:c + per_block]
-        own = buffer[:3 * block.size].reshape(3, *block.shape)
-        own[0], own[1], own[2] = use[c:c + per_block], block, block
-        own[:, 0] += totals         # each total + its first slot, the sum's first addition
-        totals = np.cumsum(own, axis=1, out=own)[:, -1].copy()
-        steps = buffer[:len(members) * block.size].reshape(len(members), block.size)
-        np.multiply(hear, block, out=steps.reshape(hear.shape[0], *block.shape))
-        steps[:, 0] += heard        # heard + the first slot, the sum's first addition
-        np.cumsum(steps, axis=1, out=steps)
-        heard[:] = steps[:, -1]
-    realized, delivered = np.zeros(len(members)), np.zeros(len(members))
-    realized[sender], delivered[sender], sent[sender] = totals
+    span = min(t1, schedule.t_start + schedule.interval) - schedule.t_start
+    cycles = span // schedule.cycle_length
+    rest = span - cycles * schedule.cycle_length
+    realized = np.zeros(len(members))
+    offset = 0.0
+    for node, kind, dur in schedule.pattern:
+        if kind == "broadcast":
+            realized[members.index(node)] += cycles * dur + min(max(rest - offset, 0.0), dur)
+        offset += dur
+    np.minimum(realized, need, out=realized)
+    delivered = realized * rate
+    sent += delivered
+    heard += rx_ok @ delivered
     return realized, delivered
 
 
@@ -594,8 +489,11 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         t0, t1, members = d.t0, d.t1, d.members
         at = np.array([position[m] for m in members])
         nodes = [scenario.node(m) for m in members]
-        loads = [max(0.0, (n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1)) - sent)
-                 for n, sent in zip(nodes, transmitted[at].tolist())]
+        # Drained-queue rule: a load at or below 1e-12 of the node's own data for
+        # the round is a rounding residue of its sends; it counts as 0, and the
+        # node sits the round out.
+        own = [n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1) for n in nodes]
+        loads = [q - s if q - s > 1e-12 * q else 0.0 for q, s in zip(own, transmitted[at].tolist())]
         try:
             go_id = scenario.go if scenario.go in members else elect_go(members, loads, d.hubs)
             g = members.index(go_id)

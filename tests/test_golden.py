@@ -21,7 +21,7 @@ from airfair import cli
 
 PRESETS = ("table1", "dynamic4")
 
-GOLDEN_SHA256 = "acbdea402f4896b06cad555aa7dc822728eed3f6ae580b44dea2b5cd257b1f8f"
+GOLDEN_SHA256 = "a00418a2f2fea4c9fb76a37c49d35508a769ea3ab971dd6baab38e378f9e074e"
 
 
 def _commands(preset: str) -> list[list[str]]:

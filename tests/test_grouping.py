@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,16 @@ def test_elect_go_ignores_member_order():
     assert elect_go(ids, loads, hubs) == "d"
     assert elect_go(ids[::-1], loads[::-1], hubs[::-1]) == "d"
     assert elect_go(ids, [5.0, 5.0, 9.0, 1.0], hubs) == "a"
+
+
+def test_loads_within_1e_9_of_the_largest_tie_to_the_smallest_id():
+    # a running sum left n2 one ulp short of n4's 20 mb: exact arithmetic
+    # ties them, so n2 wins
+    assert elect_go(["n2", "n4"], [math.nextafter(20.0, 0.0), 20.0], [True, True]) == "n2"
+    assert elect_go(["n4", "n2"], [20.0, 20.0 * (1 - 0.5e-9)], [True, True]) == "n2"
+    assert elect_go(["n2", "n4"], [20.0 * (1 - 2e-9), 20.0], [True, True]) == "n4"
+    assert elect_go(["n2", "n4"], [math.nextafter(20.0, 0.0), 20.0], [False, True]) == "n4"
+    assert elect_go(["n1", "n2", "n4"], [math.nan, 19.99999999999, 20.0], [True, True, True]) == "n2"
 
 
 def test_transmission_mode_by_group_size():
