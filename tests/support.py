@@ -427,6 +427,28 @@ def reference_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
     return realized, delivered
 
 
+def reference_fold_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
+    """Fold the schedule's own slots (``schedule.slot_arrays``) per member:
+    each broadcast slot sends for as long as it lasts before ``t1``, and a
+    member sends no more than its queue; same contract as
+    ``airfair.simulate._replay``."""
+    starts, durations = schedule.slot_arrays
+    legs = len(schedule.pattern)
+    col = {m: k for k, m in enumerate(members)}
+    leg_col = np.array([col[node] if kind == "broadcast" else -1 for node, kind, _ in schedule.pattern])
+    slot_col = leg_col[np.arange(starts.size) % legs]
+    take = np.clip(t1 - starts, 0.0, durations)
+    broadcast = slot_col >= 0
+    realized = np.bincount(slot_col[broadcast], weights=take[broadcast], minlength=len(members))
+    realized = np.minimum(realized, np.asarray(need, dtype=float))
+    delivered = realized * rate
+    sent += delivered
+    hears = np.array(rx_ok, dtype=bool)
+    np.fill_diagonal(hears, False)
+    heard += hears @ delivered
+    return realized, delivered
+
+
 # ---------------------------------------------------------------------------
 # Per-draw reference for the simulator's random draws: every draw builds its
 # own SeedSequence and Philox, which defines the numbers the batched

@@ -246,7 +246,7 @@ def _crowd12_doc():
 #: addition, so a small partial take late in a round can differ by far more
 #: than its own ulp; the largest value sets the scale instead.  The worst
 #: measured was 5.1e-12 on the scenarios of
-#: test_replay_matches_slot_by_slot_deliveries, 3.5e-9 over 2,000 derandomized
+#: test_replay_matches_slot_by_slot_walk, 3.5e-9 over 2,000 derandomized
 #: rounds of _rounds and 9.8e-10 over 10,000 random ones.
 REPLAY_RTOL = 1e-7
 
@@ -277,8 +277,14 @@ def _run_or_error(scenario, policy):
         return str(e)
 
 
-def test_replay_matches_slot_by_slot_deliveries(monkeypatch):
-    """The replay gives the deliveries of walking every slot, within
+#: slot-by-slot references for the replay: walk the reference slots one at a
+#: time, or fold the schedule's own slots per member
+_REFERENCES = {"walk": support.reference_replay, "fold": support.reference_fold_replay}
+
+
+@pytest.mark.parametrize("reference", _REFERENCES)
+def test_replay_matches_slot_by_slot_walk(monkeypatch, reference):
+    """The replay gives the deliveries of running every slot, within
     :data:`REPLAY_RTOL`: realized and delivered per round, transmitted and
     received per node."""
     noisy_table1 = {**PRESETS["table1"], "loss": {"lo": 0.0, "hi": 0.1}, "pcd_error": {"stddev": 1.0}}
@@ -296,7 +302,7 @@ def test_replay_matches_slot_by_slot_deliveries(monkeypatch):
             for policy in ("gsa", "eql", "wtd"):
                 got = _run_or_error(scenario, policy)
                 with monkeypatch.context() as m:
-                    m.setattr(simulate, "_replay", support.reference_replay)
+                    m.setattr(simulate, "_replay", _REFERENCES[reference])
                     want = _run_or_error(scenario, policy)
                 if isinstance(want, str):
                     assert got == want
