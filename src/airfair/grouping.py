@@ -15,9 +15,9 @@ broadcast slot (the GO relays), the GO gets a plain broadcast slot, and the
 cycle repeats until the interval ends, truncating the final cycle mid-slot.
 Slot widths scale a basic slot so that every node's whole-slot share matches
 its allocated share of channel time.  A :class:`Schedule` stores only the
-cycle, which is all the simulator's replay reads; the slots themselves are
-derived only for printing, as arrays from one running sum over the repeated
-cycle and as :class:`SlotEntry` objects.
+cycle, and one rule of cycle arithmetic places its slots: the seconds each
+leg runs, which the simulator's replay reads, and the :class:`SlotEntry`
+objects printed for it come from the same whole-cycle count and cut cycle.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ __all__ = [
 MODE_UNICAST_PAIR = "unicast-pair"
 MODE_GO_COORDINATED = "go-coordinated"
 
-#: most slots one schedule may hold; :attr:`Schedule.slot_arrays` builds an
-#: array entry per slot
+#: most slots one schedule may hold; :attr:`Schedule.entries` builds an
+#: object per slot
 MAX_SLOTS = 2**22
 
 
@@ -255,11 +255,9 @@ class Schedule:
     interval.
 
     Only the cycle ``pattern`` of (node, kind, seconds) legs, the interval,
-    the cycle length and the start time are stored; the simulator replays a
-    round from these alone.  The slots themselves are derived on first use
-    by :attr:`slot_arrays`, which holds the slot rules and serves
-    :attr:`entries` (:class:`SlotEntry` objects for printing and
-    inspection) and :attr:`end`.
+    the cycle length and the start time are stored.  Where every slot falls
+    is cycle arithmetic, held by :meth:`leg_seconds`, which the simulator's
+    replay reads, and by :attr:`entries`, which prints the same slots.
     """
 
     pattern: tuple[tuple[str, str, float], ...]
@@ -267,59 +265,45 @@ class Schedule:
     cycle_length: float
     t_start: float
 
-    @cached_property
-    def slot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and duration of every slot, in time order, as read-only
-        arrays; slot k plays leg ``k % len(pattern)``.
+    def _cut(self, t1: float) -> tuple[int, list[tuple[float, float]]]:
+        """K, the whole cycles run before ``t1``, and per leg its offset o
+        into the cycle and its seconds in the cut cycle K, by the rule of
+        :meth:`leg_seconds`."""
+        span = max(min(t1, self.t_start + self.interval) - self.t_start, 0.0)
+        cycles = span // self.cycle_length
+        rest = span - cycles * self.cycle_length
+        legs, offset = [], 0.0
+        for _, _, dur in self.pattern:
+            left = rest - offset
+            legs.append((offset, min(dur, left) if left > 1e-12 else 0.0))
+            offset += dur
+        return int(cycles), legs
 
-        Starts are a running sum over the repeated legs.  ``np.cumsum`` adds
-        strictly in sequence, so every start is the same float that adding
-        the slots one at a time gives.  The slots stop at the first start
-        within 1e-12 s of the interval's end, or after the first leg that
-        overruns it, which is cut to end exactly there.  Raises
-        :class:`ScheduleError` when more than :data:`MAX_SLOTS` slots do not
-        get there, as when every leg is below half the float spacing at the
-        schedule's times and no start advances.
+    def leg_seconds(self, t1: float) -> list[float]:
+        """Seconds each leg of ``pattern`` runs before ``t1``.
+
+        The schedule runs for T = min(t1, its interval's end) - t_start
+        seconds, or none before it starts; K = floor(T / cycle) whole cycles
+        fit, and rest = T - K * cycle.  A leg of d seconds at offset o into
+        the cycle runs K * d + min(d, rest - o) seconds, but nothing of the
+        cut cycle K when rest - o is 1e-12 s or less.
         """
-        legs = np.array([dur for _, _, dur in self.pattern], dtype=float)
-        end = self.t_start + self.interval
-        cycles = int(self.interval // self.cycle_length) + 2
-        while True:
-            tiled = np.tile(legs, cycles)
-            starts = np.cumsum(np.concatenate(([self.t_start], tiled[:-1])))
-            done = starts >= end - 1e-12
-            cut = tiled > end - starts
-            stops = np.flatnonzero(done | cut)
-            if stops.size:
-                break
-            if tiled.size > MAX_SLOTS:
-                raise ScheduleError(f"{MAX_SLOTS} slots from {self.t_start!r}s do not reach the interval's "
-                                    f"end (shortest leg {legs.min():.3g}s)")
-            # rounding kept the last start short of the end
-            cycles = min(2 * cycles, MAX_SLOTS // len(legs) + 1)
-        n = int(stops[0])
-        if not done[n]:
-            tiled[n] = end - starts[n]
-            n += 1
-        starts, durations = starts[:n], tiled[:n]
-        starts.setflags(write=False)
-        durations.setflags(write=False)
-        return starts, durations
+        cycles, legs = self._cut(t1)
+        return [cycles * dur + cut for (_, _, dur), (_, cut) in zip(self.pattern, legs)]
 
     @cached_property
     def entries(self) -> tuple[SlotEntry, ...]:
-        """The slots as :class:`SlotEntry` objects, built on first use."""
-        starts, durations = self.slot_arrays
-        legs = len(self.pattern)
-        return tuple(
-            SlotEntry(*self.pattern[k % legs][:2], start, duration)
-            for k, (start, duration) in enumerate(zip(starts.tolist(), durations.tolist()))
-        )
-
-    @property
-    def end(self) -> float:
-        starts, durations = self.slot_arrays
-        return float(starts[-1] + durations[-1]) if starts.size else self.t_start
+        """The slots as :class:`SlotEntry` objects, built on first use: the
+        slot of cycle c at offset o starts at t_start + (c * cycle + o), and
+        the cut cycle holds the legs :meth:`leg_seconds` runs in it."""
+        cycles, legs = self._cut(math.inf)
+        t_start, cycle = self.t_start, self.cycle_length
+        slots = [(node, kind, offset, dur) for (node, kind, dur), (offset, _) in zip(self.pattern, legs)]
+        whole = [SlotEntry(node, kind, t_start + (c * cycle + offset), dur)
+                 for c in range(cycles) for node, kind, offset, dur in slots]
+        cut = [SlotEntry(node, kind, t_start + (cycles * cycle + offset), seconds)
+               for (node, kind, _), (offset, seconds) in zip(self.pattern, legs) if seconds > 0]
+        return tuple(whole + cut)
 
 
 def default_cycle_order(ids: Iterable[str], go_id: str) -> list[str]:
@@ -336,10 +320,11 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     ``slots`` maps node id to (upload seconds, broadcast seconds) per cycle;
     a zero upload leg emits no upload slot.  Raises :class:`ScheduleError`
     when a single cycle does not fit the interval, the interval is not
-    finite, the schedule would hold more than :data:`MAX_SLOTS` slots, or a
-    leg is shorter than the float spacing at the interval's end, where slot
-    starts would stop advancing.  Only the cycle is built here; the
-    returned schedule derives its slots when they are first asked for.
+    finite, the schedule would hold more than :data:`MAX_SLOTS` slots, or
+    even its longest leg is shorter than the float spacing at the
+    interval's end, so that floats there cannot resolve a single slot.
+    Only the cycle is built here; the returned schedule derives its slots
+    when they are first asked for.
     """
     if not (interval > 0):
         raise ScheduleError("interval must be > 0")
@@ -361,10 +346,10 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     if len(pattern) * interval / cycle > MAX_SLOTS:
         raise ScheduleError(f"the schedule would hold more than {MAX_SLOTS} slots "
                             f"(cycle {cycle:.3g}s, interval {interval:.6f}s)")
-    shortest, spacing = min(d for _, _, d in pattern), math.ulp(t_start + interval)
-    if shortest < spacing:
-        raise ScheduleError(f"the slots do not reach the interval's end: a {shortest:.3g}s leg is "
-                            f"below the float spacing there ({spacing:.3g}s)")
+    longest, spacing = max(d for _, _, d in pattern), math.ulp(t_start + interval)
+    if longest < spacing:
+        raise ScheduleError(f"the slots do not reach the interval's end: the longest leg ({longest:.3g}s) "
+                            f"is below the float spacing there ({spacing:.3g}s)")
     return Schedule(tuple(pattern), float(interval), cycle, t_start)
 
 

@@ -14,13 +14,14 @@ is still queued.  Those running totals are arrays in scenario node order that
 each round reads and adds to at its members' positions; dicts keyed by node
 id appear only in the round records and the report.
 
-A schedule is executed by cycle arithmetic, as the paper's scheduling
-repeats one round-robin cycle: each node broadcasts its leg times the whole
-cycles that end before the true round end, plus its share of the cut cycle,
-capped at its queue, and each receiver hears what the senders it receives
-delivered.  So a round's cost follows its members, not its slots.  A load at or
-below 1e-12 of a node's own data is a rounding residue of what it sent and
-counts as drained, so the node sits the round out.
+A schedule is executed by the cycle arithmetic of
+:meth:`~airfair.grouping.Schedule.leg_seconds`, the rule that also places
+the slots ``airfair schedule`` prints: each node broadcasts its leg times
+the whole cycles that end before the true round end, plus its share of the
+cut cycle, capped at its queue, and each receiver hears what the senders it
+receives delivered.  So a round's cost follows its members, not its slots.
+A load at or below 1e-12 of a node's own data is a rounding residue of what
+it sent and counts as drained, so the node sits the round out.
 
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
@@ -214,10 +215,8 @@ class RoundRecord:
     allocation: Allocation
     kkt: KktReport | None
     schedule: Schedule | None
-    ideal_broadcast: dict[str, float]
     realized_broadcast: dict[str, float]
     delivered_mb: dict[str, float]
-    realized_rate: dict[str, float]
     nash_realized: float
     nash_ideal: float
     wpf_vs_ideal: float
@@ -437,21 +436,15 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     Returns the realized broadcast seconds and the delivered megabits, and
     adds what each member sent to ``sent`` and what it heard to ``heard``.
 
-    No slot is visited.  The schedule runs for T seconds, up to ``t1`` or
-    its interval's end; K = floor(T / cycle) whole cycles fit in T, and a
-    broadcast leg of d seconds at offset o into the cycle sends for K * d
-    plus clip(T - K * cycle - o, 0, d) seconds.  The floats differ from
-    adding one slot at a time only by rounding.
+    No slot is visited: each leg's seconds come from
+    :meth:`Schedule.leg_seconds`, so the replay runs exactly the slots
+    ``entries`` prints.  The floats differ from adding one slot at a time
+    only by rounding.
     """
-    span = min(t1, schedule.t_start + schedule.interval) - schedule.t_start
-    cycles = span // schedule.cycle_length
-    rest = span - cycles * schedule.cycle_length
     realized = np.zeros(len(members))
-    offset = 0.0
-    for node, kind, dur in schedule.pattern:
+    for (node, kind, _), seconds in zip(schedule.pattern, schedule.leg_seconds(t1)):
         if kind == "broadcast":
-            realized[members.index(node)] += cycles * dur + min(max(rest - offset, 0.0), dur)
-        offset += dur
+            realized[members.index(node)] += seconds
     np.minimum(realized, need, out=realized)
     delivered = realized * rate
     sent += delivered
@@ -507,7 +500,7 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
                 solved.policies[policy] = _allocate(policy, solved)
             problem, ideal_problem, gnbs_ideal = solved.problem, solved.ideal_problem, solved.reference
             allocation, kkt, ideal_alloc = solved.policies[policy]
-            airtime, round_len = problem.airtime, t1 - t0
+            airtime = problem.airtime
 
             idle = not problem.active
             schedule = None
@@ -548,10 +541,8 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
             allocation=allocation,
             kkt=kkt,
             schedule=schedule,
-            ideal_broadcast=dict(zip(members, ideal_alloc.broadcast_time.tolist())),
             realized_broadcast=dict(zip(members, realized.tolist())),
             delivered_mb=dict(zip(members, delivered.tolist())),
-            realized_rate=dict(zip(members, (delivered / round_len).tolist())),
             nash_realized=nash_real,
             nash_ideal=nash_ideal,
             wpf_vs_ideal=wpf,

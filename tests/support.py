@@ -375,7 +375,8 @@ def reference_kkt_residuals(problem, allocation, lam: float, iterations: int = 0
 
 # ---------------------------------------------------------------------------
 # Slot-by-slot reference for the schedule and its replay: plain loops that
-# define, float for float, what the simulator's array code must compute.
+# add one slot at a time, which the cycle arithmetic must match within the
+# bounds its tests state.
 
 
 def reference_entries(pattern, interval: float, t_start: float) -> list[SlotEntry]:
@@ -428,15 +429,15 @@ def reference_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
 
 
 def reference_fold_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
-    """Fold the schedule's own slots (``schedule.slot_arrays``) per member:
-    each broadcast slot sends for as long as it lasts before ``t1``, and a
-    member sends no more than its queue; same contract as
+    """Fold the reference slots (``reference_entries``) per member as
+    arrays: each broadcast slot sends for as long as it lasts before
+    ``t1``, and a member sends no more than its queue; same contract as
     ``airfair.simulate._replay``."""
-    starts, durations = schedule.slot_arrays
-    legs = len(schedule.pattern)
+    entries = reference_entries(schedule.pattern, schedule.interval, schedule.t_start)
+    starts = np.array([e.start for e in entries])
+    durations = np.array([e.duration for e in entries])
     col = {m: k for k, m in enumerate(members)}
-    leg_col = np.array([col[node] if kind == "broadcast" else -1 for node, kind, _ in schedule.pattern])
-    slot_col = leg_col[np.arange(starts.size) % legs]
+    slot_col = np.array([col[e.node] if e.kind == "broadcast" else -1 for e in entries])
     take = np.clip(t1 - starts, 0.0, durations)
     broadcast = slot_col >= 0
     realized = np.bincount(slot_col[broadcast], weights=take[broadcast], minlength=len(members))

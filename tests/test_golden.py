@@ -21,12 +21,13 @@ from airfair import cli
 
 PRESETS = ("table1", "dynamic4")
 
-GOLDEN_SHA256 = "a00418a2f2fea4c9fb76a37c49d35508a769ea3ab971dd6baab38e378f9e074e"
+GOLDEN_SHA256 = "800ce80d1f95603c8e22fcf49848359cb6aa3d009d315b9ca7c18dcb18c698d7"
 
 
 def _commands(preset: str) -> list[list[str]]:
     scenario = ["--preset", preset]
     cmds = [["allocate", *scenario, "--policy", p, "--format", "csv"] for p in ("gsa", "eql", "wtd")]
+    cmds += [["schedule", *scenario, "--policy", p, "--seed", "7"] for p in ("gsa", "eql", "wtd")]
     cmds.append(["compare", *scenario, "--durations", "5,10,20,40", "--reps", "20", "--seed", "7"])
     cmds.append(["sweep", *scenario, "--slot-sizes", "5,10,20,50,100", "--reps", "10", "--seed", "7"])
     return cmds

@@ -150,6 +150,16 @@ def test_schedule_error_names_the_round():
         run_scenario(scn)
 
 
+def test_a_leg_below_the_float_spacing_still_runs():
+    # c uploads at 1e13 Mb/s, so at 1000 s its upload leg (2.2e-14 s) is
+    # below the float spacing there (1.14e-13 s); only the longest leg has
+    # to exceed it
+    nodes = [ScenarioNode(m, 1000.0, 1010.0, data_mb=40.0, **({"upload_mbps": 1e13} if m == "c" else {}))
+             for m in "abc"]
+    rep = run_scenario(Scenario(nodes=nodes, broadcast_mbps=11.0, t_slot_s=0.02))
+    assert rep.transmitted_mb["c"] == pytest.approx(34.98, abs=0.005)
+
+
 def test_star_elects_the_hub_over_a_heavier_leaf():
     # only the hub reaches every other member, so it relays although a leaf
     # holds the most data; the horizon is the hub's smallest PCD
@@ -278,7 +288,7 @@ def _run_or_error(scenario, policy):
 
 
 #: slot-by-slot references for the replay: walk the reference slots one at a
-#: time, or fold the schedule's own slots per member
+#: time, or fold them per member as arrays; neither uses the cycle arithmetic
 _REFERENCES = {"walk": support.reference_replay, "fold": support.reference_fold_replay}
 
 
@@ -381,7 +391,7 @@ def test_replay_forms_match_slot_by_slot_reference(case):
 
 def test_receiver_fold_memory_follows_slots_not_members():
     """A 24-member round of over a million broadcast slots replays without
-    building its slot arrays, and within six numbers per slot."""
+    building its slots, and within six numbers per slot."""
     members = [f"n{k:02d}" for k in range(24)]
     schedule = build_schedule({m: (0.0, 1e-3) for m in members}, 24 * 44_000 * 1e-3, members)
     sent, heard = np.zeros(24), np.zeros(24)
@@ -392,10 +402,10 @@ def test_receiver_fold_memory_follows_slots_not_members():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "slot_arrays" not in vars(schedule)
-    starts, _ = schedule.slot_arrays
-    assert len(starts) > 1_000_000
-    assert peak < 6 * 8 * len(starts)
+    assert "entries" not in vars(schedule)
+    slots = len(schedule.pattern) * schedule.interval / schedule.cycle_length
+    assert slots > 1_000_000
+    assert peak < 6 * 8 * slots
     assert heard.min() > 0.0
 
 
