@@ -25,6 +25,8 @@ from .scenario_io import SchemaError, load_scenario, preset_scenario
 from .simulate import (
     POLICIES,
     PcdErrorModel,
+    _round_draws,
+    _run,
     compare_policies,
     derive_seed,
     repeated_contacts,
@@ -64,17 +66,20 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _first_round(scenario, policy):
-    report = run_scenario(scenario, policy=policy)
-    if not report.rounds:
+def _round(scenario, policy, k: int):
+    """Round k of the scenario under the policy.  Only rounds 0..k run, so
+    an error in a later round cannot keep round k from printing."""
+    draws = _round_draws(scenario)
+    if not draws:
         raise SchemaError("scenario never forms a group of two or more nodes")
-    return report
+    if not (0 <= k < len(draws)):
+        raise SchemaError(f"round {k} out of range (0..{len(draws) - 1})")
+    return _run(scenario, policy, draws[:k + 1]).rounds[k]
 
 
 def cmd_allocate(args) -> int:
     scenario = _load(args)
-    report = _first_round(scenario, args.policy)
-    rnd = report.rounds[0]
+    rnd = _round(scenario, args.policy, 0)
     problem, alloc = rnd.problem, rnd.allocation
     gsa_alloc, _ = gnbs_allocate(problem)
     nash = nash_product(problem, alloc)
@@ -111,11 +116,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    scenario = _load(args)
-    report = _first_round(scenario, args.policy)
-    if not (0 <= args.round < len(report.rounds)):
-        raise SchemaError(f"round {args.round} out of range (0..{len(report.rounds) - 1})")
-    rnd = report.rounds[args.round]
+    rnd = _round(_load(args), args.policy, args.round)
     if rnd.schedule is None:
         print("node_id,kind,start_s,duration_s")
         return 0

@@ -31,7 +31,11 @@ numpy's SeedSequence hash on arrays, and one vectorized Philox4x64-10 pass
 makes the first word of every key's stream, from which the uniform draws
 and the normal draws are read (see :mod:`airfair.streams`).  Draws
 depend on neither the policy nor the slot size, so policy comparison and
-slot-size sweeps derive them once and share them.
+slot-size sweeps derive them once and share them.  A round whose GO no
+policy can change, the first round or one with its pinned GO present,
+elects it with the draws and draws only the PCDs of the GO's row, the ones
+its horizon reads; since a stream's key names its draw, skipping the
+others leaves every drawn number as it was.
 
 A round's two bargaining problems, its GNBS reference and each policy's
 allocations depend only on its draws, its loads and its GO, so each
@@ -267,13 +271,20 @@ def _members_at(scenario: Scenario, t: float) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class _RoundDraws:
     """What no policy can change about one round: its true span, its
-    members, which of them reach all others, and the round's random draws;
-    and the round's solves, filled in by the runs on these draws."""
+    members, which of them reach all others, its GO where that is fixed
+    before any policy runs, and the round's random draws; and the round's
+    solves, filled in by the runs on these draws.
+
+    ``est_pcd`` has +inf on its diagonal, since a member has no contact
+    with itself.  In a round with a fixed GO it holds only the GO's row and
+    column, the PCDs the horizon reads, and every other entry is NaN; in an
+    open round it holds every pair."""
 
     t0: float
     t1: float
     members: tuple[str, ...]
     hubs: tuple[bool, ...]       # hubs[i]: member i reaches every other member
+    go: int | None               # the GO's member index if no policy can change it, else None
     est_pcd: np.ndarray          # est_pcd[i, j]: estimated PCD of members i and j
     loss: np.ndarray | None      # loss probability per member
     rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
@@ -294,13 +305,35 @@ def _word_rows(purpose: int, r: int, *nodes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The member pairs (i, j), i < j, of a round of ``size`` members in
-    ``np.triu_indices`` order, read-only and built once per size."""
-    pairs = np.triu_indices(size, 1)
+def _pairs(size: int, go: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The member pairs (i, j), i < j, whose PCDs a round of ``size``
+    members draws: all of them in ``np.triu_indices`` order, or with a
+    fixed GO only those that hold it.  Read-only, built once per size and
+    GO."""
+    if go is None:
+        pairs = np.triu_indices(size, 1)
+    else:
+        others = np.delete(np.arange(size), go)
+        pairs = np.minimum(others, go), np.maximum(others, go)
     for index in pairs:
         index.flags.writeable = False
     return pairs
+
+
+def _loads_and_go(scenario: Scenario, members: Sequence[str], nodes: Sequence[ScenarioNode],
+                  sent: Sequence[float], hubs: Sequence[bool], go: int | None = None) -> tuple[list[float], int]:
+    """A round's member loads, given what each member has sent so far, and
+    the member index of its GO: ``go`` if the round's draws fixed it, else
+    the pinned GO if it is a member, else the one :func:`elect_go` picks.
+
+    Drained-queue rule: a load at or below 1e-12 of the node's own data for
+    the round is a rounding residue of its sends; it counts as 0, and the
+    node sits the round out."""
+    own = [n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1) for n in nodes]
+    loads = [q - s if q - s > 1e-12 * q else 0.0 for q, s in zip(own, sent)]
+    if go is None:
+        go = members.index(scenario.go if scenario.go in members else elect_go(members, loads, hubs))
+    return loads, go
 
 
 def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
@@ -316,6 +349,15 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     an estimate is floored at :data:`PCD_FLOOR` the way
     :func:`estimate_pcd` floors it.  Draws depend only on the timeline, the
     seed and the noise models, not on the policy or the slot size.
+
+    A round reads only its GO's row of PCDs, the horizon being the smallest
+    of them.  Where no policy can change the GO, because the scenario pins
+    a GO that is a member, or because it is the first round and every
+    policy starts it from the same untouched loads, the GO is elected here,
+    by the election :func:`_run` makes, and only the pairs of its row are
+    drawn.  Every stream keeps its key, so each drawn estimate is the one a
+    draw of every pair gives.  Other rounds, and a fixed round whose
+    election raises, draw every pair and leave the election to the run.
     """
     events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
     spans = []
@@ -323,16 +365,30 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         members = _members_at(scenario, t0)
         if len(members) >= 2:
             spans.append((t0, t1, tuple(members)))
+    if scenario.connectivity == "complete":
+        hubs = [(True,) * len(members) for _, _, members in spans]
+    else:
+        graph = ConnectivityGraph([n.id for n in scenario.nodes], scenario.connectivity)
+        hubs = [tuple(graph.reaches_all(m, members) for m in members) for _, _, members in spans]
 
-    est = []
-    for t0, _, members in spans:
-        leave = np.array([scenario.node(m).leave_s for m in members])
-        est.append(np.minimum.outer(leave, leave) - t0)     # the true PCDs
+    go: list[int | None] = [None] * len(spans)
+    pairs, true = [], []
+    for r, (t0, _, members) in enumerate(spans):
+        nodes = [scenario.node(m) for m in members]
+        if r == 0 or scenario.go in members:
+            try:    # a first round's loads are its members' own data; a pinned GO reads none
+                go[r] = _loads_and_go(scenario, members, nodes, [0.0] * len(members), hubs[r])[1]
+            except NoGoCandidateError:
+                pass
+        i, j = _pairs(len(members), go[r])
+        leave = np.array([n.leave_s for n in nodes])
+        pairs.append((i, j))
+        true.append(np.minimum(leave[i], leave[j]) - t0)    # the true PCDs
+    est = true      # unless a noise model moves them
     rx_ok = [~np.eye(len(members), dtype=bool) for _, _, members in spans]
     model, loss_model = scenario.pcd_error, scenario.loss
     loss: list = [None] * len(spans)
     if spans and (model is not None or loss_model is not None):
-        pairs = [_pairs(len(members)) for _, _, members in spans]
         pcd_rows, loss_rows, rx_rows = [], [], []
         for r, ((_, _, members), (i, j), ok) in enumerate(zip(spans, pairs, rx_ok)):
             crc = np.array([part_key(m) for m in members], np.uint32)
@@ -351,16 +407,16 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
 
         word0 = first_words(keys)
         if model is not None:
-            true = np.concatenate([e[i, j] for e, (i, j) in zip(est, pairs)])
-            v = true + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
+            v = np.concatenate(true) + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
             v = np.where(v > PCD_FLOOR, v, PCD_FLOOR)       # max(PCD_FLOOR, v), as estimate_pcd floors
-            for e, (i, j) in zip(est, pairs):
-                e[i, j] = e[j, i] = v[:len(i)]
-                v = v[len(i):]
+            est = []
+            for t in true:
+                est.append(v[:len(t)])
+                v = v[len(t):]
         if loss_model is not None:
             u = first_uniforms(word0[n_pcd:])
             probs = loss_model.lo + (loss_model.hi - loss_model.lo) * u[:n_loss]   # Generator.uniform's arithmetic
-            probs.flags.writeable = False       # its round slices are shared like est and rx_ok
+            probs.flags.writeable = False       # its round slices are shared like est_pcd and rx_ok
             heard = u[n_loss:]
             for r, ok in enumerate(rx_ok):
                 size = len(ok)
@@ -369,14 +425,15 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
                 draw[ok] = heard[:size * (size - 1)]        # row by row: receiver, then sender
                 ok &= draw >= loss[r][:, None]
                 heard = heard[size * (size - 1):]
-    for array in (*est, *rx_ok):
+    est_pcd = []
+    for (_, _, members), (i, j), v in zip(spans, pairs, est):
+        e = np.full((len(members), len(members)), np.nan)   # a pair not drawn: reading it fails loudly
+        e.flat[::len(members) + 1] = np.inf                 # a member has no contact with itself
+        e[i, j] = e[j, i] = v
+        est_pcd.append(e)
+    for array in (*est_pcd, *rx_ok):
         array.flags.writeable = False       # shared by every policy that runs on them
-    if scenario.connectivity == "complete":
-        hubs = [(True,) * len(members) for _, _, members in spans]
-    else:
-        graph = ConnectivityGraph([n.id for n in scenario.nodes], scenario.connectivity)
-        hubs = [tuple(graph.reaches_all(m, members) for m in members) for _, _, members in spans]
-    return [_RoundDraws(t0, t1, members, hubs[r], est[r], loss[r], rx_ok[r])
+    return [_RoundDraws(t0, t1, members, hubs[r], go[r], est_pcd[r], loss[r], rx_ok[r])
             for r, (t0, t1, members) in enumerate(spans)]
 
 
@@ -397,8 +454,9 @@ def _solve_round(scenario: Scenario, d: _RoundDraws, nodes: Sequence[ScenarioNod
     """Build the round's two problems, as member columns, and solve the
     GNBS reference.  The GO and a unicast pair upload nothing, and clients
     of a GO lose what the loss draw says."""
-    # the horizon: the smallest estimated PCD from the GO to any other member
-    airtime = float(np.delete(d.est_pcd[g], g).min())
+    # the horizon: the smallest estimated PCD from the GO to any other
+    # member; the GO's own entry is +inf
+    airtime = float(d.est_pcd[g].min())
     alphas = np.array([n.alpha for n in nodes])
     alphas[g] *= scenario.go_alpha_factor
     if mode == MODE_UNICAST_PAIR:
@@ -465,10 +523,11 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
 def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
     """:func:`run_scenario` on the scenario's precomputed round draws.
 
-    Loads and the GO depend on what the policy delivered in earlier rounds,
-    so they are derived here, and a round's solve, which the slot size does
-    not change, is looked up in, or added to, its draws' ``solves``.  A
-    round's election or schedule error names the round.
+    Loads and, unless the draws fixed it, the GO depend on what the policy
+    delivered in earlier rounds, so they are derived here, and a round's
+    solve, which the slot size does not change, is looked up in, or added
+    to, its draws' ``solves``.  A round's election or schedule error names
+    the round.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -482,14 +541,9 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         t0, t1, members = d.t0, d.t1, d.members
         at = np.array([position[m] for m in members])
         nodes = [scenario.node(m) for m in members]
-        # Drained-queue rule: a load at or below 1e-12 of the node's own data for
-        # the round is a rounding residue of its sends; it counts as 0, and the
-        # node sits the round out.
-        own = [n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1) for n in nodes]
-        loads = [q - s if q - s > 1e-12 * q else 0.0 for q, s in zip(own, transmitted[at].tolist())]
         try:
-            go_id = scenario.go if scenario.go in members else elect_go(members, loads, d.hubs)
-            g = members.index(go_id)
+            loads, g = _loads_and_go(scenario, members, nodes, transmitted[at].tolist(), d.hubs, d.go)
+            go_id = members[g]
             mode = select_transmission_mode(len(members))
             loads = np.array(loads)
             key = (g, loads.tobytes())      # float bits: 0.0 and -0.0 differ

@@ -82,6 +82,34 @@ def test_schedule_round_out_of_range(capsys):
     assert "out of range" in err
 
 
+def test_one_round_commands_run_only_the_rounds_up_to_theirs(capsys, tmp_path):
+    """Round 0 (0-10.04 s) of this document runs, and round 1 lasts 10 ms,
+    less than one cycle: printing round 0 does not run round 1."""
+    doc = {
+        "nodes": [
+            {"id": "a", "join_s": 0.0, "leave_s": 10.05, "data_mb": 40.0},
+            {"id": "b", "join_s": 0.0, "leave_s": 10.05, "data_mb": 30.0},
+            {"id": "c", "join_s": 0.0, "leave_s": 10.04, "data_mb": 20.0},
+        ],
+        "broadcast_mbps": 11.0,
+        "t_slot_ms": 20.0,
+        "seed": 3,
+    }
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "schedule", "--scenario", str(path), "--round", "0")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "node_id,kind,start_s,duration_s" and rows
+    assert all(0.0 <= float(row.split(",")[2]) < 10.04 for row in rows)
+    code, out, _ = run_cli(capsys, "allocate", "--scenario", str(path))
+    assert code == 0
+    assert out.startswith("policy gsa: airtime 10.040s")
+    assert [line.split()[:2] for line in out.splitlines()[2:5]] == [["a", "go"], ["b", "client"], ["c", "client"]]
+    with pytest.raises(ScheduleError, match=r"^round 1 at 10\.04s: one cycle \([0-9.]+s\) exceeds the interval"):
+        cli.main(["schedule", "--scenario", str(path), "--round", "1"])
+
+
 def test_simulate_writes_reports(capsys, tmp_path):
     out_dir = tmp_path / "reports"
     code, out, _ = run_cli(capsys, "simulate", "--preset", "dynamic4", "--out", str(out_dir))
@@ -279,7 +307,7 @@ def test_infeasible_problem_exits_3(capsys, monkeypatch):
     def boom(*a, **kw):
         raise InfeasibleProblemError("disagreements exhaust the airtime")
 
-    monkeypatch.setattr(cli, "run_scenario", boom)
+    monkeypatch.setattr(cli, "_run", boom)
     code, _, err = run_cli(capsys, "allocate", "--preset", "table1")
     assert code == 3
     assert "infeasible" in err

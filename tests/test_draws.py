@@ -314,15 +314,29 @@ def test_ziggurat_tables_pinned():
         assert normal_of(layer, ki)[1] > 1
 
 
+def _drawn(d):
+    """Where a round's ``est_pcd`` holds estimates: every member pair of an
+    open round, the pairs of the GO's row and column of a fixed one."""
+    drawn = ~np.eye(len(d.members), dtype=bool)
+    if d.go is not None:
+        others = np.arange(len(d.members)) != d.go
+        drawn[np.ix_(others, others)] = False
+    return drawn
+
+
 def _assert_draws_match(scenario):
     got = _round_draws(scenario)
     want = support.reference_round_draws(scenario)
     assert len(got) == len(want) > 0
-    for d, (t0, t1, members, est, loss, rx_ok) in zip(got, want):
+    for r, (d, (t0, t1, members, est, loss, rx_ok)) in enumerate(zip(got, want)):
         assert (d.t0, d.t1, d.members) == (t0, t1, members)
+        assert (d.go is not None) == (r == 0 or scenario.go in members)
+        drawn = _drawn(d)
+        assert support.float_bits(d.est_pcd[drawn]) == support.float_bits(est[drawn])
         off = ~np.eye(len(members), dtype=bool)
-        assert support.float_bits(d.est_pcd[off]) == support.float_bits(est[off])
-        assert np.array_equal(d.est_pcd, d.est_pcd.T)
+        assert np.array_equal(np.isnan(d.est_pcd), off & ~drawn)   # NaN exactly outside the GO's row and column
+        assert (d.est_pcd.diagonal() == np.inf).all()
+        assert np.array_equal(d.est_pcd, d.est_pcd.T, equal_nan=True)
         assert (d.loss is None) == (loss is None)
         if loss is not None:
             assert support.float_bits(d.loss) == support.float_bits(loss)
@@ -357,13 +371,14 @@ def test_round_draws_match_per_draw_streams(name, monkeypatch):
     restart = streams.restarted
     monkeypatch.setattr(streams, "restarted", lambda keys, gen: slow.extend(keys) or restart(keys, gen))
     draws = _assert_draws_match(scenario)
-    # the noise shows: estimates differ from the truth, and packets are lost
+    # the noise shows: drawn estimates differ from the truth, and packets are lost
     clean = _round_draws(replace(scenario, loss=None, pcd_error=None))
-    moved = [not np.array_equal(d.est_pcd, c.est_pcd) for d, c in zip(draws, clean)]
+    assert [c.go for c in clean] == [d.go for d in draws]
+    moved = [not np.array_equal(d.est_pcd[_drawn(d)], c.est_pcd[_drawn(d)]) for d, c in zip(draws, clean)]
     assert all(moved) if scenario.pcd_error is not None else not any(moved)
     lost = any(not d.rx_ok[~np.eye(len(d.members), dtype=bool)].all() for d in draws)
     assert lost == (scenario.loss is not None)
-    est = np.concatenate([d.est_pcd[~np.eye(len(d.members), dtype=bool)] for d in draws])
+    est = np.concatenate([d.est_pcd[_drawn(d)] for d in draws])
     assert shows(est, len(slow))
 
 
@@ -390,6 +405,45 @@ def test_key_batches_per_scenario(monkeypatch, noise, batches):
     _assert_draws_match(scenario_from_dict({**QUIET_DYNAMIC4, **noise, "seed": 3}))
     assert len(sizes) == batches
     assert passes == sizes          # one Philox pass over every key of the batch
+
+
+def _crowd1_doc():
+    """``_crowd48_doc``'s nodes all present for 0-30 s: one 48-member round
+    with an elected GO."""
+    doc = _crowd48_doc()
+    return {**doc, "nodes": [{**n, "join_s": 0.0, "leave_s": 30.0} for n in doc["nodes"]]}
+
+
+@pytest.mark.parametrize("doc, per_round", [
+    (_crowd1_doc(), [47]),                          # not 48 * 47 / 2 = 1,128
+    (SCENARIOS["table1"], [5]),                     # GO n4 pinned
+    (SHARED_ROUNDS["pinned-go"], [1, 2, 1, 2, 1]),  # GO n2 pinned in rounds 0-3 only
+    (SCENARIOS["dynamic4"], [1, 3, 1, 3, 1]),       # the first round's pair, then every pair
+], ids=["crowd1", "table1", "pinned-go", "dynamic4"])
+def test_pcd_keys_per_round(monkeypatch, doc, per_round):
+    """A round whose GO is fixed before any policy runs, the first round or
+    one with its pinned GO present, draws the n - 1 PCD pairs of the GO's
+    row; every other round draws all n(n - 1)/2.  Each policy's run then
+    has the GO the draws fixed, which is the GO it elects itself when the
+    draws leave the round open, and it reports the same bits either way."""
+    rounds = []
+    derive = simulate.word_keys
+
+    def counted(seed, words, lengths):
+        rounds.extend(words[words[:, 0] == simulate._PCD, 1].tolist())
+        return derive(seed, words, lengths)
+
+    monkeypatch.setattr(simulate, "word_keys", counted)
+    scenario = scenario_from_dict(doc)
+    draws = _assert_draws_match(scenario)
+    assert np.bincount(rounds, minlength=len(draws)).tolist() == per_round
+    open_draws = [replace(d, go=None) for d in draws]
+    for policy in POLICIES:
+        fixed, elected = (simulate._run(scenario, policy, ds) for ds in (draws, open_draws))
+        for d, rnd, own in zip(draws, fixed.rounds, elected.rounds):
+            if d.go is not None:
+                assert rnd.go_id == own.go_id == d.members[d.go]
+        assert support.exact_bits(fixed) == support.exact_bits(elected)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(SHARED_ROUNDS))
