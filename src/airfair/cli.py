@@ -66,6 +66,13 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+def _scaled(scenario, duration: float, flag: str):
+    try:    # a duration must leave every node's join before its leave
+        return scale_contact_durations(scenario, duration)
+    except ValueError as e:
+        raise SchemaError(f"{flag} {duration!r} collapses the timeline: {e}") from None
+
+
 def _round(scenario, policy, k: int):
     """Round k of the scenario under the policy.  Only rounds 0..k run, so
     an error in a later round cannot keep round k from printing."""
@@ -186,9 +193,9 @@ def cmd_compare(args) -> int:
     durations = _float_list(args.durations, "--durations")
     _require(args.reps >= 1, "--reps must be at least 1")
     base_seed = scenario.seed
+    scaled_runs = [_scaled(scenario, duration, "--durations") for duration in durations]
     print("duration_s," + ",".join(POLICIES))
-    for di, duration in enumerate(durations):
-        scaled = scale_contact_durations(scenario, duration)
+    for di, (duration, scaled) in enumerate(zip(durations, scaled_runs)):
         sums = dict.fromkeys(POLICIES, 0.0)
         for rep in range(args.reps):
             run = replace(scaled, seed=derive_seed(base_seed, "compare", di, rep))
@@ -203,6 +210,7 @@ def cmd_sweep(args) -> int:
     scenario = _load(args)
     sizes_ms = _float_list(args.slot_sizes, "--slot-sizes")
     _require(args.reps >= 1, "--reps must be at least 1")
+    _require(all(ms / 1000.0 > 0 for ms in sizes_ms), "--slot-sizes values must stay > 0 in seconds")
     results = slot_size_sweep(scenario, [ms / 1000.0 for ms in sizes_ms], repetitions=args.reps)
     print("t_slot_ms,mean_wpf,stddev_wpf")
     for (t_slot, mean, std), ms in zip(results, sizes_ms):
@@ -215,7 +223,7 @@ def cmd_converge(args) -> int:
     _require(args.contacts >= 1, "--contacts must be at least 1")
     _require(0 < args.duration < math.inf, "--duration must be finite and > 0")
     _require(0 <= args.stddev < math.inf, "--stddev must be finite and >= 0")
-    scenario = scale_contact_durations(scenario, args.duration)
+    scenario = _scaled(scenario, args.duration, "--duration")
     scenario = replace(scenario, pcd_error=PcdErrorModel(stddev=args.stddev))
     running, ideal = repeated_contacts(scenario, args.contacts)
     print("contact,running_avg_nash,ideal_nash")

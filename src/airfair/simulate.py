@@ -8,7 +8,7 @@ allocation round: the GO is re-elected, airtime re-allocated from the
 timeline, so mis-estimation shows up as truncated or underfilled intervals.
 The contact profiles the members swap come down to two arrays per round,
 the loads and a mask of who reaches everyone, which is all the election
-reads; the horizon is the smallest estimated PCD in the GO's row.  Delivered
+reads; the horizon is the GO's smallest estimated PCD.  Delivered
 megabits are tracked across rounds, so later rounds only bargain over what
 is still queued.  Those running totals are arrays in scenario node order that
 each round reads and adds to at its members' positions; dicts keyed by node
@@ -31,11 +31,12 @@ numpy's SeedSequence hash on arrays, and one vectorized Philox4x64-10 pass
 makes the first word of every key's stream, from which the uniform draws
 and the normal draws are read (see :mod:`airfair.streams`).  Draws
 depend on neither the policy nor the slot size, so policy comparison and
-slot-size sweeps derive them once and share them.  A round whose GO no
-policy can change, the first round or one with its pinned GO present,
-elects it with the draws and draws only the PCDs of the GO's row, the ones
-its horizon reads; since a stream's key names its draw, skipping the
-others leaves every drawn number as it was.
+slot-size sweeps derive them once and share them.  A round keeps its PCD
+draws as drawn, a list of member pairs and one estimate per pair.  A round
+whose GO no policy can change, the first round or one with its pinned GO
+present, elects it with the draws and draws only the pairs that hold it,
+the ones its horizon reads; since a stream's key names its draw, skipping
+the others leaves every drawn number as it was.
 
 A round's two bargaining problems, its GNBS reference and each policy's
 allocations depend only on its draws, its loads and its GO, so each
@@ -264,31 +265,35 @@ def effective_upload_rate(nominal_rate, loss_probability):
     return float(rate) if loss.ndim == 0 else rate
 
 
-def _members_at(scenario: Scenario, t: float) -> list[str]:
-    return sorted(n.id for n in scenario.nodes if n.join_s <= t < n.leave_s)
-
-
 @dataclass(frozen=True, eq=False)
 class _RoundDraws:
     """What no policy can change about one round: its true span, its
     members, which of them reach all others, its GO where that is fixed
     before any policy runs, and the round's random draws; and the round's
-    solves, filled in by the runs on these draws.
-
-    ``est_pcd`` has +inf on its diagonal, since a member has no contact
-    with itself.  In a round with a fixed GO it holds only the GO's row and
-    column, the PCDs the horizon reads, and every other entry is NaN; in an
-    open round it holds every pair."""
+    solves, filled in by the runs on these draws.  A round with a fixed GO
+    draws the PCDs of the n - 1 pairs that hold it, the ones its horizon
+    reads, and an open round those of every pair."""
 
     t0: float
     t1: float
     members: tuple[str, ...]
     hubs: tuple[bool, ...]       # hubs[i]: member i reaches every other member
     go: int | None               # the GO's member index if no policy can change it, else None
-    est_pcd: np.ndarray          # est_pcd[i, j]: estimated PCD of members i and j
+    pairs: tuple[np.ndarray, np.ndarray]    # (i, j): member indices, i < j, of each drawn pair
+    pcd: np.ndarray              # pcd[k]: estimated PCD of the members of pair k
     loss: np.ndarray | None      # loss probability per member
     rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
     solves: dict[tuple[int, bytes], _RoundSolve] = field(default_factory=dict, init=False)  # by GO, loads.tobytes()
+
+    def horizon(self, g: int) -> float:
+        """Member g's horizon as GO: its smallest estimated PCD to another
+        member.  A round with a fixed GO drew no other member's PCDs."""
+        if self.go is not None:     # every pair drawn holds the fixed GO
+            if g != self.go:
+                raise ValueError(f"the round drew only the PCDs of its GO, member {self.go}, not member {g}")
+            return float(self.pcd.min())
+        i, j = self.pairs
+        return float(self.pcd[(i == g) | (j == g)].min())
 
 
 _PCD, _LOSS, _RX = (part_key(p) for p in ("pcd", "loss", "rx"))
@@ -350,54 +355,49 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     :func:`estimate_pcd` floors it.  Draws depend only on the timeline, the
     seed and the noise models, not on the policy or the slot size.
 
-    A round reads only its GO's row of PCDs, the horizon being the smallest
-    of them.  Where no policy can change the GO, because the scenario pins
-    a GO that is a member, or because it is the first round and every
-    policy starts it from the same untouched loads, the GO is elected here,
-    by the election :func:`_run` makes, and only the pairs of its row are
-    drawn.  Every stream keeps its key, so each drawn estimate is the one a
-    draw of every pair gives.  Other rounds, and a fixed round whose
-    election raises, draw every pair and leave the election to the run.
+    A round reads only the PCDs of the pairs that hold its GO, the horizon
+    being the smallest of them.  Where no policy can change the GO, because
+    the scenario pins a GO that is a member, or because it is the first
+    round and every policy starts it from the same untouched loads, the GO
+    is elected here, by the election :func:`_run` makes, and only those
+    pairs are drawn.  Every stream keeps its key, so each drawn estimate is
+    the one a draw of every pair gives.  Other rounds, and a fixed round
+    whose election raises, draw every pair and leave the election to the run.
     """
     events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
-    spans = []
-    for t0, t1 in zip(events, events[1:]):
-        members = _members_at(scenario, t0)
-        if len(members) >= 2:
-            spans.append((t0, t1, tuple(members)))
-    if scenario.connectivity == "complete":
-        hubs = [(True,) * len(members) for _, _, members in spans]
-    else:
+    graph = None
+    if scenario.connectivity != "complete":
         graph = ConnectivityGraph([n.id for n in scenario.nodes], scenario.connectivity)
-        hubs = [tuple(graph.reaches_all(m, members) for m in members) for _, _, members in spans]
-
-    go: list[int | None] = [None] * len(spans)
-    pairs, true = [], []
-    for r, (t0, _, members) in enumerate(spans):
+    model, loss_model = scenario.pcd_error, scenario.loss
+    rounds, pcd_rows, loss_rows, rx_rows = [], [], [], []
+    for t0, t1 in zip(events, events[1:]):
+        members = tuple(sorted(n.id for n in scenario.nodes if n.join_s <= t0 < n.leave_s))
+        if len(members) < 2:
+            continue
+        r = len(rounds)
         nodes = [scenario.node(m) for m in members]
+        hubs = (True,) * len(members) if graph is None else tuple(graph.reaches_all(m, members) for m in members)
+        go = None
         if r == 0 or scenario.go in members:
             try:    # a first round's loads are its members' own data; a pinned GO reads none
-                go[r] = _loads_and_go(scenario, members, nodes, [0.0] * len(members), hubs[r])[1]
+                go = _loads_and_go(scenario, members, nodes, [0.0] * len(members), hubs)[1]
             except NoGoCandidateError:
                 pass
-        i, j = _pairs(len(members), go[r])
+        i, j = pairs = _pairs(len(members), go)
         leave = np.array([n.leave_s for n in nodes])
-        pairs.append((i, j))
-        true.append(np.minimum(leave[i], leave[j]) - t0)    # the true PCDs
-    est = true      # unless a noise model moves them
-    rx_ok = [~np.eye(len(members), dtype=bool) for _, _, members in spans]
-    model, loss_model = scenario.pcd_error, scenario.loss
-    loss: list = [None] * len(spans)
-    if spans and (model is not None or loss_model is not None):
-        pcd_rows, loss_rows, rx_rows = [], [], []
-        for r, ((_, _, members), (i, j), ok) in enumerate(zip(spans, pairs, rx_ok)):
+        true = np.minimum(leave[i], leave[j]) - t0      # the true PCDs
+        rx_ok = ~np.eye(len(members), dtype=bool)
+        if model is not None or loss_model is not None:
             crc = np.array([part_key(m) for m in members], np.uint32)
             if model is not None:
                 pcd_rows.append(_word_rows(_PCD, r, crc[i], crc[j]))
             if loss_model is not None:
-                receiver, sender = np.nonzero(ok)
+                receiver, sender = np.nonzero(rx_ok)
                 loss_rows.append(_word_rows(_LOSS, r, crc))
                 rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
+        rounds.append((t0, t1, members, hubs, go, pairs, true, rx_ok))
+
+    if pcd_rows or loss_rows:
         n_pcd = sum(map(len, pcd_rows))
         n_loss = sum(map(len, loss_rows))
         words = np.concatenate(pcd_rows + loss_rows + rx_rows)
@@ -407,34 +407,26 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
 
         word0 = first_words(keys)
         if model is not None:
-            v = np.concatenate(true) + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
-            v = np.where(v > PCD_FLOOR, v, PCD_FLOOR)       # max(PCD_FLOOR, v), as estimate_pcd floors
-            est = []
-            for t in true:
-                est.append(v[:len(t)])
-                v = v[len(t):]
+            v = np.concatenate([true for *_, true, _ in rounds])
+            v = v + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
+            est = np.where(v > PCD_FLOOR, v, PCD_FLOOR)     # max(PCD_FLOOR, v), as estimate_pcd floors
         if loss_model is not None:
             u = first_uniforms(word0[n_pcd:])
             probs = loss_model.lo + (loss_model.hi - loss_model.lo) * u[:n_loss]   # Generator.uniform's arithmetic
-            probs.flags.writeable = False       # its round slices are shared like est_pcd and rx_ok
+            probs.flags.writeable = False       # its round slices are shared like pcd and rx_ok
             heard = u[n_loss:]
-            for r, ok in enumerate(rx_ok):
-                size = len(ok)
-                loss[r], probs = probs[:size], probs[size:]
-                draw = np.zeros(ok.shape)
-                draw[ok] = heard[:size * (size - 1)]        # row by row: receiver, then sender
-                ok &= draw >= loss[r][:, None]
-                heard = heard[size * (size - 1):]
-    est_pcd = []
-    for (_, _, members), (i, j), v in zip(spans, pairs, est):
-        e = np.full((len(members), len(members)), np.nan)   # a pair not drawn: reading it fails loudly
-        e.flat[::len(members) + 1] = np.inf                 # a member has no contact with itself
-        e[i, j] = e[j, i] = v
-        est_pcd.append(e)
-    for array in (*est_pcd, *rx_ok):
-        array.flags.writeable = False       # shared by every policy that runs on them
-    return [_RoundDraws(t0, t1, members, hubs[r], go[r], est_pcd[r], loss[r], rx_ok[r])
-            for r, (t0, t1, members) in enumerate(spans)]
+
+    out, p, q, h = [], 0, 0, 0      # offsets of a round's pcd, loss and rx draws
+    for t0, t1, members, hubs, go, pairs, true, rx_ok in rounds:
+        n = len(members)
+        pcd = true if model is None else est[p:p + len(true)]
+        loss = None if loss_model is None else probs[q:q + n]
+        if loss is not None:    # the rx draws run row by row: receiver, then sender
+            rx_ok[rx_ok] = heard[h:h + n * (n - 1)] >= np.repeat(loss, n - 1)
+        p, q, h = p + len(true), q + n, h + n * (n - 1)
+        pcd.flags.writeable = rx_ok.flags.writeable = False     # shared by every policy that runs on them
+        out.append(_RoundDraws(t0, t1, members, hubs, go, pairs, pcd, loss, rx_ok))
+    return out
 
 
 @dataclass(eq=False)
@@ -452,11 +444,10 @@ class _RoundSolve:
 def _solve_round(scenario: Scenario, d: _RoundDraws, nodes: Sequence[ScenarioNode], loads: np.ndarray,
                  g: int, mode: str) -> _RoundSolve:
     """Build the round's two problems, as member columns, and solve the
-    GNBS reference.  The GO and a unicast pair upload nothing, and clients
-    of a GO lose what the loss draw says."""
-    # the horizon: the smallest estimated PCD from the GO to any other
-    # member; the GO's own entry is +inf
-    airtime = float(d.est_pcd[g].min())
+    GNBS reference.  The estimated problem's horizon is the GO's
+    :meth:`_RoundDraws.horizon`.  The GO and a unicast pair upload nothing,
+    and clients of a GO lose what the loss draw says."""
+    airtime = d.horizon(g)
     alphas = np.array([n.alpha for n in nodes])
     alphas[g] *= scenario.go_alpha_factor
     if mode == MODE_UNICAST_PAIR:

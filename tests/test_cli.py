@@ -273,6 +273,9 @@ def test_converge_output(capsys):
     "converge --duration nan",
     "converge --stddev -1",
     "converge --stddev nan",
+    "sweep --slot-sizes 1e-322",         # > 0 in ms, 0.0 in seconds
+    "compare --durations 1e-323",        # every join and leave scales to 0
+    "converge --duration 1e-323",
 ])
 def test_bad_numeric_argument_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv.split(), "--preset", "table1")

@@ -314,16 +314,6 @@ def test_ziggurat_tables_pinned():
         assert normal_of(layer, ki)[1] > 1
 
 
-def _drawn(d):
-    """Where a round's ``est_pcd`` holds estimates: every member pair of an
-    open round, the pairs of the GO's row and column of a fixed one."""
-    drawn = ~np.eye(len(d.members), dtype=bool)
-    if d.go is not None:
-        others = np.arange(len(d.members)) != d.go
-        drawn[np.ix_(others, others)] = False
-    return drawn
-
-
 def _assert_draws_match(scenario):
     got = _round_draws(scenario)
     want = support.reference_round_draws(scenario)
@@ -331,12 +321,20 @@ def _assert_draws_match(scenario):
     for r, (d, (t0, t1, members, est, loss, rx_ok)) in enumerate(zip(got, want)):
         assert (d.t0, d.t1, d.members) == (t0, t1, members)
         assert (d.go is not None) == (r == 0 or scenario.go in members)
-        drawn = _drawn(d)
-        assert support.float_bits(d.est_pcd[drawn]) == support.float_bits(est[drawn])
-        off = ~np.eye(len(members), dtype=bool)
-        assert np.array_equal(np.isnan(d.est_pcd), off & ~drawn)   # NaN exactly outside the GO's row and column
-        assert (d.est_pcd.diagonal() == np.inf).all()
-        assert np.array_equal(d.est_pcd, d.est_pcd.T, equal_nan=True)
+        n, (i, j) = len(members), d.pairs
+        if d.go is None:        # every pair, in np.triu_indices order
+            assert all(np.array_equal(a, b) for a, b in zip(d.pairs, np.triu_indices(n, 1)))
+        else:                   # exactly the n - 1 pairs that hold the GO
+            assert len(i) == n - 1
+            assert set(zip(i.tolist(), j.tolist())) == {(min(k, d.go), max(k, d.go)) for k in range(n) if k != d.go}
+        assert support.float_bits(d.pcd) == support.float_bits(est[i, j])
+        off = ~np.eye(n, dtype=bool)
+        for g in range(n):
+            if d.go in (None, g):
+                assert float(d.horizon(g)).hex() == float(est[g, off[g]].min()).hex()
+            else:
+                with pytest.raises(ValueError, match="drew only the PCDs of its GO"):
+                    d.horizon(g)
         assert (d.loss is None) == (loss is None)
         if loss is not None:
             assert support.float_bits(d.loss) == support.float_bits(loss)
@@ -349,7 +347,7 @@ def _quiet4(**noise):
 
 
 # Noise models at their edges, checked on the draws alone, each with what
-# its estimates (off the diagonal) and its count of slow-path keys show.
+# its drawn estimates and its count of slow-path keys show.
 DRAW_CASES = {
     "complete20": (_complete20_doc(), lambda est, slow: slow > 0),
     "pcd-only": (_quiet4(pcd_error=PCD_ERROR), lambda est, slow: True),
@@ -374,11 +372,11 @@ def test_round_draws_match_per_draw_streams(name, monkeypatch):
     # the noise shows: drawn estimates differ from the truth, and packets are lost
     clean = _round_draws(replace(scenario, loss=None, pcd_error=None))
     assert [c.go for c in clean] == [d.go for d in draws]
-    moved = [not np.array_equal(d.est_pcd[_drawn(d)], c.est_pcd[_drawn(d)]) for d, c in zip(draws, clean)]
+    moved = [not np.array_equal(d.pcd, c.pcd) for d, c in zip(draws, clean)]
     assert all(moved) if scenario.pcd_error is not None else not any(moved)
     lost = any(not d.rx_ok[~np.eye(len(d.members), dtype=bool)].all() for d in draws)
     assert lost == (scenario.loss is not None)
-    est = np.concatenate([d.est_pcd[_drawn(d)] for d in draws])
+    est = np.concatenate([d.pcd for d in draws])
     assert shows(est, len(slow))
 
 
