@@ -12,9 +12,12 @@ alone, so all of a scenario's draws can be made up front.
 their parts spelled as 32-bit entropy words, running SeedSequence's hash on
 uint32 arrays instead of building one SeedSequence per stream.
 :func:`first_words` runs Philox4x64-10 on all keys at once for the first
-64-bit word of every stream, and the first draw of a stream is read off that
-word: a uniform by :func:`first_uniforms`, a normal by :func:`first_normals`,
-which applies the fast path of numpy's ziggurat with its tables pinned here.
+64-bit word of every stream.  Its rounds run in place on a few work buffers
+made once per call, with counter words c1 and c3 folded into the low
+products it keeps, and it works on a copy of the keys, which the caller
+reads again.  The first draw of a stream is read off that word: a uniform
+by :func:`first_uniforms`, a normal by :func:`first_normals`, which applies
+the fast path of numpy's ziggurat with its tables pinned here.
 The few keys whose normal needs more than one word, and any other draw,
 come from :func:`restarted`, which moves one Philox to the start of each
 stream in turn.
@@ -41,16 +44,17 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 # 3", SC 2011), as numpy runs it: per key lane (c0 with k0, c2 with k1), the
-# round multiplier, its low and high 32-bit halves, and counter word c1 or c3
-# after the first round on counter (1, 0, 0, 0); then the Weyl increments
-# that bump the key before rounds 2..10.  Every operand is uint64, so numpy
-# wraps modulo 2**64 on every numpy version.
+# round multiplier, its low and high 32-bit halves, the Weyl increment that
+# bumps the key before rounds 2..10, and the low product of the first round
+# on counter (1, 0, 0, 0), which is 1 x multiplier in lane 0 and 0 in lane 1.
+# Every operand is a uint64 array or scalar, never a Python int, so numpy
+# wraps modulo 2**64 and writes through ``out=`` without a casting error
+# under both numpy 1.x value-based promotion and NEP 50.
 _PHILOX_LANES = np.array([[0xD2E7470EE14C6C93, 0xCA5A826395121157],
                           [0xE14C6C93, 0x95121157],
                           [0xD2E7470E, 0xCA5A8263],
-                          [0, 0xD2E7470EE14C6C93]], np.uint64)
-_PHILOX_BUMPS = np.arange(1, 10, dtype=np.uint64)[:, None] * np.array(
-    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)
+                          [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                          [0xD2E7470EE14C6C93, 0]], np.uint64)
 _LO32, _32, _16 = np.uint64(_MASK32), np.uint64(32), np.uint32(16)
 
 # numpy's 256-layer ziggurat for standard normals (Marsaglia & Tsang, "The
@@ -285,21 +289,44 @@ def first_words(keys: np.ndarray) -> np.ndarray:
     """Word 0 of Philox4x64-10 at counter (1, 0, 0, 0) for every key row:
     the first 64-bit word that ``Philox(key=k)`` hands out.
 
-    The two lanes of every key are laid side by side in one array, and each
-    64 x 64 -> 128-bit round product is put together from 32-bit halves.
+    The two lanes of every key are laid side by side in one 1-D array,
+    ``[lane 0 | lane 1]``, and the rounds run in place: every ufunc writes
+    through ``out=`` into work buffers of length 2n made once per call, and
+    each 64 x 64 -> 128-bit round product is put together from 32-bit
+    halves.  Counter words c1 and c3 get no lane of their own: after a round
+    they are its low products with the lanes swapped, so the next round's
+    ``[c0 | c2]`` is ``swap(hi ^ lo_prev) ^ key``.  The keys are copied
+    first (``flatten`` always copies, where ``ravel`` returns a view of a
+    one-row or Fortran-ordered array), so the caller's keys, which
+    :func:`first_normals` reads again, are never written; the words
+    returned are a fresh array that shares no buffer with another call.
     """
     n = len(keys)
-    m, m_lo, m_hi, b = np.repeat(_PHILOX_LANES, n, axis=1)   # b = [c1 | c3]
-    a = keys.T.ravel()                                       # [c0 | c2] = [k0 | k1] after round 1
-    for k in a + np.repeat(_PHILOX_BUMPS, n, axis=1):        # the keys of rounds 2..10
-        x_lo, x_hi = a & _LO32, a >> _32
-        mid = x_lo * m_hi + (x_lo * m_lo >> _32)             # < 2**64: no carry is lost
-        top = x_hi * m_lo + (mid & _LO32)
-        hi = x_hi * m_hi + (mid >> _32) + (top >> _32)
-        lo = a * m
-        a = np.concatenate((hi[n:], hi[:n])) ^ b ^ k         # c0 = hi1 ^ c1 ^ k0, c2 = hi0 ^ c3 ^ k1
-        b = np.concatenate((lo[n:], lo[:n]))                 # c1 = lo1, c3 = lo0
-    return a[:n]
+    m, m_lo, m_hi, weyl, lo = np.repeat(_PHILOX_LANES, n, axis=1)
+    a = keys.T.flatten()                            # [c0 | c2] = [k0 | k1] after round 1
+    k = a.copy()                                    # the key, bumped before rounds 2..10
+    x_lo, x_hi, mid, top, hi = np.empty((5, 2 * n), np.uint64)
+    for _ in range(9):
+        np.bitwise_and(a, _LO32, out=x_lo)
+        np.right_shift(a, _32, out=x_hi)
+        np.multiply(x_lo, m_lo, out=top)            # mid = x_lo * m_hi + (x_lo * m_lo >> 32) < 2**64
+        np.right_shift(top, _32, out=top)
+        np.multiply(x_lo, m_hi, out=mid)
+        np.add(mid, top, out=mid)
+        np.multiply(x_hi, m_lo, out=top)            # top = x_hi * m_lo + (mid & LO32): no carry is lost
+        np.bitwise_and(mid, _LO32, out=hi)
+        np.add(top, hi, out=top)
+        np.multiply(x_hi, m_hi, out=hi)             # hi = x_hi * m_hi + (mid >> 32) + (top >> 32)
+        np.right_shift(mid, _32, out=mid)
+        np.add(hi, mid, out=hi)
+        np.right_shift(top, _32, out=top)
+        np.add(hi, top, out=hi)
+        np.bitwise_xor(hi, lo, out=hi)              # hi ^ lo_prev, lanes not yet swapped
+        np.multiply(a, m, out=lo)                   # this round's low products
+        np.add(k, weyl, out=k)
+        np.bitwise_xor(hi[n:], k[:n], out=a[:n])    # c0 = hi1 ^ c1 ^ k0, with c1 = lo1_prev
+        np.bitwise_xor(hi[:n], k[n:], out=a[n:])    # c2 = hi0 ^ c3 ^ k1, with c3 = lo0_prev
+    return a[:n].copy()
 
 
 def first_uniforms(words: np.ndarray) -> np.ndarray:

@@ -462,6 +462,38 @@ def reference_stream(seed: int, *parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+# Philox4x64-10 per key lane (c0 with k0, c2 with k1): the round multiplier,
+# its low and high 32-bit halves, and counter word c1 or c3 after the first
+# round on counter (1, 0, 0, 0); then the Weyl increments that bump the key
+# before rounds 2..10.
+_REF_PHILOX_LANES = np.array([[0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                              [0xE14C6C93, 0x95121157],
+                              [0xD2E7470E, 0xCA5A8263],
+                              [0, 0xD2E7470EE14C6C93]], np.uint64)
+_REF_PHILOX_BUMPS = np.arange(1, 10, dtype=np.uint64)[:, None] * np.array(
+    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)
+_REF_LO32, _REF_32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def reference_first_words(keys: np.ndarray) -> np.ndarray:
+    """Word 0 of Philox4x64-10 at counter (1, 0, 0, 0) for every key row,
+    as ``streams.first_words`` computed it with fresh arrays in every round
+    and both counter lanes kept: the bit-exact reference for its in-place
+    pass."""
+    n = len(keys)
+    m, m_lo, m_hi, b = np.repeat(_REF_PHILOX_LANES, n, axis=1)   # b = [c1 | c3]
+    a = keys.T.ravel()                                           # [c0 | c2] = [k0 | k1] after round 1
+    for k in a + np.repeat(_REF_PHILOX_BUMPS, n, axis=1):        # the keys of rounds 2..10
+        x_lo, x_hi = a & _REF_LO32, a >> _REF_32
+        mid = x_lo * m_hi + (x_lo * m_lo >> _REF_32)             # < 2**64: no carry is lost
+        top = x_hi * m_lo + (mid & _REF_LO32)
+        hi = x_hi * m_hi + (mid >> _REF_32) + (top >> _REF_32)
+        lo = a * m
+        a = np.concatenate((hi[n:], hi[:n])) ^ b ^ k             # c0 = hi1 ^ c1 ^ k0, c2 = hi0 ^ c3 ^ k1
+        b = np.concatenate((lo[n:], lo[:n]))                     # c1 = lo1, c3 = lo0
+    return a[:n]
+
+
 def reference_round_draws(scenario) -> list[tuple]:
     """(t0, t1, members, estimated PCDs, loss probabilities, rx_ok) of every
     round with at least two members, one stream per draw."""

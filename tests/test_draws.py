@@ -231,6 +231,38 @@ def test_first_uniforms_match_philox():
     assert first_words(np.zeros((0, 2), np.uint64)).shape == (0,)
 
 
+def test_first_words_match_reference_across_sizes():
+    """The in-place pass gives, bit for bit, the words of the reference that
+    builds fresh arrays in every round, on the carry-edge keys and on random
+    keys of every size from 0 to 40 rows, each size run twice in turn."""
+    edge = np.array(EDGE_KEYS, np.uint64)
+    assert np.array_equal(first_words(edge), support.reference_first_words(edge))
+    rng = np.random.default_rng(41)
+    for size in [*range(41), *range(41)]:
+        keys = rng.integers(0, 2**64, size=(size, 2), dtype=np.uint64)
+        words = first_words(keys)
+        assert words.dtype == np.uint64 and words.shape == (size,)
+        assert np.array_equal(words, support.reference_first_words(keys)), size
+
+
+@pytest.mark.parametrize("layout", ["one-row", "fortran", "strided"])
+@pytest.mark.parametrize("writeable", [True, False])
+def test_first_words_leaves_keys_alone(layout, writeable):
+    """``first_words`` never writes into its keys, whose flattened lanes
+    are a view for a one-row or Fortran-ordered array, and its words
+    share no buffer with a later call on as many keys."""
+    base = np.random.default_rng(43).integers(0, 2**64, size=(12, 2), dtype=np.uint64)
+    keys = {"one-row": base[3:4], "fortran": np.asfortranarray(base[:6]), "strided": base[::2]}[layout]
+    keys.flags.writeable = writeable
+    before = keys.tobytes()
+    words = first_words(keys)
+    assert keys.tobytes() == before
+    assert words.tolist() == [int(np.random.Philox(key=k).random_raw()) for k in keys]
+    kept = words.copy()
+    first_words(base[6:6 + len(keys)])
+    assert np.array_equal(words, kept)
+
+
 @pytest.mark.parametrize("lo, hi", [(0.0, 0.1), (0.05, 0.3), (0.25, 0.25), (0.0, 0.0), (0.3, 0.9999999)])
 def test_first_uniforms_give_numpy_uniform(lo, hi):
     """``lo + (hi - lo) * u`` is what ``uniform(lo, hi)`` draws, the way the
