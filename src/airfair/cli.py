@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bargaining import InfeasibleProblemError, dissemination_rate, gnbs_allocate, nash_product, wpf_aggregate
-from .grouping import schedule_csv_rows
+from .grouping import ScheduleError, schedule_csv_rows
 from .scenario_io import SchemaError, load_scenario, preset_scenario
 from .simulate import (
     POLICIES,
@@ -64,6 +64,14 @@ def _float_list(text: str, flag: str) -> list[float]:
     _require(bool(values), f"{flag} must not be empty")
     _require(all(0 < v < math.inf for v in values), f"{flag} values must be finite and > 0")
     return values
+
+
+def _label(value: float) -> str:
+    """A row label: six decimals when they read back as ``value``, else its
+    shortest round-trip form, so that rows of distinct values stay distinct
+    (1e-9 prints as ``1e-09``, not ``0.000000``)."""
+    text = f"{value:.6f}"
+    return text if float(text) == value else repr(value)
 
 
 def _scaled(scenario, duration: float, flag: str):
@@ -127,10 +135,14 @@ def cmd_schedule(args) -> int:
     if rnd.schedule is None:
         print("node_id,kind,start_s,duration_s")
         return 0
+    try:    # the slot-count bound holds where slots are built, after the round ran
+        entries = rnd.schedule.entries
+    except ScheduleError as e:
+        raise ScheduleError(f"round {rnd.index} at {rnd.t_start:g}s: {e}") from e
     if args.format == "table":
         print(f"round {rnd.index}: cycle {rnd.schedule.cycle_length * 1000:.3f} ms, "
-              f"{len(rnd.schedule.entries)} slots from {rnd.t_start:.3f}s")
-        for e in rnd.schedule.entries:
+              f"{len(entries)} slots from {rnd.t_start:.3f}s")
+        for e in entries:
             print(f"{e.node:<8}{e.kind:<10}{e.start:>12.6f}{e.duration:>12.6f}")
     else:
         for line in schedule_csv_rows(rnd.schedule):
@@ -202,7 +214,7 @@ def cmd_compare(args) -> int:
             for policy, rpt in compare_policies(run).items():
                 sums[policy] += rpt.nash_product_realized
         means = [sums[p] / args.reps for p in POLICIES]
-        print(f"{duration:.6f}," + ",".join(f"{m:.6f}" for m in means))
+        print(f"{_label(duration)}," + ",".join(f"{m:.6f}" for m in means))
     return 0
 
 
@@ -214,7 +226,7 @@ def cmd_sweep(args) -> int:
     results = slot_size_sweep(scenario, [ms / 1000.0 for ms in sizes_ms], repetitions=args.reps)
     print("t_slot_ms,mean_wpf,stddev_wpf")
     for (t_slot, mean, std), ms in zip(results, sizes_ms):
-        print(f"{ms:.6f},{mean:.6f},{std:.6f}")
+        print(f"{_label(ms)},{mean:.6f},{std:.6f}")
     return 0
 
 

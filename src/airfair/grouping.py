@@ -59,8 +59,8 @@ __all__ = [
 MODE_UNICAST_PAIR = "unicast-pair"
 MODE_GO_COORDINATED = "go-coordinated"
 
-#: most slots one schedule may hold; :attr:`Schedule.entries` builds an
-#: object per slot
+#: most slots one schedule may print: :attr:`Schedule.entries` builds an
+#: object per slot, while the replay reads the cycle and holds no bound
 MAX_SLOTS = 2**22
 
 
@@ -295,8 +295,14 @@ class Schedule:
     def entries(self) -> tuple[SlotEntry, ...]:
         """The slots as :class:`SlotEntry` objects, built on first use: the
         slot of cycle c at offset o starts at t_start + (c * cycle + o), and
-        the cut cycle holds the legs :meth:`leg_seconds` runs in it."""
+        the cut cycle holds the legs :meth:`leg_seconds` runs in it.  Raises
+        :class:`ScheduleError`, before building any, when there are more
+        than :data:`MAX_SLOTS` of them."""
         cycles, legs = self._cut(math.inf)
+        count = cycles * len(self.pattern) + sum(seconds > 0 for _, seconds in legs)
+        if count > MAX_SLOTS:
+            raise ScheduleError(f"the schedule would hold more than {MAX_SLOTS} slots "
+                                f"(cycle {self.cycle_length:.3g}s, interval {self.interval:.6f}s)")
         t_start, cycle = self.t_start, self.cycle_length
         slots = [(node, kind, offset, dur) for (node, kind, dur), (offset, _) in zip(self.pattern, legs)]
         whole = [SlotEntry(node, kind, t_start + (c * cycle + offset), dur)
@@ -320,11 +326,11 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     ``slots`` maps node id to (upload seconds, broadcast seconds) per cycle;
     a zero upload leg emits no upload slot.  Raises :class:`ScheduleError`
     when a single cycle does not fit the interval, the interval is not
-    finite, the schedule would hold more than :data:`MAX_SLOTS` slots, or
-    even its longest leg is shorter than the float spacing at the
-    interval's end, so that floats there cannot resolve a single slot.
-    Only the cycle is built here; the returned schedule derives its slots
-    when they are first asked for.
+    finite, or even its longest leg is shorter than the float spacing at
+    the interval's end, so that floats there cannot resolve a single slot.
+    Only the cycle is built here, so any number of slots is accepted; the
+    returned schedule derives its slots when they are first asked for, and
+    :attr:`Schedule.entries` bounds how many it prints.
     """
     if not (interval > 0):
         raise ScheduleError("interval must be > 0")
@@ -343,9 +349,6 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     cycle = left_sum(d for _, _, d in pattern)
     if cycle > interval:
         raise ScheduleError(f"one cycle ({cycle:.6f}s) exceeds the interval ({interval:.6f}s)")
-    if len(pattern) * interval / cycle > MAX_SLOTS:
-        raise ScheduleError(f"the schedule would hold more than {MAX_SLOTS} slots "
-                            f"(cycle {cycle:.3g}s, interval {interval:.6f}s)")
     longest, spacing = max(d for _, _, d in pattern), math.ulp(t_start + interval)
     if longest < spacing:
         raise ScheduleError(f"the slots do not reach the interval's end: the longest leg ({longest:.3g}s) "

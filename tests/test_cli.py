@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from airfair import cli
+from airfair import cli, grouping
 from airfair.bargaining import InfeasibleProblemError
 from airfair.grouping import MAX_SLOTS, ScheduleError
 from airfair.scenario_io import PRESETS
@@ -196,13 +197,35 @@ def test_sweep_output(capsys):
         assert float(line.split(",")[1]) <= 1e-9
 
 
-@pytest.mark.parametrize("size_ms", ["1e-9", "1e-300"])
-def test_sweep_rejects_slot_sizes_beyond_max_slots(size_ms):
-    # at a 1e-12 s basic slot one 10 s round would need ~1e13 slots
+def test_sweep_runs_slots_far_smaller_than_any_schedule_prints(capsys):
+    # at a 1e-12 s basic slot one 10 s round holds ~1e13 slots; the replay
+    # reads the cycle, not the slots, so the sweep is as quick as at 20 ms
     start = time.perf_counter()
-    with pytest.raises(ScheduleError, match=f"more than {MAX_SLOTS} slots"):
-        cli.main(["sweep", "--preset", "table1", "--slot-sizes", size_ms, "--reps", "1"])
+    code, out, _ = run_cli(capsys, "sweep", "--preset", "table1", "--slot-sizes", "1e-9", "--reps", "1")
     assert time.perf_counter() - start < 1.0
+    assert code == 0
+    header, row = out.strip().splitlines()
+    assert header == "t_slot_ms,mean_wpf,stddev_wpf"
+    assert all(math.isfinite(float(v)) for v in row.split(","))
+
+
+def test_sweep_rejects_slot_sizes_below_the_float_spacing():
+    # a 1e-303 s leg cannot move a slot start at 6 s, whatever the slot count
+    start = time.perf_counter()
+    with pytest.raises(ScheduleError, match=r"^round 0 at 0s: the slots do not reach the interval's end"):
+        cli.main(["sweep", "--preset", "table1", "--slot-sizes", "1e-300", "--reps", "1"])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_row_labels_stay_distinct(capsys):
+    # six decimals where they read back as the value, the shortest
+    # round-trip form where they do not
+    code, out, _ = run_cli(capsys, "sweep", "--preset", "table1", "--slot-sizes", "1e-9,1e-6", "--reps", "1")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["1e-09", "0.000001"]
+    code, out, _ = run_cli(capsys, "compare", "--preset", "table1", "--durations", "5.0000001,5", "--reps", "1")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["5.0000001", "5.000000"]
 
 
 def _table1_file(tmp_path, doc_fields, **node_fields):
@@ -226,6 +249,36 @@ def test_slots_below_the_float_spacing_raise_schedule_error(tmp_path):
         with pytest.raises(ScheduleError, match=r"round 0 at 1e\+15s: .*do not reach the interval's end"):
             cli.main(argv)
         assert time.perf_counter() - start < 1.0
+
+
+def test_schedule_past_the_slot_bound_fails_fast_and_names_the_round(tmp_path, monkeypatch):
+    # round 0 runs, but printing its ~1e13 slots would not end; the bound
+    # is checked before a single slot is built
+    def no_slots(*_):
+        raise AssertionError("a slot was built")
+
+    monkeypatch.setattr(grouping, "SlotEntry", no_slots)
+    scenario = _table1_file(tmp_path, {"t_slot_ms": 1e-9})
+    start = time.perf_counter()
+    with pytest.raises(ScheduleError, match=rf"^round 0 at 0s: the schedule would hold more than {MAX_SLOTS} slots"):
+        cli.main(["schedule", "--scenario", scenario])
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_schedule_prints_exactly_max_slots(capsys, monkeypatch, fmt):
+    argv = ["schedule", "--preset", "dynamic4", "--round", "3", "--format", "csv"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    count = len(out.splitlines()) - 1
+    argv[-1] = fmt
+    monkeypatch.setattr(grouping, "MAX_SLOTS", count)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == count + 1
+    monkeypatch.setattr(grouping, "MAX_SLOTS", count - 1)
+    with pytest.raises(ScheduleError, match=rf"^round 3 at 12s: the schedule would hold more than {count - 1} slots"):
+        cli.main(argv)
+    assert capsys.readouterr().out == ""
 
 
 _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import support
+from airfair import grouping
 from airfair.bargaining import gnbs_allocate
 from airfair.grouping import (
     MAX_SLOTS,
@@ -361,13 +362,26 @@ def test_cycle_must_fit_interval(table1):
         build_schedule(slots, 0.1, default_cycle_order(slots, "n4"))
 
 
-def test_slot_count_is_bounded():
-    # exactly MAX_SLOTS slots fit; half the slot size, or a size so small
-    # that interval / cycle overflows to inf, does not
-    assert build_schedule({"go": (0.0, 1.0 / MAX_SLOTS)}, 1.0, ["go"]).cycle_length == 1.0 / MAX_SLOTS
-    for size in (0.5 / MAX_SLOTS, 5e-324):
-        with pytest.raises(ScheduleError, match=f"more than {MAX_SLOTS} slots"):
-            build_schedule({"go": (0.0, size)}, 1.0, ["go"])
+def test_slot_count_is_bounded(monkeypatch):
+    # only printing is bounded: 2 * MAX_SLOTS slots build and replay, and
+    # their entries raise before a single one is made; a leg below the
+    # float spacing is rejected at any count
+    sched = build_schedule({"go": (0.0, 0.5 / MAX_SLOTS)}, 1.0, ["go"])
+    assert sched.leg_seconds(1.0) == [1.0]
+    monkeypatch.setattr(grouping, "SlotEntry", None)
+    with pytest.raises(ScheduleError, match=f"more than {MAX_SLOTS} slots"):
+        sched.entries
+    with pytest.raises(ScheduleError, match="below the float spacing"):
+        build_schedule({"go": (0.0, 5e-324)}, 1.0, ["go"])
+    monkeypatch.undo()
+    # 4 whole cycles of 2 legs and the first leg of the cut cycle: 9 slots
+    # print at a bound of 9, none at 8
+    sched = build_schedule({"go": (0.1, 0.15)}, 1.1, ["go"])
+    monkeypatch.setattr(grouping, "MAX_SLOTS", 9)
+    assert len(sched.entries) == 9 and sched.entries[-1].kind == "upload"
+    monkeypatch.setattr(grouping, "MAX_SLOTS", 8)
+    with pytest.raises(ScheduleError, match="more than 8 slots"):
+        build_schedule({"go": (0.1, 0.15)}, 1.1, ["go"]).entries
 
 
 def test_schedule_csv_shape(table1):
