@@ -6,15 +6,18 @@ CSV reports to a directory), ``compare`` (realized Nash products per policy
 over contact durations), ``sweep`` (fairness aggregate per basic slot size),
 ``converge`` (running-average Nash product over repeated noisy contacts).
 
-Exit codes: 0 on success, 2 for argument or scenario-schema problems and
-for a scenario file or ``simulate --out`` directory that cannot be read or
-written, 3 when the allocation problem is infeasible.
+Exit codes: 0 on success, 1 (with nothing on stderr) when the reader of
+standard output closes it early, as ``| head`` does, 2 for argument or
+scenario-schema problems and for a scenario file or ``simulate --out``
+directory that cannot be read or written, 3 when the allocation problem is
+infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -297,7 +300,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # stdout still holds unwritten output, which the flush at exit would
+        # fail on again: point it at devnull (the Python docs' "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

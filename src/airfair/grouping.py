@@ -144,10 +144,8 @@ class ConnectivityGraph:
     def add_edge(self, a: str, b: str) -> None:
         if a == b:
             raise ValueError("self loops are not allowed")
-        for n in (a, b):
-            if n not in self.nodes:
-                self.nodes.add(n)
-                self.adjacency[n] = set()
+        if not {a, b} <= self.nodes:
+            raise ValueError(f"edge ({a}, {b}) names a node that is not in the graph")
         self.adjacency[a].add(b)
         self.adjacency[b].add(a)
 

@@ -379,6 +379,22 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines()[0] == "node_id,role,upload_s,broadcast_s,rate_mbps,utility"
 
 
+def test_closed_pipe_exits_1_quietly(tmp_path):
+    """A reader that stops early, as ``| head -2`` does, leaves ``airfair``
+    with exit 1 and nothing on stderr.  The 1 ms ``table1`` round prints
+    15,717 lines, far more than a pipe buffer holds, so the writer is still
+    printing when the pipe closes."""
+    path = tmp_path / "t1ms.json"
+    path.write_text(json.dumps({**PRESETS["table1"], "t_slot_ms": 1}))
+    with subprocess.Popen([sys.executable, "-m", "airfair", "schedule", "--scenario", str(path), "--round", "0"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    assert head == [b"node_id,kind,start_s,duration_s\n", b"n1,upload,0.000000,0.000500\n"]
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -10,6 +10,9 @@ sharing the draws, and the solves each round keeps on them, across policies
 and slot sizes changes no result and does each distinct round's work once.
 """
 
+import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +30,7 @@ from airfair.simulate import (
     run_scenario,
     slot_size_sweep,
 )
-from airfair.streams import _KI, _WI, first_normals, first_uniforms, first_words, part_key, word_keys
+from airfair.streams import _ziggurat_tables, first_normals, first_uniforms, first_words, part_key, word_keys
 
 LOSS = {"lo": 0.05, "hi": 0.3}
 PCD_ERROR = {"stddev": 1.0}
@@ -281,8 +284,9 @@ def test_first_normals_match_numpy_normal(loc, scale):
     past the fast path) and the tail beyond layer 0."""
     keys = np.random.default_rng(29).integers(0, 2**64, size=(100_000, 2), dtype=np.uint64)
     words = first_words(keys)
+    _, ki = _ziggurat_tables()
     layer = (words & np.uint64(0xFF)).astype(np.intp)
-    slow = (words >> np.uint64(9) & np.uint64(2**52 - 1)) >= _KI[layer]
+    slow = (words >> np.uint64(9) & np.uint64(2**52 - 1)) >= ki[layer]
     branches = {"fast": ~slow, "wedge": slow & (layer > 1), "layer 1": layer == 1, "tail": slow & (layer == 0)}
     assert {name: bool(hit.any()) for name, hit in branches.items()} == dict.fromkeys(branches, True)
     assert 0.01 < slow.mean() < 0.02
@@ -317,10 +321,11 @@ def _untemper(y):
 
 
 def test_ziggurat_tables_pinned():
-    """``_WI`` and ``_KI`` are numpy's tables: for every layer, feeding
-    ``standard_normal`` a chosen 64-bit word through a hand-set MT19937
-    shows ``rabs * wi`` returned after one word just below ``ki``, and a
-    second word read at ``ki``."""
+    """The ``wi`` and ``ki`` that ``_ziggurat_tables`` derives are numpy's
+    tables: for every layer, feeding ``standard_normal`` a chosen 64-bit
+    word through a hand-set MT19937, independently of the derivation's
+    SFC64, shows ``rabs * wi`` returned after one word just below ``ki``,
+    and a second word read at ``ki``."""
     mt = np.random.MT19937(0)
     gen = np.random.Generator(mt)
     filler = mt.state["state"]["key"].copy()     # later words, so that slow paths end
@@ -334,16 +339,42 @@ def test_ziggurat_tables_pinned():
         z = gen.standard_normal()
         return z, mt.state["state"]["pos"] // 2
 
-    assert _WI.dtype == np.float64 and _KI.dtype == np.uint64 and len(_WI) == len(_KI) == 256
-    assert normal_of(1, 0)[1] > 1 and _KI[1] == 0
+    wis, kis = _ziggurat_tables()
+    assert wis.dtype == np.float64 and kis.dtype == np.uint64 and len(wis) == len(kis) == 256
+    assert normal_of(1, 0)[1] > 1 and kis[1] == 0
     for layer in range(256):
-        ki = int(_KI[layer])
+        ki = int(kis[layer])
         if not ki:
             continue
-        assert normal_of(layer, 1) == (_WI[layer], 1)
-        assert normal_of(layer, ki - 1) == ((ki - 1) * _WI[layer], 1)
-        assert normal_of(layer, ki - 1, sign=1) == (-(ki - 1) * _WI[layer], 1)
+        assert normal_of(layer, 1) == (wis[layer], 1)
+        assert normal_of(layer, ki - 1) == ((ki - 1) * wis[layer], 1)
+        assert normal_of(layer, ki - 1, sign=1) == (-(ki - 1) * wis[layer], 1)
         assert normal_of(layer, ki)[1] > 1
+
+
+_LAZY_TABLES = """
+import json, sys
+import numpy as np
+loaded = "numpy.random" in sys.modules
+import airfair
+from airfair.streams import _ziggurat_tables, first_normals, first_words
+facts = {"random_loaded_by_import": "numpy.random" in sys.modules and not loaded,
+         "built_on_import": _ziggurat_tables.cache_info().currsize}
+keys = np.arange(40, dtype=np.uint64).reshape(20, 2)
+for _ in range(2):
+    first_normals(keys, first_words(keys), 0.0, 1.0)
+facts["builds"] = _ziggurat_tables.cache_info().misses
+print(json.dumps(facts))
+"""
+
+
+def test_ziggurat_tables_built_once_on_first_use():
+    """In a fresh interpreter, ``import airfair`` builds no ziggurat table
+    and loads ``numpy.random`` only if ``import numpy`` already has (numpy
+    1.x imports it eagerly); two ``first_normals`` calls build the tables
+    once."""
+    proc = subprocess.run([sys.executable, "-c", _LAZY_TABLES], capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"random_loaded_by_import": False, "built_on_import": 0, "builds": 1}
 
 
 def _assert_draws_match(scenario):

@@ -89,9 +89,10 @@ def test_reaches_all_and_restriction():
     assert not g.reaches_all("B", members)
 
 
-def test_self_loop_rejected():
+@pytest.mark.parametrize("a, b", [("A", "A"), ("A", "C")], ids=["self-loop", "unknown-node"])
+def test_self_loop_rejected(a, b):
     with pytest.raises(ValueError):
-        ConnectivityGraph("AB").add_edge("A", "A")
+        ConnectivityGraph("AB").add_edge(a, b)
 
 
 def test_relay_cost_of_each_candidate():
