@@ -16,23 +16,25 @@ quantity; at an unsaturated optimum all uncapped players sit at one common
 level s while capped players transmit everything they queued, so the whole
 problem is one equation in s: sum_i (1 + beta_i) min(cap_i, x_i(s)) = T.
 The active players' curves are kept as parameter arrays, sorted by the level
-each reaches at its cap.  A binary search over those breakpoints finds the
-segment where the budget binds; on it the equation is solved in closed form
-when every uncapped player is linear in s (normalized-linear, or power
-without a disagreement point) and by Newton's method on s otherwise.  Each
-x_i(s) is itself a closed form for linear curves, Halley's method on
-y e^y = q for log-shifted ones, and a monotone Newton iteration for power
-curves with a disagreement point.  Each solution ships with a KKT residual
-report so callers can certify optimality numerically.
+each reaches at its cap.  When every curve is linear in s (normalized-linear,
+or power without a disagreement point), a binary search over those
+breakpoints finds the segment where the budget binds, and the equation is
+solved on it in closed form.  Otherwise the same search and closed form run
+on each curve's tangent line at s = 0; every curve is concave, so that level
+lies at or below the root, and Newton's method on the clipped spend climbs
+from it to the root.  Each x_i(s) is itself a closed form for linear curves,
+Halley's method on y e^y = q for log-shifted ones, and a monotone Newton
+iteration for power curves with a disagreement point.  Each solution ships
+with a KKT residual report so callers can certify optimality numerically.
 
 Two reference baselines (equal slots and load-weighted slots) are
 clipped-linear instances of the same equation and share the breakpoint
-solve, as do the random feasible points :func:`sample_feasible` draws for
-the property tests.  :func:`time_at_level`, :func:`level_order`,
-:func:`tail_airtime` and :func:`level_for_airtime` read the same curves.  A
-brute-force grid-search oracle, kept independent of the core so that it can
-check it, and the fairness metrics used to compare policies live here as
-well.
+search and closed form, as do the random feasible points
+:func:`sample_feasible` draws for the property tests.
+:func:`time_at_level`, :func:`level_order`, :func:`tail_airtime` and
+:func:`level_for_airtime` read the same curves.  A brute-force grid-search
+oracle, kept independent of the core so that it can check it, and the
+fairness metrics used to compare policies live here as well.
 
 A problem is stored as columns: ids, data sizes, upload rates, raw weights,
 the GO's index, disagreement points, and a utility kind code and
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -454,8 +456,8 @@ class KktReport:
 
     ``path`` is ``"saturated"`` when every queue fits in the window and
     ``"contended"`` otherwise; ``iterations`` counts the solver's root-find
-    steps for the common level (breakpoint probes plus Newton steps, 0 for a
-    saturated problem).
+    steps for the common level (breakpoint probes, on the tangent lines when
+    any curve is curved, plus Newton steps; 0 for a saturated problem).
     """
 
     lam: float
@@ -508,9 +510,12 @@ class _Curves:
     * ``_POWER`` (exponent p, d > 0): time(s) = d (1 + t) with
       t - expm1((1 - p) log1p(t)) = r s / d.
 
-    ``r`` is the slope of time(s) at s = 0: alpha / (1 + beta), times p for
-    power players.  ``coeff`` holds k for log-shifted players and p for
-    power players.
+    ``r`` is alpha / (1 + beta), times p for power players; it is the slope
+    of time(s) at s = 0, except for ``_POWER`` curves, whose slope there is
+    r / p.  ``coeff`` holds k for log-shifted players and p for power
+    players.  Every time(s) is concave and increasing, so its tangent line at
+    s = 0 lies on or above it: :meth:`water_fill` starts from the level at
+    which those lines spend the budget.
     """
 
     index: np.ndarray
@@ -584,55 +589,72 @@ class _Curves:
                 dx[m] = r[m] / slope
         return x, dx
 
-    def level_for_airtime(self, start: int, lo: float, hi: float, target: float) -> tuple[float, int]:
-        """Common level in [lo, hi] at which the players from sorted position
-        ``start`` on, all uncapped below ``hi``, consume ``target`` channel
-        seconds; also the number of Newton steps taken.
-
-        Closed form when those players are all linear.  Otherwise Newton's
-        method from ``lo``: the consumed airtime is concave in the level, so
-        the iterates climb monotonically to the root, and the climb stops
-        once a step no longer gains more than rounding noise.
-        """
-        w = self.weight[start:]
-        if not np.count_nonzero(self.kind[start:]):
-            s = (target - w @ self.d[start:]) / (w @ self.r[start:])
-            return min(max(s, lo), hi), 0
-        s = lo
-        for it in range(1, _ROOT_MAX_ITER + 1):
-            x, dx = self.times(s, slice(start, None))
-            step = (target - w @ x) / (w @ dx)
-            if step <= 4.0 * _EPS * s:
-                return min(max(s + step, lo), hi), it
-            s = min(s + step, hi)
-        return s, _ROOT_MAX_ITER
+    def tail(self, start: int) -> "_Curves":
+        """The curves from sorted position ``start`` on."""
+        return _Curves(*(getattr(self, f.name)[start:] for f in fields(self)))
 
     def water_fill(self, budget: float) -> tuple[float, np.ndarray, int]:
         """Common level s and broadcast times (in sorted order) that spend
         ``budget`` < demand: sum_i (1 + beta_i) min(cap_i, time_i(s)) = budget.
 
-        Binary search over the sorted cap levels finds the segment where the
-        budget binds (players below it sit at their caps), then
-        :meth:`level_for_airtime` solves that segment.  Also returns the
-        root-find iteration count: breakpoint probes plus Newton steps.
+        Linear curves are water-filled exactly (:func:`_fill_lines`).  With
+        any curved player, the tangent lines at s = 0 are water-filled
+        instead; every time(s) is concave, so they lie on or above the
+        curves and their level s0 lies at or below the root.  The clipped
+        spend is concave and increasing in s too, so Newton's method from s0
+        climbs monotonically to the root; the climb stops once a step no
+        longer gains more than rounding noise, and returns the level and
+        times of its last evaluation.  Also returns the root-find iteration
+        count: breakpoint probes plus Newton steps.
         """
-        w, cap, top = self.weight, self.cap, self.top
-        spent = np.cumsum(w * cap)
-        lo, hi = 0, len(top) - 1
-        probes = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            x, _ = self.times(top[mid], slice(mid + 1, None))
-            probes += 1
-            if spent[mid] + w[mid + 1:] @ x >= budget:
-                hi = mid
-            else:
-                lo = mid + 1
-        base = spent[lo - 1] if lo else 0.0
-        s, steps = self.level_for_airtime(lo, top[lo - 1] if lo else 0.0, top[lo], budget - base)
-        x = cap.copy()
-        x[lo:] = np.minimum(cap[lo:], self.times(s, slice(lo, None))[0])
+        w, d, cap, r, top = self.weight, self.d, self.cap, self.r, self.top
+        if not np.count_nonzero(self.kind):
+            s, lo, probes = _fill_lines(w, d, cap, r, top, budget)
+            x = cap.copy()
+            x[lo:] = np.minimum(cap[lo:], d[lo:] + r[lo:] * s)
+            return float(s), x, probes
+        slope = r.copy()            # time'(0): r, and r / p for _POWER
+        m = self.kind == _POWER
+        slope[m] /= self.coeff[m]
+        line_top = (cap - d) / slope
+        order = np.argsort(line_top)
+        s, _, probes = _fill_lines(w[order], d[order], cap[order], slope[order], line_top[order], budget)
+        step = 0.0
+        for steps in range(1, _ROOT_MAX_ITER + 1):
+            s = min(s + step, top[-1])
+            lo = int(np.searchsorted(top, s))       # the players before lo are capped
+            xs, dx = self.times(s, slice(lo, None))
+            x = cap.copy()
+            x[lo:] = np.minimum(cap[lo:], xs)
+            step = (budget - w @ x) / (w[lo:] @ dx)
+            if step <= 4.0 * _EPS * s:
+                break
         return float(s), x, probes + steps
+
+
+def _fill_lines(w, d, cap, r, top, budget: float) -> tuple[float, int, int]:
+    """Water-fill the clipped lines min(cap_i, d_i + r_i s), sorted by the
+    level ``top`` at which each reaches its cap: the level s at which they
+    spend ``budget`` < sum_i w_i cap_i, the sorted position of the first
+    line below its cap there, and the number of breakpoint probes.
+
+    A binary search over the breakpoints finds the segment where the budget
+    binds (the lines before it sit at their caps); the spend is linear in s
+    on it, so s is a closed form there.
+    """
+    spent = np.cumsum(w * cap)
+    lo, hi = 0, len(top) - 1
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if spent[mid] + w[mid + 1:] @ (d[mid + 1:] + r[mid + 1:] * top[mid]) >= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    base = spent[lo - 1] if lo else 0.0
+    s = (budget - base - w[lo:] @ d[lo:]) / (w[lo:] @ r[lo:])
+    return min(max(s, top[lo - 1] if lo else 0.0), top[lo]), lo, probes
 
 
 def _lambert_w(q: np.ndarray) -> np.ndarray:
@@ -716,14 +738,16 @@ def tail_airtime(problem: BargainingProblem, start: int, lvl: float) -> float:
 
 
 def level_for_airtime(problem: BargainingProblem, start: int, v: float) -> float:
-    """Invert :func:`tail_airtime` in its level argument."""
+    """Invert :func:`tail_airtime` in its level argument: the water-fill of
+    the tail's curves (:meth:`_Curves.water_fill`), a closed form when they
+    are all linear and the tangent-line start plus Newton climb otherwise."""
     top = _tail_top(problem, start)
     vmax = tail_airtime(problem, start, top)
     if not (0.0 < v <= vmax * (1.0 + _REL_SLACK)):
         raise DomainError(f"airtime {v} outside (0, {vmax}] for tail at {start}")
     if v >= vmax:
         return top
-    return float(problem._curves.level_for_airtime(start, 0.0, top, v)[0])
+    return problem._curves.tail(start).water_fill(v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +788,15 @@ def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
 
     If every queue fits in the window the allocation saturates at the caps.
     Otherwise every player sits at min(cap, time(s)) for one common level s
-    solving the budget equation (see :class:`_Curves`): a binary search over
-    the sorted cap levels finds the segment where the budget binds, which
-    is solved in closed form when its uncapped players are all linear
-    (normalized-linear, or power without a disagreement point) and by
-    Newton's method on s otherwise, with log-shifted players inverted by
-    Halley's method and power players with a disagreement point by Newton's
-    method.  The returned report certifies the KKT system of the
-    log-product program.
+    solving the budget equation (see :class:`_Curves`).  When every curve is
+    linear (normalized-linear, or power without a disagreement point), a
+    binary search over the sorted cap levels finds the segment where the
+    budget binds and s is a closed form on it.  Otherwise the same search
+    and closed form on the curves' tangent lines at s = 0 give a level at or
+    below the root, and Newton's method on the clipped spend climbs from
+    there, with log-shifted players inverted by Halley's method and power
+    players with a disagreement point by Newton's method.  The returned
+    report certifies the KKT system of the log-product program.
 
     The solve and the certificate are separate steps: the simulator calls
     the solve alone (:func:`_gnbs_solve`) for allocations that no report

@@ -7,6 +7,8 @@ import numpy as np
 
 from airfair import BargainingProblem, KktReport, Player, Utility
 from airfair.bargaining import (
+    _EPS,
+    _ROOT_MAX_ITER,
     ROLE_CLIENT,
     ROLE_GO,
     Allocation,
@@ -256,6 +258,45 @@ def reference_curves(problem) -> _Curves:
     t = (cap[m] - d[m]) / d[m]
     top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
     return _Curves.sorted_by_top(idx, weight, d, cap, r, kind, coeff, top)
+
+
+def reference_water_fill(curves: _Curves, budget: float) -> tuple[float, np.ndarray, int]:
+    """Common level, sorted broadcast times and iteration count that spend
+    ``budget``, as ``_Curves.water_fill`` found them by probing: a binary
+    search over the sorted cap levels that inverts every curve past each
+    probe, then, on the segment where the budget binds, a closed form when
+    its players are all linear and Newton's method from the segment's lower
+    end otherwise, and one more inversion for the times."""
+    w, d, r, cap, top = curves.weight, curves.d, curves.r, curves.cap, curves.top
+    spent = np.cumsum(w * cap)
+    lo, hi = 0, len(top) - 1
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        x, _ = curves.times(top[mid], slice(mid + 1, None))
+        probes += 1
+        if spent[mid] + w[mid + 1:] @ x >= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    s_lo, s_hi = (top[lo - 1] if lo else 0.0), top[lo]
+    target = budget - (spent[lo - 1] if lo else 0.0)
+    steps = 0
+    if not np.count_nonzero(curves.kind[lo:]):
+        s = (target - w[lo:] @ d[lo:]) / (w[lo:] @ r[lo:])
+        s = min(max(s, s_lo), s_hi)
+    else:
+        s = s_lo
+        for steps in range(1, _ROOT_MAX_ITER + 1):
+            x, dx = curves.times(s, slice(lo, None))
+            step = (target - w[lo:] @ x) / (w[lo:] @ dx)
+            if step <= 4.0 * _EPS * s:
+                s = min(max(s + step, s_lo), s_hi)
+                break
+            s = min(s + step, s_hi)
+    x = cap.copy()
+    x[lo:] = np.minimum(cap[lo:], curves.times(s, slice(lo, None))[0])
+    return float(s), x, probes + steps
 
 
 def reference_time_at_level(problem, i: int, lvl: float) -> float:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 import support
-from airfair import BargainingProblem, InfeasibleProblemError, Player, Utility
+from airfair import BargainingProblem, InfeasibleProblemError, Player, Utility, simulate
 from airfair.bargaining import (
     Allocation,
+    _Curves,
     DomainError,
     ROLE_GO,
     gnbs_allocate,
@@ -22,6 +23,7 @@ from airfair.bargaining import (
     time_at_level,
     weighted_airtime,
 )
+from airfair.scenario_io import PRESETS, scenario_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +421,115 @@ def test_relative_residual_is_scale_free(table1):
     for rel, absolute in reads:
         assert rel == pytest.approx(reads[0][0], rel=1e-6)
         assert absolute == pytest.approx(reads[0][1], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the water-fill against the probing reference (support.reference_water_fill)
+
+
+def _contended(problems):
+    return [p for p in problems if p.demand > p.airtime * (1.0 + 1e-12)]
+
+
+def _drawn_problems():
+    """Contended wide-range and mixed draws: every utility kind,
+    disagreement points, 2-64 players."""
+    wide = [support.wide_problem(np.random.default_rng([7103, seed])) for seed in range(100)]
+    mixed = [support.mixed_problem(np.random.default_rng([7104, n, rep]), n)
+             for n in support.GROUP_SIZES[1:] for rep in range(8)]
+    return _contended(wide + mixed)
+
+
+def _simulator_problems():
+    """Every problem the simulator builds while comparing the policies on
+    the presets and on table1 with loss and estimation noise."""
+    built = []
+    build = simulate.BargainingProblem
+
+    def record(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    noise = {"loss": {"lo": 0.0, "hi": 0.2}, "pcd_error": {"stddev": 0.5}}
+    docs = [PRESETS["table1"], PRESETS["dynamic4"]]
+    docs += [{**PRESETS[name], **noise, "seed": seed} for name in PRESETS for seed in range(4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BargainingProblem", record)
+        for doc in docs:
+            simulate.compare_policies(scenario_from_dict(doc))
+    return _contended(built)
+
+
+def _fill_bits(fill):
+    s, x, iterations = fill
+    return float(s).hex(), support.float_bits(x), iterations
+
+
+def test_linear_water_fill_matches_probing_reference_bit_for_bit(table1):
+    """Linear sets keep the breakpoint search and closed form float for
+    float: table1, every simulator problem, and the eql and wtd shares of
+    those and of the drawn problems."""
+    simulated = _simulator_problems()
+    assert len(simulated) >= 30
+    fills = [(prob._curves, prob.airtime) for prob in [table1] + simulated]
+    for prob in [table1] + simulated + _drawn_problems():
+        fills += [(_Curves.clipped_linear(prob, slope), prob.airtime)
+                  for slope in (np.ones(len(prob.ids)), prob.data_sizes)]
+    for curves, budget in fills:
+        assert not np.count_nonzero(curves.kind)
+        assert _fill_bits(curves.water_fill(budget)) == _fill_bits(support.reference_water_fill(curves, budget))
+
+
+def test_curved_water_fill_matches_probing_reference():
+    """Curved sets reach the reference's level and times within 1e-12
+    relative, and still certify at 1e-7."""
+    curved = 0
+    for prob in _drawn_problems():
+        c = prob._curves
+        s, x, _ = c.water_fill(prob.airtime)
+        s_ref, x_ref, _ = support.reference_water_fill(c, prob.airtime)
+        assert s == pytest.approx(s_ref, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        assert gnbs_allocate(prob)[1].max_residual <= 1e-7
+        curved += bool(np.count_nonzero(c.kind))
+    assert curved > 100
+
+
+def test_water_fill_inverts_curves_less_often_than_probing(monkeypatch):
+    """No contended solve evaluates the curves more often than the probing
+    reference, and the mixed draws evaluate them less often in total."""
+    calls = [0]
+    times = _Curves.times
+
+    def counted(self, *args):
+        calls[0] += 1
+        return times(self, *args)
+
+    def evaluations(fill, curves, budget):
+        calls[0] = 0
+        fill(curves, budget)
+        return calls[0]
+
+    monkeypatch.setattr(_Curves, "times", counted)
+    total = np.zeros(2, dtype=int)
+    for prob in _contended([support.mixed_problem(np.random.default_rng([7105, n, rep]), n)
+                            for n in support.GROUP_SIZES[1:] for rep in range(6)]):
+        counts = [evaluations(fill, prob._curves, prob.airtime)
+                  for fill in (_Curves.water_fill, support.reference_water_fill)]
+        assert counts[0] <= counts[1], counts
+        total += counts
+    assert total[0] < total[1], total
+
+
+def test_level_for_airtime_matches_probing_reference_on_tails():
+    """The public inverse is the water-fill of the tail's curves."""
+    for seed in range(20):
+        prob = support.wide_problem(np.random.default_rng([7106, seed]))
+        start = len(prob.active) // 2
+        tail = prob._curves.tail(start)
+        v = 0.5 * (tail.weight @ tail.d + tail_airtime(prob, start, tail.top[0]))
+        want = support.reference_water_fill(tail, v)[0]
+        assert level_for_airtime(prob, start, v) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
