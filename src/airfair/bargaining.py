@@ -22,10 +22,14 @@ breakpoints finds the segment where the budget binds, and the equation is
 solved on it in closed form.  Otherwise the same search and closed form run
 on each curve's tangent line at s = 0; every curve is concave, so that level
 lies at or below the root, and Newton's method on the clipped spend climbs
-from it to the root.  Each x_i(s) is itself a closed form for linear curves,
-Halley's method on y e^y = q for log-shifted ones, and a monotone Newton
-iteration for power curves with a disagreement point.  Each solution ships
-with a KKT residual report so callers can certify optimality numerically.
+from it to the root.  The climb converges quadratically, so once a step is
+at most sqrt(eps) of the level, it takes that step along the tangent instead
+of evaluating the curves again.  Each x_i(s) is itself a closed form for
+linear curves, the Lambert W of a scaled level for log-shifted ones
+(Winitzki's approximation and two fixed Fritsch-Shafer-Crowley steps, which
+never overflow), and a monotone Newton iteration for power curves with a
+disagreement point.  Each solution ships with a KKT residual report so
+callers can certify optimality numerically.
 
 Two reference baselines (equal slots and load-weighted slots) are
 clipped-linear instances of the same equation and share the breakpoint
@@ -41,13 +45,17 @@ the GO's index, disagreement points, and a utility kind code and
 coefficient per player.  They are validated and derived once, whether they
 come from :class:`Player` objects or straight from the simulator's member
 arrays; ``players`` and ``utilities`` are views built only when read.  The
+positions of the log-shifted and power players among the bargaining ones
+are found once, too.  A log-shifted player whose level at the cap would
+overflow is rejected, as are weights that do not sum to a finite value.  The
 level curves, the KKT certificate and the metrics are vector expressions
-over the bargaining players' columns.  The certificate evaluates each
-utility's value and derivative by kind code, never through the solver's
-inversions, so it does not certify itself.  The Nash product and the log
-welfare remain left-to-right folds of scalar ``math.pow`` and ``math.log``:
-numpy's array power and log kernels round some inputs differently from
-libm on some CPUs (AVX-512), which would move reported numbers.  Sums that
+over the bargaining players' columns, each kind's formula indexed by those
+positions.  The certificate evaluates each utility's value and derivative
+that way, never through the solver's inversions, so it does not certify
+itself.  The Nash product and the log welfare remain left-to-right folds of
+scalar ``math.pow`` and ``math.log``: numpy's array power and log kernels
+round some inputs differently from libm on some CPUs (AVX-512), which would
+move reported numbers.  Sums that
 reach reported numbers add left to right too (:func:`left_sum`), since
 ``sum()`` over floats is compensated from Python 3.12 on and ``np.sum``
 adds pairwise.
@@ -103,6 +111,7 @@ _REL_SLACK = 1e-12
 #: iteration cap of every root-find in the water-filling core
 _ROOT_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 
 # how a player's level curve is inverted (see _Curves)
 _LINEAR, _LOG, _POWER = 0, 1, 2
@@ -209,9 +218,15 @@ class _Active(NamedTuple):
     weight: np.ndarray   # channel seconds per broadcast second, 1 + beta
     cap: np.ndarray
     d: np.ndarray        # disagreement broadcast times
-    kind: np.ndarray     # utility kind codes
     coeff: np.ndarray    # utility coefficients
-    linear: bool         # every one of them is normalized-linear
+    log: np.ndarray      # positions (in these columns) of the log-shifted players
+    power: np.ndarray    # positions of the power players
+    linear: bool         # every one of them is normalized-linear: no positions above
+
+
+# the positions of a kind no player has
+_NOBODY = np.empty(0, dtype=np.intp)
+_NOBODY.setflags(write=False)
 
 
 def left_sum(values) -> float:
@@ -349,13 +364,16 @@ class BargainingProblem:
             _check_utility_columns(self.kinds, self.coeffs)
             coeff = np.where(np.isnan(self.coeffs), caps, self.coeffs)
         idx = (caps > 0).nonzero()[0]
-        if len(idx) == n:       # no copies when every player bargains
-            self._active = _Active(idx, self.alphas, 1.0 + self.betas, caps, d, self.kinds, coeff,
-                                   kinds is None or not np.count_nonzero(self.kinds))
-        else:
+        log = power = _NOBODY
+        if kinds is not None and np.count_nonzero(self.kinds):
             kind = self.kinds[idx]
+            log, power = (kind == _U_LOG).nonzero()[0], (kind == _U_POWER).nonzero()[0]
+        linear = not (len(log) or len(power))
+        if len(idx) == n:       # no copies when every player bargains
+            self._active = _Active(idx, self.alphas, 1.0 + self.betas, caps, d, coeff, log, power, linear)
+        else:
             self._active = _Active(idx, self.alphas[idx], 1.0 + self.betas[idx], caps[idx], d[idx],
-                                   kind, coeff[idx], not np.count_nonzero(kind))
+                                   coeff[idx], log, power, linear)
         # utility values at the disagreement points (None when every d is
         # zero: every utility is zero there, so a gain is the value itself)
         if np.count_nonzero(d):
@@ -363,6 +381,8 @@ class BargainingProblem:
             self._base_values = _utility_values(self._active, self._active.d)
         else:
             self._base_values = None
+        if len(log):
+            self._check_log_levels()
         for column in (data, upload, raw, d, self.kinds, self.coeffs, self.alphas, self.betas, caps):
             column.setflags(write=False)
 
@@ -380,6 +400,18 @@ class BargainingProblem:
             raise InfeasibleProblemError(
                 "disagreement outcomes already consume the whole airtime budget"
             )
+
+    def _check_log_levels(self):
+        """Reject a log-shifted player whose level at the cap overflows: its
+        curve's top, log1p(k room) (1 + k room) / (r k), would read inf."""
+        act = self._active
+        g, d = act.coeff[act.log], act.d[act.log]
+        with np.errstate(over="ignore"):
+            k_room = g / (1.0 + g * d) * (act.cap[act.log] - d)
+            j = _first(~np.isfinite(np.log1p(k_room) * (1.0 + k_room)))
+        if j is not None:
+            raise ValueError(f"player {self.ids[act.index[act.log[j]]]}: log-shifted gain {g[j]:g} "
+                             "overflows the level arithmetic at the cap")
 
     @cached_property
     def players(self) -> tuple[Player, ...]:
@@ -457,7 +489,8 @@ class KktReport:
     ``path`` is ``"saturated"`` when every queue fits in the window and
     ``"contended"`` otherwise; ``iterations`` counts the solver's root-find
     steps for the common level (breakpoint probes, on the tangent lines when
-    any curve is curved, plus Newton steps; 0 for a saturated problem).
+    any curve is curved, plus Newton steps, of which the last is taken along
+    the tangent and not evaluated; 0 for a saturated problem).
     """
 
     lam: float
@@ -506,7 +539,7 @@ class _Curves:
     * ``_LINEAR`` (normalized-linear, power with d = 0, and the baselines'
       clipped-linear shares): time(s) = d + r s;
     * ``_LOG`` (log-shifted, gain g): time(s) = d + expm1(y) / k with
-      k = g / (1 + g d) and y e^y = r k s;
+      k = g / (1 + g d) and y e^y = r k s (:func:`_lambert_w`);
     * ``_POWER`` (exponent p, d > 0): time(s) = d (1 + t) with
       t - expm1((1 - p) log1p(t)) = r s / d.
 
@@ -549,22 +582,21 @@ class _Curves:
         r = act.alpha / weight
         kind = np.zeros(len(cap), dtype=np.int8)
         coeff = np.zeros(len(cap))
-        if not act.linear:
-            m = act.kind == _U_LOG
-            g = act.coeff[m]
-            kind[m], coeff[m] = _LOG, g / (1.0 + g * d[m])
-            m = act.kind == _U_POWER
-            p = act.coeff[m]
-            kind[m], coeff[m] = np.where(d[m] > 0, _POWER, _LINEAR), p
-            r[m] *= p
+        if act.linear:
+            return cls.sorted_by_top(act.index, weight, d, cap, r, kind, coeff, (cap - d) / r)
+        m = act.power
+        coeff[m] = act.coeff[m]
+        r[m] *= coeff[m]
         top = (cap - d) / r
-        if not act.linear:
-            m = kind == _LOG
-            k, room = coeff[m], cap[m] - d[m]
-            top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
-            m = kind == _POWER
-            t = (cap[m] - d[m]) / d[m]
-            top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
+        m = act.log
+        g, room = act.coeff[m], cap[m] - d[m]
+        k = g / (1.0 + g * d[m])
+        kind[m], coeff[m] = _LOG, k
+        top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
+        m = act.power[d[act.power] > 0]
+        kind[m] = _POWER
+        t = (cap[m] - d[m]) / d[m]
+        top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
         return cls.sorted_by_top(act.index, weight, d, cap, r, kind, coeff, top)
 
     def times(self, s: float, sel: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -602,10 +634,13 @@ class _Curves:
         instead; every time(s) is concave, so they lie on or above the
         curves and their level s0 lies at or below the root.  The clipped
         spend is concave and increasing in s too, so Newton's method from s0
-        climbs monotonically to the root; the climb stops once a step no
-        longer gains more than rounding noise, and returns the level and
-        times of its last evaluation.  Also returns the root-find iteration
-        count: breakpoint probes plus Newton steps.
+        climbs monotonically to the root.  It converges quadratically, so
+        once a step is at most sqrt(eps) of the level, the next would be
+        below rounding: the climb takes that last step without evaluating
+        the curves again, and returns s + step with the tangent prediction
+        min(cap, x + dx step) of the times.  Also returns the root-find
+        iteration count: breakpoint probes plus Newton steps, the last one
+        not evaluated.
         """
         w, d, cap, r, top = self.weight, self.d, self.cap, self.r, self.top
         if not np.count_nonzero(self.kind):
@@ -627,9 +662,10 @@ class _Curves:
             x = cap.copy()
             x[lo:] = np.minimum(cap[lo:], xs)
             step = (budget - w @ x) / (w[lo:] @ dx)
-            if step <= 4.0 * _EPS * s:
+            if step <= _SQRT_EPS * s:
                 break
-        return float(s), x, probes + steps
+        x[lo:] = np.minimum(cap[lo:], xs + dx * step)
+        return float(s + step), x, probes + steps
 
 
 def _fill_lines(w, d, cap, r, top, budget: float) -> tuple[float, int, int]:
@@ -657,18 +693,26 @@ def _fill_lines(w, d, cap, r, top, budget: float) -> tuple[float, int, int]:
     return min(max(s, top[lo - 1] if lo else 0.0), top[lo]), lo, probes
 
 
-def _lambert_w(q: np.ndarray) -> np.ndarray:
-    """Principal branch of y e^y = q for q >= 0, by Halley's method from
-    Winitzki's approximation (within 2% everywhere, so a few steps suffice)."""
+def _winitzki(q: np.ndarray) -> np.ndarray:
+    """Winitzki's approximation to the principal branch of y e^y = q for
+    q >= 0, within 2% everywhere."""
     l1 = np.log1p(q)
-    y = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
-    for _ in range(_ROOT_MAX_ITER):
-        e = np.exp(y)
-        f = y * e - q
-        step = f / (e * (y + 1.0) - (y + 2.0) * f / (2.0 * y + 2.0))
-        y = y - step
-        if np.all(np.abs(step) <= 4.0 * _EPS * y):
-            break
+    return l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
+
+
+def _lambert_w(q: np.ndarray) -> np.ndarray:
+    """Principal branch of y e^y = q for q >= 0: two fourth-order steps of
+    Fritsch, Shafer and Crowley (CACM Algorithm 443, 1973) from
+    :func:`_winitzki`, which take a start that close to full precision, so
+    there is no convergence test.  The steps read log(q / y), never e^y, so
+    no finite q overflows; q = 0 gives 0."""
+    y = _winitzki(q)
+    ratio, positive = np.ones_like(y), q > 0      # q / y, left at 1 where q = y = 0
+    for _ in range(2):
+        u = 1.0 + y
+        z = np.log(np.divide(q, y, out=ratio, where=positive)) - y
+        t = 2.0 * u * (u + (2.0 / 3.0) * z)
+        y = y * (1.0 + z / u * (t - z) / (t - 2.0 * z))
     return y
 
 
@@ -694,7 +738,7 @@ def time_at_level(problem: BargainingProblem, i: int, lvl: float) -> float:
     """Invert :func:`level`: broadcast time at which player i reaches ``lvl``.
 
     Player i's own curve in the water-filling core, :meth:`_Curves.times`:
-    closed form for linear curves, Halley's method for log-shifted ones and
+    closed form for linear curves, a Lambert W for log-shifted ones and
     Newton's method for power ones with a disagreement point.
     """
     curves = problem._curves
@@ -794,9 +838,10 @@ def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
     budget binds and s is a closed form on it.  Otherwise the same search
     and closed form on the curves' tangent lines at s = 0 give a level at or
     below the root, and Newton's method on the clipped spend climbs from
-    there, with log-shifted players inverted by Halley's method and power
-    players with a disagreement point by Newton's method.  The returned
-    report certifies the KKT system of the log-product program.
+    there and ends with a step along its tangent, with log-shifted players
+    inverted by a two-step Lambert W and power players with a disagreement
+    point by Newton's method.  The returned report certifies the KKT system
+    of the log-product program.
 
     The solve and the certificate are separate steps: the simulator calls
     the solve alone (:func:`_gnbs_solve`) for allocations that no report
@@ -920,26 +965,24 @@ def oracle_allocate(problem: BargainingProblem, resolution: int = 200,
 
 
 def _utility_values(act: _Active, x: np.ndarray) -> np.ndarray:
-    """The active players' utility values at ``x``, by kind code (see
-    :class:`Utility`)."""
+    """The active players' utility values at ``x``, each kind's formula at
+    its players' positions (see :class:`Utility`)."""
     v = x / act.coeff
     if not act.linear:
-        kind, coeff = act.kind, act.coeff
-        m = kind == _U_LOG
+        m, coeff = act.log, act.coeff
         v[m] = np.log1p(coeff[m] * x[m])
-        m = kind == _U_POWER
+        m = act.power
         v[m] = np.power(x[m], coeff[m])
     return v
 
 
 def _utility_slopes(act: _Active, x: np.ndarray) -> np.ndarray:
-    """The active players' utility derivatives at ``x``, by kind code."""
+    """The active players' utility derivatives at ``x``, by kind."""
     v = 1.0 / act.coeff
     if not act.linear:
-        kind, coeff = act.kind, act.coeff
-        m = kind == _U_LOG
+        m, coeff = act.log, act.coeff
         v[m] = coeff[m] / (1.0 + coeff[m] * x[m])
-        m = kind == _U_POWER
+        m = act.power
         v[m] = coeff[m] * np.power(x[m], coeff[m] - 1.0)
     return v
 

@@ -299,6 +299,23 @@ def reference_water_fill(curves: _Curves, budget: float) -> tuple[float, np.ndar
     return float(s), x, probes + steps
 
 
+def reference_lambert_w(q: np.ndarray) -> np.ndarray:
+    """Principal branch of y e^y = q for q >= 0, as ``bargaining._lambert_w``
+    solved it before its two fixed steps: Halley's method from Winitzki's
+    approximation, until every step is within rounding.  e^y overflows for q
+    above about 5e307."""
+    l1 = np.log1p(q)
+    y = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
+    for _ in range(_ROOT_MAX_ITER):
+        e = np.exp(y)
+        f = y * e - q
+        step = f / (e * (y + 1.0) - (y + 2.0) * f / (2.0 * y + 2.0))
+        y = y - step
+        if np.all(np.abs(step) <= 4.0 * _EPS * y):
+            break
+    return y
+
+
 def reference_time_at_level(problem, i: int, lvl: float) -> float:
     """Broadcast time at which player i reaches ``lvl``, by bisection on
     :func:`airfair.bargaining.level` over (disagreement, cap] to a relative

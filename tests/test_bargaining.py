@@ -14,6 +14,8 @@ from airfair.bargaining import (
     _Curves,
     DomainError,
     ROLE_GO,
+    _lambert_w,
+    _winitzki,
     gnbs_allocate,
     kkt_residuals,
     level,
@@ -146,7 +148,7 @@ def test_time_at_level_closed_form_matches_bisection(table1):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_time_at_level_matches_bisection_for_every_kind(seed):
-    # Halley (log-shifted) and Newton (power with a disagreement point)
+    # Lambert W (log-shifted) and Newton (power with a disagreement point)
     # against the generic bisection on the level curve
     _, prob = _draw(seed, kinds=ALL_KINDS, allow_disagreement=True)
     for i in prob.active:
@@ -532,6 +534,74 @@ def test_level_for_airtime_matches_probing_reference_on_tails():
         assert level_for_airtime(prob, start, v) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_climb_ends_on_its_tangent(monkeypatch):
+    """A curved water-fill stops its Newton climb once a step is at most
+    sqrt(eps) of the level, and returns the last level it evaluated plus
+    that step, with the tangent prediction of the times: they spend the
+    budget to 1e-12 without another evaluation of the curves."""
+    levels = []
+    times = _Curves.times
+
+    def recorded(self, s, *args):
+        levels.append(s)
+        return times(self, s, *args)
+
+    monkeypatch.setattr(_Curves, "times", recorded)
+    checked = {}
+    for kind, code in (("log-shifted", 1), ("power", 2)):
+        checked[kind] = 0
+        for seed in range(60):
+            rng = np.random.default_rng([7107, code, seed])
+            prob = support.random_problem(rng, size=int(rng.integers(2, 33)), kinds=("normalized-linear", kind),
+                                          allow_disagreement=True)
+            curves = prob._curves
+            if prob.demand <= prob.airtime * (1.0 + 1e-12) or not np.count_nonzero(curves.kind == code):
+                continue
+            levels.clear()
+            s, x, _ = curves.water_fill(prob.airtime)
+            assert abs(s - levels[-1]) <= math.sqrt(np.finfo(float).eps) * levels[-1]
+            assert curves.weight @ x == pytest.approx(prob.airtime, rel=1e-12, abs=0.0)
+            checked[kind] += 1
+    assert min(checked.values()) >= 20, checked
+
+
+# ---------------------------------------------------------------------------
+# Lambert W, which inverts the log-shifted level curves
+
+
+def _lambert_inputs() -> np.ndarray:
+    """0, the smallest subnormal and a few more, and 6,001 points over
+    1e-300..1e300."""
+    subnormals = [5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(np.finfo(float).tiny, 0.0)]
+    return np.concatenate([[0.0], subnormals, np.logspace(-300.0, 300.0, 6001)])
+
+
+def test_lambert_w_matches_halley_reference():
+    """Two fixed steps land within 2 ulps of Halley's method run to
+    convergence, and q = 0 gives exactly 0.0 without a warning."""
+    q = _lambert_inputs()
+    y, want = _lambert_w(q), support.reference_lambert_w(q)
+    assert y[0] == 0.0
+    ulps = np.abs(y - want) / np.spacing(np.maximum(np.abs(y), np.abs(want)))
+    assert ulps.max() <= 2.0, q[np.argmax(ulps)]
+
+
+def test_lambert_w_start_within_two_percent():
+    """The two steps rely on Winitzki's start being this close."""
+    q = _lambert_inputs()[1:]
+    start, want = _winitzki(q), support.reference_lambert_w(q)
+    assert np.abs(start / want - 1.0).max() <= 0.02
+
+
+def test_lambert_w_holds_up_to_the_largest_float():
+    """Halley's e^y overflows above q ~ 5e307; the fixed steps read only
+    log(q / y), so y + log(y) = log(q) holds to the largest float."""
+    q = np.array([1e305, 5e307, 1e308, np.finfo(float).max])
+    y = _lambert_w(q)
+    np.testing.assert_allclose(y + np.log(y), np.log(q), rtol=4e-16, atol=0.0)
+    assert np.abs(_winitzki(q) / y - 1.0).max() <= 0.02
+
+
 # ---------------------------------------------------------------------------
 # columnar problems against the player-by-player references
 
@@ -643,6 +713,58 @@ def test_weights_that_overflow_rejected(alphas):
     with pytest.raises(ValueError, match="alpha weights must sum to a finite value"):
         BargainingProblem(airtime=1.0, broadcast_rate=10.0, ids=["go", "c"], data_sizes=[10.0, 10.0],
                           upload_rates=[math.inf, 5.0], raw_alphas=alphas, go=0)
+
+
+def _huge_gain_players(gain: float, disagreement: float = 0.0) -> list:
+    return [Player("a", 100.0, 10.0, utility=Utility.log_shifted(gain), disagreement=disagreement),
+            Player("b", 50.0, role=ROLE_GO),
+            Player("c", 30.0, 5.0, utility=Utility.log_shifted(2.0))]
+
+
+def test_huge_log_gain_certifies():
+    """Gain 1.1e304 on a's 100 Mb puts y e^y = q at q ~ 7e307 near a's cap,
+    where Halley's e^y overflowed: a sat at its cap instead of 0.9983 of
+    it, the budget was missed by 3.2e-2, and numpy warned."""
+    demand = BargainingProblem(_huge_gain_players(2.0), 1.0, 11.0).demand
+    prob = BargainingProblem(_huge_gain_players(1.1e304), 0.999 * demand, 11.0)
+    alloc, report = gnbs_allocate(prob)
+    assert report.max_residual <= 1e-12
+    assert alloc.broadcast_time[0] / prob.caps[0] == pytest.approx(0.9983, abs=1e-4)
+
+
+def test_log_gain_that_overflows_the_level_rejected():
+    """With k room above ~2.56e305, a's level at its cap, log1p(k room)
+    (1 + k room) / (r k), is inf: the cap level, time_at_level,
+    tail_airtime and a saturated lam read inf, nan or 0, and
+    level_for_airtime raised DomainError.  Such a problem is now rejected,
+    as weights that overflow are."""
+    message = r"player a: log-shifted gain 1e\+306 overflows the level arithmetic at the cap"
+    with pytest.raises(ValueError, match=message):
+        BargainingProblem(_huge_gain_players(1e306), 30.0, 11.0)
+    with pytest.raises(ValueError, match=message):
+        BargainingProblem(airtime=30.0, broadcast_rate=11.0, ids=["a", "b", "c"], data_sizes=[100.0, 50.0, 30.0],
+                          upload_rates=[10.0, math.inf, 5.0], raw_alphas=[1.0, 1.0, 1.0], go=1,
+                          kinds=[1, 0, 1], coeffs=[1e306, math.nan, 2.0])
+
+
+@pytest.mark.parametrize("gain,disagreement", [(2.75e304, 0.0), (2.8e304, 0.0), (1e306, 1.0)],
+                         ids=["k-room-2.5e305", "k-room-2.55e305", "disagreement"])
+def test_log_gain_below_the_overflow_bound_certifies(gain, disagreement):
+    """Just below the bound (and for any gain once a disagreement point
+    makes k = g / (1 + g d) ~ 1 / d), every level reads finite and both
+    the contended and the saturated solve certify."""
+    demand = BargainingProblem(_huge_gain_players(2.0), 1.0, 11.0).demand
+    prob = BargainingProblem(_huge_gain_players(gain, disagreement), 0.999 * demand, 11.0)
+    _, report = gnbs_allocate(prob)
+    assert report.max_residual <= 1e-12
+    top = prob._curves.top
+    assert np.isfinite(top).all()
+    assert time_at_level(prob, 0, top.max()) == pytest.approx(prob.caps[0], rel=1e-12)
+    vmax = tail_airtime(prob, 0, top[0])
+    assert math.isfinite(vmax)
+    assert 0.0 < level_for_airtime(prob, 0, 0.5 * vmax) < top[0]
+    _, report = gnbs_allocate(BargainingProblem(_huge_gain_players(gain, disagreement), 2.0 * demand, 11.0))
+    assert report.lam > 0.0 and report.max_residual <= 1e-12
 
 
 @pytest.mark.parametrize("players,error,message", [
