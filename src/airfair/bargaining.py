@@ -46,19 +46,21 @@ coefficient per player.  They are validated and derived once, whether they
 come from :class:`Player` objects or straight from the simulator's member
 arrays; ``players`` and ``utilities`` are views built only when read.  The
 positions of the log-shifted and power players among the bargaining ones
-are found once, too.  A log-shifted player whose level at the cap would
-overflow is rejected, as are weights that do not sum to a finite value.  The
-level curves, the KKT certificate and the metrics are vector expressions
-over the bargaining players' columns, each kind's formula indexed by those
-positions.  The certificate evaluates each utility's value and derivative
-that way, never through the solver's inversions, so it does not certify
-itself.  The Nash product and the log welfare remain left-to-right folds of
-scalar ``math.pow`` and ``math.log``: numpy's array power and log kernels
-round some inputs differently from libm on some CPUs (AVX-512), which would
-move reported numbers.  Sums that
-reach reported numbers add left to right too (:func:`left_sum`), since
-``sum()`` over floats is compensated from Python 3.12 on and ``np.sum``
-adds pairwise.
+are found once, too.  A problem with a log-shifted player builds its level
+curves at once and is rejected when such a player's level at its cap, read
+off its curve, is not finite, as it is when the weights do not sum to a
+finite value.  The level curves, the KKT certificate and the metrics are
+vector expressions over the bargaining players' columns, each kind's
+formula indexed by those positions.  The certificate evaluates each
+utility's value and derivative that way, never through the solver's
+inversions, so it does not certify itself.  The Nash product and the log
+welfare remain left-to-right folds of scalar ``math.pow`` and ``math.log``:
+numpy's array power and log kernels round some inputs differently from libm
+on some CPUs (AVX-512), which would move reported numbers.  Sums that reach
+reported numbers, and every sum of channel seconds (the demand and an
+allocation's spend, so a saturated one spends the demand to the bit), add
+left to right too (:func:`left_sum`), since ``sum()`` over floats is
+compensated from Python 3.12 on and ``np.sum`` adds pairwise.
 """
 
 from __future__ import annotations
@@ -270,12 +272,15 @@ class BargainingProblem:
     * ``caps``: broadcast seconds needed to drain each queue,
     * ``disagreements``: disagreement broadcast times.
 
-    Zero-load players are kept in the arrays but excluded from bargaining
-    (``active`` lists the indices that take part).  Construction rejects
-    problems where no allocation strictly beats every active player's
-    disagreement outcome.  ``players`` and ``utilities`` are views built on
-    first use.  The column arrays are read-only, since the level curves
-    are derived from them once.
+    ``demand`` is the channel seconds that drain every active queue, and
+    ``saturated`` says whether it fits the airtime budget, up to a relative
+    1e-12; that one test decides saturation for the solver, the baselines,
+    the oracle and :func:`sample_feasible`.  Zero-load players are kept in
+    the arrays but excluded from bargaining (``active`` lists the indices
+    that take part).  Construction rejects problems where no allocation
+    strictly beats every active player's disagreement outcome.  ``players``
+    and ``utilities`` are views built on first use.  The column arrays are
+    read-only, since the level curves are derived from them once.
     """
 
     ids: tuple[str, ...]
@@ -374,15 +379,14 @@ class BargainingProblem:
         else:
             self._active = _Active(idx, self.alphas[idx], 1.0 + self.betas[idx], caps[idx], d[idx],
                                    coeff[idx], log, power, linear)
-        # utility values at the disagreement points (None when every d is
-        # zero: every utility is zero there, so a gain is the value itself)
-        if np.count_nonzero(d):
+        disagreeing = np.count_nonzero(d)
+        if disagreeing:
             self._validate_feasibility()
-            self._base_values = _utility_values(self._active, self._active.d)
-        else:
-            self._base_values = None
         if len(log):
             self._check_log_levels()
+        # utility values at the disagreement points (None when every d is
+        # zero: every utility is zero there, so a gain is the value itself)
+        self._base_values = _utility_values(self._active, self._active.d) if disagreeing else None
         for column in (data, upload, raw, d, self.kinds, self.coeffs, self.alphas, self.betas, caps):
             column.setflags(write=False)
 
@@ -403,14 +407,15 @@ class BargainingProblem:
 
     def _check_log_levels(self):
         """Reject a log-shifted player whose level at the cap overflows: its
-        curve's top, log1p(k room) (1 + k room) / (r k), would read inf."""
-        act = self._active
-        g, d = act.coeff[act.log], act.d[act.log]
-        with np.errstate(over="ignore"):
-            k_room = g / (1.0 + g * d) * (act.cap[act.log] - d)
-            j = _first(~np.isfinite(np.log1p(k_room) * (1.0 + k_room)))
-        if j is not None:
-            raise ValueError(f"player {self.ids[act.index[act.log[j]]]}: log-shifted gain {g[j]:g} "
+        curve's top reads inf or NaN.  The curves, which every solve reads,
+        are built here with numpy's float warnings off, since the overflow
+        they would warn of is what this check reports."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            curves = self._curves
+        bad = curves.index[(curves.kind == _LOG) & ~np.isfinite(curves.top)]
+        if len(bad):
+            i = int(bad.min())
+            raise ValueError(f"player {self.ids[i]}: log-shifted gain {self.coeffs[i]:g} "
                              "overflows the level arithmetic at the cap")
 
     @cached_property
@@ -450,6 +455,12 @@ class BargainingProblem:
         """Channel seconds needed to drain every active queue."""
         act = self._active
         return left_sum(act.weight * act.cap)
+
+    @property
+    def saturated(self) -> bool:
+        """Every active queue fits in the window: the demand is within the
+        airtime budget, up to a relative 1e-12."""
+        return self.demand <= self.airtime * (1.0 + _REL_SLACK)
 
 
 def _check_utility_columns(kinds: np.ndarray, coeffs: np.ndarray) -> None:
@@ -799,8 +810,9 @@ def level_for_airtime(problem: BargainingProblem, start: int, v: float) -> float
 
 
 def weighted_airtime(problem: BargainingProblem, broadcast_time: np.ndarray) -> float:
-    """Channel seconds consumed by an allocation: sum of (1+beta_i) x_i."""
-    return float(np.add.reduce((1.0 + problem.betas) * np.asarray(broadcast_time, dtype=float)))
+    """Channel seconds consumed by an allocation: sum of (1+beta_i) x_i,
+    added left to right as :attr:`BargainingProblem.demand` is."""
+    return left_sum((1.0 + problem.betas) * np.asarray(broadcast_time, dtype=float))
 
 
 def _saturated_allocation(problem: BargainingProblem) -> Allocation:
@@ -819,7 +831,7 @@ def _gnbs_solve(problem: BargainingProblem) -> tuple[Allocation, float, int]:
     """The GNBS allocation without its certificate: the allocation, the
     multiplier ``lam`` of its budget constraint and the root-find steps that
     :func:`kkt_residuals` takes to certify it."""
-    if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
+    if problem.saturated:
         top = problem._curves.top
         return _saturated_allocation(problem), 1.0 / top[-1] if len(top) else 0.0, 0
 
@@ -852,7 +864,7 @@ def gnbs_allocate(problem: BargainingProblem) -> tuple[Allocation, KktReport]:
 
 
 def _clipped_linear_allocate(problem: BargainingProblem, slope: np.ndarray) -> Allocation:
-    if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
+    if problem.saturated:
         return _saturated_allocation(problem)
     return _water_fill_allocation(problem, _Curves.clipped_linear(problem, slope))[0]
 
@@ -886,7 +898,7 @@ def oracle_allocate(problem: BargainingProblem, resolution: int = 200,
     the water-filling solver; meant for cross-checking with at most 4 active
     players.
     """
-    if problem.demand <= problem.airtime * (1.0 + _REL_SLACK):
+    if problem.saturated:
         return _saturated_allocation(problem)
 
     x = np.zeros(len(problem.ids))
@@ -1072,13 +1084,9 @@ def kkt_residuals(problem: BargainingProblem, allocation: Allocation, lam: float
     stat[at_cap] = 0.0
     stat[~moved] = math.inf
     slack[~(moved & at_cap)] = 0.0
-    n = len(problem.ids)
-    if len(x) == n:
-        stationarity, slackness = stat, slack
-    else:
-        stationarity, slackness = np.zeros(n), np.zeros(n)
-        stationarity[act.index] = stat
-        slackness[act.index] = slack
+    stationarity, slackness = np.zeros((2, len(problem.ids)))
+    stationarity[act.index] = stat
+    slackness[act.index] = slack
     target = problem.demand if allocation.saturated else problem.airtime
     budget = abs(weighted_airtime(problem, allocation.broadcast_time) - target)
     stat_max = float(stationarity.max(initial=0.0))
@@ -1096,15 +1104,16 @@ def dissemination_rate(problem: BargainingProblem, allocation: Allocation, k: in
 
 
 def sample_feasible(problem: BargainingProblem, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Random feasible allocations (rows) of an unsaturated problem: budget
-    met, caps respected.  Used by the fairness property tests.
+    """Random feasible allocations (rows) of a problem that is not
+    :attr:`~BargainingProblem.saturated` (else ``ValueError``): budget met,
+    caps respected.  Used by the fairness property tests.
 
     Each row draws Dirichlet shares w of the active players and water-fills
     the budget along the clipped-linear curves x_i(s) = w_i s / (1 + beta_i):
     uncapped players spend channel time in proportion to w_i, and capped
     players drain their queues.
     """
-    if problem.demand <= problem.airtime:
+    if problem.saturated:
         raise ValueError("sampling needs an unsaturated problem")
     act = problem._active
     out = np.zeros((count, len(problem.ids)))

@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bargaining import InfeasibleProblemError, dissemination_rate, gnbs_allocate, nash_product, wpf_aggregate
-from .grouping import ScheduleError, schedule_csv_rows
+from .grouping import ScheduleError
 from .scenario_io import SchemaError, load_scenario, preset_scenario
 from .simulate import (
     POLICIES,
@@ -135,21 +135,21 @@ def cmd_allocate(args) -> int:
 
 def cmd_schedule(args) -> int:
     rnd = _round(_load(args), args.policy, args.round)
-    if rnd.schedule is None:
-        print("node_id,kind,start_s,duration_s")
-        return 0
-    try:    # the slot-count bound holds where slots are built, after the round ran
-        entries = rnd.schedule.entries
-    except ScheduleError as e:
-        raise ScheduleError(f"round {rnd.index} at {rnd.t_start:g}s: {e}") from e
+    schedule, entries = rnd.schedule, ()
+    if schedule is not None:    # an idle round prints its header alone
+        try:    # the slot-count bound holds where slots are built, after the round ran
+            entries = schedule.entries
+        except ScheduleError as e:
+            raise ScheduleError(f"round {rnd.index} at {rnd.t_start:g}s: {e}") from e
     if args.format == "table":
-        print(f"round {rnd.index}: cycle {rnd.schedule.cycle_length * 1000:.3f} ms, "
-              f"{len(entries)} slots from {rnd.t_start:.3f}s")
-        for e in entries:
-            print(f"{e.node:<8}{e.kind:<10}{e.start:>12.6f}{e.duration:>12.6f}")
+        cycle = f"cycle {schedule.cycle_length * 1000:.3f} ms, " if schedule is not None else ""
+        print(f"round {rnd.index}: {cycle}{len(entries)} slots from {rnd.t_start:.3f}s")
+        row = "{0:<8}{1:<10}{2:>12.6f}{3:>12.6f}"
     else:
-        for line in schedule_csv_rows(rnd.schedule):
-            print(line)
+        print("node_id,kind,start_s,duration_s")
+        row = "{0},{1},{2:.6f},{3:.6f}"
+    for e in entries:
+        print(row.format(e.node, e.kind, e.start, e.duration))
     return 0
 
 

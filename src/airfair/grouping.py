@@ -53,7 +53,6 @@ __all__ = [
     "build_schedule",
     "MAX_SLOTS",
     "default_cycle_order",
-    "schedule_csv_rows",
 ]
 
 MODE_UNICAST_PAIR = "unicast-pair"
@@ -353,10 +352,3 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
                             f"is below the float spacing there ({spacing:.3g}s)")
     return Schedule(tuple(pattern), float(interval), cycle, t_start)
 
-
-def schedule_csv_rows(schedule: Schedule) -> list[str]:
-    """Serialize a schedule as CSV lines (header first, 6-decimal fields)."""
-    rows = ["node_id,kind,start_s,duration_s"]
-    for e in schedule.entries:
-        rows.append(f"{e.node},{e.kind},{e.start:.6f},{e.duration:.6f}")
-    return rows

@@ -288,10 +288,8 @@ class _RoundDraws:
     def horizon(self, g: int) -> float:
         """Member g's horizon as GO: its smallest estimated PCD to another
         member.  A round with a fixed GO drew no other member's PCDs."""
-        if self.go is not None:     # every pair drawn holds the fixed GO
-            if g != self.go:
-                raise ValueError(f"the round drew only the PCDs of its GO, member {self.go}, not member {g}")
-            return float(self.pcd.min())
+        if self.go is not None and g != self.go:
+            raise ValueError(f"the round drew only the PCDs of its GO, member {self.go}, not member {g}")
         i, j = self.pairs
         return float(self.pcd[(i == g) | (j == g)].min())
 

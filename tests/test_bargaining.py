@@ -16,14 +16,18 @@ from airfair.bargaining import (
     ROLE_GO,
     _lambert_w,
     _winitzki,
+    eql_allocate,
     gnbs_allocate,
     kkt_residuals,
     level,
     level_for_airtime,
     level_order,
+    oracle_allocate,
+    sample_feasible,
     tail_airtime,
     time_at_level,
     weighted_airtime,
+    wtd_allocate,
 )
 from airfair.scenario_io import PRESETS, scenario_from_dict
 
@@ -224,6 +228,31 @@ def test_saturated_problem_gives_caps():
     assert alloc.saturated
     np.testing.assert_allclose(alloc.broadcast_time, prob.caps, atol=1e-12)
     assert report.max_residual <= 1e-7
+
+
+def test_demand_within_the_slack_saturates_every_allocator():
+    """One rule decides saturation: at a demand 5e-13 above the budget the
+    solver and the baselines saturate, and there is nothing to sample."""
+    demand = support.table1_problem().demand
+    prob = support.table1_problem(airtime=demand / (1.0 + 5e-13))
+    assert prob.demand > prob.airtime and prob.saturated
+    for allocate in (lambda p: gnbs_allocate(p)[0], eql_allocate, wtd_allocate, oracle_allocate):
+        alloc = allocate(prob)
+        assert alloc.saturated
+        np.testing.assert_array_equal(alloc.broadcast_time, prob.caps)
+    with pytest.raises(ValueError, match="sampling needs an unsaturated problem"):
+        sample_feasible(prob, 1, np.random.default_rng(0))
+
+
+def test_saturated_certificates_spend_the_demand_exactly():
+    # the budget residual and the demand add the same channel seconds in
+    # the same order, so a saturated allocation meets the demand to the bit
+    for n in support.GROUP_SIZES[7:]:
+        for rep in range(10):
+            drawn = support.mixed_problem(np.random.default_rng([2525, n, rep]), n)
+            prob = BargainingProblem(drawn.players, 2.0 * drawn.demand, drawn.broadcast_rate)
+            alloc, report = gnbs_allocate(prob)
+            assert alloc.saturated and report.budget == 0.0
 
 
 def test_single_cap_binding():
@@ -745,6 +774,28 @@ def test_log_gain_that_overflows_the_level_rejected():
         BargainingProblem(airtime=30.0, broadcast_rate=11.0, ids=["a", "b", "c"], data_sizes=[100.0, 50.0, 30.0],
                           upload_rates=[10.0, math.inf, 5.0], raw_alphas=[1.0, 1.0, 1.0], go=1,
                           kinds=[1, 0, 1], coeffs=[1e306, math.nan, 2.0])
+
+
+def _gain_times_disagreement_players(gain: float) -> list:
+    return [Player("a", 100.0, 10.0, utility=Utility.log_shifted(gain), disagreement=2.0),
+            Player("b", 50.0, role=ROLE_GO)]
+
+
+def test_log_gain_whose_product_with_the_disagreement_overflows_rejected():
+    """Gain 1e308 at d = 2 s: 1 + g d overflows, so k = g / (1 + g d) reads
+    0 and a's cap level NaN.  The check reads that level off the curves;
+    it used to recompute k room = 0, pass, and leave a NaN broadcast time."""
+    message = r"player a: log-shifted gain 1e\+308 overflows the level arithmetic at the cap"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            BargainingProblem(_gain_times_disagreement_players(1e308), 10.0, 11.0)
+        with pytest.raises(ValueError, match=message):
+            BargainingProblem(airtime=10.0, broadcast_rate=11.0, ids=["a", "b"], data_sizes=[100.0, 50.0],
+                              upload_rates=[10.0, math.inf], raw_alphas=[1.0, 1.0], go=1,
+                              disagreements=[2.0, 0.0], kinds=[1, 0], coeffs=[1e308, math.nan])
+    _, report = gnbs_allocate(BargainingProblem(_gain_times_disagreement_players(1e307), 10.0, 11.0))
+    assert report.max_residual <= 1e-12
 
 
 @pytest.mark.parametrize("gain,disagreement", [(2.75e304, 0.0), (2.8e304, 0.0), (1e306, 1.0)],

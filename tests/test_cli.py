@@ -12,7 +12,7 @@ import pytest
 from airfair import cli, grouping
 from airfair.bargaining import InfeasibleProblemError
 from airfair.grouping import MAX_SLOTS, ScheduleError
-from airfair.scenario_io import PRESETS
+from airfair.scenario_io import PRESETS, preset_scenario
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,22 @@ def test_schedule_of_idle_round_is_header_only(capsys):
     code, out, _ = run_cli(capsys, "schedule", "--preset", "dynamic4", "--round", "2")
     assert code == 0
     assert out.strip() == "node_id,kind,start_s,duration_s"
+
+
+def test_schedule_of_idle_round_as_table(capsys):
+    code, out, _ = run_cli(capsys, "schedule", "--preset", "dynamic4", "--round", "2", "--format", "table")
+    assert code == 0
+    assert out == "round 2: 0 slots from 8.000s\n"
+
+
+def test_schedule_csv_shape(capsys):
+    code, out, _ = run_cli(capsys, "schedule", "--preset", "dynamic4", "--round", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "node_id,kind,start_s,duration_s"
+    assert lines[1] == "n2,upload,12.000000,0.051629"
+    entries = cli._round(preset_scenario("dynamic4"), "gsa", 3).schedule.entries
+    assert len(lines) == 1 + len(entries)
 
 
 def test_schedule_round_out_of_range(capsys):

@@ -21,7 +21,6 @@ from airfair.grouping import (
     build_schedule,
     default_cycle_order,
     elect_go,
-    schedule_csv_rows,
     select_roles,
     select_transmission_mode,
     slot_sizes,
@@ -383,15 +382,6 @@ def test_slot_count_is_bounded(monkeypatch):
     monkeypatch.setattr(grouping, "MAX_SLOTS", 8)
     with pytest.raises(ScheduleError, match="more than 8 slots"):
         build_schedule({"go": (0.1, 0.15)}, 1.1, ["go"]).entries
-
-
-def test_schedule_csv_shape(table1):
-    slots = _table1_slots(table1)
-    sched = build_schedule(slots, 0.2, default_cycle_order(slots, "n4"), t_start=4.0)
-    rows = schedule_csv_rows(sched)
-    assert rows[0] == "node_id,kind,start_s,duration_s"
-    assert rows[1] == "n1,upload,4.000000,0.010000"
-    assert len(rows) == 1 + len(sched.entries)
 
 
 def test_sums_add_left_to_right_on_every_python():
