@@ -8,11 +8,16 @@ allocation round: the GO is re-elected, airtime re-allocated from the
 timeline, so mis-estimation shows up as truncated or underfilled intervals.
 The contact profiles the members swap come down to two arrays per round,
 the loads and a mask of who reaches everyone, which is all the election
-reads; the horizon is the GO's smallest estimated PCD.  Delivered
-megabits are tracked across rounds, so later rounds only bargain over what
-is still queued.  Those running totals are arrays in scenario node order that
-each round reads and adds to at its members' positions; dicts keyed by node
-id appear only in the round records and the report.
+reads; the horizon is the GO's smallest estimated PCD.  A run is a fold of
+one round step over the rounds: the step elects the GO, bargains the
+airtime, lays out the slot cycle, disseminates, and returns the round's
+record.  The fold's running totals are the megabits each node has
+delivered, so later rounds only bargain over what is still queued.  They
+are arrays in scenario node order that each round reads and adds to at its
+members' positions; the members' nodes and positions and the round's
+transmission mode depend only on the timeline, so they are derived once
+with the draws.  Dicts keyed by node id appear only in the round records
+and the report.
 
 A schedule is executed by the cycle arithmetic of
 :meth:`~airfair.grouping.Schedule.leg_seconds`, the rule that also places
@@ -130,8 +135,10 @@ class PcdErrorModel:
     mean: float = 0.0
 
     def __post_init__(self):
-        if self.stddev < 0:
+        if not (self.stddev >= 0):     # NaN fails too
             raise ValueError("stddev must be >= 0")
+        if math.isnan(self.mean):
+            raise ValueError("mean must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,8 @@ class ScenarioNode:
         amount = self.data_mb if self.data_mb is not None else self.data_mb_per_peer
         if amount < 0:
             raise ValueError(f"node {self.id!r}: negative data amount")
+        if not (amount < math.inf):     # NaN fails too
+            raise ValueError(f"node {self.id!r}: data amount must be finite")
         if not (self.join_s < self.leave_s):
             raise ValueError(f"node {self.id!r}: join must precede leave")
         if not (self.upload_mbps > 0):
@@ -208,36 +217,49 @@ class Scenario:
 
 @dataclass(eq=False)
 class RoundRecord:
-    index: int
-    t_start: float
-    t_end: float
-    members: tuple[str, ...]
+    """What one round of a run did.  Per-member arrays, in the allocation
+    and the problems, are in member order; per-member dicts are keyed by
+    member id in member order.
+
+    A round is idle when no member has anything queued: it has no schedule,
+    realizes and delivers 0, and its three metrics are NaN.  A round that is
+    not idle has no schedule either when no member's broadcast share
+    exceeds 1e-15 s.  ``kkt`` is gsa's certificate, None for eql and wtd.
+    """
+
+    index: int                          # the round's place among the run's rounds of two or more members
+    t_start: float                      # true round start, s
+    t_end: float                        # true round end, the next join or leave, s
+    members: tuple[str, ...]            # ids present, sorted
     go_id: str
-    mode: str
-    airtime: float                      # allocation horizon from estimated PCDs
+    mode: str                           # MODE_UNICAST_PAIR for two members, else MODE_GO_COORDINATED
+    airtime: float                      # allocation horizon from estimated PCDs, s
     problem: BargainingProblem          # estimated durations, loss-adjusted rates
     ideal_problem: BargainingProblem    # true horizon, nominal rates
-    allocation: Allocation
+    allocation: Allocation              # the policy's broadcast and upload seconds for ``problem``
     kkt: KktReport | None
     schedule: Schedule | None
-    realized_broadcast: dict[str, float]
-    delivered_mb: dict[str, float]
-    nash_realized: float
-    nash_ideal: float
-    wpf_vs_ideal: float
+    realized_broadcast: dict[str, float]    # broadcast seconds sent before t_end, capped at the queue
+    delivered_mb: dict[str, float]      # megabits broadcast in the round
+    nash_realized: float                # Nash product of the realized seconds on ``ideal_problem``
+    nash_ideal: float                   # Nash product of the policy's allocation of ``ideal_problem``
+    wpf_vs_ideal: float                 # wpf aggregate of the realized seconds against the GNBS optimum
     idle: bool
 
 
 @dataclass(eq=False)
 class SimulationReport:
+    """One policy's run of a scenario.  The three averages are over the
+    rounds that are not idle, and NaN when every round is."""
+
     scenario: Scenario
-    policy: str
-    rounds: list[RoundRecord]
-    transmitted_mb: dict[str, float]
-    received_mb: dict[str, float]
-    nash_product_realized: float
-    nash_product_ideal: float
-    wpf_aggregate_vs_ideal: float
+    policy: str                         # one of POLICIES
+    rounds: list[RoundRecord]           # every round of two or more members, in time order
+    transmitted_mb: dict[str, float]    # megabits each node broadcast, keyed by node id in scenario order
+    received_mb: dict[str, float]       # megabits each node heard, keyed by node id in scenario order
+    nash_product_realized: float        # mean of the rounds' nash_realized
+    nash_product_ideal: float           # mean of the rounds' nash_ideal
+    wpf_aggregate_vs_ideal: float       # mean of the rounds' wpf_vs_ideal
 
 
 def estimate_pcd(true_duration: float, error_model: PcdErrorModel | None,
@@ -268,15 +290,19 @@ def effective_upload_rate(nominal_rate, loss_probability):
 @dataclass(frozen=True, eq=False)
 class _RoundDraws:
     """What no policy can change about one round: its true span, its
-    members, which of them reach all others, its GO where that is fixed
-    before any policy runs, and the round's random draws; and the round's
-    solves, filled in by the runs on these draws.  A round with a fixed GO
-    draws the PCDs of the n - 1 pairs that hold it, the ones its horizon
-    reads, and an open round those of every pair."""
+    members, their nodes and positions, its transmission mode, which members
+    reach all others, its GO where that is fixed before any policy runs, and
+    the round's random draws; and the round's solves, filled in by the runs
+    on these draws.  A round with a fixed GO draws the PCDs of the n - 1
+    pairs that hold it, the ones its horizon reads, and an open round those
+    of every pair."""
 
     t0: float
     t1: float
     members: tuple[str, ...]
+    nodes: tuple[ScenarioNode, ...]     # nodes[i]: member i's node
+    at: np.ndarray               # at[i]: member i's position in scenario.nodes
+    mode: str                    # the transmission mode for the round's member count
     hubs: tuple[bool, ...]       # hubs[i]: member i reaches every other member
     go: int | None               # the GO's member index if no policy can change it, else None
     pairs: tuple[np.ndarray, np.ndarray]    # (i, j): member indices, i < j, of each drawn pair
@@ -367,13 +393,15 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     if scenario.connectivity != "complete":
         graph = ConnectivityGraph([n.id for n in scenario.nodes], scenario.connectivity)
     model, loss_model = scenario.pcd_error, scenario.loss
+    position = {n.id: k for k, n in enumerate(scenario.nodes)}
     rounds, pcd_rows, loss_rows, rx_rows = [], [], [], []
     for t0, t1 in zip(events, events[1:]):
         members = tuple(sorted(n.id for n in scenario.nodes if n.join_s <= t0 < n.leave_s))
         if len(members) < 2:
             continue
         r = len(rounds)
-        nodes = [scenario.node(m) for m in members]
+        at = np.array([position[m] for m in members])
+        nodes = tuple(scenario.nodes[k] for k in at)
         hubs = (True,) * len(members) if graph is None else tuple(graph.reaches_all(m, members) for m in members)
         go = None
         if r == 0 or scenario.go in members:
@@ -393,7 +421,7 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
                 receiver, sender = np.nonzero(rx_ok)
                 loss_rows.append(_word_rows(_LOSS, r, crc))
                 rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
-        rounds.append((t0, t1, members, hubs, go, pairs, true, rx_ok))
+        rounds.append((t0, t1, members, nodes, at, hubs, go, pairs, true, rx_ok))
 
     if pcd_rows or loss_rows:
         n_pcd = sum(map(len, pcd_rows))
@@ -415,15 +443,16 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
             heard = u[n_loss:]
 
     out, p, q, h = [], 0, 0, 0      # offsets of a round's pcd, loss and rx draws
-    for t0, t1, members, hubs, go, pairs, true, rx_ok in rounds:
+    for t0, t1, members, nodes, at, hubs, go, pairs, true, rx_ok in rounds:
         n = len(members)
         pcd = true if model is None else est[p:p + len(true)]
         loss = None if loss_model is None else probs[q:q + n]
         if loss is not None:    # the rx draws run row by row: receiver, then sender
             rx_ok[rx_ok] = heard[h:h + n * (n - 1)] >= np.repeat(loss, n - 1)
         p, q, h = p + len(true), q + n, h + n * (n - 1)
-        pcd.flags.writeable = rx_ok.flags.writeable = False     # shared by every policy that runs on them
-        out.append(_RoundDraws(t0, t1, members, hubs, go, pairs, pcd, loss, rx_ok))
+        pcd.flags.writeable = rx_ok.flags.writeable = at.flags.writeable = False    # shared by every run on them
+        out.append(_RoundDraws(t0, t1, members, nodes, at, select_transmission_mode(n), hubs, go, pairs,
+                               pcd, loss, rx_ok))
     return out
 
 
@@ -439,19 +468,18 @@ class _RoundSolve:
     policies: dict[str, tuple[Allocation, KktReport | None, Allocation]]
 
 
-def _solve_round(scenario: Scenario, d: _RoundDraws, nodes: Sequence[ScenarioNode], loads: np.ndarray,
-                 g: int, mode: str) -> _RoundSolve:
+def _solve_round(scenario: Scenario, d: _RoundDraws, loads: np.ndarray, g: int) -> _RoundSolve:
     """Build the round's two problems, as member columns, and solve the
     GNBS reference.  The estimated problem's horizon is the GO's
     :meth:`_RoundDraws.horizon`.  The GO and a unicast pair upload nothing,
     and clients of a GO lose what the loss draw says."""
     airtime = d.horizon(g)
-    alphas = np.array([n.alpha for n in nodes])
+    alphas = np.array([n.alpha for n in d.nodes])
     alphas[g] *= scenario.go_alpha_factor
-    if mode == MODE_UNICAST_PAIR:
-        upload = nominal = np.full(len(nodes), math.inf)
+    if d.mode == MODE_UNICAST_PAIR:
+        upload = nominal = np.full(len(d.nodes), math.inf)
     else:
-        nominal = np.array([n.upload_mbps for n in nodes])
+        nominal = np.array([n.upload_mbps for n in d.nodes])
         nominal[g] = math.inf
         upload = nominal if d.loss is None else effective_upload_rate(nominal, d.loss)
     columns = dict(broadcast_rate=scenario.broadcast_mbps, ids=d.members, data_sizes=loads,
@@ -510,87 +538,19 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
 
 
 def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
-    """:func:`run_scenario` on the scenario's precomputed round draws.
-
-    Loads and, unless the draws fixed it, the GO depend on what the policy
-    delivered in earlier rounds, so they are derived here, and a round's
-    solve, which the slot size does not change, is looked up in, or added
-    to, its draws' ``solves``.  A round's election or schedule error names
-    the round.
-    """
+    """:func:`run_scenario` on the scenario's precomputed round draws, a
+    fold of :func:`_round` over them.  A round's election or schedule error
+    names the round."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    rate = scenario.broadcast_mbps
     ids = [n.id for n in scenario.nodes]
-    position = {m: k for k, m in enumerate(ids)}
     transmitted, received = np.zeros(len(ids)), np.zeros(len(ids))
     rounds: list[RoundRecord] = []
-
-    for ridx, d in enumerate(draws):
-        t0, t1, members = d.t0, d.t1, d.members
-        at = np.array([position[m] for m in members])
-        nodes = [scenario.node(m) for m in members]
+    for index, d in enumerate(draws):
         try:
-            loads, g = _loads_and_go(scenario, members, nodes, transmitted[at].tolist(), d.hubs, d.go)
-            go_id = members[g]
-            mode = select_transmission_mode(len(members))
-            loads = np.array(loads)
-            key = (g, loads.tobytes())      # float bits: 0.0 and -0.0 differ
-            solved = d.solves.get(key)
-            if solved is None:
-                solved = d.solves[key] = _solve_round(scenario, d, nodes, loads, g, mode)
-            if policy not in solved.policies:
-                solved.policies[policy] = _allocate(policy, solved)
-            problem, ideal_problem, gnbs_ideal = solved.problem, solved.ideal_problem, solved.reference
-            allocation, kkt, ideal_alloc = solved.policies[policy]
-            airtime = problem.airtime
-
-            idle = not problem.active
-            schedule = None
-            realized = delivered = np.zeros(len(members))
-            x = allocation.broadcast_time
-            sel = (x > 1e-15).nonzero()[0]
-            if not idle and len(sel):
-                actors = [members[k] for k in sel.tolist()]
-                sub = Allocation(x[sel], allocation.upload_time[sel], allocation.saturated)
-                _, up, down = slot_sizes(sub, problem.betas[sel], scenario.t_slot_s)
-                slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
-                schedule = build_schedule(slots, airtime, default_cycle_order(actors, go_id), t_start=t0)
-                sent, heard = transmitted[at], received[at]
-                realized, delivered = _replay(schedule, t1, members, loads / rate, rate,
-                                              d.rx_ok, sent, heard)
-                transmitted[at], received[at] = sent, heard
+            rounds.append(_round(scenario, policy, index, d, transmitted, received))
         except (NoGoCandidateError, ScheduleError) as e:
-            raise type(e)(f"round {ridx} at {t0:g}s: {e}") from e
-
-        if idle:
-            nash_real = nash_ideal = wpf = float("nan")
-        else:
-            real_alloc = Allocation(realized, ideal_problem.betas * realized, saturated=False)
-            nash_real = nash_product(ideal_problem, real_alloc)
-            nash_ideal = nash_product(ideal_problem, ideal_alloc)
-            wpf = wpf_aggregate(ideal_problem, gnbs_ideal, real_alloc)
-
-        rounds.append(RoundRecord(
-            index=ridx,
-            t_start=t0,
-            t_end=t1,
-            members=tuple(members),
-            go_id=go_id,
-            mode=mode,
-            airtime=airtime,
-            problem=problem,
-            ideal_problem=ideal_problem,
-            allocation=allocation,
-            kkt=kkt,
-            schedule=schedule,
-            realized_broadcast=dict(zip(members, realized.tolist())),
-            delivered_mb=dict(zip(members, delivered.tolist())),
-            nash_realized=nash_real,
-            nash_ideal=nash_ideal,
-            wpf_vs_ideal=wpf,
-            idle=idle,
-        ))
+            raise type(e)(f"round {index} at {d.t0:g}s: {e}") from e
 
     traffic = [r for r in rounds if not r.idle]
     if traffic:
@@ -609,6 +569,67 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         nash_product_realized=nash_real,
         nash_product_ideal=nash_ideal,
         wpf_aggregate_vs_ideal=wpf,
+    )
+
+
+def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
+           transmitted: np.ndarray, received: np.ndarray) -> RoundRecord:
+    """Round ``index`` of the policy's run on its draws ``d``.  The loads
+    and, unless the draws fixed it, the GO follow from what each member has
+    ``transmitted`` so far; the solve is looked up in, or added to,
+    ``d.solves``; what the schedule sends and delivers is added to
+    ``transmitted`` and ``received``, both in scenario node order."""
+    members, rate = d.members, scenario.broadcast_mbps
+    sent, heard = transmitted[d.at], received[d.at]
+    loads, g = _loads_and_go(scenario, members, d.nodes, sent.tolist(), d.hubs, d.go)
+    loads = np.array(loads)
+    key = (g, loads.tobytes())      # float bits: 0.0 and -0.0 differ
+    solved = d.solves.get(key)
+    if solved is None:
+        solved = d.solves[key] = _solve_round(scenario, d, loads, g)
+    if policy not in solved.policies:
+        solved.policies[policy] = _allocate(policy, solved)
+    problem, ideal_problem = solved.problem, solved.ideal_problem
+    allocation, kkt, ideal_alloc = solved.policies[policy]
+
+    schedule = None
+    realized = delivered = np.zeros(len(members))
+    nash_real = nash_ideal = wpf = float("nan")
+    if problem.active:      # else the round is idle
+        x = allocation.broadcast_time
+        sel = (x > 1e-15).nonzero()[0]
+        if len(sel):
+            actors = [members[k] for k in sel.tolist()]
+            sub = Allocation(x[sel], allocation.upload_time[sel], allocation.saturated)
+            _, up, down = slot_sizes(sub, problem.betas[sel], scenario.t_slot_s)
+            slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
+            schedule = build_schedule(slots, problem.airtime, default_cycle_order(actors, members[g]), t_start=d.t0)
+            realized, delivered = _replay(schedule, d.t1, members, loads / rate, rate, d.rx_ok, sent, heard)
+            transmitted[d.at], received[d.at] = sent, heard
+        real_alloc = Allocation(realized, ideal_problem.betas * realized, saturated=False)
+        nash_real = nash_product(ideal_problem, real_alloc)
+        nash_ideal = nash_product(ideal_problem, ideal_alloc)
+        wpf = wpf_aggregate(ideal_problem, solved.reference, real_alloc)
+
+    return RoundRecord(
+        index=index,
+        t_start=d.t0,
+        t_end=d.t1,
+        members=members,
+        go_id=members[g],
+        mode=d.mode,
+        airtime=problem.airtime,
+        problem=problem,
+        ideal_problem=ideal_problem,
+        allocation=allocation,
+        kkt=kkt,
+        schedule=schedule,
+        realized_broadcast=dict(zip(members, realized.tolist())),
+        delivered_mb=dict(zip(members, delivered.tolist())),
+        nash_realized=nash_real,
+        nash_ideal=nash_ideal,
+        wpf_vs_ideal=wpf,
+        idle=not problem.active,
     )
 
 

@@ -13,7 +13,7 @@ and slot sizes changes no result and does each distinct round's work once.
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -441,6 +441,19 @@ def test_round_draws_match_per_draw_streams(name, monkeypatch):
     assert lost == (scenario.loss is not None)
     est = np.concatenate([d.pcd for d in draws])
     assert shows(est, len(slow))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(SHARED_ROUNDS) + sorted(DRAW_CASES))
+def test_round_draws_are_read_only(name):
+    """Every policy and slot size that runs on a round's draws shares their
+    arrays, so none of them can be written: pcd, loss, rx_ok, both pair
+    index arrays and the members' positions."""
+    doc = {**SCENARIOS, **SHARED_ROUNDS}.get(name) or DRAW_CASES[name][0]
+    for d in _round_draws(scenario_from_dict(doc)):
+        values = [getattr(d, f.name) for f in fields(d)]
+        arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5 + (d.loss is not None)
+        assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("noise, batches", [

@@ -92,6 +92,18 @@ def test_scenario_validation():
         two_node_scenario(go="zz")
     with pytest.raises(ValueError, match="unknown nodes"):
         two_node_scenario(connectivity=(("a", "zz"),))
+    # a NaN or infinite amount would read as a drained queue, and the node
+    # would sit every round out; a NaN noise model would floor every estimate
+    for amount in (math.nan, math.inf):
+        for field in ("data_mb", "data_mb_per_peer"):
+            with pytest.raises(ValueError, match="'x': data amount must be finite"):
+                ScenarioNode("x", 0, 10, **{field: amount})
+    with pytest.raises(ValueError, match="negative data amount"):
+        ScenarioNode("x", 0, 10, data_mb=-math.inf)
+    with pytest.raises(ValueError, match="stddev must be >= 0"):
+        PcdErrorModel(math.nan)
+    with pytest.raises(ValueError, match="mean must not be NaN"):
+        PcdErrorModel(1.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
