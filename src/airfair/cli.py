@@ -23,7 +23,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bargaining import InfeasibleProblemError, dissemination_rate, gnbs_allocate, nash_product, wpf_aggregate
-from .grouping import ScheduleError
 from .scenario_io import SchemaError, load_scenario, preset_scenario
 from .simulate import (
     POLICIES,
@@ -135,15 +134,11 @@ def cmd_allocate(args) -> int:
 
 def cmd_schedule(args) -> int:
     rnd = _round(_load(args), args.policy, args.round)
-    schedule, entries = rnd.schedule, ()
-    if schedule is not None:    # an idle round prints its header alone
-        try:    # the slot-count bound holds where slots are built, after the round ran
-            entries = schedule.entries
-        except ScheduleError as e:
-            raise ScheduleError(f"round {rnd.index} at {rnd.t_start:g}s: {e}") from e
+    schedule = rnd.schedule
+    entries = schedule.entries if schedule is not None else ()     # an idle round prints its header alone
     if args.format == "table":
-        cycle = f"cycle {schedule.cycle_length * 1000:.3f} ms, " if schedule is not None else ""
-        print(f"round {rnd.index}: {cycle}{len(entries)} slots from {rnd.t_start:.3f}s")
+        sized = f"cycle {schedule.cycle_length * 1000:.3f} ms, {entries.count}" if schedule is not None else "0"
+        print(f"round {rnd.index}: {sized} slots from {rnd.t_start:.3f}s")
         row = "{0:<8}{1:<10}{2:>12.6f}{3:>12.6f}"
     else:
         print("node_id,kind,start_s,duration_s")

@@ -18,14 +18,15 @@ its allocated share of channel time.  A :class:`Schedule` stores only the
 cycle, and one rule of cycle arithmetic places its slots: the seconds each
 leg runs, which the simulator's replay reads, and the :class:`SlotEntry`
 objects printed for it come from the same whole-cycle count and cut cycle.
+The slots are counted without building one, and built one at a time as
+they are printed, so printing holds one slot in memory at any count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,16 +52,11 @@ __all__ = [
     "SlotEntry",
     "Schedule",
     "build_schedule",
-    "MAX_SLOTS",
     "default_cycle_order",
 ]
 
 MODE_UNICAST_PAIR = "unicast-pair"
 MODE_GO_COORDINATED = "go-coordinated"
-
-#: most slots one schedule may print: :attr:`Schedule.entries` builds an
-#: object per slot, while the replay reads the cycle and holds no bound
-MAX_SLOTS = 2**22
 
 
 class NoGoCandidateError(RuntimeError):
@@ -288,25 +284,36 @@ class Schedule:
         cycles, legs = self._cut(t1)
         return [cycles * dur + cut for (_, _, dur), (_, cut) in zip(self.pattern, legs)]
 
-    @cached_property
-    def entries(self) -> tuple[SlotEntry, ...]:
-        """The slots as :class:`SlotEntry` objects, built on first use: the
+    @property
+    def entries(self) -> _Slots:
+        """The slots as :class:`SlotEntry` objects in time order, counted
+        without building one and built one at a time as they are iterated: the
         slot of cycle c at offset o starts at t_start + (c * cycle + o), and
-        the cut cycle holds the legs :meth:`leg_seconds` runs in it.  Raises
-        :class:`ScheduleError`, before building any, when there are more
-        than :data:`MAX_SLOTS` of them."""
-        cycles, legs = self._cut(math.inf)
-        count = cycles * len(self.pattern) + sum(seconds > 0 for _, seconds in legs)
-        if count > MAX_SLOTS:
-            raise ScheduleError(f"the schedule would hold more than {MAX_SLOTS} slots "
-                                f"(cycle {self.cycle_length:.3g}s, interval {self.interval:.6f}s)")
-        t_start, cycle = self.t_start, self.cycle_length
-        slots = [(node, kind, offset, dur) for (node, kind, dur), (offset, _) in zip(self.pattern, legs)]
-        whole = [SlotEntry(node, kind, t_start + (c * cycle + offset), dur)
-                 for c in range(cycles) for node, kind, offset, dur in slots]
-        cut = [SlotEntry(node, kind, t_start + (cycles * cycle + offset), seconds)
-               for (node, kind, _), (offset, seconds) in zip(self.pattern, legs) if seconds > 0]
-        return tuple(whole + cut)
+        the cut cycle holds the legs :meth:`leg_seconds` runs in it."""
+        return _Slots(self)
+
+
+class _Slots:
+    """The sized iterable :attr:`Schedule.entries` returns.  ``count`` is the
+    slot count as a plain int, which ``len()`` gives while it fits ``sys.maxsize``."""
+
+    def __init__(self, schedule: Schedule):
+        self._schedule = schedule
+        self._cycles, self._legs = schedule._cut(math.inf)
+        self.count = self._cycles * len(schedule.pattern) + sum(seconds > 0 for _, seconds in self._legs)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[SlotEntry]:
+        t_start, cycle, cycles = self._schedule.t_start, self._schedule.cycle_length, self._cycles
+        legs = list(zip(self._schedule.pattern, self._legs))
+        for c in range(cycles):
+            for (node, kind, dur), (offset, _) in legs:
+                yield SlotEntry(node, kind, t_start + (c * cycle + offset), dur)
+        for (node, kind, _), (offset, seconds) in legs:
+            if seconds > 0:
+                yield SlotEntry(node, kind, t_start + (cycles * cycle + offset), seconds)
 
 
 def default_cycle_order(ids: Iterable[str], go_id: str) -> list[str]:
@@ -325,9 +332,8 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     when a single cycle does not fit the interval, the interval is not
     finite, or even its longest leg is shorter than the float spacing at
     the interval's end, so that floats there cannot resolve a single slot.
-    Only the cycle is built here, so any number of slots is accepted; the
-    returned schedule derives its slots when they are first asked for, and
-    :attr:`Schedule.entries` bounds how many it prints.
+    Only the cycle is built here, so any number of slots is accepted, and
+    the returned schedule builds a slot only when it is iterated.
     """
     if not (interval > 0):
         raise ScheduleError("interval must be > 0")

@@ -190,6 +190,10 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
         object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
+        # a round's group size less one scales a per-peer amount, which must stay finite
+        for n in self.nodes:
+            if n.data_mb_per_peer is not None and not math.isfinite(n.data_mb_per_peer * (len(ids) - 1)):
+                raise ValueError(f"node {n.id!r}: data_mb_per_peer overflows at {len(ids) - 1} peers")
         if not (self.broadcast_mbps > 0):
             raise ValueError("broadcast_mbps must be > 0")
         if not (self.t_slot_s > 0):

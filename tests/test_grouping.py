@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import support
 from airfair import grouping
 from airfair.bargaining import gnbs_allocate
 from airfair.grouping import (
-    MAX_SLOTS,
     ConnectivityGraph,
     ContactEntry,
     ContactTable,
@@ -239,25 +239,27 @@ def test_schedule_cycle_and_truncation(table1):
     sched = build_schedule(slots, interval=10.0, order=order)
     assert sched.cycle_length == pytest.approx(0.14, abs=1e-12)
     # 71 full 0.14s cycles fit in 10s, the 72nd is cut off mid-cycle
-    assert len(sched.entries) == 71 * 11 + 6
-    assert sched.entries[-1].end == pytest.approx(10.0, abs=1e-9)
-    total = sum(e.duration for e in sched.entries)
+    entries = tuple(sched.entries)
+    assert len(sched.entries) == len(entries) == 71 * 11 + 6
+    assert entries[-1].end == pytest.approx(10.0, abs=1e-9)
+    total = sum(e.duration for e in entries)
     assert total == pytest.approx(10.0, abs=1e-9)
 
 
 def test_schedule_entries_are_contiguous(table1):
     slots = _table1_slots(table1)
     sched = build_schedule(slots, 10.0, default_cycle_order(slots, "n4"))
-    for prev, cur in zip(sched.entries, sched.entries[1:]):
+    entries = tuple(sched.entries)
+    for prev, cur in zip(entries, entries[1:]):
         assert cur.start == pytest.approx(prev.end, abs=1e-9)
         assert cur.duration > 0
 
 
 def test_schedule_truncates_final_slot(table1):
     slots = _table1_slots(table1)
-    sched = build_schedule(slots, 9.995, default_cycle_order(slots, "n4"))
-    assert sched.entries[-1].duration == pytest.approx(0.005, abs=1e-9)
-    assert sched.entries[-1].end == pytest.approx(9.995, abs=1e-9)
+    last = tuple(build_schedule(slots, 9.995, default_cycle_order(slots, "n4")).entries)[-1]
+    assert last.duration == pytest.approx(0.005, abs=1e-9)
+    assert last.end == pytest.approx(9.995, abs=1e-9)
 
 
 def test_printed_slots_are_the_slots_the_replay_runs():
@@ -268,7 +270,7 @@ def test_printed_slots_are_the_slots_the_replay_runs():
     2.1e-11 s that the replay never ran."""
     members = [f"n{k}" for k in range(24)]
     sched = build_schedule({m: (0.0, 1e-3) for m in members}, 48.0, members)
-    entries = sched.entries
+    entries = tuple(sched.entries)
     assert len(entries) == 48_000
     assert entries[-1].node == "n23"
     printed = dict.fromkeys(members, 0.0)
@@ -281,7 +283,7 @@ def test_printed_slots_are_the_slots_the_replay_runs():
 def test_upload_precedes_broadcast_per_client(table1):
     slots = _table1_slots(table1)
     sched = build_schedule(slots, 10.0, default_cycle_order(slots, "n4"))
-    first_cycle = sched.entries[:11]
+    first_cycle = tuple(sched.entries)[:11]
     kinds = [(e.node, e.kind) for e in first_cycle]
     assert kinds[:4] == [("n1", "upload"), ("n1", "broadcast"), ("n2", "upload"), ("n2", "broadcast")]
     assert kinds[-1] == ("n4", "broadcast")
@@ -325,10 +327,11 @@ def test_schedule_entries_match_slot_by_slot_reference(rng):
             sched = build_schedule(slots, interval, order, t_start)
             expected = support.reference_entries(sched.pattern, interval, t_start)
             end = t_start + interval
-            n = min(len(sched.entries), len(expected))
-            for extra in (sched.entries[n:], expected[n:]):
+            entries = tuple(sched.entries)
+            n = min(len(entries), len(expected))
+            for extra in (entries[n:], expected[n:]):
                 assert len(extra) <= 1 and all(e.duration < 2e-12 for e in extra)
-            got, want = sched.entries[:n], expected[:n]
+            got, want = entries[:n], expected[:n]
             assert [(e.node, e.kind) for e in got] == [(e.node, e.kind) for e in want]
             for field in ("start", "duration"):
                 error = max(abs(getattr(a, field) - getattr(b, field)) for a, b in zip(got, want))
@@ -363,25 +366,27 @@ def test_cycle_must_fit_interval(table1):
 
 
 def test_slot_count_is_bounded(monkeypatch):
-    # only printing is bounded: 2 * MAX_SLOTS slots build and replay, and
-    # their entries raise before a single one is made; a leg below the
-    # float spacing is rejected at any count
-    sched = build_schedule({"go": (0.0, 0.5 / MAX_SLOTS)}, 1.0, ["go"])
-    assert sched.leg_seconds(1.0) == [1.0]
+    """The slot count is cycle arithmetic and builds no slot, so only the
+    float spacing bounds it: 2 * 2**22 slots count exactly, and 513 members,
+    one with a leg at the spacing and 1,024 legs far shorter, count past
+    ``sys.maxsize``, which ``len()`` cannot return.  A leg below the spacing
+    is rejected."""
     monkeypatch.setattr(grouping, "SlotEntry", None)
-    with pytest.raises(ScheduleError, match=f"more than {MAX_SLOTS} slots"):
-        sched.entries
+    sched = build_schedule({"go": (0.0, 0.5 / 2**22)}, 1.0, ["go"])
+    assert sched.leg_seconds(1.0) == [1.0]
+    assert len(sched.entries) == 2 * 2**22
+    members = [f"n{k:03d}" for k in range(513)]
+    slots = {**{m: (1e-300, 1e-300) for m in members[:-1]}, members[-1]: (0.0, math.ulp(1.999))}
+    entries = build_schedule(slots, 1.999, members).entries
+    assert entries.count > sys.maxsize
+    with pytest.raises(OverflowError):
+        len(entries)
     with pytest.raises(ScheduleError, match="below the float spacing"):
         build_schedule({"go": (0.0, 5e-324)}, 1.0, ["go"])
     monkeypatch.undo()
     # 4 whole cycles of 2 legs and the first leg of the cut cycle: 9 slots
-    # print at a bound of 9, none at 8
-    sched = build_schedule({"go": (0.1, 0.15)}, 1.1, ["go"])
-    monkeypatch.setattr(grouping, "MAX_SLOTS", 9)
-    assert len(sched.entries) == 9 and sched.entries[-1].kind == "upload"
-    monkeypatch.setattr(grouping, "MAX_SLOTS", 8)
-    with pytest.raises(ScheduleError, match="more than 8 slots"):
-        build_schedule({"go": (0.1, 0.15)}, 1.1, ["go"]).entries
+    entries = tuple(build_schedule({"go": (0.1, 0.15)}, 1.1, ["go"]).entries)
+    assert len(entries) == 9 and entries[-1].kind == "upload"
 
 
 def test_sums_add_left_to_right_on_every_python():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import support
-from airfair import simulate
+from airfair import grouping, simulate
 from airfair.bargaining import left_sum
 from airfair.grouping import (
     MODE_GO_COORDINATED,
@@ -100,6 +100,11 @@ def test_scenario_validation():
                 ScenarioNode("x", 0, 10, **{field: amount})
     with pytest.raises(ValueError, match="negative data amount"):
         ScenarioNode("x", 0, 10, data_mb=-math.inf)
+    # a finite per-peer amount can overflow once scaled by the peers, and
+    # would read as a drained queue too
+    three = (ScenarioNode("x", 0, 10, data_mb_per_peer=1e308),) + two_node_scenario().nodes
+    with pytest.raises(ValueError, match="'x': data_mb_per_peer overflows at 2 peers"):
+        two_node_scenario(nodes=three)
     with pytest.raises(ValueError, match="stddev must be >= 0"):
         PcdErrorModel(math.nan)
     with pytest.raises(ValueError, match="mean must not be NaN"):
@@ -439,9 +444,14 @@ def test_replay_forms_match_slot_by_slot_reference(case):
     assert (realized <= min(t1, schedule.t_start + schedule.interval) - schedule.t_start).all()
 
 
-def test_receiver_fold_memory_follows_slots_not_members():
+def _no_slots(*_):
+    raise AssertionError("a slot was built")
+
+
+def test_receiver_fold_memory_follows_slots_not_members(monkeypatch):
     """A 24-member round of over a million broadcast slots replays without
     building its slots, and within six numbers per slot."""
+    monkeypatch.setattr(grouping, "SlotEntry", _no_slots)
     members = [f"n{k:02d}" for k in range(24)]
     schedule = build_schedule({m: (0.0, 1e-3) for m in members}, 24 * 44_000 * 1e-3, members)
     sent, heard = np.zeros(24), np.zeros(24)
@@ -452,20 +462,24 @@ def test_receiver_fold_memory_follows_slots_not_members():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "entries" not in vars(schedule)
     slots = len(schedule.pattern) * schedule.interval / schedule.cycle_length
     assert slots > 1_000_000
     assert peak < 6 * 8 * slots
     assert heard.min() > 0.0
 
 
-def _perfbench_targets() -> tuple[tuple[str, str, str], ...]:
-    """The (module, name, span) triples perfbench's traced pass wraps."""
+def _perfbench_spans():
+    """perfbench's span tracing module, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.TARGETS
+    return spans
+
+
+def _perfbench_targets() -> tuple[tuple[str, str, str], ...]:
+    """The (module, name, span) triples perfbench's traced pass wraps."""
+    return _perfbench_spans().TARGETS
 
 
 def _names_perfbench_wraps() -> list[str]:
@@ -504,6 +518,20 @@ def test_runs_unchanged_with_module_names_wrapped(monkeypatch):
         original = getattr(simulate, name)
         monkeypatch.setattr(simulate, name, lambda *a, _fn=original, **k: _fn(*a, **k))
     assert [support.exact_bits(compare_policies(s)) for s in scenarios] == want
+
+
+def test_perfbench_counts_slots_without_building_them(monkeypatch):
+    """The traced pass's ``build_schedule`` hook counts each schedule's slots
+    by its length, which builds none of them."""
+    schedules = [r.schedule for s in ("table1", "dynamic4") for r in run_scenario(preset_scenario(s)).rounds
+                 if r.schedule is not None]
+    spans = _perfbench_spans()
+    tracer = spans.Tracer()
+    monkeypatch.setattr(grouping, "SlotEntry", _no_slots)
+    for schedule in schedules:
+        spans.HOOKS["grouping.build_schedule"](tracer, (), schedule)
+    monkeypatch.undo()
+    assert tracer.counts["grouping.slots"] == sum(len(tuple(schedule.entries)) for schedule in schedules) > 0
 
 
 # ---------------------------------------------------------------------------
