@@ -136,13 +136,17 @@ def cmd_schedule(args) -> int:
     rnd = _round(_load(args), args.policy, args.round)
     schedule = rnd.schedule
     entries = schedule.entries if schedule is not None else ()     # an idle round prints its header alone
+    # enough decimals that the shortest leg reads as at least 10 units of the
+    # last place, so every row has a nonzero duration and its own start; the
+    # table's columns widen with them
+    places = 6 if schedule is None else max(6, math.ceil(1 - math.log10(min(d for _, _, d in schedule.pattern))))
     if args.format == "table":
         sized = f"cycle {schedule.cycle_length * 1000:.3f} ms, {entries.count}" if schedule is not None else "0"
         print(f"round {rnd.index}: {sized} slots from {rnd.t_start:.3f}s")
-        row = "{0:<8}{1:<10}{2:>12.6f}{3:>12.6f}"
+        row = "{0:<8}{1:<10}{2:>%d.%df}{3:>%d.%df}" % (places + 6, places, places + 6, places)
     else:
         print("node_id,kind,start_s,duration_s")
-        row = "{0},{1},{2:.6f},{3:.6f}"
+        row = "{0},{1},{2:.%df},{3:.%df}" % (places, places)
     for e in entries:
         print(row.format(e.node, e.kind, e.start, e.duration))
     return 0
@@ -188,8 +192,8 @@ def cmd_simulate(args) -> int:
             continue
         for k, member in enumerate(rnd.members):
             print(f"  {member:<8} allocated {rnd.allocation.broadcast_time[k]:7.3f}s"
-                  f"  realized {rnd.realized_broadcast[member]:7.3f}s"
-                  f"  delivered {rnd.delivered_mb[member]:8.3f} mb")
+                  f"  realized {rnd.realized_broadcast[k]:7.3f}s"
+                  f"  delivered {rnd.delivered_mb[k]:8.3f} mb")
         print(f"  nash realized {rnd.nash_realized:.6f}  ideal {rnd.nash_ideal:.6f}  "
               f"wpf {rnd.wpf_vs_ideal:+.6f}")
     print(f"policy {report.policy}: {len(report.rounds)} rounds, "

@@ -16,8 +16,7 @@ delivered, so later rounds only bargain over what is still queued.  They
 are arrays in scenario node order that each round reads and adds to at its
 members' positions; the members' nodes and positions and the round's
 transmission mode depend only on the timeline, so they are derived once
-with the draws.  Dicts keyed by node id appear only in the round records
-and the report.
+with the draws.  Dicts keyed by node id appear only in the report.
 
 A schedule is executed by the cycle arithmetic of
 :meth:`~airfair.grouping.Schedule.leg_seconds`, the rule that also places
@@ -189,7 +188,6 @@ class Scenario:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
-        object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
         # a round's group size less one scales a per-peer amount, which must stay finite
         for n in self.nodes:
             if n.data_mb_per_peer is not None and not math.isfinite(n.data_mb_per_peer * (len(ids) - 1)):
@@ -215,15 +213,12 @@ class Scenario:
                 if a == b:
                     raise ValueError(f"connectivity edge ({a!r}, {b!r}) is a self loop")
 
-    def node(self, node_id: str) -> ScenarioNode:
-        return self._by_id[node_id]
-
 
 @dataclass(eq=False)
 class RoundRecord:
-    """What one round of a run did.  Per-member arrays, in the allocation
-    and the problems, are in member order; per-member dicts are keyed by
-    member id in member order.
+    """What one round of a run did.  Per-member values are arrays in member
+    order: those of the allocation and the problems, and
+    ``realized_broadcast`` and ``delivered_mb``, which are read-only.
 
     A round is idle when no member has anything queued: it has no schedule,
     realizes and delivers 0, and its three metrics are NaN.  A round that is
@@ -243,8 +238,8 @@ class RoundRecord:
     allocation: Allocation              # the policy's broadcast and upload seconds for ``problem``
     kkt: KktReport | None
     schedule: Schedule | None
-    realized_broadcast: dict[str, float]    # broadcast seconds sent before t_end, capped at the queue
-    delivered_mb: dict[str, float]      # megabits broadcast in the round
+    realized_broadcast: np.ndarray      # broadcast seconds sent before t_end, capped at the queue
+    delivered_mb: np.ndarray            # megabits broadcast in the round
     nash_realized: float                # Nash product of the realized seconds on ``ideal_problem``
     nash_ideal: float                   # Nash product of the policy's allocation of ``ideal_problem``
     wpf_vs_ideal: float                 # wpf aggregate of the realized seconds against the GNBS optimum
@@ -520,10 +515,11 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     ``entries`` prints.  The floats differ from adding one slot at a time
     only by rounding.
     """
+    place = {m: k for k, m in enumerate(members)}
     realized = np.zeros(len(members))
     for (node, kind, _), seconds in zip(schedule.pattern, schedule.leg_seconds(t1)):
         if kind == "broadcast":
-            realized[members.index(node)] += seconds
+            realized[place[node]] += seconds
     np.minimum(realized, need, out=realized)
     delivered = realized * rate
     sent += delivered
@@ -556,13 +552,9 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         except (NoGoCandidateError, ScheduleError) as e:
             raise type(e)(f"round {index} at {d.t0:g}s: {e}") from e
 
-    traffic = [r for r in rounds if not r.idle]
-    if traffic:
-        nash_real = float(np.mean([r.nash_realized for r in traffic]))
-        nash_ideal = float(np.mean([r.nash_ideal for r in traffic]))
-        wpf = float(np.mean([r.wpf_vs_ideal for r in traffic]))
-    else:
-        nash_real = nash_ideal = wpf = float("nan")
+    traffic = [(r.nash_realized, r.nash_ideal, r.wpf_vs_ideal) for r in rounds if not r.idle]
+    # one row per metric, so each row's mean adds pairwise as np.mean of its list does
+    nash_real, nash_ideal, wpf = np.mean(list(zip(*traffic)), axis=1).tolist() if traffic else [math.nan] * 3
 
     return SimulationReport(
         scenario=scenario,
@@ -615,6 +607,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
         nash_ideal = nash_product(ideal_problem, ideal_alloc)
         wpf = wpf_aggregate(ideal_problem, solved.reference, real_alloc)
 
+    realized.flags.writeable = delivered.flags.writeable = False
     return RoundRecord(
         index=index,
         t_start=d.t0,
@@ -628,8 +621,8 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
         allocation=allocation,
         kkt=kkt,
         schedule=schedule,
-        realized_broadcast=dict(zip(members, realized.tolist())),
-        delivered_mb=dict(zip(members, delivered.tolist())),
+        realized_broadcast=realized,
+        delivered_mb=delivered,
         nash_realized=nash_real,
         nash_ideal=nash_ideal,
         wpf_vs_ideal=wpf,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -437,6 +438,42 @@ def reference_kkt_residuals(problem, allocation, lam: float, iterations: int = 0
 # bounds its tests state.
 
 
+def exact_linear_allocation(problem, policy: str) -> list[Fraction]:
+    """The exact broadcast times that ``policy`` ("gsa", "eql" or "wtd")
+    gives a normalized-linear problem without disagreement points, its float
+    columns (airtime, alphas, betas, caps, data sizes) taken as exact
+    rationals.  Saturation is the problem's own test, ``problem.saturated``.
+
+    Each policy sets x_i = min(cap_i, r_i s) for one level s that spends
+    the airtime, with r_i = alpha_i / (1 + beta_i) for gsa, 1 for eql and
+    data_i for wtd.  The caps bind in the order of cap_i / r_i, so s is
+    found by walking that order, one player at a time and without
+    rounding, where the solver searches the breakpoints in floats."""
+    if np.count_nonzero(problem.kinds) or np.count_nonzero(problem.disagreements):
+        raise ValueError("needs a normalized-linear problem without disagreement points")
+    caps = [Fraction(c) for c in problem.caps.tolist()]
+    if problem.saturated:
+        return caps
+    weight = [1 + Fraction(b) for b in problem.betas.tolist()]
+    slope = {"gsa": [Fraction(a) / w for a, w in zip(problem.alphas.tolist(), weight)],
+             "eql": [Fraction(1)] * len(caps),
+             "wtd": [Fraction(d) for d in problem.data_sizes.tolist()]}[policy]
+    order = sorted((k for k, c in enumerate(caps) if c > 0), key=lambda k: caps[k] / slope[k])
+    capped, rate = Fraction(0), sum(weight[k] * slope[k] for k in order)
+    for k in order:     # cap each player whose cap level spends less than the airtime
+        if capped + rate * (caps[k] / slope[k]) >= Fraction(problem.airtime):
+            break
+        capped, rate = capped + weight[k] * caps[k], rate - weight[k] * slope[k]
+    s = (Fraction(problem.airtime) - capped) / rate
+    return [min(c, r * s) for c, r in zip(caps, slope)]
+
+
+def ulps_from_exact(values, exact) -> float:
+    """The largest distance of ``values`` from their ``exact`` rationals, in
+    units in the last place of each exact value rounded to a float."""
+    return max(float(abs(Fraction(v) - e) / Fraction(math.ulp(float(e)))) for v, e in zip(values, exact))
+
+
 def reference_entries(pattern, interval: float, t_start: float) -> list[SlotEntry]:
     """Repeat the (node, kind, seconds) cycle from ``t_start`` until the
     interval ends, one slot at a time, truncating the final slot."""
@@ -556,6 +593,7 @@ def reference_round_draws(scenario) -> list[tuple]:
     """(t0, t1, members, estimated PCDs, loss probabilities, rx_ok) of every
     round with at least two members, one stream per draw."""
     events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
+    leave = {n.id: n.leave_s for n in scenario.nodes}
     out = []
     for t0, t1 in zip(events, events[1:]):
         members = sorted(n.id for n in scenario.nodes if n.join_s <= t0 < n.leave_s)
@@ -566,7 +604,7 @@ def reference_round_draws(scenario) -> list[tuple]:
         for i, a in enumerate(members):
             for j in range(i + 1, len(members)):
                 b = members[j]
-                true = min(scenario.node(a).leave_s, scenario.node(b).leave_s) - t0
+                true = min(leave[a], leave[b]) - t0
                 rng = reference_stream(scenario.seed, "pcd", ridx, a, b)
                 est[i, j] = est[j, i] = estimate_pcd(true, scenario.pcd_error, rng)
         loss = None

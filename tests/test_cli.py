@@ -267,11 +267,11 @@ def test_slots_below_the_float_spacing_raise_schedule_error(tmp_path):
         assert time.perf_counter() - start < 1.0
 
 
-def _schedule_head(scenario: str, lines: int) -> list[bytes]:
+def _schedule_head(scenario: str, lines: int, *flags: str) -> list[bytes]:
     """The first lines ``airfair schedule`` prints of the scenario's round 0
     to a reader that then closes the pipe, after checking that the command
     exits 1 with nothing on stderr."""
-    with subprocess.Popen([sys.executable, "-m", "airfair", "schedule", "--scenario", scenario],
+    with subprocess.Popen([sys.executable, "-m", "airfair", "schedule", "--scenario", scenario, *flags],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         head = [proc.stdout.readline() for _ in range(lines)]
         proc.stdout.close()
@@ -288,7 +288,20 @@ def test_schedule_of_trillions_of_slots_prints_at_once(tmp_path):
     start = time.perf_counter()
     head = _schedule_head(scenario, 2)
     assert time.perf_counter() - start < 1.0
-    assert head == [b"node_id,kind,start_s,duration_s\n", b"n1,upload,0.000000,0.000000\n"]
+    assert head == [b"node_id,kind,start_s,duration_s\n", b"n1,upload,0.00000000000000,0.00000000000050\n"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_schedule_rows_of_sub_microsecond_slots_stay_distinct(tmp_path, fmt):
+    """At a 1e-9 s basic slot six decimals would print every duration as 0
+    and repeat starts; the rows carry enough decimals that the shortest leg
+    reads as nonzero, so each row has its own start."""
+    scenario = _table1_file(tmp_path, {"t_slot_ms": 1e-6})
+    rows = [line.decode().replace(",", " ").split() for line in _schedule_head(scenario, 9, "--format", fmt)[1:]]
+    starts = [float(row[2]) for row in rows]
+    assert starts == sorted(set(starts))
+    assert all(float(row[3]) > 0 for row in rows)
+    assert rows[0] == ["n1", "upload", "0.00000000000", "0.00000000050"]
 
 
 _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"
