@@ -138,11 +138,11 @@ def cmd_schedule(args) -> int:
     entries = schedule.entries if schedule is not None else ()     # an idle round prints its header alone
     # enough decimals that the shortest leg reads as at least 10 units of the
     # last place, so every row has a nonzero duration and its own start; the
-    # table's columns widen with them
+    # table's columns widen with them, and its header's ms and s with 3 fewer
     places = 6 if schedule is None else max(6, math.ceil(1 - math.log10(min(d for _, _, d in schedule.pattern))))
     if args.format == "table":
-        sized = f"cycle {schedule.cycle_length * 1000:.3f} ms, {entries.count}" if schedule is not None else "0"
-        print(f"round {rnd.index}: {sized} slots from {rnd.t_start:.3f}s")
+        sized = "0" if schedule is None else f"cycle {schedule.cycle_length * 1000:.{places - 3}f} ms, {entries.count}"
+        print(f"round {rnd.index}: {sized} slots from {rnd.t_start:.{places - 3}f}s")
         row = "{0:<8}{1:<10}{2:>%d.%df}{3:>%d.%df}" % (places + 6, places, places + 6, places)
     else:
         print("node_id,kind,start_s,duration_s")

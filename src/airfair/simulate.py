@@ -14,9 +14,10 @@ airtime, lays out the slot cycle, disseminates, and returns the round's
 record.  The fold's running totals are the megabits each node has
 delivered, so later rounds only bargain over what is still queued.  They
 are arrays in scenario node order that each round reads and adds to at its
-members' positions; the members' nodes and positions and the round's
-transmission mode depend only on the timeline, so they are derived once
-with the draws.  Dicts keyed by node id appear only in the report.
+members' positions.  The draw pass hands each round its member columns
+(positions, own data, raw weights, upload rates), its mode and, where no
+policy can change it, its GO, so a round step is array arithmetic over
+columns.  Dicts keyed by node id appear only in the report.
 
 A schedule is executed by the cycle arithmetic of
 :meth:`~airfair.grouping.Schedule.leg_seconds`, the rule that also places
@@ -288,19 +289,21 @@ def effective_upload_rate(nominal_rate, loss_probability):
 
 @dataclass(frozen=True, eq=False)
 class _RoundDraws:
-    """What no policy can change about one round: its true span, its
-    members, their nodes and positions, its transmission mode, which members
-    reach all others, its GO where that is fixed before any policy runs, and
-    the round's random draws; and the round's solves, filled in by the runs
-    on these draws.  A round with a fixed GO draws the PCDs of the n - 1
-    pairs that hold it, the ones its horizon reads, and an open round those
-    of every pair."""
+    """What no policy can change about one round, which the draw pass hands
+    it: its true span, its members, their member columns, its transmission
+    mode, which members reach all others, its GO where that is fixed before
+    any policy runs (a pinned GO that is a member always is), and its random
+    draws; and its solves, filled in by the runs on these draws.  A round
+    with a fixed GO draws the PCDs of the n - 1 pairs that hold it, the ones
+    its horizon reads, and an open round those of every pair."""
 
     t0: float
     t1: float
     members: tuple[str, ...]
-    nodes: tuple[ScenarioNode, ...]     # nodes[i]: member i's node
     at: np.ndarray               # at[i]: member i's position in scenario.nodes
+    own_mb: np.ndarray           # own_mb[i]: member i's own data, a per-peer amount times n - 1
+    alpha: np.ndarray            # alpha[i]: member i's raw weight
+    upload_mbps: np.ndarray      # upload_mbps[i]: member i's nominal upload rate
     mode: str                    # the transmission mode for the round's member count
     hubs: tuple[bool, ...]       # hubs[i]: member i reaches every other member
     go: int | None               # the GO's member index if no policy can change it, else None
@@ -348,22 +351,6 @@ def _pairs(size: int, go: int | None) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _loads_and_go(scenario: Scenario, members: Sequence[str], nodes: Sequence[ScenarioNode],
-                  sent: Sequence[float], hubs: Sequence[bool], go: int | None = None) -> tuple[list[float], int]:
-    """A round's member loads, given what each member has sent so far, and
-    the member index of its GO: ``go`` if the round's draws fixed it, else
-    the pinned GO if it is a member, else the one :func:`elect_go` picks.
-
-    Drained-queue rule: a load at or below 1e-12 of the node's own data for
-    the round is a rounding residue of its sends; it counts as 0, and the
-    node sits the round out."""
-    own = [n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(members) - 1) for n in nodes]
-    loads = [q - s if q - s > 1e-12 * q else 0.0 for q, s in zip(own, sent)]
-    if go is None:
-        go = members.index(scenario.go if scenario.go in members else elect_go(members, loads, hubs))
-    return loads, go
-
-
 def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     """The span, members and draws of every round with at least two members.
 
@@ -378,39 +365,48 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     :func:`estimate_pcd` floors it.  Draws depend only on the timeline, the
     seed and the noise models, not on the policy or the slot size.
 
-    A round reads only the PCDs of the pairs that hold its GO, the horizon
-    being the smallest of them.  Where no policy can change the GO, because
-    the scenario pins a GO that is a member, or because it is the first
-    round and every policy starts it from the same untouched loads, the GO
-    is elected here, by the election :func:`_run` makes, and only those
-    pairs are drawn.  Every stream keeps its key, so each drawn estimate is
-    the one a draw of every pair gives.  Other rounds, and a fixed round
-    whose election raises, draw every pair and leave the election to the run.
+    A round's members come in id order, with three read-only columns in
+    member order that the runs read instead of the nodes: own data (a
+    per-peer amount times the member count less one), raw weight and
+    nominal upload rate.  A round reads only the PCDs of the pairs that
+    hold its GO, the horizon being the smallest of them.  Where no policy
+    can change the GO, it is fixed here and only those pairs are drawn: a
+    pinned GO that is a member, or the first round's election from the
+    own-data column, the loads every policy starts from.  Every stream
+    keeps its key, so each drawn estimate is the one a draw of every pair
+    gives.  Other rounds, and a first round whose election raises, draw
+    every pair and leave the election to the run.
     """
-    events = sorted({t for n in scenario.nodes for t in (n.join_s, n.leave_s)})
+    nodes = scenario.nodes
+    events = sorted({t for n in nodes for t in (n.join_s, n.leave_s)})
     graph = None
     if scenario.connectivity != "complete":
-        graph = ConnectivityGraph([n.id for n in scenario.nodes], scenario.connectivity)
+        graph = ConnectivityGraph([n.id for n in nodes], scenario.connectivity)
     model, loss_model = scenario.pcd_error, scenario.loss
-    position = {n.id: k for k, n in enumerate(scenario.nodes)}
+    by_id = sorted(range(len(nodes)), key=lambda k: nodes[k].id)
+    per_peer = [n.data_mb is None for n in nodes]
+    amount = [n.data_mb_per_peer if p else n.data_mb for n, p in zip(nodes, per_peer)]
+    alpha, upload, leave = (np.array([getattr(n, a) for n in nodes]) for a in ("alpha", "upload_mbps", "leave_s"))
     rounds, pcd_rows, loss_rows, rx_rows = [], [], [], []
     for t0, t1 in zip(events, events[1:]):
-        members = tuple(sorted(n.id for n in scenario.nodes if n.join_s <= t0 < n.leave_s))
-        if len(members) < 2:
+        present = [k for k in by_id if nodes[k].join_s <= t0 < nodes[k].leave_s]
+        if len(present) < 2:
             continue
-        r = len(rounds)
-        at = np.array([position[m] for m in members])
-        nodes = tuple(scenario.nodes[k] for k in at)
+        r, at = len(rounds), np.array(present)
+        members = tuple(nodes[k].id for k in present)
+        own = np.array([amount[k] * (len(present) - 1) if per_peer[k] else amount[k] for k in present])
+        columns = (at, own, alpha[at], upload[at])
         hubs = (True,) * len(members) if graph is None else tuple(graph.reaches_all(m, members) for m in members)
         go = None
-        if r == 0 or scenario.go in members:
-            try:    # a first round's loads are its members' own data; a pinned GO reads none
-                go = _loads_and_go(scenario, members, nodes, [0.0] * len(members), hubs)[1]
+        if scenario.go in members:
+            go = members.index(scenario.go)
+        elif r == 0:
+            try:
+                go = members.index(elect_go(members, own.tolist(), hubs))
             except NoGoCandidateError:
                 pass
         i, j = pairs = _pairs(len(members), go)
-        leave = np.array([n.leave_s for n in nodes])
-        true = np.minimum(leave[i], leave[j]) - t0      # the true PCDs
+        true = np.minimum(leave[at[i]], leave[at[j]]) - t0      # the true PCDs
         rx_ok = ~np.eye(len(members), dtype=bool)
         if model is not None or loss_model is not None:
             crc = np.array([part_key(m) for m in members], np.uint32)
@@ -420,7 +416,7 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
                 receiver, sender = np.nonzero(rx_ok)
                 loss_rows.append(_word_rows(_LOSS, r, crc))
                 rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
-        rounds.append((t0, t1, members, nodes, at, hubs, go, pairs, true, rx_ok))
+        rounds.append((t0, t1, members, columns, hubs, go, pairs, true, rx_ok))
 
     if pcd_rows or loss_rows:
         n_pcd = sum(map(len, pcd_rows))
@@ -442,15 +438,16 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
             heard = u[n_loss:]
 
     out, p, q, h = [], 0, 0, 0      # offsets of a round's pcd, loss and rx draws
-    for t0, t1, members, nodes, at, hubs, go, pairs, true, rx_ok in rounds:
+    for t0, t1, members, columns, hubs, go, pairs, true, rx_ok in rounds:
         n = len(members)
         pcd = true if model is None else est[p:p + len(true)]
         loss = None if loss_model is None else probs[q:q + n]
         if loss is not None:    # the rx draws run row by row: receiver, then sender
             rx_ok[rx_ok] = heard[h:h + n * (n - 1)] >= np.repeat(loss, n - 1)
         p, q, h = p + len(true), q + n, h + n * (n - 1)
-        pcd.flags.writeable = rx_ok.flags.writeable = at.flags.writeable = False    # shared by every run on them
-        out.append(_RoundDraws(t0, t1, members, nodes, at, select_transmission_mode(n), hubs, go, pairs,
+        for array in (pcd, rx_ok, *columns):     # shared by every run on them
+            array.flags.writeable = False
+        out.append(_RoundDraws(t0, t1, members, *columns, select_transmission_mode(n), hubs, go, pairs,
                                pcd, loss, rx_ok))
     return out
 
@@ -473,12 +470,12 @@ def _solve_round(scenario: Scenario, d: _RoundDraws, loads: np.ndarray, g: int) 
     :meth:`_RoundDraws.horizon`.  The GO and a unicast pair upload nothing,
     and clients of a GO lose what the loss draw says."""
     airtime = d.horizon(g)
-    alphas = np.array([n.alpha for n in d.nodes])
+    alphas = d.alpha.copy()
     alphas[g] *= scenario.go_alpha_factor
     if d.mode == MODE_UNICAST_PAIR:
-        upload = nominal = np.full(len(d.nodes), math.inf)
+        upload = nominal = np.full(len(d.members), math.inf)
     else:
-        nominal = np.array([n.upload_mbps for n in d.nodes])
+        nominal = d.upload_mbps.copy()
         nominal[g] = math.inf
         upload = nominal if d.loss is None else effective_upload_rate(nominal, d.loss)
     columns = dict(broadcast_rate=scenario.broadcast_mbps, ids=d.members, data_sizes=loads,
@@ -511,9 +508,9 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     adds what each member sent to ``sent`` and what it heard to ``heard``.
 
     No slot is visited: each leg's seconds come from
-    :meth:`Schedule.leg_seconds`, so the replay runs exactly the slots
-    ``entries`` prints.  The floats differ from adding one slot at a time
-    only by rounding.
+    :meth:`Schedule.leg_seconds`, so the replay runs the slots ``entries``
+    prints, those after a node's queue drains sending nothing.  The floats
+    differ from adding one slot at a time only by rounding.
     """
     place = {m: k for k, m in enumerate(members)}
     realized = np.zeros(len(members))
@@ -570,15 +567,17 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
 
 def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
            transmitted: np.ndarray, received: np.ndarray) -> RoundRecord:
-    """Round ``index`` of the policy's run on its draws ``d``.  The loads
-    and, unless the draws fixed it, the GO follow from what each member has
-    ``transmitted`` so far; the solve is looked up in, or added to,
-    ``d.solves``; what the schedule sends and delivers is added to
-    ``transmitted`` and ``received``, both in scenario node order."""
+    """Round ``index`` of the policy's run on its draws ``d``.  A member's
+    load is its own data column less what it has ``transmitted`` so far, 0
+    once drained; the GO is the one the draws fixed, a pinned one among
+    them, else :func:`elect_go`'s pick by the loads; the solve is looked up
+    in, or added to, ``d.solves``; what the schedule sends and delivers is
+    added to ``transmitted`` and ``received``, both in scenario node order."""
     members, rate = d.members, scenario.broadcast_mbps
     sent, heard = transmitted[d.at], received[d.at]
-    loads, g = _loads_and_go(scenario, members, d.nodes, sent.tolist(), d.hubs, d.go)
-    loads = np.array(loads)
+    left = d.own_mb - sent
+    loads = np.where(left > 1e-12 * d.own_mb, left, 0.0)
+    g = d.go if d.go is not None else members.index(elect_go(members, loads, d.hubs))
     key = (g, loads.tobytes())      # float bits: 0.0 and -0.0 differ
     solved = d.solves.get(key)
     if solved is None:

@@ -1,6 +1,7 @@
 """Shared problem builders for the test suite."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -466,6 +467,35 @@ def exact_linear_allocation(problem, policy: str) -> list[Fraction]:
         capped, rate = capped + weight[k] * caps[k], rate - weight[k] * slope[k]
     s = (Fraction(problem.airtime) - capped) / rate
     return [min(c, r * s) for c, r in zip(caps, slope)]
+
+
+def exact_replay(pattern, members, t_start, interval, t1, need, cycles=None, runs=None):
+    """The broadcast seconds each member sends by the rule of
+    ``Schedule.leg_seconds``, capped at its queue, in rationals: every
+    argument but ``members`` is exact, the legs of ``pattern`` as
+    (node, kind, seconds) and ``need`` one queue in seconds per member.
+
+    The cycle is the exact sum of the legs, K = floor(T / cycle) over the
+    T = min(t1, t_start + interval) - t_start seconds the schedule runs,
+    rest = T - K * cycle, and a leg of d at offset o runs K * d +
+    min(d, rest - o), or K * d alone when rest - o is 1e-12 s or less.
+    Returns the realized seconds in member order, the exact K and whether
+    each leg runs in the cut cycle.  ``cycles`` and ``runs``, when given,
+    take the place of K and of those decisions in the realized seconds, so
+    that a float replay whose floor or cut test went the other way is
+    measured on its own decisions."""
+    cycle = sum(d for *_, d in pattern)
+    span = max(min(t1, t_start + interval) - t_start, Fraction(0))
+    exact_cycles = span // cycle
+    k = exact_cycles if cycles is None else cycles
+    rest = span - k * cycle
+    offsets = list(itertools.accumulate((d for *_, d in pattern), initial=Fraction(0)))
+    exact_runs = [rest - o > Fraction(1e-12) for o in offsets[:-1]]
+    realized = [Fraction(0)] * len(members)
+    for (node, kind, d), o, run in zip(pattern, offsets, exact_runs if runs is None else runs):
+        if kind == "broadcast":
+            realized[members.index(node)] += k * d + (min(d, rest - o) if run else 0)
+    return [min(r, q) for r, q in zip(realized, need)], exact_cycles, exact_runs
 
 
 def ulps_from_exact(values, exact) -> float:

@@ -778,6 +778,41 @@ def test_player_checks_hold_for_columns(player_fields, columns, error, message):
         BargainingProblem(airtime=10.0, broadcast_rate=5.0, **{**_PAIR, **columns})
 
 
+def _with_idle_player() -> BargainingProblem:
+    """table1's players and a seventh, index 6, with no data."""
+    players = list(support.table1_problem().players) + [Player("idle", 0.0, 11.0)]
+    return BargainingProblem(players, airtime=10.0, broadcast_rate=11.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Player("c", 5.0, 5.0, role="relay"), ValueError, "unknown role 'relay'"),
+    (lambda: BargainingProblem(airtime=0.0, broadcast_rate=5.0, **_PAIR), ValueError, "airtime must be > 0"),
+    (lambda: BargainingProblem(airtime=1.0, broadcast_rate=-5.0, **_PAIR), ValueError, "broadcast_rate must be > 0"),
+    (lambda: BargainingProblem(airtime=1.0, broadcast_rate=5.0, **{**_PAIR, "go": 2}), ValueError,
+     r"GO index 2 outside 0\.\.1"),
+    (lambda: level(_with_idle_player(), 6, 1.0), DomainError, "player index 6 has no data"),
+    (lambda: time_at_level(_with_idle_player(), 6, 1.0), DomainError, "player index 6 has no data"),
+    (lambda: time_at_level(support.table1_problem(), 0, 1e9), DomainError, r"level 1000000000\.0 outside \(0, "),
+    (lambda: tail_airtime(support.table1_problem(), 6, 1.0), DomainError, "start=6 outside the sorted order"),
+    (lambda: tail_airtime(support.table1_problem(), -1, 1.0), DomainError, "start=-1 outside the sorted order"),
+    (lambda: tail_airtime(support.table1_problem(), 0, 1e9), DomainError, "beyond the tail's smallest cap level"),
+    (lambda: level_for_airtime(support.table1_problem(), 0, 1e9), DomainError,
+     r"airtime 1000000000\.0 outside \(0, 12\.72"),
+], ids=["role", "airtime", "broadcast-rate", "go-index", "level-no-data", "time-no-data", "time-level",
+        "tail-start-past", "tail-start-negative", "tail-level", "airtime-past-tail"])
+def test_public_functions_reject_out_of_range_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_level_for_airtime_at_the_full_tail_airtime_is_the_cap_level(table1):
+    """The tail's full airtime is reached exactly at its smallest cap
+    level, which the inverse returns without a water-fill."""
+    for start in range(len(level_order(table1))):
+        top = float(table1._curves.top[start])
+        assert level_for_airtime(table1, start, tail_airtime(table1, start, top)) == top
+
+
 @pytest.mark.parametrize("field,column,message", [
     ("data_size", "data_sizes", "data_size must be >= 0"),
     ("alpha", "raw_alphas", "alpha must be > 0"),

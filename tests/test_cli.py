@@ -161,6 +161,28 @@ def test_simulate_out_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypat
     assert taken.read_text() == "keep"
 
 
+def test_simulate_reports_that_cannot_be_written_exit_2(capsys, tmp_path):
+    """An --out directory that already holds a directory where a report
+    goes fails after the run with one line and exit 2, listing nothing."""
+    (tmp_path / "rounds.csv").mkdir()
+    code, out, err = run_cli(capsys, "simulate", "--preset", "dynamic4", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write reports: ")
+    assert "rounds.csv" in err
+
+
+def test_scenario_that_never_forms_a_group_exits_2(capsys, tmp_path):
+    """Nodes that are never present together leave no round to allocate
+    or print."""
+    apart = [{"id": x, "join_s": t, "leave_s": t + 1.0, "data_mb": 1.0} for x, t in (("a", 0.0), ("b", 2.0))]
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps({"nodes": apart, "broadcast_mbps": 11.0, "t_slot_ms": 20.0}))
+    for command in ("allocate", "schedule"):
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: scenario never forms a group of two or more nodes\n"
+
+
 def test_simulate_byte_identical_per_seed(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(capsys, "simulate", "--preset", "dynamic4", "--out", str(a))[0] == 0
@@ -304,6 +326,15 @@ def test_schedule_rows_of_sub_microsecond_slots_stay_distinct(tmp_path, fmt):
     assert rows[0] == ["n1", "upload", "0.00000000000", "0.00000000050"]
 
 
+def test_schedule_header_of_sub_microsecond_slots_shows_the_cycle(tmp_path):
+    """The table header prints the cycle in ms and the round start in s with
+    three decimals fewer than the rows, so a 1e-6 ms slot's cycle reads as
+    the nonzero time it is, not as 0.000 ms."""
+    scenario = _table1_file(tmp_path, {"t_slot_ms": 1e-6})
+    header = _schedule_head(scenario, 1, "--format", "table")
+    assert header == [b"round 0: cycle 0.00000700 ms, 15714285716 slots from 0.00000000s\n"]
+
+
 _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"
 
 
@@ -352,6 +383,7 @@ def test_converge_output(capsys):
     "sweep --slot-sizes 1e-322",         # > 0 in ms, 0.0 in seconds
     "compare --durations 1e-323",        # every join and leave scales to 0
     "converge --duration 1e-323",
+    "compare --durations 5,x",
 ])
 def test_bad_numeric_argument_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv.split(), "--preset", "table1")

@@ -447,12 +447,12 @@ def test_round_draws_match_per_draw_streams(name, monkeypatch):
 def test_round_draws_are_read_only(name):
     """Every policy and slot size that runs on a round's draws shares their
     arrays, so none of them can be written: pcd, loss, rx_ok, both pair
-    index arrays and the members' positions."""
+    index arrays, the members' positions and their three columns."""
     doc = {**SCENARIOS, **SHARED_ROUNDS}.get(name) or DRAW_CASES[name][0]
     for d in _round_draws(scenario_from_dict(doc)):
         values = [getattr(d, f.name) for f in fields(d)]
         arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
-        assert len(arrays) == 5 + (d.loss is not None)
+        assert len(arrays) == 8 + (d.loss is not None)
         assert not any(a.flags.writeable for a in arrays)
 
 
@@ -497,9 +497,11 @@ def _crowd1_doc():
 def test_pcd_keys_per_round(monkeypatch, doc, per_round):
     """A round whose GO is fixed before any policy runs, the first round or
     one with its pinned GO present, draws the n - 1 PCD pairs of the GO's
-    row; every other round draws all n(n - 1)/2.  Each policy's run then
-    has the GO the draws fixed, which is the GO it elects itself when the
-    draws leave the round open, and it reports the same bits either way."""
+    row; every other round draws all n(n - 1)/2.  A pinned GO present is
+    fixed by the draws alone, which the run never re-derives.  Each policy's
+    run then has the GO the draws fixed, which is the GO it elects itself
+    when the draws leave an unpinned round open, and it reports the same
+    bits either way."""
     rounds = []
     derive = simulate.word_keys
 
@@ -511,7 +513,10 @@ def test_pcd_keys_per_round(monkeypatch, doc, per_round):
     scenario = scenario_from_dict(doc)
     draws = _assert_draws_match(scenario)
     assert np.bincount(rounds, minlength=len(draws)).tolist() == per_round
-    open_draws = [replace(d, go=None) for d in draws]
+    pinned = [scenario.go in d.members for d in draws]
+    assert [d.go for d, p in zip(draws, pinned) if p] == [d.members.index(scenario.go)
+                                                          for d, p in zip(draws, pinned) if p]
+    open_draws = [d if p else replace(d, go=None) for d, p in zip(draws, pinned)]
     for policy in POLICIES:
         fixed, elected = (simulate._run(scenario, policy, ds) for ds in (draws, open_draws))
         for d, rnd, own in zip(draws, fixed.rounds, elected.rounds):

@@ -71,6 +71,11 @@ def test_self_leave_empties_table():
     assert t.owner == "A"
 
 
+def test_unknown_event_rejected():
+    with pytest.raises(TypeError, match="unknown event 'join'"):
+        update_contact_table(ContactTable("A"), "join")
+
+
 def test_entry_for_missing_member():
     with pytest.raises(KeyError):
         ContactTable("A").entry_for("B")
@@ -122,6 +127,23 @@ def test_role_tie_breaks_to_smallest_id():
     }
     roles = select_roles(tables, ConnectivityGraph.complete(loads))
     assert roles["A"] == "go"
+
+
+def test_member_no_table_lists_reads_no_load():
+    """A's entry is in no peer's table, so A's load reads 0 and the
+    slightest load B has elects B."""
+    tables = {"A": ContactTable("A", (ContactEntry("B", 10.0, 1e-9),)), "B": ContactTable("B")}
+    assert select_roles(tables, ConnectivityGraph.complete("AB")) == {"A": "client", "B": "go"}
+
+
+@pytest.mark.parametrize("go,rate,error,message", [
+    ("E", 10.0, KeyError, "E"),
+    ("A", 0.0, ValueError, "rate must be > 0"),
+    ("A", -1.0, ValueError, "rate must be > 0"),
+], ids=["unknown-go", "zero-rate", "negative-rate"])
+def test_relay_cost_rejects_bad_input(go, rate, error, message):
+    with pytest.raises(error, match=message):
+        total_broadcast_time(FOUR_LOADS, go, rate)
 
 
 def test_no_candidate_raises():
@@ -220,6 +242,9 @@ def test_slot_sizes_reject_zero_share(table1):
 
     with pytest.raises(ScheduleError):
         slot_sizes(Allocation(crippled, crippled * table1.betas, False), table1.betas, 0.02)
+    for t_slot in (0.0, -0.02):
+        with pytest.raises(ScheduleError, match="t_slot must be > 0"):
+            slot_sizes(alloc, table1.betas, t_slot)
 
 
 def test_default_cycle_order_puts_go_last():
@@ -353,6 +378,9 @@ def test_schedule_rejects_degenerate_cycles(table1):
     order = default_cycle_order(slots, "n4")
     with pytest.raises(ScheduleError, match="finite"):
         build_schedule(slots, float("inf"), order)
+    for interval in (0.0, -1.0):
+        with pytest.raises(ScheduleError, match="interval must be > 0"):
+            build_schedule(slots, interval, order)
     with pytest.raises(ScheduleError, match="empty"):
         build_schedule(slots, 10.0, [])
     with pytest.raises(ScheduleError, match="invalid slot sizes"):

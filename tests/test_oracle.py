@@ -44,6 +44,17 @@ def test_refinement_tightens_the_grid(rng):
     assert err(fine) < 1e-3
 
 
+def test_oracle_with_one_active_player_is_the_solver():
+    """A contended problem with one player left to bargain has nothing to
+    search: the budget pins that player's time, as the solver finds."""
+    ps = [Player(id="go", data_size=0.0, role=ROLE_GO), Player(id="c", data_size=50.0, upload_rate=10.0)]
+    prob = BargainingProblem(ps, airtime=2.0, broadcast_rate=10.0)
+    assert not prob.saturated and list(prob.active) == [1]
+    grid, (exact, _) = oracle_allocate(prob), gnbs_allocate(prob)
+    assert support.float_bits(grid.broadcast_time) == support.float_bits(exact.broadcast_time)
+    assert support.float_bits(grid.upload_time) == support.float_bits(exact.upload_time)
+
+
 def test_oracle_saturated_returns_caps():
     prob = support.table1_problem(airtime=100.0)
     alloc = oracle_allocate(prob)

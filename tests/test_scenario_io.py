@@ -194,10 +194,11 @@ def test_empty_document_rejected():
     (_set(("t_slot_ms",), -20.0), "t_slot_s must be > 0"),
     (_set(("go_alpha_factor",), 0.0), "go_alpha_factor must be > 0"),
     (_set(("pcd_error", "stddev"), -1.0), "pcd_error.*stddev must be >= 0"),
+    (_set(("nodes",), []), "scenario: 'nodes' must be a non-empty list"),
 ], ids=[
     "missing-field", "document", "node", "loss", "pcd_error", "empty-id", "non-string-id", "edges",
     "go", "negative-data", "upload_mbps", "alpha", "broadcast_mbps", "t_slot_ms", "go_alpha_factor",
-    "stddev",
+    "stddev", "no-nodes",
 ])
 def test_rejections_name_the_field(mutate, match):
     d = mutate(doc(loss={"lo": 0.0, "hi": 0.1}, pcd_error={"stddev": 1.0}))
