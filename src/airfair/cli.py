@@ -5,6 +5,10 @@ plan of a round as CSV), ``simulate`` (full run: a round-by-round listing,
 CSV reports to a directory), ``compare`` (realized Nash products per policy
 over contact durations), ``sweep`` (fairness aggregate per basic slot size),
 ``converge`` (running-average Nash product over repeated noisy contacts).
+The last three only check their flags, scale durations and print: their
+repetitions, and the seed each one runs at, come from
+:mod:`airfair.simulate` (``compare_means``, ``slot_size_sweep``,
+``repeated_contacts``).
 
 Exit codes: 0 on success, 1 (with nothing on stderr) when the reader of
 standard output closes it early, as ``| head`` does, 2 for argument or
@@ -29,13 +33,13 @@ from .simulate import (
     PcdErrorModel,
     _round_draws,
     _run,
-    compare_policies,
-    derive_seed,
+    compare_means,
     repeated_contacts,
     run_scenario,
     scale_contact_durations,
     slot_size_sweep,
 )
+from .simulate import compare_policies  # noqa: F401  (not called here; perfbench/spans.py wraps it by name)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
@@ -206,17 +210,10 @@ def cmd_compare(args) -> int:
     scenario = _load(args)
     durations = _float_list(args.durations, "--durations")
     _require(args.reps >= 1, "--reps must be at least 1")
-    base_seed = scenario.seed
     scaled_runs = [_scaled(scenario, duration, "--durations") for duration in durations]
     print("duration_s," + ",".join(POLICIES))
-    for di, (duration, scaled) in enumerate(zip(durations, scaled_runs)):
-        sums = dict.fromkeys(POLICIES, 0.0)
-        for rep in range(args.reps):
-            run = replace(scaled, seed=derive_seed(base_seed, "compare", di, rep))
-            for policy, rpt in compare_policies(run).items():
-                sums[policy] += rpt.nash_product_realized
-        means = [sums[p] / args.reps for p in POLICIES]
-        print(f"{_label(duration)}," + ",".join(f"{m:.6f}" for m in means))
+    for duration, means in zip(durations, compare_means(scaled_runs, args.reps)):
+        print(f"{_label(duration)}," + ",".join(f"{means[p]:.6f}" for p in POLICIES))
     return 0
 
 

@@ -43,6 +43,13 @@ present, elects it with the draws and draws only the pairs that hold it,
 the ones its horizon reads; since a stream's key names its draw, skipping
 the others leaves every drawn number as it was.
 
+The three repeated experiments (:func:`compare_means`,
+:func:`slot_size_sweep`, :func:`repeated_contacts`) are folds over one
+generator of repetitions, :func:`_repetitions`: repetition k reruns the
+scenario at the seed ``derive_seed(seed, *parts, k)``, where the parts name
+the experiment ("compare" and the scenario's index, "sweep", "contact"),
+and every run of a repetition shares its draws.
+
 A round's two bargaining problems, its GNBS reference and each policy's
 allocations depend only on its draws, its loads and its GO, so each
 round's draws keep them, keyed by the GO and the exact bits of the loads:
@@ -60,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,6 +112,7 @@ __all__ = [
     "repeated_contacts",
     "slot_size_sweep",
     "compare_policies",
+    "compare_means",
     "scale_contact_durations",
     "derive_seed",
 ]
@@ -629,22 +637,31 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
     )
 
 
+def _repetitions(scenario: Scenario, count: int, *parts):
+    """The repetitions of an experiment: for each k < ``count``, the
+    scenario reseeded with ``derive_seed(scenario.seed, *parts, k)`` and its
+    :func:`_round_draws`, which every run of that repetition shares."""
+    for k in range(count):
+        run = replace(scenario, seed=derive_seed(scenario.seed, *parts, k))
+        yield run, _round_draws(run)
+
+
 def repeated_contacts(scenario: Scenario, n_contacts: int,
                       seed: int | None = None) -> tuple[np.ndarray, float]:
     """Independent perturbed repetitions of one scenario.
 
     Every contact reruns the scenario with a fresh derived seed (fresh PCD
-    error and loss draws).  Returns the running average of the realized Nash
-    product and, as the asymptote reference, the value the same pipeline
-    reaches with randomness switched off.
+    error and loss draws) derived from ``seed``, else the scenario's.
+    Returns the running average of the realized Nash product and, as the
+    asymptote reference, the value the same pipeline reaches with
+    randomness switched off.
     """
     if n_contacts < 1:
         raise ValueError("need at least one contact")
-    base = scenario.seed if seed is None else seed
-    values = np.empty(n_contacts)
-    for k in range(n_contacts):
-        rep = run_scenario(replace(scenario, seed=derive_seed(base, "contact", k)))
-        values[k] = rep.nash_product_realized
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
+    values = np.array([_run(run, "gsa", draws).nash_product_realized
+                       for run, draws in _repetitions(scenario, n_contacts, "contact")])
     running = np.cumsum(values) / np.arange(1, n_contacts + 1)
     ideal = run_scenario(replace(scenario, loss=None, pcd_error=None)).nash_product_realized
     return running, float(ideal)
@@ -666,10 +683,7 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    runs = []
-    for r in range(repetitions):
-        paired = replace(scenario, seed=derive_seed(scenario.seed, "sweep", r))
-        runs.append((paired, _round_draws(paired)))
+    runs = list(_repetitions(scenario, repetitions, "sweep"))
     out = []
     for t_slot in t_slot_list:
         vals = [
@@ -691,6 +705,25 @@ def compare_policies(scenario: Scenario,
     """
     draws = _round_draws(scenario)
     return {p: _run(scenario, p, draws) for p in policies}
+
+
+def compare_means(scenarios: Sequence[Scenario], repetitions: int) -> Iterator[dict[str, float]]:
+    """The mean realized Nash product of each policy over ``repetitions``
+    runs of each scenario, one dict per scenario, yielded as its runs end.
+
+    Scenario d's repetition k is the one :func:`_repetitions` derives with
+    the parts ("compare", d), and the policies share its draws, as in
+    :func:`compare_policies`.  A policy's products are summed from 0.0 in
+    repetition order and divided by ``repetitions``.
+    """
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    for d, scenario in enumerate(scenarios):
+        sums = dict.fromkeys(POLICIES, 0.0)
+        for run, draws in _repetitions(scenario, repetitions, "compare", d):
+            for policy in POLICIES:
+                sums[policy] += _run(run, policy, draws).nash_product_realized
+        yield {policy: total / repetitions for policy, total in sums.items()}
 
 
 def scale_contact_durations(scenario: Scenario, duration: float) -> Scenario:

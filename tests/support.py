@@ -23,7 +23,16 @@ from airfair.bargaining import (
     wtd_allocate,
 )
 from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable, SlotEntry
-from airfair.simulate import estimate_pcd
+from airfair.simulate import (
+    POLICIES,
+    _round_draws,
+    _run,
+    compare_policies,
+    derive_seed,
+    estimate_pcd,
+    run_scenario,
+    scale_contact_durations,
+)
 from airfair.streams import part_key
 
 # The six-node example bundled as the "table1" preset: one group owner (n4)
@@ -118,14 +127,16 @@ def random_problem(
     return BargainingProblem(players, airtime=airtime, broadcast_rate=rate)
 
 
-def wide_problem(rng: np.random.Generator) -> BargainingProblem:
+def wide_problem(rng: np.random.Generator, linear: bool = False) -> BargainingProblem:
     """Draw a contended instance over wide parameter ranges.
 
     Group sizes are log-uniform over 2..64 and mix all three utility kinds.
     Bargaining weights span four decades; caps, upload ratios (beta) and
     log gains three; power exponents lie in [0.1, 1].  Half of the players
     hold a disagreement point, and the budget sits 5-95% of the way from the
-    disagreement spend to the full demand.
+    disagreement spend to the full demand.  A ``linear`` instance makes the
+    same draws, then gives every player the normalized-linear utility and no
+    disagreement point.
     """
     n = int(round(2.0 * 32.0 ** rng.uniform()))
     go = int(rng.integers(n))
@@ -137,6 +148,8 @@ def wide_problem(rng: np.random.Generator) -> BargainingProblem:
     kinds = rng.integers(3, size=n)
     gains = 10.0 ** rng.uniform(-1.5, 1.5, size=n)
     exponents = rng.uniform(0.1, 1.0, size=n)
+    if linear:
+        kinds[:], disagreements[:] = 0, 0.0
     players = []
     for i in range(n):
         utility = None
@@ -685,3 +698,57 @@ def exact_bits(value):
     if isinstance(value, float):
         return value.hex()
     return value
+
+
+# ---------------------------------------------------------------------------
+# the three repeated experiments as loops that each derive their own seeds,
+# the references for the folds over simulate._repetitions
+
+
+def reference_repeated_contacts(scenario, n_contacts: int, seed: int | None = None) -> tuple[np.ndarray, float]:
+    """``simulate.repeated_contacts``: contact k runs at
+    ``derive_seed(seed or the scenario's, "contact", k)``."""
+    if n_contacts < 1:
+        raise ValueError("need at least one contact")
+    base = scenario.seed if seed is None else seed
+    values = np.empty(n_contacts)
+    for k in range(n_contacts):
+        rep = run_scenario(dataclasses.replace(scenario, seed=derive_seed(base, "contact", k)))
+        values[k] = rep.nash_product_realized
+    running = np.cumsum(values) / np.arange(1, n_contacts + 1)
+    ideal = run_scenario(dataclasses.replace(scenario, loss=None, pcd_error=None)).nash_product_realized
+    return running, float(ideal)
+
+
+def reference_slot_size_sweep(scenario, t_slot_list, repetitions: int = 20) -> list[tuple[float, float, float]]:
+    """``simulate.slot_size_sweep``: repetition r runs every size at
+    ``derive_seed(seed, "sweep", r)``, all draws made before the first size."""
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    runs = []
+    for r in range(repetitions):
+        paired = dataclasses.replace(scenario, seed=derive_seed(scenario.seed, "sweep", r))
+        runs.append((paired, _round_draws(paired)))
+    out = []
+    for t_slot in t_slot_list:
+        vals = [
+            _run(dataclasses.replace(paired, t_slot_s=float(t_slot)), "gsa", draws).wpf_aggregate_vs_ideal
+            for paired, draws in runs
+        ]
+        out.append((float(t_slot), float(np.mean(vals)), float(np.std(vals))))
+    return out
+
+
+def reference_compare(scenario, durations, reps: int):
+    """``airfair compare``'s rows, each a list of means in POLICIES order,
+    yielded as each duration ends: repetition rep of duration index di
+    runs at ``derive_seed(seed, "compare", di, rep)``."""
+    base_seed = scenario.seed
+    scaled_runs = [scale_contact_durations(scenario, duration) for duration in durations]
+    for di, scaled in enumerate(scaled_runs):
+        sums = dict.fromkeys(POLICIES, 0.0)
+        for rep in range(reps):
+            run = dataclasses.replace(scaled, seed=derive_seed(base_seed, "compare", di, rep))
+            for policy, rpt in compare_policies(run).items():
+                sums[policy] += rpt.nash_product_realized
+        yield [sums[p] / reps for p in POLICIES]

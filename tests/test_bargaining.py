@@ -2,6 +2,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -540,20 +541,39 @@ def _near_saturation(prob, eps):
                              raw_alphas=prob.raw_alphas, go=prob.go)
 
 
+def _conditioning(prob, exact) -> float:
+    """How many times the airtime exceeds the exact airtime its uncapped
+    players share, at least 1.  A solver reaches their level from the
+    airtime less the capped spend, so an error of a few ulps of the airtime
+    grows by this factor in their times."""
+    caps = [Fraction(c) for c in prob.caps.tolist()]
+    remainder = sum((1 + Fraction(b)) * x for b, x, c in zip(prob.betas.tolist(), exact, caps) if x < c)
+    return max(1.0, float(Fraction(prob.airtime) / remainder))
+
+
 def test_linear_allocators_stay_within_ulps_of_exact():
     """gsa, eql and wtd on every simulator problem, and on each one's
     budgets within 1e-12 of saturation on both sides, come within
     :data:`EXACT_ULPS` of the exact rational allocation of the problem's
-    float columns."""
+    float columns.  On 400 wide-range linear draws they come within
+    EXACT_ULPS times the draw's :func:`_conditioning`: there the capped
+    players may spend all but a sliver of the airtime, and gsa, whose
+    level comes from what they leave, then lands up to 55 ulps from exact
+    (60 over 1,500 draws, 61 of them beyond 8 ulps), where scaled it stays
+    within 3.8 (6.2) and eql and wtd within 5.2."""
     problems = _compared_problems()
     near = [_near_saturation(prob, eps) for prob in problems if prob.active for eps in (1e-12, 1e-13, 1e-15, -1e-13)]
     assert len(problems) >= 1000 and sum(not p.saturated for p in problems) >= 300
     assert sum(not p.saturated for p in near) >= 2500 and sum(p.saturated for p in near) >= 800
+    wide = [support.wide_problem(np.random.default_rng([4242, seed]), linear=True) for seed in range(400)]
+    assert not any(p.saturated for p in wide)
     allocators = {"gsa": lambda p: gnbs_allocate(p)[0], "eql": eql_allocate, "wtd": wtd_allocate}
-    for prob in problems + near:
+    for prob, scaled in [(p, False) for p in problems + near] + [(p, True) for p in wide]:
         for policy, allocate in allocators.items():
             x = allocate(prob).broadcast_time.tolist()
-            assert support.ulps_from_exact(x, support.exact_linear_allocation(prob, policy)) <= EXACT_ULPS
+            exact = support.exact_linear_allocation(prob, policy)
+            bound = EXACT_ULPS * (_conditioning(prob, exact) if scaled else 1.0)
+            assert support.ulps_from_exact(x, exact) <= bound
 
 
 def _fill_bits(fill):

@@ -708,12 +708,67 @@ def test_compare_policies_shares_draws():
     assert nash["gsa"] >= nash["wtd"] - 1e-12
 
 
+#: noisy table1 (loss U[0, 0.1], PCD error N(0, 1)) and dynamic4, whose own noise is the same
+NOISY = {"table1": {**PRESETS["table1"], "loss": {"lo": 0.0, "hi": 0.1}, "pcd_error": {"stddev": 1.0}},
+         "dynamic4": PRESETS["dynamic4"]}
+
+
+def _outcome(experiment) -> list:
+    """What ``experiment()`` yields, every float spelled exactly, then the
+    error that ends it, if one does."""
+    out = []
+    try:
+        for row in experiment():
+            out.append(support.exact_bits(row))
+    except (ScheduleError, NoGoCandidateError) as e:
+        out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+def _compare_rows(scenario, durations, reps):
+    means = simulate.compare_means([scale_contact_durations(scenario, d) for d in durations], reps)
+    return ([m[p] for p in simulate.POLICIES] for m in means)
+
+
+@pytest.mark.parametrize("seed", (7, 611))
+@pytest.mark.parametrize("name", sorted(NOISY))
+def test_experiment_folds_match_their_own_loops_bit_for_bit(name, seed):
+    """compare, sweep and converge, folds over one generator of seeded
+    repetitions, yield what loops that each derive their own seeds yield,
+    float for float, and end in the same error where those do."""
+    base = scenario_from_dict({**NOISY[name], "seed": seed})
+    durations, sizes = (40.0, 20.0, 10.0, 5.0), [0.005, 0.02, 0.05, 0.1]     # rows before dynamic4 raises at 5 s
+    outcomes = [(_outcome(lambda: _compare_rows(base, durations, 3)),
+                 _outcome(lambda: support.reference_compare(base, durations, 3)))]
+    for duration in (5.0, 40.0):
+        scaled = scale_contact_durations(base, duration)
+        outcomes.append((_outcome(lambda: slot_size_sweep(scaled, sizes, repetitions=4)),
+                         _outcome(lambda: support.reference_slot_size_sweep(scaled, sizes, repetitions=4))))
+        for given in (None, 5):
+            outcomes.append((_outcome(lambda: [repeated_contacts(scaled, 5, seed=given)]),
+                             _outcome(lambda: [support.reference_repeated_contacts(scaled, 5, seed=given)])))
+    for folded, looped in outcomes:
+        assert folded == looped
+    assert sum(not isinstance(looped[-1], str) for _, looped in outcomes) >= 3
+
+
+def test_compare_means_yields_each_row_before_a_later_duration_raises():
+    """dynamic4 at 20 s and then 2 s: the 20 s row comes first, float for
+    float the loop's, and then the 2 s repetitions raise the loop's error."""
+    base = preset_scenario("dynamic4")
+    folded = _outcome(lambda: _compare_rows(base, (20.0, 2.0), 5))
+    assert folded == _outcome(lambda: support.reference_compare(base, (20.0, 2.0), 5))
+    assert len(folded) == 2
+    assert folded[1] == "ScheduleError: round 1 at 0.5s: one cycle (0.400000s) exceeds the interval (0.100000s)"
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda s: repeated_contacts(s, 0), "need at least one contact"),
     (lambda s: slot_size_sweep(s, [0.02], repetitions=0), "need at least one repetition"),
+    (lambda s: next(simulate.compare_means([s], 0)), "need at least one repetition"),
     (lambda s: scale_contact_durations(s, 0.0), "duration must be > 0"),
     (lambda s: scale_contact_durations(s, -1.0), "duration must be > 0"),
-], ids=["no-contacts", "no-repetitions", "zero-duration", "negative-duration"])
+], ids=["no-contacts", "no-repetitions", "no-compare-repetitions", "zero-duration", "negative-duration"])
 def test_experiment_drivers_reject_empty_input(call, message):
     with pytest.raises(ValueError, match=message):
         call(preset_scenario("table1"))
