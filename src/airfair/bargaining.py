@@ -115,9 +115,6 @@ _ROOT_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
 
-# how a player's level curve is inverted (see _Curves)
-_LINEAR, _LOG, _POWER = 0, 1, 2
-
 
 class DomainError(ValueError):
     """An argument fell outside an operation's mathematical domain."""
@@ -412,7 +409,7 @@ class BargainingProblem:
         they would warn of is what this check reports."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             curves = self._curves
-        bad = curves.index[(curves.kind == _LOG) & ~np.isfinite(curves.top)]
+        bad = curves.index[(curves.kind == _U_LOG) & ~np.isfinite(curves.top)]
         if len(bad):
             i = int(bad.min())
             raise ValueError(f"player {self.ids[i]}: log-shifted gain {self.coeffs[i]:g} "
@@ -545,17 +542,19 @@ class _Curves:
     the level each reaches at its cap (``top``, ascending; ties by index).
 
     At common level s a player transmits min(cap, time(s)), where time(s)
-    inverts its level curve in one of three ways (``kind``):
+    inverts its level curve in one of three ways (``kind``, a utility kind
+    code):
 
-    * ``_LINEAR`` (normalized-linear, power with d = 0, and the baselines'
-      clipped-linear shares): time(s) = d + r s;
-    * ``_LOG`` (log-shifted, gain g): time(s) = d + expm1(y) / k with
+    * ``_U_LINEAR`` (normalized-linear, a power curve without a disagreement
+      point, d = 0, and the baselines' clipped-linear shares):
+      time(s) = d + r s;
+    * ``_U_LOG`` (log-shifted, gain g): time(s) = d + expm1(y) / k with
       k = g / (1 + g d) and y e^y = r k s (:func:`_lambert_w`);
-    * ``_POWER`` (exponent p, d > 0): time(s) = d (1 + t) with
+    * ``_U_POWER`` (exponent p, d > 0): time(s) = d (1 + t) with
       t - expm1((1 - p) log1p(t)) = r s / d.
 
     ``r`` is alpha / (1 + beta), times p for power players; it is the slope
-    of time(s) at s = 0, except for ``_POWER`` curves, whose slope there is
+    of time(s) at s = 0, except for ``_U_POWER`` curves, whose slope there is
     r / p.  ``coeff`` holds k for log-shifted players and p for power
     players.  Every time(s) is concave and increasing, so its tangent line at
     s = 0 lies on or above it: :meth:`water_fill` starts from the level at
@@ -602,10 +601,10 @@ class _Curves:
         m = act.log
         g, room = act.coeff[m], cap[m] - d[m]
         k = g / (1.0 + g * d[m])
-        kind[m], coeff[m] = _LOG, k
+        kind[m], coeff[m] = _U_LOG, k
         top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
         m = act.power[d[act.power] > 0]
-        kind[m] = _POWER
+        kind[m] = _U_POWER
         t = (cap[m] - d[m]) / d[m]
         top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
         return cls.sorted_by_top(act.index, weight, d, cap, r, kind, coeff, top)
@@ -619,13 +618,13 @@ class _Curves:
         kind = self.kind[sel]
         if np.count_nonzero(kind):
             coeff = self.coeff[sel]
-            m = kind == _LOG
+            m = kind == _U_LOG
             if np.count_nonzero(m):
                 k = coeff[m]
                 y = _lambert_w(r[m] * k * s)
                 x[m] = d[m] + np.expm1(y) / k
                 dx[m] = r[m] / (1.0 + y)
-            m = kind == _POWER
+            m = kind == _U_POWER
             if np.count_nonzero(m):
                 t, slope = _power_gain(r[m] * s / d[m], coeff[m])
                 x[m] = d[m] + d[m] * t
@@ -659,8 +658,8 @@ class _Curves:
             x = cap.copy()
             x[lo:] = np.minimum(cap[lo:], d[lo:] + r[lo:] * s)
             return float(s), x, probes
-        slope = r.copy()            # time'(0): r, and r / p for _POWER
-        m = self.kind == _POWER
+        slope = r.copy()            # time'(0): r, and r / p for _U_POWER
+        m = self.kind == _U_POWER
         slope[m] /= self.coeff[m]
         line_top = (cap - d) / slope
         order = np.argsort(line_top)

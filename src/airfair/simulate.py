@@ -11,10 +11,11 @@ the loads and a mask of who reaches everyone, which is all the election
 reads; the horizon is the GO's smallest estimated PCD.  A run is a fold of
 one round step over the rounds: the step elects the GO, bargains the
 airtime, lays out the slot cycle, disseminates, and returns the round's
-record.  The fold's running totals are the megabits each node has
-delivered, so later rounds only bargain over what is still queued.  They
-are arrays in scenario node order that each round reads and adds to at its
-members' positions.  The draw pass hands each round its member columns
+record, writing nothing but its solve memo.  The fold owns the totals,
+arrays in scenario node order: the megabits each node has sent, which each
+round reads at its members' positions, so later rounds only bargain over
+what is still queued, and those it heard, folded from the records after
+the last round.  The draw pass hands each round its member columns
 (positions, own data, raw weights, upload rates), its mode and, where no
 policy can change it, its GO, so a round step is array arithmetic over
 columns.  Dicts keyed by node id appear only in the report.
@@ -201,8 +202,8 @@ class Scenario:
         for n in self.nodes:
             if n.data_mb_per_peer is not None and not math.isfinite(n.data_mb_per_peer * (len(ids) - 1)):
                 raise ValueError(f"node {n.id!r}: data_mb_per_peer overflows at {len(ids) - 1} peers")
-        if not (self.broadcast_mbps > 0):
-            raise ValueError("broadcast_mbps must be > 0")
+        if not (0 < self.broadcast_mbps < math.inf):
+            raise ValueError("broadcast_mbps must be > 0 and finite")
         if not (self.t_slot_s > 0):
             raise ValueError("t_slot_s must be > 0")
         if self.go is not None and self.go not in ids:
@@ -503,17 +504,11 @@ def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport |
     return allocate(solved.problem), None, allocate(solved.ideal_problem)
 
 
-def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray,
-            rate: float, rx_ok: np.ndarray, sent: np.ndarray,
-            heard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Carry out the schedule's broadcast slots until the true round end ``t1``.
-
-    Every argument and result is in member order.  A broadcast slot sends
-    for as long as it lasts before ``t1``, but no longer than its node's
-    queue (``need[k]`` seconds for ``members[k]``) still lasts; uploads
-    only relay.  ``rx_ok[r, s]`` tells whether member r receives member s.
-    Returns the realized broadcast seconds and the delivered megabits, and
-    adds what each member sent to ``sent`` and what it heard to ``heard``.
+def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray) -> np.ndarray:
+    """The broadcast seconds each member realizes when the schedule runs
+    until the true round end ``t1``, in member order: what its broadcast
+    slots last before ``t1``, capped at its queue, ``need[k]`` seconds for
+    ``members[k]``.  Uploads only relay.
 
     No slot is visited: each leg's seconds come from
     :meth:`Schedule.leg_seconds`, so the replay runs the slots ``entries``
@@ -525,11 +520,7 @@ def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndar
     for (node, kind, _), seconds in zip(schedule.pattern, schedule.leg_seconds(t1)):
         if kind == "broadcast":
             realized[place[node]] += seconds
-    np.minimum(realized, need, out=realized)
-    delivered = realized * rate
-    sent += delivered
-    heard += rx_ok @ delivered
-    return realized, delivered
+    return np.minimum(realized, need, out=realized)
 
 
 def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
@@ -544,8 +535,11 @@ def run_scenario(scenario: Scenario, policy: str = "gsa") -> SimulationReport:
 
 def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> SimulationReport:
     """:func:`run_scenario` on the scenario's precomputed round draws, a
-    fold of :func:`_round` over them.  A round's election or schedule error
-    names the round."""
+    fold of :func:`_round` over them that alone writes the node totals:
+    each round's ``delivered_mb`` adds to ``transmitted``, which the next
+    round reads, and after the last round what each round's receivers
+    heard, ``rx_ok @ delivered_mb``, adds to ``received`` in round order.
+    A round's election or schedule error names the round."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     ids = [n.id for n in scenario.nodes]
@@ -553,9 +547,12 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
     rounds: list[RoundRecord] = []
     for index, d in enumerate(draws):
         try:
-            rounds.append(_round(scenario, policy, index, d, transmitted, received))
+            rounds.append(_round(scenario, policy, index, d, transmitted[d.at]))
         except (NoGoCandidateError, ScheduleError) as e:
             raise type(e)(f"round {index} at {d.t0:g}s: {e}") from e
+        transmitted[d.at] += rounds[-1].delivered_mb
+    for d, r in zip(draws, rounds):
+        received[d.at] += d.rx_ok @ r.delivered_mb
 
     traffic = [(r.nash_realized, r.nash_ideal, r.wpf_vs_ideal) for r in rounds if not r.idle]
     # one row per metric, so each row's mean adds pairwise as np.mean of its list does
@@ -573,16 +570,14 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
     )
 
 
-def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
-           transmitted: np.ndarray, received: np.ndarray) -> RoundRecord:
-    """Round ``index`` of the policy's run on its draws ``d``.  A member's
-    load is its own data column less what it has ``transmitted`` so far, 0
-    once drained; the GO is the one the draws fixed, a pinned one among
-    them, else :func:`elect_go`'s pick by the loads; the solve is looked up
-    in, or added to, ``d.solves``; what the schedule sends and delivers is
-    added to ``transmitted`` and ``received``, both in scenario node order."""
+def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np.ndarray) -> RoundRecord:
+    """Round ``index`` of the policy's run on its draws ``d``, given the
+    megabits each member has ``sent`` so far, in member order.  A member's
+    load is its own data less what it has sent, 0 once drained; the GO is
+    the one the draws fixed, a pinned one among them, else
+    :func:`elect_go`'s pick by the loads; the solve is looked up in, or
+    added to, ``d.solves``, the only state the step writes."""
     members, rate = d.members, scenario.broadcast_mbps
-    sent, heard = transmitted[d.at], received[d.at]
     left = d.own_mb - sent
     loads = np.where(left > 1e-12 * d.own_mb, left, 0.0)
     g = d.go if d.go is not None else members.index(elect_go(members, loads, d.hubs))
@@ -596,7 +591,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
     allocation, kkt, ideal_alloc = solved.policies[policy]
 
     schedule = None
-    realized = delivered = np.zeros(len(members))
+    realized = np.zeros(len(members))
     nash_real = nash_ideal = wpf = float("nan")
     if problem.active:      # else the round is idle
         x = allocation.broadcast_time
@@ -607,13 +602,13 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws,
             _, up, down = slot_sizes(sub, problem.betas[sel], scenario.t_slot_s)
             slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
             schedule = build_schedule(slots, problem.airtime, default_cycle_order(actors, members[g]), t_start=d.t0)
-            realized, delivered = _replay(schedule, d.t1, members, loads / rate, rate, d.rx_ok, sent, heard)
-            transmitted[d.at], received[d.at] = sent, heard
+            realized = _replay(schedule, d.t1, members, loads / rate)
         real_alloc = Allocation(realized, ideal_problem.betas * realized, saturated=False)
         nash_real = nash_product(ideal_problem, real_alloc)
         nash_ideal = nash_product(ideal_problem, ideal_alloc)
         wpf = wpf_aggregate(ideal_problem, solved.reference, real_alloc)
 
+    delivered = realized * rate
     realized.flags.writeable = delivered.flags.writeable = False
     return RoundRecord(
         index=index,

@@ -538,13 +538,12 @@ def reference_entries(pattern, interval: float, t_start: float) -> list[SlotEntr
     return entries
 
 
-def reference_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
+def reference_replay(schedule, t1, members, need):
     """Walk the schedule's slots one at a time; same contract as
     ``airfair.simulate._replay``."""
     col = {m: k for k, m in enumerate(members)}
     need = np.array(need, dtype=float)
     realized = np.zeros(len(members))
-    delivered = np.zeros(len(members))
     for entry in reference_entries(schedule.pattern, schedule.interval, schedule.t_start):
         if entry.start >= t1:
             break
@@ -557,16 +556,10 @@ def reference_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
             continue
         need[k] -= use
         realized[k] += use
-        mb = use * rate
-        delivered[k] += mb
-        sent[k] += mb
-        for r in range(len(members)):
-            if r != k and rx_ok[r, k]:
-                heard[r] += mb
-    return realized, delivered
+    return realized
 
 
-def reference_fold_replay(schedule, t1, members, need, rate, rx_ok, sent, heard):
+def reference_fold_replay(schedule, t1, members, need):
     """Fold the reference slots (``reference_entries``) per member as
     arrays: each broadcast slot sends for as long as it lasts before
     ``t1``, and a member sends no more than its queue; same contract as
@@ -579,13 +572,7 @@ def reference_fold_replay(schedule, t1, members, need, rate, rx_ok, sent, heard)
     take = np.clip(t1 - starts, 0.0, durations)
     broadcast = slot_col >= 0
     realized = np.bincount(slot_col[broadcast], weights=take[broadcast], minlength=len(members))
-    realized = np.minimum(realized, np.asarray(need, dtype=float))
-    delivered = realized * rate
-    sent += delivered
-    hears = np.array(rx_ok, dtype=bool)
-    np.fill_diagonal(hears, False)
-    heard += hears @ delivered
-    return realized, delivered
+    return np.minimum(realized, np.asarray(need, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,9 @@ def test_scenario_validation():
         two_node_scenario(go="zz")
     with pytest.raises(ValueError, match="unknown nodes"):
         two_node_scenario(connectivity=(("a", "zz"),))
+    # an idle round delivers 0 s times the rate, which must stay 0
+    with pytest.raises(ValueError, match="broadcast_mbps must be > 0 and finite"):
+        two_node_scenario(broadcast_mbps=math.inf)
     # a NaN or infinite amount would read as a drained queue, and the node
     # would sit every round out; a NaN noise model would floor every estimate
     for amount in (math.nan, math.inf):
@@ -389,7 +392,7 @@ def test_replay_matches_slot_by_slot_walk(monkeypatch, reference):
 def _rounds(draw):
     """A schedule of 1-8 members with legs over four decades, some with
     upload legs, the true round end before, at or after the interval's
-    end, and the replay's other arguments."""
+    end, and the members' queues."""
     members = [f"m{k}" for k in range(draw(st.integers(1, 8)))]
     leg = st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e)
     uploads = draw(st.booleans())
@@ -403,45 +406,29 @@ def _rounds(draw):
                                end + draw(st.floats(1e-9, 5.0))]))
     # each queue is empty, drains partway through or never drains
     need = [draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0)) * cycles * slots[m][1], 1e9])) for m in members]
-    rx_ok = np.array([[r != s and draw(st.booleans()) for s in members] for r in members])
-    prior = st.floats(0.0, 100.0)
-    sent, heard = [draw(prior) for _ in members], [draw(prior) for _ in members]
-    return schedule, t1, members, np.array(need), draw(st.floats(0.5, 100.0)), rx_ok, sent, heard
+    return schedule, t1, members, np.array(need)
 
 
 def _drained_round():
     """Seven members over 130 cycles, one with no upload leg; one queue is
-    empty, two drain partway through, and every total starts from a prior
-    value."""
-    rng = np.random.default_rng(8)
+    empty and two drain partway through."""
     members = [f"m{k}" for k in range(7)]
     slots = {m: (0.0 if k == 0 else 0.004 * k, 0.01 + 0.003 * k) for k, m in enumerate(members)}
     schedule = build_schedule(slots, 40.0, members, t_start=2.5)
     need = np.array([0.0, 1.0, 5.0, 30.0, 30.0, 0.2, 30.0])
-    rx_ok = rng.random((7, 7)) > 0.2
-    np.fill_diagonal(rx_ok, False)
-    heard = rng.random(7) * 9.0
-    return (schedule, schedule.t_start + 0.7 * schedule.interval, members, need, 11.0, rx_ok,
-            np.linspace(0.0, 3.0, 7).tolist(), heard.tolist())
+    return schedule, schedule.t_start + 0.7 * schedule.interval, members, need
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(case=_rounds())
 @example(case=_drained_round())
 def test_replay_forms_match_slot_by_slot_reference(case):
-    """The replay gives ``support.reference_replay``'s realized seconds,
-    delivered megabits and sent and heard totals within
-    :data:`REPLAY_RTOL`, and no node sends past its queue or the time
-    the schedule runs before the round ends."""
-    schedule, t1, members, need, rate, rx_ok, sent, heard = case
-    results = []
-    for replay in (simulate._replay, support.reference_replay):
-        totals = np.array(sent), np.array(heard)
-        realized, delivered = replay(schedule, t1, members, need, rate, rx_ok, *totals)
-        results.append((realized, delivered, *totals))
-    for got, want in zip(*results):
-        _assert_close(got, want)
-    realized = results[0][0]
+    """The replay gives ``support.reference_replay``'s realized seconds
+    within :data:`REPLAY_RTOL`, and no node sends past its queue or the
+    time the schedule runs before the round ends."""
+    schedule, t1, members, need = case
+    realized = simulate._replay(schedule, t1, members, need)
+    _assert_close(realized, support.reference_replay(schedule, t1, members, need))
     assert (realized <= need).all()
     assert (realized <= min(t1, schedule.t_start + schedule.interval) - schedule.t_start).all()
 
@@ -464,15 +451,16 @@ def test_replay_stays_within_ulps_of_exact(monkeypatch):
     :data:`REPLAY_ULPS` of the exact replay of its float schedule, true
     round end and queues.  A round whose float K or cut decision differs
     from the exact one is counted and held to the bound at the float's own
-    decisions."""
-    replays = []
-    replay = simulate._replay
+    decisions.  The records are read as the round step returns them, so
+    the rounds of a run that raises later count too."""
+    records = []
+    step = simulate._round
 
-    def recorded(schedule, t1, members, need, rate, *totals):
-        replays.append((schedule, t1, members, need.copy(), rate, replay(schedule, t1, members, need, rate, *totals)))
-        return replays[-1][-1]
+    def recorded(*args):
+        records.append(step(*args))
+        return records[-1]
 
-    monkeypatch.setattr(simulate, "_replay", recorded)
+    monkeypatch.setattr(simulate, "_round", recorded)
     noisy = [scenario_from_dict({**PRESETS["table1"], "loss": {"lo": 0.0, "hi": 0.1}, "pcd_error": {"stddev": 1.0}}),
              scenario_from_dict(PRESETS["dynamic4"])]
     runs = [replace(base, loss=None, pcd_error=None) for base in noisy]        # no draws: one seed
@@ -486,17 +474,20 @@ def test_replay_stays_within_ulps_of_exact(monkeypatch):
 
     F = Fraction
     worst, moved = 0.0, 0
-    for schedule, t1, members, need, rate, (realized, delivered) in replays:
+    replays = [r for r in records if r.schedule is not None]
+    for r in replays:
+        schedule, t1, need = r.schedule, r.t_end, r.problem.caps      # caps: the loads over the rate
         pattern = [(node, kind, F(d)) for node, kind, d in schedule.pattern]
-        args = (pattern, members, F(schedule.t_start), F(schedule.interval), F(t1), [F(q) for q in need.tolist()])
+        args = (pattern, r.members, F(schedule.t_start), F(schedule.interval), F(t1), [F(q) for q in need.tolist()])
         exact, cycles, runs = support.exact_replay(*args)
         float_cycles, legs = schedule._cut(t1)
         float_runs = [seconds > 0 for _, seconds in legs]
         if (cycles, runs) != (float_cycles, float_runs):
             moved += 1
             exact, *_ = support.exact_replay(*args, cycles=float_cycles, runs=float_runs)
-        worst = max(worst, support.ulps_from_exact(realized.tolist(), exact),
-                    support.ulps_from_exact(delivered.tolist(), [e * F(rate) for e in exact]))
+        rate = F(r.problem.broadcast_rate)
+        worst = max(worst, support.ulps_from_exact(r.realized_broadcast.tolist(), exact),
+                    support.ulps_from_exact(r.delivered_mb.tolist(), [e * rate for e in exact]))
     print(f"replay vs exact: {len(replays)} scheduled rounds, {moved} with another K or cut decision, "
           f"worst {worst:.1f} ulps")
     assert len(replays) >= 250
@@ -514,18 +505,16 @@ def test_receiver_fold_memory_follows_slots_not_members(monkeypatch):
     monkeypatch.setattr(grouping, "SlotEntry", _no_slots)
     members = [f"n{k:02d}" for k in range(24)]
     schedule = build_schedule({m: (0.0, 1e-3) for m in members}, 24 * 44_000 * 1e-3, members)
-    sent, heard = np.zeros(24), np.zeros(24)
     tracemalloc.start()
     try:
-        simulate._replay(schedule, schedule.interval, members, np.full(24, 1e9), 11.0,
-                         ~np.eye(24, dtype=bool), sent, heard)
+        realized = simulate._replay(schedule, schedule.interval, members, np.full(24, 1e9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     slots = len(schedule.pattern) * schedule.interval / schedule.cycle_length
     assert slots > 1_000_000
     assert peak < 6 * 8 * slots
-    assert heard.min() > 0.0
+    assert realized.min() > 0.0
 
 
 def _perfbench_spans():
@@ -628,6 +617,55 @@ def test_dynamic4_bookkeeping_across_rounds():
     # per-peer stakes: a node never sends more than it ever queued
     for n in rep.scenario.nodes:
         assert rep.transmitted_mb[n.id] <= n.data_mb_per_peer * 2 + 1e-9
+
+
+def test_received_is_what_each_receiver_heard():
+    """Every compare_policies report's received_mb is, per node, the sum of
+    the delivered_mb of every sender it receives (rx_ok[r, s], r != s) over
+    the report's rounds, recomputed in plain Python with math.fsum, within
+    1e-12 of the largest total."""
+    noisy_table1 = {**PRESETS["table1"], "loss": {"lo": 0.0, "hi": 0.1}, "pcd_error": {"stddev": 1.0}}
+    completed = 0
+    for doc in (PRESETS["dynamic4"], noisy_table1, _crowd12_doc()):
+        for duration in (5.0, 10.0, 20.0, 40.0, 80.0):
+            scenario = scale_contact_durations(scenario_from_dict(doc), duration)
+            try:
+                reports = compare_policies(scenario)
+            except ScheduleError:
+                continue
+            completed += 1
+            draws = simulate._round_draws(scenario)
+            ids = [n.id for n in scenario.nodes]
+            for report in reports.values():
+                assert [r.members for r in report.rounds] == [d.members for d in draws]
+                heard = {m: [] for m in ids}
+                for d, r in zip(draws, report.rounds):
+                    for i, receiver in enumerate(r.members):
+                        heard[receiver] += [mb for s, mb in enumerate(r.delivered_mb.tolist())
+                                            if s != i and d.rx_ok[i, s]]
+                want = [math.fsum(heard[m]) for m in ids]
+                assert list(report.received_mb) == ids
+                got = list(report.received_mb.values())
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(want)
+    # dynamic4 raises at 5 s and the crowd below 40 s
+    assert completed == 11
+
+
+def test_round_step_writes_only_its_solve_memo():
+    """The round step reads the sent column it is given and writes nothing
+    but the draws' solve memo: a second call on the same draws and column
+    hits the memo and returns an equal record, and the column is
+    unchanged."""
+    scenario = preset_scenario("dynamic4")
+    d = simulate._round_draws(scenario)[1]      # three members, a scheduled round
+    sent = 0.25 * d.own_mb
+    before = sent.copy()
+    first = simulate._round(scenario, "gsa", 1, d, sent)
+    assert first.schedule is not None and len(d.solves) == 1
+    second = simulate._round(scenario, "gsa", 1, d, sent)
+    assert len(d.solves) == 1 and second.problem is first.problem
+    assert support.exact_bits(first) == support.exact_bits(second)
+    assert sent.tobytes() == before.tobytes()
 
 
 def test_realized_never_beats_bargained_ideal():
