@@ -265,7 +265,7 @@ class BargainingProblem:
 
     * ``alphas``: bargaining weights normalized to sum to 1,
     * ``betas``: relay overhead, broadcast_rate / upload_rate for clients
-      and 0 for the GO,
+      and 0 for the GO, whatever its upload rate,
     * ``caps``: broadcast seconds needed to drain each queue,
     * ``disagreements``: disagreement broadcast times.
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bargaining import Allocation, left_sum
+from .bargaining import left_sum
 
 __all__ = [
     "ContactEntry",
@@ -209,8 +209,9 @@ def select_transmission_mode(group_size: int) -> str:
     return MODE_UNICAST_PAIR if group_size == 2 else MODE_GO_COORDINATED
 
 
-def slot_sizes(allocation: Allocation, betas: np.ndarray, t_slot: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whole, upload, and broadcast slot seconds per player.
+def slot_sizes(broadcast_time, betas: np.ndarray, t_slot: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole, upload, and broadcast slot seconds per player, given the
+    broadcast seconds each was allocated.
 
     The player with the smallest channel-time share gets one basic slot of
     ``t_slot`` seconds; everyone else scales proportionally.  Each whole slot
@@ -219,7 +220,7 @@ def slot_sizes(allocation: Allocation, betas: np.ndarray, t_slot: float) -> tupl
     """
     if not (t_slot > 0):
         raise ScheduleError("t_slot must be > 0")
-    x = np.asarray(allocation.broadcast_time, dtype=float)
+    x = np.asarray(broadcast_time, dtype=float)
     betas = np.asarray(betas, dtype=float)
     weighted = (1.0 + betas) * x
     if x.size == 0 or weighted.min() <= 0:

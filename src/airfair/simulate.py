@@ -15,10 +15,10 @@ record, writing nothing but its solve memo.  The fold owns the totals,
 arrays in scenario node order: the megabits each node has sent, which each
 round reads at its members' positions, so later rounds only bargain over
 what is still queued, and those it heard, folded from the records after
-the last round.  The draw pass hands each round its member columns
-(positions, own data, raw weights, upload rates), its mode and, where no
-policy can change it, its GO, so a round step is array arithmetic over
-columns.  Dicts keyed by node id appear only in the report.
+the last round.  The draw pass hands each round its mode, its member
+columns (positions, own data, raw weights, upload rates in that mode) and,
+where no policy can change it, its GO, so a round step is array arithmetic
+over columns.  Dicts keyed by node id appear only in the report.
 
 A schedule is executed by the cycle arithmetic of
 :meth:`~airfair.grouping.Schedule.leg_seconds`, the rule that also places
@@ -312,7 +312,7 @@ class _RoundDraws:
     at: np.ndarray               # at[i]: member i's position in scenario.nodes
     own_mb: np.ndarray           # own_mb[i]: member i's own data, a per-peer amount times n - 1
     alpha: np.ndarray            # alpha[i]: member i's raw weight
-    upload_mbps: np.ndarray      # upload_mbps[i]: member i's nominal upload rate
+    upload_mbps: np.ndarray      # upload_mbps[i]: member i's nominal upload rate in the mode, inf in a pair
     mode: str                    # the transmission mode for the round's member count
     hubs: tuple[bool, ...]       # hubs[i]: member i reaches every other member
     go: int | None               # the GO's member index if no policy can change it, else None
@@ -366,22 +366,24 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     Each draw comes from its own stream keyed by (seed, purpose, round,
     node...): "pcd" per member pair, "loss" per member, "rx" per receiver
     and sender.  Every part is one entropy word, so the word rows of all
-    streams are put together from per-member CRC arrays and hashed in one
-    batch, and one Philox pass makes the first word of every stream.  Loss
-    and rx are each their stream's first uniform draw, and a PCD error its
-    stream's first normal draw, read off that word for all keys at once;
-    an estimate is floored at :data:`PCD_FLOOR` the way
-    :func:`estimate_pcd` floors it.  Draws depend only on the timeline, the
-    seed and the noise models, not on the policy or the slot size.
+    streams are put together from the nodes' CRC words, made once per
+    scenario, and hashed in one batch, and one Philox pass makes the first
+    word of every stream.  Loss and rx are each their stream's first
+    uniform draw, and a PCD error its stream's first normal draw, read off
+    that word for all keys at once; an estimate is floored at
+    :data:`PCD_FLOOR` the way :func:`estimate_pcd` floors it.  Draws depend
+    only on the timeline, the seed and the noise models, not on the policy
+    or the slot size.
 
     A round's members come in id order, with three read-only columns in
     member order that the runs read instead of the nodes: own data (a
-    per-peer amount times the member count less one), raw weight and
-    nominal upload rate.  A round reads only the PCDs of the pairs that
-    hold its GO, the horizon being the smallest of them.  Where no policy
-    can change the GO, it is fixed here and only those pairs are drawn: a
-    pinned GO that is a member, or the first round's election from the
-    own-data column, the loads every policy starts from.  Every stream
+    per-peer amount times the member count less one), raw weight and the
+    rate it uploads at in the round's mode, its nominal one, or inf in a
+    unicast pair, which talks directly.  A round reads only the PCDs of the
+    pairs that hold its GO, the horizon being the smallest of them.  Where
+    no policy can change the GO, it is fixed here and only those pairs are
+    drawn: a pinned GO that is a member, or the first round's election from
+    the own-data column, the loads every policy starts from.  Every stream
     keeps its key, so each drawn estimate is the one a draw of every pair
     gives.  Other rounds, and a first round whose election raises, draw
     every pair and leave the election to the run.
@@ -396,6 +398,7 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     per_peer = [n.data_mb is None for n in nodes]
     amount = [n.data_mb_per_peer if p else n.data_mb for n, p in zip(nodes, per_peer)]
     alpha, upload, leave = (np.array([getattr(n, a) for n in nodes]) for a in ("alpha", "upload_mbps", "leave_s"))
+    words = np.array([part_key(n.id) for n in nodes], np.uint32)     # each node's stream word
     rounds, pcd_rows, loss_rows, rx_rows = [], [], [], []
     for t0, t1 in zip(events, events[1:]):
         present = [k for k in by_id if nodes[k].join_s <= t0 < nodes[k].leave_s]
@@ -404,7 +407,8 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         r, at = len(rounds), np.array(present)
         members = tuple(nodes[k].id for k in present)
         own = np.array([amount[k] * (len(present) - 1) if per_peer[k] else amount[k] for k in present])
-        columns = (at, own, alpha[at], upload[at])
+        mode = select_transmission_mode(len(members))       # a unicast pair talks directly: nobody uploads
+        columns = (at, own, alpha[at], np.full(2, math.inf) if mode == MODE_UNICAST_PAIR else upload[at])
         hubs = (True,) * len(members) if graph is None else tuple(graph.reaches_all(m, members) for m in members)
         go = None
         if scenario.go in members:
@@ -418,22 +422,22 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         true = np.minimum(leave[at[i]], leave[at[j]]) - t0      # the true PCDs
         rx_ok = ~np.eye(len(members), dtype=bool)
         if model is not None or loss_model is not None:
-            crc = np.array([part_key(m) for m in members], np.uint32)
+            crc = words[at]
             if model is not None:
                 pcd_rows.append(_word_rows(_PCD, r, crc[i], crc[j]))
             if loss_model is not None:
                 receiver, sender = np.nonzero(rx_ok)
                 loss_rows.append(_word_rows(_LOSS, r, crc))
                 rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
-        rounds.append((t0, t1, members, columns, hubs, go, pairs, true, rx_ok))
+        rounds.append((t0, t1, members, columns, mode, hubs, go, pairs, true, rx_ok))
 
     if pcd_rows or loss_rows:
         n_pcd = sum(map(len, pcd_rows))
         n_loss = sum(map(len, loss_rows))
-        words = np.concatenate(pcd_rows + loss_rows + rx_rows)
-        lengths = np.full(len(words), 4)
+        rows = np.concatenate(pcd_rows + loss_rows + rx_rows)
+        lengths = np.full(len(rows), 4)
         lengths[n_pcd:n_pcd + n_loss] = 3
-        keys = word_keys(scenario.seed, words, lengths)
+        keys = word_keys(scenario.seed, rows, lengths)
 
         word0 = first_words(keys)
         if model is not None:
@@ -447,7 +451,7 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
             heard = u[n_loss:]
 
     out, p, q, h = [], 0, 0, 0      # offsets of a round's pcd, loss and rx draws
-    for t0, t1, members, columns, hubs, go, pairs, true, rx_ok in rounds:
+    for t0, t1, members, columns, mode, hubs, go, pairs, true, rx_ok in rounds:
         n = len(members)
         pcd = true if model is None else est[p:p + len(true)]
         loss = None if loss_model is None else probs[q:q + n]
@@ -456,8 +460,7 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         p, q, h = p + len(true), q + n, h + n * (n - 1)
         for array in (pcd, rx_ok, *columns):     # shared by every run on them
             array.flags.writeable = False
-        out.append(_RoundDraws(t0, t1, members, *columns, select_transmission_mode(n), hubs, go, pairs,
-                               pcd, loss, rx_ok))
+        out.append(_RoundDraws(t0, t1, members, *columns, mode, hubs, go, pairs, pcd, loss, rx_ok))
     return out
 
 
@@ -476,21 +479,17 @@ class _RoundSolve:
 def _solve_round(scenario: Scenario, d: _RoundDraws, loads: np.ndarray, g: int) -> _RoundSolve:
     """Build the round's two problems, as member columns, and solve the
     GNBS reference.  The estimated problem's horizon is the GO's
-    :meth:`_RoundDraws.horizon`.  The GO and a unicast pair upload nothing,
-    and clients of a GO lose what the loss draw says."""
-    airtime = d.horizon(g)
+    :meth:`_RoundDraws.horizon`, and its upload rates lose what the loss
+    draw says; the ideal problem has the true round length and the nominal
+    rates.  The draws set a unicast pair's rates to inf, and the problem
+    gives the GO a zero relay overhead, so neither uploads."""
     alphas = d.alpha.copy()
     alphas[g] *= scenario.go_alpha_factor
-    if d.mode == MODE_UNICAST_PAIR:
-        upload = nominal = np.full(len(d.members), math.inf)
-    else:
-        nominal = d.upload_mbps.copy()
-        nominal[g] = math.inf
-        upload = nominal if d.loss is None else effective_upload_rate(nominal, d.loss)
+    upload = d.upload_mbps if d.loss is None else effective_upload_rate(d.upload_mbps, d.loss)
     columns = dict(broadcast_rate=scenario.broadcast_mbps, ids=d.members, data_sizes=loads,
                    raw_alphas=alphas, go=g)
-    problem = BargainingProblem(airtime=airtime, upload_rates=upload, **columns)
-    ideal_problem = BargainingProblem(airtime=d.t1 - d.t0, upload_rates=nominal, **columns)
+    problem = BargainingProblem(airtime=d.horizon(g), upload_rates=upload, **columns)
+    ideal_problem = BargainingProblem(airtime=d.t1 - d.t0, upload_rates=d.upload_mbps, **columns)
     return _RoundSolve(problem, ideal_problem, _gnbs_solve(ideal_problem)[0], {})
 
 
@@ -597,12 +596,10 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
         x = allocation.broadcast_time
         sel = (x > 1e-15).nonzero()[0]
         if len(sel):
-            actors = [members[k] for k in sel.tolist()]
-            sub = Allocation(x[sel], allocation.upload_time[sel], allocation.saturated)
-            _, up, down = slot_sizes(sub, problem.betas[sel], scenario.t_slot_s)
-            slots = {m: (float(up[k]), float(down[k])) for k, m in enumerate(actors)}
-            schedule = build_schedule(slots, problem.airtime, default_cycle_order(actors, members[g]), t_start=d.t0)
-            realized = _replay(schedule, d.t1, members, loads / rate)
+            _, up, down = slot_sizes(x[sel], problem.betas[sel], scenario.t_slot_s)
+            slots = {members[k]: (float(u), float(b)) for k, u, b in zip(sel.tolist(), up, down)}
+            schedule = build_schedule(slots, problem.airtime, default_cycle_order(slots, members[g]), t_start=d.t0)
+            realized = _replay(schedule, d.t1, members, problem.caps)
         real_alloc = Allocation(realized, ideal_problem.betas * realized, saturated=False)
         nash_real = nash_product(ideal_problem, real_alloc)
         nash_ideal = nash_product(ideal_problem, ideal_alloc)

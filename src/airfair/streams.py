@@ -77,8 +77,6 @@ def derive_seed(seed: int, *parts) -> int:
 def _words(n: int) -> list[int]:
     """A non-negative entropy integer as SeedSequence reads it: little-endian
     32-bit words, at least one."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
     words = [n & _MASK32]
     n >>= 32
     while n:

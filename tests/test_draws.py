@@ -11,6 +11,7 @@ and slot sizes changes no result and does each distinct round's work once.
 """
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -28,6 +29,7 @@ from airfair.simulate import (
     compare_policies,
     derive_seed,
     run_scenario,
+    scale_contact_durations,
     slot_size_sweep,
 )
 from airfair.streams import _ziggurat_tables, first_normals, first_uniforms, first_words, part_key, word_keys
@@ -523,6 +525,43 @@ def test_pcd_keys_per_round(monkeypatch, doc, per_round):
             if d.go is not None:
                 assert rnd.go_id == own.go_id == d.members[d.go]
         assert support.exact_bits(fixed) == support.exact_bits(elected)
+
+
+def _go_horizons(duration: float, contacts: int) -> list[float]:
+    """The GO's horizon in each of ``contacts`` draws of table1 with PCD
+    error σ = 1 s and no loss, scaled to ``duration`` s; contact k at
+    ``derive_seed(seed, "horizon", k)``."""
+    doc = {**PRESETS["table1"], "pcd_error": PCD_ERROR}
+    scenario = scale_contact_durations(scenario_from_dict(doc), duration)
+    out = []
+    for k in range(contacts):
+        d, = _round_draws(replace(scenario, seed=derive_seed(scenario.seed, "horizon", k)))
+        assert d.go == d.members.index("n4") and len(d.pcd) == 5     # n4 pinned: its 5 pairs drawn
+        out.append(d.horizon(d.go))
+    return out
+
+
+def _phi(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def test_noisy_horizon_follows_the_law_of_the_minimum():
+    """Every true PCD of table1 scaled to T s is T, so the GO's horizon is
+    the smallest of 5 estimates max(PCD_FLOOR, T + Z), Z standard normal:
+    P(horizon <= h) = 1 - (1 - Φ(h - T))^5 above the floor.  At T = 20 s
+    the Kolmogorov-Smirnov distance of 2,000 horizons to that law stays
+    below the α = 1e-3 critical value 1.949 / √N; at T = 2 s the share
+    pinned at the floor lies within 4 binomial standard errors of
+    1 - (1 - Φ(PCD_FLOOR - T))^5 ≈ 0.1356.  Φ comes from math.erf, so
+    this checks first_normals, the floor and the minimum without numpy's
+    generator."""
+    n = 2000
+    cdf = [1.0 - (1.0 - _phi(h - 20.0)) ** 5 for h in sorted(_go_horizons(20.0, n))]
+    distance = max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
+    assert distance < 1.949 / math.sqrt(n)
+    floored = sum(h == PCD_FLOOR for h in _go_horizons(2.0, n)) / n
+    p = 1.0 - (1.0 - _phi(PCD_FLOOR - 2.0)) ** 5
+    assert abs(floored - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(SHARED_ROUNDS))

@@ -219,7 +219,7 @@ def test_transmission_mode_by_group_size():
 
 def test_slot_sizes_on_reference_allocation(table1):
     alloc, _ = gnbs_allocate(table1)
-    whole, upload, broadcast = slot_sizes(alloc, table1.betas, t_slot=0.02)
+    whole, upload, broadcast = slot_sizes(alloc.broadcast_time, table1.betas, t_slot=0.02)
     np.testing.assert_allclose(whole, [0.02, 0.02, 0.02, 0.04, 0.02, 0.02], atol=1e-12)
     np.testing.assert_allclose(upload, [0.01, 0.01, 0.01, 0.0, 0.01, 0.01], atol=1e-12)
     np.testing.assert_allclose(broadcast, [0.01, 0.01, 0.01, 0.04, 0.01, 0.01], atol=1e-12)
@@ -227,7 +227,7 @@ def test_slot_sizes_on_reference_allocation(table1):
 
 def test_slot_ratios_track_weighted_shares(table1):
     alloc, _ = gnbs_allocate(table1)
-    whole, _, _ = slot_sizes(alloc, table1.betas, t_slot=0.02)
+    whole, _, _ = slot_sizes(alloc.broadcast_time, table1.betas, t_slot=0.02)
     w = (1.0 + table1.betas) * alloc.broadcast_time
     for i in range(6):
         for j in range(6):
@@ -238,13 +238,11 @@ def test_slot_sizes_reject_zero_share(table1):
     alloc, _ = gnbs_allocate(table1)
     crippled = alloc.broadcast_time.copy()
     crippled[2] = 0.0
-    from airfair import Allocation
-
     with pytest.raises(ScheduleError):
-        slot_sizes(Allocation(crippled, crippled * table1.betas, False), table1.betas, 0.02)
+        slot_sizes(crippled, table1.betas, 0.02)
     for t_slot in (0.0, -0.02):
         with pytest.raises(ScheduleError, match="t_slot must be > 0"):
-            slot_sizes(alloc, table1.betas, t_slot)
+            slot_sizes(alloc.broadcast_time, table1.betas, t_slot)
 
 
 def test_default_cycle_order_puts_go_last():
@@ -253,7 +251,7 @@ def test_default_cycle_order_puts_go_last():
 
 def _table1_slots(table1):
     alloc, _ = gnbs_allocate(table1)
-    whole, upload, broadcast = slot_sizes(alloc, table1.betas, t_slot=0.02)
+    whole, upload, broadcast = slot_sizes(alloc.broadcast_time, table1.betas, t_slot=0.02)
     ids = [p.id for p in table1.players]
     return {i: (u, b) for i, u, b in zip(ids, upload, broadcast)}
 

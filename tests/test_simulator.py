@@ -130,6 +130,38 @@ def test_pair_round_is_unicast_without_upload_cost():
     assert all(e.kind == "broadcast" for e in r.schedule.entries)
 
 
+def test_the_relay_rule_has_one_source():
+    """A unicast pair uploads nothing, and a GO-coordinated round exempts
+    its GO alone: in both problems the GO's relay overhead is 0 and it gets
+    no upload seconds, while its rate is its own, less its loss in the
+    estimated problem.  Every policy's rounds of dynamic4 and of table1
+    with loss U[0.05, 0.3], at 5-40 s."""
+    seen = {"pair": 0, "coordinated": 0}
+    for doc in (PRESETS["dynamic4"], {**PRESETS["table1"], "loss": {"lo": 0.05, "hi": 0.3}}):
+        for duration in (5.0, 10.0, 20.0, 40.0):
+            scenario = scale_contact_durations(scenario_from_dict(doc), duration)
+            try:
+                reports = compare_policies(scenario)
+            except ScheduleError:
+                continue
+            rate = {n.id: n.upload_mbps for n in scenario.nodes}
+            draws = simulate._round_draws(scenario)
+            for report in reports.values():
+                for d, r in zip(draws, report.rounds):
+                    if r.mode == MODE_UNICAST_PAIR:
+                        seen["pair"] += 1
+                        assert r.problem.betas.tolist() == r.ideal_problem.betas.tolist() == [0.0, 0.0]
+                        assert r.schedule is None or all(kind != "upload" for _, kind, _ in r.schedule.pattern)
+                        continue
+                    seen["coordinated"] += 1
+                    g = r.members.index(r.go_id)
+                    assert r.problem.betas[g] == r.ideal_problem.betas[g] == r.allocation.upload_time[g] == 0.0
+                    assert r.problem.upload_rates[g] == rate[r.go_id] * (1.0 - d.loss[g])
+                    assert r.ideal_problem.upload_rates[g] == rate[r.go_id]
+    # dynamic4 raises at 5 s; 3 x 5 dynamic4 rounds and 4 table1 rounds per policy
+    assert seen == {"pair": 27, "coordinated": 30}
+
+
 def test_go_alpha_factor_applied():
     scn = preset_scenario("dynamic4")
     r = run_scenario(scn).rounds[1]
