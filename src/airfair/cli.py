@@ -310,7 +310,3 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleProblemError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

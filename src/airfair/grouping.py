@@ -13,6 +13,8 @@ Once airtime has been allocated, transmission is organized in a round-robin
 slot cycle: each client gets an upload slot immediately followed by its
 broadcast slot (the GO relays), the GO gets a plain broadcast slot, and the
 cycle repeats until the interval ends, truncating the final cycle mid-slot.
+:func:`build_schedule` lays the legs out in the order it is given; the
+simulator decides that order (clients in id order, the GO last).
 Slot widths scale a basic slot so that every node's whole-slot share matches
 its allocated share of channel time.  A :class:`Schedule` stores only the
 cycle, and one rule of cycle arithmetic places its slots: the seconds each
@@ -52,7 +54,6 @@ __all__ = [
     "SlotEntry",
     "Schedule",
     "build_schedule",
-    "default_cycle_order",
 ]
 
 MODE_UNICAST_PAIR = "unicast-pair"
@@ -317,19 +318,13 @@ class _Slots:
                 yield SlotEntry(node, kind, t_start + (cycles * cycle + offset), seconds)
 
 
-def default_cycle_order(ids: Iterable[str], go_id: str) -> list[str]:
-    """Clients in ascending id order, GO last."""
-    ids = list(ids)
-    return sorted(i for i in ids if i != go_id) + ([go_id] if go_id in ids else [])
-
-
-def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
-                   order: Sequence[str], t_start: float = 0.0) -> Schedule:
-    """Repeat the slot cycle in ``order`` from ``t_start`` until the interval
+def build_schedule(legs: Iterable[tuple[str, float, float]], interval: float, t_start: float = 0.0) -> Schedule:
+    """Repeat the slot cycle of ``legs`` from ``t_start`` until the interval
     ends, truncating the final cycle mid-slot.
 
-    ``slots`` maps node id to (upload seconds, broadcast seconds) per cycle;
-    a zero upload leg emits no upload slot.  Raises :class:`ScheduleError`
+    ``legs`` lists (node id, upload seconds, broadcast seconds) per cycle,
+    laid out in the order given; the caller decides that order.  A zero
+    upload leg emits no upload slot.  Raises :class:`ScheduleError`
     when a single cycle does not fit the interval, the interval is not
     finite, or even its longest leg is shorter than the float spacing at
     the interval's end, so that floats there cannot resolve a single slot.
@@ -341,8 +336,7 @@ def build_schedule(slots: Mapping[str, tuple[float, float]], interval: float,
     if math.isinf(interval):
         raise ScheduleError("interval must be finite")
     pattern: list[tuple[str, str, float]] = []
-    for node in order:
-        up, down = slots[node]
+    for node, up, down in legs:
         if not (up >= 0 and down > 0):
             raise ScheduleError(f"invalid slot sizes for {node!r}")
         if up > 0:

@@ -18,7 +18,10 @@ what is still queued, and those it heard, folded from the records after
 the last round.  The draw pass hands each round its mode, its member
 columns (positions, own data, raw weights, upload rates in that mode) and,
 where no policy can change it, its GO, so a round step is array arithmetic
-over columns.  Dicts keyed by node id appear only in the report.
+over columns.  The step decides the slot cycle's order once, as member
+positions (the scheduled clients in id order, the GO last): the schedule
+is built from legs in that order, and the replay writes its broadcast legs
+back to those positions.  Dicts keyed by node id appear only in the report.
 
 A schedule is executed by the cycle arithmetic of
 :meth:`~airfair.grouping.Schedule.leg_seconds`, the rule that also places
@@ -90,7 +93,6 @@ from .grouping import (
     Schedule,
     ScheduleError,
     build_schedule,
-    default_cycle_order,
     elect_go,
     select_transmission_mode,
     slot_sizes,
@@ -503,22 +505,21 @@ def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport |
     return allocate(solved.problem), None, allocate(solved.ideal_problem)
 
 
-def _replay(schedule: Schedule, t1: float, members: Sequence[str], need: np.ndarray) -> np.ndarray:
+def _replay(schedule: Schedule, t1: float, order: Sequence[int], need: np.ndarray) -> np.ndarray:
     """The broadcast seconds each member realizes when the schedule runs
     until the true round end ``t1``, in member order: what its broadcast
     slots last before ``t1``, capped at its queue, ``need[k]`` seconds for
-    ``members[k]``.  Uploads only relay.
+    member ``k``.  The i-th broadcast leg of the cycle is member
+    ``order[i]``'s, the cycle order :func:`_round` built the schedule in;
+    members outside it realize nothing.  Uploads only relay.
 
     No slot is visited: each leg's seconds come from
     :meth:`Schedule.leg_seconds`, so the replay runs the slots ``entries``
     prints, those after a node's queue drains sending nothing.  The floats
     differ from adding one slot at a time only by rounding.
     """
-    place = {m: k for k, m in enumerate(members)}
-    realized = np.zeros(len(members))
-    for (node, kind, _), seconds in zip(schedule.pattern, schedule.leg_seconds(t1)):
-        if kind == "broadcast":
-            realized[place[node]] += seconds
+    realized = np.zeros(len(need))
+    realized[order] = [s for (_, kind, _), s in zip(schedule.pattern, schedule.leg_seconds(t1)) if kind == "broadcast"]
     return np.minimum(realized, need, out=realized)
 
 
@@ -594,12 +595,13 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
     nash_real = nash_ideal = wpf = float("nan")
     if problem.active:      # else the round is idle
         x = allocation.broadcast_time
-        sel = (x > 1e-15).nonzero()[0]
-        if len(sel):
-            _, up, down = slot_sizes(x[sel], problem.betas[sel], scenario.t_slot_s)
-            slots = {members[k]: (float(u), float(b)) for k, u, b in zip(sel.tolist(), up, down)}
-            schedule = build_schedule(slots, problem.airtime, default_cycle_order(slots, members[g]), t_start=d.t0)
-            realized = _replay(schedule, d.t1, members, problem.caps)
+        # the cycle order: members are id-sorted, so the clients in id order, the GO last
+        order = sorted((x > 1e-15).nonzero()[0].tolist(), key=g.__eq__)
+        if order:
+            _, up, down = slot_sizes(x[order], problem.betas[order], scenario.t_slot_s)
+            legs = zip([members[k] for k in order], up.tolist(), down.tolist())
+            schedule = build_schedule(legs, problem.airtime, t_start=d.t0)
+            realized = _replay(schedule, d.t1, order, problem.caps)
         real_alloc = Allocation(realized, ideal_problem.betas * realized, saturated=False)
         nash_real = nash_product(ideal_problem, real_alloc)
         nash_ideal = nash_product(ideal_problem, ideal_alloc)

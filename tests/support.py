@@ -24,6 +24,7 @@ from airfair.bargaining import (
 )
 from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable, SlotEntry
 from airfair.simulate import (
+    PCD_FLOOR,
     POLICIES,
     _round_draws,
     _run,
@@ -538,12 +539,18 @@ def reference_entries(pattern, interval: float, t_start: float) -> list[SlotEntr
     return entries
 
 
-def reference_replay(schedule, t1, members, need):
+def _broadcast_columns(schedule, order) -> dict:
+    """Each broadcasting node's member position: the i-th broadcast leg of
+    the cycle is member ``order[i]``'s."""
+    return dict(zip((node for node, kind, _ in schedule.pattern if kind == "broadcast"), order))
+
+
+def reference_replay(schedule, t1, order, need):
     """Walk the schedule's slots one at a time; same contract as
     ``airfair.simulate._replay``."""
-    col = {m: k for k, m in enumerate(members)}
+    col = _broadcast_columns(schedule, order)
     need = np.array(need, dtype=float)
-    realized = np.zeros(len(members))
+    realized = np.zeros(len(need))
     for entry in reference_entries(schedule.pattern, schedule.interval, schedule.t_start):
         if entry.start >= t1:
             break
@@ -559,7 +566,7 @@ def reference_replay(schedule, t1, members, need):
     return realized
 
 
-def reference_fold_replay(schedule, t1, members, need):
+def reference_fold_replay(schedule, t1, order, need):
     """Fold the reference slots (``reference_entries``) per member as
     arrays: each broadcast slot sends for as long as it lasts before
     ``t1``, and a member sends no more than its queue; same contract as
@@ -567,12 +574,66 @@ def reference_fold_replay(schedule, t1, members, need):
     entries = reference_entries(schedule.pattern, schedule.interval, schedule.t_start)
     starts = np.array([e.start for e in entries])
     durations = np.array([e.duration for e in entries])
-    col = {m: k for k, m in enumerate(members)}
+    col = _broadcast_columns(schedule, order)
     slot_col = np.array([col[e.node] if e.kind == "broadcast" else -1 for e in entries])
     take = np.clip(t1 - starts, 0.0, durations)
     broadcast = slot_col >= 0
-    realized = np.bincount(slot_col[broadcast], weights=take[broadcast], minlength=len(members))
+    realized = np.bincount(slot_col[broadcast], weights=take[broadcast], minlength=len(need))
     return np.minimum(realized, np.asarray(need, dtype=float))
+
+
+def normal_cdf(z: float) -> float:
+    """Φ, the standard normal CDF, from ``math.erf``."""
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def expected_nash(scenario, steps) -> list[tuple[float, float]]:
+    """E[f(H)] and sd(f(H)) under gsa for a one-round scenario whose GO is
+    fixed before any policy runs and whose only noise is PCD error, once per
+    grid step in ``steps``.  f(h) is the realized Nash product when the
+    round's horizon is h, and H, the GO's horizon, is the smallest of its
+    n - 1 estimates T + e over the true PCD T, with e ~ N(mean, stddev).
+
+    f(h) runs the clean scenario's round with every PCD set to h, once per
+    distinct h over all the grids.  H has the density
+    (n - 1) φ(z) (1 - Φ(z))^(n - 2) / stddev at z = (h - T - mean) / stddev
+    (order statistics; David & Nagaraja, "Order Statistics", 2003),
+    integrated by the trapezoid rule at about ``step`` seconds over z in
+    [-8, 4], which holds all but some 3e-15 of the mass for n = 6.  The
+    floor at PCD_FLOOR puts an atom there, where the schedule does not fit;
+    it must be below 1e-12 to be left out."""
+    model = scenario.pcd_error
+    assert scenario.loss is None and model is not None and model.stddev > 0
+    clean = dataclasses.replace(scenario, pcd_error=None)
+    d, = _round_draws(clean)
+    assert d.go is not None and (d.pcd == d.pcd[0]).all()     # the GO's n - 1 pairs, each with true PCD T
+    n, T = len(d.members), float(d.pcd[0])
+    assert 1.0 - (1.0 - normal_cdf((PCD_FLOOR - T - model.mean) / model.stddev)) ** (n - 1) < 1e-12
+    lo, hi = T + model.mean - 8.0 * model.stddev, T + model.mean + 4.0 * model.stddev
+    assert lo > PCD_FLOOR
+    nash = {}
+
+    def f(h: float) -> float:
+        if h not in nash:
+            d_h = dataclasses.replace(d, pcd=np.full(len(d.pcd), h))
+            nash[h] = _run(clean, "gsa", [d_h]).nash_product_realized
+        return nash[h]
+
+    out = []
+    for step in steps:
+        h = np.linspace(lo, hi, round((hi - lo) / step) + 1)
+        z = (h - T - model.mean) / model.stddev
+        density = np.array([(n - 1) * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+                            * (1.0 - normal_cdf(x)) ** (n - 2) for x in z.tolist()]) / model.stddev
+        values = np.array([f(x) for x in h.tolist()])
+
+        def trapezoid(y):       # by hand: numpy 2 dropped np.trapz, and numpy 1.24 has no np.trapezoid
+            return (h[1] - h[0]) * (y.sum() - 0.5 * (y[0] + y[-1]))
+
+        assert abs(trapezoid(density) - 1.0) < 1e-9
+        mean = float(trapezoid(values * density))
+        out.append((mean, math.sqrt(trapezoid(values * values * density) - mean * mean)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from airfair.simulate import (
     _round_draws,
     compare_policies,
     derive_seed,
+    repeated_contacts,
     run_scenario,
     scale_contact_durations,
     slot_size_sweep,
@@ -541,10 +542,6 @@ def _go_horizons(duration: float, contacts: int) -> list[float]:
     return out
 
 
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def test_noisy_horizon_follows_the_law_of_the_minimum():
     """Every true PCD of table1 scaled to T s is T, so the GO's horizon is
     the smallest of 5 estimates max(PCD_FLOOR, T + Z), Z standard normal:
@@ -556,12 +553,35 @@ def test_noisy_horizon_follows_the_law_of_the_minimum():
     this checks first_normals, the floor and the minimum without numpy's
     generator."""
     n = 2000
-    cdf = [1.0 - (1.0 - _phi(h - 20.0)) ** 5 for h in sorted(_go_horizons(20.0, n))]
+    cdf = [1.0 - (1.0 - support.normal_cdf(h - 20.0)) ** 5 for h in sorted(_go_horizons(20.0, n))]
     distance = max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
     assert distance < 1.949 / math.sqrt(n)
     floored = sum(h == PCD_FLOOR for h in _go_horizons(2.0, n)) / n
-    p = 1.0 - (1.0 - _phi(PCD_FLOOR - 2.0)) ** 5
+    p = 1.0 - (1.0 - support.normal_cdf(PCD_FLOOR - 2.0)) ** 5
     assert abs(floored - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+#: E[f(H)], the limit of gsa's mean realized Nash product over contacts of
+#: table1 with PCD error σ = 1 s, at each contact duration, to 7 digits
+EXACT_LIMITS = {10.0: 0.2963956, 20.0: 0.6047624, 40.0: 0.9649385}
+
+
+@pytest.mark.parametrize("duration", sorted(EXACT_LIMITS))
+def test_noisy_contacts_average_to_the_exact_limit(duration):
+    """table1 with PCD error σ = 1 s has one round and a pinned GO, so its
+    realized Nash product is f(H) of the GO's horizon H, and the mean over
+    contacts tends to ``support.expected_nash``'s E[f(H)].  Grid steps of
+    10 and 5 ms give that limit within 1e-6 of each other (a 20 ms step,
+    commensurate with the 0.14 s cycle, is off by 1.2e-4 at 10 s), and the
+    mean of 200 ``repeated_contacts`` lies within 4 standard errors
+    sd(f(H)) / √200 of it."""
+    doc = {**PRESETS["table1"], "pcd_error": PCD_ERROR}
+    scenario = scale_contact_durations(scenario_from_dict(doc), duration)
+    (coarse, _), (limit, sd) = support.expected_nash(scenario, steps=(0.01, 0.005))
+    assert abs(coarse - limit) <= 1e-6
+    assert abs(limit - EXACT_LIMITS[duration]) <= 1e-7
+    running, _ = repeated_contacts(scenario, 200, seed=derive_seed(2017, "limit", duration))
+    assert abs(running[-1] - limit) <= 4.0 * sd / math.sqrt(200)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(SHARED_ROUNDS))

@@ -19,7 +19,6 @@ from airfair.grouping import (
     ScheduleError,
     SelfLeave,
     build_schedule,
-    default_cycle_order,
     elect_go,
     select_roles,
     select_transmission_mode,
@@ -245,8 +244,13 @@ def test_slot_sizes_reject_zero_share(table1):
             slot_sizes(alloc.broadcast_time, table1.betas, t_slot)
 
 
-def test_default_cycle_order_puts_go_last():
-    assert default_cycle_order(["n2", "n4", "n1"], "n2") == ["n1", "n4", "n2"]
+#: table1's cycle order: the clients in id order, the GO n4 last
+_TABLE1_ORDER = ["n1", "n2", "n3", "n5", "n6", "n4"]
+
+
+def _legs(slots, order):
+    """The (id, upload, broadcast) legs of a slot table in cycle ``order``."""
+    return [(i, *slots[i]) for i in order]
 
 
 def _table1_slots(table1):
@@ -257,9 +261,7 @@ def _table1_slots(table1):
 
 
 def test_schedule_cycle_and_truncation(table1):
-    slots = _table1_slots(table1)
-    order = default_cycle_order(slots, "n4")
-    sched = build_schedule(slots, interval=10.0, order=order)
+    sched = build_schedule(_legs(_table1_slots(table1), _TABLE1_ORDER), interval=10.0)
     assert sched.cycle_length == pytest.approx(0.14, abs=1e-12)
     # 71 full 0.14s cycles fit in 10s, the 72nd is cut off mid-cycle
     entries = tuple(sched.entries)
@@ -270,8 +272,7 @@ def test_schedule_cycle_and_truncation(table1):
 
 
 def test_schedule_entries_are_contiguous(table1):
-    slots = _table1_slots(table1)
-    sched = build_schedule(slots, 10.0, default_cycle_order(slots, "n4"))
+    sched = build_schedule(_legs(_table1_slots(table1), _TABLE1_ORDER), 10.0)
     entries = tuple(sched.entries)
     for prev, cur in zip(entries, entries[1:]):
         assert cur.start == pytest.approx(prev.end, abs=1e-9)
@@ -279,8 +280,7 @@ def test_schedule_entries_are_contiguous(table1):
 
 
 def test_schedule_truncates_final_slot(table1):
-    slots = _table1_slots(table1)
-    last = tuple(build_schedule(slots, 9.995, default_cycle_order(slots, "n4")).entries)[-1]
+    last = tuple(build_schedule(_legs(_table1_slots(table1), _TABLE1_ORDER), 9.995).entries)[-1]
     assert last.duration == pytest.approx(0.005, abs=1e-9)
     assert last.end == pytest.approx(9.995, abs=1e-9)
 
@@ -292,7 +292,7 @@ def test_printed_slots_are_the_slots_the_replay_runs():
     over the slots falls short of 48 s and printed a 48,001st slot of
     2.1e-11 s that the replay never ran."""
     members = [f"n{k}" for k in range(24)]
-    sched = build_schedule({m: (0.0, 1e-3) for m in members}, 48.0, members)
+    sched = build_schedule([(m, 0.0, 1e-3) for m in members], 48.0)
     entries = tuple(sched.entries)
     assert len(entries) == 48_000
     assert entries[-1].node == "n23"
@@ -304,8 +304,7 @@ def test_printed_slots_are_the_slots_the_replay_runs():
 
 
 def test_upload_precedes_broadcast_per_client(table1):
-    slots = _table1_slots(table1)
-    sched = build_schedule(slots, 10.0, default_cycle_order(slots, "n4"))
+    sched = build_schedule(_legs(_table1_slots(table1), _TABLE1_ORDER), 10.0)
     first_cycle = tuple(sched.entries)[:11]
     kinds = [(e.node, e.kind) for e in first_cycle]
     assert kinds[:4] == [("n1", "upload"), ("n1", "broadcast"), ("n2", "upload"), ("n2", "broadcast")]
@@ -320,7 +319,7 @@ def _random_cycle(rng):
             float(rng.uniform(1e-3, 0.1)))
         for i in ids
     }
-    return slots, default_cycle_order(ids, go)
+    return _legs(slots, sorted(ids, key=go.__eq__))
 
 
 def test_schedule_entries_match_slot_by_slot_reference(rng):
@@ -331,9 +330,9 @@ def test_schedule_entries_match_slot_by_slot_reference(rng):
     cut, one of the two has one more trailing slot, shorter than 2e-12 s."""
     seen = set()
     for _ in range(150):
-        slots, order = _random_cycle(rng)
+        legs = _random_cycle(rng)
         t_start = float(rng.choice([0.0, rng.uniform(0.0, 100.0)]))
-        probe = build_schedule(slots, 1.0, order, t_start)
+        probe = build_schedule(legs, 1.0, t_start)
         cycle = probe.cycle_length
         boundaries = support.reference_entries(probe.pattern, 50 * cycle, t_start)
         j = int(rng.integers(len(boundaries)))
@@ -347,7 +346,7 @@ def test_schedule_entries_match_slot_by_slot_reference(rng):
         for interval in intervals.values():
             if interval < cycle:
                 continue
-            sched = build_schedule(slots, interval, order, t_start)
+            sched = build_schedule(legs, interval, t_start)
             expected = support.reference_entries(sched.pattern, interval, t_start)
             end = t_start + interval
             entries = tuple(sched.entries)
@@ -373,22 +372,21 @@ def test_schedule_entries_match_slot_by_slot_reference(rng):
 
 def test_schedule_rejects_degenerate_cycles(table1):
     slots = _table1_slots(table1)
-    order = default_cycle_order(slots, "n4")
+    legs = _legs(slots, _TABLE1_ORDER)
     with pytest.raises(ScheduleError, match="finite"):
-        build_schedule(slots, float("inf"), order)
+        build_schedule(legs, float("inf"))
     for interval in (0.0, -1.0):
         with pytest.raises(ScheduleError, match="interval must be > 0"):
-            build_schedule(slots, interval, order)
+            build_schedule(legs, interval)
     with pytest.raises(ScheduleError, match="empty"):
-        build_schedule(slots, 10.0, [])
+        build_schedule([], 10.0)
     with pytest.raises(ScheduleError, match="invalid slot sizes"):
-        build_schedule({**slots, "n1": (0.01, float("nan"))}, 10.0, order)
+        build_schedule(_legs({**slots, "n1": (0.01, float("nan"))}, _TABLE1_ORDER), 10.0)
 
 
 def test_cycle_must_fit_interval(table1):
-    slots = _table1_slots(table1)
     with pytest.raises(ScheduleError):
-        build_schedule(slots, 0.1, default_cycle_order(slots, "n4"))
+        build_schedule(_legs(_table1_slots(table1), _TABLE1_ORDER), 0.1)
 
 
 def test_slot_count_is_bounded(monkeypatch):
@@ -398,28 +396,27 @@ def test_slot_count_is_bounded(monkeypatch):
     ``sys.maxsize``, which ``len()`` cannot return.  A leg below the spacing
     is rejected."""
     monkeypatch.setattr(grouping, "SlotEntry", None)
-    sched = build_schedule({"go": (0.0, 0.5 / 2**22)}, 1.0, ["go"])
+    sched = build_schedule([("go", 0.0, 0.5 / 2**22)], 1.0)
     assert sched.leg_seconds(1.0) == [1.0]
     assert len(sched.entries) == 2 * 2**22
     members = [f"n{k:03d}" for k in range(513)]
     slots = {**{m: (1e-300, 1e-300) for m in members[:-1]}, members[-1]: (0.0, math.ulp(1.999))}
-    entries = build_schedule(slots, 1.999, members).entries
+    entries = build_schedule(_legs(slots, members), 1.999).entries
     assert entries.count > sys.maxsize
     with pytest.raises(OverflowError):
         len(entries)
     with pytest.raises(ScheduleError, match="below the float spacing"):
-        build_schedule({"go": (0.0, 5e-324)}, 1.0, ["go"])
+        build_schedule([("go", 0.0, 5e-324)], 1.0)
     monkeypatch.undo()
     # 4 whole cycles of 2 legs and the first leg of the cut cycle: 9 slots
-    entries = tuple(build_schedule({"go": (0.1, 0.15)}, 1.1, ["go"]).entries)
+    entries = tuple(build_schedule([("go", 0.1, 0.15)], 1.1).entries)
     assert len(entries) == 9 and entries[-1].kind == "upload"
 
 
 def test_sums_add_left_to_right_on_every_python():
     # sum() over floats is compensated from Python 3.12 on and would give
     # 1.0 here; the schedule and the relay cost add strictly in order
-    slots = {f"n{i}": (0.0, 0.1) for i in range(10)}
-    schedule = build_schedule(slots, 5.0, sorted(slots))
+    schedule = build_schedule([(f"n{i}", 0.0, 0.1) for i in range(10)], 5.0)
     assert schedule.cycle_length == 0.9999999999999999
     loads = {"go": 0.0, **{f"n{i}": 0.1 for i in range(10)}}
     assert total_broadcast_time(loads, "go", 2.0) == 0.9999999999999999

@@ -343,6 +343,44 @@ def _crowd12_doc():
     }
 
 
+def test_simulated_rounds_cycle_clients_in_id_order_then_the_go(monkeypatch):
+    """Every scheduled round of every policy on table1, dynamic4 (whose
+    rounds 1 and 3 elect their GO) and the 12-node crowd at 10 and 40 s runs
+    the paper's round robin: the broadcast legs name the members allocated
+    over 1e-15 s, in member order with the GO last, each upload leg comes
+    right before the same node's broadcast leg, and the GO uploads nothing.
+    The records are read as the round step returns them, so the rounds of
+    a run that raises later count too."""
+    records = []
+    step = simulate._round
+
+    def recorded(*args):
+        records.append(step(*args))
+        return records[-1]
+
+    monkeypatch.setattr(simulate, "_round", recorded)
+    crowd = scenario_from_dict(_crowd12_doc())
+    for scenario in (preset_scenario("table1"), preset_scenario("dynamic4"),
+                     scale_contact_durations(crowd, 10.0), scale_contact_durations(crowd, 40.0)):
+        for policy in simulate.POLICIES:
+            try:
+                run_scenario(scenario, policy)
+            except ScheduleError:       # the 10 s crowd raises after its first rounds
+                pass
+    scheduled = [r for r in records if r.schedule is not None]
+    for r in scheduled:
+        pattern = r.schedule.pattern
+        sent = [m for m, x in zip(r.members, r.allocation.broadcast_time.tolist()) if x > 1e-15]
+        broadcasts = [node for node, kind, _ in pattern if kind == "broadcast"]
+        assert broadcasts == [m for m in sent if m != r.go_id] + [r.go_id]
+        for (node, kind, _), after in zip(pattern, pattern[1:] + ((None, None, None),)):
+            if kind == "upload":
+                assert node != r.go_id and after[:2] == (node, "broadcast")
+    assert {r.mode for r in scheduled} == {MODE_UNICAST_PAIR, grouping.MODE_GO_COORDINATED}
+    assert len(scheduled) >= 50      # 52: 3 of table1, 13 of dynamic4, 12 and 24 of the crowd
+    assert max(len(r.members) for r in scheduled) == 12
+
+
 #: largest difference allowed between the closed-form replay and adding one
 #: slot at a time (``support.reference_replay``), relative to the largest
 #: value of the compared array.  The reference's slot starts round at every
@@ -432,7 +470,7 @@ def _rounds(draw):
     cycle = left_sum(dur for legs in slots.values() for dur in legs)
     cycles = draw(st.floats(1.0, 40.0))
     t_start = draw(st.sampled_from([0.0, 7.25, 1234.567]))
-    schedule = build_schedule(slots, cycle * cycles * (1 + 1e-12), members, t_start=t_start)
+    schedule = build_schedule([(m, *slots[m]) for m in members], cycle * cycles * (1 + 1e-12), t_start=t_start)
     end = t_start + schedule.interval
     t1 = draw(st.sampled_from([t_start + draw(st.floats(1e-6, 1.0)) * schedule.interval, end,
                                end + draw(st.floats(1e-9, 5.0))]))
@@ -446,7 +484,7 @@ def _drained_round():
     empty and two drain partway through."""
     members = [f"m{k}" for k in range(7)]
     slots = {m: (0.0 if k == 0 else 0.004 * k, 0.01 + 0.003 * k) for k, m in enumerate(members)}
-    schedule = build_schedule(slots, 40.0, members, t_start=2.5)
+    schedule = build_schedule([(m, *slots[m]) for m in members], 40.0, t_start=2.5)
     need = np.array([0.0, 1.0, 5.0, 30.0, 30.0, 0.2, 30.0])
     return schedule, schedule.t_start + 0.7 * schedule.interval, members, need
 
@@ -459,8 +497,9 @@ def test_replay_forms_match_slot_by_slot_reference(case):
     within :data:`REPLAY_RTOL`, and no node sends past its queue or the
     time the schedule runs before the round ends."""
     schedule, t1, members, need = case
-    realized = simulate._replay(schedule, t1, members, need)
-    _assert_close(realized, support.reference_replay(schedule, t1, members, need))
+    order = range(len(members))     # the legs are in member order
+    realized = simulate._replay(schedule, t1, order, need)
+    _assert_close(realized, support.reference_replay(schedule, t1, order, need))
     assert (realized <= need).all()
     assert (realized <= min(t1, schedule.t_start + schedule.interval) - schedule.t_start).all()
 
@@ -536,10 +575,10 @@ def test_receiver_fold_memory_follows_slots_not_members(monkeypatch):
     building its slots, and within six numbers per slot."""
     monkeypatch.setattr(grouping, "SlotEntry", _no_slots)
     members = [f"n{k:02d}" for k in range(24)]
-    schedule = build_schedule({m: (0.0, 1e-3) for m in members}, 24 * 44_000 * 1e-3, members)
+    schedule = build_schedule([(m, 0.0, 1e-3) for m in members], 24 * 44_000 * 1e-3)
     tracemalloc.start()
     try:
-        realized = simulate._replay(schedule, schedule.interval, members, np.full(24, 1e9))
+        realized = simulate._replay(schedule, schedule.interval, range(len(members)), np.full(24, 1e9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
