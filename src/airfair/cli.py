@@ -26,7 +26,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bargaining import InfeasibleProblemError, dissemination_rate, gnbs_allocate, nash_product, wpf_aggregate
+from .bargaining import (
+    ROLE_CLIENT,
+    ROLE_GO,
+    InfeasibleProblemError,
+    dissemination_rate,
+    gnbs_allocate,
+    nash_product,
+    wpf_aggregate,
+)
 from .scenario_io import SchemaError, load_scenario, preset_scenario
 from .simulate import (
     POLICIES,
@@ -106,33 +114,19 @@ def cmd_allocate(args) -> int:
     nash = nash_product(problem, alloc)
     wpf = wpf_aggregate(problem, gsa_alloc, alloc)
 
-    rows = []
-    for k, player in enumerate(problem.players):
-        u = problem.utilities[k]
-        util = float(u.value(alloc.broadcast_time[k])) if u is not None else 0.0
-        rows.append((
-            player.id,
-            player.role,
-            float(alloc.upload_time[k]),
-            float(alloc.broadcast_time[k]),
-            dissemination_rate(problem, alloc, k),
-            util,
-        ))
-
     if args.format == "csv":
         print("node_id,role,upload_s,broadcast_s,rate_mbps,utility")
-        for r in rows:
-            print(f"{r[0]},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},{r[5]:.6f}")
-        print(f"nash_product={nash:.6f}", file=sys.stderr)
-        print(f"wpf_vs_gsa={wpf:.6f}", file=sys.stderr)
+        row, metric, metrics_to = "{},{},{:.6f},{:.6f},{:.6f},{:.6f}", "{}={:.6f}", sys.stderr
     else:
         print(f"policy {args.policy}: airtime {problem.airtime:.3f}s, "
               f"{'saturated' if alloc.saturated else 'contended'}")
         print(f"{'node':<8}{'role':<8}{'upload_s':>10}{'broadcast_s':>12}{'rate_mbps':>11}{'utility':>9}")
-        for r in rows:
-            print(f"{r[0]:<8}{r[1]:<8}{r[2]:>10.3f}{r[3]:>12.3f}{r[4]:>11.3f}{r[5]:>9.3f}")
-        print(f"nash_product {nash:.6f}")
-        print(f"wpf_vs_gsa {wpf:.6f}")
+        row, metric, metrics_to = "{:<8}{:<8}{:>10.3f}{:>12.3f}{:>11.3f}{:>9.3f}", "{} {:.6f}", sys.stdout
+    for k, (x, u) in enumerate(zip(alloc.broadcast_time, problem.utilities)):
+        print(row.format(problem.ids[k], ROLE_GO if k == problem.go else ROLE_CLIENT, alloc.upload_time[k], x,
+                         dissemination_rate(problem, alloc, k), 0.0 if u is None else float(u.value(x))))
+    print(metric.format("nash_product", nash), file=metrics_to)
+    print(metric.format("wpf_vs_gsa", wpf), file=metrics_to)
     return 0
 
 

@@ -176,18 +176,12 @@ def select_roles(tables: Mapping[str, ContactTable], graph: ConnectivityGraph) -
     peers' table entries.  Returns a role per member id ("go" or
     "client")."""
     members = sorted(tables)
-
-    def load_of(m: str) -> float:
-        for other, table in tables.items():
-            if other == m:
-                continue
-            try:
-                return table.entry_for(m).data_size
-            except KeyError:
-                continue
-        return 0.0
-
-    go = elect_go(members, [load_of(m) for m in members], [graph.reaches_all(m, members) for m in members])
+    loads: dict[str, float] = {}
+    for owner, table in tables.items():     # the first peer table holding a member gives its load
+        for e in table.entries:
+            if e.id != owner:
+                loads.setdefault(e.id, e.data_size)
+    go = elect_go(members, [loads.get(m, 0.0) for m in members], [graph.reaches_all(m, members) for m in members])
     return {m: ("go" if m == go else "client") for m in members}
 
 

@@ -55,11 +55,13 @@ the experiment ("compare" and the scenario's index, "sweep", "contact"),
 and every run of a repetition shares its draws.
 
 A round's two bargaining problems, its GNBS reference and each policy's
-allocations depend only on its draws, its loads and its GO, so each
-round's draws keep them, keyed by the GO and the exact bits of the loads:
-a round that several policies or slot sizes reach with the same loads is
-solved once, and gives the floats a fresh solve would.  Only gsa's
-allocation of the estimated problem is certified.
+allocations depend on its draws, its loads, its GO and the scenario's
+``broadcast_mbps`` and ``go_alpha_factor``.  Each round's draws keep them,
+keyed by the GO and the exact bits of the loads alone, so runs that share
+one set of draws may differ only in policy and ``t_slot_s``, as every
+caller's do: a round that several policies or slot sizes reach with the
+same loads is solved once, and gives the floats a fresh solve would.  Only
+gsa's allocation of the estimated problem is certified.
 
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal

@@ -22,7 +22,7 @@ from airfair.bargaining import (
     weighted_airtime,
     wtd_allocate,
 )
-from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable, SlotEntry
+from airfair.grouping import ConnectivityGraph, ContactEntry, ContactTable, SlotEntry, elect_go
 from airfair.simulate import (
     PCD_FLOOR,
     POLICIES,
@@ -79,6 +79,25 @@ def four_node_tables() -> dict[str, ContactTable]:
 
 def four_node_graph() -> ConnectivityGraph:
     return ConnectivityGraph("ABCD", [("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"), ("C", "D")])
+
+
+def reference_select_roles(tables, graph) -> dict[str, str]:
+    """``select_roles`` as a scan per member: its load is its entry in the
+    first other member's table that holds it, else 0."""
+    members = sorted(tables)
+
+    def load_of(m: str) -> float:
+        for other, table in tables.items():
+            if other == m:
+                continue
+            try:
+                return table.entry_for(m).data_size
+            except KeyError:
+                continue
+        return 0.0
+
+    go = elect_go(members, [load_of(m) for m in members], [graph.reaches_all(m, members) for m in members])
+    return {m: ("go" if m == go else "client") for m in members}
 
 
 def random_problem(
@@ -587,15 +606,17 @@ def normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def expected_nash(scenario, steps) -> list[tuple[float, float]]:
-    """E[f(H)] and sd(f(H)) under gsa for a one-round scenario whose GO is
-    fixed before any policy runs and whose only noise is PCD error, once per
-    grid step in ``steps``.  f(h) is the realized Nash product when the
-    round's horizon is h, and H, the GO's horizon, is the smallest of its
-    n - 1 estimates T + e over the true PCD T, with e ~ N(mean, stddev).
+def expected_nash(scenario, steps) -> list[dict[str, tuple[float, float]]]:
+    """E[f(H)] and sd(f(H)) of every policy for a one-round scenario whose
+    GO is fixed before any policy runs and whose only noise is PCD error,
+    once per grid step in ``steps``.  f(h) is the policy's realized Nash
+    product when the round's horizon is h, and H, the GO's horizon, is the
+    smallest of its n - 1 estimates T + e over the true PCD T, with
+    e ~ N(mean, stddev).
 
     f(h) runs the clean scenario's round with every PCD set to h, once per
-    distinct h over all the grids.  H has the density
+    distinct h over all the grids, on draws that every policy shares, so
+    the round's problems are built once per h.  H has the density
     (n - 1) φ(z) (1 - Φ(z))^(n - 2) / stddev at z = (h - T - mean) / stddev
     (order statistics; David & Nagaraja, "Order Statistics", 2003),
     integrated by the trapezoid rule at about ``step`` seconds over z in
@@ -613,10 +634,10 @@ def expected_nash(scenario, steps) -> list[tuple[float, float]]:
     assert lo > PCD_FLOOR
     nash = {}
 
-    def f(h: float) -> float:
+    def f(h: float) -> list[float]:
         if h not in nash:
             d_h = dataclasses.replace(d, pcd=np.full(len(d.pcd), h))
-            nash[h] = _run(clean, "gsa", [d_h]).nash_product_realized
+            nash[h] = [_run(clean, p, [d_h]).nash_product_realized for p in POLICIES]
         return nash[h]
 
     out = []
@@ -625,14 +646,15 @@ def expected_nash(scenario, steps) -> list[tuple[float, float]]:
         z = (h - T - model.mean) / model.stddev
         density = np.array([(n - 1) * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
                             * (1.0 - normal_cdf(x)) ** (n - 2) for x in z.tolist()]) / model.stddev
-        values = np.array([f(x) for x in h.tolist()])
+        values = np.array([f(x) for x in h.tolist()]).T      # one row per policy
 
         def trapezoid(y):       # by hand: numpy 2 dropped np.trapz, and numpy 1.24 has no np.trapezoid
-            return (h[1] - h[0]) * (y.sum() - 0.5 * (y[0] + y[-1]))
+            return (h[1] - h[0]) * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
         assert abs(trapezoid(density) - 1.0) < 1e-9
-        mean = float(trapezoid(values * density))
-        out.append((mean, math.sqrt(trapezoid(values * values * density) - mean * mean)))
+        means = trapezoid(values * density)
+        sds = np.sqrt(trapezoid(values * values * density) - means * means)
+        out.append({p: (float(m), float(sd)) for p, m, sd in zip(POLICIES, means, sds)})
     return out
 
 

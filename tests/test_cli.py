@@ -12,7 +12,8 @@ import pytest
 from airfair import cli
 from airfair.bargaining import InfeasibleProblemError
 from airfair.grouping import ScheduleError
-from airfair.scenario_io import PRESETS, preset_scenario
+from airfair.scenario_io import PRESETS, preset_scenario, scenario_from_dict
+from airfair.simulate import run_scenario
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,55 @@ def test_allocate_policies(capsys, policy, n1_broadcast):
     assert code == 0
     n1 = out.strip().splitlines()[1].split(",")
     assert float(n1[3]) == pytest.approx(n1_broadcast, abs=1e-6)
+
+
+def _table1_nodes(fields_of) -> dict:
+    """table1 with node k's fields updated by ``fields_of(k)``."""
+    return {**PRESETS["table1"], "nodes": [{**n, **fields_of(k)} for k, n in enumerate(PRESETS["table1"]["nodes"])]}
+
+
+ALLOCATE_DOCS = {
+    "table1": PRESETS["table1"],
+    "dynamic4": PRESETS["dynamic4"],
+    "table1-n1-empty": _table1_nodes(lambda k: {"data_mb": 0.0} if k == 0 else {}),
+    "table1-80s": _table1_nodes(lambda k: {"leave_s": 80.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALLOCATE_DOCS))
+def test_allocate_formats_print_the_same_rows(capsys, tmp_path, name):
+    """The table and the csv list the round's members with their roles in
+    member order, and agree on every number to the table's 3 decimals and
+    on the metrics to 6.  n1 with no data sits out and prints utility 0;
+    at 80 s the round is saturated."""
+    doc = ALLOCATE_DOCS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for policy in ("gsa", "eql", "wtd"):
+        rnd = run_scenario(scenario_from_dict(doc), policy).rounds[0]
+        code, table, _ = run_cli(capsys, "allocate", "--scenario", str(path), "--policy", policy)
+        assert code == 0
+        code, csv, err = run_cli(capsys, "allocate", "--scenario", str(path), "--policy", policy, "--format", "csv")
+        assert code == 0
+        header, _, *lines = table.splitlines()
+        assert header.endswith("saturated" if rnd.allocation.saturated else "contended")
+        table_rows = [line.split() for line in lines if len(line.split()) == 6]
+        csv_rows = [line.split(",") for line in csv.splitlines()[1:]]
+        assert [r[:2] for r in table_rows] == [r[:2] for r in csv_rows] == [
+            [m, "go" if m == rnd.go_id else "client"] for m in rnd.members]
+        for t, c, upload, broadcast in zip(table_rows, csv_rows, rnd.allocation.upload_time,
+                                           rnd.allocation.broadcast_time):
+            assert [float(v) for v in c[2:4]] == pytest.approx([upload, broadcast], abs=5e-7)
+            assert [float(v) for v in t[2:]] == pytest.approx([float(v) for v in c[2:]], abs=5e-4 + 5e-7)
+        metrics = [line.split() for line in lines[-2:]]
+        assert [key for key, _ in metrics] == ["nash_product", "wpf_vs_gsa"]
+        assert [line.split("=")[0] for line in err.splitlines()] == ["nash_product", "wpf_vs_gsa"]
+        assert [float(line.split("=")[1]) for line in err.splitlines()] == pytest.approx(
+            [float(value) for _, value in metrics], abs=5e-7)
+        if name == "table1-n1-empty":
+            assert csv_rows[0][3:] == ["0.000000"] * 3
+        if name == "table1-80s":
+            assert rnd.allocation.saturated
 
 
 def test_schedule_csv(capsys):

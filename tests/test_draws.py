@@ -26,6 +26,7 @@ from airfair.simulate import (
     PCD_FLOOR,
     POLICIES,
     _round_draws,
+    compare_means,
     compare_policies,
     derive_seed,
     repeated_contacts,
@@ -561,26 +562,37 @@ def test_noisy_horizon_follows_the_law_of_the_minimum():
     assert abs(floored - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-#: E[f(H)], the limit of gsa's mean realized Nash product over contacts of
-#: table1 with PCD error σ = 1 s, at each contact duration, to 7 digits
-EXACT_LIMITS = {10.0: 0.2963956, 20.0: 0.6047624, 40.0: 0.9649385}
+#: E[f(H)], the limit of each policy's mean realized Nash product over
+#: contacts of table1 with PCD error σ = 1 s, at each contact duration, to
+#: 7 digits
+EXACT_LIMITS = {
+    10.0: {"gsa": 0.2963956, "eql": 0.2531245, "wtd": 0.2108386},
+    20.0: {"gsa": 0.6047624, "eql": 0.5387020, "wtd": 0.4500572},
+    40.0: {"gsa": 0.9649385, "eql": 0.9649385, "wtd": 0.9282748},
+}
 
 
 @pytest.mark.parametrize("duration", sorted(EXACT_LIMITS))
 def test_noisy_contacts_average_to_the_exact_limit(duration):
-    """table1 with PCD error σ = 1 s has one round and a pinned GO, so its
-    realized Nash product is f(H) of the GO's horizon H, and the mean over
-    contacts tends to ``support.expected_nash``'s E[f(H)].  Grid steps of
-    10 and 5 ms give that limit within 1e-6 of each other (a 20 ms step,
-    commensurate with the 0.14 s cycle, is off by 1.2e-4 at 10 s), and the
-    mean of 200 ``repeated_contacts`` lies within 4 standard errors
+    """table1 with PCD error σ = 1 s has one round and a pinned GO, so a
+    policy's realized Nash product is f(H) of the GO's horizon H, and the
+    mean over contacts tends to ``support.expected_nash``'s E[f(H)].  Grid
+    steps of 10 and 5 ms give that limit within 1e-6 of each other (a 20 ms
+    step, commensurate with the 0.14 s cycle, is off by 1.2e-4 at 10 s),
+    and the means of 200 contacts, gsa's from ``repeated_contacts`` and
+    every policy's from ``compare_means``, lie within 4 standard errors
     sd(f(H)) / √200 of it."""
     doc = {**PRESETS["table1"], "pcd_error": PCD_ERROR}
     scenario = scale_contact_durations(scenario_from_dict(doc), duration)
-    (coarse, _), (limit, sd) = support.expected_nash(scenario, steps=(0.01, 0.005))
-    assert abs(coarse - limit) <= 1e-6
-    assert abs(limit - EXACT_LIMITS[duration]) <= 1e-7
-    running, _ = repeated_contacts(scenario, 200, seed=derive_seed(2017, "limit", duration))
+    coarse, fine = support.expected_nash(scenario, steps=(0.01, 0.005))
+    seed = derive_seed(2017, "limit", duration)
+    running, _ = repeated_contacts(scenario, 200, seed=seed)
+    means, = compare_means([replace(scenario, seed=seed)], 200)
+    for policy, (limit, sd) in fine.items():
+        assert abs(coarse[policy][0] - limit) <= 1e-6
+        assert abs(limit - EXACT_LIMITS[duration][policy]) <= 1e-7
+        assert abs(means[policy] - limit) <= 4.0 * sd / math.sqrt(200)
+    limit, sd = fine["gsa"]
     assert abs(running[-1] - limit) <= 4.0 * sd / math.sqrt(200)
 
 

@@ -187,6 +187,39 @@ def test_elect_go_agrees_with_select_roles():
     assert min(outcomes.values()) >= 10, outcomes
 
 
+def test_select_roles_matches_the_scan_per_member():
+    """One pass over the tables elects what a scan per member elects:
+    each member's load is its entry in the first peer table holding it.
+    The tables carry self entries, repeated and unknown ids, and loads that
+    differ between tables, so which table is first decides elections."""
+    rng = np.random.default_rng(35)
+    outcomes = {"go": 0, "none": 0, "self": 0, "disputed": 0}
+    for _ in range(2000):
+        members = [f"m{k}" for k in rng.permutation(int(rng.integers(1, 7)))]
+        pool = members + ["x"]
+        tables = {}
+        for o in members:
+            size = int(rng.integers(0, 8))
+            tables[o] = ContactTable(o, tuple(ContactEntry(pool[i], 10.0, load) for i, load in zip(
+                rng.integers(0, len(pool), size).tolist(), rng.choice([0.0, 5.0, 9.0], size).tolist())))
+        keep = rng.uniform(0.5, 1.0)
+        graph = ConnectivityGraph(members, [(a, b) for i, a in enumerate(members) for b in members[i + 1:]
+                                            if rng.random() < keep])
+        try:
+            expected = support.reference_select_roles(tables, graph)
+        except NoGoCandidateError:
+            with pytest.raises(NoGoCandidateError):
+                select_roles(tables, graph)
+            outcomes["none"] += 1
+        else:
+            assert select_roles(tables, graph) == expected
+            outcomes["go"] += 1
+        held = [(e.id, e.data_size) for o, t in tables.items() for e in t.entries if e.id != o]
+        outcomes["self"] += any(e.id == o for o, t in tables.items() for e in t.entries)
+        outcomes["disputed"] += len(set(held)) > len(dict(held))
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_elect_go_ignores_member_order():
     ids, loads, hubs = ["c", "a", "b", "d"], [5.0, 5.0, 9.0, 9.0], [True, True, False, True]
     assert elect_go(ids, loads, hubs) == "d"
