@@ -110,9 +110,12 @@ def cmd_allocate(args) -> int:
     scenario = _load(args)
     rnd = _round(scenario, args.policy, 0)
     problem, alloc = rnd.problem, rnd.allocation
-    gsa_alloc, _ = gnbs_allocate(problem)
-    nash = nash_product(problem, alloc)
-    wpf = wpf_aggregate(problem, gsa_alloc, alloc)
+    if rnd.idle:    # the metrics are NaN, as on the round's record, not the empty product and sum
+        nash = wpf = math.nan
+    else:
+        gsa_alloc = alloc if args.policy == "gsa" else gnbs_allocate(problem)[0]
+        nash = nash_product(problem, alloc)
+        wpf = wpf_aggregate(problem, gsa_alloc, alloc)
 
     if args.format == "csv":
         print("node_id,role,upload_s,broadcast_s,rate_mbps,utility")

@@ -292,12 +292,13 @@ def estimate_pcd(true_duration: float, error_model: PcdErrorModel | None,
 
 def effective_upload_rate(nominal_rate, loss_probability):
     """Upload rate left after retransmitting lost packets.  Takes floats, or
-    arrays of one rate and loss probability per node."""
+    arrays of one rate or loss probability per node, which broadcast
+    together; returns a float when both are scalars."""
     loss = np.asarray(loss_probability)
     if not ((0.0 <= loss) & (loss < 1.0)).all():
         raise ValueError("loss probability must lie in [0, 1)")
     rate = nominal_rate * (1.0 - loss)
-    return float(rate) if loss.ndim == 0 else rate
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from airfair import cli
-from airfair.bargaining import InfeasibleProblemError
+from airfair.bargaining import InfeasibleProblemError, gnbs_allocate
 from airfair.grouping import ScheduleError
 from airfair.scenario_io import PRESETS, preset_scenario, scenario_from_dict
 from airfair.simulate import run_scenario
@@ -42,6 +42,50 @@ def test_allocate_csv_format(capsys):
     assert float(n1[2]) == pytest.approx(0.714286)
     assert float(n1[3]) == pytest.approx(0.714286)
     assert "nash_product=" in err
+    # the GO relays without uploading; every client uploads
+    rows = [line.split(",") for line in lines[1:]]
+    assert sum(row[1] == "go" for row in rows) == 1
+    assert all((row[1] == "go") == (row[2] == "0.000000") for row in rows)
+
+
+def test_allocate_unicast_pair_uploads_nothing(capsys):
+    # dynamic4's round 0 is a unicast pair, which talks directly
+    code, out, _ = run_cli(capsys, "allocate", "--preset", "dynamic4", "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0.000000", "0.000000"]
+
+
+@pytest.mark.parametrize("policy,solves", [("gsa", 0), ("eql", 1), ("wtd", 1)])
+def test_allocate_solves_gsa_again_only_under_another_policy(capsys, monkeypatch, policy, solves):
+    # under gsa the round's allocation is the one wpf_vs_gsa compares with
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return gnbs_allocate(problem)
+
+    monkeypatch.setattr(cli, "gnbs_allocate", counted)
+    code, _, _ = run_cli(capsys, "allocate", "--preset", "table1", "--policy", policy)
+    assert code == 0
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("policy", ["gsa", "eql", "wtd"])
+def test_allocate_of_idle_round_prints_nan_metrics(capsys, tmp_path, policy):
+    """A round where no member has data is idle: its metrics are NaN, as on
+    the run's record, not the empty product 1 and the empty sum 0."""
+    nodes = [{"id": x, "join_s": 0.0, "leave_s": 10.0, "data_mb": 0.0} for x in "abc"]
+    doc = {"nodes": nodes, "broadcast_mbps": 11.0, "t_slot_ms": 20.0}
+    rnd = run_scenario(scenario_from_dict(doc), policy).rounds[0]
+    assert rnd.idle and math.isnan(rnd.nash_realized) and math.isnan(rnd.wpf_vs_ideal)
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "allocate", "--scenario", str(path), "--policy", policy)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == ["nash_product nan", "wpf_vs_gsa nan"]
+    code, out, err = run_cli(capsys, "allocate", "--scenario", str(path), "--policy", policy, "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 4
+    assert err == "nash_product=nan\nwpf_vs_gsa=nan\n"
 
 
 @pytest.mark.parametrize(
@@ -110,6 +154,10 @@ def test_schedule_csv(capsys):
     assert lines[0] == "node_id,kind,start_s,duration_s"
     assert lines[1] == "n1,upload,0.000000,0.010000"
     assert lines[2] == "n1,broadcast,0.010000,0.010000"
+    # the first cycle: each client's upload and broadcast legs in id order, the GO n4's broadcast leg last
+    assert [line.rsplit(",", 2)[0] for line in lines[1:12]] == [
+        "n1,upload", "n1,broadcast", "n2,upload", "n2,broadcast", "n3,upload", "n3,broadcast",
+        "n5,upload", "n5,broadcast", "n6,upload", "n6,broadcast", "n4,broadcast"]
 
 
 def test_schedule_table(capsys):
@@ -189,6 +237,8 @@ def test_simulate_writes_reports(capsys, tmp_path):
     delivery = (out_dir / "delivery.csv").read_text().strip().splitlines()
     assert delivery[0] == "node_id,transmitted_mb,received_mb"
     assert [l.split(",")[0] for l in delivery[1:]] == ["n1", "n2", "n3", "n4"]
+    # every node heard something: received_mb is folded from the rounds' records after the run
+    assert all(float(l.split(",")[2]) > 0 for l in delivery[1:])
     metrics = (out_dir / "metrics.csv").read_text().strip().splitlines()
     assert metrics[1] == "rounds,5"
 
@@ -294,6 +344,7 @@ def test_sweep_runs_slots_far_smaller_than_any_schedule_prints(capsys):
     assert code == 0
     header, row = out.strip().splitlines()
     assert header == "t_slot_ms,mean_wpf,stddev_wpf"
+    assert row.startswith("1e-09,")
     assert all(math.isfinite(float(v)) for v in row.split(","))
 
 
@@ -369,7 +420,12 @@ def test_schedule_rows_of_sub_microsecond_slots_stay_distinct(tmp_path, fmt):
     and repeat starts; the rows carry enough decimals that the shortest leg
     reads as nonzero, so each row has its own start."""
     scenario = _table1_file(tmp_path, {"t_slot_ms": 1e-6})
-    rows = [line.decode().replace(",", " ").split() for line in _schedule_head(scenario, 9, "--format", fmt)[1:]]
+    start = time.perf_counter()
+    header, *lines = _schedule_head(scenario, 9, "--format", fmt)
+    assert time.perf_counter() - start < 20.0
+    if fmt == "csv":
+        assert header == b"node_id,kind,start_s,duration_s\n"
+    rows = [line.decode().replace(",", " ").split() for line in lines]
     starts = [float(row[2]) for row in rows]
     assert starts == sorted(set(starts))
     assert all(float(row[3]) > 0 for row in rows)
@@ -381,7 +437,9 @@ def test_schedule_header_of_sub_microsecond_slots_shows_the_cycle(tmp_path):
     three decimals fewer than the rows, so a 1e-6 ms slot's cycle reads as
     the nonzero time it is, not as 0.000 ms."""
     scenario = _table1_file(tmp_path, {"t_slot_ms": 1e-6})
+    start = time.perf_counter()
     header = _schedule_head(scenario, 1, "--format", "table")
+    assert time.perf_counter() - start < 20.0
     assert header == [b"round 0: cycle 0.00000700 ms, 15714285716 slots from 0.00000000s\n"]
 
 
@@ -414,6 +472,16 @@ def test_converge_output(capsys):
     code, out, _ = run_cli(capsys, "converge", "--preset", "table1", "--contacts", "5")
     assert code == 0
     assert out == CONVERGE_TABLE1_5
+
+
+def test_converge_prints_the_same_rows_on_two_runs_at_one_seed(capsys):
+    argv = ("converge", "--preset", "table1", "--contacts", "3", "--seed", "7")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv) == (0, out, "")
+    header, *rows = out.splitlines()
+    assert header == "contact,running_avg_nash,ideal_nash"
+    assert out.count("\n") == 4 and [row.split(",")[0] for row in rows] == ["1", "2", "3"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -76,6 +76,21 @@ def test_effective_upload_rate():
         effective_upload_rate(11.0, 1.0)
 
 
+@pytest.mark.parametrize("rates,loss", [
+    (11.0, 0.05),
+    (np.array([11.0, 5.5]), 0.05),
+    (11.0, np.array([0.05, 0.2])),
+    (np.array([11.0, 5.5]), np.array([0.05, 0.2])),
+], ids=["scalar-scalar", "array-scalar", "scalar-array", "array-array"])
+def test_effective_upload_rate_is_a_float_only_when_both_are_scalars(rates, loss):
+    rate = effective_upload_rate(rates, loss)
+    expected = rates * (1.0 - loss)
+    if np.ndim(expected) == 0:
+        assert type(rate) is float and rate == expected
+    else:
+        assert isinstance(rate, np.ndarray) and rate.tolist() == expected.tolist()
+
+
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(33, "contact", 0) == derive_seed(33, "contact", 0)
     assert derive_seed(33, "contact", 0) != derive_seed(33, "contact", 1)
