@@ -135,7 +135,8 @@ class Utility:
     * ``log-shifted``: value(x) = log(1 + coeff * x) with gain coeff > 0.
     * ``power``: value(x) = x ** coeff with exponent 0 < coeff <= 1.
 
-    ``value`` and ``derivative`` accept scalars or numpy arrays.
+    ``value`` and ``derivative`` accept scalars or numpy arrays.  The
+    coefficient is held as given: :class:`BargainingProblem` checks it.
     """
 
     kind: str
@@ -144,10 +145,6 @@ class Utility:
     def __post_init__(self):
         if self.kind not in _UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.kind!r}")
-        if not (self.coeff > 0):
-            raise ValueError("utility coefficient must be positive")
-        if self.kind == "power" and self.coeff > 1:
-            raise ValueError("power exponent must lie in (0, 1]")
 
     @classmethod
     def normalized_linear(cls, cap: float) -> "Utility":
@@ -185,7 +182,8 @@ class Player:
     ``alpha`` a raw bargaining weight (normalized at problem level), and
     ``disagreement`` the broadcast seconds the node is guaranteed without an
     agreement.  ``utility`` defaults to normalized-linear over the node's
-    cap, bound when the problem is built.
+    cap, bound when the problem is built.  The values are held as given:
+    :class:`BargainingProblem` checks them.
     """
 
     id: str
@@ -199,14 +197,6 @@ class Player:
     def __post_init__(self):
         if self.role not in (ROLE_GO, ROLE_CLIENT):
             raise ValueError(f"unknown role {self.role!r}")
-        if not (self.data_size >= 0):
-            raise ValueError("data_size must be >= 0")
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be > 0")
-        if not (self.disagreement >= 0):
-            raise ValueError("disagreement must be >= 0")
-        if self.role == ROLE_CLIENT and not (self.upload_rate > 0):
-            raise ValueError("clients need upload_rate > 0")
 
 
 class _Active(NamedTuple):
@@ -258,8 +248,9 @@ class BargainingProblem:
     0 normalized-linear, 1 log-shifted, 2 power) with their ``coeffs``.  A
     NaN coefficient (the default) means normalized-linear over the player's
     own cap, as a :class:`Player` without a utility gets.  Players are
-    converted into the columns, so both forms share one validation and
-    derivation, with the messages :class:`Player` and :class:`Utility` use.
+    converted into the columns, so both forms share one derivation and one
+    validation: the problem alone checks the values a :class:`Player` or
+    :class:`Utility` holds, with the same messages for either form.
 
     Derived arrays (one entry per player, in input order):
 
@@ -310,6 +301,9 @@ class BargainingProblem:
                 if any(u is not None for u in utilities):
                     kinds = [0 if u is None else _UTILITY_KINDS.index(u.kind) for u in utilities]
                     coeffs = [math.nan if u is None else u.coeff for u in utilities]
+                    # a NaN column entry stands for no utility, so a given one must not be NaN
+                    if any(u is not None and math.isnan(u.coeff) for u in utilities):
+                        raise ValueError("utility coefficient must be positive")
         self.ids = tuple(ids) if ids is not None else ()
         self.airtime = airtime
         self.broadcast_rate = broadcast_rate
@@ -461,8 +455,9 @@ class BargainingProblem:
 
 
 def _check_utility_columns(kinds: np.ndarray, coeffs: np.ndarray) -> None:
-    """The checks :class:`Utility` makes, over kind codes and coefficients
-    (NaN: normalized-linear over the player's own cap)."""
+    """The rules on utilities, over kind codes and coefficients (NaN:
+    normalized-linear over the player's own cap): a known kind, a positive
+    coefficient and a power exponent of at most 1."""
     k = _first((kinds < 0) | (kinds >= len(_UTILITY_KINDS)))
     if k is not None:
         raise ValueError(f"unknown utility kind code {int(kinds[k])}")

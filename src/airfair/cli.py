@@ -137,10 +137,10 @@ def cmd_schedule(args) -> int:
     rnd = _round(_load(args), args.policy, args.round)
     schedule = rnd.schedule
     entries = schedule.entries if schedule is not None else ()     # an idle round prints its header alone
-    # enough decimals that the shortest leg reads as at least 10 units of the
+    # enough decimals that the shortest slot reads as at least 10 units of the
     # last place, so every row has a nonzero duration and its own start; the
     # table's columns widen with them, and its header's ms and s with 3 fewer
-    places = 6 if schedule is None else max(6, math.ceil(1 - math.log10(min(d for _, _, d in schedule.pattern))))
+    places = 6 if schedule is None else max(6, math.ceil(1 - math.log10(entries.shortest)))
     if args.format == "table":
         sized = "0" if schedule is None else f"cycle {schedule.cycle_length * 1000:.{places - 3}f} ms, {entries.count}"
         print(f"round {rnd.index}: {sized} slots from {rnd.t_start:.{places - 3}f}s")

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bargaining import left_sum
+from .bargaining import ROLE_CLIENT, ROLE_GO, left_sum
 
 __all__ = [
     "ContactEntry",
@@ -173,8 +173,8 @@ def elect_go(members: Sequence[str], loads: Sequence[float], hubs: Sequence[bool
 
 def select_roles(tables: Mapping[str, ContactTable], graph: ConnectivityGraph) -> dict[str, str]:
     """Pick the GO by :func:`elect_go`, reading each member's load off the
-    peers' table entries.  Returns a role per member id ("go" or
-    "client")."""
+    peers' table entries.  Returns a role per member id, ``ROLE_GO`` or
+    ``ROLE_CLIENT``."""
     members = sorted(tables)
     loads: dict[str, float] = {}
     for owner, table in tables.items():     # the first peer table holding a member gives its load
@@ -182,7 +182,7 @@ def select_roles(tables: Mapping[str, ContactTable], graph: ConnectivityGraph) -
             if e.id != owner:
                 loads.setdefault(e.id, e.data_size)
     go = elect_go(members, [loads.get(m, 0.0) for m in members], [graph.reaches_all(m, members) for m in members])
-    return {m: ("go" if m == go else "client") for m in members}
+    return {m: ROLE_GO if m == go else ROLE_CLIENT for m in members}
 
 
 def total_broadcast_time(loads: Mapping[str, float], go_candidate: str, rate: float) -> float:
@@ -291,12 +291,15 @@ class Schedule:
 
 class _Slots:
     """The sized iterable :attr:`Schedule.entries` returns.  ``count`` is the
-    slot count as a plain int, which ``len()`` gives while it fits ``sys.maxsize``."""
+    slot count as a plain int, which ``len()`` gives while it fits ``sys.maxsize``.
+    No slot is shorter than ``shortest``: the shortest leg, or a shorter
+    slot of the cut cycle."""
 
     def __init__(self, schedule: Schedule):
         self._schedule = schedule
         self._cycles, self._legs = schedule._cut(math.inf)
         self.count = self._cycles * len(schedule.pattern) + sum(seconds > 0 for _, seconds in self._legs)
+        self.shortest = min([dur for _, _, dur in schedule.pattern] + [s for _, s in self._legs if s > 0])
 
     def __len__(self) -> int:
         return self.count

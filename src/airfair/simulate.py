@@ -57,11 +57,12 @@ and every run of a repetition shares its draws.
 A round's two bargaining problems, its GNBS reference and each policy's
 allocations depend on its draws, its loads, its GO and the scenario's
 ``broadcast_mbps`` and ``go_alpha_factor``.  Each round's draws keep them,
-keyed by the GO and the exact bits of the loads alone, so runs that share
-one set of draws may differ only in policy and ``t_slot_s``, as every
-caller's do: a round that several policies or slot sizes reach with the
-same loads is solved once, and gives the floats a fresh solve would.  Only
-gsa's allocation of the estimated problem is certified.
+keyed by the exact bits of the loads alone, since the draws and the loads
+decide the GO, so runs that share one set of draws may differ only in
+policy and ``t_slot_s``, as every caller's do: a round that several
+policies or slot sizes reach with the same loads is solved once, and gives
+the floats a fresh solve would.  Only gsa's allocation of the estimated
+problem is certified.
 
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal
@@ -325,7 +326,7 @@ class _RoundDraws:
     pcd: np.ndarray              # pcd[k]: estimated PCD of the members of pair k
     loss: np.ndarray | None      # loss probability per member
     rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
-    solves: dict[tuple[int, bytes], _RoundSolve] = field(default_factory=dict, init=False)  # by GO, loads.tobytes()
+    solves: dict[bytes, _RoundSolve] = field(default_factory=dict, init=False)  # by loads.tobytes()
 
     def horizon(self, g: int) -> float:
         """Member g's horizon as GO: its smallest estimated PCD to another
@@ -576,21 +577,22 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
 def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np.ndarray) -> RoundRecord:
     """Round ``index`` of the policy's run on its draws ``d``, given the
     megabits each member has ``sent`` so far, in member order.  A member's
-    load is its own data less what it has sent, 0 once drained; the GO is
-    the one the draws fixed, a pinned one among them, else
-    :func:`elect_go`'s pick by the loads; the solve is looked up in, or
-    added to, ``d.solves``, the only state the step writes."""
+    load is its own data less what it has sent, 0 once drained.  The solve
+    is looked up in, or added to, ``d.solves``, the only state the step
+    writes; only a new one elects the GO: the one the draws fixed, a pinned
+    one among them, else :func:`elect_go`'s pick by the loads."""
     members, rate = d.members, scenario.broadcast_mbps
     left = d.own_mb - sent
     loads = np.where(left > 1e-12 * d.own_mb, left, 0.0)
-    g = d.go if d.go is not None else members.index(elect_go(members, loads, d.hubs))
-    key = (g, loads.tobytes())      # float bits: 0.0 and -0.0 differ
+    key = loads.tobytes()       # float bits: 0.0 and -0.0 differ
     solved = d.solves.get(key)
     if solved is None:
+        g = d.go if d.go is not None else members.index(elect_go(members, loads, d.hubs))
         solved = d.solves[key] = _solve_round(scenario, d, loads, g)
     if policy not in solved.policies:
         solved.policies[policy] = _allocate(policy, solved)
     problem, ideal_problem = solved.problem, solved.ideal_problem
+    g = problem.go
     allocation, kkt, ideal_alloc = solved.policies[policy]
 
     schedule = None
@@ -643,20 +645,17 @@ def _repetitions(scenario: Scenario, count: int, *parts):
         yield run, _round_draws(run)
 
 
-def repeated_contacts(scenario: Scenario, n_contacts: int,
-                      seed: int | None = None) -> tuple[np.ndarray, float]:
+def repeated_contacts(scenario: Scenario, n_contacts: int) -> tuple[np.ndarray, float]:
     """Independent perturbed repetitions of one scenario.
 
-    Every contact reruns the scenario with a fresh derived seed (fresh PCD
-    error and loss draws) derived from ``seed``, else the scenario's.
+    Every contact reruns the scenario with a fresh seed (fresh PCD error and
+    loss draws) derived from the scenario's.
     Returns the running average of the realized Nash product and, as the
     asymptote reference, the value the same pipeline reaches with
     randomness switched off.
     """
     if n_contacts < 1:
         raise ValueError("need at least one contact")
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
     values = np.array([_run(run, "gsa", draws).nash_product_realized
                        for run, draws in _repetitions(scenario, n_contacts, "contact")])
     running = np.cumsum(values) / np.arange(1, n_contacts + 1)
@@ -665,7 +664,7 @@ def repeated_contacts(scenario: Scenario, n_contacts: int,
 
 
 def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
-                    repetitions: int = 20) -> list[tuple[float, float, float]]:
+                    repetitions: int) -> list[tuple[float, float, float]]:
     """Mean and spread of the fairness aggregate per basic slot size.
 
     Repetitions are paired: repetition r uses the same derived seed for every
@@ -691,17 +690,17 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
     return out
 
 
-def compare_policies(scenario: Scenario,
-                     policies: Sequence[str] = POLICIES) -> dict[str, SimulationReport]:
-    """Run the same scenario once per policy, on one shared set of draws.
+def compare_policies(scenario: Scenario) -> dict[str, SimulationReport]:
+    """Run the same scenario once per policy of ``POLICIES``, in that order,
+    on one shared set of draws.
 
     A round that the policies reach with the same loads, as every round up
     to the first traffic round is, is built and solved once, not once per
     policy.  Each report is the one a separate :func:`run_scenario`
-    returns, float for float, and policies run in the order given.
+    returns, float for float.
     """
     draws = _round_draws(scenario)
-    return {p: _run(scenario, p, draws) for p in policies}
+    return {p: _run(scenario, p, draws) for p in POLICIES}
 
 
 def compare_means(scenarios: Sequence[Scenario], repetitions: int) -> Iterator[dict[str, float]]:

@@ -775,22 +775,21 @@ def exact_bits(value):
 # the references for the folds over simulate._repetitions
 
 
-def reference_repeated_contacts(scenario, n_contacts: int, seed: int | None = None) -> tuple[np.ndarray, float]:
+def reference_repeated_contacts(scenario, n_contacts: int) -> tuple[np.ndarray, float]:
     """``simulate.repeated_contacts``: contact k runs at
-    ``derive_seed(seed or the scenario's, "contact", k)``."""
+    ``derive_seed(seed, "contact", k)``."""
     if n_contacts < 1:
         raise ValueError("need at least one contact")
-    base = scenario.seed if seed is None else seed
     values = np.empty(n_contacts)
     for k in range(n_contacts):
-        rep = run_scenario(dataclasses.replace(scenario, seed=derive_seed(base, "contact", k)))
+        rep = run_scenario(dataclasses.replace(scenario, seed=derive_seed(scenario.seed, "contact", k)))
         values[k] = rep.nash_product_realized
     running = np.cumsum(values) / np.arange(1, n_contacts + 1)
     ideal = run_scenario(dataclasses.replace(scenario, loss=None, pcd_error=None)).nash_product_realized
     return running, float(ideal)
 
 
-def reference_slot_size_sweep(scenario, t_slot_list, repetitions: int = 20) -> list[tuple[float, float, float]]:
+def reference_slot_size_sweep(scenario, t_slot_list, repetitions: int) -> list[tuple[float, float, float]]:
     """``simulate.slot_size_sweep``: repetition r runs every size at
     ``derive_seed(seed, "sweep", r)``, all draws made before the first size."""
     if repetitions < 1:

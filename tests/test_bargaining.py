@@ -58,12 +58,6 @@ def test_power_value_and_slope():
     assert u.derivative(9.0) == pytest.approx(0.5 / 3.0)
 
 
-@pytest.mark.parametrize("kind,coeff", [("normalized-linear", 0.0), ("log-shifted", -1.0), ("power", 1.5)])
-def test_bad_utility_parameters(kind, coeff):
-    with pytest.raises(ValueError):
-        Utility(kind=kind, coeff=coeff)
-
-
 def test_unknown_utility_kind():
     with pytest.raises(ValueError):
         Utility(kind="quadratic", coeff=1.0)
@@ -790,12 +784,36 @@ _PAIR = dict(ids=["go", "c"], data_sizes=[5.0, 5.0], upload_rates=[math.inf, 5.0
     ({"alpha": 0.0}, {"raw_alphas": [1.0, 0.0]}, ValueError, "alpha must be > 0"),
     ({"disagreement": -0.5}, {"disagreements": [0.0, -0.5]}, ValueError, "disagreement must be >= 0"),
     ({"upload_rate": 0.0}, {"upload_rates": [math.inf, 0.0]}, ValueError, "clients need upload_rate > 0"),
+    pytest.param({"upload_rate": math.nan}, {"upload_rates": [math.inf, math.nan]}, ValueError,
+                 "clients need upload_rate > 0", id="upload_rate-nan"),
+    pytest.param({"utility": Utility("normalized-linear", 0.0)}, {"kinds": [0, 0], "coeffs": [math.nan, 0.0]},
+                 ValueError, "utility coefficient must be positive", id="normalized-linear-0.0"),
+    pytest.param({"utility": Utility("log-shifted", -1.0)}, {"kinds": [0, 1], "coeffs": [math.nan, -1.0]},
+                 ValueError, "utility coefficient must be positive", id="log-shifted--1.0"),
+    pytest.param({"utility": Utility("power", math.nan)}, {"kinds": [0, 2], "coeffs": [math.nan, math.nan]},
+                 ValueError, "utility coefficient must be positive", id="power-nan"),
+    pytest.param({"utility": Utility("power", 1.5)}, {"kinds": [0, 2], "coeffs": [math.nan, 1.5]},
+                 ValueError, r"power exponent must lie in \(0, 1\]", id="power-1.5"),
 ])
 def test_player_checks_hold_for_columns(player_fields, columns, error, message):
+    """The problem alone checks a player's values and its utility's: a
+    :class:`Player` and a :class:`Utility` hold them as given, and a problem
+    built from them raises what the same values as columns raise."""
+    client = Player(id="c", **{"data_size": 5.0, "upload_rate": 5.0, **player_fields})
+    assert all(getattr(client, field) is value for field, value in player_fields.items())
     with pytest.raises(error, match=message):
-        Player(id="c", **{"data_size": 5.0, "upload_rate": 5.0, **player_fields})
+        BargainingProblem([Player("go", 5.0, role=ROLE_GO), client], 10.0, 5.0)
     with pytest.raises(error, match=message):
         BargainingProblem(airtime=10.0, broadcast_rate=5.0, **{**_PAIR, **columns})
+
+
+def test_given_utility_with_a_nan_coefficient_rejected():
+    """A NaN coefficient column stands for the default utility, normalized
+    over the player's own cap; a NaN in a :class:`Utility` given to a player
+    is rejected, not read as that default."""
+    client = Player("c", 5.0, 5.0, utility=Utility.normalized_linear(math.nan))
+    with pytest.raises(ValueError, match="utility coefficient must be positive"):
+        BargainingProblem([Player("go", 5.0, role=ROLE_GO), client], 10.0, 5.0)
 
 
 def _with_idle_player() -> BargainingProblem:
@@ -839,11 +857,12 @@ def test_level_for_airtime_at_the_full_tail_airtime_is_the_cap_level(table1):
     ("disagreement", "disagreements", "disagreement must be >= 0"),
 ])
 def test_nan_inputs_rejected(field, column, message):
-    """NaN passes ``< 0`` and ``<= 0``; both constructors reject it anyway.
-    A NaN alpha used to make every weight NaN and the broadcast time NaN."""
+    """NaN passes ``< 0`` and ``<= 0``; the problem rejects it anyway, from
+    players and from columns.  A NaN alpha used to make every weight NaN and
+    the broadcast time NaN."""
     nan = float("nan")
+    go = Player(**{"id": "go", "data_size": 10.0, "role": ROLE_GO, field: nan})
     with pytest.raises(ValueError, match=message):
-        go = Player(**{"id": "go", "data_size": 10.0, "role": ROLE_GO, field: nan})
         BargainingProblem([go, Player("c", 10.0, 5.0)], 1.0, 10.0)
     columns = dict(ids=["go", "c"], data_sizes=[10.0, 10.0], upload_rates=[math.inf, 5.0],
                    raw_alphas=[1.0, 1.0], disagreements=[0.0, 0.0], go=0)
@@ -1004,10 +1023,6 @@ def test_columnar_utilities_are_checked():
     with pytest.raises(ValueError, match="unknown utility kind code 3"):
         BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 3], coeffs=[1.0, 1.0], **_PAIR)
     with pytest.raises(ValueError, match="utility coefficient must be positive"):
-        BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 1], coeffs=[1.0, -1.0], **_PAIR)
-    with pytest.raises(ValueError, match="utility coefficient must be positive"):
         BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 1], **_PAIR)   # log needs a gain
-    with pytest.raises(ValueError, match=r"power exponent must lie in \(0, 1\]"):
-        BargainingProblem(airtime=1.0, broadcast_rate=5.0, kinds=[0, 2], coeffs=[math.nan, 1.5], **_PAIR)
     with pytest.raises(TypeError, match="players or columns"):
         BargainingProblem([Player(id="go", data_size=1.0, role=ROLE_GO)], 1.0, 5.0, **_PAIR)

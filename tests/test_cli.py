@@ -443,6 +443,24 @@ def test_schedule_header_of_sub_microsecond_slots_shows_the_cycle(tmp_path):
     assert header == [b"round 0: cycle 0.00000700 ms, 15714285716 slots from 0.00000000s\n"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_schedule_rows_of_a_short_cut_slot_stay_distinct(capsys, tmp_path, fmt):
+    """The last slot belongs to the cut cycle and may be far shorter than
+    any leg: here 3 ns after 40 ms legs.  The rows carry enough decimals
+    that it too reads as nonzero, and every start as its own."""
+    nodes = [{"id": x, "join_s": 0, "leave_s": 18.000000003, "data_mb": 1000} for x in "ab"]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"nodes": nodes, "broadcast_mbps": 11, "t_slot_ms": 20}))
+    code, out, err = run_cli(capsys, "schedule", "--scenario", str(path), "--format", fmt)
+    assert code == 0 and err == ""
+    rows = [line.replace(",", " ").split() for line in out.splitlines()[1:]]
+    assert len(rows) == 601      # 300 whole cycles of two legs, and the cut slot
+    assert rows[-1] == ["b", "broadcast", "18.0000000000", "0.0000000030"]
+    starts = [float(row[2]) for row in rows]
+    assert starts == sorted(set(starts))
+    assert all(float(row[3]) > 0 for row in rows)
+
+
 _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"
 
 
@@ -592,3 +610,21 @@ def test_readme_commands_run(capsys, tmp_path):
         assert code == 0, (argv, err)
         if expected is not None:
             assert out == expected, argv
+
+
+def test_readme_library_blocks_build_one_problem(capsys):
+    """The Library section's two ``python`` blocks run in turn, and the
+    problem given as columns allocates what the one given as ``Player``
+    objects does, float for float."""
+    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    exec(blocks[0], namespace)
+    from_players = namespace["problem"]
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    exec(blocks[1], namespace)
+    from_columns = namespace["problem"]
+    assert from_columns is not from_players
+    times = [[x.hex() for x in gnbs_allocate(p)[0].broadcast_time.tolist()] for p in (from_players, from_columns)]
+    assert times[0] == times[1]

@@ -586,7 +586,7 @@ def test_noisy_contacts_average_to_the_exact_limit(duration):
     scenario = scale_contact_durations(scenario_from_dict(doc), duration)
     coarse, fine = support.expected_nash(scenario, steps=(0.01, 0.005))
     seed = derive_seed(2017, "limit", duration)
-    running, _ = repeated_contacts(scenario, 200, seed=seed)
+    running, _ = repeated_contacts(replace(scenario, seed=seed), 200)
     means, = compare_means([replace(scenario, seed=seed)], 200)
     for policy, (limit, sd) in fine.items():
         assert abs(coarse[policy][0] - limit) <= 1e-6
@@ -599,15 +599,15 @@ def test_noisy_contacts_average_to_the_exact_limit(duration):
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(SHARED_ROUNDS))
 def test_compare_policies_matches_separate_runs(name):
     """Policies that share one set of draws report exactly what separate
-    runs report: no policy leaves state behind for the next."""
+    runs report, in either order: no policy leaves state behind for the next."""
     scenario = scenario_from_dict({**SCENARIOS, **SHARED_ROUNDS}[name])
     alone = {p: support.exact_bits(run_scenario(scenario, p)) for p in POLICIES}
+    shared = compare_policies(scenario)
+    assert list(shared) == list(POLICIES)
+    assert {p: support.exact_bits(report) for p, report in shared.items()} == alone
     for order in (POLICIES, POLICIES[::-1]):
-        shared = compare_policies(scenario, order)
-        assert list(shared) == list(order)
-        for p, report in shared.items():
-            assert report.policy == p
-            assert support.exact_bits(report) == alone[p]
+        draws = _round_draws(scenario)
+        assert {p: support.exact_bits(simulate._run(scenario, p, draws)) for p in order} == alone
 
 
 def test_slot_size_sweep_reuses_draws(monkeypatch):
@@ -670,7 +670,8 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
     """On one-round table1 the three policies share the round's two
     problems and its GNBS reference, and only gsa's allocation is
     certified; rounds that the policies reach with the same loads are
-    shared after the first traffic round too."""
+    shared after the first traffic round too, and so is an open round's
+    GO election."""
     work = _count_round_work(monkeypatch)
     reports = compare_policies(scenario_from_dict(SCENARIOS["table1"]))
     first = reports["gsa"].rounds[0]
@@ -682,8 +683,15 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
     assert work["certified"] == [first.problem]
 
     work["built"].clear()
-    reports = compare_policies(scenario_from_dict(SHARED_ROUNDS["drained"]))
+    scenario = scenario_from_dict(SHARED_ROUNDS["drained"])
+    reports = compare_policies(scenario)
     assert len(work["built"]) == 2 * len(reports["gsa"].rounds) == 10
+
+    draws, elect, elections = _round_draws(scenario), simulate.elect_go, []
+    monkeypatch.setattr(simulate, "elect_go", lambda *args: elections.append(args) or elect(*args))
+    for policy in POLICIES:
+        simulate._run(scenario, policy, draws)
+    assert len(elections) == sum(d.go is None for d in draws) > 0
 
 
 def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):

@@ -799,11 +799,11 @@ def test_repeated_contacts_without_randomness_sits_on_the_ideal():
 
 def test_repeated_contacts_running_average_shape():
     scn = replace(preset_scenario("table1"), pcd_error=PcdErrorModel(1.0), loss=LossModel(0.0, 0.1))
-    running, ideal = repeated_contacts(scn, 8, seed=5)
+    running, ideal = repeated_contacts(replace(scn, seed=5), 8)
     assert running.shape == (8,)
     assert ideal > 0
     # the running average is the cumulative mean of the per-contact values
-    again, _ = repeated_contacts(scn, 8, seed=5)
+    again, _ = repeated_contacts(replace(scn, seed=5), 8)
     np.testing.assert_array_equal(running, again)
 
 
@@ -868,9 +868,9 @@ def test_experiment_folds_match_their_own_loops_bit_for_bit(name, seed):
         scaled = scale_contact_durations(base, duration)
         outcomes.append((_outcome(lambda: slot_size_sweep(scaled, sizes, repetitions=4)),
                          _outcome(lambda: support.reference_slot_size_sweep(scaled, sizes, repetitions=4))))
-        for given in (None, 5):
-            outcomes.append((_outcome(lambda: [repeated_contacts(scaled, 5, seed=given)]),
-                             _outcome(lambda: [support.reference_repeated_contacts(scaled, 5, seed=given)])))
+        for seeded in (scaled, replace(scaled, seed=5)):
+            outcomes.append((_outcome(lambda: [repeated_contacts(seeded, 5)]),
+                             _outcome(lambda: [support.reference_repeated_contacts(seeded, 5)])))
     for folded, looped in outcomes:
         assert folded == looped
     assert sum(not isinstance(looped[-1], str) for _, looped in outcomes) >= 3
