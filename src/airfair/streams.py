@@ -10,12 +10,22 @@ alone, so all of a scenario's draws can be made up front.
 
 :func:`word_keys` derives the Philox keys of many streams at once from
 their parts spelled as 32-bit entropy words, running SeedSequence's hash on
-uint32 arrays instead of building one SeedSequence per stream.
+all of them together instead of building one SeedSequence per stream.
 :func:`first_words` runs Philox4x64-10 on all keys at once for the first
-64-bit word of every stream.  Its rounds run in place on a few work buffers
-made once per call, with counter words c1 and c3 folded into the low
-products it keeps, and it works on a copy of the keys, which the caller
-reads again.  The first draw of a stream is read off that word: a uniform
+64-bit word of every stream, and never writes the keys, which the caller
+reads again.  Each has two kernels that give the same bits.  A small batch
+runs on packed Python integers, every stream's value in its own
+fixed-width field of one ``int`` (SIMD within a register; Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975):
+64-bit fields for the hash's 32-bit words, 128-bit fields for Philox's
+64-bit lanes, so one big-integer multiply makes every stream's full product
+and masks reduce it.  A larger batch runs on numpy arrays, whose cost is
+mostly a fixed cost per numpy call; Philox's rounds there run in place on
+a few work buffers made once per call, with counter words c1 and c3 folded
+into the low products they keep.  The batch sizes that switch kernels,
+:data:`_PACKED_MAX_HASH` (65 rows) and :data:`_PACKED_MAX_PHILOX` (215
+keys), are where the two took the same time.
+The first draw of a stream is read off that word: a uniform
 by :func:`first_uniforms`, a normal by :func:`first_normals`, which applies
 the fast path of numpy's ziggurat, whose tables are read off the installed
 numpy on first use.
@@ -45,18 +55,34 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 # 3", SC 2011), as numpy runs it: per key lane (c0 with k0, c2 with k1), the
-# round multiplier, its low and high 32-bit halves, the Weyl increment that
-# bumps the key before rounds 2..10, and the low product of the first round
-# on counter (1, 0, 0, 0), which is 1 x multiplier in lane 0 and 0 in lane 1.
-# Every operand is a uint64 array or scalar, never a Python int, so numpy
-# wraps modulo 2**64 and writes through ``out=`` without a casting error
-# under both numpy 1.x value-based promotion and NEP 50.
-_PHILOX_LANES = np.array([[0xD2E7470EE14C6C93, 0xCA5A826395121157],
-                          [0xE14C6C93, 0x95121157],
-                          [0xD2E7470E, 0xCA5A8263],
-                          [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
-                          [0xD2E7470EE14C6C93, 0]], np.uint64)
+# round multiplier and the Weyl increment that bumps the key before rounds
+# 2..10.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# The array kernel's lanes: the multiplier, its low and high 32-bit halves,
+# the Weyl increment, and the low product of the first round on counter
+# (1, 0, 0, 0), which is 1 x multiplier in lane 0 and 0 in lane 1.  Every
+# operand is a uint64 array or scalar, never a Python int, so numpy wraps
+# modulo 2**64 and writes through ``out=`` without a casting error under
+# both numpy 1.x value-based promotion and NEP 50.
+_PHILOX_LANES = np.array([_PHILOX_M,
+                          [m & _MASK32 for m in _PHILOX_M],
+                          [m >> 32 for m in _PHILOX_M],
+                          _PHILOX_WEYL,
+                          [_PHILOX_M[0], 0]], np.uint64)
 _LO32, _32, _16 = np.uint64(_MASK32), np.uint64(32), np.uint32(16)
+
+# The largest batches that run on packed Python integers; larger ones run on
+# numpy arrays, whose cost is mostly a fixed cost per numpy call, where the
+# packed kernels' grows with every key.  Each is the batch size at which the
+# two kernels took the same time (best of 41 alternating rounds of 40 calls,
+# in three processes, on a 2-CPU x86-64 VM with Python 3.11 and numpy 2.4):
+# Philox at 215 keys (0.96x the array kernel's time at 200, 1.01x at 220),
+# and the hash at 65 rows with a two-word seed, as derived seeds have
+# (0.95x at 60, 1.00x at 65, 1.05x at 75; about the same with a one-word
+# seed).
+_PACKED_MAX_PHILOX = 215
+_PACKED_MAX_HASH = 65
 
 _LAYER, _SIGN, _RABS, _MASK52 = np.uint64(0xFF), np.uint64(8), np.uint64(9), np.uint64(2**52 - 1)
 
@@ -116,8 +142,12 @@ def word_keys(seed: int, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Row k of the uint32 array ``words`` holds the words of stream k's parts,
     which follow the seed's, and ``lengths[k]`` says how many it uses; the
     rest must be zero.  SeedSequence's entropy mixing and
-    ``generate_state(2, uint64)`` run once for all rows, on a (4, rows)
-    pool.
+    ``generate_state(2, uint64)`` run once for all rows, on a pool of four
+    words per row: packed into Python integers for batches of up to
+    :data:`_PACKED_MAX_HASH` rows (:func:`_packed_word_keys`), and as a
+    (4, rows) uint32 array above that (:func:`_array_word_keys`); 65 rows
+    is where the two took the same time.  Both give every key bit for bit.
+    The words are never written, and the keys are a fresh array.
     """
     head = _words(seed & _MASK64)
     lengths = np.asarray(lengths) + len(head)
@@ -127,27 +157,133 @@ def word_keys(seed: int, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     entropy[len(head):len(head) + words.shape[1]] = words.T
 
     const = _constants(_INIT_A, _MULT_A, _POOL_SIZE * width + _POOL_SIZE * (_POOL_SIZE - 1))
+    if len(words) <= _PACKED_MAX_HASH:
+        return _packed_word_keys(entropy, lengths, const)
+    return _array_word_keys(entropy, lengths, const)
+
+
+def _array_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """:func:`word_keys` on a (4, rows) uint32 pool: each hash step is one
+    numpy call over every row and, in the pool's own mixing, over the
+    three words that one source word mixes into."""
     pool = _hashmix(entropy[:_POOL_SIZE], const[:_POOL_SIZE + 1])
     used = _POOL_SIZE
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], const[used:used + len(dst) + 1]))
         used += len(dst)
-    for src in range(_POOL_SIZE, width):                     # words past the pool
+    for src in range(_POOL_SIZE, len(entropy)):              # words past the pool
         mixed = _mix(pool, _hashmix(entropy[src], const[used:used + _POOL_SIZE + 1]))
         pool = np.where(src < lengths, mixed, pool)
         used += _POOL_SIZE
 
     state = _hashmix(pool, _constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
-    keys = np.empty((len(words), 2), np.uint64)
+    keys = np.empty((entropy.shape[1], 2), np.uint64)
     keys[:, 0] = state[0] | state[1] << np.uint64(32)
     keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
+def _packed_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """:func:`word_keys` on Python integers, one per pool or entropy word,
+    each holding the word of row k in bits 64k..64k + 31.
+
+    A product of two 32-bit words stays inside its 64-bit field, so one
+    big-integer multiply runs a hash step on every row, and masking the low
+    32 bits of every field reduces each result modulo 2**32.  The mix's
+    ``L*x - R*y`` is computed as ``2**63 - ((2**32 - L)*x + R*y)``, which
+    is congruent to it modulo 2**32 and positive in every field, so no
+    field borrows from the next.  A row that ends before an entropy word
+    past the pool keeps its pool through that word's mixing.
+    """
+    rows, width = entropy.shape[1], len(entropy)
+    used_by = (np.arange(_POOL_SIZE, width)[:, None] < lengths) * np.uint32(_MASK32)   # per word past the pool
+    words = np.concatenate([entropy, used_by]).astype("<u8")                        # explicit byte order
+    fields = [int.from_bytes(w.tobytes(), "little") for w in words]
+    ones = int.from_bytes((b"\1" + bytes(7)) * rows, "little")
+    low, bias = ones * _MASK32, ones << 63
+    mult_l, mult_r = (1 << 32) - int(_MIX_MULT_L), int(_MIX_MULT_R)
+
+    def hashmix(value: int, c: list[int], k: int) -> int:
+        value = (value ^ c[k] * ones) * c[k + 1] & low
+        return (value ^ value >> 16) & low
+
+    def mix(x: int, y: int) -> int:
+        result = bias - (mult_l * x + mult_r * y) & low
+        return (result ^ result >> 16) & low
+
+    c = const[:, 0].tolist()
+    pool = [hashmix(fields[i], c, i) for i in range(_POOL_SIZE)]
+    used = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], c, used))
+                used += 1
+    for src in range(_POOL_SIZE, width):                     # words past the pool
+        keep = fields[width + src - _POOL_SIZE]
+        for dst in range(_POOL_SIZE):
+            pool[dst] ^= (mix(pool[dst], hashmix(fields[src], c, used)) ^ pool[dst]) & keep
+            used += 1
+
+    c = _constants(_INIT_B, _MULT_B, _POOL_SIZE)[:, 0].tolist()
+    state = [hashmix(pool[i], c, i) for i in range(_POOL_SIZE)]
+    keys = np.empty((rows, 2), np.uint64)
+    keys[:, 0] = np.frombuffer((state[0] | state[1] << 32).to_bytes(8 * rows, "little"), "<u8")
+    keys[:, 1] = np.frombuffer((state[2] | state[3] << 32).to_bytes(8 * rows, "little"), "<u8")
     return keys
 
 
 def first_words(keys: np.ndarray) -> np.ndarray:
     """Word 0 of Philox4x64-10 at counter (1, 0, 0, 0) for every key row:
     the first 64-bit word that ``Philox(key=k)`` hands out.
+
+    Batches of up to :data:`_PACKED_MAX_PHILOX` keys run on packed Python
+    integers (:func:`_packed_first_words`), larger ones on numpy arrays
+    (:func:`_array_first_words`); 215 keys is where the two took the same
+    time.  Both give every word bit for bit.  The caller's keys, which
+    :func:`first_normals` reads again, are never written, and the words
+    returned are a fresh array that shares no buffer with another call.
+    """
+    if len(keys) <= _PACKED_MAX_PHILOX:
+        return _packed_first_words(keys)
+    return _array_first_words(keys)
+
+
+def _packed_first_words(keys: np.ndarray) -> np.ndarray:
+    """:func:`first_words` on Python integers, one per key lane, each
+    holding the key word of row k in bits 128k..128k + 63.
+
+    A product of two 64-bit words stays inside its 128-bit field, so one
+    big-integer multiply gives every row's round product, its high word a
+    shift away.  A round keeps its whole products: their low words are the
+    counter words c1 and c3 that the next round reads, and what lies above
+    them is masked off with the rest when the new ``[c0, c2]`` are.  The
+    key lanes are bumped without a mask, since nine Weyl increments add
+    less than 2**68 to a field.
+    """
+    n = len(keys)
+    lanes = np.zeros((2, n, 2), "<u8")              # explicit byte order, key word in a field's low half
+    lanes[:, :, 0] = keys.T
+    raw = lanes.tobytes()
+    a0, a1 = int.from_bytes(raw[:16 * n], "little"), int.from_bytes(raw[16 * n:], "little")
+    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
+    low = ones * _MASK64
+    (m0, m1), (w0, w1) = _PHILOX_M, (ones * w for w in _PHILOX_WEYL)
+    k0, k1 = a0, a1                                 # [c0, c2] = [k0, k1] after round 1
+    p0, p1 = ones * m0, 0                           # and c3 = lo0 = m0, c1 = lo1 = 0
+    for _ in range(9):
+        k0 += w0
+        k1 += w1
+        q0, q1 = a0 * m0, a1 * m1
+        a0 = (q1 >> 64 ^ p1 ^ k0) & low             # c0 = hi1 ^ c1 ^ k0
+        a1 = (q0 >> 64 ^ p0 ^ k1) & low             # c2 = hi0 ^ c3 ^ k1
+        p0, p1 = q0, q1
+    return np.frombuffer(a0.to_bytes(16 * n, "little"), "<u8")[::2].astype(np.uint64)
+
+
+def _array_first_words(keys: np.ndarray) -> np.ndarray:
+    """:func:`first_words` on numpy arrays.
 
     The two lanes of every key are laid side by side in one 1-D array,
     ``[lane 0 | lane 1]``, and the rounds run in place: every ufunc writes
@@ -157,9 +293,7 @@ def first_words(keys: np.ndarray) -> np.ndarray:
     they are its low products with the lanes swapped, so the next round's
     ``[c0 | c2]`` is ``swap(hi ^ lo_prev) ^ key``.  The keys are copied
     first (``flatten`` always copies, where ``ravel`` returns a view of a
-    one-row or Fortran-ordered array), so the caller's keys, which
-    :func:`first_normals` reads again, are never written; the words
-    returned are a fresh array that shares no buffer with another call.
+    one-row or Fortran-ordered array).
     """
     n = len(keys)
     m, m_lo, m_hi, weyl, lo = np.repeat(_PHILOX_LANES, n, axis=1)

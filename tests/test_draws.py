@@ -1,12 +1,14 @@
 """Batched random draws against the per-draw reference.
 
 The simulator derives all stream keys of a scenario in one batch, with
-SeedSequence's hash run on arrays, makes the first word of every stream with
-a vectorized Philox4x64-10, and reads the uniform and normal draws off those
-words, the normals through the fast path of numpy's ziggurat.  These tests
-hold it to the numbers that building one SeedSequence and Philox per draw
-gives, pin the ziggurat tables to the installed numpy, and check that
-sharing the draws, and the solves each round keeps on them, across policies
+SeedSequence's hash run on all rows together, makes the first word of every
+stream with one Philox4x64-10 pass, and reads the uniform and normal draws
+off those words, the normals through the fast path of numpy's ziggurat.
+The hash and the Philox pass each run on packed Python integers for small
+batches and on numpy arrays for large ones.  These tests hold both kernels
+to the numbers that building one SeedSequence and Philox per draw gives,
+pin the ziggurat tables to the installed numpy, and check that sharing the
+draws, and the solves each round keeps on them, across policies
 and slot sizes changes no result and does each distinct round's work once.
 """
 
@@ -192,15 +194,23 @@ def _spelled(rows):
 
 
 def test_stream_keys_match_seed_sequence():
+    """Every row's key is SeedSequence's, alone, in a batch small enough for
+    the packed kernel and in the rows repeated past it, with the words
+    read-only and the keys a fresh array."""
     counts = {_word_count(seed, parts) for seed in SEEDS for parts in ROWS}
     assert set(range(1, 9)) <= counts        # below, at and above the pool of four words
+    padded = ROWS * (streams._PACKED_MAX_HASH // len(ROWS) + 1)
+    assert len(ROWS) <= streams._PACKED_MAX_HASH < len(padded)
     for seed in SEEDS:
-        batch = word_keys(seed, *_spelled(ROWS))   # rows of every length in one batch
-        assert batch.dtype == np.uint64 and batch.shape == (len(ROWS), 2)
-        for parts, key in zip(ROWS, batch):
-            want = _oracle_key(seed, parts)
-            assert np.array_equal(key, want), (seed, parts)
-            assert np.array_equal(word_keys(seed, *_spelled([parts]))[0], want), (seed, parts)
+        want = [_oracle_key(seed, parts) for parts in ROWS]
+        for rows in (ROWS, padded):             # rows of every length in one batch
+            words, lengths = _spelled(rows)
+            words.flags.writeable = False
+            batch = word_keys(seed, words, lengths)
+            assert batch.dtype == np.uint64 and batch.shape == (len(rows), 2) and batch.flags.writeable
+            assert [key.tolist() for key in batch] == [key.tolist() for key in want] * (len(rows) // len(ROWS)), seed
+        for parts, key in zip(ROWS, want):
+            assert np.array_equal(word_keys(seed, *_spelled([parts]))[0], key), (seed, parts)
     assert word_keys(5, *_spelled([])).shape == (0, 2)
 
 
@@ -239,13 +249,15 @@ def test_first_uniforms_match_philox():
 
 
 def test_first_words_match_reference_across_sizes():
-    """The in-place pass gives, bit for bit, the words of the reference that
+    """Both kernels give, bit for bit, the words of the reference that
     builds fresh arrays in every round, on the carry-edge keys and on random
-    keys of every size from 0 to 40 rows, each size run twice in turn."""
+    keys of every size from 0 to twice the packed kernel's largest batch,
+    each size run twice in turn, and on one batch of 2,351 keys."""
     edge = np.array(EDGE_KEYS, np.uint64)
     assert np.array_equal(first_words(edge), support.reference_first_words(edge))
     rng = np.random.default_rng(41)
-    for size in [*range(41), *range(41)]:
+    sizes = range(2 * streams._PACKED_MAX_PHILOX + 1)
+    for size in [*sizes, *sizes, 2351]:
         keys = rng.integers(0, 2**64, size=(size, 2), dtype=np.uint64)
         words = first_words(keys)
         assert words.dtype == np.uint64 and words.shape == (size,)
@@ -257,17 +269,21 @@ def test_first_words_match_reference_across_sizes():
 def test_first_words_leaves_keys_alone(layout, writeable):
     """``first_words`` never writes into its keys, whose flattened lanes
     are a view for a one-row or Fortran-ordered array, and its words
-    share no buffer with a later call on as many keys."""
-    base = np.random.default_rng(43).integers(0, 2**64, size=(12, 2), dtype=np.uint64)
-    keys = {"one-row": base[3:4], "fortran": np.asfortranarray(base[:6]), "strided": base[::2]}[layout]
-    keys.flags.writeable = writeable
-    before = keys.tobytes()
-    words = first_words(keys)
-    assert keys.tobytes() == before
-    assert words.tolist() == [int(np.random.Philox(key=k).random_raw()) for k in keys]
-    kept = words.copy()
-    first_words(base[6:6 + len(keys)])
-    assert np.array_equal(words, kept)
+    share no buffer with a later call on as many keys.  Fortran-ordered
+    and strided keys are checked on both kernels, one-row keys on the
+    packed one, the only one that takes them."""
+    for rows in [1] if layout == "one-row" else [6, streams._PACKED_MAX_PHILOX + 1]:
+        base = np.random.default_rng(43).integers(0, 2**64, size=(2 * rows + 4, 2), dtype=np.uint64)
+        keys = {"one-row": base[3:4], "fortran": np.asfortranarray(base[:rows]), "strided": base[::2][:rows]}[layout]
+        keys.flags.writeable = writeable
+        before = keys.tobytes()
+        words = first_words(keys)
+        assert keys.tobytes() == before
+        assert words.flags.writeable
+        assert words.tolist() == [int(np.random.Philox(key=k).random_raw()) for k in keys]
+        kept = words.copy()
+        first_words(base[rows + 1:rows + 1 + len(keys)])
+        assert np.array_equal(words, kept)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 0.1), (0.05, 0.3), (0.25, 0.25), (0.0, 0.0), (0.3, 0.9999999)])
@@ -490,6 +506,26 @@ def _crowd1_doc():
     with an elected GO."""
     doc = _crowd48_doc()
     return {**doc, "nodes": [{**n, "join_s": 0.0, "leave_s": 30.0} for n in doc["nodes"]]}
+
+
+@pytest.mark.parametrize("doc, keys, kernels", [
+    (SCENARIOS["table1"], 41, ["_packed_word_keys", "_packed_first_words"]),
+    (_crowd1_doc(), 2351, ["_array_word_keys", "_array_first_words"]),
+], ids=["table1", "crowd1"])
+def test_batch_size_picks_the_kernels(monkeypatch, doc, keys, kernels):
+    """A noisy table1 draws 5 PCD, 6 loss and 30 rx keys, few enough for
+    both packed kernels; a 48-member crowd draws 47 + 48 + 2,256, which
+    run on arrays."""
+    ran = []
+    for name in ("_packed_word_keys", "_array_word_keys", "_packed_first_words", "_array_first_words"):
+        kernel = getattr(streams, name)
+        monkeypatch.setattr(streams, name, lambda *args, name=name, kernel=kernel: ran.append(name) or kernel(*args))
+    sizes = []
+    philox = simulate.first_words
+    monkeypatch.setattr(simulate, "first_words", lambda k: sizes.append(len(k)) or philox(k))
+    _assert_draws_match(scenario_from_dict(doc))
+    assert sizes == [keys]
+    assert ran == kernels
 
 
 @pytest.mark.parametrize("doc, per_round", [
