@@ -12,7 +12,6 @@ from .bargaining import (
     eql_allocate,
     gnbs_allocate,
     kkt_residuals,
-    log_nash_welfare,
     nash_product,
     oracle_allocate,
     wpf_aggregate,

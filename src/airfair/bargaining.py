@@ -53,14 +53,14 @@ finite value.  The level curves, the KKT certificate and the metrics are
 vector expressions over the bargaining players' columns, each kind's
 formula indexed by those positions.  The certificate evaluates each
 utility's value and derivative that way, never through the solver's
-inversions, so it does not certify itself.  The Nash product and the log
-welfare remain left-to-right folds of scalar ``math.pow`` and ``math.log``:
-numpy's array power and log kernels round some inputs differently from libm
-on some CPUs (AVX-512), which would move reported numbers.  Sums that reach
-reported numbers, and every sum of channel seconds (the demand and an
-allocation's spend, so a saturated one spends the demand to the bit), add
-left to right too (:func:`left_sum`), since ``sum()`` over floats is
-compensated from Python 3.12 on and ``np.sum`` adds pairwise.
+inversions, so it does not certify itself.  The Nash product remains a
+left-to-right fold of scalar ``math.pow``: numpy's array power kernel rounds
+some inputs differently from libm on some CPUs (AVX-512), which would move
+reported numbers.  Sums that reach reported numbers, and every sum of
+channel seconds (the demand and an allocation's spend, so a saturated one
+spends the demand to the bit), add left to right too (:func:`left_sum`),
+since ``sum()`` over floats is compensated from Python 3.12 on and
+``np.sum`` adds pairwise.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ __all__ = [
     "wtd_allocate",
     "oracle_allocate",
     "nash_product",
-    "log_nash_welfare",
     "wpf_aggregate",
     "kkt_residuals",
     "dissemination_rate",
@@ -1013,18 +1012,6 @@ def nash_product(problem: BargainingProblem, allocation: Allocation) -> float:
     for gain, alpha in zip(gains.tolist(), problem._active.alpha.tolist()):
         prod *= math.pow(gain, alpha)
     return prod
-
-
-def log_nash_welfare(problem: BargainingProblem, allocation: Allocation) -> float:
-    """Log of :func:`nash_product`; -inf at or below the disagreement point.
-    A left-to-right sum of scalar ``math.log`` terms, like the product."""
-    gains = _gains(problem, allocation.broadcast_time[problem._active.index])
-    if np.count_nonzero(gains <= 0):
-        return -math.inf
-    total = 0.0
-    for gain, alpha in zip(gains.tolist(), problem._active.alpha.tolist()):
-        total += alpha * math.log(gain)
-    return total
 
 
 def wpf_aggregate(problem: BargainingProblem, gnbs_alloc: Allocation,

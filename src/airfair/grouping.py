@@ -85,12 +85,6 @@ class ContactTable:
     def member_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.entries)
 
-    def entry_for(self, node_id: str) -> ContactEntry:
-        for e in self.entries:
-            if e.id == node_id:
-                return e
-        raise KeyError(node_id)
-
 
 @dataclass(frozen=True)
 class Join:
@@ -129,26 +123,20 @@ def update_contact_table(table: ContactTable, event) -> ContactTable:
 
 
 class ConnectivityGraph:
-    """Undirected reachability between nodes (symmetric, no self loops)."""
+    """Undirected reachability between nodes (symmetric, no self loops).
+
+    Raises ValueError at the first edge that names a node not in ``nodes``
+    or joins a node to itself, checked in that order."""
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        self.nodes = set(nodes)
-        self.adjacency: dict[str, set[str]] = {n: set() for n in self.nodes}
+        self.adjacency: dict[str, set[str]] = {n: set() for n in nodes}
         for a, b in edges:
-            self.add_edge(a, b)
-
-    def add_edge(self, a: str, b: str) -> None:
-        if a == b:
-            raise ValueError("self loops are not allowed")
-        if not {a, b} <= self.nodes:
-            raise ValueError(f"edge ({a}, {b}) names a node that is not in the graph")
-        self.adjacency[a].add(b)
-        self.adjacency[b].add(a)
-
-    @classmethod
-    def complete(cls, nodes: Iterable[str]) -> "ConnectivityGraph":
-        nodes = list(nodes)
-        return cls(nodes, [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
+            if a not in self.adjacency or b not in self.adjacency:
+                raise ValueError(f"connectivity edge ({a!r}, {b!r}) names unknown nodes")
+            if a == b:
+                raise ValueError(f"connectivity edge ({a!r}, {b!r}) is a self loop")
+            self.adjacency[a].add(b)
+            self.adjacency[b].add(a)
 
     def reaches_all(self, node: str, members: Iterable[str]) -> bool:
         others = set(members) - {node}
@@ -232,10 +220,6 @@ class SlotEntry:
     kind: str            # "upload" or "broadcast"
     start: float
     duration: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
 
 
 @dataclass(frozen=True, eq=False)

@@ -222,11 +222,7 @@ class Scenario:
             raise ValueError("alpha weights overflow once the GO's is scaled by go_alpha_factor and summed")
         if self.connectivity != "complete":
             object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
-            for a, b in self.connectivity:
-                if a not in ids or b not in ids:
-                    raise ValueError(f"connectivity edge ({a!r}, {b!r}) names unknown nodes")
-                if a == b:
-                    raise ValueError(f"connectivity edge ({a!r}, {b!r}) is a self loop")
+            ConnectivityGraph(ids, self.connectivity)     # raises at an edge it rejects
 
 
 @dataclass(eq=False)

@@ -90,10 +90,9 @@ def reference_select_roles(tables, graph) -> dict[str, str]:
         for other, table in tables.items():
             if other == m:
                 continue
-            try:
-                return table.entry_for(m).data_size
-            except KeyError:
-                continue
+            for e in table.entries:
+                if e.id == m:
+                    return e.data_size
         return 0.0
 
     go = elect_go(members, [load_of(m) for m in members], [graph.reaches_all(m, members) for m in members])
@@ -412,18 +411,6 @@ def reference_nash_product(problem, allocation) -> float:
             return 0.0
         prod *= gain ** problem.alphas[i]
     return float(prod)
-
-
-def reference_log_nash_welfare(problem, allocation) -> float:
-    total = 0.0
-    x = allocation.broadcast_time
-    for i in problem.active:
-        u = problem.utilities[i]
-        gain = float(u.value(x[i]) - u.value(problem.disagreements[i]))
-        if gain <= 0:
-            return -math.inf
-        total += problem.alphas[i] * math.log(gain)
-    return float(total)
 
 
 def reference_wpf_aggregate(problem, gnbs_alloc, other_alloc) -> float:

@@ -12,7 +12,6 @@ from airfair.bargaining import (
     eql_allocate,
     gnbs_allocate,
     kkt_residuals,
-    log_nash_welfare,
     nash_product,
     sample_feasible,
     weighted_airtime,
@@ -33,14 +32,8 @@ def test_policy_ordering_on_table1(table1):
     assert nash_product(table1, eql_allocate(table1)) > nash_product(table1, wtd_allocate(table1))
 
 
-def test_log_welfare_matches_product(table1):
-    alloc, _ = gnbs_allocate(table1)
-    assert math.exp(log_nash_welfare(table1, alloc)) == pytest.approx(nash_product(table1, alloc), rel=1e-9)
-
-
-def test_log_welfare_sentinel_at_disagreement(table1):
+def test_product_is_zero_at_disagreement(table1):
     zero = Allocation(np.zeros(6), np.zeros(6), saturated=False)
-    assert log_nash_welfare(table1, zero) == -math.inf
     assert nash_product(table1, zero) == 0.0
 
 
@@ -148,8 +141,6 @@ def test_metrics_match_player_by_player_references_bit_for_bit():
             allocs = support.probe_allocations(prob, rng)
             for alloc in allocs:
                 assert _outcome(nash_product, prob, alloc) == _outcome(support.reference_nash_product, prob, alloc)
-                assert (_outcome(log_nash_welfare, prob, alloc)
-                        == _outcome(support.reference_log_nash_welfare, prob, alloc))
                 for base in (allocs[0], allocs[-1]):
                     got = _outcome(wpf_aggregate, prob, base, alloc)
                     assert got == _outcome(support.reference_wpf_aggregate, prob, base, alloc)
@@ -158,11 +149,10 @@ def test_metrics_match_player_by_player_references_bit_for_bit():
     assert seen == {"value", "DomainError", "zero", "positive"}
 
 
-def test_product_and_log_welfare_use_scalar_libm():
+def test_product_uses_scalar_libm():
     """Two players, the second with a gain of exactly 1: the product is
-    pow(gain, alpha) and the log welfare alpha * log(gain), as libm's scalar
-    ``pow`` and ``log`` round them (numpy's array kernels may round some
-    inputs differently)."""
+    pow(gain, alpha), as libm's scalar ``pow`` rounds it (numpy's array
+    kernel may round some inputs differently)."""
     unit = Utility.normalized_linear(1.0)
     ps = [Player(id="go", data_size=1e3, role=ROLE_GO, alpha=2.0, utility=unit),
           Player(id="c", data_size=1e3, upload_rate=10.0, utility=unit)]
@@ -173,7 +163,6 @@ def test_product_and_log_welfare_use_scalar_libm():
         x = np.array([gain, 1.0])
         alloc = Allocation(x, prob.betas * x)
         assert nash_product(prob, alloc).hex() == math.pow(gain, alpha).hex()
-        assert log_nash_welfare(prob, alloc).hex() == (alpha * math.log(gain)).hex()
 
 
 def test_rank_correlation_gives_ties_their_mean_rank():

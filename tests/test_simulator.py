@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import math
 import re
@@ -630,6 +631,24 @@ def test_names_perfbench_wraps_exist():
     missing = [f"{module}.{name}" for module, name in targets
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_public_names_resolve_and_the_package_reexports_only_them():
+    """Every name in an ``airfair`` module's ``__all__`` resolves, and every
+    name ``airfair/__init__.py`` imports is in its module's ``__all__``, so
+    deleting a function leaves no dangling entry or export behind."""
+    package = Path(simulate.__file__).parent
+    modules = {p.stem: importlib.import_module(f"airfair.{p.stem}")
+               for p in package.glob("*.py") if p.stem not in ("__init__", "__main__")}
+    assert {"bargaining", "grouping", "scenario_io", "simulate", "streams"} <= {
+        name for name, module in modules.items() if hasattr(module, "__all__")}
+    missing = [f"{name}.{n}" for name, module in modules.items() for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []
+    imported = [(node.module, alias.name) for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert len(imported) > 20
+    assert [f"{m}.{n}" for m, n in imported if n not in getattr(modules[m], "__all__", ())] == []
 
 
 def test_runs_unchanged_with_module_names_wrapped(monkeypatch):
