@@ -268,6 +268,8 @@ class BargainingProblem:
     strictly beats every active player's disagreement outcome.  ``players``
     and ``utilities`` are views built on first use.  The column arrays are
     read-only, since the level curves are derived from them once.
+    :meth:`with_channel` gives the same players under another airtime budget
+    and other upload rates, sharing every column that neither decides.
     """
 
     ids: tuple[str, ...]
@@ -304,18 +306,16 @@ class BargainingProblem:
                     if any(u is not None and math.isnan(u.coeff) for u in utilities):
                         raise ValueError("utility coefficient must be positive")
         self.ids = tuple(ids) if ids is not None else ()
-        self.airtime = airtime
         self.broadcast_rate = broadcast_rate
         n = len(self.ids)
         if not n:
             raise ValueError("need at least one player")
-        if not (airtime > 0):
-            raise ValueError("airtime must be > 0")
+        _check_airtime(airtime)
         if not (broadcast_rate > 0):
             raise ValueError("broadcast_rate must be > 0")
 
         self.data_sizes = data = np.array(data_sizes, dtype=float)
-        self.upload_rates = upload = np.array(upload_rates, dtype=float)
+        upload = np.array(upload_rates, dtype=float)
         self.raw_alphas = raw = np.array(raw_alphas, dtype=float)
         if np.count_nonzero(~(data >= 0)):     # NaN fails these checks too
             raise ValueError("data_size must be >= 0")
@@ -333,10 +333,7 @@ class BargainingProblem:
         self.go = g = operator.index(gos[0])
         if not 0 <= g < n:
             raise ValueError(f"GO index {g} outside 0..{n - 1}")
-        relayed = upload.copy()
-        relayed[g] = math.inf       # the GO uploads nothing
-        if np.count_nonzero(relayed > 0) != n:
-            raise ValueError("clients need upload_rate > 0")
+        betas = _relay_overheads(broadcast_rate, upload, g, n)
         if len(set(self.ids)) != n:
             raise ValueError("duplicate player ids")
 
@@ -345,8 +342,6 @@ class BargainingProblem:
         if not math.isfinite(total):
             raise ValueError("alpha weights must sum to a finite value")
         self.alphas = raw / total
-        self.betas = broadcast_rate / relayed
-        self.betas[g] = 0.0
         self.caps = caps = data / broadcast_rate
         self.coeffs = np.empty(n)
         if kinds is None and coeffs is None:
@@ -365,20 +360,47 @@ class BargainingProblem:
             log, power = (kind == _U_LOG).nonzero()[0], (kind == _U_POWER).nonzero()[0]
         linear = not (len(log) or len(power))
         if len(idx) == n:       # no copies when every player bargains
-            self._active = _Active(idx, self.alphas, 1.0 + self.betas, caps, d, coeff, log, power, linear)
+            active = _Active(idx, self.alphas, None, caps, d, coeff, log, power, linear)
         else:
-            self._active = _Active(idx, self.alphas[idx], 1.0 + self.betas[idx], caps[idx], d[idx],
-                                   coeff[idx], log, power, linear)
-        disagreeing = np.count_nonzero(d)
-        if disagreeing:
-            self._validate_feasibility()
-        if len(log):
-            self._check_log_levels()
+            active = _Active(idx, self.alphas[idx], None, caps[idx], d[idx], coeff[idx], log, power, linear)
+        self._set_channel(airtime, upload, betas, active)
         # utility values at the disagreement points (None when every d is
         # zero: every utility is zero there, so a gain is the value itself)
-        self._base_values = _utility_values(self._active, self._active.d) if disagreeing else None
-        for column in (data, upload, raw, d, self.kinds, self.coeffs, self.alphas, self.betas, caps):
+        self._base_values = _utility_values(active, active.d) if np.count_nonzero(d) else None
+        for column in (data, raw, d, self.kinds, self.coeffs, self.alphas, caps):
             column.setflags(write=False)
+
+    def _set_channel(self, airtime: float, upload: np.ndarray, betas: np.ndarray, active: _Active) -> None:
+        """Set what the channel decides, the airtime budget, the upload rates
+        and the relay overheads, and the bargaining players' columns with
+        their channel seconds per broadcast second, 1 + beta; then check what
+        these decide: the disagreement outcomes against the budget and the
+        log-shifted levels at the cap."""
+        self.airtime, self.upload_rates, self.betas = airtime, upload, betas
+        weight = 1.0 + betas if len(active.index) == len(self.ids) else 1.0 + betas[active.index]
+        self._active = active._replace(weight=weight)
+        if np.count_nonzero(self.disagreements):
+            self._validate_feasibility()
+        if len(active.log):
+            self._check_log_levels()
+        upload.setflags(write=False)
+        betas.setflags(write=False)
+
+    def with_channel(self, airtime: float, upload_rates) -> "BargainingProblem":
+        """The problem the constructor builds from these columns with
+        ``airtime`` and ``upload_rates`` in place of this one's: the same
+        players, loads, weights and utilities.  Only the two new values are
+        checked, with the constructor's messages, and only what they decide
+        is derived again."""
+        _check_airtime(airtime)
+        upload = np.array(upload_rates, dtype=float)
+        betas = _relay_overheads(self.broadcast_rate, upload, self.go, len(self.ids))
+        other = object.__new__(BargainingProblem)
+        for name in ("ids", "broadcast_rate", "data_sizes", "raw_alphas", "go", "disagreements",
+                     "kinds", "coeffs", "alphas", "caps", "_base_values"):
+            setattr(other, name, getattr(self, name))
+        other._set_channel(airtime, upload, betas, self._active)
+        return other
 
     def _validate_feasibility(self):
         act = self._active
@@ -451,6 +473,24 @@ class BargainingProblem:
         """Every active queue fits in the window: the demand is within the
         airtime budget, up to a relative 1e-12."""
         return self.demand <= self.airtime * (1.0 + _REL_SLACK)
+
+
+def _check_airtime(airtime: float) -> None:
+    if not (airtime > 0):
+        raise ValueError("airtime must be > 0")
+
+
+def _relay_overheads(broadcast_rate: float, upload: np.ndarray, g: int, n: int) -> np.ndarray:
+    """Each of the ``n`` players' relay overhead: broadcast_rate /
+    upload_rate for a client, whose upload rate must be positive, and 0 for
+    the GO ``g``, whatever its upload rate."""
+    relayed = upload.copy()
+    relayed[g] = math.inf       # the GO uploads nothing
+    if np.count_nonzero(relayed > 0) != n:
+        raise ValueError("clients need upload_rate > 0")
+    betas = broadcast_rate / relayed
+    betas[g] = 0.0
+    return betas
 
 
 def _check_utility_columns(kinds: np.ndarray, coeffs: np.ndarray) -> None:

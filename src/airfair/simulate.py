@@ -36,7 +36,7 @@ All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
 lets paired experiments reuse identical draws.  A scenario's draws are made
 before any round runs: all Philox keys come from one batch that runs
-numpy's SeedSequence hash on arrays, and one vectorized Philox4x64-10 pass
+numpy's SeedSequence hash on all rows together, and one Philox4x64-10 pass
 makes the first word of every key's stream, from which the uniform draws
 and the normal draws are read (see :mod:`airfair.streams`).  Draws
 depend on neither the policy nor the slot size, so policy comparison and
@@ -45,14 +45,19 @@ draws as drawn, a list of member pairs and one estimate per pair.  A round
 whose GO no policy can change, the first round or one with its pinned GO
 present, elects it with the draws and draws only the pairs that hold it,
 the ones its horizon reads; since a stream's key names its draw, skipping
-the others leaves every drawn number as it was.
+the others leaves every drawn number as it was.  For the same reason an
+experiment's repetitions, which never read a report's ``received_mb``,
+leave the receive outcomes, its only input, out of the batch.
 
 The three repeated experiments (:func:`compare_means`,
 :func:`slot_size_sweep`, :func:`repeated_contacts`) are folds over one
 generator of repetitions, :func:`_repetitions`: repetition k reruns the
 scenario at the seed ``derive_seed(seed, *parts, k)``, where the parts name
 the experiment ("compare" and the scenario's index, "sweep", "contact"),
-and every run of a repetition shares its draws.
+and every run of a repetition shares its draws.  A run computes each
+round's wpf aggregate, which the sweep folds, and a round's two Nash
+products, the report's Nash means and ``received_mb`` when first read, so
+each experiment evaluates only the metric it folds.
 
 A round's two bargaining problems, its GNBS reference and each policy's
 allocations depend on its draws, its loads, its GO and the scenario's
@@ -73,7 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -195,6 +200,8 @@ class Scenario:
     connectivity: str | tuple[tuple[str, str], ...] = "complete"
     go: str | None = None
     go_alpha_factor: float = 2.0
+    #: the graph of the given edges, which checks them; None when complete
+    graph: ConnectivityGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -222,19 +229,23 @@ class Scenario:
             raise ValueError("alpha weights overflow once the GO's is scaled by go_alpha_factor and summed")
         if self.connectivity != "complete":
             object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
-            ConnectivityGraph(ids, self.connectivity)     # raises at an edge it rejects
+            # raises at an edge it rejects
+            object.__setattr__(self, "graph", ConnectivityGraph(ids, self.connectivity))
 
 
 @dataclass(eq=False)
 class RoundRecord:
     """What one round of a run did.  Per-member values are arrays in member
-    order: those of the allocation and the problems, and
+    order: those of the allocations and the problems, and
     ``realized_broadcast`` and ``delivered_mb``, which are read-only.
 
     A round is idle when no member has anything queued: it has no schedule,
     realizes and delivers 0, and its three metrics are NaN.  A round that is
     not idle has no schedule either when no member's broadcast share
     exceeds 1e-15 s.  ``kkt`` is gsa's certificate, None for eql and wtd.
+    ``wpf_vs_ideal`` is computed with the round; the two Nash products are
+    computed when first read, since an experiment that folds another metric
+    never reads them.
     """
 
     index: int                          # the round's place among the run's rounds of two or more members
@@ -247,29 +258,76 @@ class RoundRecord:
     problem: BargainingProblem          # estimated durations, loss-adjusted rates
     ideal_problem: BargainingProblem    # true horizon, nominal rates
     allocation: Allocation              # the policy's broadcast and upload seconds for ``problem``
+    ideal_allocation: Allocation        # the policy's allocation of ``ideal_problem``
     kkt: KktReport | None
     schedule: Schedule | None
     realized_broadcast: np.ndarray      # broadcast seconds sent before t_end, capped at the queue
     delivered_mb: np.ndarray            # megabits broadcast in the round
-    nash_realized: float                # Nash product of the realized seconds on ``ideal_problem``
-    nash_ideal: float                   # Nash product of the policy's allocation of ``ideal_problem``
     wpf_vs_ideal: float                 # wpf aggregate of the realized seconds against the GNBS optimum
     idle: bool
+
+    @cached_property
+    def nash_realized(self) -> float:
+        """Nash product of the realized seconds on ``ideal_problem``."""
+        if self.idle:
+            return math.nan
+        return nash_product(self.ideal_problem, _realized(self.ideal_problem, self.realized_broadcast))
+
+    @cached_property
+    def nash_ideal(self) -> float:
+        """Nash product of the policy's allocation of ``ideal_problem``."""
+        return math.nan if self.idle else nash_product(self.ideal_problem, self.ideal_allocation)
 
 
 @dataclass(eq=False)
 class SimulationReport:
     """One policy's run of a scenario.  The three averages are over the
-    rounds that are not idle, and NaN when every round is."""
+    rounds that are not idle, and NaN when every round is.
+
+    ``wpf_aggregate_vs_ideal`` is computed with the run; ``received_mb`` and
+    the two Nash means are computed when first read, from the rounds and
+    the draws they ran on, since an experiment that folds another metric
+    never reads them."""
 
     scenario: Scenario
     policy: str                         # one of POLICIES
     rounds: list[RoundRecord]           # every round of two or more members, in time order
     transmitted_mb: dict[str, float]    # megabits each node broadcast, keyed by node id in scenario order
-    received_mb: dict[str, float]       # megabits each node heard, keyed by node id in scenario order
-    nash_product_realized: float        # mean of the rounds' nash_realized
-    nash_product_ideal: float           # mean of the rounds' nash_ideal
     wpf_aggregate_vs_ideal: float       # mean of the rounds' wpf_vs_ideal
+    _draws: Sequence[_RoundDraws] = field(repr=False, compare=False)    # one per round, read by received_mb
+
+    @cached_property
+    def received_mb(self) -> dict[str, float]:
+        """Megabits each node heard, keyed by node id in scenario order: what
+        each round's receivers heard, ``rx_ok @ delivered_mb``, added in
+        round order."""
+        received = np.zeros(len(self.scenario.nodes))
+        for d, r in zip(self._draws, self.rounds):
+            received[d.at] += d.rx_ok @ r.delivered_mb
+        return dict(zip([n.id for n in self.scenario.nodes], received.tolist()))
+
+    @cached_property
+    def nash_product_realized(self) -> float:
+        """Mean of the rounds' ``nash_realized``."""
+        return _mean([r.nash_realized for r in self.rounds if not r.idle])
+
+    @cached_property
+    def nash_product_ideal(self) -> float:
+        """Mean of the rounds' ``nash_ideal``."""
+        return _mean([r.nash_ideal for r in self.rounds if not r.idle])
+
+
+def _mean(values: list[float]) -> float:
+    """The float ``np.mean`` gives for a list of per-round metrics, NaN for
+    none: their pairwise sum, ``np.add.reduce``, over their count, without
+    ``np.mean``'s fixed cost of several microseconds per call."""
+    return float(np.add.reduce(np.array(values))) / len(values) if values else math.nan
+
+
+def _realized(ideal_problem: BargainingProblem, x: np.ndarray) -> Allocation:
+    """A round's realized broadcast seconds ``x`` as an allocation of its
+    ideal problem: each client uploads what it broadcast."""
+    return Allocation(x, ideal_problem.betas * x, saturated=False)
 
 
 def estimate_pcd(true_duration: float, error_model: PcdErrorModel | None,
@@ -306,7 +364,8 @@ class _RoundDraws:
     any policy runs (a pinned GO that is a member always is), and its random
     draws; and its solves, filled in by the runs on these draws.  A round
     with a fixed GO draws the PCDs of the n - 1 pairs that hold it, the ones
-    its horizon reads, and an open round those of every pair."""
+    its horizon reads, and an open round those of every pair.  Draws made
+    for an experiment's repetitions have no rx outcomes: ``rx_ok`` is None."""
 
     t0: float
     t1: float
@@ -321,7 +380,7 @@ class _RoundDraws:
     pairs: tuple[np.ndarray, np.ndarray]    # (i, j): member indices, i < j, of each drawn pair
     pcd: np.ndarray              # pcd[k]: estimated PCD of the members of pair k
     loss: np.ndarray | None      # loss probability per member
-    rx_ok: np.ndarray            # rx_ok[r, s]: member r receives member s
+    rx_ok: np.ndarray | None     # rx_ok[r, s]: member r receives member s; None if not drawn
     solves: dict[bytes, _RoundSolve] = field(default_factory=dict, init=False)  # by loads.tobytes()
 
     def horizon(self, g: int) -> float:
@@ -362,7 +421,7 @@ def _pairs(size: int, go: int | None) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
+def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
     """The span, members and draws of every round with at least two members.
 
     Each draw comes from its own stream keyed by (seed, purpose, round,
@@ -376,6 +435,12 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     :data:`PCD_FLOOR` the way :func:`estimate_pcd` floors it.  Draws depend
     only on the timeline, the seed and the noise models, not on the policy
     or the slot size.
+
+    The rx outcomes feed only a report's ``received_mb``, which no
+    experiment reads, so ``rx=False`` leaves their n(n - 1) keys per round
+    with loss out of the batch (30 of noisy table1's 41) and sets each
+    round's ``rx_ok`` to None.  Every other stream keeps its key, so every
+    other draw is the same to the bit.
 
     A round's members come in id order, with three read-only columns in
     member order that the runs read instead of the nodes: own data (a
@@ -392,10 +457,7 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
     """
     nodes = scenario.nodes
     events = sorted({t for n in nodes for t in (n.join_s, n.leave_s)})
-    graph = None
-    if scenario.connectivity != "complete":
-        graph = ConnectivityGraph([n.id for n in nodes], scenario.connectivity)
-    model, loss_model = scenario.pcd_error, scenario.loss
+    graph, model, loss_model = scenario.graph, scenario.pcd_error, scenario.loss
     by_id = sorted(range(len(nodes)), key=lambda k: nodes[k].id)
     per_peer = [n.data_mb is None for n in nodes]
     amount = [n.data_mb_per_peer if p else n.data_mb for n, p in zip(nodes, per_peer)]
@@ -422,15 +484,16 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
                 pass
         i, j = pairs = _pairs(len(members), go)
         true = np.minimum(leave[at[i]], leave[at[j]]) - t0      # the true PCDs
-        rx_ok = ~np.eye(len(members), dtype=bool)
+        rx_ok = ~np.eye(len(members), dtype=bool) if rx else None
         if model is not None or loss_model is not None:
             crc = words[at]
             if model is not None:
                 pcd_rows.append(_word_rows(_PCD, r, crc[i], crc[j]))
             if loss_model is not None:
-                receiver, sender = np.nonzero(rx_ok)
                 loss_rows.append(_word_rows(_LOSS, r, crc))
-                rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
+                if rx:
+                    receiver, sender = np.nonzero(rx_ok)
+                    rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
         rounds.append((t0, t1, members, columns, mode, hubs, go, pairs, true, rx_ok))
 
     if pcd_rows or loss_rows:
@@ -457,10 +520,12 @@ def _round_draws(scenario: Scenario) -> list[_RoundDraws]:
         n = len(members)
         pcd = true if model is None else est[p:p + len(true)]
         loss = None if loss_model is None else probs[q:q + n]
-        if loss is not None:    # the rx draws run row by row: receiver, then sender
-            rx_ok[rx_ok] = heard[h:h + n * (n - 1)] >= np.repeat(loss, n - 1)
+        if rx:
+            if loss is not None:    # the rx draws run row by row: receiver, then sender
+                rx_ok[rx_ok] = heard[h:h + n * (n - 1)] >= np.repeat(loss, n - 1)
+            rx_ok.flags.writeable = False
         p, q, h = p + len(true), q + n, h + n * (n - 1)
-        for array in (pcd, rx_ok, *columns):     # shared by every run on them
+        for array in (pcd, *columns):     # shared by every run on them
             array.flags.writeable = False
         out.append(_RoundDraws(t0, t1, members, *columns, mode, hubs, go, pairs, pcd, loss, rx_ok))
     return out
@@ -484,14 +549,15 @@ def _solve_round(scenario: Scenario, d: _RoundDraws, loads: np.ndarray, g: int) 
     :meth:`_RoundDraws.horizon`, and its upload rates lose what the loss
     draw says; the ideal problem has the true round length and the nominal
     rates.  The draws set a unicast pair's rates to inf, and the problem
-    gives the GO a zero relay overhead, so neither uploads."""
+    gives the GO a zero relay overhead, so neither uploads.  The ideal
+    problem is the estimated one on another channel
+    (:meth:`~airfair.bargaining.BargainingProblem.with_channel`)."""
     alphas = d.alpha.copy()
     alphas[g] *= scenario.go_alpha_factor
     upload = d.upload_mbps if d.loss is None else effective_upload_rate(d.upload_mbps, d.loss)
-    columns = dict(broadcast_rate=scenario.broadcast_mbps, ids=d.members, data_sizes=loads,
-                   raw_alphas=alphas, go=g)
-    problem = BargainingProblem(airtime=d.horizon(g), upload_rates=upload, **columns)
-    ideal_problem = BargainingProblem(airtime=d.t1 - d.t0, upload_rates=d.upload_mbps, **columns)
+    problem = BargainingProblem(airtime=d.horizon(g), broadcast_rate=scenario.broadcast_mbps, ids=d.members,
+                                data_sizes=loads, upload_rates=upload, raw_alphas=alphas, go=g)
+    ideal_problem = problem.with_channel(d.t1 - d.t0, d.upload_mbps)
     return _RoundSolve(problem, ideal_problem, _gnbs_solve(ideal_problem)[0], {})
 
 
@@ -537,13 +603,12 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
     """:func:`run_scenario` on the scenario's precomputed round draws, a
     fold of :func:`_round` over them that alone writes the node totals:
     each round's ``delivered_mb`` adds to ``transmitted``, which the next
-    round reads, and after the last round what each round's receivers
-    heard, ``rx_ok @ delivered_mb``, adds to ``received`` in round order.
-    A round's election or schedule error names the round."""
+    round reads.  The report folds what the receivers heard when its
+    ``received_mb`` is read.  A round's election or schedule error names
+    the round."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    ids = [n.id for n in scenario.nodes]
-    transmitted, received = np.zeros(len(ids)), np.zeros(len(ids))
+    transmitted = np.zeros(len(scenario.nodes))
     rounds: list[RoundRecord] = []
     for index, d in enumerate(draws):
         try:
@@ -551,22 +616,13 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         except (NoGoCandidateError, ScheduleError) as e:
             raise type(e)(f"round {index} at {d.t0:g}s: {e}") from e
         transmitted[d.at] += rounds[-1].delivered_mb
-    for d, r in zip(draws, rounds):
-        received[d.at] += d.rx_ok @ r.delivered_mb
-
-    traffic = [(r.nash_realized, r.nash_ideal, r.wpf_vs_ideal) for r in rounds if not r.idle]
-    # one row per metric, so each row's mean adds pairwise as np.mean of its list does
-    nash_real, nash_ideal, wpf = np.mean(list(zip(*traffic)), axis=1).tolist() if traffic else [math.nan] * 3
-
     return SimulationReport(
         scenario=scenario,
         policy=policy,
         rounds=rounds,
-        transmitted_mb=dict(zip(ids, transmitted.tolist())),
-        received_mb=dict(zip(ids, received.tolist())),
-        nash_product_realized=nash_real,
-        nash_product_ideal=nash_ideal,
-        wpf_aggregate_vs_ideal=wpf,
+        transmitted_mb=dict(zip([n.id for n in scenario.nodes], transmitted.tolist())),
+        wpf_aggregate_vs_ideal=_mean([r.wpf_vs_ideal for r in rounds if not r.idle]),
+        _draws=draws,
     )
 
 
@@ -593,7 +649,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
 
     schedule = None
     realized = np.zeros(len(members))
-    nash_real = nash_ideal = wpf = float("nan")
+    wpf = math.nan
     if problem.active:      # else the round is idle
         x = allocation.broadcast_time
         # the cycle order: members are id-sorted, so the clients in id order, the GO last
@@ -603,10 +659,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
             legs = zip([members[k] for k in order], up.tolist(), down.tolist())
             schedule = build_schedule(legs, problem.airtime, t_start=d.t0)
             realized = _replay(schedule, d.t1, order, problem.caps)
-        real_alloc = Allocation(realized, ideal_problem.betas * realized, saturated=False)
-        nash_real = nash_product(ideal_problem, real_alloc)
-        nash_ideal = nash_product(ideal_problem, ideal_alloc)
-        wpf = wpf_aggregate(ideal_problem, solved.reference, real_alloc)
+        wpf = wpf_aggregate(ideal_problem, solved.reference, _realized(ideal_problem, realized))
 
     delivered = realized * rate
     realized.flags.writeable = delivered.flags.writeable = False
@@ -621,12 +674,11 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
         problem=problem,
         ideal_problem=ideal_problem,
         allocation=allocation,
+        ideal_allocation=ideal_alloc,
         kkt=kkt,
         schedule=schedule,
         realized_broadcast=realized,
         delivered_mb=delivered,
-        nash_realized=nash_real,
-        nash_ideal=nash_ideal,
         wpf_vs_ideal=wpf,
         idle=not problem.active,
     )
@@ -635,10 +687,12 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
 def _repetitions(scenario: Scenario, count: int, *parts):
     """The repetitions of an experiment: for each k < ``count``, the
     scenario reseeded with ``derive_seed(scenario.seed, *parts, k)`` and its
-    :func:`_round_draws`, which every run of that repetition shares."""
+    :func:`_round_draws`, which every run of that repetition shares.  The
+    experiments fold a Nash or wpf mean and never a report's
+    ``received_mb``, so the draws have no rx outcomes."""
     for k in range(count):
         run = replace(scenario, seed=derive_seed(scenario.seed, *parts, k))
-        yield run, _round_draws(run)
+        yield run, _round_draws(run, rx=False)
 
 
 def repeated_contacts(scenario: Scenario, n_contacts: int) -> tuple[np.ndarray, float]:

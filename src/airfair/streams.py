@@ -80,7 +80,10 @@ _LO32, _32, _16 = np.uint64(_MASK32), np.uint64(32), np.uint32(16)
 # Philox at 215 keys (0.96x the array kernel's time at 200, 1.01x at 220),
 # and the hash at 65 rows with a two-word seed, as derived seeds have
 # (0.95x at 60, 1.00x at 65, 1.05x at 75; about the same with a one-word
-# seed).
+# seed).  With its constants built once per batch size, the packed hash
+# took 0.82-0.94x its former time at 41-130 rows, and the two hash kernels
+# crossed at 85-100 rows, where the former packed one crossed at 80-90 on
+# the same host; 65 stays, below both.
 _PACKED_MAX_PHILOX = 215
 _PACKED_MAX_HASH = 65
 
@@ -194,44 +197,57 @@ def _packed_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarra
     ``L*x - R*y`` is computed as ``2**63 - ((2**32 - L)*x + R*y)``, which
     is congruent to it modulo 2**32 and positive in every field, so no
     field borrows from the next.  A row that ends before an entropy word
-    past the pool keeps its pool through that word's mixing.
+    past the pool keeps its pool through that word's mixing.  The packed
+    constants depend only on the batch size and the entropy width, so they
+    come from :func:`_packed_constants`.
     """
     rows, width = entropy.shape[1], len(entropy)
     used_by = (np.arange(_POOL_SIZE, width)[:, None] < lengths) * np.uint32(_MASK32)   # per word past the pool
     words = np.concatenate([entropy, used_by]).astype("<u8")                        # explicit byte order
     fields = [int.from_bytes(w.tobytes(), "little") for w in words]
-    ones = int.from_bytes((b"\1" + bytes(7)) * rows, "little")
-    low, bias = ones * _MASK32, ones << 63
+    low, bias, hash_a, hash_b = _packed_constants(rows, len(const) - 1)
     mult_l, mult_r = (1 << 32) - int(_MIX_MULT_L), int(_MIX_MULT_R)
 
-    def hashmix(value: int, c: list[int], k: int) -> int:
-        value = (value ^ c[k] * ones) * c[k + 1] & low
+    def hashmix(value: int, c: tuple[tuple[int, int], ...], k: int) -> int:
+        value = (value ^ c[k][1]) * c[k + 1][0] & low
         return (value ^ value >> 16) & low
 
     def mix(x: int, y: int) -> int:
         result = bias - (mult_l * x + mult_r * y) & low
         return (result ^ result >> 16) & low
 
-    c = const[:, 0].tolist()
-    pool = [hashmix(fields[i], c, i) for i in range(_POOL_SIZE)]
+    pool = [hashmix(fields[i], hash_a, i) for i in range(_POOL_SIZE)]
     used = _POOL_SIZE
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], c, used))
+                pool[dst] = mix(pool[dst], hashmix(pool[src], hash_a, used))
                 used += 1
     for src in range(_POOL_SIZE, width):                     # words past the pool
         keep = fields[width + src - _POOL_SIZE]
         for dst in range(_POOL_SIZE):
-            pool[dst] ^= (mix(pool[dst], hashmix(fields[src], c, used)) ^ pool[dst]) & keep
+            pool[dst] ^= (mix(pool[dst], hashmix(fields[src], hash_a, used)) ^ pool[dst]) & keep
             used += 1
 
-    c = _constants(_INIT_B, _MULT_B, _POOL_SIZE)[:, 0].tolist()
-    state = [hashmix(pool[i], c, i) for i in range(_POOL_SIZE)]
+    state = [hashmix(pool[i], hash_b, i) for i in range(_POOL_SIZE)]
     keys = np.empty((rows, 2), np.uint64)
     keys[:, 0] = np.frombuffer((state[0] | state[1] << 32).to_bytes(8 * rows, "little"), "<u8")
     keys[:, 1] = np.frombuffer((state[2] | state[3] << 32).to_bytes(8 * rows, "little"), "<u8")
     return keys
+
+
+@lru_cache(maxsize=256)      # up to _PACKED_MAX_HASH row counts for each of a few entropy widths
+def _packed_constants(rows: int, uses: int) -> tuple[int, int, tuple, tuple]:
+    """The packed hash's constants for a batch of ``rows`` rows: the mask
+    of every field's low 32 bits, the mix's bias of 2**63 in every field,
+    and for the ``uses`` pool and entropy ``hashmix`` calls, and for the
+    four that make the state, each hash constant as a multiplier and as a
+    word in every field, ``(c, c * ones)``.  Built once per row count and
+    entropy width."""
+    ones = int.from_bytes((b"\1" + bytes(7)) * rows, "little")
+    hash_a, hash_b = (tuple((c, c * ones) for c in _constants(init, mult, n)[:, 0].tolist())
+                    for init, mult, n in ((_INIT_A, _MULT_A, uses), (_INIT_B, _MULT_B, _POOL_SIZE)))
+    return ones * _MASK32, ones << 63, hash_a, hash_b
 
 
 def first_words(keys: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared problem builders for the test suite."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -742,16 +743,24 @@ def float_bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def exact_bits(value):
-    """A report as nested lists, every float spelled exactly."""
+def exact_bits(value, skip=frozenset()):
+    """A report as nested lists, every float spelled exactly.  A dataclass
+    gives its compared fields, then the public values its cached properties
+    compute on first read (a record's Nash products, a report's
+    ``received_mb`` and Nash means), so a value moved from a field to a
+    property is still compared.  Names in ``skip`` are left out, unread."""
     if dataclasses.is_dataclass(value):
-        return [type(value).__name__] + [(f.name, exact_bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+        names = [f.name for f in dataclasses.fields(value) if f.compare]
+        names += [name for name, attr in vars(type(value)).items()
+                  if isinstance(attr, functools.cached_property) and not name.startswith("_")]
+        return [type(value).__name__] + [(name, exact_bits(getattr(value, name), skip))
+                                         for name in names if name not in skip]
     if isinstance(value, np.ndarray):
-        return [value.dtype.str, value.shape, exact_bits(value.tolist())]
+        return [value.dtype.str, value.shape, exact_bits(value.tolist(), skip)]
     if isinstance(value, dict):
-        return [(k, exact_bits(v)) for k, v in value.items()]
+        return [(k, exact_bits(v, skip)) for k, v in value.items()]
     if isinstance(value, (list, tuple)):
-        return [exact_bits(v) for v in value]
+        return [exact_bits(v, skip) for v in value]
     if isinstance(value, float):
         return value.hex()
     return value

@@ -471,16 +471,21 @@ def _drawn_problems():
 @contextmanager
 def _recorded_problems():
     """A list that collects every problem the simulator builds in the
-    ``with`` block."""
+    ``with`` block, those it derives by ``with_channel`` included."""
     built = []
-    build = simulate.BargainingProblem
+    build, derive = simulate.BargainingProblem, BargainingProblem.with_channel
 
     def record(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
+    def derived(problem, *args):
+        built.append(derive(problem, *args))
+        return built[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "BargainingProblem", record)
+        mp.setattr(BargainingProblem, "with_channel", derived)
         yield built
 
 

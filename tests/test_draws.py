@@ -397,8 +397,10 @@ def test_ziggurat_tables_built_once_on_first_use():
     assert json.loads(proc.stdout) == {"random_loaded_by_import": False, "built_on_import": 0, "builds": 1}
 
 
-def _assert_draws_match(scenario):
-    got = _round_draws(scenario)
+def _assert_draws_match(scenario, rx=True):
+    """``_round_draws(scenario, rx=rx)`` against the per-draw reference,
+    draw by draw; without rx, every round's ``rx_ok`` is None."""
+    got = _round_draws(scenario, rx=rx)
     want = support.reference_round_draws(scenario)
     assert len(got) == len(want) > 0
     for r, (d, (t0, t1, members, est, loss, rx_ok)) in enumerate(zip(got, want)):
@@ -421,7 +423,7 @@ def _assert_draws_match(scenario):
         assert (d.loss is None) == (loss is None)
         if loss is not None:
             assert support.float_bits(d.loss) == support.float_bits(loss)
-        assert np.array_equal(d.rx_ok, rx_ok)
+        assert np.array_equal(d.rx_ok, rx_ok) if rx else d.rx_ok is None
     return got
 
 
@@ -526,6 +528,44 @@ def test_batch_size_picks_the_kernels(monkeypatch, doc, keys, kernels):
     _assert_draws_match(scenario_from_dict(doc))
     assert sizes == [keys]
     assert ran == kernels
+
+
+#: every experiment fold on a document, two repetitions each
+FOLDS = {
+    "sweep": lambda scenario: slot_size_sweep(scenario, [0.005, 0.02], repetitions=2),
+    "compare": lambda scenario: list(compare_means([scenario], 2)),
+    "converge": lambda scenario: repeated_contacts(scenario, 2),
+}
+
+
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+@pytest.mark.parametrize("doc, keys, kernels", [
+    (SCENARIOS["table1"], 11, ["_packed_word_keys", "_packed_first_words"]),
+    (_crowd1_doc(), 95, ["_array_word_keys", "_packed_first_words"]),
+], ids=["table1", "crowd1"])
+def test_experiment_folds_draw_no_rx(monkeypatch, doc, keys, kernels, fold):
+    """An experiment's repetitions draw in one batch each, without the rx
+    keys, which only ``received_mb`` reads: noisy table1's 5 PCD and 6 loss
+    keys, on both packed kernels, and a 48-member crowd's 47 + 48, which
+    hash on arrays and run Philox packed (2,351 keys with rx).  Every
+    draw left is the per-draw reference's, bit for bit."""
+    scenario = scenario_from_dict(doc)
+    _assert_draws_match(scenario, rx=False)
+    ran, batches = [], []
+    for name in ("_packed_word_keys", "_array_word_keys", "_packed_first_words", "_array_first_words"):
+        kernel = getattr(streams, name)
+        monkeypatch.setattr(streams, name, lambda *args, name=name, kernel=kernel: ran.append(name) or kernel(*args))
+    derive = simulate.word_keys
+
+    def counted(seed, words, lengths):
+        batches.append(words[:, 0].tolist())
+        return derive(seed, words, lengths)
+
+    monkeypatch.setattr(simulate, "word_keys", counted)
+    FOLDS[fold](scenario)
+    assert [len(b) for b in batches] == [keys, keys]         # converge's clean ideal run draws nothing
+    assert not any(simulate._RX in b for b in batches)
+    assert ran == kernels * 2
 
 
 @pytest.mark.parametrize("doc, per_round", [
@@ -658,7 +698,7 @@ def test_slot_size_sweep_reuses_draws(monkeypatch):
     ]
     calls = []
     draw = simulate._round_draws
-    monkeypatch.setattr(simulate, "_round_draws", lambda s: calls.append(s.seed) or draw(s))
+    monkeypatch.setattr(simulate, "_round_draws", lambda s, **kw: calls.append(s.seed) or draw(s, **kw))
     rows = slot_size_sweep(scenario, sizes, repetitions=reps)
     assert len(calls) == reps
     assert [(t, m.hex(), s.hex()) for t, m, s in rows] == [
@@ -669,32 +709,44 @@ def test_slot_size_sweep_reuses_draws(monkeypatch):
 def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
     """On a multi-round document, where later rounds reach their solves
     from loads that differ by slot size, every run of the sweep reports
-    exactly what a separate run on the paired seed reports."""
+    exactly what a separate run on the paired seed reports, all but
+    ``received_mb``: the sweep reads no report's, and its draws have no rx
+    outcomes."""
     scenario = scenario_from_dict(SCENARIOS["dynamic4"])
     sizes, reps = [0.02, 0.05, 0.1], 4
+    skip = {"received_mb"}
     separate = [
-        support.exact_bits(run_scenario(replace(scenario, t_slot_s=t, seed=derive_seed(scenario.seed, "sweep", r))))
+        support.exact_bits(run_scenario(replace(scenario, t_slot_s=t, seed=derive_seed(scenario.seed, "sweep", r))),
+                           skip)
         for t in sizes for r in range(reps)
     ]
     reports = []
     run = simulate._run
     monkeypatch.setattr(simulate, "_run", lambda *args: reports.append(run(*args)) or reports[-1])
     slot_size_sweep(scenario, sizes, repetitions=reps)
-    assert [support.exact_bits(r) for r in reports] == separate
+    assert all(d.rx_ok is None for r in reports for d in r._draws)
+    assert [support.exact_bits(r, skip) for r in reports] == separate
     assert len({id(r.rounds[0].problem) for r in reports}) == reps     # round 0 solved once per repetition
 
 
 def _count_round_work(monkeypatch) -> dict[str, list]:
-    """Record every problem the simulator builds, every problem a GNBS
-    solve runs on, and every problem a certificate is computed for."""
-    work = {"built": [], "solved": [], "certified": []}
+    """Record every problem the simulator builds, every one it derives from
+    a built one by ``with_channel``, every problem a GNBS solve runs on, and
+    every problem a certificate is computed for."""
+    work = {"built": [], "derived": [], "solved": [], "certified": []}
     build, solve, certify = simulate.BargainingProblem, bargaining._gnbs_solve, bargaining.kkt_residuals
+    derive = bargaining.BargainingProblem.with_channel
 
     def built(*args, **kwargs):
         work["built"].append(build(*args, **kwargs))
         return work["built"][-1]
 
+    def derived(problem, *args):
+        work["derived"].append(derive(problem, *args))
+        return work["derived"][-1]
+
     monkeypatch.setattr(simulate, "BargainingProblem", built)
+    monkeypatch.setattr(bargaining.BargainingProblem, "with_channel", derived)
     for module in (simulate, bargaining):
         monkeypatch.setattr(module, "_gnbs_solve", lambda problem: work["solved"].append(problem) or solve(problem))
     monkeypatch.setattr(bargaining, "kkt_residuals",
@@ -705,7 +757,8 @@ def _count_round_work(monkeypatch) -> dict[str, list]:
 def test_compare_policies_solves_each_round_once(monkeypatch):
     """On one-round table1 the three policies share the round's two
     problems and its GNBS reference, and only gsa's allocation is
-    certified; rounds that the policies reach with the same loads are
+    certified; the estimated problem is built and the ideal one derived
+    from it.  Rounds that the policies reach with the same loads are
     shared after the first traffic round too, and so is an open round's
     GO election."""
     work = _count_round_work(monkeypatch)
@@ -714,14 +767,15 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
     assert [len(r.rounds) for r in reports.values()] == [1, 1, 1]
     assert all(r.rounds[0].problem is first.problem and r.rounds[0].ideal_problem is first.ideal_problem
                for r in reports.values())
-    assert len(work["built"]) == 2
+    assert work["built"] == [first.problem] and work["derived"] == [first.ideal_problem]
     assert sorted(map(id, work["solved"])) == sorted(map(id, (first.problem, first.ideal_problem)))
     assert work["certified"] == [first.problem]
 
     work["built"].clear()
+    work["derived"].clear()
     scenario = scenario_from_dict(SHARED_ROUNDS["drained"])
     reports = compare_policies(scenario)
-    assert len(work["built"]) == 2 * len(reports["gsa"].rounds) == 10
+    assert len(work["built"]) == len(work["derived"]) == len(reports["gsa"].rounds) == 5
 
     draws, elect, elections = _round_draws(scenario), simulate.elect_go, []
     monkeypatch.setattr(simulate, "elect_go", lambda *args: elections.append(args) or elect(*args))
@@ -736,6 +790,6 @@ def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):
     work = _count_round_work(monkeypatch)
     sizes, reps = [0.005, 0.02, 0.05], 2
     slot_size_sweep(scenario_from_dict(SCENARIOS["table1"]), sizes, repetitions=reps)
-    assert len(work["built"]) == 2 * reps
+    assert len(work["built"]) == len(work["derived"]) == reps
     assert len(work["solved"]) == 2 * reps       # gsa's allocation and the reference
     assert len(work["certified"]) == reps

@@ -252,6 +252,30 @@ def test_star_elects_the_hub_over_a_heavier_leaf():
     assert run_scenario(replace(scn, connectivity="complete")).rounds[0].go_id == "leaf3"
 
 
+def test_a_scenario_builds_its_connectivity_graph_once(monkeypatch):
+    """A scenario with given edges keeps the graph that checks them, built
+    once per construction (a ``replace`` is one), and its runs read that
+    graph: compare_policies builds none.  The graph is left out of
+    equality, the hash and the repr, and a complete scenario has none."""
+    built = []
+    graph = simulate.ConnectivityGraph
+    monkeypatch.setattr(simulate, "ConnectivityGraph", lambda *args: built.append(args) or graph(*args))
+    leaves = [ScenarioNode(f"leaf{k}", 0.0, 20.0 - k, data_mb=5.0 + 10.0 * k) for k in range(4)]
+    star = Scenario(nodes=(ScenarioNode("hub", 0.0, 30.0, data_mb=1.0), *leaves), broadcast_mbps=11.0,
+                    t_slot_s=0.02, connectivity=tuple(("hub", leaf.id) for leaf in leaves))
+    assert len(built) == 1 and isinstance(star.graph, graph)
+    again = replace(star, seed=5)
+    assert len(built) == 2 and again.graph is not star.graph
+    assert {r.go_id for r in compare_policies(again)["gsa"].rounds if len(r.members) > 2} == {"hub"}
+    assert len(built) == 2
+    assert again == replace(star, seed=5) and hash(again) == hash(replace(star, seed=5))
+    assert "graph" not in repr(star)
+    built.clear()
+    complete = replace(star, connectivity="complete")
+    compare_policies(complete)
+    assert complete.graph is None and built == []
+
+
 def test_delivery_respects_queues_and_interval():
     rep = run_scenario(two_node_scenario())
     r = rep.rounds[0]
@@ -667,11 +691,16 @@ def test_runs_unchanged_with_module_names_wrapped(monkeypatch):
         "seed": 11,
     }
     scenarios = [preset_scenario("table1"), scenario_from_dict(crowd8)]
-    want = [support.exact_bits(compare_policies(s)) for s in scenarios]
+
+    def outputs():
+        return [support.exact_bits((compare_policies(s), slot_size_sweep(s, [0.005, 0.02], repetitions=2),
+                                    list(simulate.compare_means([s], 2)))) for s in scenarios]
+
+    want = outputs()
     for name in names:
         original = getattr(simulate, name)
         monkeypatch.setattr(simulate, name, lambda *a, _fn=original, **k: _fn(*a, **k))
-    assert [support.exact_bits(compare_policies(s)) for s in scenarios] == want
+    assert outputs() == want
 
 
 def test_perfbench_counts_slots_without_building_them(monkeypatch):
@@ -789,6 +818,17 @@ def test_report_averages_skip_idle_rounds():
     )
 
 
+def test_report_means_are_np_mean_bit_for_bit():
+    """A report's means take np.mean's float without calling it: the
+    pairwise sum over the count, bit for bit at every length up to past
+    numpy's 8-wide unrolled blocks, and NaN for no rounds."""
+    rng = np.random.default_rng(41)
+    for n in list(range(1, 40)) + [128, 129, 1000]:
+        values = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)).tolist()
+        assert simulate._mean(values).hex() == float(np.mean(values)).hex()
+    assert math.isnan(simulate._mean([]))
+
+
 def test_same_seed_reproduces_everything():
     a = run_scenario(preset_scenario("dynamic4"))
     b = run_scenario(preset_scenario("dynamic4"))
@@ -893,6 +933,31 @@ def test_experiment_folds_match_their_own_loops_bit_for_bit(name, seed):
     for folded, looped in outcomes:
         assert folded == looped
     assert sum(not isinstance(looped[-1], str) for _, looped in outcomes) >= 3
+
+
+def test_experiment_folds_evaluate_only_the_nash_products_they_read(monkeypatch):
+    """A round's Nash products are evaluated when read: a slot_size_sweep
+    repetition, which folds the wpf aggregate, evaluates none, and
+    compare_means and repeated_contacts evaluate one per non-idle round
+    and policy, the realized product they fold (the contacts' clean ideal
+    run included)."""
+    base = scenario_from_dict(NOISY["dynamic4"])
+    reps = [compare_policies(replace(base, seed=derive_seed(base.seed, "compare", 0, k))) for k in range(3)]
+    contacts = [run_scenario(replace(base, seed=derive_seed(base.seed, "contact", k))) for k in range(3)]
+    contacts.append(run_scenario(replace(base, loss=None, pcd_error=None)))
+    reports = [report for policies in reps for report in policies.values()] + contacts
+    traffic = [sum(not r.idle for r in report.rounds) for report in reports]
+    assert 0 < sum(traffic) < sum(len(report.rounds) for report in reports)      # idle rounds evaluate none
+    calls = []
+    nash = simulate.nash_product
+    monkeypatch.setattr(simulate, "nash_product", lambda *args: calls.append(args) or nash(*args))
+    slot_size_sweep(base, [0.005, 0.02, 0.1], repetitions=3)
+    assert calls == []
+    list(simulate.compare_means([base], 3))
+    assert len(calls) == sum(traffic[:9])
+    calls.clear()
+    repeated_contacts(base, 3)
+    assert len(calls) == sum(traffic[9:])
 
 
 def test_compare_means_yields_each_row_before_a_later_duration_raises():
