@@ -232,7 +232,7 @@ def cmd_converge(args) -> int:
     _require(0 < args.duration < math.inf, "--duration must be finite and > 0")
     _require(0 <= args.stddev < math.inf, "--stddev must be finite and >= 0")
     scenario = _scaled(scenario, args.duration, "--duration")
-    scenario = replace(scenario, pcd_error=PcdErrorModel(stddev=args.stddev))
+    scenario = replace(scenario, pcd_error=replace(scenario.pcd_error or PcdErrorModel(0.0), stddev=args.stddev))
     running, ideal = repeated_contacts(scenario, args.contacts)
     print("contact,running_avg_nash,ideal_nash")
     for k, value in enumerate(running, start=1):
@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--contacts", type=int, default=200)
     p.add_argument("--duration", type=float, default=20.0, help="contact duration in seconds")
-    p.add_argument("--stddev", type=float, default=1.0, help="estimation error stddev")
+    p.add_argument("--stddev", type=float, default=1.0,
+                   help="estimation error stddev in seconds; the scenario's error mean is kept")
     p.set_defaults(fn=cmd_converge)
 
     return parser

@@ -14,14 +14,15 @@ airtime, lays out the slot cycle, disseminates, and returns the round's
 record, writing nothing but its solve memo.  The fold owns the totals,
 arrays in scenario node order: the megabits each node has sent, which each
 round reads at its members' positions, so later rounds only bargain over
-what is still queued, and those it heard, folded from the records after
-the last round.  The draw pass hands each round its mode, its member
-columns (positions, own data, raw weights, upload rates in that mode) and,
-where no policy can change it, its GO, so a round step is array arithmetic
-over columns.  The step decides the slot cycle's order once, as member
-positions (the scheduled clients in id order, the GO last): the schedule
-is built from legs in that order, and the replay writes its broadcast legs
-back to those positions.  Dicts keyed by node id appear only in the report.
+what is still queued, and those it heard, which each round's receive
+outcomes add to in round order.  The draw pass hands each round its mode,
+its member columns (positions, own data, raw weights, upload rates in that
+mode) and, where no policy can change it, its GO, so a round step is array
+arithmetic over columns.  The step decides the slot cycle's order once,
+as member positions (the scheduled clients in id order, the GO last): the
+schedule is built from legs in that order, and the replay writes its
+broadcast legs back to those positions.  Dicts keyed by node id appear
+only in the report.
 
 A schedule is executed by the cycle arithmetic of
 :meth:`~airfair.grouping.Schedule.leg_seconds`, the rule that also places
@@ -46,8 +47,9 @@ whose GO no policy can change, the first round or one with its pinned GO
 present, elects it with the draws and draws only the pairs that hold it,
 the ones its horizon reads; since a stream's key names its draw, skipping
 the others leaves every drawn number as it was.  For the same reason an
-experiment's repetitions, which never read a report's ``received_mb``,
-leave the receive outcomes, its only input, out of the batch.
+experiment's repetitions, which never read what a node heard, leave the
+receive outcomes, its only input, out of the batch, and their reports'
+``received_mb`` is None.
 
 The three repeated experiments (:func:`compare_means`,
 :func:`slot_size_sweep`, :func:`repeated_contacts`) are folds over one
@@ -55,9 +57,9 @@ generator of repetitions, :func:`_repetitions`: repetition k reruns the
 scenario at the seed ``derive_seed(seed, *parts, k)``, where the parts name
 the experiment ("compare" and the scenario's index, "sweep", "contact"),
 and every run of a repetition shares its draws.  A run computes each
-round's wpf aggregate, which the sweep folds, and a round's two Nash
-products, the report's Nash means and ``received_mb`` when first read, so
-each experiment evaluates only the metric it folds.
+round's wpf aggregate, which the sweep folds, with the round; a round's two
+Nash products and the report's two Nash means are computed when first
+read, so each experiment evaluates only the metric it folds.
 
 A round's two bargaining problems, its GNBS reference and each policy's
 allocations depend on its draws, its loads, its GO and the scenario's
@@ -284,27 +286,16 @@ class SimulationReport:
     """One policy's run of a scenario.  The three averages are over the
     rounds that are not idle, and NaN when every round is.
 
-    ``wpf_aggregate_vs_ideal`` is computed with the run; ``received_mb`` and
-    the two Nash means are computed when first read, from the rounds and
-    the draws they ran on, since an experiment that folds another metric
-    never reads them."""
+    The run folds the node totals and ``wpf_aggregate_vs_ideal``; the two
+    Nash means are computed when first read, from the rounds, since an
+    experiment that folds another metric never reads them."""
 
     scenario: Scenario
     policy: str                         # one of POLICIES
     rounds: list[RoundRecord]           # every round of two or more members, in time order
     transmitted_mb: dict[str, float]    # megabits each node broadcast, keyed by node id in scenario order
+    received_mb: dict[str, float] | None    # megabits each node heard, alike; None if the draws have no rx outcomes
     wpf_aggregate_vs_ideal: float       # mean of the rounds' wpf_vs_ideal
-    _draws: Sequence[_RoundDraws] = field(repr=False, compare=False)    # one per round, read by received_mb
-
-    @cached_property
-    def received_mb(self) -> dict[str, float]:
-        """Megabits each node heard, keyed by node id in scenario order: what
-        each round's receivers heard, ``rx_ok @ delivered_mb``, added in
-        round order."""
-        received = np.zeros(len(self.scenario.nodes))
-        for d, r in zip(self._draws, self.rounds):
-            received[d.at] += d.rx_ok @ r.delivered_mb
-        return dict(zip([n.id for n in self.scenario.nodes], received.tolist()))
 
     @cached_property
     def nash_product_realized(self) -> float:
@@ -318,9 +309,10 @@ class SimulationReport:
 
 
 def _mean(values: list[float]) -> float:
-    """The float ``np.mean`` gives for a list of per-round metrics, NaN for
-    none: their pairwise sum, ``np.add.reduce``, over their count, without
-    ``np.mean``'s fixed cost of several microseconds per call."""
+    """The float ``np.mean`` gives for a list of floats (a run's per-round
+    metrics, a sweep's repetitions), NaN for none: their pairwise sum,
+    ``np.add.reduce``, over their count, without ``np.mean``'s fixed cost of
+    several microseconds per call."""
     return float(np.add.reduce(np.array(values))) / len(values) if values else math.nan
 
 
@@ -439,8 +431,9 @@ def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
     The rx outcomes feed only a report's ``received_mb``, which no
     experiment reads, so ``rx=False`` leaves their n(n - 1) keys per round
     with loss out of the batch (30 of noisy table1's 41) and sets each
-    round's ``rx_ok`` to None.  Every other stream keeps its key, so every
-    other draw is the same to the bit.
+    round's ``rx_ok`` to None, on which :func:`_run` folds no
+    ``received_mb``.  Every other stream keeps its key, so every other draw
+    is the same to the bit.
 
     A round's members come in id order, with three read-only columns in
     member order that the runs read instead of the nodes: own data (a
@@ -603,12 +596,15 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
     """:func:`run_scenario` on the scenario's precomputed round draws, a
     fold of :func:`_round` over them that alone writes the node totals:
     each round's ``delivered_mb`` adds to ``transmitted``, which the next
-    round reads.  The report folds what the receivers heard when its
-    ``received_mb`` is read.  A round's election or schedule error names
-    the round."""
+    round reads, and what its receivers heard, ``rx_ok @ delivered_mb``,
+    to ``received``, in round order.  Draws without rx outcomes, the
+    experiments' repetitions, fold no ``received`` and report None.  A
+    round's election or schedule error names the round."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    transmitted = np.zeros(len(scenario.nodes))
+    ids = [n.id for n in scenario.nodes]
+    transmitted = np.zeros(len(ids))
+    received = np.zeros(len(ids)) if all(d.rx_ok is not None for d in draws) else None
     rounds: list[RoundRecord] = []
     for index, d in enumerate(draws):
         try:
@@ -616,13 +612,15 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
         except (NoGoCandidateError, ScheduleError) as e:
             raise type(e)(f"round {index} at {d.t0:g}s: {e}") from e
         transmitted[d.at] += rounds[-1].delivered_mb
+        if received is not None:
+            received[d.at] += d.rx_ok @ rounds[-1].delivered_mb
     return SimulationReport(
         scenario=scenario,
         policy=policy,
         rounds=rounds,
-        transmitted_mb=dict(zip([n.id for n in scenario.nodes], transmitted.tolist())),
+        transmitted_mb=dict(zip(ids, transmitted.tolist())),
+        received_mb=None if received is None else dict(zip(ids, received.tolist())),
         wpf_aggregate_vs_ideal=_mean([r.wpf_vs_ideal for r in rounds if not r.idle]),
-        _draws=draws,
     )
 
 
@@ -689,7 +687,8 @@ def _repetitions(scenario: Scenario, count: int, *parts):
     scenario reseeded with ``derive_seed(scenario.seed, *parts, k)`` and its
     :func:`_round_draws`, which every run of that repetition shares.  The
     experiments fold a Nash or wpf mean and never a report's
-    ``received_mb``, so the draws have no rx outcomes."""
+    ``received_mb``, so the draws have no rx outcomes and the runs' reports
+    have ``received_mb`` None."""
     for k in range(count):
         run = replace(scenario, seed=derive_seed(scenario.seed, *parts, k))
         yield run, _round_draws(run, rx=False)
@@ -719,7 +718,8 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
 
     Repetitions are paired: repetition r uses the same derived seed for every
     slot size, so differences across sizes isolate the slotting granularity.
-    Returns (t_slot_s, mean wpf, stddev) per requested size.
+    Returns (t_slot_s, mean wpf, stddev) per requested size: the floats
+    ``np.mean`` and ``np.std`` give, both taken as :func:`_mean`.
 
     Neither the draws nor the bargaining depend on the slot size, so each
     repetition derives its draws once for all sizes, and a round that
@@ -736,7 +736,8 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
             _run(replace(paired, t_slot_s=float(t_slot)), "gsa", draws).wpf_aggregate_vs_ideal
             for paired, draws in runs
         ]
-        out.append((float(t_slot), float(np.mean(vals)), float(np.std(vals))))
+        mean = _mean(vals)
+        out.append((float(t_slot), mean, math.sqrt(_mean([(v - mean) * (v - mean) for v in vals]))))
     return out
 
 

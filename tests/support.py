@@ -745,10 +745,11 @@ def float_bits(values) -> list[str]:
 
 def exact_bits(value, skip=frozenset()):
     """A report as nested lists, every float spelled exactly.  A dataclass
-    gives its compared fields, then the public values its cached properties
-    compute on first read (a record's Nash products, a report's
-    ``received_mb`` and Nash means), so a value moved from a field to a
-    property is still compared.  Names in ``skip`` are left out, unread."""
+    gives its compared fields (a report's ``received_mb`` is one), then the
+    public values its cached properties compute on first read (a record's
+    Nash products and a report's Nash means), so a value moved from a field
+    to a property is still compared.  Names in ``skip`` are left out,
+    unread."""
     if dataclasses.is_dataclass(value):
         names = [f.name for f in dataclasses.fields(value) if f.compare]
         names += [name for name, attr in vars(type(value)).items()

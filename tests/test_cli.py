@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ import pytest
 from airfair import cli
 from airfair.bargaining import InfeasibleProblemError, gnbs_allocate
 from airfair.grouping import ScheduleError
-from airfair.scenario_io import PRESETS, preset_scenario, scenario_from_dict
-from airfair.simulate import run_scenario
+from airfair.scenario_io import PRESETS, load_scenario, preset_scenario, scenario_from_dict
+from airfair.simulate import PcdErrorModel, repeated_contacts, run_scenario, scale_contact_durations
 
 
 def run_cli(capsys, *argv):
@@ -500,6 +501,25 @@ def test_converge_prints_the_same_rows_on_two_runs_at_one_seed(capsys):
     header, *rows = out.splitlines()
     assert header == "contact,running_avg_nash,ideal_nash"
     assert out.count("\n") == 4 and [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+
+
+def test_converge_keeps_the_scenario_pcd_error_mean(capsys, tmp_path):
+    """--stddev replaces only the estimation error's stddev: a document's
+    error mean stays, so the rows are the mean's and differ from mean 0's."""
+    nodes = [{"id": f"n{k}", "join_s": 0.0, "leave_s": 10.0, "data_mb": mb}
+             for k, mb in enumerate((100.0, 200.0, 400.0), start=1)]
+    out = {}
+    for mean in (0.0, -5.0):
+        path = tmp_path / f"mean{mean}.json"
+        path.write_text(json.dumps({"nodes": nodes, "broadcast_mbps": 11.0, "t_slot_ms": 20.0,
+                                    "pcd_error": {"stddev": 0.5, "mean": mean}, "seed": 3}))
+        code, out[mean], _ = run_cli(capsys, "converge", "--scenario", str(path), "--contacts", "3", "--stddev", "1")
+        assert code == 0
+    scenario = scale_contact_durations(load_scenario(str(path)), 20.0)
+    running, ideal = repeated_contacts(replace(scenario, pcd_error=PcdErrorModel(stddev=1.0, mean=-5.0)), 3)
+    assert out[-5.0] == "contact,running_avg_nash,ideal_nash\n" + "".join(
+        f"{k},{value:.6f},{ideal:.6f}\n" for k, value in enumerate(running, start=1))
+    assert out[-5.0] != out[0.0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -568,6 +568,27 @@ def test_experiment_folds_draw_no_rx(monkeypatch, doc, keys, kernels, fold):
     assert ran == kernels * 2
 
 
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+@pytest.mark.parametrize("name", ["table1", "dynamic4"])
+def test_experiment_reports_have_no_received_mb(monkeypatch, name, fold):
+    """Every report an experiment's repetitions build has ``received_mb``
+    None: its draws have no rx outcomes, and the run folds what each node
+    heard only from drawn ones.  converge's clean ideal run is
+    :func:`run_scenario`'s, which draws them and reports what was heard."""
+    scenario = scenario_from_dict(SCENARIOS[name])
+    reports = []
+    run = simulate._run
+    monkeypatch.setattr(simulate, "_run", lambda *args: reports.append(run(*args)) or reports[-1])
+    FOLDS[fold](scenario)
+    monkeypatch.undo()
+    if fold == "converge":
+        *reports, ideal = reports
+        heard = run_scenario(replace(scenario, loss=None, pcd_error=None)).received_mb
+        assert heard is not None and ideal.received_mb == heard
+    assert len(reports) == {"sweep": 4, "compare": 6, "converge": 2}[fold]
+    assert all(r.received_mb is None for r in reports)
+
+
 @pytest.mark.parametrize("doc, per_round", [
     (_crowd1_doc(), [47]),                          # not 48 * 47 / 2 = 1,128
     (SCENARIOS["table1"], [5]),                     # GO n4 pinned
@@ -724,7 +745,7 @@ def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
     run = simulate._run
     monkeypatch.setattr(simulate, "_run", lambda *args: reports.append(run(*args)) or reports[-1])
     slot_size_sweep(scenario, sizes, repetitions=reps)
-    assert all(d.rx_ok is None for r in reports for d in r._draws)
+    assert all(r.received_mb is None for r in reports)
     assert [support.exact_bits(r, skip) for r in reports] == separate
     assert len({id(r.rounds[0].problem) for r in reports}) == reps     # round 0 solved once per repetition
 

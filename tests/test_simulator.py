@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -675,6 +676,35 @@ def test_public_names_resolve_and_the_package_reexports_only_them():
     assert [f"{m}.{n}" for m, n in imported if n not in getattr(modules[m], "__all__", ())] == []
 
 
+def _unused_imports(source: str) -> list[str]:
+    """The names a module's source imports but never reads and does not
+    list in ``__all__``, leaving out those on a line marked
+    ``# noqa: F401``; a ``__future__`` import binds no name."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    bound = [((alias.asname or alias.name).split(".")[0], alias.lineno) for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    return [name for name, line in bound if name not in read and "# noqa: F401" not in lines[line - 1]]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every ``airfair`` module reads each name it imports, or exports it
+    in ``__all__``; a line marked ``# noqa: F401`` keeps names that only
+    perfbench reads, by wrapping them in the importing module.  The
+    package's ``__init__``, whose imports are its exports, is checked by
+    the test above."""
+    assert _unused_imports("import os\nimport numpy as np\nnp.add(1, 2)\n") == ["os"]
+    assert _unused_imports("from math import pi  # noqa: F401\nfrom os import sep\n__all__ = ['sep']\n") == []
+    package = Path(simulate.__file__).parent
+    unused = {p.name: _unused_imports(p.read_text()) for p in sorted(package.glob("*.py")) if p.stem != "__init__"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 def test_runs_unchanged_with_module_names_wrapped(monkeypatch):
     """perfbench times layers by swapping names in ``airfair.simulate`` for
     plain pass-through functions, so the simulator may only call them; a
@@ -818,14 +848,26 @@ def test_report_averages_skip_idle_rounds():
     )
 
 
-def test_report_means_are_np_mean_bit_for_bit():
+def test_report_means_are_np_mean_bit_for_bit(monkeypatch):
     """A report's means take np.mean's float without calling it: the
     pairwise sum over the count, bit for bit at every length up to past
-    numpy's 8-wide unrolled blocks, and NaN for no rounds."""
+    numpy's 8-wide unrolled blocks, and NaN for no rounds.  A sweep row over
+    repetitions that report these values takes np.mean's and np.std's
+    floats alike, calling neither."""
+    scenario = preset_scenario("table1")
     rng = np.random.default_rng(41)
     for n in list(range(1, 40)) + [128, 129, 1000]:
         values = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)).tolist()
-        assert simulate._mean(values).hex() == float(np.mean(values)).hex()
+        want = float(np.mean(values)).hex(), float(np.std(values)).hex()
+        assert simulate._mean(values).hex() == want[0]
+        reports = iter(values)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_repetitions", lambda s, count, *parts: [(s, None)] * count)
+            m.setattr(simulate, "_run", lambda *args: SimpleNamespace(wpf_aggregate_vs_ideal=next(reports)))
+            m.setattr(np, "mean", None)
+            m.setattr(np, "std", None)
+            [(_, mean, spread)] = slot_size_sweep(scenario, [0.02], repetitions=n)
+        assert (mean.hex(), spread.hex()) == want
     assert math.isnan(simulate._mean([]))
 
 
