@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import code_lines
 import support
 from airfair import grouping, simulate
 from airfair.bargaining import left_sum
@@ -703,6 +704,33 @@ def test_no_module_imports_a_name_it_never_reads():
     package = Path(simulate.__file__).parent
     unused = {p.name: _unused_imports(p.read_text()) for p in sorted(package.glob("*.py")) if p.stem != "__init__"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_code_lines_count_lines_that_hold_code(tmp_path, capsys):
+    """``tests/code_lines.py``, the count every size figure quotes, counts
+    a line when it holds a token other than a comment or a docstring, a
+    string literal that is a whole statement: blank lines, comments and
+    docstrings, even one that is not first in its body, count nothing, and
+    a multi-line string inside an expression counts every line it spans."""
+    source = (
+        '"""A module docstring\n'
+        'on two lines."""\n'
+        "\n"
+        "import os  # a comment after code\n"
+        "# a comment line\n"
+        "def f():\n"
+        '    """A docstring."""\n'
+        "    x = '''a multi-line\n"
+        "string'''\n"
+        '    "a string statement"\n'
+        "    return (x +\n"
+        "            os.sep)\n"
+    )
+    assert code_lines.code_lines(source) == 6
+    (tmp_path / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("pass\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["6", str(tmp_path / "a.py"), "1", str(tmp_path / "b.py"), "7", "total"]
 
 
 def test_runs_unchanged_with_module_names_wrapped(monkeypatch):
