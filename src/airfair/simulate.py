@@ -53,10 +53,16 @@ receive outcomes, its only input, out of the batch, and their reports'
 
 The three repeated experiments (:func:`compare_means`,
 :func:`slot_size_sweep`, :func:`repeated_contacts`) are folds over one
-generator of repetitions, :func:`_repetitions`: repetition k reruns the
-scenario at the seed ``derive_seed(seed, *parts, k)``, where the parts name
-the experiment ("compare" and the scenario's index, "sweep", "contact"),
-and every run of a repetition shares its draws.  A run computes each
+kind of per-repetition record, which :func:`_records` alone makes from
+one generator of repetitions, :func:`_repetitions`: repetition k reruns
+the scenario at the seed ``derive_seed(seed, *parts, k)``, where the parts
+name the experiment ("compare" and the scenario's index, "sweep",
+"contact"), every run of a repetition shares its draws, and its record
+holds one report metric per policy.  compare and converge fill their
+records repetition by repetition, the policies inside each; the sweep
+lists its repetitions once and fills one size's column at a time.  Each
+order is the one separate runs have, and it decides which run's error a
+failing experiment raises, so neither may change.  A run computes each
 round's wpf aggregate, which the sweep folds, with the round; a round's two
 Nash products and the report's two Nash means are computed when first
 read, so each experiment evaluates only the metric it folds.
@@ -91,6 +97,7 @@ from .bargaining import (
     KktReport,
     _gnbs_solve,
     eql_allocate,
+    left_sum,
     gnbs_allocate,
     nash_product,
     wpf_aggregate,
@@ -688,10 +695,24 @@ def _repetitions(scenario: Scenario, count: int, *parts):
     :func:`_round_draws`, which every run of that repetition shares.  The
     experiments fold a Nash or wpf mean and never a report's
     ``received_mb``, so the draws have no rx outcomes and the runs' reports
-    have ``received_mb`` None."""
+    have ``received_mb`` None.  A generator, so a caller that fills its
+    records repetition by repetition draws repetition k + 1 only once k's
+    runs have ended."""
     for k in range(count):
         run = replace(scenario, seed=derive_seed(scenario.seed, *parts, k))
         yield run, _round_draws(run, rx=False)
+
+
+def _records(runs, policies: Sequence[str], metric: str) -> Iterator[list[float]]:
+    """An experiment's records, one per repetition of ``runs`` (pairs of a
+    scenario and its shared draws, as :func:`_repetitions` yields them), in
+    repetition order: the report's ``metric`` of each of ``policies``, in
+    that order, from runs on the repetition's draws.  The runs go
+    repetition by repetition, the policies inside each, so a failing
+    experiment raises the error of the first failing run in that order; a
+    caller that wants another order makes its records in several calls."""
+    for run, draws in runs:
+        yield [getattr(_run(run, policy, draws), metric) for policy in policies]
 
 
 def repeated_contacts(scenario: Scenario, n_contacts: int) -> tuple[np.ndarray, float]:
@@ -702,11 +723,14 @@ def repeated_contacts(scenario: Scenario, n_contacts: int) -> tuple[np.ndarray, 
     Returns the running average of the realized Nash product and, as the
     asymptote reference, the value the same pipeline reaches with
     randomness switched off.
+
+    The running average is ``np.cumsum`` of gsa's one-column records over
+    the contacts, filled contact by contact, so the first contact that
+    fails raises its error.
     """
     if n_contacts < 1:
         raise ValueError("need at least one contact")
-    values = np.array([_run(run, "gsa", draws).nash_product_realized
-                       for run, draws in _repetitions(scenario, n_contacts, "contact")])
+    values = [v for v, in _records(_repetitions(scenario, n_contacts, "contact"), ("gsa",), "nash_product_realized")]
     running = np.cumsum(values) / np.arange(1, n_contacts + 1)
     ideal = run_scenario(replace(scenario, loss=None, pcd_error=None)).nash_product_realized
     return running, float(ideal)
@@ -723,19 +747,20 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
 
     Neither the draws nor the bargaining depend on the slot size, so each
     repetition derives its draws once for all sizes, and a round that
-    starts from the same loads at several sizes is solved once.  Sizes and
-    repetitions run in the order of a loop over sizes, so the first error
-    raised is the one separate runs would raise.
+    starts from the same loads at several sizes is solved once.  The sweep
+    lists its repetitions once and then reads one size's column of gsa's
+    wpf records at a time, over every repetition, so it fills size by size,
+    in the order of a loop over sizes: the first error raised is the one
+    separate runs of each size would raise, which a fill repetition by
+    repetition would not be.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     runs = list(_repetitions(scenario, repetitions, "sweep"))
     out = []
     for t_slot in t_slot_list:
-        vals = [
-            _run(replace(paired, t_slot_s=float(t_slot)), "gsa", draws).wpf_aggregate_vs_ideal
-            for paired, draws in runs
-        ]
+        sized = ((replace(paired, t_slot_s=float(t_slot)), draws) for paired, draws in runs)
+        vals = [v for v, in _records(sized, ("gsa",), "wpf_aggregate_vs_ideal")]
         mean = _mean(vals)
         out.append((float(t_slot), mean, math.sqrt(_mean([(v - mean) * (v - mean) for v in vals]))))
     return out
@@ -760,17 +785,18 @@ def compare_means(scenarios: Sequence[Scenario], repetitions: int) -> Iterator[d
 
     Scenario d's repetition k is the one :func:`_repetitions` derives with
     the parts ("compare", d), and the policies share its draws, as in
-    :func:`compare_policies`.  A policy's products are summed from 0.0 in
-    repetition order and divided by ``repetitions``.
+    :func:`compare_policies`.  The records fill repetition by repetition,
+    the policies of ``POLICIES`` inside each, the order of separate
+    :func:`compare_policies` calls, so a failing scenario raises the error
+    those would.  A policy's products are added from 0.0 in repetition
+    order (:func:`~airfair.bargaining.left_sum`) and divided by
+    ``repetitions``.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     for d, scenario in enumerate(scenarios):
-        sums = dict.fromkeys(POLICIES, 0.0)
-        for run, draws in _repetitions(scenario, repetitions, "compare", d):
-            for policy in POLICIES:
-                sums[policy] += _run(run, policy, draws).nash_product_realized
-        yield {policy: total / repetitions for policy, total in sums.items()}
+        records = list(_records(_repetitions(scenario, repetitions, "compare", d), POLICIES, "nash_product_realized"))
+        yield {policy: left_sum(column) / repetitions for policy, column in zip(POLICIES, zip(*records))}
 
 
 def scale_contact_durations(scenario: Scenario, duration: float) -> Scenario:

@@ -1005,6 +1005,30 @@ def test_experiment_folds_match_their_own_loops_bit_for_bit(name, seed):
     assert sum(not isinstance(looped[-1], str) for _, looped in outcomes) >= 3
 
 
+@pytest.mark.parametrize("experiment,error", [
+    ("compare", "ScheduleError: round 3 at 6s: one cycle (0.508972s) exceeds the interval (0.431496s)"),
+    ("sweep", "ScheduleError: round 3 at 3.75s: one cycle (0.200000s) exceeds the interval (0.100000s)"),
+], ids=["compare", "sweep"])
+def test_experiment_fill_order_decides_the_raised_error(experiment, error):
+    """Where several runs of an experiment fail, the fill order picks the
+    error raised, and it is the loop's: compare_means runs repetition by
+    repetition with the policies inside (dynamic4 at seed 6, 8 s then 3 s,
+    6 repetitions), and slot_size_sweep size by size over its repetitions
+    (dynamic4 at 5 s, seed 2, 5/20/50/100 ms, 6 repetitions).  Policies
+    outside the repetitions, or a sweep filled repetition by repetition,
+    raise another run's error."""
+    if experiment == "compare":
+        base = scenario_from_dict({**NOISY["dynamic4"], "seed": 6})
+        folded = _outcome(lambda: _compare_rows(base, (8.0, 3.0), 6))
+        looped = _outcome(lambda: support.reference_compare(base, (8.0, 3.0), 6))
+    else:
+        scaled = scale_contact_durations(scenario_from_dict({**NOISY["dynamic4"], "seed": 2}), 5.0)
+        sizes = [0.005, 0.02, 0.05, 0.1]
+        folded = _outcome(lambda: slot_size_sweep(scaled, sizes, repetitions=6))
+        looped = _outcome(lambda: support.reference_slot_size_sweep(scaled, sizes, repetitions=6))
+    assert folded == looped == [error]
+
+
 def test_experiment_folds_evaluate_only_the_nash_products_they_read(monkeypatch):
     """A round's Nash products are evaluated when read: a slot_size_sweep
     repetition, which folds the wpf aggregate, evaluates none, and
