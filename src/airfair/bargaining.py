@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -482,12 +483,16 @@ def _check_airtime(airtime: float) -> None:
 
 def _relay_overheads(broadcast_rate: float, upload: np.ndarray, g: int, n: int) -> np.ndarray:
     """Each of the ``n`` players' relay overhead: broadcast_rate /
-    upload_rate for a client, whose upload rate must be positive, and 0 for
-    the GO ``g``, whatever its upload rate."""
+    upload_rate for a client, whose upload rate must be positive and above
+    broadcast_rate / DBL_MAX, so that its overhead is finite, and 0 for the
+    GO ``g``, whatever its upload rate.  (A rate at that bound itself has an
+    overhead that overflows or lies within rounding of DBL_MAX.)"""
     relayed = upload.copy()
     relayed[g] = math.inf       # the GO uploads nothing
-    if np.count_nonzero(relayed > 0) != n:
-        raise ValueError("clients need upload_rate > 0")
+    if np.count_nonzero(relayed > broadcast_rate / sys.float_info.max) != n:     # NaN fails too
+        if np.count_nonzero(relayed > 0) != n:
+            raise ValueError("clients need upload_rate > 0")
+        raise ValueError("clients need a finite relay overhead broadcast_rate / upload_rate")
     betas = broadcast_rate / relayed
     betas[g] = 0.0
     return betas

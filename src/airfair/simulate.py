@@ -85,6 +85,7 @@ rates, and the bargaining optimum used as the fairness reference.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -97,8 +98,8 @@ from .bargaining import (
     KktReport,
     _gnbs_solve,
     eql_allocate,
-    left_sum,
     gnbs_allocate,
+    left_sum,
     nash_product,
     wpf_aggregate,
     wtd_allocate,
@@ -225,6 +226,14 @@ class Scenario:
                 raise ValueError(f"node {n.id!r}: data_mb_per_peer overflows at {len(ids) - 1} peers")
         if not (0 < self.broadcast_mbps < math.inf):
             raise ValueError("broadcast_mbps must be > 0 and finite")
+        # a client's relay overhead, broadcast_mbps over its upload rate,
+        # must stay finite at its worst loss-adjusted rate, the bargaining
+        # problem's bound; the comparison fails a rate that underflows to 0
+        worst = 1.0 - (0.0 if self.loss is None else self.loss.hi)
+        for n in self.nodes:
+            if not (n.upload_mbps * worst > self.broadcast_mbps / sys.float_info.max):
+                raise ValueError(f"node {n.id!r}: relay overhead broadcast_mbps / upload_mbps overflows "
+                                 f"at its worst loss-adjusted rate {n.upload_mbps * worst:g}")
         if not (self.t_slot_s > 0):
             raise ValueError("t_slot_s must be > 0")
         if self.go is not None and self.go not in ids:

@@ -791,6 +791,8 @@ _PAIR = dict(ids=["go", "c"], data_sizes=[5.0, 5.0], upload_rates=[math.inf, 5.0
     ({"upload_rate": 0.0}, {"upload_rates": [math.inf, 0.0]}, ValueError, "clients need upload_rate > 0"),
     pytest.param({"upload_rate": math.nan}, {"upload_rates": [math.inf, math.nan]}, ValueError,
                  "clients need upload_rate > 0", id="upload_rate-nan"),
+    pytest.param({"upload_rate": 5e-324}, {"upload_rates": [math.inf, 5e-324]}, ValueError,     # 5 / 5e-324 is inf
+                 "clients need a finite relay overhead", id="upload_rate-5e-324"),
     pytest.param({"utility": Utility("normalized-linear", 0.0)}, {"kinds": [0, 0], "coeffs": [math.nan, 0.0]},
                  ValueError, "utility coefficient must be positive", id="normalized-linear-0.0"),
     pytest.param({"utility": Utility("log-shifted", -1.0)}, {"kinds": [0, 1], "coeffs": [math.nan, -1.0]},

@@ -129,6 +129,16 @@ def test_scenario_validation():
     three = (ScenarioNode("x", 0, 10, data_mb_per_peer=1e308),) + two_node_scenario().nodes
     with pytest.raises(ValueError, match="'x': data_mb_per_peer overflows at 2 peers"):
         two_node_scenario(nodes=three)
+    # a client's relay overhead, broadcast_mbps over its upload rate at the
+    # worst loss, must be finite; at 1e-20 Mb/s, 5e-324 x 0.5 underflows to 0
+    def slow_a(upload_mbps):
+        return (ScenarioNode("a", 0, 10, data_mb=5.0, upload_mbps=upload_mbps), ScenarioNode("b", 0, 10, data_mb=5.0))
+    for upload, loss, rate in ((5e-324, None, 11.0), (1e-307, LossModel(0.0, 0.9), 11.0),
+                               (5e-324, LossModel(0.5, 0.5), 1e-20)):
+        with pytest.raises(ValueError, match="'a': relay overhead broadcast_mbps / upload_mbps overflows"):
+            two_node_scenario(nodes=slow_a(upload), loss=loss, broadcast_mbps=rate)
+    two_node_scenario(nodes=slow_a(1e-307))
+    two_node_scenario(nodes=slow_a(5e-324), broadcast_mbps=1e-20)
     with pytest.raises(ValueError, match="stddev must be >= 0"):
         PcdErrorModel(math.nan)
     with pytest.raises(ValueError, match="mean must not be NaN"):
