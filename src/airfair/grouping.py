@@ -199,16 +199,23 @@ def slot_sizes(broadcast_time, betas: np.ndarray, t_slot: float) -> tuple[np.nda
     The player with the smallest channel-time share gets one basic slot of
     ``t_slot`` seconds; everyone else scales proportionally.  Each whole slot
     splits into the upload leg (fraction beta/(1+beta)) and the broadcast
-    leg.  Zero allocations must be dropped by the caller first.
+    leg.  Zero allocations must be dropped by the caller first.  The basic
+    slot must be finite, and so must the largest slot, ``max / min *
+    t_slot`` in Python floats, which bounds every other: otherwise the
+    slots would hold inf and NaN.
     """
-    if not (t_slot > 0):
-        raise ScheduleError("t_slot must be > 0")
+    if not (0 < t_slot < math.inf):
+        raise ScheduleError("t_slot must be > 0 and finite")
     x = np.asarray(broadcast_time, dtype=float)
     betas = np.asarray(betas, dtype=float)
     weighted = (1.0 + betas) * x
-    if x.size == 0 or weighted.min() <= 0:
+    smallest = weighted.min() if x.size else 0.0
+    if smallest <= 0:
         raise ScheduleError("every scheduled player needs a positive allocation")
-    whole = weighted / weighted.min() * t_slot
+    ratio = float(weighted.max()) / float(smallest)
+    if not math.isfinite(ratio * t_slot):
+        raise ScheduleError(f"the largest slot, {ratio:g} basic slots of {t_slot:g}s, overflows")
+    whole = weighted / smallest * t_slot
     upload = betas / (1.0 + betas) * whole
     broadcast = whole / (1.0 + betas)
     return whole, upload, broadcast

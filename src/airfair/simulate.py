@@ -234,8 +234,8 @@ class Scenario:
             if not (n.upload_mbps * worst > self.broadcast_mbps / sys.float_info.max):
                 raise ValueError(f"node {n.id!r}: relay overhead broadcast_mbps / upload_mbps overflows "
                                  f"at its worst loss-adjusted rate {n.upload_mbps * worst:g}")
-        if not (self.t_slot_s > 0):
-            raise ValueError("t_slot_s must be > 0")
+        if not (0 < self.t_slot_s < math.inf):
+            raise ValueError("t_slot_s must be > 0 and finite")
         if self.go is not None and self.go not in ids:
             raise ValueError(f"pinned GO {self.go!r} is not a node")
         if not (self.go_alpha_factor > 0):

@@ -269,9 +269,23 @@ def test_slot_sizes_reject_zero_share(table1):
     crippled[2] = 0.0
     with pytest.raises(ScheduleError):
         slot_sizes(crippled, table1.betas, 0.02)
-    for t_slot in (0.0, -0.02):
-        with pytest.raises(ScheduleError, match="t_slot must be > 0"):
+    for t_slot in (0.0, -0.02, math.nan, math.inf):
+        with pytest.raises(ScheduleError, match="t_slot must be > 0 and finite"):
             slot_sizes(alloc.broadcast_time, table1.betas, t_slot)
+
+
+def test_slot_sizes_reject_a_largest_slot_that_overflows(table1):
+    """The largest slot is the basic slot times the largest share over the
+    smallest; where that overflows, the slots would hold inf and NaN."""
+    alloc, _ = gnbs_allocate(table1)
+    weighted = (1.0 + table1.betas) * alloc.broadcast_time
+    ratio = float(weighted.max()) / float(weighted.min())
+    whole, _, _ = slot_sizes(alloc.broadcast_time, table1.betas, 1e308 / ratio)
+    assert np.isfinite(whole).all()
+    with pytest.raises(ScheduleError, match=rf"^the largest slot, {ratio:g} basic slots of 1e\+308s, overflows$"):
+        slot_sizes(alloc.broadcast_time, table1.betas, 1e308)
+    with pytest.raises(ScheduleError, match="the largest slot, inf basic slots"):
+        slot_sizes(np.array([5e-324, 1.0]), np.zeros(2), 0.02)
 
 
 #: table1's cycle order: the clients in id order, the GO n4 last

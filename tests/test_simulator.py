@@ -113,6 +113,9 @@ def test_scenario_validation():
         two_node_scenario(go="zz")
     with pytest.raises(ValueError, match="unknown nodes"):
         two_node_scenario(connectivity=(("a", "zz"),))
+    for t_slot in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_slot_s must be > 0 and finite"):
+            two_node_scenario(t_slot_s=t_slot)
     # an idle round delivers 0 s times the rate, which must stay 0
     with pytest.raises(ValueError, match="broadcast_mbps must be > 0 and finite"):
         two_node_scenario(broadcast_mbps=math.inf)
@@ -1084,6 +1087,14 @@ def test_compare_means_yields_each_row_before_a_later_duration_raises():
 def test_experiment_drivers_reject_empty_input(call, message):
     with pytest.raises(ValueError, match=message):
         call(preset_scenario("table1"))
+
+
+def test_a_sweep_whose_largest_slot_overflows_raises_schedule_error():
+    """A 1e308 s basic slot makes table1's largest slot overflow: the sweep
+    raises ScheduleError, naming the round, and numpy warns of nothing
+    (RuntimeWarning is an error here)."""
+    with pytest.raises(ScheduleError, match=r"^round 0 at 0s: the largest slot, 2 basic slots of 1e\+308s, overflows$"):
+        slot_size_sweep(preset_scenario("table1"), [1e308], 1)
 
 
 def test_unknown_policy_rejected():
