@@ -312,8 +312,8 @@ class BargainingProblem:
         if not n:
             raise ValueError("need at least one player")
         _check_airtime(airtime)
-        if not (broadcast_rate > 0):
-            raise ValueError("broadcast_rate must be > 0")
+        if not (0 < broadcast_rate < math.inf):     # an infinite rate has no finite relay overhead
+            raise ValueError("broadcast_rate must be > 0 and finite")
 
         self.data_sizes = data = np.array(data_sizes, dtype=float)
         upload = np.array(upload_rates, dtype=float)

@@ -833,6 +833,9 @@ def _with_idle_player() -> BargainingProblem:
     (lambda: Player("c", 5.0, 5.0, role="relay"), ValueError, "unknown role 'relay'"),
     (lambda: BargainingProblem(airtime=0.0, broadcast_rate=5.0, **_PAIR), ValueError, "airtime must be > 0"),
     (lambda: BargainingProblem(airtime=1.0, broadcast_rate=-5.0, **_PAIR), ValueError, "broadcast_rate must be > 0"),
+    (lambda: BargainingProblem(airtime=1.0, broadcast_rate=math.inf, ids=["go"], data_sizes=[1.0],
+                               upload_rates=[math.inf], raw_alphas=[1.0], go=0),
+     ValueError, "broadcast_rate must be > 0 and finite"),
     (lambda: BargainingProblem(airtime=1.0, broadcast_rate=5.0, **{**_PAIR, "go": 2}), ValueError,
      r"GO index 2 outside 0\.\.1"),
     (lambda: level(_with_idle_player(), 6, 1.0), DomainError, "player index 6 has no data"),
@@ -843,7 +846,7 @@ def _with_idle_player() -> BargainingProblem:
     (lambda: tail_airtime(support.table1_problem(), 0, 1e9), DomainError, "beyond the tail's smallest cap level"),
     (lambda: level_for_airtime(support.table1_problem(), 0, 1e9), DomainError,
      r"airtime 1000000000\.0 outside \(0, 12\.72"),
-], ids=["role", "airtime", "broadcast-rate", "go-index", "level-no-data", "time-no-data", "time-level",
+], ids=["role", "airtime", "broadcast-rate", "broadcast-rate-inf", "go-index", "level-no-data", "time-no-data", "time-level",
         "tail-start-past", "tail-start-negative", "tail-level", "airtime-past-tail"])
 def test_public_functions_reject_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
