@@ -226,16 +226,16 @@ class Scenario:
                 raise ValueError(f"node {n.id!r}: data_mb_per_peer overflows at {len(ids) - 1} peers")
         if not (0 < self.broadcast_mbps < math.inf):
             raise ValueError("broadcast_mbps must be > 0 and finite")
-        # a client's relay overhead, broadcast_mbps over its upload rate,
-        # must stay finite at its worst loss-adjusted rate, the bargaining
-        # problem's bound; the comparison fails a rate that underflows to 0
-        worst = 1.0 - (0.0 if self.loss is None else self.loss.hi)
-        for n in self.nodes:
-            if not (n.upload_mbps * worst > self.broadcast_mbps / sys.float_info.max):
-                raise ValueError(f"node {n.id!r}: relay overhead broadcast_mbps / upload_mbps overflows "
-                                 f"at its worst loss-adjusted rate {n.upload_mbps * worst:g}")
         if not (0 < self.t_slot_s < math.inf):
             raise ValueError("t_slot_s must be > 0 and finite")
+        # a client's relay overhead, broadcast_mbps over its upload rate,
+        # must stay finite at its worst loss-adjusted rate, by the bargaining
+        # problem's bound; the comparison fails a rate that underflows to 0
+        worst, bound = 1.0 - (0.0 if self.loss is None else self.loss.hi), self.broadcast_mbps / sys.float_info.max
+        for n in self.nodes:
+            if not (n.upload_mbps * worst > bound):
+                raise ValueError(f"node {n.id!r}: relay overhead broadcast_mbps / upload_mbps overflows "
+                                 f"at its worst loss-adjusted rate {n.upload_mbps * worst:g}")
         if self.go is not None and self.go not in ids:
             raise ValueError(f"pinned GO {self.go!r} is not a node")
         if not (self.go_alpha_factor > 0):
