@@ -19,6 +19,7 @@ import difflib
 import functools
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -70,8 +71,8 @@ def transcript() -> dict[str, bytes]:
     out = {}
     for preset in PRESETS:
         for argv in _commands(preset):
-            policy = [f"-{argv[argv.index('--policy') + 1]}"] if "--policy" in argv else []
-            out[f"{preset}-{argv[0]}{''.join(policy)}.txt"] = _run(argv)
+            policy = f"-{argv[argv.index('--policy') + 1]}" if "--policy" in argv else ""
+            out[f"{preset}-{argv[0]}{policy}.txt"] = _run(argv)
         out[f"{preset}-simulate.txt"] = _simulate(preset)
     return out
 
@@ -83,7 +84,7 @@ def golden_digest() -> str:
 def _first_differences(name: str, want: bytes, got: bytes, context: int = 12) -> str:
     diff = difflib.unified_diff(want.decode().splitlines(), got.decode().splitlines(),
                                 f"golden/{name}", "now", lineterm="", n=1)
-    return "\n".join(line for line, _ in zip(diff, range(context)))
+    return "\n".join(itertools.islice(diff, context))
 
 
 def test_cli_outputs_match_golden_transcript():
