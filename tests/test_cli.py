@@ -469,7 +469,9 @@ _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor a
     ({"go_alpha_factor": 2.0}, {"alpha": 1e308}, _OVERFLOW),     # the GO's weight is infinite
     ({"go_alpha_factor": 1.0}, {"alpha": 1e308}, _OVERFLOW),     # the sum of weights overflows
     ({"connectivity": {"edges": [["n1", "n2"], ["n1", "n1"]]}}, {}, "connectivity edge ('n1', 'n1') is a self loop"),
-], ids=["go-weight", "weight-sum", "self-loop"])
+    ({}, {"upload_mbps": 5e-324},       # 11 / 5e-324 is inf: nan for n1 and both metrics
+     "node 'n1': relay overhead broadcast_mbps / upload_mbps overflows at its worst loss-adjusted rate 4.94066e-324"),
+], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead"])
 def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, node_fields, message):
     # each used to print NaN and exit 0, or end in a traceback
     scenario = _table1_file(tmp_path, doc_fields, **node_fields)
@@ -477,27 +479,13 @@ def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, 
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: scenario: {message}"]
 
-def _table1_with_n1(tmp_path, **n1_fields) -> str:
-    doc = json.loads(json.dumps(PRESETS["table1"]))
-    doc["nodes"][0].update(n1_fields)
-    path = tmp_path / "table1.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
 
-
-@pytest.mark.parametrize("argv", [["allocate"], ["compare", "--durations", "10", "--reps", "2"]],
-                         ids=["allocate", "compare"])
-def test_an_overflowing_relay_overhead_exits_2(capsys, tmp_path, argv):
-    """n1 uploading at 5e-324 Mb/s has a relay overhead 11 / 5e-324 that
-    overflows: allocate used to print nan for n1 and both metrics, and
-    compare 0.000000 for every policy, each with exit 0.  A rate of 1e-300,
-    whose overhead is finite, still runs."""
-    code, out, err = run_cli(capsys, *argv, "--scenario", _table1_with_n1(tmp_path, upload_mbps=5e-324))
-    assert code == 2 and out == ""
-    assert err.splitlines() == ["error: scenario: node 'n1': relay overhead broadcast_mbps / upload_mbps "
-                                "overflows at its worst loss-adjusted rate 4.94066e-324"]
-    code, out, err = run_cli(capsys, *argv, "--scenario", _table1_with_n1(tmp_path, upload_mbps=1e-300))
-    assert code == 0 and err == "" and "nan" not in out
+def test_a_slow_but_finite_relay_overhead_still_runs(capsys, tmp_path):
+    # every client's relay overhead is 11 / 1e-300, large but finite
+    scenario = _table1_file(tmp_path, {}, upload_mbps=1e-300)
+    for argv in (["allocate"], ["compare", "--durations", "10", "--reps", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--scenario", scenario)
+        assert code == 0 and err == "" and "nan" not in out
 
 
 CONVERGE_TABLE1_5 = """\
