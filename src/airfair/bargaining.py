@@ -311,12 +311,10 @@ class BargainingProblem:
         n = len(self.ids)
         if not n:
             raise ValueError("need at least one player")
-        _check_airtime(airtime)
         if not (0 < broadcast_rate < math.inf):     # an infinite rate has no finite relay overhead
             raise ValueError("broadcast_rate must be > 0 and finite")
 
         self.data_sizes = data = np.array(data_sizes, dtype=float)
-        upload = np.array(upload_rates, dtype=float)
         self.raw_alphas = raw = np.array(raw_alphas, dtype=float)
         if np.count_nonzero(~(data >= 0)):     # NaN fails these checks too
             raise ValueError("data_size must be >= 0")
@@ -334,7 +332,6 @@ class BargainingProblem:
         self.go = g = operator.index(gos[0])
         if not 0 <= g < n:
             raise ValueError(f"GO index {g} outside 0..{n - 1}")
-        betas = _relay_overheads(broadcast_rate, upload, g, n)
         if len(set(self.ids)) != n:
             raise ValueError("duplicate player ids")
 
@@ -364,20 +361,26 @@ class BargainingProblem:
             active = _Active(idx, self.alphas, None, caps, d, coeff, log, power, linear)
         else:
             active = _Active(idx, self.alphas[idx], None, caps[idx], d[idx], coeff[idx], log, power, linear)
-        self._set_channel(airtime, upload, betas, active)
+        self._set_channel(airtime, upload_rates, active)
         # utility values at the disagreement points (None when every d is
         # zero: every utility is zero there, so a gain is the value itself)
         self._base_values = _utility_values(active, active.d) if np.count_nonzero(d) else None
         for column in (data, raw, d, self.kinds, self.coeffs, self.alphas, caps):
             column.setflags(write=False)
 
-    def _set_channel(self, airtime: float, upload: np.ndarray, betas: np.ndarray, active: _Active) -> None:
-        """Set what the channel decides, the airtime budget, the upload rates
-        and the relay overheads, and the bargaining players' columns with
-        their channel seconds per broadcast second, 1 + beta; then check what
-        these decide: the disagreement outcomes against the budget and the
-        log-shifted levels at the cap."""
-        self.airtime, self.upload_rates, self.betas = airtime, upload, betas
+    def _set_channel(self, airtime: float, upload_rates, active: _Active) -> None:
+        """The one step that checks and derives what the channel decides: the
+        airtime budget, the upload rates, the relay overheads they give and
+        the bargaining players' ``active`` columns with their channel seconds
+        per broadcast second, 1 + beta.  Then it checks what these decide:
+        the disagreement outcomes against the budget and the log-shifted
+        levels at the cap.  The constructor and :meth:`with_channel` both
+        hand it their raw airtime and upload rates."""
+        if not (airtime > 0):
+            raise ValueError("airtime must be > 0")
+        self.airtime = airtime
+        self.upload_rates = upload = np.array(upload_rates, dtype=float)
+        self.betas = betas = _relay_overheads(self.broadcast_rate, upload, self.go, len(self.ids))
         weight = 1.0 + betas if len(active.index) == len(self.ids) else 1.0 + betas[active.index]
         self._active = active._replace(weight=weight)
         if np.count_nonzero(self.disagreements):
@@ -390,17 +393,14 @@ class BargainingProblem:
     def with_channel(self, airtime: float, upload_rates) -> "BargainingProblem":
         """The problem the constructor builds from these columns with
         ``airtime`` and ``upload_rates`` in place of this one's: the same
-        players, loads, weights and utilities.  Only the two new values are
-        checked, with the constructor's messages, and only what they decide
-        is derived again."""
-        _check_airtime(airtime)
-        upload = np.array(upload_rates, dtype=float)
-        betas = _relay_overheads(self.broadcast_rate, upload, self.go, len(self.ids))
+        players, loads, weights and utilities, sharing every column that the
+        channel does not decide.  Only the two new values are checked, with
+        the constructor's messages, by the constructor's own channel step."""
         other = object.__new__(BargainingProblem)
         for name in ("ids", "broadcast_rate", "data_sizes", "raw_alphas", "go", "disagreements",
                      "kinds", "coeffs", "alphas", "caps", "_base_values"):
             setattr(other, name, getattr(self, name))
-        other._set_channel(airtime, upload, betas, self._active)
+        other._set_channel(airtime, upload_rates, self._active)
         return other
 
     def _validate_feasibility(self):
@@ -474,11 +474,6 @@ class BargainingProblem:
         """Every active queue fits in the window: the demand is within the
         airtime budget, up to a relative 1e-12."""
         return self.demand <= self.airtime * (1.0 + _REL_SLACK)
-
-
-def _check_airtime(airtime: float) -> None:
-    if not (airtime > 0):
-        raise ValueError("airtime must be > 0")
 
 
 def _relay_overheads(broadcast_rate: float, upload: np.ndarray, g: int, n: int) -> np.ndarray:

@@ -814,6 +814,35 @@ def test_player_checks_hold_for_columns(player_fields, columns, error, message):
         BargainingProblem(airtime=10.0, broadcast_rate=5.0, **{**_PAIR, **columns})
 
 
+@pytest.mark.parametrize("idle", [False, True], ids=["all-bargain", "idle-player"])
+def test_with_channel_derives_the_constructors_problem(idle):
+    """``with_channel`` gives, to the bit, the problem the constructor builds
+    from the same columns with the new airtime and upload rates: every
+    column, the bargaining players' columns, the level curves and the GNBS
+    allocation.  It rejects a bad airtime or upload rate with the
+    constructor's message."""
+    nan, inf = math.nan, math.inf
+    columns = dict(ids=["a", "go", "c", "idle"], data_sizes=[100.0, 50.0, 30.0, 0.0], raw_alphas=[1.0, 2.0, 1.0, 3.0],
+                   go=1, disagreements=[0.5, 0.0, 0.2, 0.0], kinds=[1, 0, 2, 0], coeffs=[2.0, nan, 0.5, nan])
+    n = 4 if idle else 3
+    columns = {name: value if name == "go" else value[:n] for name, value in columns.items()}
+    first = BargainingProblem(airtime=20.0, broadcast_rate=11.0, upload_rates=[10.0, inf, 5.0, 8.0][:n], **columns)
+    for airtime, upload in [(12.0, [4.0, 1.0, 11.0, 3.0]), (1e3, [11.0, 11.0, 11.0, 11.0]), (40.0, [0.5, inf, 7.0, 1e9]),
+                            (2.5, [11.0, 2.0, 7.0, 1e9])]:
+        derived = first.with_channel(airtime, upload[:n])
+        built = BargainingProblem(airtime=airtime, broadcast_rate=11.0, upload_rates=upload[:n], **columns)
+        for view in (lambda p: p, lambda p: p._active, lambda p: p._curves, lambda p: p._base_values,
+                     lambda p: gnbs_allocate(p)[0]):
+            assert support.exact_bits(view(derived)) == support.exact_bits(view(built))
+    for airtime, upload, message in [(0.0, [4.0, 1.0, 11.0, 3.0], "airtime must be > 0"),
+                                     (12.0, [4.0, 1.0, 0.0, 3.0], "clients need upload_rate > 0"),
+                                     (12.0, [4.0, 1.0, 5e-324, 3.0], "clients need a finite relay overhead")]:
+        with pytest.raises(ValueError, match=message):
+            BargainingProblem(airtime=airtime, broadcast_rate=11.0, upload_rates=upload[:n], **columns)
+        with pytest.raises(ValueError, match=message):
+            first.with_channel(airtime, upload[:n])
+
+
 def test_given_utility_with_a_nan_coefficient_rejected():
     """A NaN coefficient column stands for the default utility, normalized
     over the player's own cap; a NaN in a :class:`Utility` given to a player
