@@ -153,11 +153,15 @@ def preset_scenario(name: str) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """The scenario in a JSON file, read as UTF-8 (RFC 8259).  A file that
+    cannot be read raises :class:`SchemaError`, and so does one that cannot
+    be decoded or parsed: bytes that are not UTF-8, invalid JSON, nesting
+    too deep for the parser, or an integer too long to convert."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise SchemaError(f"cannot read scenario file: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:      # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise SchemaError(f"scenario file is not valid JSON: {e}") from e
     return scenario_from_dict(doc)

@@ -162,6 +162,16 @@ def test_load_scenario_roundtrip(tmp_path):
     assert scn.seed == 7
 
 
+#: files that cannot be decoded or parsed, which each used to end in a
+#: traceback: bytes that are not UTF-8, an array nested deeper than the
+#: parser recurses, and a node field of more digits than int() converts
+UNPARSABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+    "long-int": json.dumps(MINIMAL).replace('"data_mb": 3.0', '"data_mb": ' + "9" * 5000, 1).encode(),
+}
+
+
 def test_load_scenario_bad_file(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(SchemaError, match="cannot read"):
@@ -170,6 +180,22 @@ def test_load_scenario_bad_file(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(SchemaError, match="not valid JSON"):
         load_scenario(broken)
+    for name, content in UNPARSABLE.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match="^scenario file is not valid JSON: "):
+            load_scenario(path)
+
+
+def test_unparsable_files_exit_2(capsys, tmp_path):
+    """The CLI prints one error line for each file and nothing else."""
+    for name, content in UNPARSABLE.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        assert cli.main(["allocate", "--scenario", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: scenario file is not valid JSON: ")
 
 
 def test_empty_document_rejected():
