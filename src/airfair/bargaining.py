@@ -316,8 +316,10 @@ class BargainingProblem:
 
         self.data_sizes = data = np.array(data_sizes, dtype=float)
         self.raw_alphas = raw = np.array(raw_alphas, dtype=float)
-        if np.count_nonzero(~(data >= 0)):     # NaN fails these checks too
-            raise ValueError("data_size must be >= 0")
+        # NaN fails these checks too; the bound, a Python float that overflows
+        # to inf without a warning, keeps each cap data / broadcast_rate finite
+        if np.count_nonzero(~((data >= 0) & (data < float(broadcast_rate) * sys.float_info.max))):
+            raise ValueError("data_size must be >= 0, with a finite cap data_size / broadcast_rate")
         if np.count_nonzero(~(raw > 0)):
             raise ValueError("alpha must be > 0")
         if disagreements is None:

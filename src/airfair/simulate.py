@@ -229,13 +229,20 @@ class Scenario:
         if not (0 < self.t_slot_s < math.inf):
             raise ValueError("t_slot_s must be > 0 and finite")
         # a client's relay overhead, broadcast_mbps over its upload rate,
-        # must stay finite at its worst loss-adjusted rate, by the bargaining
-        # problem's bound; the comparison fails a rate that underflows to 0
-        worst, bound = 1.0 - (0.0 if self.loss is None else self.loss.hi), self.broadcast_mbps / sys.float_info.max
+        # must stay finite at its worst loss-adjusted rate, and a queue's cap,
+        # its largest round load over broadcast_mbps, must stay finite too,
+        # by the bargaining problem's bounds; the first comparison fails a
+        # rate that underflows to 0
+        worst = 1.0 - (0.0 if self.loss is None else self.loss.hi)
+        bound, load_bound = self.broadcast_mbps / sys.float_info.max, self.broadcast_mbps * sys.float_info.max
         for n in self.nodes:
             if not (n.upload_mbps * worst > bound):
                 raise ValueError(f"node {n.id!r}: relay overhead broadcast_mbps / upload_mbps overflows "
                                  f"at its worst loss-adjusted rate {n.upload_mbps * worst:g}")
+            load = n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(ids) - 1)
+            if not (load < load_bound):
+                raise ValueError(f"node {n.id!r}: queue time data / broadcast_mbps overflows "
+                                 f"at its largest round load {load:g} mb")
         if self.go is not None and self.go not in ids:
             raise ValueError(f"pinned GO {self.go!r} is not a node")
         if not (self.go_alpha_factor > 0):

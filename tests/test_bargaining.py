@@ -793,6 +793,10 @@ _PAIR = dict(ids=["go", "c"], data_sizes=[5.0, 5.0], upload_rates=[math.inf, 5.0
                  "clients need upload_rate > 0", id="upload_rate-nan"),
     pytest.param({"upload_rate": 5e-324}, {"upload_rates": [math.inf, 5e-324]}, ValueError,     # 5 / 5e-324 is inf
                  "clients need a finite relay overhead", id="upload_rate-5e-324"),
+    pytest.param({"data_size": math.inf}, {"data_sizes": [5.0, math.inf]}, ValueError,
+                 "with a finite cap data_size / broadcast_rate", id="data_size-inf"),
+    pytest.param({}, {"broadcast_rate": 1e-310}, ValueError,      # 5 / 1e-310 is inf
+                 "with a finite cap data_size / broadcast_rate", id="cap-overflows"),
     pytest.param({"utility": Utility("normalized-linear", 0.0)}, {"kinds": [0, 0], "coeffs": [math.nan, 0.0]},
                  ValueError, "utility coefficient must be positive", id="normalized-linear-0.0"),
     pytest.param({"utility": Utility("log-shifted", -1.0)}, {"kinds": [0, 1], "coeffs": [math.nan, -1.0]},
@@ -805,13 +809,14 @@ _PAIR = dict(ids=["go", "c"], data_sizes=[5.0, 5.0], upload_rates=[math.inf, 5.0
 def test_player_checks_hold_for_columns(player_fields, columns, error, message):
     """The problem alone checks a player's values and its utility's: a
     :class:`Player` and a :class:`Utility` hold them as given, and a problem
-    built from them raises what the same values as columns raise."""
+    built from them raises what the same values as columns raise.  A row
+    may give the problem's broadcast rate among its columns."""
     client = Player(id="c", **{"data_size": 5.0, "upload_rate": 5.0, **player_fields})
     assert all(getattr(client, field) is value for field, value in player_fields.items())
     with pytest.raises(error, match=message):
-        BargainingProblem([Player("go", 5.0, role=ROLE_GO), client], 10.0, 5.0)
+        BargainingProblem([Player("go", 5.0, role=ROLE_GO), client], 10.0, columns.get("broadcast_rate", 5.0))
     with pytest.raises(error, match=message):
-        BargainingProblem(airtime=10.0, broadcast_rate=5.0, **{**_PAIR, **columns})
+        BargainingProblem(**{"airtime": 10.0, "broadcast_rate": 5.0, **_PAIR, **columns})
 
 
 @pytest.mark.parametrize("idle", [False, True], ids=["all-bargain", "idle-player"])

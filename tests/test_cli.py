@@ -471,7 +471,9 @@ _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor a
     ({"connectivity": {"edges": [["n1", "n2"], ["n1", "n1"]]}}, {}, "connectivity edge ('n1', 'n1') is a self loop"),
     ({}, {"upload_mbps": 5e-324},       # 11 / 5e-324 is inf: nan for n1 and both metrics
      "node 'n1': relay overhead broadcast_mbps / upload_mbps overflows at its worst loss-adjusted rate 4.94066e-324"),
-], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead"])
+    ({"broadcast_mbps": 1e-310}, {},    # 10 / 1e-310 is inf: every utility read 0 and allocate raised DomainError
+     "node 'n1': queue time data / broadcast_mbps overflows at its largest round load 10 mb"),
+], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead", "queue-time"])
 def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, node_fields, message):
     # each used to print NaN and exit 0, or end in a traceback
     scenario = _table1_file(tmp_path, doc_fields, **node_fields)
@@ -484,6 +486,14 @@ def test_a_slow_but_finite_relay_overhead_still_runs(capsys, tmp_path):
     # every client's relay overhead is 11 / 1e-300, large but finite
     scenario = _table1_file(tmp_path, {}, upload_mbps=1e-300)
     for argv in (["allocate"], ["compare", "--durations", "10", "--reps", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--scenario", scenario)
+        assert code == 0 and err == "" and "nan" not in out
+
+
+def test_a_slow_but_finite_broadcast_still_runs(capsys, tmp_path):
+    # every queue's cap is its load over 1e-305 mb/s, large but finite
+    scenario = _table1_file(tmp_path, {"broadcast_mbps": 1e-305})
+    for argv in (["allocate"], ["compare", "--durations", "10", "--reps", "1"]):
         code, out, err = run_cli(capsys, *argv, "--scenario", scenario)
         assert code == 0 and err == "" and "nan" not in out
 

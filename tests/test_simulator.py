@@ -142,6 +142,13 @@ def test_scenario_validation():
             two_node_scenario(nodes=slow_a(upload), loss=loss, broadcast_mbps=rate)
     two_node_scenario(nodes=slow_a(1e-307))
     two_node_scenario(nodes=slow_a(5e-324), broadcast_mbps=1e-20)
+    # a queue's cap, its largest round load over broadcast_mbps, must be
+    # finite: at 1e-307 Mb/s the load must stay below 17.97 mb, which 10 mb
+    # per peer crosses at 2 peers and a fixed 5 mb never does
+    three = (ScenarioNode("x", 0, 10, data_mb_per_peer=10.0),) + two_node_scenario().nodes
+    with pytest.raises(ValueError, match="'x': queue time data / broadcast_mbps overflows at its largest round load 20 mb"):
+        two_node_scenario(nodes=three, broadcast_mbps=1e-307)
+    two_node_scenario(nodes=three[:2], broadcast_mbps=1e-307)
     with pytest.raises(ValueError, match="stddev must be >= 0"):
         PcdErrorModel(math.nan)
     with pytest.raises(ValueError, match="mean must not be NaN"):
