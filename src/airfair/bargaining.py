@@ -914,8 +914,17 @@ def eql_allocate(problem: BargainingProblem) -> Allocation:
 def wtd_allocate(problem: BargainingProblem) -> Allocation:
     """Load-weighted baseline: broadcast time proportional to queued data,
     x_i = min(cap_i, c * data_i), with the constant c solving the budget
-    equation exactly over the sorted caps."""
-    return _clipped_linear_allocate(problem, problem.data_sizes)
+    equation exactly over the sorted caps.  Where the loads' weighted sum
+    overflows, the slopes are the loads over 2^e, the power of two above
+    broadcast_rate, which puts each in (cap / 2, cap]: their weighted sum is
+    then at most about the demand.  A power of two scales exactly, so the
+    scaled slopes give the same times while none is subnormal."""
+    act, slope = problem._active, problem.data_sizes
+    with np.errstate(over="ignore"):        # an overflowing sum is scaled away below
+        total = act.weight @ slope[act.index]
+    if not math.isfinite(total):
+        slope = np.ldexp(slope, -math.frexp(problem.broadcast_rate)[1])
+    return _clipped_linear_allocate(problem, slope)
 
 
 def oracle_allocate(problem: BargainingProblem, resolution: int = 200,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def test_wtd_closed_form_contended_case():
     alloc = wtd_allocate(prob)
     c = 5.0 / (100.0 + 11.0 * 10.0)
     np.testing.assert_allclose(alloc.broadcast_time, [100.0 * c, 10.0 * c], atol=1e-9)
+
+
+def test_wtd_spends_the_airtime_when_the_loads_sum_overflows():
+    """table1 with n1 and n2 at 1e308 mb: every cap is finite, but the
+    loads' weighted sum overflows, which used to give every node 0 s.  The
+    allocation spends the airtime, in proportion to load, with no warning."""
+    players = [replace(p, data_size=1e308) if p.id in ("n1", "n2") else p for p in support.table1_problem().players]
+    prob = BargainingProblem(players, airtime=10.0, broadcast_rate=11.0)
+    x = wtd_allocate(prob).broadcast_time
+    assert x[0] == x[1] == pytest.approx(2.5, rel=1e-12)
+    assert weighted_airtime(prob, x) == pytest.approx(10.0, rel=1e-12)
+    np.testing.assert_allclose(x / prob.data_sizes, x[0] / 1e308, rtol=1e-12)
 
 
 def test_wtd_saturated_gives_caps():
