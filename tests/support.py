@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from airfair import BargainingProblem, KktReport, Player, Utility
+from airfair import BargainingProblem, KktReport, Player, Utility, bargaining, simulate
 from airfair.bargaining import (
     _EPS,
     _ROOT_MAX_ITER,
@@ -765,6 +765,33 @@ def exact_bits(value, skip=frozenset()):
     if isinstance(value, float):
         return value.hex()
     return value
+
+
+def record_round_work(monkeypatch) -> dict[str, list]:
+    """Record, while ``monkeypatch`` holds, what the simulator asks of the
+    bargaining layer: every problem it builds (``built``), every one it
+    derives from a built one by ``with_channel`` (``derived``), every
+    problem a GNBS solve runs on (``solved``) and every problem a
+    certificate is computed for (``certified``)."""
+    work = {"built": [], "derived": [], "solved": [], "certified": []}
+    build, solve, certify = simulate.BargainingProblem, bargaining._gnbs_solve, bargaining.kkt_residuals
+    derive = BargainingProblem.with_channel
+
+    def built(*args, **kwargs):
+        work["built"].append(build(*args, **kwargs))
+        return work["built"][-1]
+
+    def derived(problem, *args):
+        work["derived"].append(derive(problem, *args))
+        return work["derived"][-1]
+
+    monkeypatch.setattr(simulate, "BargainingProblem", built)
+    monkeypatch.setattr(BargainingProblem, "with_channel", derived)
+    for module in (simulate, bargaining):
+        monkeypatch.setattr(module, "_gnbs_solve", lambda problem: work["solved"].append(problem) or solve(problem))
+    monkeypatch.setattr(bargaining, "kkt_residuals",
+                        lambda problem, *args: work["certified"].append(problem) or certify(problem, *args))
+    return work
 
 
 # ---------------------------------------------------------------------------

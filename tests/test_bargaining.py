@@ -1,6 +1,5 @@
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -468,37 +467,17 @@ def _drawn_problems():
     return _contended(wide + mixed)
 
 
-@contextmanager
-def _recorded_problems():
-    """A list that collects every problem the simulator builds in the
-    ``with`` block, those it derives by ``with_channel`` included."""
-    built = []
-    build, derive = simulate.BargainingProblem, BargainingProblem.with_channel
-
-    def record(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    def derived(problem, *args):
-        built.append(derive(problem, *args))
-        return built[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "BargainingProblem", record)
-        mp.setattr(BargainingProblem, "with_channel", derived)
-        yield built
-
-
 def _simulator_problems():
     """Every problem the simulator builds while comparing the policies on
     the presets and on table1 with loss and estimation noise."""
     noise = {"loss": {"lo": 0.0, "hi": 0.2}, "pcd_error": {"stddev": 0.5}}
     docs = [PRESETS["table1"], PRESETS["dynamic4"]]
     docs += [{**PRESETS[name], **noise, "seed": seed} for name in PRESETS for seed in range(4)]
-    with _recorded_problems() as built:
+    with pytest.MonkeyPatch.context() as mp:
+        work = support.record_round_work(mp)
         for doc in docs:
             simulate.compare_policies(scenario_from_dict(doc))
-    return _contended(built)
+    return _contended(work["built"] + work["derived"])
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +501,15 @@ def _compared_problems():
              scenario_from_dict(PRESETS["dynamic4"])]
     runs = [replace(base, loss=None, pcd_error=None) for base in noisy]        # no draws: one seed
     runs += [replace(base, seed=seed) for base in noisy for seed in range(15)]
-    with _recorded_problems() as built:
+    with pytest.MonkeyPatch.context() as mp:
+        work = support.record_round_work(mp)
         for run in runs:
             for duration in (10.0, 20.0, 40.0, 80.0):
                 try:
                     simulate.compare_policies(simulate.scale_contact_durations(run, duration))
                 except ScheduleError:
                     pass
-    return built
+    return work["built"] + work["derived"]
 
 
 def _near_saturation(prob, eps):

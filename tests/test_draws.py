@@ -750,31 +750,6 @@ def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
     assert len({id(r.rounds[0].problem) for r in reports}) == reps     # round 0 solved once per repetition
 
 
-def _count_round_work(monkeypatch) -> dict[str, list]:
-    """Record every problem the simulator builds, every one it derives from
-    a built one by ``with_channel``, every problem a GNBS solve runs on, and
-    every problem a certificate is computed for."""
-    work = {"built": [], "derived": [], "solved": [], "certified": []}
-    build, solve, certify = simulate.BargainingProblem, bargaining._gnbs_solve, bargaining.kkt_residuals
-    derive = bargaining.BargainingProblem.with_channel
-
-    def built(*args, **kwargs):
-        work["built"].append(build(*args, **kwargs))
-        return work["built"][-1]
-
-    def derived(problem, *args):
-        work["derived"].append(derive(problem, *args))
-        return work["derived"][-1]
-
-    monkeypatch.setattr(simulate, "BargainingProblem", built)
-    monkeypatch.setattr(bargaining.BargainingProblem, "with_channel", derived)
-    for module in (simulate, bargaining):
-        monkeypatch.setattr(module, "_gnbs_solve", lambda problem: work["solved"].append(problem) or solve(problem))
-    monkeypatch.setattr(bargaining, "kkt_residuals",
-                        lambda problem, *args: work["certified"].append(problem) or certify(problem, *args))
-    return work
-
-
 def test_compare_policies_solves_each_round_once(monkeypatch):
     """On one-round table1 the three policies share the round's two
     problems and its GNBS reference, and only gsa's allocation is
@@ -782,7 +757,7 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
     from it.  Rounds that the policies reach with the same loads are
     shared after the first traffic round too, and so is an open round's
     GO election."""
-    work = _count_round_work(monkeypatch)
+    work = support.record_round_work(monkeypatch)
     reports = compare_policies(scenario_from_dict(SCENARIOS["table1"]))
     first = reports["gsa"].rounds[0]
     assert [len(r.rounds) for r in reports.values()] == [1, 1, 1]
@@ -808,7 +783,7 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
 def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):
     """k slot sizes and r repetitions of one-round table1 solve and certify
     the round r times, not k * r times."""
-    work = _count_round_work(monkeypatch)
+    work = support.record_round_work(monkeypatch)
     sizes, reps = [0.005, 0.02, 0.05], 2
     slot_size_sweep(scenario_from_dict(SCENARIOS["table1"]), sizes, repetitions=reps)
     assert len(work["built"]) == len(work["derived"]) == reps
