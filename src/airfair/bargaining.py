@@ -44,7 +44,12 @@ A problem is stored as columns: ids, data sizes, upload rates, raw weights,
 the GO's index, disagreement points, and a utility kind code and
 coefficient per player.  They are validated and derived once, whether they
 come from :class:`Player` objects or straight from the simulator's member
-arrays; ``players`` and ``utilities`` are views built only when read.  The
+arrays; ``players`` and ``utilities`` are views built only when read.  A
+load is rejected unless its cap, load over the broadcast rate, is finite.
+What the channel decides, the airtime budget, the upload rates and the
+relay overheads they give, is checked and derived by one step, which the
+constructor and ``with_channel`` (the same players under another channel,
+as each round's ideal problem is) both run on their raw values.  The
 positions of the log-shifted and power players among the bargaining ones
 are found once, too.  A problem with a log-shifted player builds its level
 curves at once and is rejected when such a player's level at its cap, read
@@ -268,9 +273,12 @@ class BargainingProblem:
     that take part).  Construction rejects problems where no allocation
     strictly beats every active player's disagreement outcome.  ``players``
     and ``utilities`` are views built on first use.  The column arrays are
-    read-only, since the level curves are derived from them once.
+    read-only, since the level curves are derived from them once.  A load
+    must be at least 0 with a finite cap, below broadcast_rate * DBL_MAX.
     :meth:`with_channel` gives the same players under another airtime budget
-    and other upload rates, sharing every column that neither decides.
+    and other upload rates, sharing every column that neither decides; it
+    and the constructor check and derive those two by one step,
+    :meth:`_set_channel`, so both raise the same errors for them.
     """
 
     ids: tuple[str, ...]
@@ -914,15 +922,16 @@ def eql_allocate(problem: BargainingProblem) -> Allocation:
 def wtd_allocate(problem: BargainingProblem) -> Allocation:
     """Load-weighted baseline: broadcast time proportional to queued data,
     x_i = min(cap_i, c * data_i), with the constant c solving the budget
-    equation exactly over the sorted caps.  Where the loads' weighted sum
-    overflows, the slopes are the loads over 2^e, the power of two above
-    broadcast_rate, which puts each in (cap / 2, cap]: their weighted sum is
-    then at most about the demand.  A power of two scales exactly, so the
-    scaled slopes give the same times while none is subnormal."""
-    act, slope = problem._active, problem.data_sizes
-    with np.errstate(over="ignore"):        # an overflowing sum is scaled away below
-        total = act.weight @ slope[act.index]
-    if not math.isfinite(total):
+    equation exactly over the sorted caps.  The water-fill sums the slopes
+    times 1 + beta, which for the loads is at most 1.5 demand *
+    broadcast_rate (a cap is load / broadcast_rate rounded, by at most half
+    of itself when subnormal).  Where that bound is not below DBL_MAX / 2,
+    the slopes are the loads over 2^e, the power of two above
+    broadcast_rate, which puts each in (cap / 2, cap], so their sum cannot
+    overflow either.  A power of two scales exactly: they give the same
+    times while none is subnormal."""
+    slope = problem.data_sizes
+    if not (problem.demand * problem.broadcast_rate < sys.float_info.max / 2):
         slope = np.ldexp(slope, -math.frexp(problem.broadcast_rate)[1])
     return _clipped_linear_allocate(problem, slope)
 
