@@ -232,9 +232,10 @@ class Scenario:
         # must stay finite at its worst loss-adjusted rate, and a queue's cap,
         # its largest round load over broadcast_mbps, must stay finite too,
         # by the bargaining problem's bounds; the first comparison fails a
-        # rate that underflows to 0
+        # rate that underflows to 0, and the second's bound is a Python
+        # float, which overflows to inf without a warning
         worst = 1.0 - (0.0 if self.loss is None else self.loss.hi)
-        bound, load_bound = self.broadcast_mbps / sys.float_info.max, self.broadcast_mbps * sys.float_info.max
+        bound, load_bound = self.broadcast_mbps / sys.float_info.max, float(self.broadcast_mbps) * sys.float_info.max
         for n in self.nodes:
             if not (n.upload_mbps * worst > bound):
                 raise ValueError(f"node {n.id!r}: relay overhead broadcast_mbps / upload_mbps overflows "

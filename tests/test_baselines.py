@@ -7,6 +7,7 @@ import support
 from airfair import BargainingProblem, Player
 from airfair.bargaining import (
     ROLE_GO,
+    _clipped_linear_allocate,
     eql_allocate,
     gnbs_allocate,
     weighted_airtime,
@@ -70,6 +71,18 @@ def test_wtd_spends_the_airtime_when_the_loads_sum_overflows():
     assert x[0] == x[1] == pytest.approx(2.5, rel=1e-12)
     assert weighted_airtime(prob, x) == pytest.approx(10.0, rel=1e-12)
     np.testing.assert_allclose(x / prob.data_sizes, x[0] / 1e308, rtol=1e-12)
+
+
+def test_wtd_slopes_scaled_by_a_power_of_two_keep_the_bits(table1):
+    """The scaling wtd_allocate applies where the loads' sum would overflow
+    is exact: on table1 and 200 wide draws, the loads times 2^-4 (the power
+    of two above 11 Mb/s, the one it takes) or 2^+-60 give wtd's allocation
+    to the bit."""
+    draws = [support.wide_problem(np.random.default_rng([4343, seed]), linear=True) for seed in range(200)]
+    for prob in [table1] + draws:
+        expected = support.exact_bits(wtd_allocate(prob))
+        for e in (-4, -60, 60):
+            assert support.exact_bits(_clipped_linear_allocate(prob, np.ldexp(prob.data_sizes, e))) == expected
 
 
 def test_wtd_saturated_gives_caps():
