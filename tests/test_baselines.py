@@ -76,7 +76,7 @@ def test_wtd_spends_the_airtime_when_the_loads_sum_overflows():
 def test_wtd_slopes_scaled_by_a_power_of_two_keep_the_bits(table1):
     """The scaling wtd_allocate applies where the loads' sum would overflow
     is exact: on table1 and 200 wide draws, the loads times 2^-4 (the power
-    of two above 11 Mb/s, the one it takes) or 2^+-60 give wtd's allocation
+    of two above 11 Mb/s, the one it takes), 2^-60 or 2^60 give wtd's allocation
     to the bit."""
     draws = [support.wide_problem(np.random.default_rng([4343, seed]), linear=True) for seed in range(200)]
     for prob in [table1] + draws:

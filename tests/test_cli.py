@@ -491,7 +491,7 @@ def test_a_slow_but_finite_relay_overhead_still_runs(capsys, tmp_path):
 
 
 def test_a_slow_but_finite_broadcast_still_runs(capsys, tmp_path):
-    # every queue's cap is its load over 1e-305 mb/s, large but finite
+    # every queue's cap is its load over 1e-305 Mb/s, large but finite
     scenario = _table1_file(tmp_path, {"broadcast_mbps": 1e-305})
     for argv in (["allocate"], ["compare", "--durations", "10", "--reps", "1"]):
         code, out, err = run_cli(capsys, *argv, "--scenario", scenario)
