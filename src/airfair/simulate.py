@@ -36,12 +36,19 @@ it sent and counts as drained, so the node sits the round out.
 All randomness flows through counter-based generators keyed by
 (seed, purpose, round, node...), which makes every run bit-reproducible and
 lets paired experiments reuse identical draws.  A scenario's draws are made
-before any round runs: all Philox keys come from one batch that runs
-numpy's SeedSequence hash on all rows together, and one Philox4x64-10 pass
-makes the first word of every key's stream, from which the uniform draws
-and the normal draws are read (see :mod:`airfair.streams`).  Draws
-depend on neither the policy nor the slot size, so policy comparison and
-slot-size sweeps derive them once and share them.  A round keeps its PCD
+before any round runs, in two steps.  The plan holds what no seed decides:
+the rounds, their members and member columns, modes, hubs, fixed GOs, drawn
+pairs and true PCDs, and the entropy rows of every stream.  The module
+keeps the plan of the last timeline it planned, found again by the identity
+of the scenario's nodes tuple, which ``replace`` keeps, and the exact
+values of the other fields it reads, so every repetition of an experiment,
+every slot size of a sweep and every call on one scenario plans once.  The
+seed's step hashes all Philox keys in one batch that runs numpy's
+SeedSequence hash on all rows together, and one Philox4x64-10 pass makes
+the first word of every key's stream, from which the uniform draws and the
+normal draws are read (see :mod:`airfair.streams`).  Draws depend on
+neither the policy nor the slot size, so policy comparison and slot-size
+sweeps derive them once and share them.  A round keeps its PCD
 draws as drawn, a list of member pairs and one estimate per pair.  A round
 whose GO no policy can change, the first round or one with its pinned GO
 present, elects it with the draws and draws only the pairs that hold it,
@@ -74,8 +81,15 @@ keyed by the exact bits of the loads alone, since the draws and the loads
 decide the GO, so runs that share one set of draws may differ only in
 policy and ``t_slot_s``, as every caller's do: a round that several
 policies or slot sizes reach with the same loads is solved once, and gives
-the floats a fresh solve would.  Only gsa's allocation of the estimated
-problem is certified.
+the floats a fresh solve would.  The ideal problem, with the true round
+length and nominal rates, is the one built; the estimated problem is
+derived from it on the estimated channel.  No seed changes the ideal
+problem, so each plan round keeps one ideal solve, for the loads it is
+first asked with, which in every seed's first round are the members' own
+data: the problem, its GNBS reference and eql's and wtd's allocations of
+it, read-only and shared by every seed's runs.  What a seed decides is
+never kept across calls.  Only gsa's allocation of the estimated problem
+is certified.
 
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal
@@ -381,7 +395,10 @@ class _RoundDraws:
     draws; and its solves, filled in by the runs on these draws.  A round
     with a fixed GO draws the PCDs of the n - 1 pairs that hold it, the ones
     its horizon reads, and an open round those of every pair.  Draws made
-    for an experiment's repetitions have no rx outcomes: ``rx_ok`` is None."""
+    for an experiment's repetitions have no rx outcomes: ``rx_ok`` is None.
+    All but the draws and the solves come from the timeline's plan, which
+    every seed's draws share, and so does ``ideal``, the plan's one ideal
+    solve of the round."""
 
     t0: float
     t1: float
@@ -397,6 +414,7 @@ class _RoundDraws:
     pcd: np.ndarray              # pcd[k]: estimated PCD of the members of pair k
     loss: np.ndarray | None      # loss probability per member
     rx_ok: np.ndarray | None     # rx_ok[r, s]: member r receives member s; None if not drawn
+    ideal: dict[bytes, tuple[BargainingProblem, dict[str, Allocation]]]    # the plan's: at most one, by loads.tobytes()
     solves: dict[bytes, _RoundSolve] = field(default_factory=dict, init=False)  # by loads.tobytes()
 
     def horizon(self, g: int) -> float:
@@ -433,45 +451,49 @@ def _pairs(size: int, go: int | None) -> tuple[np.ndarray, np.ndarray]:
         others = np.delete(np.arange(size), go)
         pairs = np.minimum(others, go), np.maximum(others, go)
     for index in pairs:
-        index.flags.writeable = False
+        index.setflags(write=False)
     return pairs
 
 
-def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
-    """The span, members and draws of every round with at least two members.
+@lru_cache(maxsize=128)
+def _off_diagonal(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask of a round's (receiver, sender) member pairs, every pair of
+    two members of ``size``, and its receivers and senders row by row.
+    Read-only, built once per size."""
+    off = ~np.eye(size, dtype=bool)
+    out = (off, *np.nonzero(off))
+    for array in out:
+        array.setflags(write=False)
+    return out
 
-    Each draw comes from its own stream keyed by (seed, purpose, round,
-    node...): "pcd" per member pair, "loss" per member, "rx" per receiver
-    and sender.  Every part is one entropy word, so the word rows of all
-    streams are put together from the nodes' CRC words, made once per
-    scenario, and hashed in one batch, and one Philox pass makes the first
-    word of every stream.  Loss and rx are each their stream's first
-    uniform draw, and a PCD error its stream's first normal draw, read off
-    that word for all keys at once; an estimate is floored at
-    :data:`PCD_FLOOR` the way :func:`estimate_pcd` floors it.  Draws depend
-    only on the timeline, the seed and the noise models, not on the policy
-    or the slot size.
 
-    The rx outcomes feed only a report's ``received_mb``, which no
-    experiment reads, so ``rx=False`` leaves their n(n - 1) keys per round
-    with loss out of the batch (30 of noisy table1's 41) and sets each
-    round's ``rx_ok`` to None, on which :func:`_run` folds no
-    ``received_mb``.  Every other stream keeps its key, so every other draw
-    is the same to the bit.
+#: the plan of the last timeline planned, which every repetition of an
+#: experiment reuses: its nodes, its :func:`_plan_key` and :func:`_plan`'s value
+_last_plan: tuple | None = None
 
-    A round's members come in id order, with three read-only columns in
-    member order that the runs read instead of the nodes: own data (a
-    per-peer amount times the member count less one), raw weight and the
-    rate it uploads at in the round's mode, its nominal one, or inf in a
-    unicast pair, which talks directly.  A round reads only the PCDs of the
-    pairs that hold its GO, the horizon being the smallest of them.  Where
-    no policy can change the GO, it is fixed here and only those pairs are
-    drawn: a pinned GO that is a member, or the first round's election from
-    the own-data column, the loads every policy starts from.  Every stream
-    keeps its key, so each drawn estimate is the one a draw of every pair
-    gives.  Other rounds, and a first round whose election raises, draw
-    every pair and leave the election to the run.
-    """
+
+def _plan_key(scenario: Scenario, rx: bool) -> tuple:
+    """What a plan reads of the scenario besides its nodes, compared exactly
+    (an int rate is not its float)."""
+    rate, factor = scenario.broadcast_mbps, scenario.go_alpha_factor
+    return (rx, scenario.connectivity, scenario.go, type(rate), rate, type(factor), factor,
+            scenario.loss is None, scenario.pcd_error is None)
+
+
+def _plan(scenario: Scenario, rx: bool) -> tuple:
+    """What the timeline's draws hold that no seed decides: per round its
+    span, members, member columns, mode, hubs, fixed GO, pairs, true PCDs,
+    off-diagonal mask and ideal solve slot (see :func:`_solve_round`);
+    every round's true PCDs in one array, None without a PCD error model;
+    the entropy rows of every stream and their lengths, None without noise;
+    and the counts of pcd and loss rows.
+
+    It is the last plan if that was made for the same nodes tuple
+    (``replace`` keeps it) and an equal key, else a new one, which replaces
+    it.  A miss compares nothing but the nodes' identity."""
+    global _last_plan
+    if _last_plan is not None and _last_plan[0] is scenario.nodes and _last_plan[1] == _plan_key(scenario, rx):
+        return _last_plan[2]
     nodes = scenario.nodes
     events = sorted({t for n in nodes for t in (n.join_s, n.leave_s)})
     graph, model, loss_model = scenario.graph, scenario.pcd_error, scenario.loss
@@ -501,7 +523,7 @@ def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
                 pass
         i, j = pairs = _pairs(len(members), go)
         true = np.minimum(leave[at[i]], leave[at[j]]) - t0      # the true PCDs
-        rx_ok = ~np.eye(len(members), dtype=bool) if rx else None
+        off, receiver, sender = _off_diagonal(len(members))
         if model is not None or loss_model is not None:
             crc = words[at]
             if model is not None:
@@ -509,83 +531,141 @@ def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
             if loss_model is not None:
                 loss_rows.append(_word_rows(_LOSS, r, crc))
                 if rx:
-                    receiver, sender = np.nonzero(rx_ok)
                     rx_rows.append(_word_rows(_RX, r, crc[receiver], crc[sender]))
-        rounds.append((t0, t1, members, columns, mode, hubs, go, pairs, true, rx_ok))
+        for array in (true, *columns):     # shared by every run on every seed's draws
+            array.setflags(write=False)
+        rounds.append((t0, t1, members, columns, mode, hubs, go, pairs, true, off, {}))
 
-    if pcd_rows or loss_rows:
-        n_pcd = sum(map(len, pcd_rows))
-        n_loss = sum(map(len, loss_rows))
-        rows = np.concatenate(pcd_rows + loss_rows + rx_rows)
-        lengths = np.full(len(rows), 4)
-        lengths[n_pcd:n_pcd + n_loss] = 3
+    n_pcd, n_loss = sum(map(len, pcd_rows)), sum(map(len, loss_rows))
+    rows = np.concatenate(pcd_rows + loss_rows + rx_rows) if pcd_rows or loss_rows else None
+    lengths = None if rows is None else np.repeat([4, 3, 4], [n_pcd, n_loss, len(rows) - n_pcd - n_loss])
+    plan = rounds, None if model is None else np.concatenate([rnd[8] for rnd in rounds]), rows, lengths, n_pcd, n_loss
+    _last_plan = nodes, _plan_key(scenario, rx), plan
+    return plan
+
+
+def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
+    """The span, members and draws of every round with at least two members:
+    the scenario's :func:`_plan`, and the draws its seed decides.
+
+    Each draw comes from its own stream keyed by (seed, purpose, round,
+    node...): "pcd" per member pair, "loss" per member, "rx" per receiver
+    and sender.  Every part is one entropy word, so the plan puts the word
+    rows of all streams together from the nodes' CRC words, and they are
+    hashed in one batch, and one Philox pass makes the first word of every
+    stream.  Loss and rx are each their stream's first uniform draw, and a
+    PCD error its stream's first normal draw, read off that word for all
+    keys at once; an estimate is floored at :data:`PCD_FLOOR` the way
+    :func:`estimate_pcd` floors it.  Draws depend only on the timeline, the
+    seed and the noise models, not on the policy or the slot size.
+
+    The rx outcomes feed only a report's ``received_mb``, which no
+    experiment reads, so ``rx=False`` leaves their n(n - 1) keys per round
+    with loss out of the batch (30 of noisy table1's 41) and sets each
+    round's ``rx_ok`` to None, on which :func:`_run` folds no
+    ``received_mb``.  Every other stream keeps its key, so every other draw
+    is the same to the bit.
+
+    A round's members come in id order, with three read-only columns in
+    member order that the runs read instead of the nodes: own data (a
+    per-peer amount times the member count less one), raw weight and the
+    rate it uploads at in the round's mode, its nominal one, or inf in a
+    unicast pair, which talks directly.  A round reads only the PCDs of the
+    pairs that hold its GO, the horizon being the smallest of them.  Where
+    no policy can change the GO, the plan fixes it and only those pairs are
+    drawn: a pinned GO that is a member, or the first round's election from
+    the own-data column, the loads every policy starts from.  Every stream
+    keeps its key, so each drawn estimate is the one a draw of every pair
+    gives.  Other rounds, and a first round whose election raises, draw
+    every pair and leave the election to the run.
+    """
+    rounds, true, rows, lengths, n_pcd, n_loss = _plan(scenario, rx)
+    model, loss_model = scenario.pcd_error, scenario.loss
+    if rows is not None:
         keys = word_keys(scenario.seed, rows, lengths)
-
         word0 = first_words(keys)
         if model is not None:
-            v = np.concatenate([true for *_, true, _ in rounds])
-            v = v + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
+            v = true + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
             est = np.where(v > PCD_FLOOR, v, PCD_FLOOR)     # max(PCD_FLOOR, v), as estimate_pcd floors
+            est.setflags(write=False)       # its round slices are shared like the plan's arrays
         if loss_model is not None:
             u = first_uniforms(word0[n_pcd:])
             probs = loss_model.lo + (loss_model.hi - loss_model.lo) * u[:n_loss]   # Generator.uniform's arithmetic
-            probs.flags.writeable = False       # its round slices are shared like pcd and rx_ok
+            probs.setflags(write=False)
             heard = u[n_loss:]
 
     out, p, q, h = [], 0, 0, 0      # offsets of a round's pcd, loss and rx draws
-    for t0, t1, members, columns, mode, hubs, go, pairs, true, rx_ok in rounds:
+    for t0, t1, members, columns, mode, hubs, go, pairs, true, off, ideal in rounds:
         n = len(members)
         pcd = true if model is None else est[p:p + len(true)]
         loss = None if loss_model is None else probs[q:q + n]
-        if rx:
-            if loss is not None:    # the rx draws run row by row: receiver, then sender
-                rx_ok[rx_ok] = heard[h:h + n * (n - 1)] >= np.repeat(loss, n - 1)
-            rx_ok.flags.writeable = False
+        rx_ok = off if rx else None
+        if rx and loss is not None:     # the rx draws run row by row: receiver, then sender
+            rx_ok = off.copy()
+            rx_ok[off] = heard[h:h + n * (n - 1)] >= np.repeat(loss, n - 1)
+            rx_ok.setflags(write=False)
         p, q, h = p + len(true), q + n, h + n * (n - 1)
-        for array in (pcd, *columns):     # shared by every run on them
-            array.flags.writeable = False
-        out.append(_RoundDraws(t0, t1, members, *columns, mode, hubs, go, pairs, pcd, loss, rx_ok))
+        out.append(_RoundDraws(t0, t1, members, *columns, mode, hubs, go, pairs, pcd, loss, rx_ok, ideal))
     return out
 
 
 @dataclass(eq=False)
 class _RoundSolve:
-    """A round's bargaining work for one GO and one set of member loads.
-    ``policies`` maps a policy to its allocation, its certificate (gsa
-    only) and its allocation of the ideal problem."""
+    """A round's bargaining work for one GO and one set of member loads on
+    one seed's draws: the estimated problem, derived from the ideal one,
+    and per policy its allocation and certificate (gsa only).  The ideal
+    problem and ``ideals``, each policy's allocation of it, may be the
+    plan's, shared with every seed's draws, so their arrays are read-only;
+    gsa's is the GNBS reference, eql's and wtd's are filled in on first
+    use."""
 
     problem: BargainingProblem          # estimated horizon, loss-adjusted rates
     ideal_problem: BargainingProblem    # true round length, nominal rates
-    reference: Allocation               # the GNBS allocation of the ideal problem
-    policies: dict[str, tuple[Allocation, KktReport | None, Allocation]]
+    ideals: dict[str, Allocation]
+    policies: dict[str, tuple[Allocation, KktReport | None]]
 
 
-def _solve_round(scenario: Scenario, d: _RoundDraws, loads: np.ndarray, g: int) -> _RoundSolve:
-    """Build the round's two problems, as member columns, and solve the
-    GNBS reference.  The estimated problem's horizon is the GO's
-    :meth:`_RoundDraws.horizon`, and its upload rates lose what the loss
-    draw says; the ideal problem has the true round length and the nominal
-    rates.  The draws set a unicast pair's rates to inf, and the problem
-    gives the GO a zero relay overhead, so neither uploads.  The ideal
-    problem is the estimated one on another channel
-    (:meth:`~airfair.bargaining.BargainingProblem.with_channel`)."""
-    alphas = d.alpha.copy()
-    alphas[g] *= scenario.go_alpha_factor
+def _read_only(allocation: Allocation) -> Allocation:
+    """The allocation, its arrays made read-only: later runs share it."""
+    allocation.broadcast_time.setflags(write=False)
+    allocation.upload_time.setflags(write=False)
+    return allocation
+
+
+def _solve_round(scenario: Scenario, d: _RoundDraws, loads: np.ndarray, key: bytes, g: int) -> _RoundSolve:
+    """The round's two problems, as member columns.  The ideal problem has
+    the true round length and the nominal rates.  It and its GNBS
+    reference come from the plan's ideal solve, ``d.ideal``, when that was
+    made for these loads (``key``), else they are built and solved, and
+    kept there if it holds none yet: the first round's loads, every seed's
+    own data, are the first it is asked for.  The estimated problem is the
+    ideal one on another channel
+    (:meth:`~airfair.bargaining.BargainingProblem.with_channel`): the GO's
+    :meth:`_RoundDraws.horizon`, and upload rates that lose what the loss
+    draw says.  The draws set a unicast pair's rates to inf, and the
+    problem gives the GO a zero relay overhead, so neither uploads."""
+    ideal = d.ideal.get(key)
+    if ideal is None:
+        alphas = d.alpha.copy()
+        alphas[g] *= scenario.go_alpha_factor
+        problem = BargainingProblem(airtime=d.t1 - d.t0, broadcast_rate=scenario.broadcast_mbps, ids=d.members,
+                                    data_sizes=loads, upload_rates=d.upload_mbps, raw_alphas=alphas, go=g)
+        ideal = problem, {"gsa": _read_only(_gnbs_solve(problem)[0])}
+        if not d.ideal:
+            d.ideal[key] = ideal
     upload = d.upload_mbps if d.loss is None else effective_upload_rate(d.upload_mbps, d.loss)
-    problem = BargainingProblem(airtime=d.horizon(g), broadcast_rate=scenario.broadcast_mbps, ids=d.members,
-                                data_sizes=loads, upload_rates=upload, raw_alphas=alphas, go=g)
-    ideal_problem = problem.with_channel(d.t1 - d.t0, d.upload_mbps)
-    return _RoundSolve(problem, ideal_problem, _gnbs_solve(ideal_problem)[0], {})
+    return _RoundSolve(ideal[0].with_channel(d.horizon(g), upload), *ideal, {})
 
 
-def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport | None, Allocation]:
-    """The policy's allocation of the round, its certificate and its ideal
-    allocation.  gsa's ideal allocation is the reference."""
+def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport | None]:
+    """The policy's allocation of the round and its certificate; eql's and
+    wtd's allocations of the ideal problem are filled in alongside."""
     if policy == "gsa":
-        allocation, kkt = gnbs_allocate(solved.problem)
-        return allocation, kkt, solved.reference
+        return gnbs_allocate(solved.problem)
     allocate = eql_allocate if policy == "eql" else wtd_allocate
-    return allocate(solved.problem), None, allocate(solved.ideal_problem)
+    if policy not in solved.ideals:
+        solved.ideals[policy] = _read_only(allocate(solved.ideal_problem))
+    return allocate(solved.problem), None
 
 
 def _replay(schedule: Schedule, t1: float, order: Sequence[int], need: np.ndarray) -> np.ndarray:
@@ -662,12 +742,12 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
     solved = d.solves.get(key)
     if solved is None:
         g = d.go if d.go is not None else members.index(elect_go(members, loads, d.hubs))
-        solved = d.solves[key] = _solve_round(scenario, d, loads, g)
+        solved = d.solves[key] = _solve_round(scenario, d, loads, key, g)
     if policy not in solved.policies:
         solved.policies[policy] = _allocate(policy, solved)
-    problem, ideal_problem = solved.problem, solved.ideal_problem
+    problem, ideal_problem, ideals = solved.problem, solved.ideal_problem, solved.ideals
     g = problem.go
-    allocation, kkt, ideal_alloc = solved.policies[policy]
+    allocation, kkt = solved.policies[policy]
 
     schedule = None
     realized = np.zeros(len(members))
@@ -681,7 +761,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
             legs = zip([members[k] for k in order], up.tolist(), down.tolist())
             schedule = build_schedule(legs, problem.airtime, t_start=d.t0)
             realized = _replay(schedule, d.t1, order, problem.caps)
-        wpf = wpf_aggregate(ideal_problem, solved.reference, _realized(ideal_problem, realized))
+        wpf = wpf_aggregate(ideal_problem, ideals["gsa"], _realized(ideal_problem, realized))
 
     delivered = realized * rate
     realized.flags.writeable = delivered.flags.writeable = False
@@ -696,7 +776,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
         problem=problem,
         ideal_problem=ideal_problem,
         allocation=allocation,
-        ideal_allocation=ideal_alloc,
+        ideal_allocation=ideals[policy],
         kkt=kkt,
         schedule=schedule,
         realized_broadcast=realized,

@@ -12,10 +12,12 @@ draws, and the solves each round keeps on them, across policies
 and slot sizes changes no result and does each distinct round's work once.
 """
 
+import gc
 import json
 import math
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,6 +25,7 @@ import pytest
 
 import support
 from airfair import bargaining, simulate, streams
+from airfair.grouping import NoGoCandidateError, ScheduleError
 from airfair.scenario_io import PRESETS, scenario_from_dict
 from airfair.simulate import (
     PCD_FLOOR,
@@ -753,7 +756,7 @@ def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
 def test_compare_policies_solves_each_round_once(monkeypatch):
     """On one-round table1 the three policies share the round's two
     problems and its GNBS reference, and only gsa's allocation is
-    certified; the estimated problem is built and the ideal one derived
+    certified; the ideal problem is built and the estimated one derived
     from it.  Rounds that the policies reach with the same loads are
     shared after the first traffic round too, and so is an open round's
     GO election."""
@@ -763,7 +766,7 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
     assert [len(r.rounds) for r in reports.values()] == [1, 1, 1]
     assert all(r.rounds[0].problem is first.problem and r.rounds[0].ideal_problem is first.ideal_problem
                for r in reports.values())
-    assert work["built"] == [first.problem] and work["derived"] == [first.ideal_problem]
+    assert work["built"] == [first.ideal_problem] and work["derived"] == [first.problem]
     assert sorted(map(id, work["solved"])) == sorted(map(id, (first.problem, first.ideal_problem)))
     assert work["certified"] == [first.problem]
 
@@ -781,11 +784,128 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
 
 
 def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):
-    """k slot sizes and r repetitions of one-round table1 solve and certify
-    the round r times, not k * r times."""
+    """k slot sizes and r repetitions of one-round table1 derive, solve and
+    certify the round's estimated problem r times, not k * r times; its
+    ideal problem, which no seed changes, is built and solved once for all
+    of them."""
     work = support.record_round_work(monkeypatch)
     sizes, reps = [0.005, 0.02, 0.05], 2
     slot_size_sweep(scenario_from_dict(SCENARIOS["table1"]), sizes, repetitions=reps)
-    assert len(work["built"]) == len(work["derived"]) == reps
-    assert len(work["solved"]) == 2 * reps       # gsa's allocation and the reference
+    assert len(work["built"]) == 1 and len(work["derived"]) == reps
+    assert len(work["solved"]) == 1 + reps       # the reference once, gsa's allocation per repetition
     assert len(work["certified"]) == reps
+
+
+# ---------------------------------------------------------------------------
+# the plan of the last timeline, which reseeded runs reuse
+
+
+def _outcome(run):
+    """``run()`` with every float spelled exactly, or the error it raises."""
+    try:
+        return support.exact_bits(run())
+    except (ScheduleError, NoGoCandidateError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _every_seed_and_experiment(base):
+    """Reports of every policy at four seeds of ``base``, with rx outcomes
+    (compare_policies) and without (one seed's draws shared by separate
+    runs), then the three experiments, in an order that lets each run after
+    the first reuse the plan of the one before."""
+    runs = [replace(base, seed=seed) for seed in range(4)]
+    out = [_outcome(lambda: compare_policies(run)) for run in runs]
+    for run in runs:
+        draws = _round_draws(run, rx=False)
+        out += [_outcome(lambda: simulate._run(run, p, draws)) for p in POLICIES]
+    out.append(_outcome(lambda: list(compare_means([base, replace(base, seed=9)], 3))))
+    out.append(_outcome(lambda: slot_size_sweep(base, [0.005, 0.02, 0.1], 3)))
+    out.append(_outcome(lambda: repeated_contacts(base, 4)))
+    return out
+
+
+@pytest.mark.parametrize("name, duration", [
+    ("table1-plain", 10.0), ("dynamic4-plain", 40.0), ("table1", 20.0), ("dynamic4", 20.0), ("pinned-go", 80.0),
+])
+def test_a_warm_plan_gives_what_a_cold_one_gives(name, duration, monkeypatch):
+    """Every report and experiment row is the same to the bit whether the
+    draws come from the plan an earlier call left (warm) or from one made
+    afresh for every call (cold): on both presets as they are and with
+    noise, at several seeds, with and without rx outcomes, for every policy
+    and the three experiments."""
+    doc = {"table1-plain": PRESETS["table1"], "dynamic4-plain": PRESETS["dynamic4"],
+           **SCENARIOS, **SHARED_ROUNDS}[name]
+    base = scale_contact_durations(scenario_from_dict(doc), duration)
+    warm = [_every_seed_and_experiment(base), _every_seed_and_experiment(base)]
+    draw = simulate._round_draws
+
+    def cold(scenario, rx=True):
+        simulate._last_plan = None
+        return draw(scenario, rx)
+
+    monkeypatch.setattr(simulate, "_round_draws", cold)
+    assert _every_seed_and_experiment(base) == warm[0] == warm[1]
+    assert sum(isinstance(x, str) for x in warm[0]) < len(warm[0]) / 2     # most of them complete
+
+
+def test_a_negative_zero_join_keeps_its_bits():
+    """A timeline is planned for its nodes, not for their values: a run
+    whose nodes join at -0.0 s, after one on equal nodes that join at 0.0 s,
+    starts its round at -0.0 s, as it does alone."""
+    doc = PRESETS["table1"]
+    negative = {**doc, "nodes": [{**n, "join_s": -0.0} for n in doc["nodes"]]}
+    simulate._last_plan = None
+    alone = support.exact_bits(run_scenario(scenario_from_dict(negative)))
+    run_scenario(scenario_from_dict(doc))
+    after = run_scenario(scenario_from_dict(negative))
+    assert after.rounds[0].t_start.hex() == "-0x0.0p+0"
+    assert support.exact_bits(after) == alone
+
+
+def test_one_plan_is_held():
+    """After runs on several distinct 48-node timelines only the last one's
+    plan is held: the earlier nodes are freed once their scenarios are."""
+    nodes = []
+    for k in range(4):
+        doc = _crowd48_doc()
+        doc["nodes"] = [{**n, "data_mb": n["data_mb"] + k} for n in doc["nodes"]]
+        scenario = scenario_from_dict(doc)
+        _outcome(lambda: compare_policies(scenario))
+        nodes.append(weakref.ref(scenario.nodes[0]))
+        del scenario
+    gc.collect()
+    assert [ref() is not None for ref in nodes] == [False, False, False, True]
+    assert simulate._last_plan[0][0] is nodes[-1]()
+
+
+def test_shared_ideal_allocations_are_read_only():
+    """A round's ideal allocations are shared with later runs of the
+    timeline, so no report can write into them."""
+    reports = compare_policies(scenario_from_dict(SCENARIOS["table1"]))
+    for report in reports.values():
+        ideal = report.rounds[0].ideal_allocation
+        for array in (ideal.broadcast_time, ideal.upload_time):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def test_a_plan_serves_only_an_equal_key():
+    """A scenario that shares the last one's nodes but differs in a field
+    the plan reads gets its own plan: each variant of noisy table1, run
+    right after the base, reports what it reports alone, and so does the
+    base run right after the variant."""
+    base = scenario_from_dict(SCENARIOS["table1"])
+    variants = [replace(base, broadcast_mbps=5.5), replace(base, broadcast_mbps=11), replace(base, go="n1"),
+                replace(base, go=None), replace(base, go_alpha_factor=3.0), replace(base, go_alpha_factor=2),
+                replace(base, loss=None), replace(base, pcd_error=None)]
+    # a star elects its hub n1 where a complete graph elects n6
+    elected = replace(base, go=None)
+    star = replace(elected, connectivity=tuple(("n1", m) for m in ("n2", "n3", "n4", "n5", "n6")))
+    pairs = [(base, v) for v in variants] + [(v, base) for v in variants] + [(elected, star), (star, elected)]
+    for first, then in pairs:
+        simulate._last_plan = None
+        alone = _outcome(lambda: compare_policies(then))
+        simulate._last_plan = None
+        _outcome(lambda: compare_policies(first))
+        assert simulate._last_plan[0] is then.nodes
+        assert _outcome(lambda: compare_policies(then)) == alone
