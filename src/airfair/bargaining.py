@@ -51,10 +51,11 @@ relay overheads they give, is checked and derived by one step, which the
 constructor and ``with_channel`` (the same players under another channel,
 as each round's ideal problem is) both run on their raw values.  The
 positions of the log-shifted and power players among the bargaining ones
-are found once, too.  A problem with a log-shifted player builds its level
-curves at once and is rejected when such a player's level at its cap, read
-off its curve, is not finite, as it is when the weights do not sum to a
-finite value.  The level curves, the KKT certificate and the metrics are
+are found once, too.  Every problem builds its level curves and its demand
+at once, and is rejected when a player's level at its cap, read off its
+curve, is not finite, as it is when the weights do not sum to a finite
+value, or when the demand is not below DBL_MAX / 2, so that no sum of
+channel seconds a solve adds overflows.  The level curves, the KKT certificate and the metrics are
 vector expressions over the bargaining players' columns, each kind's
 formula indexed by those positions.  The certificate evaluates each
 utility's value and derivative that way, never through the solver's
@@ -383,8 +384,8 @@ class BargainingProblem:
         airtime budget, the upload rates, the relay overheads they give and
         the bargaining players' ``active`` columns with their channel seconds
         per broadcast second, 1 + beta.  Then it checks what these decide:
-        the disagreement outcomes against the budget and the log-shifted
-        levels at the cap.  The constructor and :meth:`with_channel` both
+        the disagreement outcomes against the budget, the levels at the cap
+        and the demand (:meth:`_check_levels`).  The constructor and :meth:`with_channel` both
         hand it their raw airtime and upload rates."""
         if not (airtime > 0):
             raise ValueError("airtime must be > 0")
@@ -395,8 +396,7 @@ class BargainingProblem:
         self._active = active._replace(weight=weight)
         if np.count_nonzero(self.disagreements):
             self._validate_feasibility()
-        if len(active.log):
-            self._check_log_levels()
+        self._check_levels()
         upload.setflags(write=False)
         betas.setflags(write=False)
 
@@ -428,18 +428,24 @@ class BargainingProblem:
                 "disagreement outcomes already consume the whole airtime budget"
             )
 
-    def _check_log_levels(self):
-        """Reject a log-shifted player whose level at the cap overflows: its
-        curve's top reads inf or NaN.  The curves, which every solve reads,
-        are built here with numpy's float warnings off, since the overflow
-        they would warn of is what this check reports."""
+    def _check_levels(self):
+        """Reject a player whose level at the cap overflows, its curve's top
+        reading inf or NaN, and a demand that is not below DBL_MAX / 2, so
+        that no sum of channel seconds overflows.  The curves and the
+        demand, which every solve reads, are computed here with numpy's
+        float warnings off, since the overflow they would warn of is what
+        this check reports.  The tops are sorted, NaN last, so the last one
+        decides."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            curves = self._curves
-        bad = curves.index[(curves.kind == _U_LOG) & ~np.isfinite(curves.top)]
-        if len(bad):
-            i = int(bad.min())
-            raise ValueError(f"player {self.ids[i]}: log-shifted gain {self.coeffs[i]:g} "
-                             "overflows the level arithmetic at the cap")
+            curves, demand = self._curves, self.demand
+        if len(curves.top) and not math.isfinite(curves.top[-1]):
+            i = int(curves.index[~np.isfinite(curves.top)].min())
+            if self.kinds[i] == _U_LOG:
+                raise ValueError(f"player {self.ids[i]}: log-shifted gain {self.coeffs[i]:g} "
+                                 "overflows the level arithmetic at the cap")
+            raise ValueError(f"player {self.ids[i]}: the level at the cap overflows")
+        if not (demand < sys.float_info.max / 2):
+            raise ValueError("the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2")
 
     @cached_property
     def players(self) -> tuple[Player, ...]:

@@ -248,14 +248,13 @@ class Scenario:
         # by the bargaining problem's bounds; the first comparison fails a
         # rate that underflows to 0, and the second's bound is a Python
         # float, which overflows to inf without a warning
-        worst = 1.0 - (0.0 if self.loss is None else self.loss.hi)
-        bound, load_bound = self.broadcast_mbps / sys.float_info.max, float(self.broadcast_mbps) * sys.float_info.max
-        for n in self.nodes:
-            if not (n.upload_mbps * worst > bound):
+        rate, worst = float(self.broadcast_mbps), 1.0 - (0.0 if self.loss is None else self.loss.hi)
+        loads = [n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(ids) - 1) for n in self.nodes]
+        for n, load in zip(self.nodes, loads):
+            if not (n.upload_mbps * worst > rate / sys.float_info.max):
                 raise ValueError(f"node {n.id!r}: relay overhead broadcast_mbps / upload_mbps overflows "
                                  f"at its worst loss-adjusted rate {n.upload_mbps * worst:g}")
-            load = n.data_mb if n.data_mb is not None else n.data_mb_per_peer * (len(ids) - 1)
-            if not (load < load_bound):
+            if not (load < rate * sys.float_info.max):
                 raise ValueError(f"node {n.id!r}: queue time data / broadcast_mbps overflows "
                                  f"at its largest round load {load:g} mb")
         if self.go is not None and self.go not in ids:
@@ -265,8 +264,27 @@ class Scenario:
         # a round's raw weights are its members' alphas, the GO's scaled
         # by go_alpha_factor; the largest such sum must stay finite
         alphas = [n.alpha for n in self.nodes]
-        if not math.isfinite(sum(alphas) + max(alphas) * max(self.go_alpha_factor - 1.0, 0.0)):
+        largest = sum(alphas) + max(alphas) * max(self.go_alpha_factor - 1.0, 0.0)
+        if not math.isfinite(largest):
             raise ValueError("alpha weights overflow once the GO's is scaled by go_alpha_factor and summed")
+        # a node's channel seconds, load * (1 + relay overhead) / broadcast_mbps,
+        # over its normalized weight, its level at the cap, must stay finite,
+        # and every round's sum of them below DBL_MAX / 2, by the bargaining
+        # problem's bounds: taken at its largest load, its worst overhead (none
+        # in a two-node scenario, whose rounds are unicast pairs) and its
+        # smallest weight, alpha (times go_alpha_factor if below 1) over the
+        # largest sum, in Python floats, with a margin of 1e-9 for the
+        # roundings in which numpy's differ (a weight ratio beyond DBL_MAX
+        # reads inf too)
+        demand = 0.0
+        for n, load in zip(self.nodes, loads):
+            seconds = load / rate * (1.0 + (rate / (n.upload_mbps * worst) if len(ids) > 2 else 0.0))
+            if not (seconds * (largest / n.alpha) / min(self.go_alpha_factor, 1.0) * (1.0 + 1e-9) < sys.float_info.max):
+                raise ValueError(f"node {n.id!r}: the level at the cap overflows at its largest round load {load:g} mb")
+            demand += seconds
+        if not (demand * (1.0 + 1e-9) < sys.float_info.max / 2):
+            raise ValueError(f"the channel seconds that drain every node's largest round load, {demand:g}, "
+                             "are not below DBL_MAX / 2")
         if self.connectivity != "complete":
             object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
             # raises at an edge it rejects

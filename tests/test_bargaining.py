@@ -777,6 +777,13 @@ _PAIR = dict(ids=["go", "c"], data_sizes=[5.0, 5.0], upload_rates=[math.inf, 5.0
                  "with a finite cap data_size / broadcast_rate", id="data_size-inf"),
     pytest.param({}, {"broadcast_rate": 1e-310}, ValueError,      # 5 / 1e-310 is inf
                  "with a finite cap data_size / broadcast_rate", id="cap-overflows"),
+    # c's cap is 5e10 s and its weight 1e-300 of the sum, so its level at the cap is 5e310
+    pytest.param({"alpha": 1e-300}, {"raw_alphas": [1.0, 1e-300], "broadcast_rate": 1e-10}, ValueError,
+                 "player c: the level at the cap overflows", id="cap-level-overflows"),
+    # each cap is 5e307 s and each level 1e308, but the two caps sum to 1e308 s
+    pytest.param({}, {"broadcast_rate": 1e-307}, ValueError,
+                 r"the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2",
+                 id="demand-overflows"),
     pytest.param({"utility": Utility("normalized-linear", 0.0)}, {"kinds": [0, 0], "coeffs": [math.nan, 0.0]},
                  ValueError, "utility coefficient must be positive", id="normalized-linear-0.0"),
     pytest.param({"utility": Utility("log-shifted", -1.0)}, {"kinds": [0, 1], "coeffs": [math.nan, -1.0]},

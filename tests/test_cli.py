@@ -473,13 +473,33 @@ _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor a
      "node 'n1': relay overhead broadcast_mbps / upload_mbps overflows at its worst loss-adjusted rate 4.94066e-324"),
     ({"broadcast_mbps": 1e-310}, {},    # 10 / 1e-310 is inf: every utility read 0 and allocate raised DomainError
      "node 'n1': queue time data / broadcast_mbps overflows at its largest round load 10 mb"),
-], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead", "queue-time"])
+    ({"broadcast_mbps": 1e-306}, {},    # n3's cap is 4e307 s, its level 7 times that: compare printed 0.000000
+     "node 'n3': the level at the cap overflows at its largest round load 40 mb"),
+    ({"broadcast_mbps": 1.0}, {"data_mb": 2e307},    # each level is finite, but the caps sum past DBL_MAX / 2
+     "the channel seconds that drain every node's largest round load, 1.30909e+308, are not below DBL_MAX / 2"),
+], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead", "queue-time", "cap-level", "demand"])
 def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, node_fields, message):
     # each used to print NaN and exit 0, or end in a traceback
     scenario = _table1_file(tmp_path, doc_fields, **node_fields)
     code, out, err = run_cli(capsys, "allocate", "--scenario", scenario)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: scenario: {message}"]
+
+
+def test_overflowing_levels_and_demands_exit_2(capsys, tmp_path):
+    # broadcast_mbps 1e-306 overflowed the cap levels, and n1 and n2 at 1e308
+    # mb overflowed the demand too: compare printed 0.000000 for every policy
+    # and allocate --policy wtd gave every node 0 s, with exit 0 and warnings
+    for doc_fields, loads in (({"broadcast_mbps": 1e-306}, {}), ({"broadcast_mbps": 1.0}, {"n1": 1e308, "n2": 1e308})):
+        doc = {**json.loads(json.dumps(PRESETS["table1"])), **doc_fields}
+        for node in doc["nodes"]:
+            node["data_mb"] = loads.get(node["id"], node["data_mb"])
+        path = tmp_path / "table1.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["compare", "--durations", "10", "--reps", "1"], ["allocate", "--policy", "wtd"]):
+            code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+            assert code == 2 and out == "" and len(err.splitlines()) == 1
+            assert "the level at the cap overflows" in err
 
 
 def test_a_slow_but_finite_relay_overhead_still_runs(capsys, tmp_path):

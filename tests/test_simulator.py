@@ -148,7 +148,13 @@ def test_scenario_validation():
     three = (ScenarioNode("x", 0, 10, data_mb_per_peer=10.0),) + two_node_scenario().nodes
     with pytest.raises(ValueError, match="'x': queue time data / broadcast_mbps overflows at its largest round load 20 mb"):
         two_node_scenario(nodes=three, broadcast_mbps=1e-307)
-    two_node_scenario(nodes=three[:2], broadcast_mbps=1e-307)
+    # its level at the cap must be finite too, at the smallest normalized
+    # weight a round can give it: x's 10 mb at 1 peer pass the queue bound
+    # at 1e-307 Mb/s, but 3 times their 1e308 s cap do not; at 1e-306 Mb/s
+    # both hold
+    with pytest.raises(ValueError, match="'x': the level at the cap overflows at its largest round load 10 mb"):
+        two_node_scenario(nodes=three[:2], broadcast_mbps=1e-307)
+    two_node_scenario(nodes=three[:2], broadcast_mbps=1e-306)
     with pytest.raises(ValueError, match="stddev must be >= 0"):
         PcdErrorModel(math.nan)
     with pytest.raises(ValueError, match="mean must not be NaN"):
