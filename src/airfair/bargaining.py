@@ -436,7 +436,7 @@ class BargainingProblem:
         float warnings off, since the overflow they would warn of is what
         this check reports.  The tops are sorted, NaN last, so the last one
         decides."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
             curves, demand = self._curves, self.demand
         if len(curves.top) and not math.isfinite(curves.top[-1]):
             i = int(curves.index[~np.isfinite(curves.top)].min())

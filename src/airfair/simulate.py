@@ -469,7 +469,7 @@ def _pairs(size: int, go: int | None) -> tuple[np.ndarray, np.ndarray]:
         others = np.delete(np.arange(size), go)
         pairs = np.minimum(others, go), np.maximum(others, go)
     for index in pairs:
-        index.setflags(write=False)
+        index.flags.writeable = False
     return pairs
 
 
