@@ -55,7 +55,8 @@ are found once, too.  Every problem builds its level curves and its demand
 at once, and is rejected when a player's level at its cap, read off its
 curve, is not finite, as it is when the weights do not sum to a finite
 value, or when the demand is not below DBL_MAX / 2, so that no sum of
-channel seconds a solve adds overflows.  The level curves, the KKT certificate and the metrics are
+channel seconds a solve adds overflows.  The level curves, the KKT
+certificate and the metrics are
 vector expressions over the bargaining players' columns, each kind's
 formula indexed by those positions.  The certificate evaluates each
 utility's value and derivative that way, never through the solver's
@@ -385,8 +386,9 @@ class BargainingProblem:
         the bargaining players' ``active`` columns with their channel seconds
         per broadcast second, 1 + beta.  Then it checks what these decide:
         the disagreement outcomes against the budget, the levels at the cap
-        and the demand (:meth:`_check_levels`).  The constructor and :meth:`with_channel` both
-        hand it their raw airtime and upload rates."""
+        and the demand (:meth:`_check_levels`).  The constructor and
+        :meth:`with_channel` both hand it their raw airtime and upload
+        rates."""
         if not (airtime > 0):
             raise ValueError("airtime must be > 0")
         self.airtime = airtime

@@ -66,7 +66,8 @@ DOCS = {
 
 #: each document's commands besides simulate, all at seed 7
 DOC_COMMANDS = {
-    "edges": [["compare", "--durations", "80,160,320", "--reps", "5"], ["sweep", "--slot-sizes", "1,2,5", "--reps", "5"]],
+    "edges": [["compare", "--durations", "80,160,320", "--reps", "5"],
+              ["sweep", "--slot-sizes", "1,2,5", "--reps", "5"]],
     "dynamic4-go": [["compare", "--durations", "10,20", "--reps", "5"],
                     ["sweep", "--slot-sizes", "5,20,100", "--reps", "5"]],
     "crowd12": [["converge", "--contacts", "5", "--duration", "160"]],
