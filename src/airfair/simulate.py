@@ -267,6 +267,10 @@ class Scenario:
         largest = sum(alphas) + max(alphas) * max(self.go_alpha_factor - 1.0, 0.0)
         if not math.isfinite(largest):
             raise ValueError("alpha weights overflow once the GO's is scaled by go_alpha_factor and summed")
+        if self.connectivity != "complete":
+            object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
+            # raises at an edge it rejects
+            object.__setattr__(self, "graph", ConnectivityGraph(ids, self.connectivity))
         # a node's channel seconds, load * (1 + relay overhead) / broadcast_mbps,
         # over its normalized weight, its level at the cap, must stay finite,
         # and every round's sum of them below DBL_MAX / 2, by the bargaining
@@ -275,20 +279,31 @@ class Scenario:
         # smallest weight, alpha (times go_alpha_factor if below 1) over the
         # largest sum, in Python floats, with a margin of 1e-9 for the
         # roundings in which numpy's differ (a weight ratio beyond DBL_MAX
-        # reads inf too)
+        # reads inf too).  A node that is the GO of every round it is in, the
+        # pinned GO or the one a two-node scenario's only round elects from
+        # the own data, has no overhead and its alpha scaled in every sum.
+        go = self.go
+        if go is None and len(ids) == 2:
+            pair = sorted(ids)
+            hubs = [True, True] if self.graph is None else [self.graph.reaches_all(m, pair) for m in pair]
+            try:
+                go = elect_go(pair, [loads[ids.index(m)] for m in pair], hubs)
+            except NoGoCandidateError:
+                pass
         demand = 0.0
         for n, load in zip(self.nodes, loads):
-            seconds = load / rate * (1.0 + (rate / (n.upload_mbps * worst) if len(ids) > 2 else 0.0))
-            if not (seconds * (largest / n.alpha) / min(self.go_alpha_factor, 1.0) * (1.0 + 1e-9) < sys.float_info.max):
+            if n.id == go:
+                seconds = load / rate
+                spread = (sum(alphas) / n.alpha + self.go_alpha_factor - 1.0) / self.go_alpha_factor
+            else:
+                seconds = load / rate * (1.0 + (rate / (n.upload_mbps * worst) if len(ids) > 2 else 0.0))
+                spread = largest / n.alpha / min(self.go_alpha_factor, 1.0)
+            if not (seconds * spread * (1.0 + 1e-9) < sys.float_info.max):
                 raise ValueError(f"node {n.id!r}: the level at the cap overflows at its largest round load {load:g} mb")
             demand += seconds
         if not (demand * (1.0 + 1e-9) < sys.float_info.max / 2):
             raise ValueError(f"the channel seconds that drain every node's largest round load, {demand:g}, "
                              "are not below DBL_MAX / 2")
-        if self.connectivity != "complete":
-            object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
-            # raises at an edge it rejects
-            object.__setattr__(self, "graph", ConnectivityGraph(ids, self.connectivity))
 
 
 @dataclass(eq=False)

@@ -476,7 +476,7 @@ _OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor a
     ({"broadcast_mbps": 1e-306}, {},    # n3's cap is 4e307 s, its level 7 times that: compare printed 0.000000
      "node 'n3': the level at the cap overflows at its largest round load 40 mb"),
     ({"broadcast_mbps": 1.0}, {"data_mb": 2e307},    # each level is finite, but the caps sum past DBL_MAX / 2
-     "the channel seconds that drain every node's largest round load, 1.30909e+308, are not below DBL_MAX / 2"),
+     "the channel seconds that drain every node's largest round load, 1.29091e+308, are not below DBL_MAX / 2"),
 ], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead", "queue-time", "cap-level", "demand"])
 def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, node_fields, message):
     # each used to print NaN and exit 0, or end in a traceback

@@ -148,13 +148,19 @@ def test_scenario_validation():
     three = (ScenarioNode("x", 0, 10, data_mb_per_peer=10.0),) + two_node_scenario().nodes
     with pytest.raises(ValueError, match="'x': queue time data / broadcast_mbps overflows at its largest round load 20 mb"):
         two_node_scenario(nodes=three, broadcast_mbps=1e-307)
-    # its level at the cap must be finite too, at the smallest normalized
-    # weight a round can give it: x's 10 mb at 1 peer pass the queue bound
-    # at 1e-307 Mb/s, but 3 times their 1e308 s cap do not; at 1e-306 Mb/s
-    # both hold
-    with pytest.raises(ValueError, match="'x': the level at the cap overflows at its largest round load 10 mb"):
+    # x's 10 mb at 1 peer pass the queue bound at 1e-307 Mb/s, but with a's
+    # 5 mb the one round's caps sum to 1.5e308 s, past DBL_MAX / 2
+    with pytest.raises(ValueError, match=r"largest round load, 1\.5e\+308, are not below DBL_MAX / 2"):
         two_node_scenario(nodes=three[:2], broadcast_mbps=1e-307)
-    two_node_scenario(nodes=three[:2], broadcast_mbps=1e-306)
+    # a node's level at the cap must be finite too, at the smallest
+    # normalized weight a round can give it: x's cap is 8e307 s at
+    # 1.25e-307 Mb/s, 3 times that as a client overflows, but x outweighs a
+    # and is always the GO, at 2/3 of the weight; pinning a as the GO makes
+    # x a client; every policy runs the document without a warning
+    pair = (three[0], replace(three[1], data_mb=1.0))
+    assert compare_policies(two_node_scenario(nodes=pair, broadcast_mbps=1.25e-307))["gsa"].rounds[0].go_id == "x"
+    with pytest.raises(ValueError, match="'x': the level at the cap overflows at its largest round load 10 mb"):
+        two_node_scenario(nodes=pair, broadcast_mbps=1.25e-307, go="a")
     with pytest.raises(ValueError, match="stddev must be >= 0"):
         PcdErrorModel(math.nan)
     with pytest.raises(ValueError, match="mean must not be NaN"):
