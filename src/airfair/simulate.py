@@ -819,6 +819,16 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
     )
 
 
+def _rerun(scenario: Scenario, **fields) -> Scenario:
+    """``replace(scenario, **fields)`` for the fields a rerun changes, the
+    seed, which no check reads, and a ``t_slot_s`` the caller has checked:
+    a copy that keeps every other field, the nodes tuple among them,
+    without running every check of the scenario again."""
+    run = object.__new__(Scenario)
+    run.__dict__.update(scenario.__dict__, **fields)
+    return run
+
+
 def _repetitions(scenario: Scenario, count: int, *parts):
     """The repetitions of an experiment: for each k < ``count``, the
     scenario reseeded with ``derive_seed(scenario.seed, *parts, k)`` and its
@@ -829,7 +839,7 @@ def _repetitions(scenario: Scenario, count: int, *parts):
     records repetition by repetition draws repetition k + 1 only once k's
     runs have ended."""
     for k in range(count):
-        run = replace(scenario, seed=derive_seed(scenario.seed, *parts, k))
+        run = _rerun(scenario, seed=derive_seed(scenario.seed, *parts, k))
         yield run, _round_draws(run, rx=False)
 
 
@@ -888,11 +898,13 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
         raise ValueError("need at least one repetition")
     runs = list(_repetitions(scenario, repetitions, "sweep"))
     out = []
-    for t_slot in t_slot_list:
-        sized = ((replace(paired, t_slot_s=float(t_slot)), draws) for paired, draws in runs)
+    for t_slot in map(float, t_slot_list):
+        if not (0 < t_slot < math.inf):     # Scenario's check of t_slot_s, the only one it meets
+            raise ValueError("t_slot_s must be > 0 and finite")
+        sized = ((_rerun(paired, t_slot_s=t_slot), draws) for paired, draws in runs)
         vals = [v for v, in _records(sized, ("gsa",), "wpf_aggregate_vs_ideal")]
         mean = _mean(vals)
-        out.append((float(t_slot), mean, math.sqrt(_mean([(v - mean) * (v - mean) for v in vals]))))
+        out.append((t_slot, mean, math.sqrt(_mean([(v - mean) * (v - mean) for v in vals]))))
     return out
 
 

@@ -730,6 +730,19 @@ def test_slot_size_sweep_reuses_draws(monkeypatch):
     ]
 
 
+def test_slot_size_sweep_rejects_a_size_as_the_scenario_does():
+    """The sweep copies each repetition's scenario to each size without
+    running the scenario's checks again, so it checks the size itself: a
+    size the scenario rejects raises the scenario's error."""
+    scenario = scenario_from_dict(SCENARIOS["table1"])
+    for size in (0.0, -0.02, math.nan, math.inf):
+        with pytest.raises(ValueError) as want:
+            replace(scenario, t_slot_s=size)
+        with pytest.raises(ValueError) as got:
+            slot_size_sweep(scenario, [0.02, size], repetitions=2)
+        assert str(got.value) == str(want.value) == "t_slot_s must be > 0 and finite"
+
+
 def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
     """On a multi-round document, where later rounds reach their solves
     from loads that differ by slot size, every run of the sweep reports
