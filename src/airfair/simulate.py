@@ -65,7 +65,9 @@ one generator of repetitions, :func:`_repetitions`: repetition k reruns
 the scenario at the seed ``derive_seed(seed, *parts, k)``, where the parts
 name the experiment ("compare" and the scenario's index, "sweep",
 "contact"), every run of a repetition shares its draws, and its record
-holds one report metric per policy.  compare and converge fill their
+holds one report metric per policy.  A repetition, and a sweep's size,
+copies the scenario with its seed or slot size (:func:`_rerun`) rather
+than running the scenario's checks again.  compare and converge fill their
 records repetition by repetition, the policies inside each; the sweep
 lists its repetitions once and fills one size's column at a time.  Each
 order is the one separate runs have, and it decides which run's error a
@@ -892,7 +894,8 @@ def slot_size_sweep(scenario: Scenario, t_slot_list: Sequence[float],
     wpf records at a time, over every repetition, so it fills size by size,
     in the order of a loop over sizes: the first error raised is the one
     separate runs of each size would raise, which a fill repetition by
-    repetition would not be.
+    repetition would not be.  A size the scenario would reject raises the
+    scenario's error when its column is reached.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
