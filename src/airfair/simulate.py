@@ -503,16 +503,13 @@ def _off_diagonal(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 #: the plan of the last timeline planned, which every repetition of an
-#: experiment reuses: its nodes, its :func:`_plan_key` and :func:`_plan`'s value
+#: experiment reuses: the scenario and ``rx`` it was made for, and :func:`_plan`'s value
 _last_plan: tuple | None = None
 
-
-def _plan_key(scenario: Scenario, rx: bool) -> tuple:
-    """What a plan reads of the scenario besides its nodes, compared exactly
-    (an int rate is not its float)."""
-    rate, factor = scenario.broadcast_mbps, scenario.go_alpha_factor
-    return (rx, scenario.connectivity, scenario.go, type(rate), rate, type(factor), factor,
-            scenario.loss is None, scenario.pcd_error is None)
+#: the scenario fields a plan reads; another scenario shares the plan if it
+#: holds the same objects in them (``replace`` keeps them), so no value, a
+#: -0.0 or an int among them, is ever compared
+_PLANNED = ("connectivity", "go", "broadcast_mbps", "go_alpha_factor", "loss", "pcd_error")
 
 
 def _plan(scenario: Scenario, rx: bool) -> tuple:
@@ -523,11 +520,13 @@ def _plan(scenario: Scenario, rx: bool) -> tuple:
     the entropy rows of every stream and their lengths, None without noise;
     and the counts of pcd and loss rows.
 
-    It is the last plan if that was made for the same nodes tuple
-    (``replace`` keeps it) and an equal key, else a new one, which replaces
-    it.  A miss compares nothing but the nodes' identity."""
+    It is the last plan if that was made for ``rx`` and a scenario with the
+    same nodes tuple and the same objects in the other :data:`_PLANNED`
+    fields, else a new one, which replaces it.  A miss compares nothing but
+    the nodes' identity."""
     global _last_plan
-    if _last_plan is not None and _last_plan[0] is scenario.nodes and _last_plan[1] == _plan_key(scenario, rx):
+    if _last_plan is not None and _last_plan[0].nodes is scenario.nodes and _last_plan[1] is rx and all(
+            getattr(_last_plan[0], f) is getattr(scenario, f) for f in _PLANNED):
         return _last_plan[2]
     nodes = scenario.nodes
     events = sorted({t for n in nodes for t in (n.join_s, n.leave_s)})
@@ -575,7 +574,7 @@ def _plan(scenario: Scenario, rx: bool) -> tuple:
     rows = np.concatenate(pcd_rows + loss_rows + rx_rows) if pcd_rows or loss_rows else None
     lengths = None if rows is None else np.repeat([4, 3, 4], [n_pcd, n_loss, len(rows) - n_pcd - n_loss])
     plan = rounds, None if model is None else np.concatenate([rnd[8] for rnd in rounds]), rows, lengths, n_pcd, n_loss
-    _last_plan = nodes, _plan_key(scenario, rx), plan
+    _last_plan = scenario, rx, plan
     return plan
 
 

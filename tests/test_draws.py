@@ -822,15 +822,16 @@ def _outcome(run):
 
 
 def _every_seed_and_experiment(base):
-    """Reports of every policy at four seeds of ``base``, with rx outcomes
-    (compare_policies) and without (one seed's draws shared by separate
-    runs), then the three experiments, in an order that lets each run after
-    the first reuse the plan of the one before."""
+    """Reports of every policy at four seeds of ``base``, without rx
+    outcomes (one seed's draws shared by separate runs) and then with them
+    (compare_policies), then the three experiments, in an order that lets
+    each run reuse the plan of the one before where their ``rx`` agrees."""
     runs = [replace(base, seed=seed) for seed in range(4)]
-    out = [_outcome(lambda: compare_policies(run)) for run in runs]
+    out = []
     for run in runs:
         draws = _round_draws(run, rx=False)
         out += [_outcome(lambda: simulate._run(run, p, draws)) for p in POLICIES]
+    out += [_outcome(lambda: compare_policies(run)) for run in runs]
     out.append(_outcome(lambda: list(compare_means([base, replace(base, seed=9)], 3))))
     out.append(_outcome(lambda: slot_size_sweep(base, [0.005, 0.02, 0.1], 3)))
     out.append(_outcome(lambda: repeated_contacts(base, 4)))
@@ -888,7 +889,7 @@ def test_one_plan_is_held():
         del scenario
     gc.collect()
     assert [ref() is not None for ref in nodes] == [False, False, False, True]
-    assert simulate._last_plan[0][0] is nodes[-1]()
+    assert simulate._last_plan[0].nodes[0] is nodes[-1]()
 
 
 def test_shared_ideal_allocations_are_read_only():
@@ -902,11 +903,12 @@ def test_shared_ideal_allocations_are_read_only():
                 array[0] = 1.0
 
 
-def test_a_plan_serves_only_an_equal_key():
-    """A scenario that shares the last one's nodes but differs in a field
-    the plan reads gets its own plan: each variant of noisy table1, run
-    right after the base, reports what it reports alone, and so does the
-    base run right after the variant."""
+def test_a_plan_serves_only_the_same_fields():
+    """A scenario that shares the last one's nodes but holds another object
+    in a field the plan reads gets its own plan, an int rate for its float
+    too: each variant of noisy table1, run right after the base, reports
+    what it reports alone, and so does the base run right after the
+    variant."""
     base = scenario_from_dict(SCENARIOS["table1"])
     variants = [replace(base, broadcast_mbps=5.5), replace(base, broadcast_mbps=11), replace(base, go="n1"),
                 replace(base, go=None), replace(base, go_alpha_factor=3.0), replace(base, go_alpha_factor=2),
@@ -920,5 +922,5 @@ def test_a_plan_serves_only_an_equal_key():
         alone = _outcome(lambda: compare_policies(then))
         simulate._last_plan = None
         _outcome(lambda: compare_policies(first))
-        assert simulate._last_plan[0] is then.nodes
+        assert simulate._last_plan[0].nodes is then.nodes
         assert _outcome(lambda: compare_policies(then)) == alone
