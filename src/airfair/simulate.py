@@ -40,9 +40,9 @@ before any round runs, in two steps.  The plan holds what no seed decides:
 the rounds, their members and member columns, modes, hubs, fixed GOs, drawn
 pairs and true PCDs, and the entropy rows of every stream.  The module
 keeps the plan of the last timeline it planned, found again by the identity
-of the scenario's nodes tuple, which ``replace`` keeps, and the exact
-values of the other fields it reads, so every repetition of an experiment,
-every slot size of a sweep and every call on one scenario plans once.  The
+of the scenario's nodes tuple and of the other fields it reads, which
+``replace`` keeps, so every repetition of an experiment, every slot size
+of a sweep and every call on one scenario plans once.  The
 seed's step hashes all Philox keys in one batch that runs numpy's
 SeedSequence hash on all rows together, and one Philox4x64-10 pass makes
 the first word of every key's stream, from which the uniform draws and the
