@@ -7,6 +7,7 @@ from .bargaining import (
     InfeasibleProblemError,
     KktReport,
     Player,
+    ProblemOverflowError,
     Utility,
     dissemination_rate,
     eql_allocate,

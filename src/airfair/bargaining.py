@@ -51,12 +51,17 @@ relay overheads they give, is checked and derived by one step, which the
 constructor and ``with_channel`` (the same players under another channel,
 as each round's ideal problem is) both run on their raw values.  The
 positions of the log-shifted and power players among the bargaining ones
-are found once, too.  Every problem builds its level curves and its demand
-at once, and is rejected when a player's level at its cap, read off its
-curve, is not finite, as it is when the weights do not sum to a finite
-value, or when the demand is not below DBL_MAX / 2, so that no sum of
-channel seconds a solve adds overflows.  The level curves, the KKT
-certificate and the metrics are
+are found once, too.  Every problem computes its demand and each bargaining
+player's level at the cap at once, in problem order, and is rejected when
+a level is not finite or has no finite reciprocal, as it is when a
+utility's slope or value at the cap would overflow, when the weights do not
+sum to a finite value, or when the demand is not below DBL_MAX / 2, so that
+no sum of channel seconds a solve adds overflows.  Each of these errors,
+like a cap or a relay overhead that overflows, is a
+:class:`ProblemOverflowError`, so a caller can tell them from input that is
+wrong at any scale.  The levels are sorted into curves only when a gnbs
+solve first reads them, so a problem that only the baselines solve never
+builds them.  The level curves, the KKT certificate and the metrics are
 vector expressions over the bargaining players' columns, each kind's
 formula indexed by those positions.  The certificate evaluates each
 utility's value and derivative that way, never through the solver's
@@ -86,6 +91,7 @@ __all__ = [
     "ROLE_CLIENT",
     "DomainError",
     "InfeasibleProblemError",
+    "ProblemOverflowError",
     "Utility",
     "Player",
     "BargainingProblem",
@@ -129,6 +135,12 @@ class DomainError(ValueError):
 
 class InfeasibleProblemError(ValueError):
     """No allocation strictly improves every player's disagreement outcome."""
+
+
+class ProblemOverflowError(ValueError):
+    """A value that a solve reads overflows, or its reciprocal does: a cap,
+    a relay overhead, the weights' sum, a utility slope, a level at the cap
+    or the demand."""
 
 
 @dataclass(frozen=True)
@@ -280,7 +292,10 @@ class BargainingProblem:
     :meth:`with_channel` gives the same players under another airtime budget
     and other upload rates, sharing every column that neither decides; it
     and the constructor check and derive those two by one step,
-    :meth:`_set_channel`, so both raise the same errors for them.
+    :meth:`_set_channel`, so both raise the same errors for them.  That
+    step ends in :meth:`_check_levels`, the one place that decides whether
+    the problem's levels and demand overflow; it builds no curves.  Every
+    value that overflows raises :class:`ProblemOverflowError`.
     """
 
     ids: tuple[str, ...]
@@ -328,8 +343,10 @@ class BargainingProblem:
         self.raw_alphas = raw = np.array(raw_alphas, dtype=float)
         # NaN fails these checks too; the bound, a Python float that overflows
         # to inf without a warning, keeps each cap data / broadcast_rate finite
-        if np.count_nonzero(~((data >= 0) & (data < float(broadcast_rate) * sys.float_info.max))):
-            raise ValueError("data_size must be >= 0, with a finite cap data_size / broadcast_rate")
+        if np.count_nonzero(~(data >= 0)):
+            raise ValueError("data_size must be >= 0")
+        if np.count_nonzero(~(data < float(broadcast_rate) * sys.float_info.max)):
+            raise ProblemOverflowError("data_size must be finite, with a finite cap data_size / broadcast_rate")
         if np.count_nonzero(~(raw > 0)):
             raise ValueError("alpha must be > 0")
         if disagreements is None:
@@ -350,7 +367,7 @@ class BargainingProblem:
         with np.errstate(over="ignore"):        # an overflowing sum is rejected below
             total = raw.sum()
         if not math.isfinite(total):
-            raise ValueError("alpha weights must sum to a finite value")
+            raise ProblemOverflowError("alpha weights must sum to a finite value")
         self.alphas = raw / total
         self.caps = caps = data / broadcast_rate
         self.coeffs = np.empty(n)
@@ -431,23 +448,37 @@ class BargainingProblem:
             )
 
     def _check_levels(self):
-        """Reject a player whose level at the cap overflows, its curve's top
-        reading inf or NaN, and a demand that is not below DBL_MAX / 2, so
-        that no sum of channel seconds overflows.  The curves and the
-        demand, which every solve reads, are computed here with numpy's
-        float warnings off, since the overflow they would warn of is what
-        this check reports.  The tops are sorted, NaN last, so the last one
-        decides."""
+        """Reject a bargaining player whose level at the cap overflows,
+        reading inf or NaN, whose level at the cap or utility coefficient (a
+        normalized-linear utility's cap) has no finite reciprocal, so that
+        the certificate's inverse level and utility slope are finite, or
+        whose log-shifted gain times its cap overflows, as its utility's
+        value there would; and a demand that is not below DBL_MAX / 2, so
+        that no sum of channel seconds overflows.  The levels are
+        :func:`_level_columns` in problem order, kept for :attr:`_curves` to
+        sort on a gnbs solve's first read: the check sorts nothing.  They
+        and the demand, which every solve reads, are computed here with
+        numpy's float warnings off, since the overflow they would warn of is
+        what this check reports."""
+        act, tiny = self._active, 1.0 / sys.float_info.max
         with np.errstate(all="ignore"):
-            curves, demand = self._curves, self.demand
-        if len(curves.top) and not math.isfinite(curves.top[-1]):
-            i = int(curves.index[~np.isfinite(curves.top)].min())
+            self._levels = levels = _level_columns(act)
+            demand = self.demand
+        top, coeff = levels[3], act.coeff
+        if len(top) and not (top.max() < math.inf and tiny < min(top.min(), coeff.min())):     # NaN fails too
+            k = _first(~((top < math.inf) & (tiny < np.minimum(top, coeff))))
+            i = int(act.index[k])
+            if top[k] < math.inf:
+                raise ProblemOverflowError(
+                    f"player {self.ids[i]}: the level at the cap or the utility coefficient (a normalized-linear "
+                    f"utility's cap), {min(top[k], coeff[k]):g}, has no finite reciprocal")
             if self.kinds[i] == _U_LOG:
-                raise ValueError(f"player {self.ids[i]}: log-shifted gain {self.coeffs[i]:g} "
-                                 "overflows the level arithmetic at the cap")
-            raise ValueError(f"player {self.ids[i]}: the level at the cap overflows")
+                raise ProblemOverflowError(f"player {self.ids[i]}: log-shifted gain {self.coeffs[i]:g} "
+                                           "overflows the level arithmetic at the cap")
+            raise ProblemOverflowError(f"player {self.ids[i]}: the level at the cap overflows")
         if not (demand < sys.float_info.max / 2):
-            raise ValueError("the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2")
+            raise ProblemOverflowError(
+                "the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2")
 
     @cached_property
     def players(self) -> tuple[Player, ...]:
@@ -478,8 +509,9 @@ class BargainingProblem:
 
     @cached_property
     def _curves(self) -> "_Curves":
-        """The active players' level curves as parameter arrays."""
-        return _Curves.bargaining(self)
+        """The active players' level curves as parameter arrays, sorted."""
+        act = self._active
+        return _Curves.sorted_by_top(act.index, act.weight, act.d, act.cap, *self._levels)
 
     @cached_property
     def demand(self) -> float:
@@ -505,7 +537,7 @@ def _relay_overheads(broadcast_rate: float, upload: np.ndarray, g: int, n: int) 
     if np.count_nonzero(relayed > broadcast_rate / sys.float_info.max) != n:     # NaN fails too
         if np.count_nonzero(relayed > 0) != n:
             raise ValueError("clients need upload_rate > 0")
-        raise ValueError("clients need a finite relay overhead broadcast_rate / upload_rate")
+        raise ProblemOverflowError("clients need a finite relay overhead broadcast_rate / upload_rate")
     betas = broadcast_rate / relayed
     betas[g] = 0.0
     return betas
@@ -636,31 +668,6 @@ class _Curves:
         return cls.sorted_by_top(act.index, act.weight, zero, cap, r,
                                  zero.astype(np.int8), zero, cap / r)
 
-    @classmethod
-    def bargaining(cls, problem: BargainingProblem) -> "_Curves":
-        """Level curves of the active players of a bargaining problem."""
-        act = problem._active
-        weight, d, cap = act.weight, act.d, act.cap
-        r = act.alpha / weight
-        kind = np.zeros(len(cap), dtype=np.int8)
-        coeff = np.zeros(len(cap))
-        if act.linear:
-            return cls.sorted_by_top(act.index, weight, d, cap, r, kind, coeff, (cap - d) / r)
-        m = act.power
-        coeff[m] = act.coeff[m]
-        r[m] *= coeff[m]
-        top = (cap - d) / r
-        m = act.log
-        g, room = act.coeff[m], cap[m] - d[m]
-        k = g / (1.0 + g * d[m])
-        kind[m], coeff[m] = _U_LOG, k
-        top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k)
-        m = act.power[d[act.power] > 0]
-        kind[m] = _U_POWER
-        t = (cap[m] - d[m]) / d[m]
-        top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
-        return cls.sorted_by_top(act.index, weight, d, cap, r, kind, coeff, top)
-
     def times(self, s: float, sel: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Unclipped broadcast times time(s) of the selected players at
         common level ``s``, and their derivatives in ``s``."""
@@ -728,6 +735,33 @@ class _Curves:
                 break
         x[lo:] = np.minimum(cap[lo:], xs + dx * step)
         return float(s + step), x, probes + steps
+
+
+def _level_columns(act: _Active) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``r``, ``kind``, ``coeff`` and ``top`` of the bargaining players'
+    level curves (see :class:`_Curves`), in problem order.  A log-shifted
+    player's top also reads NaN where its gain times its cap overflows."""
+    weight, d, cap = act.weight, act.d, act.cap
+    r = act.alpha / weight
+    kind = np.zeros(len(cap), dtype=np.int8)
+    coeff = np.zeros(len(cap))
+    if act.linear:
+        return r, kind, coeff, (cap - d) / r
+    m = act.power
+    coeff[m] = act.coeff[m]
+    r[m] *= coeff[m]
+    top = (cap - d) / r
+    m = act.log
+    g, room = act.coeff[m], cap[m] - d[m]
+    k = g / (1.0 + g * d[m])
+    kind[m], coeff[m] = _U_LOG, k
+    # adding 0 * g cap leaves the top NaN where g cap, the utility's argument at the cap, overflows
+    top[m] = np.log1p(k * room) * (1.0 + k * room) / (r[m] * k) + 0.0 * (g * cap[m])
+    m = act.power[d[act.power] > 0]
+    kind[m] = _U_POWER
+    t = (cap[m] - d[m]) / d[m]
+    top[m] = d[m] * (t - np.expm1((1.0 - coeff[m]) * np.log1p(t))) / r[m]
+    return r, kind, coeff, top
 
 
 def _fill_lines(w, d, cap, r, top, budget: float) -> tuple[float, int, int]:
@@ -883,8 +917,8 @@ def _gnbs_solve(problem: BargainingProblem) -> tuple[Allocation, float, int]:
     multiplier ``lam`` of its budget constraint and the root-find steps that
     :func:`kkt_residuals` takes to certify it."""
     if problem.saturated:
-        top = problem._curves.top
-        return _saturated_allocation(problem), 1.0 / top[-1] if len(top) else 0.0, 0
+        top = problem._levels[3]
+        return _saturated_allocation(problem), 1.0 / top.max() if len(top) else 0.0, 0
 
     alloc, s, iterations = _water_fill_allocation(problem, problem._curves)
     return alloc, 1.0 / s, iterations
@@ -923,8 +957,12 @@ def _clipped_linear_allocate(problem: BargainingProblem, slope: np.ndarray) -> A
 def eql_allocate(problem: BargainingProblem) -> Allocation:
     """Equal-slot baseline: one common broadcast time s for everyone,
     x_i = min(cap_i, s), so the airtime capped players leave is shared
-    equally by the rest.  Solved exactly over the sorted caps."""
-    return _clipped_linear_allocate(problem, np.ones(len(problem.ids)))
+    equally by the rest.  Solved exactly over the sorted caps.  The
+    closed form divides by the uncapped players' sum of 1 + beta, which two
+    relay overheads near DBL_MAX overflow: s then reads the level below it,
+    within budget / DBL_MAX of the root, without a warning."""
+    with np.errstate(over="ignore"):
+        return _clipped_linear_allocate(problem, np.ones(len(problem.ids)))
 
 
 def wtd_allocate(problem: BargainingProblem) -> Allocation:
@@ -1125,7 +1163,7 @@ def kkt_residuals(problem: BargainingProblem, allocation: Allocation, lam: float
     with np.errstate(divide="ignore", invalid="ignore"):
         xc = np.minimum(x, act.cap)
         gain = _gains(problem, xc)
-        dev = 1.0 / (act.weight / act.alpha * gain / _utility_slopes(act, xc)) - lam
+        dev = act.alpha / act.weight * _utility_slopes(act, xc) / gain - lam
         room = act.cap - x
         at_cap = room <= 1e-9 * np.maximum(1.0, act.cap)
         stat = np.abs(dev)

@@ -12,9 +12,10 @@ repetitions, and the seed each one runs at, come from
 
 Exit codes: 0 on success, 1 (with nothing on stderr) when the reader of
 standard output closes it early, as ``| head`` does, 2 for argument or
-scenario-schema problems and for a scenario file or ``simulate --out``
-directory that cannot be read or written, 3 when the allocation problem is
-infeasible.
+scenario-schema problems, for a scenario file or ``simulate --out``
+directory that cannot be read or written and for a round whose bargaining
+problem overflows (the one line names the round), 3 when the allocation
+problem is infeasible.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .bargaining import (
     ROLE_CLIENT,
     ROLE_GO,
     InfeasibleProblemError,
+    ProblemOverflowError,
     dissemination_rate,
     gnbs_allocate,
     nash_product,
@@ -302,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         # fail on again: point it at devnull (the Python docs' "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except SchemaError as e:
+    except (SchemaError, ProblemOverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InfeasibleProblemError as e:

@@ -96,6 +96,15 @@ is certified.
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal
 rates, and the bargaining optimum used as the fairness reference.
+
+A :class:`Scenario` checks what holds for every seed, GO and policy without
+a rounding margin: each node's own values, its relay overhead at its worst
+loss, its queue's cap at its largest round load, a per-peer amount scaled
+by the peers, and the largest sum of weights.  Whether a round's levels at
+the cap and demand overflow depends on its members, loads, GO and weights,
+so only the round's own bargaining problem decides it, and the run raises
+its :class:`~airfair.bargaining.ProblemOverflowError` with the round's
+index and start in front, as it does an election's or a schedule's error.
 """
 
 from __future__ import annotations
@@ -112,6 +121,7 @@ from .bargaining import (
     Allocation,
     BargainingProblem,
     KktReport,
+    ProblemOverflowError,
     _gnbs_solve,
     eql_allocate,
     gnbs_allocate,
@@ -217,6 +227,16 @@ class ScenarioNode:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A timeline of nodes and the channel they share.  Construction checks
+    what every run needs whatever its seed, GO and policy: ids, rates,
+    slot size, the pinned GO and the edges; a node's relay overhead at its
+    worst loss-adjusted rate and its queue time at its largest round load,
+    both finite, as the bargaining problem requires; a per-peer amount
+    that stays finite once scaled; and weight sums that stay finite once
+    the GO's is scaled.  None needs a rounding margin.  A level at the cap
+    or a demand that overflows is a round's to find: the run fails in that
+    round, with an error that names it."""
+
     nodes: tuple[ScenarioNode, ...]
     broadcast_mbps: float
     t_slot_s: float
@@ -273,39 +293,6 @@ class Scenario:
             object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
             # raises at an edge it rejects
             object.__setattr__(self, "graph", ConnectivityGraph(ids, self.connectivity))
-        # a node's channel seconds, load * (1 + relay overhead) / broadcast_mbps,
-        # over its normalized weight, its level at the cap, must stay finite,
-        # and every round's sum of them below DBL_MAX / 2, by the bargaining
-        # problem's bounds: taken at its largest load, its worst overhead (none
-        # in a two-node scenario, whose rounds are unicast pairs) and its
-        # smallest weight, alpha (times go_alpha_factor if below 1) over the
-        # largest sum, in Python floats, with a margin of 1e-9 for the
-        # roundings in which numpy's differ (a weight ratio beyond DBL_MAX
-        # reads inf too).  A node that is the GO of every round it is in, the
-        # pinned GO or the one a two-node scenario's only round elects from
-        # the own data, has no overhead and its alpha scaled in every sum.
-        go = self.go
-        if go is None and len(ids) == 2:
-            pair = sorted(ids)
-            hubs = [True, True] if self.graph is None else [self.graph.reaches_all(m, pair) for m in pair]
-            try:
-                go = elect_go(pair, [loads[ids.index(m)] for m in pair], hubs)
-            except NoGoCandidateError:
-                pass
-        demand = 0.0
-        for n, load in zip(self.nodes, loads):
-            if n.id == go:
-                seconds = load / rate
-                spread = (sum(alphas) / n.alpha + self.go_alpha_factor - 1.0) / self.go_alpha_factor
-            else:
-                seconds = load / rate * (1.0 + (rate / (n.upload_mbps * worst) if len(ids) > 2 else 0.0))
-                spread = largest / n.alpha / min(self.go_alpha_factor, 1.0)
-            if not (seconds * spread * (1.0 + 1e-9) < sys.float_info.max):
-                raise ValueError(f"node {n.id!r}: the level at the cap overflows at its largest round load {load:g} mb")
-            demand += seconds
-        if not (demand * (1.0 + 1e-9) < sys.float_info.max / 2):
-            raise ValueError(f"the channel seconds that drain every node's largest round load, {demand:g}, "
-                             "are not below DBL_MAX / 2")
 
 
 @dataclass(eq=False)
@@ -573,7 +560,8 @@ def _plan(scenario: Scenario, rx: bool) -> tuple:
     n_pcd, n_loss = sum(map(len, pcd_rows)), sum(map(len, loss_rows))
     rows = np.concatenate(pcd_rows + loss_rows + rx_rows) if pcd_rows or loss_rows else None
     lengths = None if rows is None else np.repeat([4, 3, 4], [n_pcd, n_loss, len(rows) - n_pcd - n_loss])
-    plan = rounds, None if model is None else np.concatenate([rnd[8] for rnd in rounds]), rows, lengths, n_pcd, n_loss
+    pcds = None if model is None or not rounds else np.concatenate([rnd[8] for rnd in rounds])
+    plan = rounds, pcds, rows, lengths, n_pcd, n_loss
     _last_plan = scenario, rx, plan
     return plan
 
@@ -737,7 +725,7 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
     round reads, and what its receivers heard, ``rx_ok @ delivered_mb``,
     to ``received``, in round order.  Draws without rx outcomes, the
     experiments' repetitions, fold no ``received`` and report None.  A
-    round's election or schedule error names the round."""
+    round's election, overflow or schedule error names the round."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     ids = [n.id for n in scenario.nodes]
@@ -747,7 +735,7 @@ def _run(scenario: Scenario, policy: str, draws: Sequence[_RoundDraws]) -> Simul
     for index, d in enumerate(draws):
         try:
             rounds.append(_round(scenario, policy, index, d, transmitted[d.at]))
-        except (NoGoCandidateError, ScheduleError) as e:
+        except (NoGoCandidateError, ScheduleError, ProblemOverflowError) as e:
             raise type(e)(f"round {index} at {d.t0:g}s: {e}") from e
         transmitted[d.at] += rounds[-1].delivered_mb
         if received is not None:

@@ -6,6 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 
 from airfair import BargainingProblem, KktReport, Player, Utility, bargaining, simulate
@@ -230,6 +231,32 @@ def mixed_problem(rng: np.random.Generator, n: int, disagreements: bool = True) 
     return BargainingProblem(players, airtime=airtime, broadcast_rate=rate)
 
 
+@st.composite
+def documents(draw, rates=(11.0, 24.0, 54.0), uploads=(5.5, 11.0, 24.0, 54.0), amounts=st.integers(0, 120)) -> dict:
+    """Scenario documents: 2-8 nodes with joins and leaves on a 1 s grid,
+    each with an upload rate of ``uploads`` and a fixed or per-peer amount
+    of whole megabits (0 included; ``amounts`` draws it), a broadcast rate of
+    ``rates``, loss and PCD noise each on or off, and a pinned GO or none."""
+    ids = [f"m{k}" for k in draw(st.lists(st.integers(1, 99), min_size=2, max_size=8, unique=True))]
+    nodes = []
+    for i in ids:
+        join = draw(st.integers(0, 12))
+        nodes.append({"id": i, "join_s": float(join), "leave_s": float(join + draw(st.integers(1, 16))),
+                      "upload_mbps": draw(st.sampled_from(uploads)),
+                      "alpha": draw(st.sampled_from((0.5, 1.0, 2.0))),
+                      draw(st.sampled_from(("data_mb", "data_mb_per_peer"))): float(draw(amounts))})
+    doc = {"nodes": nodes, "broadcast_mbps": draw(st.sampled_from(rates)),
+           "t_slot_ms": draw(st.sampled_from((1.0, 5.0, 20.0))), "seed": draw(st.integers(0, 2**16))}
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from((0.0, 0.05, 0.2)))
+        doc["loss"] = {"lo": lo, "hi": lo + draw(st.sampled_from((0.0, 0.1, 0.3)))}
+    if draw(st.booleans()):
+        doc["pcd_error"] = {"stddev": draw(st.sampled_from((0.04, 1.0))), "mean": draw(st.sampled_from((0.0, 0.5)))}
+    if draw(st.booleans()):
+        doc["go"] = draw(st.sampled_from(ids))
+    return doc
+
+
 def probe_allocations(problem: BargainingProblem, rng: np.random.Generator) -> list:
     """The three policies' allocations of ``problem`` and a random one in
     which about a fifth of the players sit at their disagreement point (a
@@ -429,7 +456,10 @@ def reference_wpf_aggregate(problem, gnbs_alloc, other_alloc) -> float:
 
 
 def reference_kkt_residuals(problem, allocation, lam: float, iterations: int = 0) -> KktReport:
-    """The certificate with every level from :func:`airfair.bargaining.level`."""
+    """The certificate player by player, with each inverse level, alpha /
+    (1 + beta) times the utility's derivative over its gain, from the
+    player's own :class:`Utility`, as :func:`airfair.bargaining.level`
+    evaluates it."""
     n = len(problem.ids)
     stationarity = np.zeros(n)
     slackness = np.zeros(n)
@@ -439,7 +469,9 @@ def reference_kkt_residuals(problem, allocation, lam: float, iterations: int = 0
         if x[i] <= problem.disagreements[i]:
             stationarity[i] = math.inf
             continue
-        inv_level = 1.0 / level(problem, i, min(x[i], cap))
+        u, xc = problem.utilities[i], min(x[i], cap)
+        gain = u.value(xc) - u.value(problem.disagreements[i])
+        inv_level = problem.alphas[i] / (1.0 + problem.betas[i]) * u.derivative(xc) / gain
         if cap - x[i] <= 1e-9 * max(1.0, cap):
             slackness[i] = max(max(0.0, lam - inv_level), abs((inv_level - lam) * (x[i] - cap)))
         else:

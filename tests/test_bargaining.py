@@ -784,6 +784,15 @@ _PAIR = dict(ids=["go", "c"], data_sizes=[5.0, 5.0], upload_rates=[math.inf, 5.0
     pytest.param({}, {"broadcast_rate": 1e-307}, ValueError,
                  r"the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2",
                  id="demand-overflows"),
+    # c's cap is 1e-323 s: the slope of its normalized-linear utility, 1 / cap, overflows
+    pytest.param({"data_size": 5e-323}, {"data_sizes": [5.0, 5e-323]}, ValueError,
+                 r"player c: the level at the cap or the utility coefficient .* has no finite reciprocal",
+                 id="cap-reciprocal-overflows"),
+    # g d is finite, and so is c's level at the cap, but g cap, and the utility's value there, overflow
+    pytest.param({"data_size": 10.0, "disagreement": 0.5, "utility": Utility.log_shifted(1e308)},
+                 {"data_sizes": [5.0, 10.0], "disagreements": [0.0, 0.5], "kinds": [0, 1], "coeffs": [math.nan, 1e308]},
+                 ValueError, r"player c: log-shifted gain 1e\+308 overflows the level arithmetic at the cap",
+                 id="log-gain-times-cap-overflows"),
     pytest.param({"utility": Utility("normalized-linear", 0.0)}, {"kinds": [0, 0], "coeffs": [math.nan, 0.0]},
                  ValueError, "utility coefficient must be positive", id="normalized-linear-0.0"),
     pytest.param({"utility": Utility("log-shifted", -1.0)}, {"kinds": [0, 1], "coeffs": [math.nan, -1.0]},
@@ -833,6 +842,31 @@ def test_with_channel_derives_the_constructors_problem(idle):
             BargainingProblem(airtime=airtime, broadcast_rate=11.0, upload_rates=upload[:n], **columns)
         with pytest.raises(ValueError, match=message):
             first.with_channel(airtime, upload[:n])
+
+
+def test_construction_sorts_nothing(monkeypatch):
+    """The overflow check reads each player's level at the cap in problem
+    order: the constructor and ``with_channel`` run no argsort and build no
+    level curves, eql and wtd never read them, and a gnbs solve that is
+    contended builds them on its first read."""
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a problem sorted its levels at construction")
+
+    contended = 0
+    for n in support.GROUP_SIZES:
+        rng = np.random.default_rng([7104, n])
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", no_sort)
+            prob = support.mixed_problem(rng, n)
+            derived = prob.with_channel(prob.airtime, 2.0 * prob.upload_rates)
+        for problem in (prob, derived):
+            eql_allocate(problem)
+            wtd_allocate(problem)
+            assert "_curves" not in vars(problem)
+            gnbs_allocate(problem)
+            assert ("_curves" in vars(problem)) is not problem.saturated
+            contended += not problem.saturated
+    assert contended > len(support.GROUP_SIZES)
 
 
 def test_given_utility_with_a_nan_coefficient_rejected():

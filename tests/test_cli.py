@@ -462,28 +462,65 @@ def test_schedule_rows_of_a_short_cut_slot_stay_distinct(capsys, tmp_path, fmt):
     assert all(float(row[3]) > 0 for row in rows)
 
 
-_OVERFLOW = "alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"
+_OVERFLOW = "scenario: alpha weights overflow once the GO's is scaled by go_alpha_factor and summed"
 
 
 @pytest.mark.parametrize("doc_fields,node_fields,message", [
     ({"go_alpha_factor": 2.0}, {"alpha": 1e308}, _OVERFLOW),     # the GO's weight is infinite
     ({"go_alpha_factor": 1.0}, {"alpha": 1e308}, _OVERFLOW),     # the sum of weights overflows
-    ({"connectivity": {"edges": [["n1", "n2"], ["n1", "n1"]]}}, {}, "connectivity edge ('n1', 'n1') is a self loop"),
+    ({"connectivity": {"edges": [["n1", "n2"], ["n1", "n1"]]}}, {},
+     "scenario: connectivity edge ('n1', 'n1') is a self loop"),
     ({}, {"upload_mbps": 5e-324},       # 11 / 5e-324 is inf: nan for n1 and both metrics
-     "node 'n1': relay overhead broadcast_mbps / upload_mbps overflows at its worst loss-adjusted rate 4.94066e-324"),
+     "scenario: node 'n1': relay overhead broadcast_mbps / upload_mbps overflows at its worst loss-adjusted rate "
+     "4.94066e-324"),
     ({"broadcast_mbps": 1e-310}, {},    # 10 / 1e-310 is inf: every utility read 0 and allocate raised DomainError
-     "node 'n1': queue time data / broadcast_mbps overflows at its largest round load 10 mb"),
-    ({"broadcast_mbps": 1e-306}, {},    # n3's cap is 4e307 s, its level 7 times that: compare printed 0.000000
-     "node 'n3': the level at the cap overflows at its largest round load 40 mb"),
+     "scenario: node 'n1': queue time data / broadcast_mbps overflows at its largest round load 10 mb"),
+    # n3's cap is 4e307 s, its level 7 times that: compare printed 0.000000;
+    # the round's own problem rejects it, naming the round
+    ({"broadcast_mbps": 1e-306}, {}, "round 0 at 0s: player n3: the level at the cap overflows"),
     ({"broadcast_mbps": 1.0}, {"data_mb": 2e307},    # each level is finite, but the caps sum past DBL_MAX / 2
-     "the channel seconds that drain every node's largest round load, 1.29091e+308, are not below DBL_MAX / 2"),
+     "round 0 at 0s: the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2"),
 ], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead", "queue-time", "cap-level", "demand"])
 def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, node_fields, message):
     # each used to print NaN and exit 0, or end in a traceback
     scenario = _table1_file(tmp_path, doc_fields, **node_fields)
     code, out, err = run_cli(capsys, "allocate", "--scenario", scenario)
     assert code == 2 and out == ""
-    assert err.splitlines() == [f"error: scenario: {message}"]
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_only_a_round_that_overflows_fails_compare(capsys, tmp_path):
+    """x's cap is 8e307 s at 1.25e-307 Mb/s, and its level would overflow
+    were it a client; open, x is elected GO and every round is finite, so
+    compare runs; pinning a as the GO makes x a client, and the round fails
+    with one line that names it, after the header.  table1 at 1e-306 Mb/s
+    fails the same way."""
+    nodes = [{"id": i, "join_s": 0.0, "leave_s": 10.0, "data_mb": mb} for i, mb in (("x", 10.0), ("a", 0.5), ("b", 0.5))]
+    doc = {"nodes": nodes, "broadcast_mbps": 1.25e-307, "t_slot_ms": 20.0}
+    open_go, pinned = tmp_path / "open.json", tmp_path / "pinned.json"
+    open_go.write_text(json.dumps(doc))
+    pinned.write_text(json.dumps({**doc, "go": "a"}))
+    argv = ("compare", "--durations", "10", "--reps", "2", "--scenario")
+    code, out, err = run_cli(capsys, *argv, str(open_go))
+    assert (code, err) == (0, "") and "nan" not in out
+    overflow = "error: round 0 at 0s: player {}: the level at the cap overflows"
+    assert run_cli(capsys, *argv, str(pinned)) == (2, "duration_s,gsa,eql,wtd\n", overflow.format("x") + "\n")
+    table1 = _table1_file(tmp_path, {"broadcast_mbps": 1e-306})
+    assert run_cli(capsys, *argv, table1) == (2, "duration_s,gsa,eql,wtd\n", overflow.format("n3") + "\n")
+
+
+def test_a_subnormal_cap_exits_2(capsys, tmp_path):
+    """n1's 1e-322 mb is a cap of 1e-323 s, whose normalized-linear slope
+    1 / cap overflows: allocate warned "overflow encountered in divide" in
+    the certificate and exited 0.  The round's problem rejects it."""
+    doc = json.loads(json.dumps(PRESETS["table1"]))
+    doc["nodes"][0]["data_mb"] = 1e-322
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "allocate", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: round 0 at 0s: player n1: the level at the cap or the utility coefficient "
+                                "(a normalized-linear utility's cap), 9.88131e-324, has no finite reciprocal"]
 
 
 def test_a_slow_but_finite_relay_overhead_still_runs(capsys, tmp_path):

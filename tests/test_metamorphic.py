@@ -26,6 +26,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import support
+
 from airfair.scenario_io import PRESETS, scenario_from_dict
 from airfair.simulate import PCD_FLOOR, compare_policies, scale_contact_durations
 
@@ -160,33 +162,8 @@ def test_power_of_two_rescalings_scale_only_seconds_and_megabits(preset, variant
 _MAX_ABS_NORMAL = 12.3
 
 
-@st.composite
-def _documents(draw) -> dict:
-    """2-8 nodes with joins and leaves on a 1 s grid, each with a fixed or
-    per-peer amount of whole megabits (0 included), loss and PCD noise each
-    on or off, and a pinned GO or none."""
-    ids = [f"m{k}" for k in draw(st.lists(st.integers(1, 99), min_size=2, max_size=8, unique=True))]
-    nodes = []
-    for i in ids:
-        join = draw(st.integers(0, 12))
-        nodes.append({"id": i, "join_s": float(join), "leave_s": float(join + draw(st.integers(1, 16))),
-                      "upload_mbps": draw(st.sampled_from((5.5, 11.0, 24.0, 54.0))),
-                      "alpha": draw(st.sampled_from((0.5, 1.0, 2.0))),
-                      draw(st.sampled_from(("data_mb", "data_mb_per_peer"))): float(draw(st.integers(0, 120)))})
-    doc = {"nodes": nodes, "broadcast_mbps": draw(st.sampled_from((11.0, 24.0, 54.0))),
-           "t_slot_ms": draw(st.sampled_from((1.0, 5.0, 20.0))), "seed": draw(st.integers(0, 2**16))}
-    if draw(st.booleans()):
-        lo = draw(st.sampled_from((0.0, 0.05, 0.2)))
-        doc["loss"] = {"lo": lo, "hi": lo + draw(st.sampled_from((0.0, 0.1, 0.3)))}
-    if draw(st.booleans()):
-        doc["pcd_error"] = {"stddev": draw(st.sampled_from((0.04, 1.0))), "mean": draw(st.sampled_from((0.0, 0.5)))}
-    if draw(st.booleans()):
-        doc["go"] = draw(st.sampled_from(ids))
-    return doc
-
-
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(doc=_documents(), rate_exp=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+@given(doc=support.documents(), rate_exp=st.sampled_from((-3, -2, -1, 1, 2, 3)),
        time_exp=st.sampled_from((-2, -1, 1, 2, 3)))
 def test_relations_hold_on_generated_documents(doc, rate_exp, time_exp):
     """The relations above (node order, a lone node after or before the

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 import code_lines
 import support
 from airfair import grouping, simulate
-from airfair.bargaining import left_sum
+from airfair.bargaining import ProblemOverflowError, left_sum
 from airfair.grouping import (
     MODE_GO_COORDINATED,
     MODE_UNICAST_PAIR,
@@ -149,22 +149,35 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="'x': queue time data / broadcast_mbps overflows at its largest round load 20 mb"):
         two_node_scenario(nodes=three, broadcast_mbps=1e-307)
     # x's 10 mb at 1 peer pass the queue bound at 1e-307 Mb/s, but with a's
-    # 5 mb the one round's caps sum to 1.5e308 s, past DBL_MAX / 2
-    with pytest.raises(ValueError, match=r"largest round load, 1\.5e\+308, are not below DBL_MAX / 2"):
-        two_node_scenario(nodes=three[:2], broadcast_mbps=1e-307)
-    # a node's level at the cap must be finite too, at the smallest
-    # normalized weight a round can give it: x's cap is 8e307 s at
-    # 1.25e-307 Mb/s, 3 times that as a client overflows, but x outweighs a
-    # and is always the GO, at 2/3 of the weight; pinning a as the GO makes
-    # x a client; every policy runs the document without a warning
+    # 5 mb the one round's caps sum to 1.5e308 s, past DBL_MAX / 2: the
+    # round's own problem rejects it, and the error names the round
+    demand = two_node_scenario(nodes=three[:2], broadcast_mbps=1e-307)
+    with pytest.raises(ProblemOverflowError, match=r"^round 0 at 0s: the demand, .* must be below DBL_MAX / 2"):
+        run_scenario(demand)
+    # a node's level at the cap must be finite too, at the weight its round
+    # gives it: x's cap is 8e307 s at 1.25e-307 Mb/s, 3 times that as a
+    # client overflows, but x outweighs a and is the GO, at 2/3 of the
+    # weight; every policy runs the document without a warning, and pinning
+    # a as the GO makes x a client, which the round rejects
     pair = (three[0], replace(three[1], data_mb=1.0))
     assert compare_policies(two_node_scenario(nodes=pair, broadcast_mbps=1.25e-307))["gsa"].rounds[0].go_id == "x"
-    with pytest.raises(ValueError, match="'x': the level at the cap overflows at its largest round load 10 mb"):
-        two_node_scenario(nodes=pair, broadcast_mbps=1.25e-307, go="a")
+    pinned = two_node_scenario(nodes=pair, broadcast_mbps=1.25e-307, go="a")
+    with pytest.raises(ProblemOverflowError, match="^round 0 at 0s: player x: the level at the cap overflows$"):
+        run_scenario(pinned)
     with pytest.raises(ValueError, match="stddev must be >= 0"):
         PcdErrorModel(math.nan)
     with pytest.raises(ValueError, match="mean must not be NaN"):
         PcdErrorModel(1.0, math.nan)
+
+
+def test_a_noisy_scenario_without_a_group_has_no_rounds():
+    """Nodes that never meet form no round, with PCD noise or without:
+    the draws of no round used to be joined into one array of true PCDs,
+    and numpy raised "need at least one array to concatenate"."""
+    nodes = (ScenarioNode("a", 0.0, 1.0, data_mb=1.0), ScenarioNode("b", 2.0, 3.0, data_mb=1.0))
+    for noise in (None, PcdErrorModel(1.0)):
+        reports = compare_policies(two_node_scenario(nodes=nodes, pcd_error=noise))
+        assert [report.rounds for report in reports.values()] == [[], [], []]
 
 
 # ---------------------------------------------------------------------------
