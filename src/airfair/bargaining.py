@@ -55,8 +55,10 @@ are found once, too.  Every problem computes its demand and each bargaining
 player's level at the cap at once, in problem order, and is rejected when
 a level is not finite or has no finite reciprocal, as it is when a
 utility's slope or value at the cap would overflow, when the weights do not
-sum to a finite value, or when the demand is not below DBL_MAX / 2, so that
-no sum of channel seconds a solve adds overflows.  Each of these errors,
+sum to a finite value, when the demand is not below DBL_MAX / 2, so that
+no sum of channel seconds a solve adds overflows, or when a contended
+problem's disagreement outcomes leave a subnormal airtime, whose common
+level's reciprocal would overflow.  Each of these errors,
 like a cap or a relay overhead that overflows, is a
 :class:`ProblemOverflowError`, so a caller can tell them from input that is
 wrong at any scale.  The levels are sorted into curves only when a gnbs
@@ -139,8 +141,8 @@ class InfeasibleProblemError(ValueError):
 
 class ProblemOverflowError(ValueError):
     """A value that a solve reads overflows, or its reciprocal does: a cap,
-    a relay overhead, the weights' sum, a utility slope, a level at the cap
-    or the demand."""
+    a relay overhead, the weights' sum, a utility slope, a level at the cap,
+    the demand or a contended solve's common level."""
 
 
 @dataclass(frozen=True)
@@ -402,10 +404,10 @@ class BargainingProblem:
         airtime budget, the upload rates, the relay overheads they give and
         the bargaining players' ``active`` columns with their channel seconds
         per broadcast second, 1 + beta.  Then it checks what these decide:
-        the disagreement outcomes against the budget, the levels at the cap
-        and the demand (:meth:`_check_levels`).  The constructor and
-        :meth:`with_channel` both hand it their raw airtime and upload
-        rates."""
+        the disagreement outcomes against the budget, the levels at the cap,
+        the demand and the airtime the outcomes leave
+        (:meth:`_check_levels`).  The constructor and :meth:`with_channel`
+        both hand it their raw airtime and upload rates."""
         if not (airtime > 0):
             raise ValueError("airtime must be > 0")
         self.airtime = airtime
@@ -413,9 +415,8 @@ class BargainingProblem:
         self.betas = betas = _relay_overheads(self.broadcast_rate, upload, self.go, len(self.ids))
         weight = 1.0 + betas if len(active.index) == len(self.ids) else 1.0 + betas[active.index]
         self._active = active._replace(weight=weight)
-        if np.count_nonzero(self.disagreements):
-            self._validate_feasibility()
-        self._check_levels()
+        left = airtime - self._validate_feasibility() if np.count_nonzero(self.disagreements) else airtime
+        self._check_levels(left)
         upload.setflags(write=False)
         betas.setflags(write=False)
 
@@ -432,7 +433,9 @@ class BargainingProblem:
         other._set_channel(airtime, upload_rates, self._active)
         return other
 
-    def _validate_feasibility(self):
+    def _validate_feasibility(self) -> float:
+        """Reject disagreement outcomes that leave no room below a cap or in
+        the budget; return the channel seconds they spend."""
         act = self._active
         k = _first(~(act.d < act.cap))
         if k is not None:
@@ -442,19 +445,31 @@ class BargainingProblem:
         k = _first((self.caps == 0) & (self.disagreements > 0))
         if k is not None:
             raise InfeasibleProblemError(f"player {self.ids[k]}: positive disagreement with no data")
-        if len(act.index) and left_sum(act.weight * act.d) >= self.airtime:
+        spent = left_sum(act.weight * act.d)
+        if len(act.index) and spent >= self.airtime:
             raise InfeasibleProblemError(
                 "disagreement outcomes already consume the whole airtime budget"
             )
+        return spent
 
-    def _check_levels(self):
+    def _check_levels(self, left: float):
         """Reject a bargaining player whose level at the cap overflows,
         reading inf or NaN, whose level at the cap or utility coefficient (a
         normalized-linear utility's cap) has no finite reciprocal, so that
         the certificate's inverse level and utility slope are finite, or
         whose log-shifted gain times its cap overflows, as its utility's
-        value there would; and a demand that is not below DBL_MAX / 2, so
-        that no sum of channel seconds overflows.  The levels are
+        value there would; a demand that is not below DBL_MAX / 2, so
+        that no sum of channel seconds overflows; and, in a contended
+        problem, airtime ``left`` after the disagreement outcomes that is
+        below the smallest normal float, 2^-1022.  A concave utility's level
+        is at least the player's channel seconds above its disagreement
+        outcome over its weight, and a contended solve spends ``left`` on
+        those seconds, so its common level is at least ``left`` and the
+        multiplier 1 / level at most 2^1022.  The certificate's inverse
+        levels equal it up to the roundings of a gain in the subnormal
+        range, each of which shrinks the gain by at most a third, or to 0,
+        which reads an infinite inverse level without a warning; so they
+        stay below DBL_MAX, about 2^1024.  The levels are
         :func:`_level_columns` in problem order, kept for :attr:`_curves` to
         sort on a gnbs solve's first read: the check sorts nothing.  They
         and the demand, which every solve reads, are computed here with
@@ -479,6 +494,9 @@ class BargainingProblem:
         if not (demand < sys.float_info.max / 2):
             raise ProblemOverflowError(
                 "the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2")
+        if not (left >= sys.float_info.min) and len(top) and not self.saturated:
+            raise ProblemOverflowError(f"the airtime left after the disagreement outcomes, {left:g} s, is below "
+                                       "the smallest normal float, where a solve's inverse levels overflow")
 
     @cached_property
     def players(self) -> tuple[Player, ...]:
@@ -617,7 +635,8 @@ def level(problem: BargainingProblem, i: int, x: float) -> float:
         raise DomainError(f"x={x} outside ({d}, {cap}] for player index {i}")
     x = min(float(x), float(cap))
     gain = u.value(x) - u.value(d)
-    return float((1.0 + problem.betas[i]) / problem.alphas[i] * gain / u.derivative(x))
+    # alpha / (1 + beta) first, as the certificate does: 1 + beta may lie near DBL_MAX
+    return float(gain / u.derivative(x) / (problem.alphas[i] / (1.0 + problem.betas[i])))
 
 
 @dataclass(frozen=True, eq=False)

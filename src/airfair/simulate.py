@@ -39,14 +39,14 @@ lets paired experiments reuse identical draws.  A scenario's draws are made
 before any round runs, in two steps.  The plan holds what no seed decides:
 the rounds, their members and member columns, modes, hubs, fixed GOs, drawn
 pairs and true PCDs, and the entropy rows of every stream.  The module
-keeps the plan of the last timeline it planned, found again by the identity
-of the scenario's nodes tuple and of the other fields it reads, which
-``replace`` keeps, so every repetition of an experiment, every slot size
-of a sweep and every call on one scenario plans once.  The
-seed's step hashes all Philox keys in one batch that runs numpy's
-SeedSequence hash on all rows together, and one Philox4x64-10 pass makes
-the first word of every key's stream, from which the uniform draws and the
-normal draws are read (see :mod:`airfair.streams`).  Draws depend on
+keeps no plan: an experiment's scenario holds its own, made on first read,
+and each repetition and slot size copies the scenario with it, so every
+experiment on one scenario object plans once, while a single run or
+policy comparison plans afresh and keeps nothing.  The seed's step
+hashes all Philox keys in one batch that runs numpy's SeedSequence hash on
+all rows together, and one Philox4x64-10 pass makes the first word of
+every key's stream, from which the uniform draws and the normal draws are
+read (see :mod:`airfair.streams`).  Draws depend on
 neither the policy nor the slot size, so policy comparison and slot-size
 sweeps derive them once and share them.  A round keeps its PCD
 draws as drawn, a list of member pairs and one estimate per pair.  A round
@@ -101,10 +101,11 @@ A :class:`Scenario` checks what holds for every seed, GO and policy without
 a rounding margin: each node's own values, its relay overhead at its worst
 loss, its queue's cap at its largest round load, a per-peer amount scaled
 by the peers, and the largest sum of weights.  Whether a round's levels at
-the cap and demand overflow depends on its members, loads, GO and weights,
-so only the round's own bargaining problem decides it, and the run raises
-its :class:`~airfair.bargaining.ProblemOverflowError` with the round's
-index and start in front, as it does an election's or a schedule's error.
+the cap, demand and common level overflow depends on its members, loads,
+GO, weights and span, so only the round's own bargaining problem decides
+it, and the run raises its :class:`~airfair.bargaining.ProblemOverflowError`
+with the round's index and start in front, as it does an election's or a
+schedule's error.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ class Scenario:
     worst loss-adjusted rate and its queue time at its largest round load,
     both finite, as the bargaining problem requires; a per-peer amount
     that stays finite once scaled; and weight sums that stay finite once
-    the GO's is scaled.  None needs a rounding margin.  A level at the cap
-    or a demand that overflows is a round's to find: the run fails in that
-    round, with an error that names it."""
+    the GO's is scaled.  None needs a rounding margin.  A level at the cap,
+    a demand or a common level that overflows is a round's to find: the
+    run fails in that round, with an error that names it."""
 
     nodes: tuple[ScenarioNode, ...]
     broadcast_mbps: float
@@ -293,6 +294,14 @@ class Scenario:
             object.__setattr__(self, "connectivity", tuple(tuple(e) for e in self.connectivity))
             # raises at an edge it rejects
             object.__setattr__(self, "graph", ConnectivityGraph(ids, self.connectivity))
+
+    @cached_property
+    def _experiment_plan(self) -> tuple:
+        """The rx-free :func:`_plan` of this scenario, which every
+        repetition of every experiment on it shares: made on first read and
+        freed with the scenario.  It is not a field, so ``==``, ``repr`` and
+        ``replace`` never see it, and a ``replace`` copy holds none."""
+        return _plan(self, rx=False)
 
 
 @dataclass(eq=False)
@@ -489,16 +498,6 @@ def _off_diagonal(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-#: the plan of the last timeline planned, which every repetition of an
-#: experiment reuses: the scenario and ``rx`` it was made for, and :func:`_plan`'s value
-_last_plan: tuple | None = None
-
-#: the scenario fields a plan reads; another scenario shares the plan if it
-#: holds the same objects in them (``replace`` keeps them), so no value, a
-#: -0.0 or an int among them, is ever compared
-_PLANNED = ("connectivity", "go", "broadcast_mbps", "go_alpha_factor", "loss", "pcd_error")
-
-
 def _plan(scenario: Scenario, rx: bool) -> tuple:
     """What the timeline's draws hold that no seed decides: per round its
     span, members, member columns, mode, hubs, fixed GO, pairs, true PCDs,
@@ -507,14 +506,13 @@ def _plan(scenario: Scenario, rx: bool) -> tuple:
     the entropy rows of every stream and their lengths, None without noise;
     and the counts of pcd and loss rows.
 
-    It is the last plan if that was made for ``rx`` and a scenario with the
-    same nodes tuple and the same objects in the other :data:`_PLANNED`
-    fields, else a new one, which replaces it.  A miss compares nothing but
-    the nodes' identity."""
-    global _last_plan
-    if _last_plan is not None and _last_plan[0].nodes is scenario.nodes and _last_plan[1] is rx and all(
-            getattr(_last_plan[0], f) is getattr(scenario, f) for f in _PLANNED):
-        return _last_plan[2]
+    A pure function of ``rx`` and the scenario's nodes, ``connectivity``,
+    ``go``, ``loss`` and ``pcd_error``, which keeps nothing; the ideal
+    solves that runs keep in it read ``broadcast_mbps`` and
+    ``go_alpha_factor`` too.  So a plan serves only scenarios equal in all
+    of these, as a rerun (:func:`_rerun`) is to the scenario it copies.
+    What holds a plan is the caller: an experiment's scenario holds its
+    rx-free one (``Scenario._experiment_plan``)."""
     nodes = scenario.nodes
     events = sorted({t for n in nodes for t in (n.join_s, n.leave_s)})
     graph, model, loss_model = scenario.graph, scenario.pcd_error, scenario.loss
@@ -561,14 +559,15 @@ def _plan(scenario: Scenario, rx: bool) -> tuple:
     rows = np.concatenate(pcd_rows + loss_rows + rx_rows) if pcd_rows or loss_rows else None
     lengths = None if rows is None else np.repeat([4, 3, 4], [n_pcd, n_loss, len(rows) - n_pcd - n_loss])
     pcds = None if model is None or not rounds else np.concatenate([rnd[8] for rnd in rounds])
-    plan = rounds, pcds, rows, lengths, n_pcd, n_loss
-    _last_plan = scenario, rx, plan
-    return plan
+    return rounds, pcds, rows, lengths, n_pcd, n_loss
 
 
-def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
+def _round_draws(scenario: Scenario, rx: bool = True, plan: tuple | None = None) -> list[_RoundDraws]:
     """The span, members and draws of every round with at least two members:
-    the scenario's :func:`_plan`, and the draws its seed decides.
+    the scenario's :func:`_plan`, and the draws its seed decides.  The plan
+    is made here unless the caller passes ``plan``, which must be
+    ``_plan(scenario, rx)``: an experiment's repetitions pass the one their
+    scenario holds, so each repetition only draws.
 
     Each draw comes from its own stream keyed by (seed, purpose, round,
     node...): "pcd" per member pair, "loss" per member, "rx" per receiver
@@ -601,7 +600,7 @@ def _round_draws(scenario: Scenario, rx: bool = True) -> list[_RoundDraws]:
     gives.  Other rounds, and a first round whose election raises, draw
     every pair and leave the election to the run.
     """
-    rounds, true, rows, lengths, n_pcd, n_loss = _plan(scenario, rx)
+    rounds, true, rows, lengths, n_pcd, n_loss = _plan(scenario, rx) if plan is None else plan
     model, loss_model = scenario.pcd_error, scenario.loss
     if rows is not None:
         keys = word_keys(scenario.seed, rows, lengths)
@@ -812,7 +811,11 @@ def _rerun(scenario: Scenario, **fields) -> Scenario:
     """``replace(scenario, **fields)`` for the fields a rerun changes, the
     seed, which no check reads, and a ``t_slot_s`` the caller has checked:
     a copy that keeps every other field, the nodes tuple among them,
-    without running every check of the scenario again."""
+    without running every check of the scenario again.  The copy takes the
+    plan the scenario holds, if it holds one, along with its ``__dict__``.
+    That rests on one invariant: a rerun changes only fields that the plan
+    and its ideal solves do not read (see :func:`_plan`), today ``seed``
+    and ``t_slot_s``."""
     run = object.__new__(Scenario)
     run.__dict__.update(scenario.__dict__, **fields)
     return run
@@ -824,12 +827,15 @@ def _repetitions(scenario: Scenario, count: int, *parts):
     :func:`_round_draws`, which every run of that repetition shares.  The
     experiments fold a Nash or wpf mean and never a report's
     ``received_mb``, so the draws have no rx outcomes and the runs' reports
-    have ``received_mb`` None.  A generator, so a caller that fills its
-    records repetition by repetition draws repetition k + 1 only once k's
-    runs have ended."""
+    have ``received_mb`` None.  Every repetition draws on the rx-free plan
+    the caller's scenario holds (``Scenario._experiment_plan``), made on
+    the first read, so later experiments on that scenario object plan no
+    more.  A generator, so a caller that fills its records repetition by
+    repetition draws repetition k + 1 only once k's runs have ended."""
+    plan = scenario._experiment_plan
     for k in range(count):
         run = _rerun(scenario, seed=derive_seed(scenario.seed, *parts, k))
-        yield run, _round_draws(run, rx=False)
+        yield run, _round_draws(run, rx=False, plan=plan)
 
 
 def _records(runs, policies: Sequence[str], metric: str) -> Iterator[list[float]]:

@@ -804,11 +804,8 @@ def record_round_work(monkeypatch) -> dict[str, list]:
     bargaining layer: every problem it builds (``built``), every one it
     derives from a built one by ``with_channel`` (``derived``), every
     problem a GNBS solve runs on (``solved``) and every problem a
-    certificate is computed for (``certified``).  It clears the simulator's
-    plan of the last timeline, whose ideal solves an earlier call made, so
-    no count depends on what ran before."""
+    certificate is computed for (``certified``)."""
     work = {"built": [], "derived": [], "solved": [], "certified": []}
-    monkeypatch.setattr(simulate, "_last_plan", None)
     build, solve, certify = simulate.BargainingProblem, bargaining._gnbs_solve, bargaining.kkt_residuals
     derive = BargainingProblem.with_channel
 

@@ -34,6 +34,7 @@ from airfair.bargaining import (
     ProblemOverflowError,
     eql_allocate,
     gnbs_allocate,
+    level,
     nash_product,
     wpf_aggregate,
     wtd_allocate,
@@ -48,6 +49,11 @@ _MIN_NORMAL = sys.float_info.min
 #: loads and caps from the smallest subnormal to the smallest normal float,
 #: and 2^-1024, where 1 / cap stops being finite, with its next float
 _SMALL = (_TINY, 1e-320, 2.0 ** -1024, 2.0 ** -1024 + _TINY, math.nextafter(_MIN_NORMAL, 0.0), _MIN_NORMAL)
+#: airtimes left after the disagreement outcomes: subnormal ones, 1 / DBL_MAX
+#: among them, and the smallest normal float, below which a contended
+#: problem is rejected, one ulp either side of it and twice it
+_LEFT = (_TINY, 1e-320, 1.0 / _MAX, math.nextafter(_MIN_NORMAL, 0.0), _MIN_NORMAL,
+         math.nextafter(_MIN_NORMAL, math.inf), 2.0 * _MIN_NORMAL)
 
 
 def _bits(x: float) -> int:
@@ -66,15 +72,16 @@ def _build(columns: dict):
         return None
 
 
-def _airtime(columns: dict, share: float) -> float:
+def _airtime(columns: dict, share: float, left: float = 0.0) -> float:
     """The budget ``share`` of the way from the disagreement outcomes'
-    channel seconds to the demand, in Python floats (which overflow to inf
-    and never warn), so that it moves with the loads."""
+    channel seconds to the demand, plus ``left`` seconds, in Python floats
+    (which overflow to inf and never warn), so that it moves with the
+    loads."""
     rate, go = columns["broadcast_rate"], columns["go"]
     weights = [1.0 if k == go else 1.0 + rate / u if u else math.inf for k, u in enumerate(columns["upload_rates"])]
     demand = sum(w * x / rate for w, x in zip(weights, columns["data_sizes"]))
     spent = sum(w * d for w, d in zip(weights, columns["disagreements"]) if d)
-    return spent + share * (demand - spent)
+    return spent + share * (demand - spent) + left
 
 
 def _check(columns: dict) -> bool:
@@ -137,7 +144,7 @@ def _problems(draw):
         fractions = draw(st.lists(st.sampled_from((0.0, 0.0, 0.3, 0.9)), min_size=n, max_size=n))
         columns["disagreements"] = [f * x / rate for f, x in zip(fractions, columns["data_sizes"])]
     share = draw(st.sampled_from((0.3, 0.9, 0.999, 1.5)))
-    edge = draw(st.sampled_from(("small", "load", "upload", "alphas", "gain", "level", "demand")))
+    edge = draw(st.sampled_from(("small", "load", "upload", "airtime", "alphas", "gain", "level", "demand")))
     picked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     return columns, share, edge, picked
 
@@ -185,6 +192,10 @@ def test_every_bound_raises_or_certifies(case, data):
             out = _set(columns, "upload_rates", clients, [upload] * len(clients))
             for load in (0.0, _TINY, rate * 1e-300, None):      # idle, or busy with a tiny or its own load
                 _check(at(out if load is None else _set(out, "data_sizes", clients, [load] * len(clients))))
+        return
+    if edge == "airtime":   # the airtime left after the disagreement outcomes near the smallest normal float
+        for left in _LEFT:
+            _check({**columns, "airtime": _airtime(columns, 0.0, left)})
         return
     if edge == "gain":      # a log-shifted gain at its overflow bound
         columns = _set(_set(columns, "kinds", picked[:1], [1]), "coeffs", picked[:1], [1.0])
@@ -250,3 +261,21 @@ def test_an_open_go_whose_rounds_stay_finite_runs():
     assert [r.rounds[0].go_id for r in reports.values()] == ["x", "x", "x"]
     with pytest.raises(ProblemOverflowError, match="^round 0 at 0s: player x: the level at the cap overflows$"):
         compare_policies(scenario_from_dict({**doc, "go": "a"}))
+
+
+def test_level_reads_r_first_at_a_relay_overhead_near_dbl_max():
+    """A client one ulp above broadcast_rate / DBL_MAX has a relay overhead
+    within a few ulps of DBL_MAX, so (1 + beta) / alpha overflowed in
+    :func:`~airfair.bargaining.level`; with a 1e-290 Mb load its level at
+    the cap is 3.3e17.  ``level`` divides by alpha / (1 + beta), as the
+    level columns and the certificate do, and reads the solver's level."""
+    rate = 11.0
+    problem = BargainingProblem(airtime=1.0, broadcast_rate=rate, ids=["g", "c"], data_sizes=[10.0, 1e-290],
+                                upload_rates=[rate, math.nextafter(rate / _MAX, math.inf)], raw_alphas=[1.0, 1.0],
+                                go=0)
+    assert _MAX * (1.0 - 1e-15) <= problem.betas[1] < _MAX
+    top = level(problem, 1, problem.caps[1])
+    assert top == problem._levels[3][1] and 3e17 < top < 4e17
+    assert _check({"ids": ["g", "c"], "go": 0, "broadcast_rate": rate, "data_sizes": [10.0, 1e-290],
+                   "upload_rates": [rate, math.nextafter(rate / _MAX, math.inf)], "raw_alphas": [1.0, 1.0],
+                   "airtime": 1.0})

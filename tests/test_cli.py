@@ -480,7 +480,11 @@ _OVERFLOW = "scenario: alpha weights overflow once the GO's is scaled by go_alph
     ({"broadcast_mbps": 1e-306}, {}, "round 0 at 0s: player n3: the level at the cap overflows"),
     ({"broadcast_mbps": 1.0}, {"data_mb": 2e307},    # each level is finite, but the caps sum past DBL_MAX / 2
      "round 0 at 0s: the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2"),
-], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead", "queue-time", "cap-level", "demand"])
+    # a 1e-320 s round overflowed the certificate's inverse levels: allocate warned and printed zeros
+    ({}, {"leave_s": 1e-320}, "round 0 at 0s: the airtime left after the disagreement outcomes, 9.99989e-321 s, "
+                              "is below the smallest normal float, where a solve's inverse levels overflow"),
+], ids=["go-weight", "weight-sum", "self-loop", "relay-overhead", "queue-time", "cap-level", "demand",
+        "subnormal-airtime"])
 def test_documents_that_used_to_fail_later_exit_2(capsys, tmp_path, doc_fields, node_fields, message):
     # each used to print NaN and exit 0, or end in a traceback
     scenario = _table1_file(tmp_path, doc_fields, **node_fields)
@@ -507,6 +511,16 @@ def test_only_a_round_that_overflows_fails_compare(capsys, tmp_path):
     assert run_cli(capsys, *argv, str(pinned)) == (2, "duration_s,gsa,eql,wtd\n", overflow.format("x") + "\n")
     table1 = _table1_file(tmp_path, {"broadcast_mbps": 1e-306})
     assert run_cli(capsys, *argv, table1) == (2, "duration_s,gsa,eql,wtd\n", overflow.format("n3") + "\n")
+
+
+def test_a_subnormal_contact_fails_compare_with_exit_2(capsys):
+    """table1 scaled to 1e-322 s ended compare in a DomainError traceback
+    from the wpf aggregate of utilities that underflow to 0; its round now
+    fails with one line that names it, after the header."""
+    code, out, err = run_cli(capsys, "compare", "--preset", "table1", "--durations", "1e-322", "--reps", "1")
+    assert (code, out) == (2, "duration_s,gsa,eql,wtd\n")
+    assert err == ("error: round 0 at 0s: the airtime left after the disagreement outcomes, 9.88131e-323 s, "
+                   "is below the smallest normal float, where a solve's inverse levels overflow\n")
 
 
 def test_a_subnormal_cap_exits_2(capsys, tmp_path):

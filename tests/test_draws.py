@@ -24,12 +24,13 @@ import numpy as np
 import pytest
 
 import support
-from airfair import bargaining, simulate, streams
+from airfair import bargaining, cli, simulate, streams
 from airfair.grouping import NoGoCandidateError, ScheduleError
 from airfair.scenario_io import PRESETS, scenario_from_dict
 from airfair.simulate import (
     PCD_FLOOR,
     POLICIES,
+    Scenario,
     _round_draws,
     compare_means,
     compare_policies,
@@ -810,7 +811,7 @@ def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the plan of the last timeline, which reseeded runs reuse
+# the plan an experiment's scenario holds, which its repetitions share
 
 
 def _outcome(run):
@@ -824,8 +825,9 @@ def _outcome(run):
 def _every_seed_and_experiment(base):
     """Reports of every policy at four seeds of ``base``, without rx
     outcomes (one seed's draws shared by separate runs) and then with them
-    (compare_policies), then the three experiments, in an order that lets
-    each run reuse the plan of the one before where their ``rx`` agrees."""
+    (compare_policies), then the three experiments on ``base`` itself
+    (compare_means also on a reseeded copy), so that each after the first
+    draws on the plan ``base`` holds."""
     runs = [replace(base, seed=seed) for seed in range(4)]
     out = []
     for run in runs:
@@ -842,54 +844,93 @@ def _every_seed_and_experiment(base):
     ("table1-plain", 10.0), ("dynamic4-plain", 40.0), ("table1", 20.0), ("dynamic4", 20.0), ("pinned-go", 80.0),
 ])
 def test_a_warm_plan_gives_what_a_cold_one_gives(name, duration, monkeypatch):
-    """Every report and experiment row is the same to the bit whether the
-    draws come from the plan an earlier call left (warm) or from one made
-    afresh for every call (cold): on both presets as they are and with
-    noise, at several seeds, with and without rx outcomes, for every policy
-    and the three experiments."""
+    """Every report and experiment row is the same to the bit whether each
+    experiment draws on the plan its scenario holds from the experiments
+    before it (warm) or on one made afresh for it (cold): on both presets
+    as they are and with noise, at several seeds, with and without rx
+    outcomes, for every policy and the three experiments."""
     doc = {"table1-plain": PRESETS["table1"], "dynamic4-plain": PRESETS["dynamic4"],
            **SCENARIOS, **SHARED_ROUNDS}[name]
     base = scale_contact_durations(scenario_from_dict(doc), duration)
     warm = [_every_seed_and_experiment(base), _every_seed_and_experiment(base)]
-    draw = simulate._round_draws
+    held = base._experiment_plan
+    made = []
 
-    def cold(scenario, rx=True):
-        simulate._last_plan = None
-        return draw(scenario, rx)
+    def cold(scenario):
+        made.append(simulate._plan(scenario, rx=False))
+        return made[-1]
 
-    monkeypatch.setattr(simulate, "_round_draws", cold)
+    monkeypatch.setattr(Scenario, "_experiment_plan", property(cold))
     assert _every_seed_and_experiment(base) == warm[0] == warm[1]
+    assert made and all(plan is not held for plan in made)
     assert sum(isinstance(x, str) for x in warm[0]) < len(warm[0]) / 2     # most of them complete
 
 
-def test_a_negative_zero_join_keeps_its_bits():
+def test_a_negative_zero_join_keeps_its_bits(monkeypatch):
     """A timeline is planned for its nodes, not for their values: a run
     whose nodes join at -0.0 s, after one on equal nodes that join at 0.0 s,
-    starts its round at -0.0 s, as it does alone."""
+    starts its round at -0.0 s, as it does alone, and so does every run of
+    an experiment on them after one on the 0.0 s nodes."""
     doc = PRESETS["table1"]
     negative = {**doc, "nodes": [{**n, "join_s": -0.0} for n in doc["nodes"]]}
-    simulate._last_plan = None
     alone = support.exact_bits(run_scenario(scenario_from_dict(negative)))
     run_scenario(scenario_from_dict(doc))
     after = run_scenario(scenario_from_dict(negative))
     assert after.rounds[0].t_start.hex() == "-0x0.0p+0"
     assert support.exact_bits(after) == alone
 
+    reports, run = [], simulate._run
+    slot_size_sweep(scenario_from_dict(doc), [0.02], 2)
+    monkeypatch.setattr(simulate, "_run", lambda *args: reports.append(run(*args)) or reports[-1])
+    slot_size_sweep(scenario_from_dict(negative), [0.02], 2)
+    assert [r.rounds[0].t_start.hex() for r in reports] == ["-0x0.0p+0"] * 2
 
-def test_one_plan_is_held():
-    """After runs on several distinct 48-node timelines only the last one's
-    plan is held: the earlier nodes are freed once their scenarios are."""
-    nodes = []
+
+def test_only_an_experiment_leaves_a_plan_on_its_scenario(monkeypatch, tmp_path, capsys):
+    """``compare_policies``, ``run_scenario`` and the one-round commands
+    plan afresh and leave no plan on their scenario; an experiment leaves
+    its rx-free plan on the scenario it is given, and a ``replace`` copy of
+    that scenario holds none.  No call writes the simulator's module
+    state."""
+    state = {name: id(value) for name, value in vars(simulate).items()}
+    scenario = scenario_from_dict(SCENARIOS["table1"])
+    compare_policies(scenario)
+    run_scenario(scenario, "eql")
+    assert "_experiment_plan" not in vars(scenario)
+
+    loaded, load = [], cli._load
+    monkeypatch.setattr(cli, "_load", lambda args: loaded.append(load(args)) or loaded[-1])
+    path = tmp_path / "table1.json"
+    path.write_text(json.dumps(SCENARIOS["table1"]))
+    for argv in (["allocate"], ["schedule"], ["simulate", "--out", str(tmp_path / "out")]):
+        assert cli.main([*argv, "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    assert len(loaded) == 3 and not any("_experiment_plan" in vars(s) for s in loaded)
+
+    slot_size_sweep(scenario, [0.02], 2)
+    assert vars(scenario)["_experiment_plan"][0][0][0] == 0.0      # round 0 starts at 0 s
+    assert "_experiment_plan" not in vars(replace(scenario, seed=1))
+    assert {name: id(value) for name, value in vars(simulate).items()} == state
+
+
+def test_a_dropped_experiment_scenario_frees_its_plan():
+    """An experiment's scenario holds its plan exactly as long as it lives:
+    after experiments on four distinct 48-node timelines, of which only the
+    last is still referenced, only the last one's plan is alive."""
+    columns = []
     for k in range(4):
         doc = _crowd48_doc()
         doc["nodes"] = [{**n, "data_mb": n["data_mb"] + k} for n in doc["nodes"]]
         scenario = scenario_from_dict(doc)
-        _outcome(lambda: compare_policies(scenario))
-        nodes.append(weakref.ref(scenario.nodes[0]))
-        del scenario
+        _outcome(lambda: slot_size_sweep(scenario, [0.02], 1))
+        rounds = scenario._experiment_plan[0]
+        columns.append(weakref.ref(rounds[0][3][0]))     # round 0's positions, which only the plan holds
+        del rounds
+        if k < 3:
+            del scenario
     gc.collect()
-    assert [ref() is not None for ref in nodes] == [False, False, False, True]
-    assert simulate._last_plan[0].nodes[0] is nodes[-1]()
+    assert [ref() is not None for ref in columns] == [False, False, False, True]
+    assert scenario._experiment_plan[0][0][3][0] is columns[-1]()
 
 
 def test_shared_ideal_allocations_are_read_only():
@@ -904,11 +945,11 @@ def test_shared_ideal_allocations_are_read_only():
 
 
 def test_a_plan_serves_only_the_same_fields():
-    """A scenario that shares the last one's nodes but holds another object
-    in a field the plan reads gets its own plan, an int rate for its float
-    too: each variant of noisy table1, run right after the base, reports
-    what it reports alone, and so does the base run right after the
-    variant."""
+    """A scenario that ``replace`` makes from one that holds a plan holds
+    none, though it shares the nodes tuple, and plans for its own fields,
+    an int rate for a float one too: each variant of noisy table1, made
+    from the base after a sweep on the base, sweeps what it sweeps alone,
+    and so does the base made from each variant after a sweep on it."""
     base = scenario_from_dict(SCENARIOS["table1"])
     variants = [replace(base, broadcast_mbps=5.5), replace(base, broadcast_mbps=11), replace(base, go="n1"),
                 replace(base, go=None), replace(base, go_alpha_factor=3.0), replace(base, go_alpha_factor=2),
@@ -917,10 +958,14 @@ def test_a_plan_serves_only_the_same_fields():
     elected = replace(base, go=None)
     star = replace(elected, connectivity=tuple(("n1", m) for m in ("n2", "n3", "n4", "n5", "n6")))
     pairs = [(base, v) for v in variants] + [(v, base) for v in variants] + [(elected, star), (star, elected)]
+    init = [f.name for f in fields(Scenario) if f.init]
+
+    def sweep(scenario):
+        return _outcome(lambda: slot_size_sweep(scenario, [0.005, 0.02], 2))
+
     for first, then in pairs:
-        simulate._last_plan = None
-        alone = _outcome(lambda: compare_policies(then))
-        simulate._last_plan = None
-        _outcome(lambda: compare_policies(first))
-        assert simulate._last_plan[0].nodes is then.nodes
-        assert _outcome(lambda: compare_policies(then)) == alone
+        alone = sweep(replace(then, nodes=tuple(replace(n) for n in then.nodes)))     # nodes no plan has seen
+        sweep(first)
+        made = replace(first, **{name: getattr(then, name) for name in init})
+        assert made.nodes is first.nodes and made == then
+        assert sweep(made) == alone
