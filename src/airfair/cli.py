@@ -32,11 +32,12 @@ from .bargaining import (
     ROLE_GO,
     InfeasibleProblemError,
     ProblemOverflowError,
+    _gnbs_solve,
     dissemination_rate,
-    gnbs_allocate,
     nash_product,
     wpf_aggregate,
 )
+from .bargaining import gnbs_allocate  # noqa: F401  (not called here; perfbench/spans.py wraps it by name)
 from .scenario_io import SchemaError, load_scenario, preset_scenario
 from .simulate import (
     POLICIES,
@@ -115,7 +116,7 @@ def cmd_allocate(args) -> int:
     if rnd.idle:    # the metrics are NaN, as on the round's record, not the empty product and sum
         nash = wpf = math.nan
     else:
-        gsa_alloc = alloc if args.policy == "gsa" else gnbs_allocate(problem)[0]
+        gsa_alloc = alloc if args.policy == "gsa" else _gnbs_solve(problem)[0]     # the solve alone, no certificate
         nash = nash_product(problem, alloc)
         wpf = wpf_aggregate(problem, gsa_alloc, alloc)
 

@@ -38,19 +38,20 @@ All randomness flows through counter-based generators keyed by
 lets paired experiments reuse identical draws.  A scenario's draws are made
 before any round runs, in two steps.  The plan holds what no seed decides:
 the rounds, their members and member columns, modes, hubs, fixed GOs, drawn
-pairs and true PCDs, and the entropy rows of every stream.  The module
+pairs and true PCDs, and the key batch of every stream
+(:class:`~airfair.streams.KeyBatch`), its entropy rows with all of
+numpy's SeedSequence hash that no seed decides prepared.  The module
 keeps no plan: an experiment's scenario holds its own, made on first read,
 and each repetition and slot size copies the scenario with it, so every
 experiment on one scenario object plans once, while a single run or
 policy comparison plans afresh and keeps nothing.  The seed's step
-hashes all Philox keys in one batch that runs numpy's SeedSequence hash on
-all rows together, and one Philox4x64-10 pass makes the first word of
-every key's stream, from which the uniform draws and the normal draws are
-read (see :mod:`airfair.streams`).  Draws depend on
-neither the policy nor the slot size, so policy comparison and slot-size
-sweeps derive them once and share them.  A round keeps its PCD
-draws as drawn, a list of member pairs and one estimate per pair.  A round
-whose GO no policy can change, the first round or one with its pinned GO
+places the seed's words in that batch and hashes all Philox keys at once,
+and one Philox4x64-10 pass makes the first word of every key's stream,
+from which the uniform draws and the normal draws are read (see
+:mod:`airfair.streams`).  Draws depend on neither the policy nor the slot
+size, so policy comparison and slot-size sweeps derive them once and share
+them.  A round keeps its PCD draws as drawn, a list of member pairs and one
+estimate per pair.  A round whose GO no policy can change, the first round or one with its pinned GO
 present, elects it with the draws and draws only the pairs that hold it,
 the ones its horizon reads; since a stream's key names its draw, skipping
 the others leaves every drawn number as it was.  For the same reason an
@@ -91,7 +92,9 @@ first asked with, which in every seed's first round are the members' own
 data: the problem, its GNBS reference and eql's and wtd's allocations of
 it, read-only and shared by every seed's runs.  What a seed decides is
 never kept across calls.  Only gsa's allocation of the estimated problem
-is certified.
+is certified, when first read: a solve keeps its multiplier and steps,
+and a record's ``kkt`` computes the certificate from them once per solve,
+so the experiments, which never read it, never compute it.
 
 Reported metrics compare three allocations per round: the realized broadcast
 seconds, the policy's ideal allocation under true durations and nominal
@@ -125,7 +128,7 @@ from .bargaining import (
     ProblemOverflowError,
     _gnbs_solve,
     eql_allocate,
-    gnbs_allocate,
+    kkt_residuals,
     left_sum,
     nash_product,
     wpf_aggregate,
@@ -142,8 +145,9 @@ from .grouping import (
     select_transmission_mode,
     slot_sizes,
 )
+from .bargaining import gnbs_allocate  # noqa: F401  (not called here; perfbench/spans.py wraps it by name)
 from .grouping import select_roles, update_contact_table  # noqa: F401  (not called here; perfbench/spans.py wraps both by name)
-from .streams import derive_seed, first_normals, first_uniforms, first_words, part_key, word_keys
+from .streams import KeyBatch, derive_seed, first_normals, first_uniforms, first_words, part_key, word_keys
 
 __all__ = [
     "PCD_FLOOR",
@@ -313,10 +317,12 @@ class RoundRecord:
     A round is idle when no member has anything queued: it has no schedule,
     realizes and delivers 0, and its three metrics are NaN.  A round that is
     not idle has no schedule either when no member's broadcast share
-    exceeds 1e-15 s.  ``kkt`` is gsa's certificate, None for eql and wtd.
-    ``wpf_vs_ideal`` is computed with the round; the two Nash products are
-    computed when first read, since an experiment that folds another metric
-    never reads them.
+    exceeds 1e-15 s.  ``wpf_vs_ideal`` is computed with the round; the two
+    Nash products and ``kkt``, gsa's certificate (None for eql and wtd), are
+    computed when first read, since an experiment never reads a certificate
+    and one that folds another metric never reads the products.  Records
+    that share a solve, as runs on one set of draws do, share its
+    certificate.
     """
 
     index: int                          # the round's place among the run's rounds of two or more members
@@ -330,12 +336,19 @@ class RoundRecord:
     ideal_problem: BargainingProblem    # true horizon, nominal rates
     allocation: Allocation              # the policy's broadcast and upload seconds for ``problem``
     ideal_allocation: Allocation        # the policy's allocation of ``ideal_problem``
-    kkt: KktReport | None
     schedule: Schedule | None
     realized_broadcast: np.ndarray      # broadcast seconds sent before t_end, capped at the queue
     delivered_mb: np.ndarray            # megabits broadcast in the round
     wpf_vs_ideal: float                 # wpf aggregate of the realized seconds against the GNBS optimum
     idle: bool
+    gsa_solve: _RoundSolve | None = field(default=None, repr=False, compare=False)     # what ``kkt`` reads
+
+    @cached_property
+    def kkt(self) -> KktReport | None:
+        """gsa's certificate of ``allocation``, None for eql and wtd:
+        computed on first read, once per solve, so records that share a
+        solve share one report."""
+        return None if self.gsa_solve is None else self.gsa_solve.kkt
 
     @cached_property
     def nash_realized(self) -> float:
@@ -503,8 +516,10 @@ def _plan(scenario: Scenario, rx: bool) -> tuple:
     span, members, member columns, mode, hubs, fixed GO, pairs, true PCDs,
     off-diagonal mask and ideal solve slot (see :func:`_solve_round`);
     every round's true PCDs in one array, None without a PCD error model;
-    the entropy rows of every stream and their lengths, None without noise;
-    and the counts of pcd and loss rows.
+    the :class:`~airfair.streams.KeyBatch` of every stream's entropy rows,
+    None without noise, which prepares the seed-free part of their hash on
+    the first seed of each word count, so an experiment's repetitions share
+    that work; and the counts of pcd and loss rows.
 
     A pure function of ``rx`` and the scenario's nodes, ``connectivity``,
     ``go``, ``loss`` and ``pcd_error``, which keeps nothing; the ideal
@@ -556,10 +571,12 @@ def _plan(scenario: Scenario, rx: bool) -> tuple:
         rounds.append((t0, t1, members, columns, mode, hubs, go, pairs, true, off, {}))
 
     n_pcd, n_loss = sum(map(len, pcd_rows)), sum(map(len, loss_rows))
-    rows = np.concatenate(pcd_rows + loss_rows + rx_rows) if pcd_rows or loss_rows else None
-    lengths = None if rows is None else np.repeat([4, 3, 4], [n_pcd, n_loss, len(rows) - n_pcd - n_loss])
+    batch = None
+    if pcd_rows or loss_rows:
+        rows = np.concatenate(pcd_rows + loss_rows + rx_rows)
+        batch = KeyBatch(rows, np.repeat([4, 3, 4], [n_pcd, n_loss, len(rows) - n_pcd - n_loss]))
     pcds = None if model is None or not rounds else np.concatenate([rnd[8] for rnd in rounds])
-    return rounds, pcds, rows, lengths, n_pcd, n_loss
+    return rounds, pcds, batch, n_pcd, n_loss
 
 
 def _round_draws(scenario: Scenario, rx: bool = True, plan: tuple | None = None) -> list[_RoundDraws]:
@@ -572,10 +589,11 @@ def _round_draws(scenario: Scenario, rx: bool = True, plan: tuple | None = None)
     Each draw comes from its own stream keyed by (seed, purpose, round,
     node...): "pcd" per member pair, "loss" per member, "rx" per receiver
     and sender.  Every part is one entropy word, so the plan puts the word
-    rows of all streams together from the nodes' CRC words, and they are
-    hashed in one batch, and one Philox pass makes the first word of every
-    stream.  Loss and rx are each their stream's first uniform draw, and a
-    PCD error its stream's first normal draw, read off that word for all
+    rows of all streams together from the nodes' CRC words in one key
+    batch, which this step hashes at the seed, placing only the seed's
+    words, and one Philox pass makes the first word of every stream.  Loss
+    and rx are each their stream's first uniform draw, and a PCD error its
+    stream's first normal draw, read off that word for all
     keys at once; an estimate is floored at :data:`PCD_FLOOR` the way
     :func:`estimate_pcd` floors it.  Draws depend only on the timeline, the
     seed and the noise models, not on the policy or the slot size.
@@ -600,10 +618,10 @@ def _round_draws(scenario: Scenario, rx: bool = True, plan: tuple | None = None)
     gives.  Other rounds, and a first round whose election raises, draw
     every pair and leave the election to the run.
     """
-    rounds, true, rows, lengths, n_pcd, n_loss = _plan(scenario, rx) if plan is None else plan
+    rounds, true, batch, n_pcd, n_loss = _plan(scenario, rx) if plan is None else plan
     model, loss_model = scenario.pcd_error, scenario.loss
-    if rows is not None:
-        keys = word_keys(scenario.seed, rows, lengths)
+    if batch is not None:
+        keys = word_keys(scenario.seed, batch)
         word0 = first_words(keys)
         if model is not None:
             v = true + first_normals(keys[:n_pcd], word0[:n_pcd], model.mean, model.stddev)
@@ -634,16 +652,24 @@ def _round_draws(scenario: Scenario, rx: bool = True, plan: tuple | None = None)
 class _RoundSolve:
     """A round's bargaining work for one GO and one set of member loads on
     one seed's draws: the estimated problem, derived from the ideal one,
-    and per policy its allocation and certificate (gsa only).  The ideal
-    problem and ``ideals``, each policy's allocation of it, may be the
-    plan's, shared with every seed's draws, so their arrays are read-only;
-    gsa's is the GNBS reference, eql's and wtd's are filled in on first
-    use."""
+    and per policy its allocation, with gsa's multiplier and root-find
+    steps, from which gsa's certificate ``kkt`` is computed when first
+    read.  The ideal problem and ``ideals``, each policy's allocation of
+    it, may be the plan's, shared with every seed's draws, so their arrays
+    are read-only; gsa's is the GNBS reference, eql's and wtd's are filled
+    in on first use."""
 
     problem: BargainingProblem          # estimated horizon, loss-adjusted rates
     ideal_problem: BargainingProblem    # true round length, nominal rates
     ideals: dict[str, Allocation]
-    policies: dict[str, tuple[Allocation, KktReport | None]]
+    policies: dict[str, Allocation] = field(default_factory=dict)
+    root: tuple[float, int] | None = None   # gsa's multiplier and root-find steps, once gsa has run
+
+    @cached_property
+    def kkt(self) -> KktReport:
+        """gsa's certificate, the one ``gnbs_allocate`` returns, which
+        every record of this solve shares."""
+        return kkt_residuals(self.problem, self.policies["gsa"], *self.root)
 
 
 def _read_only(allocation: Allocation) -> Allocation:
@@ -675,18 +701,21 @@ def _solve_round(scenario: Scenario, d: _RoundDraws, loads: np.ndarray, key: byt
         if not d.ideal:
             d.ideal[key] = ideal
     upload = d.upload_mbps if d.loss is None else effective_upload_rate(d.upload_mbps, d.loss)
-    return _RoundSolve(ideal[0].with_channel(d.horizon(g), upload), *ideal, {})
+    return _RoundSolve(ideal[0].with_channel(d.horizon(g), upload), *ideal)
 
 
-def _allocate(policy: str, solved: _RoundSolve) -> tuple[Allocation, KktReport | None]:
-    """The policy's allocation of the round and its certificate; eql's and
-    wtd's allocations of the ideal problem are filled in alongside."""
+def _allocate(policy: str, solved: _RoundSolve) -> Allocation:
+    """The policy's allocation of the round.  gsa's solve keeps its
+    multiplier and steps for the certificate; eql's and wtd's allocations
+    of the ideal problem are filled in alongside."""
     if policy == "gsa":
-        return gnbs_allocate(solved.problem)
+        allocation, lam, steps = _gnbs_solve(solved.problem)
+        solved.root = lam, steps
+        return allocation
     allocate = eql_allocate if policy == "eql" else wtd_allocate
     if policy not in solved.ideals:
         solved.ideals[policy] = _read_only(allocate(solved.ideal_problem))
-    return allocate(solved.problem), None
+    return allocate(solved.problem)
 
 
 def _replay(schedule: Schedule, t1: float, order: Sequence[int], need: np.ndarray) -> np.ndarray:
@@ -768,7 +797,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
         solved.policies[policy] = _allocate(policy, solved)
     problem, ideal_problem, ideals = solved.problem, solved.ideal_problem, solved.ideals
     g = problem.go
-    allocation, kkt = solved.policies[policy]
+    allocation = solved.policies[policy]
 
     schedule = None
     realized = np.zeros(len(members))
@@ -798,12 +827,12 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
         ideal_problem=ideal_problem,
         allocation=allocation,
         ideal_allocation=ideals[policy],
-        kkt=kkt,
         schedule=schedule,
         realized_broadcast=realized,
         delivered_mb=delivered,
         wpf_vs_ideal=wpf,
         idle=not problem.active,
+        gsa_solve=solved if policy == "gsa" else None,
     )
 
 

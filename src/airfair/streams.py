@@ -10,7 +10,11 @@ alone, so all of a scenario's draws can be made up front.
 
 :func:`word_keys` derives the Philox keys of many streams at once from
 their parts spelled as 32-bit entropy words, running SeedSequence's hash on
-all of them together instead of building one SeedSequence per stream.
+all of them together instead of building one SeedSequence per stream.  A
+key is a pure function of (seed, parts), so the rows come as a
+:class:`KeyBatch`, which prepares all of the hash that no seed decides
+once per seed word count, and a call at one seed places only its one or
+two words and runs the mixing.
 :func:`first_words` runs Philox4x64-10 on all keys at once for the first
 64-bit word of every stream, and never writes the keys, which the caller
 reads again.  Each has two kernels that give the same bits.  A small batch
@@ -41,7 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["part_key", "derive_seed", "word_keys", "first_words", "first_uniforms", "first_normals", "restarted"]
+__all__ = ["part_key", "derive_seed", "KeyBatch", "word_keys", "first_words", "first_uniforms", "first_normals",
+           "restarted"]
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
 # 32-bit words, hash constants that advance by a multiply on every use, and
@@ -139,37 +144,83 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _16)
 
 
-def word_keys(seed: int, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The Philox key of every row's stream, as a (rows, 2) uint64 array.
+class KeyBatch:
+    """The rows of a batch of streams, ready for :func:`word_keys` to hash
+    at any seed.
 
     Row k of the uint32 array ``words`` holds the words of stream k's parts,
     which follow the seed's, and ``lengths[k]`` says how many it uses; the
-    rest must be zero.  SeedSequence's entropy mixing and
-    ``generate_state(2, uint64)`` run once for all rows, on a pool of four
-    words per row: packed into Python integers for batches of up to
-    :data:`_PACKED_MAX_HASH` rows (:func:`_packed_word_keys`), and as a
-    (4, rows) uint32 array above that (:func:`_array_word_keys`); 65 rows
-    is where the two took the same time.  Both give every key bit for bit.
-    The words are never written, and the keys are a fresh array.
+    rest must be zero.  Both are copied and read-only.  All of the hash
+    that no seed decides is prepared here, once per seed word count (a seed
+    below 2**32 has one word, a larger one two), on first use for that
+    count: the entropy words padded to the pool with zeros where the seed's
+    go, which row uses each word past the pool, and the hash constants; for
+    a batch of up to :data:`_PACKED_MAX_HASH` rows, the words and masks as
+    packed integer fields (:func:`_packed_prepare`), else as arrays
+    (:func:`_array_prepare`).  What is prepared is never written, so one
+    batch serves every seed of a plan.
+    """
+
+    def __init__(self, words: np.ndarray, lengths: np.ndarray):
+        self.words, self.lengths = np.array(words, np.uint32), np.array(lengths, np.intp)
+        self.words.flags.writeable = self.lengths.flags.writeable = False
+        self.packed = len(self.words) <= _PACKED_MAX_HASH
+        self._by_head: dict[int, tuple] = {}
+
+    def prepared(self, head: int) -> tuple:
+        """The hash's seed-free inputs after ``head`` seed words."""
+        out = self._by_head.get(head)
+        if out is None:
+            prepare = _packed_prepare if self.packed else _array_prepare
+            out = self._by_head[head] = prepare(self.words, self.lengths + head, head)
+        return out
+
+
+def word_keys(seed: int, batch: KeyBatch) -> np.ndarray:
+    """The Philox key of every row's stream of ``batch``, as a (rows, 2)
+    uint64 array.
+
+    SeedSequence's entropy mixing and ``generate_state(2, uint64)`` run once
+    for all rows, on a pool of four words per row: packed into Python
+    integers for batches of up to :data:`_PACKED_MAX_HASH` rows
+    (:func:`_packed_word_keys`), and as a (4, rows) uint32 array above that
+    (:func:`_array_word_keys`); 65 rows is where the two took the same time.
+    Both read what the batch prepared for the seed's word count and place
+    only the seed's one or two words, and give every key bit for bit.  The
+    batch is never written, and the keys are a fresh array.
     """
     head = _words(seed & _MASK64)
-    lengths = np.asarray(lengths) + len(head)
-    width = max(_POOL_SIZE, len(head) + words.shape[1])
-    entropy = np.zeros((width, len(words)), np.uint32)      # one column per row, padded with zeros
-    entropy[:len(head)] = np.array(head, np.uint32)[:, None]
-    entropy[len(head):len(head) + words.shape[1]] = words.T
-
-    const = _constants(_INIT_A, _MULT_A, _POOL_SIZE * width + _POOL_SIZE * (_POOL_SIZE - 1))
-    if len(words) <= _PACKED_MAX_HASH:
-        return _packed_word_keys(entropy, lengths, const)
-    return _array_word_keys(entropy, lengths, const)
+    kernel = _packed_word_keys if batch.packed else _array_word_keys
+    return kernel(head, batch.prepared(len(head)))
 
 
-def _array_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarray) -> np.ndarray:
+def _entropy(words: np.ndarray, head: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy words of every row after ``head`` seed words, one column
+    per row, the seed's rows and the padding zero, and the hash constants
+    they use."""
+    width = max(_POOL_SIZE, head + words.shape[1])
+    entropy = np.zeros((width, len(words)), np.uint32)
+    entropy[head:head + words.shape[1]] = words.T
+    return entropy, _constants(_INIT_A, _MULT_A, _POOL_SIZE * width + _POOL_SIZE * (_POOL_SIZE - 1))
+
+
+def _array_prepare(words: np.ndarray, lengths: np.ndarray, head: int) -> tuple:
+    """The array kernel's seed-free inputs: the entropy words, and for each
+    word past the pool which rows use it, all read-only."""
+    entropy, const = _entropy(words, head)
+    used_by = np.arange(_POOL_SIZE, len(entropy))[:, None] < lengths
+    entropy.flags.writeable = used_by.flags.writeable = False
+    return entropy, used_by, const
+
+
+def _array_word_keys(head: list[int], prepared: tuple) -> np.ndarray:
     """:func:`word_keys` on a (4, rows) uint32 pool: each hash step is one
     numpy call over every row and, in the pool's own mixing, over the
     three words that one source word mixes into."""
-    pool = _hashmix(entropy[:_POOL_SIZE], const[:_POOL_SIZE + 1])
+    entropy, used_by, const = prepared
+    pool = entropy[:_POOL_SIZE].copy()
+    pool[:len(head)] = np.array(head, np.uint32)[:, None]
+    pool = _hashmix(pool, const[:_POOL_SIZE + 1])
     used = _POOL_SIZE
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
@@ -177,7 +228,7 @@ def _array_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarray
         used += len(dst)
     for src in range(_POOL_SIZE, len(entropy)):              # words past the pool
         mixed = _mix(pool, _hashmix(entropy[src], const[used:used + _POOL_SIZE + 1]))
-        pool = np.where(src < lengths, mixed, pool)
+        pool = np.where(used_by[src - _POOL_SIZE], mixed, pool)
         used += _POOL_SIZE
 
     state = _hashmix(pool, _constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
@@ -187,7 +238,21 @@ def _array_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarray
     return keys
 
 
-def _packed_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarray) -> np.ndarray:
+def _packed_prepare(words: np.ndarray, lengths: np.ndarray, head: int) -> tuple:
+    """The packed kernel's seed-free inputs: a word of 1 in every field,
+    which spreads a seed word over the rows, the fields of every entropy
+    word after the seed's and of every word past the pool's used-by mask,
+    and the packed constants (:func:`_packed_constants`), after the row
+    count and before the entropy width."""
+    entropy, const = _entropy(words, head)
+    used_by = (np.arange(_POOL_SIZE, len(entropy))[:, None] < lengths) * np.uint32(_MASK32)
+    packed = np.concatenate([entropy[head:], used_by]).astype("<u8")              # explicit byte order
+    fields = [int.from_bytes(w.tobytes(), "little") for w in packed]
+    ones = int.from_bytes((b"\1" + bytes(7)) * len(words), "little")
+    return len(words), ones, fields, len(entropy), _packed_constants(len(words), len(const) - 1)
+
+
+def _packed_word_keys(head: list[int], prepared: tuple) -> np.ndarray:
     """:func:`word_keys` on Python integers, one per pool or entropy word,
     each holding the word of row k in bits 64k..64k + 31.
 
@@ -197,15 +262,11 @@ def _packed_word_keys(entropy: np.ndarray, lengths: np.ndarray, const: np.ndarra
     ``L*x - R*y`` is computed as ``2**63 - ((2**32 - L)*x + R*y)``, which
     is congruent to it modulo 2**32 and positive in every field, so no
     field borrows from the next.  A row that ends before an entropy word
-    past the pool keeps its pool through that word's mixing.  The packed
-    constants depend only on the batch size and the entropy width, so they
-    come from :func:`_packed_constants`.
+    past the pool keeps its pool through that word's mixing.  Every field
+    but the seed's comes prepared (:func:`_packed_prepare`).
     """
-    rows, width = entropy.shape[1], len(entropy)
-    used_by = (np.arange(_POOL_SIZE, width)[:, None] < lengths) * np.uint32(_MASK32)   # per word past the pool
-    words = np.concatenate([entropy, used_by]).astype("<u8")                        # explicit byte order
-    fields = [int.from_bytes(w.tobytes(), "little") for w in words]
-    low, bias, hash_a, hash_b = _packed_constants(rows, len(const) - 1)
+    rows, ones, prepared_fields, width, (low, bias, hash_a, hash_b) = prepared
+    fields = [word * ones for word in head] + prepared_fields
     mult_l, mult_r = (1 << 32) - int(_MIX_MULT_L), int(_MIX_MULT_R)
 
     def hashmix(value: int, c: tuple[tuple[int, int], ...], k: int) -> int:

@@ -799,12 +799,22 @@ def exact_bits(value, skip=frozenset()):
     return value
 
 
+def assert_gsa_certified(report) -> None:
+    """Read gsa's certificate of every round of ``report``, which the
+    simulator computes only when ``kkt`` is first read, and check that its
+    residuals are finite."""
+    assert report.policy == "gsa"
+    for rnd in report.rounds:
+        assert math.isfinite(rnd.kkt.max_residual), (rnd.index, rnd.kkt)
+
+
 def record_round_work(monkeypatch) -> dict[str, list]:
     """Record, while ``monkeypatch`` holds, what the simulator asks of the
     bargaining layer: every problem it builds (``built``), every one it
     derives from a built one by ``with_channel`` (``derived``), every
     problem a GNBS solve runs on (``solved``) and every problem a
-    certificate is computed for (``certified``)."""
+    certificate is computed for (``certified``), which the simulator does
+    when a record's ``kkt`` is first read."""
     work = {"built": [], "derived": [], "solved": [], "certified": []}
     build, solve, certify = simulate.BargainingProblem, bargaining._gnbs_solve, bargaining.kkt_residuals
     derive = BargainingProblem.with_channel
@@ -821,8 +831,9 @@ def record_round_work(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(BargainingProblem, "with_channel", derived)
     for module in (simulate, bargaining):
         monkeypatch.setattr(module, "_gnbs_solve", lambda problem: work["solved"].append(problem) or solve(problem))
-    monkeypatch.setattr(bargaining, "kkt_residuals",
-                        lambda problem, *args: work["certified"].append(problem) or certify(problem, *args))
+    for module in (simulate, bargaining):
+        monkeypatch.setattr(module, "kkt_residuals",
+                            lambda problem, *args: work["certified"].append(problem) or certify(problem, *args))
     return work
 
 

@@ -237,28 +237,32 @@ _EDGE_AMOUNTS = st.one_of(st.integers(0, 16), st.sampled_from((1e306, 5e306, 2e3
 @given(doc=support.documents(rates=_EDGE_RATES, uploads=_EDGE_UPLOADS, amounts=_EDGE_AMOUNTS))
 def test_documents_near_the_bounds_run_or_name_the_round(doc):
     """A document the scenario checks accept either runs every policy,
-    with numpy's float warnings errors, or fails in a round with an error
-    that names it: a level or demand that overflows, or a schedule that
-    cannot be laid out.  No bare ``ValueError`` or ``DomainError`` escapes."""
+    with numpy's float warnings errors, gsa certified with finite residuals
+    in every round, or fails in a round with an error that names it: a
+    level or demand that overflows, or a schedule that cannot be laid out.
+    No bare ``ValueError`` or ``DomainError`` escapes."""
     try:
         scenario = scenario_from_dict(doc)
     except SchemaError:
         return
     try:
-        compare_policies(scenario)
+        reports = compare_policies(scenario)
     except (ProblemOverflowError, ScheduleError) as e:
         assert str(e).startswith("round "), e
+    else:
+        support.assert_gsa_certified(reports["gsa"])
 
 
 def test_an_open_go_whose_rounds_stay_finite_runs():
     """x's cap is 8e307 s at 1.25e-307 Mb/s.  As a client its level would
     overflow, but x is elected GO with every policy, so every round is
-    finite and the document runs.  Pinning a as the GO makes x a client,
-    and the run fails in that round."""
+    finite, gsa's certificate too, and the document runs.  Pinning a as
+    the GO makes x a client, and the run fails in that round."""
     nodes = [{"id": i, "join_s": 0.0, "leave_s": 10.0, "data_mb": mb} for i, mb in (("x", 10.0), ("a", 0.5), ("b", 0.5))]
     doc = {"nodes": nodes, "broadcast_mbps": 1.25e-307, "t_slot_ms": 20.0}
     reports = compare_policies(scenario_from_dict(doc))
     assert [r.rounds[0].go_id for r in reports.values()] == ["x", "x", "x"]
+    support.assert_gsa_certified(reports["gsa"])
     with pytest.raises(ProblemOverflowError, match="^round 0 at 0s: player x: the level at the cap overflows$"):
         compare_policies(scenario_from_dict({**doc, "go": "a"}))
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import support
 from airfair import cli
 from airfair.bargaining import InfeasibleProblemError, gnbs_allocate
 from airfair.grouping import ScheduleError
@@ -58,14 +59,16 @@ def test_allocate_unicast_pair_uploads_nothing(capsys):
 
 @pytest.mark.parametrize("policy,solves", [("gsa", 0), ("eql", 1), ("wtd", 1)])
 def test_allocate_solves_gsa_again_only_under_another_policy(capsys, monkeypatch, policy, solves):
-    # under gsa the round's allocation is the one wpf_vs_gsa compares with
-    calls = []
+    # under gsa the round's allocation is the one wpf_vs_gsa compares with;
+    # another policy's reference is the solve alone, which certifies nothing
+    calls, solve = [], cli._gnbs_solve
 
     def counted(problem):
         calls.append(problem)
-        return gnbs_allocate(problem)
+        return solve(problem)
 
-    monkeypatch.setattr(cli, "gnbs_allocate", counted)
+    monkeypatch.setattr(cli, "_gnbs_solve", counted)
+    monkeypatch.setattr(cli, "gnbs_allocate", lambda problem: pytest.fail("the allocate command certified a reference"))
     code, _, _ = run_cli(capsys, "allocate", "--preset", "table1", "--policy", policy)
     assert code == 0
     assert len(calls) == solves
@@ -543,6 +546,7 @@ def test_a_slow_but_finite_relay_overhead_still_runs(capsys, tmp_path):
     for argv in (["allocate"], ["compare", "--durations", "10", "--reps", "2"]):
         code, out, err = run_cli(capsys, *argv, "--scenario", scenario)
         assert code == 0 and err == "" and "nan" not in out
+    _assert_certified_at(scenario, 10.0)
 
 
 def test_a_slow_but_finite_broadcast_still_runs(capsys, tmp_path):
@@ -551,6 +555,16 @@ def test_a_slow_but_finite_broadcast_still_runs(capsys, tmp_path):
     for argv in (["allocate"], ["compare", "--durations", "10", "--reps", "1"]):
         code, out, err = run_cli(capsys, *argv, "--scenario", scenario)
         assert code == 0 and err == "" and "nan" not in out
+    _assert_certified_at(scenario, 10.0)
+
+
+def _assert_certified_at(path, duration: float) -> None:
+    """gsa's rounds of the scenario file certify with finite residuals, as
+    given and scaled to ``duration`` s; no command prints a certificate,
+    so none computes one."""
+    scenario = load_scenario(path)
+    for run in (scenario, scale_contact_durations(scenario, duration)):
+        support.assert_gsa_certified(run_scenario(run))
 
 
 CONVERGE_TABLE1_5 = """\

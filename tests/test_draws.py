@@ -40,7 +40,7 @@ from airfair.simulate import (
     scale_contact_durations,
     slot_size_sweep,
 )
-from airfair.streams import _ziggurat_tables, first_normals, first_uniforms, first_words, part_key, word_keys
+from airfair.streams import KeyBatch, _ziggurat_tables, first_normals, first_uniforms, first_words, part_key, word_keys
 
 LOSS = {"lo": 0.05, "hi": 0.3}
 PCD_ERROR = {"stddev": 1.0}
@@ -199,23 +199,60 @@ def _spelled(rows):
 
 def test_stream_keys_match_seed_sequence():
     """Every row's key is SeedSequence's, alone, in a batch small enough for
-    the packed kernel and in the rows repeated past it, with the words
-    read-only and the keys a fresh array."""
+    the packed kernel and in the rows repeated past it, each batch made
+    once for every seed, and the keys a fresh array."""
     counts = {_word_count(seed, parts) for seed in SEEDS for parts in ROWS}
     assert set(range(1, 9)) <= counts        # below, at and above the pool of four words
     padded = ROWS * (streams._PACKED_MAX_HASH // len(ROWS) + 1)
     assert len(ROWS) <= streams._PACKED_MAX_HASH < len(padded)
+    batches = [KeyBatch(*_spelled(rows)) for rows in (ROWS, padded)]    # rows of every length in one batch
+    alone = [KeyBatch(*_spelled([parts])) for parts in ROWS]
     for seed in SEEDS:
         want = [_oracle_key(seed, parts) for parts in ROWS]
-        for rows in (ROWS, padded):             # rows of every length in one batch
-            words, lengths = _spelled(rows)
-            words.flags.writeable = False
-            batch = word_keys(seed, words, lengths)
-            assert batch.dtype == np.uint64 and batch.shape == (len(rows), 2) and batch.flags.writeable
-            assert [key.tolist() for key in batch] == [key.tolist() for key in want] * (len(rows) // len(ROWS)), seed
-        for parts, key in zip(ROWS, want):
-            assert np.array_equal(word_keys(seed, *_spelled([parts]))[0], key), (seed, parts)
-    assert word_keys(5, *_spelled([])).shape == (0, 2)
+        for batch in batches:
+            keys = word_keys(seed, batch)
+            assert keys.dtype == np.uint64 and keys.shape == (len(batch.words), 2) and keys.flags.writeable
+            assert [key.tolist() for key in keys] == [key.tolist() for key in want] * (len(keys) // len(ROWS)), seed
+        for batch, key in zip(alone, want):
+            assert np.array_equal(word_keys(seed, batch)[0], key), (seed, batch.words)
+    assert word_keys(5, KeyBatch(*_spelled([]))).shape == (0, 2)
+
+
+def _batch_state(value):
+    """Everything a key batch holds, arrays as their bytes, for ``==``."""
+    if isinstance(value, KeyBatch):
+        return _batch_state(vars(value))
+    if isinstance(value, dict):
+        return sorted((k, _batch_state(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_batch_state(v) for v in value]
+    if isinstance(value, np.ndarray):
+        assert not value.flags.writeable
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+@pytest.mark.parametrize("size", [1, streams._PACKED_MAX_HASH, streams._PACKED_MAX_HASH + 1])
+def test_one_key_batch_serves_seeds_of_either_width(size):
+    """One batch, prepared once per seed word count, gives every row
+    SeedSequence's ``generate_state(2, uint64)`` at seeds of one and two
+    words taken in turn, on the packed kernel up to 65 rows and on arrays
+    above; after its first use at each width the batch is never written,
+    and every array it holds is read-only."""
+    rows = (ROWS * size)[:size]
+    batch = KeyBatch(*_spelled(rows))
+    assert batch.packed == (size <= streams._PACKED_MAX_HASH)
+    seeds = [0, 2**32, 1, 2**64 - 1, 2**32 - 1, 2**64 + 5]       # one word, two, one, two, one, one
+    held = None
+    for rnd in range(2):
+        for seed in seeds:
+            entropy = [[seed & 0xFFFFFFFFFFFFFFFF, *map(part_key, parts)] for parts in rows]
+            want = [np.random.SeedSequence(e).generate_state(2, np.uint64).tolist() for e in entropy]
+            assert word_keys(seed, batch).tolist() == want, (size, seed)
+            if rnd:
+                assert _batch_state(batch) == held
+        held = _batch_state(batch)
+    assert sorted(batch._by_head) == [1, 2]
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -494,9 +531,9 @@ def test_key_batches_per_scenario(monkeypatch, noise, batches):
     sizes = []
     derive = simulate.word_keys
 
-    def counted(seed, words, lengths):
-        sizes.append(len(words))
-        return derive(seed, words, lengths)
+    def counted(seed, batch):
+        sizes.append(len(batch.words))
+        return derive(seed, batch)
 
     monkeypatch.setattr(simulate, "word_keys", counted)
     passes = []
@@ -561,9 +598,9 @@ def test_experiment_folds_draw_no_rx(monkeypatch, doc, keys, kernels, fold):
         monkeypatch.setattr(streams, name, lambda *args, name=name, kernel=kernel: ran.append(name) or kernel(*args))
     derive = simulate.word_keys
 
-    def counted(seed, words, lengths):
-        batches.append(words[:, 0].tolist())
-        return derive(seed, words, lengths)
+    def counted(seed, batch):
+        batches.append(batch.words[:, 0].tolist())
+        return derive(seed, batch)
 
     monkeypatch.setattr(simulate, "word_keys", counted)
     FOLDS[fold](scenario)
@@ -610,9 +647,10 @@ def test_pcd_keys_per_round(monkeypatch, doc, per_round):
     rounds = []
     derive = simulate.word_keys
 
-    def counted(seed, words, lengths):
+    def counted(seed, batch):
+        words = batch.words
         rounds.extend(words[words[:, 0] == simulate._PCD, 1].tolist())
-        return derive(seed, words, lengths)
+        return derive(seed, batch)
 
     monkeypatch.setattr(simulate, "word_keys", counted)
     scenario = scenario_from_dict(doc)
@@ -767,13 +805,22 @@ def test_slot_size_sweep_matches_separate_runs_over_rounds(monkeypatch):
     assert len({id(r.rounds[0].problem) for r in reports}) == reps     # round 0 solved once per repetition
 
 
+def _kkt_bits(report):
+    """A certificate field by field, floats as ``float.hex`` and arrays as
+    their bytes."""
+    return [(f.name, v.tobytes() if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float) else v)
+            for f in fields(report) for v in [getattr(report, f.name)]]
+
+
 def test_compare_policies_solves_each_round_once(monkeypatch):
     """On one-round table1 the three policies share the round's two
-    problems and its GNBS reference, and only gsa's allocation is
-    certified; the ideal problem is built and the estimated one derived
-    from it.  Rounds that the policies reach with the same loads are
-    shared after the first traffic round too, and so is an open round's
-    GO election."""
+    problems and its GNBS reference; the ideal problem is built and the
+    estimated one derived from it.  No certificate is computed until gsa's
+    ``kkt`` is read, then one per gsa solve, which records that share the
+    solve share, and which is ``gnbs_allocate``'s to the bit; eql's and
+    wtd's records have none.  Rounds that the policies reach with the same
+    loads are shared after the first traffic round too, and so is an open
+    round's GO election."""
     work = support.record_round_work(monkeypatch)
     reports = compare_policies(scenario_from_dict(SCENARIOS["table1"]))
     first = reports["gsa"].rounds[0]
@@ -782,7 +829,9 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
                for r in reports.values())
     assert work["built"] == [first.ideal_problem] and work["derived"] == [first.problem]
     assert sorted(map(id, work["solved"])) == sorted(map(id, (first.problem, first.ideal_problem)))
-    assert work["certified"] == [first.problem]
+    assert work["certified"] == []
+    assert first.kkt is not None and work["certified"] == [first.problem]
+    assert reports["eql"].rounds[0].kkt is reports["wtd"].rounds[0].kkt is None and len(work["certified"]) == 1
 
     work["built"].clear()
     work["derived"].clear()
@@ -792,22 +841,30 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
 
     draws, elect, elections = _round_draws(scenario), simulate.elect_go, []
     monkeypatch.setattr(simulate, "elect_go", lambda *args: elections.append(args) or elect(*args))
-    for policy in POLICIES:
-        simulate._run(scenario, policy, draws)
+    runs = {policy: simulate._run(scenario, policy, draws) for policy in POLICIES}
     assert len(elections) == sum(d.go is None for d in draws) > 0
+
+    work["certified"].clear()
+    again = simulate._run(scenario, "gsa", draws)       # every round's solve shared with the first gsa run
+    assert work["certified"] == []
+    certified = [(a.kkt, b.kkt) for a, b in zip(runs["gsa"].rounds, again.rounds)]
+    assert all(a is b for a, b in certified) and len(work["certified"]) == len(draws)
+    assert all(r.kkt is None for policy in ("eql", "wtd") for r in runs[policy].rounds)
+    for rnd, (kkt, _) in zip(again.rounds, certified):
+        assert _kkt_bits(kkt) == _kkt_bits(bargaining.gnbs_allocate(rnd.problem)[1])
 
 
 def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):
-    """k slot sizes and r repetitions of one-round table1 derive, solve and
-    certify the round's estimated problem r times, not k * r times; its
-    ideal problem, which no seed changes, is built and solved once for all
-    of them."""
+    """k slot sizes and r repetitions of one-round table1 derive and solve
+    the round's estimated problem r times, not k * r times, and certify it
+    never, since no experiment reads a certificate; its ideal problem,
+    which no seed changes, is built and solved once for all of them."""
     work = support.record_round_work(monkeypatch)
     sizes, reps = [0.005, 0.02, 0.05], 2
     slot_size_sweep(scenario_from_dict(SCENARIOS["table1"]), sizes, repetitions=reps)
     assert len(work["built"]) == 1 and len(work["derived"]) == reps
     assert len(work["solved"]) == 1 + reps       # the reference once, gsa's allocation per repetition
-    assert len(work["certified"]) == reps
+    assert work["certified"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,7 @@ def test_a_leg_below_the_float_spacing_still_runs():
              for m in "abc"]
     rep = run_scenario(Scenario(nodes=nodes, broadcast_mbps=11.0, t_slot_s=0.02))
     assert rep.transmitted_mb["c"] == pytest.approx(34.98, abs=0.005)
+    support.assert_gsa_certified(rep)
 
 
 def test_star_elects_the_hub_over_a_heavier_leaf():
