@@ -51,20 +51,28 @@ relay overheads they give, is checked and derived by one step, which the
 constructor and ``with_channel`` (the same players under another channel,
 as each round's ideal problem is) both run on their raw values.  The
 positions of the log-shifted and power players among the bargaining ones
-are found once, too.  Every problem computes its demand and each bargaining
-player's level at the cap at once, in problem order, and is rejected when
-a level is not finite or has no finite reciprocal, as it is when a
-utility's slope or value at the cap would overflow, when the weights do not
-sum to a finite value, when the demand is not below DBL_MAX / 2, so that
-no sum of channel seconds a solve adds overflows, or when a contended
-problem's disagreement outcomes leave a subnormal airtime, whose common
-level's reciprocal would overflow.  Each of these errors,
-like a cap or a relay overhead that overflows, is a
-:class:`ProblemOverflowError`, so a caller can tell them from input that is
-wrong at any scale.  The levels are sorted into curves only when a gnbs
-solve first reads them, so a problem that only the baselines solve never
-builds them.  The level curves, the KKT certificate and the metrics are
-vector expressions over the bargaining players' columns, each kind's
+are found once, too.  Every problem computes its demand in its channel
+step and is rejected when a bargaining player's level at the cap is not
+finite or has no finite reciprocal, as it is when a utility's slope or
+value at the cap would overflow, when the weights do not sum to a finite
+value, when the demand is not below DBL_MAX / 2, so that no sum of channel
+seconds a solve adds overflows, or when a contended problem's disagreement
+outcomes leave a subnormal airtime, whose common level's reciprocal would
+overflow.  Each of these errors, like a cap or a relay overhead that
+overflows, is a :class:`ProblemOverflowError`, so a caller can tell them
+from input that is wrong at any scale.  A *plain* problem, every player
+normalized-linear over its own cap with no disagreement point (what the
+simulator builds), is marked so: its disagreement points, kind codes and
+coefficients, and its curves' zero columns, are constant columns shared by
+every problem of its size, which no sort reorders and no water-fill adds,
+and its levels are bounded by three numbers, the demand, the smallest
+weight and the smallest cap, a sufficient condition proved at
+:meth:`BargainingProblem._check_levels`.  Any other problem, or a plain one
+outside that condition, computes every level at the cap in problem order.
+Levels not yet built are built, and all are sorted into curves, only when
+a gnbs solve first reads them, so a problem that only the baselines solve
+never builds them.  The level curves, the KKT certificate and the metrics
+are vector expressions over the bargaining players' columns, each kind's
 formula indexed by those positions.  The certificate evaluates each
 utility's value and derivative that way, never through the solver's
 inversions, so it does not certify itself.  The Nash product remains a
@@ -83,7 +91,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -124,6 +132,8 @@ _UTILITY_KINDS = ("normalized-linear", "log-shifted", "power")
 _U_LINEAR, _U_LOG, _U_POWER = 0, 1, 2
 
 _REL_SLACK = 1e-12
+_MAX = sys.float_info.max
+_MIN_NORMAL = sys.float_info.min
 
 #: iteration cap of every root-find in the water-filling core
 _ROOT_MAX_ITER = 100
@@ -232,11 +242,31 @@ class _Active(NamedTuple):
     log: np.ndarray      # positions (in these columns) of the log-shifted players
     power: np.ndarray    # positions of the power players
     linear: bool         # every one of them is normalized-linear: no positions above
+    plain: bool          # linear over their own caps, d the shared zero column: see _constant_columns
+    least: tuple[float, float]      # a plain set's smallest alpha and cap, else (0, 0)
 
 
 # the positions of a kind no player has
 _NOBODY = np.empty(0, dtype=np.intp)
 _NOBODY.setflags(write=False)
+
+
+class _Constants(NamedTuple):
+    zero: np.ndarray     # 0.0: a plain problem's disagreement points, a linear curve's coeff
+    code: np.ndarray     # kind code 0, normalized-linear
+    one: np.ndarray      # 1.0: eql's slope
+    nan: np.ndarray      # NaN: a plain problem's coefficient column (each player's own cap)
+
+
+@cache
+def _constant_columns(n: int) -> _Constants:
+    """Read-only columns of ``n`` equal values, made once per player count
+    and shared by every problem and curve set of that size.  No order
+    moves an entry of one, so the curves keep them unsorted.  Each is a
+    stride-0 view of a single value, so a count costs no memory per
+    player."""
+    return _Constants(*(np.broadcast_to(np.array(v, dtype=t), n)
+                        for v, t in ((0.0, float), (_U_LINEAR, np.int8), (1.0, float), (math.nan, float))))
 
 
 def left_sum(values) -> float:
@@ -295,9 +325,13 @@ class BargainingProblem:
     and other upload rates, sharing every column that neither decides; it
     and the constructor check and derive those two by one step,
     :meth:`_set_channel`, so both raise the same errors for them.  That
-    step ends in :meth:`_check_levels`, the one place that decides whether
-    the problem's levels and demand overflow; it builds no curves.  Every
-    value that overflows raises :class:`ProblemOverflowError`.
+    step computes the demand and ends in :meth:`_check_levels`, the one
+    place that decides whether the problem's levels and demand overflow; it
+    builds no curves.  Every value that overflows raises
+    :class:`ProblemOverflowError`.  Without ``disagreements``, ``kinds`` and
+    ``coeffs`` (or players with no disagreement point and no utility) the
+    problem is plain, and its ``disagreements``, ``kinds`` and ``coeffs``
+    are shared constant columns.
     """
 
     ids: tuple[str, ...]
@@ -313,6 +347,7 @@ class BargainingProblem:
     alphas: np.ndarray
     betas: np.ndarray
     caps: np.ndarray
+    demand: float
 
     def __init__(self, players: Sequence[Player] | None = None, airtime: float = math.nan,
                  broadcast_rate: float = math.nan, *, ids: Sequence[str] | None = None,
@@ -327,6 +362,8 @@ class BargainingProblem:
                 ids, data_sizes, upload_rates, raw_alphas, disagreements, utilities = zip(*(
                     (p.id, p.data_size, p.upload_rate, p.alpha, p.disagreement, p.utility) for p in players))
                 go = [k for k, p in enumerate(players) if p.role == ROLE_GO]
+                if not any(d != 0 for d in disagreements):     # no disagreement point, as no column gives
+                    disagreements = None
                 if any(u is not None for u in utilities):
                     kinds = [0 if u is None else _UTILITY_KINDS.index(u.kind) for u in utilities]
                     coeffs = [math.nan if u is None else u.coeff for u in utilities]
@@ -343,19 +380,25 @@ class BargainingProblem:
 
         self.data_sizes = data = np.array(data_sizes, dtype=float)
         self.raw_alphas = raw = np.array(raw_alphas, dtype=float)
-        # NaN fails these checks too; the bound, a Python float that overflows
-        # to inf without a warning, keeps each cap data / broadcast_rate finite
-        if np.count_nonzero(~(data >= 0)):
+        if data.shape != (n,) or raw.shape != (n,):
+            raise ValueError("data_sizes and raw_alphas need one entry per player")
+        # one reduction per bound: the smallest or largest entry, which is
+        # NaN where any is, so NaN fails too; the load bound, a Python float
+        # that overflows to inf without a warning, keeps each cap data /
+        # broadcast_rate finite
+        if not (data.min() >= 0):
             raise ValueError("data_size must be >= 0")
-        if np.count_nonzero(~(data < float(broadcast_rate) * sys.float_info.max)):
+        if not (data.max() < float(broadcast_rate) * _MAX):
             raise ProblemOverflowError("data_size must be finite, with a finite cap data_size / broadcast_rate")
-        if np.count_nonzero(~(raw > 0)):
+        if not (raw.min() > 0):
             raise ValueError("alpha must be > 0")
+        # plain: normalized-linear over each own cap, with no disagreement point
+        plain, shared = disagreements is None and kinds is None and coeffs is None, _constant_columns(n)
         if disagreements is None:
-            self.disagreements = d = np.zeros(n)
+            self.disagreements = d = shared.zero
         else:
             self.disagreements = d = np.array(disagreements, dtype=float)
-            if np.count_nonzero(~(d >= 0)):
+            if not (d.min() >= 0):
                 raise ValueError("disagreement must be >= 0")
         gos = [] if go is None else [go] if isinstance(go, (int, np.integer)) else list(go)
         if len(gos) != 1:
@@ -372,13 +415,12 @@ class BargainingProblem:
             raise ProblemOverflowError("alpha weights must sum to a finite value")
         self.alphas = raw / total
         self.caps = caps = data / broadcast_rate
-        self.coeffs = np.empty(n)
-        if kinds is None and coeffs is None:
-            self.kinds = np.zeros(n, dtype=np.int8)
-            self.coeffs.fill(math.nan)
+        if plain:
+            self.kinds, self.coeffs = shared.code, shared.nan
             coeff = caps
         else:
             self.kinds = np.zeros(n, dtype=np.int8) if kinds is None else np.array(kinds, dtype=np.int8)
+            self.coeffs = np.empty(n)
             self.coeffs[:] = math.nan if coeffs is None else coeffs
             _check_utility_columns(self.kinds, self.coeffs)
             coeff = np.where(np.isnan(self.coeffs), caps, self.coeffs)
@@ -389,33 +431,43 @@ class BargainingProblem:
             log, power = (kind == _U_LOG).nonzero()[0], (kind == _U_POWER).nonzero()[0]
         linear = not (len(log) or len(power))
         if len(idx) == n:       # no copies when every player bargains
-            active = _Active(idx, self.alphas, None, caps, d, coeff, log, power, linear)
+            alpha, cap, act_d = self.alphas, caps, d
         else:
-            active = _Active(idx, self.alphas[idx], None, caps[idx], d[idx], coeff[idx], log, power, linear)
-        self._set_channel(airtime, upload_rates, active)
+            alpha, cap, coeff = self.alphas[idx], caps[idx], coeff[idx]
+            act_d = _constant_columns(len(idx)).zero if plain else d[idx]
+        least = (float(alpha.min()), float(cap.min())) if plain and len(idx) else (0.0, 0.0)
+        # the _Active columns but weight, which the channel step adds
+        columns = (idx, alpha, None, cap, act_d, coeff, log, power, linear, plain, least)
+        self._set_channel(airtime, upload_rates, columns)
         # utility values at the disagreement points (None when every d is
         # zero: every utility is zero there, so a gain is the value itself)
-        self._base_values = _utility_values(active, active.d) if np.count_nonzero(d) else None
+        self._base_values = None if plain or not np.count_nonzero(d) else _utility_values(self._active, act_d)
         for column in (data, raw, d, self.kinds, self.coeffs, self.alphas, caps):
             column.setflags(write=False)
 
-    def _set_channel(self, airtime: float, upload_rates, active: _Active) -> None:
+    def _set_channel(self, airtime: float, upload_rates, active) -> None:
         """The one step that checks and derives what the channel decides: the
-        airtime budget, the upload rates, the relay overheads they give and
-        the bargaining players' ``active`` columns with their channel seconds
-        per broadcast second, 1 + beta.  Then it checks what these decide:
-        the disagreement outcomes against the budget, the levels at the cap,
-        the demand and the airtime the outcomes leave
-        (:meth:`_check_levels`).  The constructor and :meth:`with_channel`
-        both hand it their raw airtime and upload rates."""
+        airtime budget, the upload rates, the relay overheads they give, the
+        bargaining players' :class:`_Active` columns, built from ``active``'s
+        with their channel seconds per broadcast second, 1 + beta, and the
+        demand.  Then it checks what these decide: the disagreement outcomes
+        against the budget, the levels at the cap, the demand and the
+        airtime the outcomes leave (:meth:`_check_levels`).  The constructor
+        and :meth:`with_channel` both hand it their raw airtime and upload
+        rates."""
         if not (airtime > 0):
             raise ValueError("airtime must be > 0")
         self.airtime = airtime
         self.upload_rates = upload = np.array(upload_rates, dtype=float)
         self.betas = betas = _relay_overheads(self.broadcast_rate, upload, self.go, len(self.ids))
-        weight = 1.0 + betas if len(active.index) == len(self.ids) else 1.0 + betas[active.index]
-        self._active = active._replace(weight=weight)
-        left = airtime - self._validate_feasibility() if np.count_nonzero(self.disagreements) else airtime
+        index = active[0]
+        weight = 1.0 + betas if len(index) == len(self.ids) else 1.0 + betas[index]
+        self._active = act = _Active(index, active[1], weight, *active[3:])
+        # in Python floats, which overflow to inf without a warning; the
+        # products are numpy's bits, and the sum adds left to right
+        self.demand = left_sum(w * c for w, c in zip(weight.tolist(), act.cap.tolist()))
+        spends = not act.plain and np.count_nonzero(self.disagreements)     # disagreement outcomes
+        left = airtime - self._validate_feasibility() if spends else airtime
         self._check_levels(left)
         upload.setflags(write=False)
         betas.setflags(write=False)
@@ -469,16 +521,56 @@ class BargainingProblem:
         levels equal it up to the roundings of a gain in the subnormal
         range, each of which shrinks the gain by at most a third, or to 0,
         which reads an infinite inverse level without a warning; so they
-        stay below DBL_MAX, about 2^1024.  The levels are
-        :func:`_level_columns` in problem order, kept for :attr:`_curves` to
-        sort on a gnbs solve's first read: the check sorts nothing.  They
-        and the demand, which every solve reads, are computed here with
+        stay below DBL_MAX, about 2^1024.
+
+        A plain problem (normalized-linear over each own cap, no
+        disagreement point) is first gated on three numbers, its demand, its
+        smallest normalized weight and its smallest cap: a sufficient
+        condition, proved below, that every level at the cap is a float in
+        [DBL_MIN, DBL_MAX / 2] and the demand below DBL_MAX / 2.  Where it
+        holds, nothing more is checked and the levels are left for
+        :attr:`_levels` to build on a gnbs solve's first read.  Otherwise,
+        and for every other problem, each level at the cap is computed, in
+        problem order, and kept for :attr:`_curves` to sort on a gnbs
+        solve's first read: the check sorts nothing.  They are computed with
         numpy's float warnings off, since the overflow they would warn of is
         what this check reports."""
-        act, tiny = self._active, 1.0 / sys.float_info.max
+        act = self._active
+        a, c = act.least
+        demand = self.demand
+        # The gate, in Python floats, for a plain set: c >= DBL_MIN,
+        # a (c / D) >= 4 DBL_MIN and D / a <= DBL_MAX / 4, with D the demand,
+        # a the smallest alpha and c the smallest cap.  Proof that the
+        # per-player check then passes, with u = 2^-53 and n < 2^50 players:
+        # - w_i >= 1, so w_i cap_i >= c is normal: its product and each
+        #   left-to-right addition of the demand's nonnegative terms round
+        #   down by at most a factor 1 - u, so w_i cap_i <= D / (1 - u)^n.
+        #   D > 0, and where it is inf, c / D is 0 and the gate fails.
+        # - a (c / D) is a normal float, so its two roundings leave
+        #   a c / D >= 4 DBL_MIN / (1 + u)^2, and
+        #   alpha_i / w_i = alpha_i cap_i / (w_i cap_i) >= a c (1 - u)^n / D
+        #   >= DBL_MIN: r_i = alpha_i / w_i is a normal float, within a
+        #   factor 1 - u of its quotient, and at most 1, as alpha_i <= 1 <= w_i.
+        # - So the level cap_i / r_i is at least cap_i >= c >= DBL_MIN and the
+        #   coefficient is cap_i: both have finite reciprocals.  And it is at
+        #   most w_i cap_i / (alpha_i (1 - u)) <= D / (a (1 - u)^(n + 1))
+        #   <= (DBL_MAX / 4) / (1 - u)^(n + 2) < DBL_MAX / 2 before rounding,
+        #   so at most DBL_MAX / 2 after; so is D, as a <= 1.
+        # A bound on D / a alone is not enough: alpha 1e-300 on a client
+        # whose relay overhead is 5e23 gives a subnormal r_i, whose level
+        # at the cap overflows however small the demand.
+        if not (act.plain and c >= _MIN_NORMAL and a * (c / demand) >= 4.0 * _MIN_NORMAL
+                and demand / a <= _MAX / 4.0):
+            self._check_each_level()
+        if not (left >= _MIN_NORMAL) and len(act.index) and not self.saturated:
+            raise ProblemOverflowError(f"the airtime left after the disagreement outcomes, {left:g} s, is below "
+                                       "the smallest normal float, where a solve's inverse levels overflow")
+
+    def _check_each_level(self):
+        """:meth:`_check_levels` player by player, and then on the demand."""
+        act, tiny = self._active, 1.0 / _MAX
         with np.errstate(all="ignore"):
             self._levels = levels = _level_columns(act)
-            demand = self.demand
         top, coeff = levels[3], act.coeff
         if len(top) and not (top.max() < math.inf and tiny < min(top.min(), coeff.min())):     # NaN fails too
             k = _first(~((top < math.inf) & (tiny < np.minimum(top, coeff))))
@@ -491,12 +583,9 @@ class BargainingProblem:
                 raise ProblemOverflowError(f"player {self.ids[i]}: log-shifted gain {self.coeffs[i]:g} "
                                            "overflows the level arithmetic at the cap")
             raise ProblemOverflowError(f"player {self.ids[i]}: the level at the cap overflows")
-        if not (demand < sys.float_info.max / 2):
+        if not (self.demand < _MAX / 2):
             raise ProblemOverflowError(
                 "the demand, the channel seconds that drain every queue, must be below DBL_MAX / 2")
-        if not (left >= sys.float_info.min) and len(top) and not self.saturated:
-            raise ProblemOverflowError(f"the airtime left after the disagreement outcomes, {left:g} s, is below "
-                                       "the smallest normal float, where a solve's inverse levels overflow")
 
     @cached_property
     def players(self) -> tuple[Player, ...]:
@@ -526,16 +615,17 @@ class BargainingProblem:
         return tuple(self._active.index.tolist())
 
     @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The active players' level curves in problem order
+        (:func:`_level_columns`), of a problem whose levels
+        :meth:`_check_levels` bounded without computing them."""
+        return _level_columns(self._active)
+
+    @cached_property
     def _curves(self) -> "_Curves":
         """The active players' level curves as parameter arrays, sorted."""
         act = self._active
-        return _Curves.sorted_by_top(act.index, act.weight, act.d, act.cap, *self._levels)
-
-    @cached_property
-    def demand(self) -> float:
-        """Channel seconds needed to drain every active queue."""
-        act = self._active
-        return left_sum(act.weight * act.cap)
+        return _Curves.sorted_by_top(act.index, act.weight, act.d, act.cap, *self._levels, plain=act.plain)
 
     @property
     def saturated(self) -> bool:
@@ -661,7 +751,9 @@ class _Curves:
     r / p.  ``coeff`` holds k for log-shifted players and p for power
     players.  Every time(s) is concave and increasing, so its tangent line at
     s = 0 lies on or above it: :meth:`water_fill` starts from the level at
-    which those lines spend the budget.
+    which those lines spend the budget.  A ``plain`` set is linear with d =
+    0, and its ``d``, ``kind`` and ``coeff`` are constant columns
+    (:func:`_constant_columns`): the water-fill leaves out their zero terms.
     """
 
     index: np.ndarray
@@ -672,20 +764,23 @@ class _Curves:
     kind: np.ndarray
     coeff: np.ndarray
     top: np.ndarray
+    plain: bool = False
 
     @classmethod
-    def sorted_by_top(cls, index, weight, d, cap, r, kind, coeff, top) -> "_Curves":
-        order = np.argsort(top, kind="stable")
+    def sorted_by_top(cls, index, weight, d, cap, r, kind, coeff, top, plain: bool = False) -> "_Curves":
+        order = top.argsort(kind="stable")
+        if plain:       # d, kind and coeff are constant columns, which no order moves
+            return cls(index[order], weight[order], d, cap[order], r[order], kind, coeff, top[order], True)
         return cls(*(a[order] for a in (index, weight, d, cap, r, kind, coeff, top)))
 
     @classmethod
     def clipped_linear(cls, problem: BargainingProblem, slope: np.ndarray) -> "_Curves":
         """Curves x_i(s) = slope_i s of the active players (the baselines)."""
         act = problem._active
-        cap, r = act.cap, slope[act.index]
-        zero = np.zeros(len(cap))
-        return cls.sorted_by_top(act.index, act.weight, zero, cap, r,
-                                 zero.astype(np.int8), zero, cap / r)
+        cap = act.cap
+        r = slope if len(cap) == len(slope) else slope[act.index]
+        shared = _constant_columns(len(cap))
+        return cls.sorted_by_top(act.index, act.weight, shared.zero, cap, r, shared.code, shared.zero, cap / r, True)
 
     def times(self, s: float, sel: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Unclipped broadcast times time(s) of the selected players at
@@ -711,7 +806,7 @@ class _Curves:
 
     def tail(self, start: int) -> "_Curves":
         """The curves from sorted position ``start`` on."""
-        return _Curves(*(getattr(self, f.name)[start:] for f in fields(self)))
+        return _Curves(*(getattr(self, f.name)[start:] for f in fields(self) if f.name != "plain"), self.plain)
 
     def water_fill(self, budget: float) -> tuple[float, np.ndarray, int]:
         """Common level s and broadcast times (in sorted order) that spend
@@ -731,10 +826,10 @@ class _Curves:
         not evaluated.
         """
         w, d, cap, r, top = self.weight, self.d, self.cap, self.r, self.top
-        if not np.count_nonzero(self.kind):
-            s, lo, probes = _fill_lines(w, d, cap, r, top, budget)
+        if self.plain or not np.count_nonzero(self.kind):
+            s, lo, probes = _fill_lines(w, None if self.plain else d, cap, r, top, budget)
             x = cap.copy()
-            x[lo:] = np.minimum(cap[lo:], d[lo:] + r[lo:] * s)
+            x[lo:] = np.minimum(cap[lo:], r[lo:] * s if self.plain else d[lo:] + r[lo:] * s)
             return float(s), x, probes
         slope = r.copy()            # time'(0): r, and r / p for _U_POWER
         m = self.kind == _U_POWER
@@ -758,10 +853,14 @@ class _Curves:
 
 def _level_columns(act: _Active) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``r``, ``kind``, ``coeff`` and ``top`` of the bargaining players'
-    level curves (see :class:`_Curves`), in problem order.  A log-shifted
+    level curves (see :class:`_Curves`), in problem order; a plain set's
+    ``kind`` and ``coeff`` are the shared zero columns.  A log-shifted
     player's top also reads NaN where its gain times its cap overflows."""
     weight, d, cap = act.weight, act.d, act.cap
     r = act.alpha / weight
+    if act.plain:
+        shared = _constant_columns(len(cap))
+        return r, shared.code, shared.zero, cap / r
     kind = np.zeros(len(cap), dtype=np.int8)
     coeff = np.zeros(len(cap))
     if act.linear:
@@ -791,7 +890,9 @@ def _fill_lines(w, d, cap, r, top, budget: float) -> tuple[float, int, int]:
 
     A binary search over the breakpoints finds the segment where the budget
     binds (the lines before it sit at their caps); the spend is linear in s
-    on it, so s is a closed form there.
+    on it, so s is a closed form there.  ``d`` None stands for zeros, whose
+    terms change no bit: +0.0 added to a nonnegative r_i s, and a zero dot
+    product subtracted.
     """
     spent = np.cumsum(w * cap)
     lo, hi = 0, len(top) - 1
@@ -799,12 +900,13 @@ def _fill_lines(w, d, cap, r, top, budget: float) -> tuple[float, int, int]:
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        if spent[mid] + w[mid + 1:] @ (d[mid + 1:] + r[mid + 1:] * top[mid]) >= budget:
+        line = r[mid + 1:] * top[mid] if d is None else d[mid + 1:] + r[mid + 1:] * top[mid]
+        if spent[mid] + w[mid + 1:] @ line >= budget:
             hi = mid
         else:
             lo = mid + 1
-    base = spent[lo - 1] if lo else 0.0
-    s = (budget - base - w[lo:] @ d[lo:]) / (w[lo:] @ r[lo:])
+    left = budget - (spent[lo - 1] if lo else 0.0)
+    s = (left if d is None else left - w[lo:] @ d[lo:]) / (w[lo:] @ r[lo:])
     return min(max(s, top[lo - 1] if lo else 0.0), top[lo]), lo, probes
 
 
@@ -981,7 +1083,7 @@ def eql_allocate(problem: BargainingProblem) -> Allocation:
     relay overheads near DBL_MAX overflow: s then reads the level below it,
     within budget / DBL_MAX of the root, without a warning."""
     with np.errstate(over="ignore"):
-        return _clipped_linear_allocate(problem, np.ones(len(problem.ids)))
+        return _clipped_linear_allocate(problem, _constant_columns(len(problem.ids)).one)
 
 
 def wtd_allocate(problem: BargainingProblem) -> Allocation:

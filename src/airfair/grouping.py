@@ -20,15 +20,18 @@ its allocated share of channel time.  A :class:`Schedule` stores only the
 cycle, and one rule of cycle arithmetic places its slots: the seconds each
 leg runs, which the simulator's replay reads, and the :class:`SlotEntry`
 objects printed for it come from the same whole-cycle count and cut cycle.
-The slots are counted without building one, and built one at a time as
-they are printed, so printing holds one slot in memory at any count.
+A node's printed broadcast slots stop once they add up to its queue, the
+seconds the replay caps its realized broadcast at, the last one cut there,
+and its upload slots stop with them.  The slots are counted without
+building one, and built one at a time as they are printed, so printing
+holds one slot in memory at any count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,15 +238,18 @@ class Schedule:
     interval.
 
     Only the cycle ``pattern`` of (node, kind, seconds) legs, the interval,
-    the cycle length and the start time are stored.  Where every slot falls
-    is cycle arithmetic, held by :meth:`leg_seconds`, which the simulator's
-    replay reads, and by :attr:`entries`, which prints the same slots.
+    the cycle length, the start time and each broadcast leg's ``needs``, the
+    seconds that drain its node's queue (inf: never), are stored.  Where
+    every slot falls is cycle arithmetic, held by :meth:`leg_seconds`, which
+    the simulator's replay reads, and by :attr:`entries`, which prints the
+    same slots up to each node's need.
     """
 
     pattern: tuple[tuple[str, str, float], ...]
     interval: float
     cycle_length: float
     t_start: float
+    needs: tuple[float, ...]
 
     def _cut(self, t1: float) -> tuple[int, list[tuple[float, float]]]:
         """K, the whole cycles run before ``t1``, and per leg its offset o
@@ -276,46 +282,95 @@ class Schedule:
         """The slots as :class:`SlotEntry` objects in time order, counted
         without building one and built one at a time as they are iterated: the
         slot of cycle c at offset o starts at t_start + (c * cycle + o), and
-        the cut cycle holds the legs :meth:`leg_seconds` runs in it."""
+        the cut cycle holds the legs :meth:`leg_seconds` runs in it.  A node
+        sends only what its queue holds: its broadcast slot of cycle c, of d
+        seconds a cycle, lasts at most need - c * d, the rule by which the
+        replay caps what it realizes, and from the first cycle with 1e-12 s
+        or less of its need left, as the cut cycle's rule has it, its
+        slots, and the upload slots that would relay them, are left out."""
         return _Slots(self)
+
+
+def _live_cycles(need: float, dur: float, limit: int) -> int:
+    """The cycles c < ``limit`` at whose start a node with broadcast legs of
+    ``dur`` seconds has more than 1e-12 s of its ``need`` left: need - c *
+    dur, which falls as c grows, found by bisection."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if need - mid * dur > 1e-12:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class _Leg(NamedTuple):
+    """A leg of the cycle as :class:`_Slots` prints it."""
+
+    node: str
+    kind: str
+    dur: float           # seconds in a whole cycle
+    offset: float        # into the cycle
+    cut: float           # seconds in the cut cycle
+    down: float          # its node's broadcast leg seconds
+    need: float          # its node's need
+    live: int            # the cycles, up to the cut cycle, at whose start its node has need left
 
 
 class _Slots:
     """The sized iterable :attr:`Schedule.entries` returns.  ``count`` is the
     slot count as a plain int, which ``len()`` gives while it fits ``sys.maxsize``.
     No slot is shorter than ``shortest``: the shortest leg, or a shorter
-    slot of the cut cycle."""
+    slot of the cut cycle or at the end of a node's need."""
 
     def __init__(self, schedule: Schedule):
         self._schedule = schedule
-        self._cycles, self._legs = schedule._cut(math.inf)
-        self.count = self._cycles * len(schedule.pattern) + sum(seconds > 0 for _, seconds in self._legs)
-        self.shortest = min([dur for _, _, dur in schedule.pattern] + [s for _, s in self._legs if s > 0])
+        self._cycles, cut = schedule._cut(math.inf)
+        broadcasts = [dur for _, kind, dur in schedule.pattern if kind == "broadcast"]
+        live = [_live_cycles(need, dur, self._cycles + 1) for dur, need in zip(broadcasts, schedule.needs)]
+        self._legs, b = [], 0
+        for (node, kind, dur), (offset, seconds) in zip(schedule.pattern, cut):
+            # an upload leg's node broadcasts in the leg after it
+            self._legs.append(_Leg(node, kind, dur, offset, seconds, broadcasts[b], schedule.needs[b], live[b]))
+            b += kind == "broadcast"
+        self.count = sum(min(self._cycles, leg.live) + (leg.live > self._cycles and leg.cut > 0) for leg in self._legs)
+        ends = [self._seconds(leg, c) for leg in self._legs for c in (self._cycles, leg.live - 1)]
+        self.shortest = min([dur for _, _, dur in schedule.pattern] + [s for s in ends if s > 0])
+
+    def _seconds(self, leg: _Leg, c: int) -> float:
+        """The seconds ``leg`` prints in cycle ``c``, at most the cut cycle; 0 when none."""
+        if not (0 <= c < leg.live):
+            return 0.0
+        seconds = leg.dur if c < self._cycles else leg.cut
+        return min(seconds, leg.need - c * leg.down) if leg.kind == "broadcast" else seconds
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self) -> Iterator[SlotEntry]:
-        t_start, cycle, cycles = self._schedule.t_start, self._schedule.cycle_length, self._cycles
-        legs = list(zip(self._schedule.pattern, self._legs))
-        for c in range(cycles):
-            for (node, kind, dur), (offset, _) in legs:
-                yield SlotEntry(node, kind, t_start + (c * cycle + offset), dur)
-        for (node, kind, _), (offset, seconds) in legs:
-            if seconds > 0:
-                yield SlotEntry(node, kind, t_start + (cycles * cycle + offset), seconds)
+        t_start, cycle = self._schedule.t_start, self._schedule.cycle_length
+        for c in range(self._cycles + 1):
+            for leg in self._legs:
+                seconds = self._seconds(leg, c)
+                if seconds > 0:
+                    yield SlotEntry(leg.node, leg.kind, t_start + (c * cycle + leg.offset), seconds)
 
 
-def build_schedule(legs: Iterable[tuple[str, float, float]], interval: float, t_start: float = 0.0) -> Schedule:
+def build_schedule(legs: Iterable[tuple[str, float, float]], interval: float, t_start: float = 0.0,
+                   needs: Sequence[float] | None = None) -> Schedule:
     """Repeat the slot cycle of ``legs`` from ``t_start`` until the interval
     ends, truncating the final cycle mid-slot.
 
     ``legs`` lists (node id, upload seconds, broadcast seconds) per cycle,
     laid out in the order given; the caller decides that order.  A zero
-    upload leg emits no upload slot.  Raises :class:`ScheduleError`
-    when a single cycle does not fit the interval, the interval is not
-    finite, or even its longest leg is shorter than the float spacing at
-    the interval's end, so that floats there cannot resolve a single slot.
+    upload leg emits no upload slot.  ``needs`` gives each leg's node the
+    broadcast seconds that drain its queue, after which its slots are not
+    printed (:attr:`Schedule.entries`); None leaves every queue endless.
+    Raises :class:`ScheduleError` when a single cycle does not fit the
+    interval, the interval is not finite, or even its longest leg is
+    shorter than the float spacing at the interval's end, so that floats
+    there cannot resolve a single slot.
     Only the cycle is built here, so any number of slots is accepted, and
     the returned schedule builds a slot only when it is iterated.
     """
@@ -324,6 +379,8 @@ def build_schedule(legs: Iterable[tuple[str, float, float]], interval: float, t_
     if math.isinf(interval):
         raise ScheduleError("interval must be finite")
     pattern: list[tuple[str, str, float]] = []
+    legs = list(legs)
+    needs = (math.inf,) * len(legs) if needs is None else tuple(needs)
     for node, up, down in legs:
         if not (up >= 0 and down > 0):
             raise ScheduleError(f"invalid slot sizes for {node!r}")
@@ -339,5 +396,5 @@ def build_schedule(legs: Iterable[tuple[str, float, float]], interval: float, t_
     if longest < spacing:
         raise ScheduleError(f"the slots do not reach the interval's end: the longest leg ({longest:.3g}s) "
                             f"is below the float spacing there ({spacing:.3g}s)")
-    return Schedule(tuple(pattern), float(interval), cycle, t_start)
+    return Schedule(tuple(pattern), float(interval), cycle, t_start, needs)
 

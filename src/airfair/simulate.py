@@ -809,7 +809,7 @@ def _round(scenario: Scenario, policy: str, index: int, d: _RoundDraws, sent: np
         if order:
             _, up, down = slot_sizes(x[order], problem.betas[order], scenario.t_slot_s)
             legs = zip([members[k] for k in order], up.tolist(), down.tolist())
-            schedule = build_schedule(legs, problem.airtime, t_start=d.t0)
+            schedule = build_schedule(legs, problem.airtime, t_start=d.t0, needs=problem.caps[order].tolist())
             realized = _replay(schedule, d.t1, order, problem.caps)
         wpf = wpf_aggregate(ideal_problem, ideals["gsa"], _realized(ideal_problem, realized))
 

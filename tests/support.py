@@ -814,10 +814,14 @@ def record_round_work(monkeypatch) -> dict[str, list]:
     derives from a built one by ``with_channel`` (``derived``), every
     problem a GNBS solve runs on (``solved``) and every problem a
     certificate is computed for (``certified``), which the simulator does
-    when a record's ``kkt`` is first read."""
-    work = {"built": [], "derived": [], "solved": [], "certified": []}
+    when a record's ``kkt`` is first read.  Inside the bargaining layer it
+    records the bargaining columns of every problem whose levels are built
+    (``levels``, the ``_Active`` that ``_level_columns`` reads) and the
+    slopes ``r`` of every curve set sorted (``sorted``): for a GNBS solve's
+    curves, the levels' own array."""
+    work = {"built": [], "derived": [], "solved": [], "certified": [], "levels": [], "sorted": []}
     build, solve, certify = simulate.BargainingProblem, bargaining._gnbs_solve, bargaining.kkt_residuals
-    derive = BargainingProblem.with_channel
+    derive, level_columns, sort = BargainingProblem.with_channel, bargaining._level_columns, _Curves.sorted_by_top
 
     def built(*args, **kwargs):
         work["built"].append(build(*args, **kwargs))
@@ -834,6 +838,13 @@ def record_round_work(monkeypatch) -> dict[str, list]:
     for module in (simulate, bargaining):
         monkeypatch.setattr(module, "kkt_residuals",
                             lambda problem, *args: work["certified"].append(problem) or certify(problem, *args))
+    monkeypatch.setattr(bargaining, "_level_columns", lambda act: work["levels"].append(act) or level_columns(act))
+
+    def sorted_by_top(cls, index, weight, d, cap, r, *args, **kwargs):
+        work["sorted"].append(r)
+        return sort(index, weight, d, cap, r, *args, **kwargs)
+
+    monkeypatch.setattr(_Curves, "sorted_by_top", classmethod(sorted_by_top))
     return work
 
 

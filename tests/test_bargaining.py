@@ -6,7 +6,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import support
 from airfair import BargainingProblem, InfeasibleProblemError, Player, Utility, simulate
@@ -15,6 +15,8 @@ from airfair.bargaining import (
     _Curves,
     DomainError,
     ROLE_GO,
+    _constant_columns,
+    _fill_lines,
     _lambert_w,
     _winitzki,
     eql_allocate,
@@ -575,6 +577,70 @@ def test_linear_water_fill_matches_probing_reference_bit_for_bit(table1):
         assert _fill_bits(curves.water_fill(budget)) == _fill_bits(support.reference_water_fill(curves, budget))
 
 
+@st.composite
+def _sorted_lines(draw):
+    """1-8 clipped lines r_i s sorted by the level at their caps, as a
+    water-fill takes them, with tied weights, caps and slopes, caps reached
+    at level 0 (a subnormal cap over a slope of 1e300), and a budget below
+    their spend at the caps."""
+    n = draw(st.integers(1, 8))
+
+    def column(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+
+    w, cap, r = column((1.0, 1.0, 1.5, 3.0, 1e6)), column((5e-324, 1e-310, 0.25, 1.0, 1.0, 7.0)), \
+        column((1e300, 0.5, 0.5, 1.0, 2.0, 1e-3))
+    top = cap / r
+    order = top.argsort(kind="stable")
+    w, cap, r, top = w[order], cap[order], r[order], top[order]
+    budget = draw(st.sampled_from((1e-300, 0.01, 0.5, 0.999999))) * float(w @ cap)
+    assume(0.0 < budget < float(w @ cap))
+    return w, cap, r, top, budget
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lines=_sorted_lines())
+def test_zero_free_fills_keep_every_bit(lines):
+    """Leaving out a zero d column changes no bit of a linear water-fill:
+    ``_fill_lines`` without d against an explicit zero column (level,
+    segment and probes), and a plain curve set, whose d, kind and coeff are
+    the shared constant columns, against the same curves spelled out with
+    zero arrays (level, times and probes)."""
+    w, cap, r, top, budget = lines
+    n, shared = len(w), _constant_columns(len(w))
+    s, lo, probes = _fill_lines(w, None, cap, r, top, budget)
+    want = _fill_lines(w, np.zeros(n), cap, r, top, budget)
+    assert (float(s).hex(), lo, probes) == (float(want[0]).hex(), *want[1:])
+    index = np.arange(n)
+    plain = _Curves(index, w, shared.zero, cap, r, shared.code, shared.zero, top, True)
+    spelled = _Curves(index, w, np.zeros(n), cap, r, np.zeros(n, dtype=np.int8), np.zeros(n), top)
+    assert _fill_bits(plain.water_fill(budget)) == _fill_bits(spelled.water_fill(budget))
+
+
+def _with_zero_disagreements(problem: BargainingProblem) -> BargainingProblem:
+    """``problem``'s columns with an explicit zero disagreement column, which
+    makes it a problem that is not plain."""
+    return BargainingProblem(airtime=problem.airtime, broadcast_rate=problem.broadcast_rate, ids=problem.ids,
+                             data_sizes=problem.data_sizes, upload_rates=problem.upload_rates,
+                             raw_alphas=problem.raw_alphas, go=problem.go, disagreements=np.zeros(len(problem.ids)))
+
+
+def test_plain_problems_allocate_the_bits_of_explicit_zero_disagreements(table1):
+    """gnbs, eql and wtd give a plain problem, whose disagreement points are
+    the shared zero column, the same bits as the same columns with an
+    explicit zero column, which takes the general path: table1 at budgets
+    from 1% to beyond its demand, with an idle player, and every problem the
+    simulator builds."""
+    problems = [support.table1_problem(t) for t in (0.1, 1.0, 10.0, 40.0, 1e3)] + [_with_idle_player()]
+    problems += _simulator_problems()
+    for problem in problems:
+        spelled = _with_zero_disagreements(problem)
+        assert problem._active.plain and not spelled._active.plain
+        for allocate in (lambda p: gnbs_allocate(p)[0], eql_allocate, wtd_allocate):
+            assert support.exact_bits(allocate(problem)) == support.exact_bits(allocate(spelled))
+        assert support.exact_bits(gnbs_allocate(problem)[1]) == support.exact_bits(gnbs_allocate(spelled)[1])
+
+
 def test_curved_water_fill_matches_probing_reference():
     """Curved sets reach the reference's level and times within 1e-12
     relative, and still certify at 1e-7."""
@@ -857,6 +923,7 @@ def test_construction_sorts_nothing(monkeypatch):
         rng = np.random.default_rng([7104, n])
         with monkeypatch.context() as patch:
             patch.setattr(np, "argsort", no_sort)
+            patch.setattr(_Curves, "sorted_by_top", classmethod(no_sort))
             prob = support.mixed_problem(rng, n)
             derived = prob.with_channel(prob.airtime, 2.0 * prob.upload_rates)
         for problem in (prob, derived):
@@ -893,6 +960,10 @@ def _with_idle_player() -> BargainingProblem:
      ValueError, "broadcast_rate must be > 0 and finite"),
     (lambda: BargainingProblem(airtime=1.0, broadcast_rate=5.0, **{**_PAIR, "go": 2}), ValueError,
      r"GO index 2 outside 0\.\.1"),
+    (lambda: BargainingProblem(airtime=1.0, broadcast_rate=5.0, **{**_PAIR, "data_sizes": []}), ValueError,
+     "data_sizes and raw_alphas need one entry per player"),
+    (lambda: BargainingProblem(airtime=1.0, broadcast_rate=5.0, **{**_PAIR, "raw_alphas": [1.0, 1.0, 1.0]}),
+     ValueError, "data_sizes and raw_alphas need one entry per player"),
     (lambda: level(_with_idle_player(), 6, 1.0), DomainError, "player index 6 has no data"),
     (lambda: time_at_level(_with_idle_player(), 6, 1.0), DomainError, "player index 6 has no data"),
     (lambda: time_at_level(support.table1_problem(), 0, 1e9), DomainError, r"level 1000000000\.0 outside \(0, "),
@@ -901,8 +972,9 @@ def _with_idle_player() -> BargainingProblem:
     (lambda: tail_airtime(support.table1_problem(), 0, 1e9), DomainError, "beyond the tail's smallest cap level"),
     (lambda: level_for_airtime(support.table1_problem(), 0, 1e9), DomainError,
      r"airtime 1000000000\.0 outside \(0, 12\.72"),
-], ids=["role", "airtime", "broadcast-rate", "broadcast-rate-inf", "go-index", "level-no-data", "time-no-data", "time-level",
-        "tail-start-past", "tail-start-negative", "tail-level", "airtime-past-tail"])
+], ids=["role", "airtime", "broadcast-rate", "broadcast-rate-inf", "go-index", "short-column", "long-column",
+        "level-no-data", "time-no-data", "time-level", "tail-start-past", "tail-start-negative", "tail-level",
+        "airtime-past-tail"])
 def test_public_functions_reject_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -18,6 +18,10 @@ reaches through arithmetic, a weight sum, a level at the cap (through the
 loads or a log-shifted gain) and the demand, are found by bisecting a scale
 factor over the bits of a float: the last factor the constructor accepts
 and the first it rejects are one ulp apart.
+
+A plain problem, normalized-linear with no disagreement point, is first
+gated on three numbers; drawn plain problems at the same bounds must get
+the per-player check's verdict from that gate.
 """
 
 import math
@@ -26,7 +30,7 @@ import sys
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import support
 from airfair.bargaining import (
@@ -283,3 +287,97 @@ def test_level_reads_r_first_at_a_relay_overhead_near_dbl_max():
     assert _check({"ids": ["g", "c"], "go": 0, "broadcast_rate": rate, "data_sizes": [10.0, 1e-290],
                    "upload_rates": [rate, math.nextafter(rate / _MAX, math.inf)], "raw_alphas": [1.0, 1.0],
                    "airtime": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# the overflow gate of plain problems against the player-by-player check
+
+#: caps near both ends: subnormal ones, the smallest normal float, 1 / DBL_MAX
+#: and their neighbours, and fractions of DBL_MAX
+_EDGE_CAPS = _SMALL + (1.0 / _MAX, 1e-17, 1.0, 1e300, _MAX / 64, _MAX / 4, _MAX / 2, math.nextafter(_MAX, 0.0))
+#: relay overheads from none to within an ulp of DBL_MAX
+_EDGE_BETAS = (0.0, 1.0, 5e23, 1e300, _MAX / 4, math.nextafter(_MAX, 0.0))
+#: raw weights, tiny ones among them
+_EDGE_ALPHAS = (1.0, 2.0, 1e-300, 1e-308, _TINY, 1e300)
+
+
+@st.composite
+def _gate_cases(draw):
+    """Plain columns of 2-6 players with an airtime from 30% to 150% of the
+    way to the demand, or near the smallest normal float; one or more
+    picked players are pushed to the edges: a cap, a relay overhead, a
+    weight, or a tiny weight on a huge relay overhead."""
+    n = draw(st.integers(2, 6))
+    rate = draw(st.sampled_from((11.0, 1.0, 2.0 ** -30, 1e-300)))
+    go = draw(st.integers(0, n - 1))
+    caps = _decades(draw, n, -3.0, 3.0)
+    betas = [0.0 if k == go else b for k, b in enumerate(_decades(draw, n, -2.0, 2.0))]
+    alphas = _decades(draw, n, -2.0, 2.0)
+    edges = draw(st.lists(st.sampled_from(("cap", "beta", "alpha", "both")), min_size=1, max_size=3))
+    for edge, k in zip(edges, draw(st.permutations(range(n)))):
+        if edge in ("cap", "both"):
+            caps[k] = draw(st.sampled_from(_EDGE_CAPS))
+        if edge in ("beta", "both") and k != go:
+            betas[k] = draw(st.sampled_from(_EDGE_BETAS))
+        if edge in ("alpha", "both"):
+            alphas[k] = draw(st.sampled_from(_EDGE_ALPHAS))
+    columns = dict(ids=[f"p{k}" for k in range(n)], go=go, broadcast_rate=rate,
+                   data_sizes=[c * rate for c in caps], raw_alphas=alphas,
+                   upload_rates=[math.inf if not b else rate / b for b in betas])
+    left = draw(st.sampled_from((None, None, None) + _LEFT))
+    if left is None:
+        airtime = _airtime({**columns, "disagreements": [0.0] * n}, draw(st.sampled_from((0.3, 0.999, 1.5))))
+    else:
+        airtime = left
+    return {**columns, "airtime": airtime if 0 < airtime < math.inf else 1.0}
+
+
+#: a problem the per-player check rejects and a bound on the demand alone,
+#: demand < DBL_MAX * alpha_min / 4, accepts: player a's r = alpha / (1 + beta)
+#: = 1e-300 / 5e23 is subnormal
+_TINY_WEIGHT_HUGE_OVERHEAD = dict(ids=["a", "g"], data_sizes=[1.1e-16, 11.0], upload_rates=[11.0 / 5e23, math.inf],
+                                  raw_alphas=[1e-300, 1.0], go=1, airtime=0.5, broadcast_rate=11.0)
+
+
+def _verdict(columns: dict):
+    """The error class and message the constructor raises, or the problem."""
+    try:
+        return BargainingProblem(**columns)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(columns=_gate_cases())
+@example(columns=_TINY_WEIGHT_HUGE_OVERHEAD)
+@example(columns=dict(ids=["a", "g"], data_sizes=[0.25 * _MAX, 0.25 * _MAX], upload_rates=[math.inf, math.inf],
+                      raw_alphas=[1.0, 1.0], go=1, airtime=1.0, broadcast_rate=1.0))     # a demand of DBL_MAX / 2
+@example(columns=dict(ids=["a", "g"], data_sizes=[1e-310, 1e-310], upload_rates=[1.0, math.inf],
+                      raw_alphas=[1.0, 1.0], go=1, airtime=1.0, broadcast_rate=1.0))     # only subnormal caps
+def test_the_plain_gate_rejects_what_the_exact_check_rejects(columns):
+    """A plain problem, with no disagreement column, is gated on its
+    demand, smallest weight and smallest cap, and checked player by player
+    only where that gate does not hold; the same columns with an explicit
+    zero disagreement column are always checked player by player.  Both
+    raise the same error class and message, or both accept, and then the
+    three allocators give both the same bits, all finite."""
+    plain = _verdict(columns)
+    exact = _verdict({**columns, "disagreements": [0.0] * len(columns["ids"])})
+    if isinstance(exact, tuple):
+        assert plain == exact
+        return
+    assert isinstance(plain, BargainingProblem), plain
+    assert plain._active.plain and not exact._active.plain
+    allocations = [[gnbs_allocate(p)[0], eql_allocate(p), wtd_allocate(p)] for p in (plain, exact)]
+    assert support.exact_bits(allocations[0]) == support.exact_bits(allocations[1])
+    assert all(np.isfinite(a.broadcast_time).all() for a in allocations[0])
+
+
+def test_the_plain_gate_decides_without_levels_and_declines_at_the_edges():
+    """The gate passes table1 without computing a level and declines the
+    tiny weight on a huge relay overhead, which the player-by-player check
+    rejects."""
+    problem = support.table1_problem()
+    assert problem._active.plain and "_levels" not in vars(problem)
+    with pytest.raises(ProblemOverflowError, match="^player a: the level at the cap overflows$"):
+        BargainingProblem(**_TINY_WEIGHT_HUGE_OVERHEAD)

@@ -854,6 +854,34 @@ def test_compare_policies_solves_each_round_once(monkeypatch):
         assert _kkt_bits(kkt) == _kkt_bits(bargaining.gnbs_allocate(rnd.problem)[1])
 
 
+def test_levels_are_built_only_for_gnbs_and_sorted_once(monkeypatch):
+    """A problem that only eql or wtd solves builds no levels: under an
+    eql or wtd run, every estimated problem.  Under ``compare_policies``,
+    each problem's GNBS curves, the sort of its levels, are sorted at most
+    once, however many rounds and policies read them."""
+    work = support.record_round_work(monkeypatch)
+    for name in ("table1", "dynamic4"):
+        scenario = scenario_from_dict({**SCENARIOS[name], "seed": 3})
+        for policy in ("eql", "wtd"):
+            derived = len(work["derived"])
+            report = simulate._run(scenario, policy, _round_draws(scenario))
+            estimated = [r.problem for r in report.rounds if r.problem.active]
+            assert estimated and {id(p) for p in estimated} <= {id(p) for p in work["derived"][derived:]}
+            assert not {id(p._active) for p in estimated} & {id(act) for act in work["levels"]}
+            assert all("_levels" not in vars(p) and "_curves" not in vars(p) for p in estimated)
+    sorted_once = 0
+    for doc in (SCENARIOS["table1"], SCENARIOS["dynamic4"], SHARED_ROUNDS["drained"]):
+        for key in ("built", "derived", "sorted"):
+            work[key].clear()
+        compare_policies(scenario_from_dict(doc))
+        for problem in work["built"] + work["derived"]:
+            levels = vars(problem).get("_levels")
+            sorts = 0 if levels is None else sum(r is levels[0] for r in work["sorted"])
+            assert sorts <= 1
+            sorted_once += sorts
+    assert sorted_once >= 5
+
+
 def test_slot_size_sweep_solves_shared_rounds_once_per_repetition(monkeypatch):
     """k slot sizes and r repetitions of one-round table1 derive and solve
     the round's estimated problem r times, not k * r times, and certify it

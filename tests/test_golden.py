@@ -75,7 +75,7 @@ DOC_COMMANDS = {
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-GOLDEN_SHA256 = "e45a9d0bdc587ed50d5e5b6c82f3fb63687bf74b2ee2d04691a1a0dff7db8532"
+GOLDEN_SHA256 = "5706c675950f9e7d593548d2138d785774cab1516dc28ae3bdcd2f0db0f648ea"
 
 
 def _commands(preset: str) -> list[list[str]]:

@@ -603,6 +603,49 @@ def test_replay_forms_match_slot_by_slot_reference(case):
 REPLAY_ULPS = 64.0
 
 
+def test_printed_broadcast_slots_send_what_the_replay_realizes(monkeypatch):
+    """A node's printed broadcast slots stop at its queue: on every round
+    that compare_policies schedules on the presets and on table1 scaled to
+    10-80 s contacts, without noise, the printed broadcast seconds of each
+    node add up, within 1e-12 relative, to what the replay realizes for it
+    over the schedule's whole interval, and so to the round's realized
+    broadcast where the round runs to that end (a join ends some earlier).
+    Many rounds print less than their slots would run.  A client's upload
+    slot is printed only before a broadcast slot of its own, and the slot
+    count is still the printed count."""
+    records = []
+    step = simulate._round
+    monkeypatch.setattr(simulate, "_round", lambda *args: records.append(step(*args)) or records[-1])
+    runs = [replace(scenario_from_dict(doc), loss=None, pcd_error=None) for doc in PRESETS.values()]
+    runs += [scale_contact_durations(runs[0], duration) for duration in (10.0, 20.0, 40.0, 80.0)]
+    for run in runs:
+        try:
+            compare_policies(run)
+        except ScheduleError:       # keeps the rounds before the one that raises
+            pass
+    scheduled, to_the_end, capped = 0, 0, 0
+    for r in (r for r in records if r.schedule is not None):
+        schedule, entries = r.schedule, list(r.schedule.entries)
+        assert len(entries) == len(schedule.entries)
+        printed = np.zeros(len(r.members))
+        for e, after in zip(entries, entries[1:] + [None]):
+            if e.kind == "broadcast":
+                printed[r.members.index(e.node)] += e.duration
+            else:       # the interval's end alone cuts a broadcast slot away, after the last slot
+                assert after is None or (after.node, after.kind) == (e.node, "broadcast")
+        order = [r.members.index(node) for node, kind, _ in schedule.pattern if kind == "broadcast"]
+        whole = simulate._replay(schedule, math.inf, order, r.problem.caps)
+        np.testing.assert_allclose(printed, whole, rtol=1e-12, atol=0.0)
+        if schedule.t_start + schedule.interval <= r.t_end:
+            np.testing.assert_allclose(printed, r.realized_broadcast, rtol=1e-12, atol=0.0)
+            to_the_end += 1
+        runs_for = [s for (_, kind, _), s in zip(schedule.pattern, schedule.leg_seconds(math.inf))
+                    if kind == "broadcast"]
+        capped += bool(np.count_nonzero(printed[order] < runs_for))
+        scheduled += 1
+    assert scheduled >= 25 and to_the_end >= 20 and capped >= 20, (scheduled, to_the_end, capped)
+
+
 def test_replay_stays_within_ulps_of_exact(monkeypatch):
     """Every scheduled round that compare_policies runs on table1 and
     dynamic4, without noise and with loss and estimation noise (seeds 0-3),
